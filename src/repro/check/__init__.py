@@ -31,6 +31,9 @@ redundant counterweight:
   equivalence with an uninterrupted run plus ledger conservation;
 - :mod:`repro.check.corruptions` plants known bug classes to prove the
   validator still catches them;
+- :mod:`repro.check.utilities` keeps the eager per-pair ``mu_v`` builders
+  that the dispatcher's array-backed table replaced, as the reference
+  the table is tested against;
 - ``python -m repro.check`` drives it all from the command line (see
   ``--help``; CI runs it nightly).
 

@@ -78,7 +78,10 @@ from repro.roadnet.areas import build_areas
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.oracle import DistanceOracle
 from repro.social.graph import SocialNetwork
-from repro.workload.instances import synthetic_vehicle_utilities
+from repro.workload.instances import (
+    VehicleUtilityTable,
+    synthetic_vehicle_utilities,
+)
 from repro.workload.serialize import rider_from_dict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -110,6 +113,10 @@ class RiderStatus(enum.Enum):
     DELIVERED = "delivered"    # drop-off executed by the rollforward
     EXPIRED = "expired"        # deadline dead or retry budget spent
     CANCELLED = "cancelled"    # explicit cancellation / no-show
+
+
+#: Ledger states that count a rider as served by :attr:`Dispatcher.service_rate`.
+_SERVED_STATUSES = frozenset({RiderStatus.COMMITTED, RiderStatus.DELIVERED})
 
 
 class DispatchError(RuntimeError):
@@ -518,6 +525,7 @@ class Dispatcher:
             for stop in fv.committed_stops:
                 self.ledger[stop.rider.rider_id] = RiderStatus.COMMITTED
         self._seen_rider_ids.update(self.ledger)
+        self._preloaded_rider_ids = frozenset(self.ledger)
         # every disruption outcome ever applied or skipped, in order
         self.disruption_log: List["DisruptionOutcome"] = []
         # snapshot-delta accounting: the process-wide perf counters are
@@ -1119,7 +1127,12 @@ class Dispatcher:
         return num_expired
 
     def _pin_utilities(self, instance: URRInstance) -> None:
-        """Keep mu_v rows stable for riders that outlive this frame."""
+        """Keep mu_v rows stable for riders that outlive this frame.
+
+        A rider already pinned keeps its row object; a newly live rider
+        was in this frame's batch and not pinned, so its row is exactly
+        its base row of the frame's table (whose columns are the fleet,
+        which does not change inside a frame)."""
         live: Set[int] = {entry.rider.rider_id for entry in self._carryover}
         for fv in self.fleet.values():
             live.update(r.rider_id for r in fv.onboard)
@@ -1130,11 +1143,7 @@ class Dispatcher:
         for rid in sorted(live):
             row = self._pinned_utilities.get(rid)
             if row is None:
-                row = {
-                    vid: instance.vehicle_utilities[(rid, vid)]
-                    for vid in self.fleet
-                    if (rid, vid) in instance.vehicle_utilities
-                }
+                row = instance.vehicle_utilities.row(rid)
             pinned[rid] = row
         self._pinned_utilities = pinned
 
@@ -1160,15 +1169,28 @@ class Dispatcher:
 
     @property
     def service_rate(self) -> float:
-        """Served / unique submitted — free of retry double-counting.
+        """Unique riders served / unique submitted, read from the ledger.
 
-        Vacuously 1.0 before any request has been submitted (a fleet
-        with no demand has failed nobody).
+        A rider counts as served while it is COMMITTED or DELIVERED, so
+        neither a retry nor a re-serve after a breakdown strands it is
+        counted twice (``total_served`` sums per-frame ``num_served`` and
+        does count a re-served rider once per commit).  Riders handed in
+        with the construction-time fleet were never submitted and are
+        not counted; a restored dispatcher cannot tell them apart (the
+        snapshot does not record them).  Vacuously 1.0 before any
+        request has been submitted (a fleet with no demand has failed
+        nobody).
         """
         total = self.total_requests
         if not total:
             return 1.0
-        return self.total_served / total
+        served = sum(
+            1
+            for rid, status in self.ledger.items()
+            if status in _SERVED_STATUSES
+            and rid not in self._preloaded_rider_ids
+        )
+        return served / total
 
     def ledger_counts(self) -> Dict[str, int]:
         """Riders per :class:`RiderStatus` (the conservation breakdown)."""
@@ -1352,13 +1374,13 @@ class Dispatcher:
         vehicles = [fv.as_vehicle() for fv in self.fleet.values()]
         if self.utility_matrix == "synthetic":
             rng = np.random.default_rng(self.seed + self._frame_index)
-            matrix = synthetic_vehicle_utilities(riders, vehicles, rng)
+            table = synthetic_vehicle_utilities(riders, vehicles, rng)
         else:
             # "default": every pair falls back to default_vehicle_utility
-            matrix = {}
-        for rid, row in self._pinned_utilities.items():
-            for vid, value in row.items():
-                matrix[(rid, vid)] = value
+            table = VehicleUtilityTable((), (), np.empty((0, 0)))
+        # pinned rows win over this frame's draw; layered by reference
+        # (never edited in place — _pin_utilities replaces the dict)
+        matrix = table.layered(self._pinned_utilities)
         return URRInstance(
             network=self.network,
             riders=riders,

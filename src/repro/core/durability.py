@@ -208,8 +208,11 @@ def logical_summary(summary: dict) -> dict:
 # ----------------------------------------------------------------------
 # dispatcher state <-> snapshot payload
 # ----------------------------------------------------------------------
-def snapshot_dispatcher(dispatcher) -> dict:
+def snapshot_dispatcher(dispatcher, fingerprint: int) -> dict:
     """Capture every piece of cross-frame dispatcher state as JSON.
+
+    ``fingerprint`` is the :func:`network_fingerprint` of the
+    dispatcher's network (the log caches it per oracle epoch).
 
     Ordering is part of the contract wherever the dispatcher's own
     iteration order is: the fleet list preserves the fleet dict's
@@ -255,7 +258,7 @@ def snapshot_dispatcher(dispatcher) -> dict:
             "shard_timeout": dispatcher.shard_timeout,
             "shard_retries": dispatcher.shard_retries,
         },
-        "network_fingerprint": network_fingerprint(dispatcher.network),
+        "network_fingerprint": fingerprint,
         "oracle_epoch": dispatcher.oracle.epoch,
         "fleet": fleet,
         "carryover": [
@@ -377,6 +380,8 @@ class DurabilityLog:
         self.crash_hook: Optional[Callable[[str], None]] = None
         self._wal_file = None
         self._network_fp: Optional[int] = None
+        # (network, oracle, oracle epoch) _network_fp was computed at
+        self._fp_source: Optional[Tuple[object, object, int]] = None
         self._suspended = False
 
     # -- crash seam ----------------------------------------------------
@@ -432,23 +437,37 @@ class DurabilityLog:
         """Atomically persist the dispatcher's full cross-frame state.
 
         Also (re)writes ``network.json`` whenever the network content
-        changed since the last snapshot — disruptions mutate the metric,
-        and restore must see the network the state was committed under.
+        changed since the last snapshot (checked once per oracle epoch)
+        — disruptions mutate the metric, and restore must see the
+        network the state was committed under.
         Ends by truncating the WAL: every record it held is now covered
         by the snapshot.
         """
-        payload = snapshot_dispatcher(dispatcher)
-        fingerprint = payload["network_fingerprint"]
-        if fingerprint != self._network_fp:
-            self._atomic_write(
-                self.network_path,
-                {
-                    "format_version": CHECKPOINT_VERSION,
-                    "fingerprint": fingerprint,
-                    "network": network_to_dict(dispatcher.network),
-                },
-            )
-            self._network_fp = fingerprint
+        network, oracle = dispatcher.network, dispatcher.oracle
+        source = self._fp_source
+        if (
+            source is None
+            or source[0] is not network
+            or source[1] is not oracle
+            or source[2] != oracle.epoch
+        ):
+            # serialising and CRC-ing a city network costs tens of ms, so
+            # it is only redone on a new oracle epoch: every
+            # dispatcher-side mutation of the network (perturbation,
+            # closure, closure revert) calls oracle.invalidate()
+            fingerprint = network_fingerprint(network)
+            if fingerprint != self._network_fp:
+                self._atomic_write(
+                    self.network_path,
+                    {
+                        "format_version": CHECKPOINT_VERSION,
+                        "fingerprint": fingerprint,
+                        "network": network_to_dict(network),
+                    },
+                )
+                self._network_fp = fingerprint
+            self._fp_source = (network, oracle, oracle.epoch)
+        payload = snapshot_dispatcher(dispatcher, self._network_fp)
         self._atomic_write(
             self.snapshot_path, payload, crash_point="post_snapshot_temp"
         )

@@ -9,7 +9,7 @@ of view — every solver builds fresh :class:`TransferSequence` objects.
 
 from __future__ import annotations
 
-from collections.abc import MutableMapping
+from collections.abc import Mapping, MutableMapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
@@ -42,8 +42,11 @@ class URRInstance:
     alpha, beta:
         Balancing parameters of Eq. 1.
     vehicle_utilities:
-        ``(rider_id, vehicle_id) -> mu_v`` matrix.  Missing pairs default
-        to :attr:`default_vehicle_utility`.
+        Read-only ``(rider_id, vehicle_id) -> mu_v`` mapping: a plain
+        dict, or the array-backed
+        :class:`~repro.workload.instances.VehicleUtilityTable` that
+        generated workloads and the dispatcher build.  Missing pairs
+        default to :attr:`default_vehicle_utility`.
     social:
         Social network for Eq. 3 similarities (rider ``social_id`` indexes
         into it).  ``None`` means all similarities are zero.
@@ -69,7 +72,7 @@ class URRInstance:
     vehicles: List[Vehicle]
     alpha: float = 1.0 / 3.0
     beta: float = 1.0 / 3.0
-    vehicle_utilities: Dict[Tuple[int, int], float] = field(default_factory=dict)
+    vehicle_utilities: Mapping[Tuple[int, int], float] = field(default_factory=dict)
     social: Optional[SocialNetwork] = None
     similarity_overrides: Dict[Tuple[int, int], float] = field(default_factory=dict)
     start_time: float = 0.0

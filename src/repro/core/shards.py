@@ -81,6 +81,7 @@ from repro.roadnet.areas import AreaIndex
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.oracle import DistanceOracle
 from repro.social.graph import SocialNetwork
+from repro.workload.instances import VehicleUtilityTable
 
 
 # ----------------------------------------------------------------------
@@ -203,7 +204,7 @@ class ShardTask:
     method: str
     riders: List[Rider]
     vehicles: List[Vehicle]
-    vehicle_utilities: Dict[Tuple[int, int], float]
+    vehicle_utilities: VehicleUtilityTable
     similarity_overrides: Dict[Tuple[int, int], float]
     alpha: float
     beta: float
@@ -232,16 +233,15 @@ class ShardResult:
 def make_shard_task(instance: URRInstance, shard: Shard, method: str) -> ShardTask:
     """Slice a frame instance down to one shard's task payload.
 
-    The vehicle-utility matrix is filtered to the shard's vehicles only
-    (values are unchanged, so per-pair utilities match the global
-    frame's); everything else is copied verbatim.
+    The vehicle-utility matrix becomes a view limited to the shard's
+    vehicles (values are unchanged, so per-pair utilities match the
+    global frame's; it pickles only the shard's own columns);
+    everything else is copied verbatim.
     """
-    vids = {v.vehicle_id for v in shard.vehicles}
-    utilities = {
-        pair: value
-        for pair, value in instance.vehicle_utilities.items()
-        if pair[1] in vids
-    }
+    utilities = instance.vehicle_utilities
+    if not isinstance(utilities, VehicleUtilityTable):
+        utilities = VehicleUtilityTable.from_mapping(utilities)
+    utilities = utilities.restrict(v.vehicle_id for v in shard.vehicles)
     return ShardTask(
         shard_id=shard.shard_id,
         method=method,

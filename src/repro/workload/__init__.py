@@ -16,6 +16,7 @@ Stands in for the NYC/Chicago taxi trip records and the Gowalla check-ins:
 from repro.workload.io import read_trips_csv, write_trips_csv
 from repro.workload.instances import (
     InstanceConfig,
+    VehicleUtilityTable,
     build_instance,
     build_instance_from_trips,
     synthetic_vehicle_utilities,
@@ -55,5 +56,6 @@ __all__ = [
     "stadium_event",
     "uniform_city",
     "synthetic_vehicle_utilities",
+    "VehicleUtilityTable",
     "write_trips_csv",
 ]

@@ -83,6 +83,34 @@ class TestBreakdown:
                 break
         assert all(d.ledger[rid] is RiderStatus.DELIVERED for rid in stranded)
 
+    def test_service_rate_counts_a_reserved_stranded_rider_once(self, city):
+        """A rider served, stranded by a breakdown and served again is
+        one served request (regression: the rate summed per-frame
+        ``num_served`` and went above 1)."""
+        d = _dispatcher(city, max_retries=5)
+        d.dispatch_frame(_interleaved_trips())
+        stranded = {r.rider_id for r in d.fleet[0].onboard}
+        assert stranded
+        d.inject([VehicleBreakdown(vehicle_id=0)])
+        for _ in range(20):
+            d.dispatch_frame([])
+            if all(d.ledger[rid] is RiderStatus.DELIVERED for rid in stranded):
+                break
+        assert all(d.ledger[rid] is RiderStatus.DELIVERED for rid in stranded)
+        assert d.total_requests == 2
+        assert d.total_served > d.total_requests  # commits, not riders
+        assert d.service_rate == 1.0
+
+    def test_service_rate_drops_a_rider_cancelled_after_commit(self, city):
+        d = _dispatcher(city, frame_length=1.0)
+        d.dispatch_frame(_interleaved_trips())
+        assert d.service_rate == 1.0
+        rid = min(d.fleet[0].pending_pickup_ids())  # promised, not picked up
+        (outcome,) = d.inject([RiderCancellation(rider_id=rid)])
+        assert outcome.applied
+        assert d.ledger[rid] is RiderStatus.CANCELLED
+        assert d.service_rate == 0.5  # the other rider only
+
     def test_pending_pickup_released_with_original_request(self, city):
         # very short frames: the vehicle anchors at the first pickup and
         # the second rider's pickup is still pending in the chain

@@ -12,13 +12,17 @@ import json
 
 import pytest
 
+import repro.core.durability as durability
+from repro.check.utilities import use_eager_rows
 from repro.core.dispatch import Dispatcher
+from repro.core.disruptions import TravelTimePerturbation
 from repro.core.durability import (
     CHECKPOINT_VERSION,
     CheckpointError,
     DurabilityConfig,
     SimulatedCrash,
     frame_summary,
+    network_fingerprint,
 )
 from repro.core.vehicles import Vehicle
 from repro.roadnet.generators import grid_city
@@ -204,6 +208,130 @@ class TestGuards:
                           arterial_every=None)
         with pytest.raises(CheckpointError, match="fingerprint"):
             Dispatcher.restore(str(tmp_path), network=other)
+
+
+class TestNetworkFingerprintCache:
+    """Snapshots re-fingerprint the network only on a new oracle epoch."""
+
+    @pytest.fixture
+    def own_city(self):
+        # function-scoped: perturbations mutate the network in place
+        return grid_city(6, 6, seed=4, removal_fraction=0.0,
+                         arterial_every=None)
+
+    @pytest.fixture
+    def fingerprint_calls(self, monkeypatch):
+        calls = []
+
+        def counting(network):
+            calls.append(network)
+            return network_fingerprint(network)
+
+        monkeypatch.setattr(durability, "network_fingerprint", counting)
+        return calls
+
+    def test_same_epoch_snapshot_reuses_the_fingerprint(
+        self, own_city, tmp_path, fingerprint_calls
+    ):
+        with make_dispatcher(own_city, "plain",
+                             durability=str(tmp_path)) as d:
+            assert len(fingerprint_calls) == 1  # the base snapshot
+            for f in range(3):
+                d.dispatch_frame(frame_requests(f, f * 10))
+            d._durability.write_snapshot(d)
+        assert len(fingerprint_calls) == 1
+        snapshot = json.loads((tmp_path / "snapshot.json").read_text())
+        assert snapshot["network_fingerprint"] == network_fingerprint(own_city)
+
+    def test_perturbation_refreshes_fingerprint_and_network_file(
+        self, own_city, tmp_path, fingerprint_calls
+    ):
+        before = network_fingerprint(own_city)
+        with make_dispatcher(own_city, "plain",
+                             durability=str(tmp_path)) as d:
+            d.dispatch_frame(frame_requests(0, 0))
+            (outcome,) = d.inject(
+                [TravelTimePerturbation(factors=((0, 1, 3.0),))]
+            )
+            assert outcome.applied
+            d.dispatch_frame(frame_requests(1, 10))
+        after = network_fingerprint(own_city)
+        assert after != before
+        assert len(fingerprint_calls) == 2  # base + the new epoch
+        snapshot = json.loads((tmp_path / "snapshot.json").read_text())
+        assert snapshot["network_fingerprint"] == after
+        stored = json.loads((tmp_path / "network.json").read_text())
+        assert stored["fingerprint"] == after
+        # the rewritten network.json is the perturbed metric
+        with Dispatcher.restore(str(tmp_path)) as restored:
+            assert network_fingerprint(restored.network) == after
+
+    def test_restore_against_the_wrong_network_still_fails(
+        self, own_city, tmp_path
+    ):
+        pristine = grid_city(6, 6, seed=4, removal_fraction=0.0,
+                             arterial_every=None)
+        with make_dispatcher(own_city, "plain",
+                             durability=str(tmp_path)) as d:
+            d.dispatch_frame(frame_requests(0, 0))
+            d.inject([TravelTimePerturbation(factors=((0, 1, 3.0),))])
+            d.dispatch_frame(frame_requests(1, 10))
+            d._durability.write_snapshot(d)  # a cached-fingerprint write
+        # the pre-perturbation network is now the wrong metric
+        with pytest.raises(CheckpointError, match="fingerprint"):
+            Dispatcher.restore(str(tmp_path), network=pristine)
+
+
+class TestEagerRowCheckpointCompat:
+    """Checkpoints written by the eager mu_v builder restore unchanged."""
+
+    @staticmethod
+    def short_frames(city, **kwargs):
+        # 3-minute frames: riders stay onboard, committed or carried
+        # across the checkpoint, so it holds pinned rows
+        return Dispatcher(city, make_fleet(), method="eg", frame_length=3.0,
+                          seed=9, **kwargs)
+
+    @staticmethod
+    def payload(directory):
+        snapshot = json.loads((directory / "snapshot.json").read_text())
+        snapshot.pop("perf")  # wall-clock counters, informational only
+        return snapshot
+
+    def test_eager_checkpoint_restores_and_finishes_identically(
+        self, city, tmp_path
+    ):
+        eager_dir, table_dir = tmp_path / "eager", tmp_path / "table"
+        with self.short_frames(city, durability=str(eager_dir)) as d:
+            use_eager_rows(d)
+            for f in range(2):
+                d.dispatch_frame(frame_requests(f, f * 10))
+            assert d._pinned_utilities  # rows live across the cut
+        with self.short_frames(city, durability=str(table_dir)) as d:
+            for f in range(2):
+                d.dispatch_frame(frame_requests(f, f * 10))
+        # the snapshot payload is the same either way
+        assert self.payload(eager_dir) == self.payload(table_dir)
+
+        with self.short_frames(city) as reference:
+            use_eager_rows(reference)
+            for f in range(FRAMES):
+                reference.dispatch_frame(frame_requests(f, f * 10))
+        with Dispatcher.restore(str(eager_dir)) as restored:
+            for f in range(2, FRAMES):
+                restored.dispatch_frame(frame_requests(f, f * 10))
+            assert restored.ledger == reference.ledger
+            assert restored._pinned_utilities == reference._pinned_utilities
+            assert [canonical(r) for r in restored.reports] == [
+                canonical(r) for r in reference.reports
+            ]
+            for vid, fv in reference.fleet.items():
+                got = restored.fleet[vid]
+                assert (got.location, got.ready_time) == (
+                    fv.location, fv.ready_time
+                )
+                assert got.onboard == fv.onboard
+                assert got.committed_stops == fv.committed_stops
 
 
 class TestCrashPoints:
