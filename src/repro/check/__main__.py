@@ -21,7 +21,10 @@ Modes
   **tiered-oracle differential** — the same seeded scenario driven
   through a tier-1 (CH + ALT) :class:`DistanceOracle` must match the
   untiered run frame-for-frame and bit-for-bit on every sampled cost,
-  including across disruption-driven invalidation epochs.
+  including across disruption-driven invalidation epochs.  With
+  ``--prune`` it moves the pruned run onto a forced tier-1 oracle (its
+  centre rows in the pinned block) and perturbs travel times mid-run in
+  some seeds.
 - ``--prune``: differential-fuzz **candidate retrieval** — each seed's
   dispatcher scenario runs once with the full all-pairs scan and once
   through the spatio-temporal candidate index
@@ -75,6 +78,7 @@ from repro.check.fuzz import (
     DispatchFuzzConfig,
     FuzzConfig,
     FuzzRunReport,
+    PruneFuzzConfig,
     ShardFuzzConfig,
     fuzz_chaos_seed,
     fuzz_dispatch_seed,
@@ -210,7 +214,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="with --dispatch or --chaos: run the tiered-oracle "
              "differential — a tier-1 (CH + ALT) DistanceOracle must "
              "match the untiered run frame-for-frame and bit-for-bit on "
-             "every sampled cost, including across disruption epochs",
+             "every sampled cost, including across disruption epochs; "
+             "with --prune: prune on a forced tier-1 oracle, with a "
+             "mid-run travel-time perturbation in some seeds",
     )
     parser.add_argument(
         "--shard-workers", type=int, default=None, metavar="N",
@@ -273,6 +279,7 @@ def _run(args: argparse.Namespace, verbose: bool) -> int:
     if args.tiered:
         chaos_config.tiered = True
     dispatch_config = DispatchFuzzConfig(tiered=args.tiered)
+    prune_config = PruneFuzzConfig(tiered=args.tiered)
     crash_config = CrashFuzzConfig()
     if args.shard_workers is not None and args.crash:
         crash_config.shard_workers = args.shard_workers
@@ -358,13 +365,14 @@ def _run(args: argparse.Namespace, verbose: bool) -> int:
         return 0 if sreport.ok else 1
 
     if args.replay is not None and args.prune:
-        preport = fuzz_prune_seed(args.replay)
+        preport = fuzz_prune_seed(args.replay, prune_config)
         print(
             f"seed {preport.seed}: method={preport.method} "
             f"mode={preport.mode} frames={preport.num_frames} "
             f"vehicles={preport.num_vehicles} "
             f"frame_length={preport.frame_length:.2f} "
-            f"max_retries={preport.max_retries}"
+            f"max_retries={preport.max_retries} "
+            f"perturbed_at={preport.perturbed_at}"
         )
         print(
             f"  requests={preport.total_requests} "
@@ -462,7 +470,9 @@ def _run(args: argparse.Namespace, verbose: bool) -> int:
             seeds, chaos_config, stop_after=budget, on_seed=progress
         )
     elif args.prune:
-        run = run_prune_fuzz(seeds, stop_after=budget, on_seed=progress)
+        run = run_prune_fuzz(
+            seeds, prune_config, stop_after=budget, on_seed=progress
+        )
     elif args.dispatch_shards:
         run = run_shard_fuzz(
             seeds, shard_config, stop_after=budget, on_seed=progress
@@ -482,7 +492,10 @@ def _run(args: argparse.Namespace, verbose: bool) -> int:
     elif args.chaos:
         what = "chaos scenarios"
     elif args.prune:
-        what = "prune differentials"
+        what = (
+            "tiered prune differentials" if args.tiered
+            else "prune differentials"
+        )
     elif args.dispatch_shards:
         what = "shard differentials"
     elif args.dispatch:

@@ -901,9 +901,18 @@ class PruneFuzzConfig:
     Each seed runs one multi-frame dispatch scenario *twice* — once with
     the full all-pairs scan and once through the candidate index — and
     asserts the runs are frame-for-frame identical.  The grid is larger
-    than the dispatch fuzzer's so the spatial buckets have something to
+    than the dispatch fuzzer's so the spatial bound has something to
     prune, and both dispatchers share the network and oracle so any
     divergence is attributable to retrieval alone.
+
+    With ``tiered`` set, the pruned run instead gets its own copy of the
+    network on a forced tier-1 oracle (``DistanceOracle(tier=1)``), so
+    the centre rows it prunes with live in the oracle's pinned block
+    rather than the APSP table; the full scan keeps an untiered oracle
+    on a second copy.  In half of the seeds (GBS excluded: its grouping
+    plan is precomputed) a mid-run
+    :class:`TravelTimePerturbation` hits both copies at one frame
+    boundary, so the index must ``resync`` onto the new epoch's block.
     """
 
     grid_rows: int = 8
@@ -918,6 +927,7 @@ class PruneFuzzConfig:
     max_capacity: int = 3
     methods: Tuple[str, ...] = ("eg", "ba", "cf", "gbs+eg")
     modes: Tuple[str, ...] = ("spatial", "spatiotemporal")
+    tiered: bool = False
 
 
 @dataclass
@@ -935,6 +945,8 @@ class PruneSeedReport:
     total_served: int = 0
     pairs_considered: int = 0
     pairs_pruned: int = 0
+    #: frame before which a travel-time perturbation hit both runs
+    perturbed_at: Optional[int] = None
     failures: List[FuzzFailure] = field(default_factory=list)
 
     @property
@@ -1027,21 +1039,48 @@ def _fuzz_prune_seed_impl(
 
     plan = _plan_for(network) if method.startswith("gbs") else None
 
+    # tiered extras come from a private rng so the scenario stream stays
+    # aligned with the untiered config
+    perturb_at: Optional[int] = None
+    perturbation = None
+    if config.tiered:
+        extra = np.random.default_rng((seed << 1) ^ 0x7E1D)
+        gbs = method.startswith("gbs")
+        if extra.random() < 0.5 and not gbs and num_frames > 1:
+            perturb_at = int(extra.integers(1, num_frames))
+            # a broad, mostly-shortening change: stale centre rows would
+            # then overestimate lower bounds and cut feasible pairs
+            edges = _edge_list(network)
+            count = int(extra.integers(1, len(edges) // 3 + 2))
+            perturbation = TravelTimePerturbation(
+                factors=tuple(
+                    (*edges[int(extra.integers(len(edges)))],
+                     float(extra.uniform(0.1, 1.5)))
+                    for _ in range(count)
+                )
+            )
+
     def make_dispatcher(candidate_mode: str) -> Dispatcher:
+        run_network, run_oracle = network, oracle
+        if config.tiered:
+            run_network = network.copy()
+            run_oracle = DistanceOracle(
+                run_network, tier=1 if candidate_mode != "full" else None
+            )
         kwargs = {}
         if candidate_mode != "full":
             kwargs["candidate_index"] = build_candidate_index(
-                network, oracle=oracle, mode=candidate_mode, audit=True
+                run_network, oracle=run_oracle, mode=candidate_mode, audit=True
             )
         return Dispatcher(
-            network,
+            run_network,
             fleet,
             method=method,
             frame_length=frame_length,
             plan=plan,
             alpha=alpha,
             beta=beta,
-            oracle=oracle,
+            oracle=run_oracle,
             seed=seed,
             max_retries=max_retries,
             candidate_mode=candidate_mode,
@@ -1059,6 +1098,7 @@ def _fuzz_prune_seed_impl(
         frame_length=frame_length,
         max_retries=max_retries,
         num_riders=rider_id,
+        perturbed_at=perturb_at,
     )
     failures = report.failures
 
@@ -1069,6 +1109,9 @@ def _fuzz_prune_seed_impl(
 
     stats_before = CANDIDATE_STATS.snapshot()
     for frame, requests in enumerate(frames):
+        if frame == perturb_at:
+            full.inject([perturbation])
+            pruned.inject([perturbation])
         try:
             full_report = full.dispatch_frame(list(requests))
         except DispatchError as exc:

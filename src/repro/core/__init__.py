@@ -11,7 +11,7 @@ from repro.core.bounds import BoundReport, serviceable_riders, utility_upper_bou
 from repro.core.candidates import (
     CANDIDATE_MODES,
     CandidateIndex,
-    VehicleBuckets,
+    VehicleColumns,
     build_candidate_index,
 )
 from repro.core.cost_first import run_cost_first
@@ -93,7 +93,7 @@ __all__ = [
     "UtilityComponent",
     "UtilityModel",
     "Vehicle",
-    "VehicleBuckets",
+    "VehicleColumns",
     "arrange_single_rider",
     "arrange_single_rider_reference",
     "compute_metrics",

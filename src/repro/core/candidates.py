@@ -6,13 +6,12 @@ module replaces that all-pairs scan with an incremental index over vehicle
 positions, pruned by two *sound* lower bounds (a lower bound on the true
 travel cost can never cut a feasible pair):
 
-- **spatial** — vehicles are bucketed by the area of their current
-  location (:class:`~repro.roadnet.areas.AreaIndex`, the Algorithm-4 key
-  vertices).  With ``c`` the bucket's centre, the triangle inequality in
-  the current metric gives ``cost(l, s) >= cost(c, s) - cost(c, l)`` for a
-  vehicle at ``l`` and a pickup at ``s`` (both distances *from* ``c``, so
-  the bound also holds on directed networks).  Whole buckets are skipped
-  when even their closest-looking member cannot beat the pickup deadline.
+- **spatial** — every vehicle is bounded through the centre ``c`` of the
+  area of its current location (:class:`~repro.roadnet.areas.AreaIndex`,
+  the Algorithm-4 key vertices).  The triangle inequality in the current
+  metric gives ``cost(l, s) >= cost(c, s) - cost(c, l)`` for a vehicle at
+  ``l`` and a pickup at ``s`` (both distances *from* ``c``, so the bound
+  also holds on directed networks).
 - **temporal** — an ALT landmark bound
   (:class:`~repro.roadnet.landmarks.LandmarkIndex`,
   ``max_L |d(L, s) - d(L, l)| <= cost(l, s)``) refines the survivors.
@@ -33,20 +32,31 @@ asserts this).  ``audit=True`` re-checks every pruned pair with an exact
 cost query and counts contradictions in
 :data:`repro.perf.CANDIDATE_STATS` (``pruned_in_error``) — always zero.
 
+**Layout.**  The area centres are pinned in the oracle, so their rows live
+in one float64 block (:meth:`DistanceOracle.pinned_block`; at tier 0 the
+APSP table itself).  The index keeps one slot per tracked vehicle in
+parallel arrays — node column, ready time, centre row and centre distance
+— in retrieval-rank order, and a rider's prune is one array kernel: the
+spatial bound ``t0 + block[row, col(s)] - d(c, l)`` for every slot at
+once, then the landmark bound over a nodes x landmarks table for the
+survivors only.  There are no whole-area skips: the per-vehicle bound
+already prunes every vehicle an area-level bound would.
+
 The index is maintained *incrementally*: the dispatcher inserts the fleet
-once, moves each vehicle to its new bucket as the clock rolls it forward,
-and only rebuilds distances after a disruption invalidates the oracle
+once, updates each vehicle's slot in place as the clock rolls it forward,
+and only re-derives distances after a disruption invalidates the oracle
 (:meth:`CandidateIndex.resync`, keyed off the oracle's ``epoch``).  There
 is no per-frame rebuild.
 
-:class:`VehicleBuckets` applies the same bucketing to the GBS fast
-vehicle filter (Section 6.2): per trip group, whole areas of vehicles are
-skipped before the per-vehicle centre-distance predicate runs.
+:class:`VehicleColumns` runs the GBS fast vehicle filter (Section 6.2)
+as one array operation over a trip group centre's row of the same block.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.obs import trace as _trace
 from repro.perf import CANDIDATE_STATS
@@ -62,68 +72,18 @@ _EPS = 1e-9
 _NEG_INF = float("-inf")
 
 #: Retrieval modes: ``"full"`` scans every pair (the index passes
-#: everything through), ``"spatial"`` applies the area-bucket bound,
+#: everything through), ``"spatial"`` applies the area-centre bound,
 #: ``"spatiotemporal"`` adds the landmark lower bound on the survivors.
 CANDIDATE_MODES = ("full", "spatial", "spatiotemporal")
 
-#: Entry layout: (location, ready, distance-from-centre, centre).
-_Entry = Tuple[int, float, float, Optional[int]]
-
-
-class _Bucket:
-    """One area's tracked vehicles plus cached pruning aggregates.
-
-    ``max_dist`` is the maximum *finite* centre-to-member distance and
-    ``min_ready`` the earliest member ready time: together they bound the
-    best any member could do, enabling whole-bucket skips.  Members whose
-    centre cannot reach them (``num_inf``) disable the bucket-level skip
-    (their spatial bound is vacuous) but are still tested individually.
-    Aggregates go stale on removal of an extremum and are recomputed
-    lazily (``dirty``).
-    """
-
-    __slots__ = ("entries", "max_dist", "min_ready", "num_inf", "dirty")
-
-    def __init__(self) -> None:
-        self.entries: Dict[int, _Entry] = {}
-        self.max_dist = 0.0
-        self.min_ready = INF
-        self.num_inf = 0
-        self.dirty = False
-
-    def add(self, vid: int, entry: _Entry) -> None:
-        self.entries[vid] = entry
-        _loc, ready, d, _center = entry
-        if d == INF:
-            self.num_inf += 1
-        elif d > self.max_dist:
-            self.max_dist = d
-        if ready < self.min_ready:
-            self.min_ready = ready
-
-    def discard(self, vid: int) -> None:
-        entry = self.entries.pop(vid, None)
-        if entry is None:
-            return
-        if entry[2] == INF:
-            self.num_inf -= 1
-        elif entry[2] >= self.max_dist:
-            self.dirty = True
-        if entry[1] <= self.min_ready:
-            self.dirty = True
-
-    def refresh(self) -> None:
-        self.max_dist = 0.0
-        self.min_ready = INF
-        self.num_inf = 0
-        for _loc, ready, d, _center in self.entries.values():
-            if d == INF:
-                self.num_inf += 1
-            elif d > self.max_dist:
-                self.max_dist = d
-            if ready < self.min_ready:
-                self.min_ready = ready
-        self.dirty = False
+#: Per-slot arrays of :class:`CandidateIndex`: node id, node column and
+#: ready time (-inf when None).  Everything else a slot needs is a pure
+#: function of its column and is read from the per-node tables.
+_SLOT_FIELDS = (
+    ("_loc", np.int64),
+    ("_col", np.int64),
+    ("_ready", np.float64),
+)
 
 
 class CandidateIndex:
@@ -134,11 +94,12 @@ class CandidateIndex:
     network:
         The road network vehicles move on.
     areas:
-        Area partition of the network (the bucket structure).
+        Area partition of the network; its centres are pinned in the
+        oracle and bound every vehicle of their area.
     oracle:
         Distance oracle *shared with the dispatcher/solvers*; centre rows
-        are read through it, and its ``epoch`` detects metric changes
-        (disruptions) that make the stored distances stale.
+        are read from its pinned block, and its ``epoch`` detects metric
+        changes (disruptions) that make the stored distances stale.
     landmarks:
         Optional landmark tables for the temporal bound (undirected
         networks only; built by :func:`build_candidate_index`).
@@ -174,60 +135,135 @@ class CandidateIndex:
         self.audit = audit
         self._landmarks = landmarks
         self._num_landmarks = num_landmarks
-        self._entries: Dict[int, _Entry] = {}
-        self._buckets: Dict[Optional[int], _Bucket] = {}
-        # retrieval must preserve the caller's fleet order (greedy heaps
-        # tie-break on push order): vehicles keep their insertion rank
-        self._order: Dict[int, int] = {}
-        self._next_order = 0
         self._epoch = oracle.epoch
+        # slots in retrieval-rank order (greedy heaps tie-break on the
+        # caller's fleet order, so vehicles keep their insertion rank)
+        self._slot: Dict[int, int] = {}
+        self._vids: List[int] = []
+        self._size = 0
+        for name, dtype in _SLOT_FIELDS:
+            setattr(self, name, np.empty(0, dtype=dtype))
+        # per-node tables derived from the oracle's block (see _tables)
+        self._block: Optional[np.ndarray] = None
+        self._node_row = self._node_dcl = self._node_bounded = None
+        self._lm: Optional[np.ndarray] = None  # nodes x landmarks, nan: unreachable
+
+    # ------------------------------------------------------------------
+    # the oracle's block and the per-node tables derived from it
+    # ------------------------------------------------------------------
+    def _tables(self) -> np.ndarray:
+        """The oracle's current block, re-deriving the tables on change.
+
+        A node's centre row, centre distance and boundedness (off-area
+        nodes and nodes their centre cannot reach are never spatially
+        pruned) are pure functions of the node in one epoch, so they are
+        tabled per node column and gathered by slot column at prune time.
+        """
+        oracle = self.oracle
+        block = oracle.pinned_block()
+        if block is not None and block is self._block:
+            return block
+        oracle.warm(self.areas.centers)  # no-op for rows already pinned
+        block = oracle.pinned_block()
+        n = block.shape[1]
+        node_row = np.zeros(n, dtype=np.int64)
+        has_center = np.zeros(n, dtype=np.bool_)
+        center_of = self.areas.center_of
+        center_rows: Dict[int, int] = {}
+        covered: List[int] = []
+        rows: List[int] = []
+        for node in self.network.nodes():
+            try:
+                center = center_of(node)
+            except KeyError:
+                continue  # off-area node: tracked, never spatially pruned
+            row = center_rows.get(center)
+            if row is None:
+                row = center_rows[center] = oracle.pinned_row(center)
+            covered.append(node)
+            rows.append(row)
+        cols = oracle.columns(covered)
+        node_row[cols] = rows
+        has_center[cols] = True
+        node_dcl = block[node_row, np.arange(n)]
+        bounded = has_center & (node_dcl != INF)
+        node_dcl[~bounded] = 0.0
+        self._node_row, self._node_dcl, self._node_bounded = (
+            node_row, node_dcl, bounded,
+        )
+        self._lm = self._landmark_table(n) if self._landmarks is not None else None
+        self._col[: self._size] = oracle.columns(self._loc[: self._size])
+        self._block = block
+        return block
+
+    def _landmark_table(self, n: int) -> np.ndarray:
+        tables = self._landmarks.distance_tables()
+        table = np.full((n, len(tables)), np.nan)
+        for j, dist in enumerate(tables):
+            table[self.oracle.columns(dist.keys()), j] = np.fromiter(
+                dist.values(), dtype=np.float64, count=len(dist)
+            )
+        return table
 
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._size
 
     def __contains__(self, vehicle_id: int) -> bool:
-        return vehicle_id in self._entries
+        return vehicle_id in self._slot
 
     def tracked_ids(self):
         """View of the tracked vehicle ids (for fast-path validation)."""
-        return self._entries.keys()
+        return self._slot.keys()
 
     def insert(
         self, vehicle_id: int, location: int, ready_time: Optional[float] = None
     ) -> None:
         """Insert or move one vehicle (upsert; no-op when unchanged)."""
         ready = _NEG_INF if ready_time is None else float(ready_time)
-        old = self._entries.get(vehicle_id)
-        if old is not None:
-            if old[0] == location and old[1] == ready:
-                return
-            self._buckets[old[3]].discard(vehicle_id)
-        center = self._center_of(location)
-        entry: _Entry = (
-            location, ready, self._center_distance(center, location), center,
-        )
-        self._entries[vehicle_id] = entry
-        if vehicle_id not in self._order:
-            self._order[vehicle_id] = self._next_order
-            self._next_order += 1
-        bucket = self._buckets.get(center)
-        if bucket is None:
-            bucket = self._buckets[center] = _Bucket()
-        bucket.add(vehicle_id, entry)
+        self._tables()
+        slot = self._slot.get(vehicle_id)
+        if slot is None:
+            slot = self._size
+            if slot == len(self._loc):
+                self._grow()
+            self._slot[vehicle_id] = slot
+            self._vids.append(vehicle_id)
+            self._size += 1
+        elif self._loc[slot] == location and self._ready[slot] == ready:
+            return
+        self._loc[slot] = location
+        self._col[slot] = self.oracle.column(location)
+        self._ready[slot] = ready
 
     #: Per-frame maintenance and insertion are the same upsert.
     update = insert
 
+    def _grow(self) -> None:
+        capacity = max(16, 2 * len(self._loc))
+        for name, dtype in _SLOT_FIELDS:
+            grown = np.zeros(capacity, dtype=dtype)
+            grown[: self._size] = getattr(self, name)[: self._size]
+            setattr(self, name, grown)
+
     def remove(self, vehicle_id: int) -> None:
-        """Drop one vehicle (breakdowns); unknown ids are ignored."""
-        entry = self._entries.pop(vehicle_id, None)
-        if entry is None:
+        """Drop one vehicle (breakdowns); unknown ids are ignored.
+
+        Later slots shift down one place, so slot order stays rank order.
+        """
+        slot = self._slot.pop(vehicle_id, None)
+        if slot is None:
             return
-        self._buckets[entry[3]].discard(vehicle_id)
-        self._order.pop(vehicle_id, None)
+        last = self._size - 1
+        for name, _dtype in _SLOT_FIELDS:
+            arr = getattr(self, name)
+            arr[slot:last] = arr[slot + 1 : last + 1]
+        del self._vids[slot]
+        self._size = last
+        for k in range(slot, last):
+            self._slot[self._vids[k]] = k
 
     def resync(
         self, fleet: Iterable[Tuple[int, int, Optional[float]]]
@@ -237,7 +273,7 @@ class CandidateIndex:
         Call after disruptions: vehicles missing from ``fleet`` are
         dropped (breakdowns) and every survivor is re-upserted.  When the
         oracle's ``epoch`` moved (travel-time perturbations, closures)
-        all stored centre distances are re-derived from the fresh rows
+        every slot's centre distance is re-derived from the fresh block
         and the landmark tables are rebuilt — lower bounds computed in
         the old metric are not sound in the new one (a perturbation may
         *shorten* edges).  Vehicles keep their retrieval order.
@@ -248,7 +284,7 @@ class CandidateIndex:
             if self._landmarks is not None:
                 # prefer the oracle's epoch-fresh shared ALT index (tier 1);
                 # otherwise rebuild our own against the mutated network
-                shared = getattr(self.oracle, "shared_landmarks", lambda: None)()
+                shared = self.oracle.shared_landmarks()
                 self._landmarks = (
                     shared
                     if shared is not None
@@ -256,26 +292,12 @@ class CandidateIndex:
                         self.network, num_landmarks=self._num_landmarks
                     )
                 )
-            # stale distances: drop every entry (orders survive) and let
-            # the upserts below re-derive from the current metric
-            self._entries.clear()
-            self._buckets.clear()
+            self._block = None  # re-derive every table and slot
         keep = {vid for vid, _loc, _ready in triples}
-        for vid in [v for v in self._entries if v not in keep]:
+        for vid in [v for v in self._slot if v not in keep]:
             self.remove(vid)
         for vid, location, ready_time in triples:
             self.insert(vid, location, ready_time)
-
-    def _center_of(self, location: int) -> Optional[int]:
-        try:
-            return self.areas.center_of(location)
-        except KeyError:
-            return None  # off-area node: tracked, never spatially pruned
-
-    def _center_distance(self, center: Optional[int], location: int) -> float:
-        if center is None:
-            return INF
-        return self.oracle.costs_from(center).get(location, INF)
 
     # ------------------------------------------------------------------
     # retrieval
@@ -294,8 +316,9 @@ class CandidateIndex:
         vehicle :meth:`SolverState.reachable_vehicles` would keep, in the
         caller's order.  With ``assume_tracked=True`` (caller verified
         ``vehicles`` is exactly the tracked fleet and supplied the id
-        map) retrieval walks the buckets and skips whole areas; otherwise
-        each vehicle is bounded individually in input order.
+        map) the kernel runs over the stored slots and returns survivors
+        in rank order; otherwise it bounds ``vehicles`` as given, in
+        input order.
         """
         if self.oracle.epoch != self._epoch:
             raise RuntimeError(
@@ -305,145 +328,67 @@ class CandidateIndex:
         stats = CANDIDATE_STATS
         stats.retrievals += 1
         stats.pairs_considered += len(vehicles)
-        if self.mode == "full" or not self._entries:
+        if self.mode == "full" or not self._slot:
             return list(vehicles)
         deadline = rider.pickup_deadline + _EPS
+        self._tables()
         if assume_tracked and vehicles_by_id is not None:
-            return self._prune_tracked(
-                rider.source, deadline, start_time, vehicles_by_id
+            size = self._size
+            keep = self._kernel(
+                rider.source, deadline, start_time, self._loc[:size],
+                self._col[:size], self._ready[:size],
             )
-        return self._prune_subset(rider.source, deadline, start_time, vehicles)
+            vids = self._vids
+            return [vehicles_by_id[vids[k]] for k in keep.tolist()]
+        locs = np.fromiter(
+            (v.location for v in vehicles), dtype=np.int64, count=len(vehicles)
+        )
+        ready = np.array(
+            [_NEG_INF if v.ready_time is None else v.ready_time for v in vehicles],
+            dtype=np.float64,
+        )
+        keep = self._kernel(
+            rider.source, deadline, start_time, locs,
+            self.oracle.columns(locs), ready,
+        )
+        return [vehicles[k] for k in keep.tolist()]
 
-    def _prune_tracked(
+    def _kernel(
         self,
         source: int,
         deadline: float,
         start_time: float,
-        vehicles_by_id: Dict[int, Vehicle],
-    ) -> List[Vehicle]:
+        locs: np.ndarray,
+        cols: np.ndarray,
+        ready: np.ndarray,
+    ) -> np.ndarray:
+        """Positions (ascending) of the vehicles neither bound prunes."""
         stats = CANDIDATE_STATS
-        temporal = (
-            self._landmarks if self.mode == "spatiotemporal" else None
+        source_col = self.oracle.column(source)
+        t0 = np.maximum(ready, start_time)
+        rows = self._node_row[cols]
+        spatial = self._node_bounded[cols] & (
+            t0 + self._block[rows, source_col] - self._node_dcl[cols] > deadline
         )
-        audit = self.audit
-        order = self._order
-        keep: List[Tuple[int, int]] = []
-        for center, bucket in self._buckets.items():
-            entries = bucket.entries
-            if not entries:
-                continue
-            row = None
-            d_cs = INF
-            if center is not None:
-                if bucket.dirty:
-                    bucket.refresh()
-                row = self.oracle.costs_from(center)
-                d_cs = row.get(source, INF)
-                if bucket.num_inf == 0:
-                    bucket_t0 = (
-                        start_time
-                        if bucket.min_ready < start_time
-                        else bucket.min_ready
-                    )
-                    # d_cs == inf with every member reachable from the
-                    # centre means none of them can reach the source
-                    if bucket_t0 + (d_cs - bucket.max_dist) > deadline:
-                        stats.pairs_pruned_spatial += len(entries)
-                        if audit:
-                            for loc, ready, _d, _c in entries.values():
-                                self._audit_prune(
-                                    loc, ready, source, deadline, start_time
-                                )
-                        continue
-            for vid, (loc, ready, d_cl, _c) in entries.items():
-                t0 = ready if ready > start_time else start_time
-                if row is not None and d_cl != INF:
-                    if d_cs == INF or t0 + d_cs - d_cl > deadline:
-                        stats.pairs_pruned_spatial += 1
-                        if audit:
-                            self._audit_prune(
-                                loc, ready, source, deadline, start_time
-                            )
-                        continue
-                if temporal is not None:
-                    if t0 + temporal.heuristic(loc, source) > deadline:
-                        stats.pairs_pruned_temporal += 1
-                        if audit:
-                            self._audit_prune(
-                                loc, ready, source, deadline, start_time
-                            )
-                        continue
-                keep.append((order[vid], vid))
-        keep.sort()
-        return [vehicles_by_id[vid] for _rank, vid in keep]
-
-    def _prune_subset(
-        self,
-        source: int,
-        deadline: float,
-        start_time: float,
-        vehicles: Sequence[Vehicle],
-    ) -> List[Vehicle]:
-        stats = CANDIDATE_STATS
-        temporal = (
-            self._landmarks if self.mode == "spatiotemporal" else None
-        )
-        audit = self.audit
-        entries = self._entries
-        source_rows: Dict[int, float] = {}
-        keep: List[Vehicle] = []
-        for vehicle in vehicles:
-            loc = vehicle.location
-            entry = entries.get(vehicle.vehicle_id)
-            if entry is not None and entry[0] == loc:
-                d_cl, center = entry[2], entry[3]
-            else:
-                # untracked (or moved since tracking): bound it fresh
-                center = self._center_of(loc)
-                d_cl = self._center_distance(center, loc)
-            ready = vehicle.ready_time
-            t0 = (
-                start_time
-                if ready is None or ready < start_time
-                else ready
-            )
-            if center is not None and d_cl != INF:
-                d_cs = source_rows.get(center)
-                if d_cs is None:
-                    d_cs = self.oracle.costs_from(center).get(source, INF)
-                    source_rows[center] = d_cs
-                if d_cs == INF or t0 + d_cs - d_cl > deadline:
-                    stats.pairs_pruned_spatial += 1
-                    if audit:
-                        self._audit_prune(
-                            loc, _NEG_INF if ready is None else ready,
-                            source, deadline, start_time,
-                        )
-                    continue
-            if temporal is not None:
-                if t0 + temporal.heuristic(loc, source) > deadline:
-                    stats.pairs_pruned_temporal += 1
-                    if audit:
-                        self._audit_prune(
-                            loc, _NEG_INF if ready is None else ready,
-                            source, deadline, start_time,
-                        )
-                    continue
-            keep.append(vehicle)
+        keep = np.flatnonzero(~spatial)
+        stats.pairs_pruned_spatial += len(cols) - len(keep)
+        lm = self._lm
+        if lm is not None and self.mode == "spatiotemporal" and len(keep):
+            # fmax skips the nan of a landmark that cannot reach a node
+            gap = np.abs(lm[cols[keep]] - lm[source_col])
+            bound = np.fmax.reduce(gap, axis=1, initial=0.0)
+            temporal = t0[keep] + bound > deadline
+            if temporal.any():
+                keep = keep[~temporal]
+                stats.pairs_pruned_temporal += int(np.count_nonzero(temporal))
+        if self.audit:
+            pruned = np.ones(len(cols), dtype=np.bool_)
+            pruned[keep] = False
+            for k in np.flatnonzero(pruned).tolist():
+                t0_k = float(t0[k])
+                if t0_k + self.oracle.cost(int(locs[k]), source) <= deadline:
+                    stats.pruned_in_error += 1
         return keep
-
-    def _audit_prune(
-        self,
-        location: int,
-        ready: float,
-        source: int,
-        deadline: float,
-        start_time: float,
-    ) -> None:
-        """Exact-cost contradiction check for one pruned pair."""
-        t0 = ready if ready > start_time else start_time
-        if t0 + self.oracle.cost(location, source) <= deadline:
-            CANDIDATE_STATS.pruned_in_error += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -465,10 +410,12 @@ def build_candidate_index(
 ) -> CandidateIndex:
     """Build a :class:`CandidateIndex` (areas + centre rows + landmarks).
 
-    Offline road-network preprocessing: the area centres are pinned hot
-    in the oracle so retrieval never pays a Dijkstra at solve time.  On
-    directed networks the landmark bound is unsound and is skipped — the
-    index silently degrades to the (directed-safe) spatial bound.
+    Offline road-network preprocessing: the area cover is computed with
+    ``oracle``'s own distances (no second oracle is built) and the area
+    centres are pinned in it, so retrieval never pays a Dijkstra at solve
+    time.  On directed networks the landmark bound is unsound and is
+    skipped — the index silently degrades to the (directed-safe) spatial
+    bound.
     """
     if mode not in CANDIDATE_MODES:
         raise ValueError(
@@ -479,7 +426,10 @@ def build_candidate_index(
     with _trace.span(
         "candidates.build", nodes=len(network), mode=mode, k=k
     ) as span:
-        areas = build_areas(network, k, cover=cover, search_budget=search_budget)
+        areas = build_areas(
+            network, k, cover=cover, search_budget=search_budget,
+            cost=oracle.fast_cost_fn(),
+        )
         oracle.warm(areas.centers)
         landmarks = None
         if (
@@ -489,7 +439,7 @@ def build_candidate_index(
         ):
             # a tier-1 oracle already maintains an ALT index for its
             # lower_bound() — share it instead of building a second one
-            shared = getattr(oracle, "shared_landmarks", lambda: None)()
+            shared = oracle.shared_landmarks()
             landmarks = (
                 shared
                 if shared is not None
@@ -511,77 +461,32 @@ def build_candidate_index(
 
 
 # ----------------------------------------------------------------------
-# GBS fast vehicle filter (Section 6.2) over the same bucket idea
+# GBS fast vehicle filter (Section 6.2) over the same block
 # ----------------------------------------------------------------------
-class VehicleBuckets:
-    """Area-bucketed view of one vehicle list for the GBS group filter.
+class VehicleColumns:
+    """One vehicle list's node columns, for the GBS group filter.
 
     Built once per :func:`repro.core.grouping.run_grouping` call and
-    queried once per short-trip group: a whole bucket is skipped when the
-    triangle inequality proves even its closest member fails the group's
-    centre-distance predicate; survivors are tested with *exactly* the
-    full-scan predicate, so the filtered list equals the full scan's
-    output (order included).  Bucket skips rely on symmetric distances
-    and are disabled on directed networks (the per-member predicate then
-    runs unchanged).
+    queried once per short-trip group with the group centre's row of the
+    oracle's pinned block: the centre-distance predicate runs over every
+    vehicle in one array operation, so the filtered list equals the full
+    scan's output (order included).
     """
 
-    def __init__(
-        self,
-        areas: AreaIndex,
-        oracle: DistanceOracle,
-        vehicles: Sequence[Vehicle],
-    ) -> None:
-        self.oracle = oracle
+    def __init__(self, oracle: DistanceOracle, vehicles: Sequence[Vehicle]) -> None:
         self.vehicles = vehicles
-        self._undirected = bool(getattr(areas.network, "undirected", False))
-        self._total = len(vehicles)
-        buckets: Dict[Optional[int], List[Tuple[int, Vehicle]]] = {}
-        max_dist: Dict[Optional[int], float] = {}
-        has_inf: Dict[Optional[int], bool] = {}
-        for pos, vehicle in enumerate(vehicles):
-            try:
-                center: Optional[int] = areas.center_of(vehicle.location)
-                d = areas.distance_to_center(vehicle.location)
-            except KeyError:
-                center, d = None, INF
-            buckets.setdefault(center, []).append((pos, vehicle))
-            if d == INF:
-                has_inf[center] = True
-            else:
-                if d > max_dist.get(center, 0.0):
-                    max_dist[center] = d
-                has_inf.setdefault(center, False)
-        self._buckets = buckets
-        self._max_dist = max_dist
-        self._has_inf = has_inf
+        self._cols = oracle.columns(v.location for v in vehicles)
 
-    def filter(
-        self,
-        from_center: Dict[int, float],
-        bound: float,
-        slack: float,
-    ) -> List[Vehicle]:
+    def filter(self, row: np.ndarray, bound: float, slack: float) -> List[Vehicle]:
         """Vehicles passing ``d(u_x, l) - bound < slack + eps``.
 
-        ``from_center`` is the group centre's distance row; the result is
-        identical to applying the predicate to every vehicle in order.
+        ``row`` is the group centre's distance row (``inf`` where
+        unreachable); the result is identical to applying the predicate
+        to every vehicle in order.
         """
         stats = CANDIDATE_STATS
         stats.retrievals += 1
-        stats.pairs_considered += self._total
-        keep: List[Tuple[int, Vehicle]] = []
-        for center, members in self._buckets.items():
-            if center is not None and self._undirected and not self._has_inf[center]:
-                d_xc = from_center.get(center, INF)
-                # min over members of the lower bound d(u_x, c) - d(c, l)
-                if (d_xc - self._max_dist.get(center, 0.0)) - bound >= slack + _EPS:
-                    stats.pairs_pruned_spatial += len(members)
-                    continue
-            for pos, vehicle in members:
-                if from_center.get(vehicle.location, INF) - bound < slack + _EPS:
-                    keep.append((pos, vehicle))
-                else:
-                    stats.pairs_pruned_spatial += 1
-        keep.sort()
-        return [vehicle for _pos, vehicle in keep]
+        stats.pairs_considered += len(self.vehicles)
+        keep = np.flatnonzero(row[self._cols] - bound < slack + _EPS).tolist()
+        stats.pairs_pruned_spatial += len(self.vehicles) - len(keep)
+        return [self.vehicles[k] for k in keep]

@@ -326,7 +326,7 @@ class Dispatcher:
         (default) scans every rider-vehicle pair; ``"spatial"`` and
         ``"spatiotemporal"`` route retrieval through an incrementally
         maintained :class:`~repro.core.candidates.CandidateIndex`
-        (area buckets, plus landmark lower bounds for the latter).  The
+        (area-centre bounds, plus landmark lower bounds for the latter).  The
         prunes are sound, so assignments are frame-for-frame identical
         across all three modes — only the work changes.
     candidate_index:
@@ -501,7 +501,7 @@ class Dispatcher:
             areas = (
                 self.candidates.areas
                 if self.candidates is not None
-                else build_areas(network, k=8)
+                else build_areas(network, k=8, cost=self.oracle.fast_cost_fn())
             )
             self._shard_plan = ShardPlan(areas, shard_count)
             self._shard_executor = build_shard_executor(
@@ -758,8 +758,8 @@ class Dispatcher:
                     )
                     self._roll_vehicle(fv, seq, next_clock)
                 if self.candidates is not None:
-                    # incremental index maintenance: move each vehicle to
-                    # its rolled-forward bucket (upsert, no rebuild)
+                    # incremental index maintenance: move each vehicle's slot
+                    # to its rolled-forward position (upsert, no rebuild)
                     for vid, fv in self.fleet.items():
                         self.candidates.update(vid, fv.location, fv.ready_time)
             roll_seconds = time.perf_counter() - roll_start

@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.bilateral import run_bilateral
-from repro.core.candidates import VehicleBuckets
+from repro.core.candidates import VehicleColumns
 from repro.core.greedy import run_efficient_greedy
 from repro.core.requests import Rider
 from repro.core.scoring import SolverState
@@ -153,12 +153,11 @@ def run_grouping(
             center = plan.areas.center_of(rider.source)
             short_groups.setdefault(center, []).append(rider)
 
-    # candidate retrieval on: bucket the fleet once by area so the fast
-    # vehicle filter can skip whole areas per group instead of scanning
-    # every vehicle (identical output, see VehicleBuckets)
-    buckets: Optional[VehicleBuckets] = None
+    # candidate retrieval on: map the fleet to block columns once so each
+    # group's filter is one gather (identical output, see VehicleColumns)
+    view: Optional[VehicleColumns] = None
     if state.instance.candidates is not None and short_groups:
-        buckets = VehicleBuckets(plan.areas, plan.oracle, vehicles)
+        view = VehicleColumns(plan.oracle, vehicles)
 
     # line 8: long trips first (they shape the schedules the most)
     if long_trips and long_trips_first:
@@ -175,7 +174,7 @@ def run_grouping(
         ordered = [ordered[int(i)] for i in perm]
     for center, group in ordered:
         valid = filter_vehicles_for_group(
-            state, plan, center, group, vehicles, buckets=buckets
+            state, plan, center, group, vehicles, view=view
         )
         if valid:
             base_fn(state, group, valid)
@@ -191,7 +190,7 @@ def filter_vehicles_for_group(
     center: int,
     group: List[Rider],
     vehicles: List[Vehicle],
-    buckets: Optional["VehicleBuckets"] = None,
+    view: Optional[VehicleColumns] = None,
 ) -> List[Vehicle]:
     """Fast valid-vehicle filter of Section 6.2.
 
@@ -200,23 +199,23 @@ def filter_vehicles_for_group(
     rider origin in the area in time (every origin is within ``d_max * k``
     of the centre).
 
-    With ``buckets`` (an area-bucketed view of the same ``vehicles``,
-    built once per :func:`run_grouping` call) whole areas are skipped via
-    the triangle inequality before the per-vehicle predicate runs; the
-    returned list is identical to the full scan, order included.
+    The centre's distances are read straight from its row of the
+    oracle's pinned block.  With ``view`` (the block columns of the same
+    ``vehicles``, built once per :func:`run_grouping` call, which also
+    ticks the retrieval counters) the columns are not re-mapped; the
+    returned list is identical either way, order included.
     """
     rt_max = max(r.pickup_deadline for r in group)
     slack = rt_max - state.instance.start_time
-    from_center = plan.oracle.costs_from(center)
+    oracle = plan.oracle
+    oracle.warm((center,))  # no-op while pinned; refills a deferred row
+    row = oracle.pinned_block()[oracle.pinned_row(center)]
     bound = plan.short_trip_bound
-    if buckets is not None and buckets.vehicles is vehicles:
-        return buckets.filter(from_center, bound, slack)
-    valid = [
-        v
-        for v in vehicles
-        if from_center.get(v.location, math.inf) - bound < slack + _EPS
-    ]
-    return valid
+    if view is not None and view.vehicles is vehicles:
+        return view.filter(row, bound, slack)
+    cols = oracle.columns(v.location for v in vehicles)
+    keep = (row[cols] - bound < slack + _EPS).tolist()
+    return [v for v, kept in zip(vehicles, keep) if kept]
 
 
 def _base_solver(

@@ -136,7 +136,8 @@ def solve(
             with _trace.span("solver.local_search"):
                 assignment, _ = improve_assignment(assignment)
         assignment.elapsed_seconds = time.perf_counter() - start
-        solve_span.annotate(served=assignment.num_served)
+        if _trace.enabled():  # num_served walks every schedule
+            solve_span.annotate(served=assignment.num_served)
     return assignment
 
 

@@ -27,6 +27,12 @@ order — tiers 0 and 1 return *bit-identical* floats for every pair.  That
 bitwise contract is what lets the differential fuzz harness compare tiered
 and untiered dispatch runs with ``==`` instead of tolerances.
 
+Sources pinned by :meth:`warm` keep their full distance rows in one flat
+float64 block (:meth:`pinned_block`; at tier 0 the APSP table is the
+block), bit-identical to :func:`dijkstra` and read like the table.  The
+candidate index prunes straight off it; dict views are built only for
+callers of :meth:`costs_from`.
+
 Disruption-epoch invalidation (:meth:`invalidate`) drops the CH and
 landmark structures with the caches; tier 1 rebuilds lazily on the next
 query.  When a ``rebuild_budget_s`` is set and the last CH build exceeded
@@ -134,12 +140,20 @@ class DistanceOracle:
         self._tier: Optional[int] = None  # resolved lazily by .tier
         self._source_cache: "OrderedDict[int, Dict[int, float]]" = OrderedDict()
         self._pair_cache: "OrderedDict[tuple, float]" = OrderedDict()
-        # APSP state: flat numpy table over interned node indices
+        # node interning shared by the APSP table and the pinned block:
+        # column -> node id, and node id -> column (None: ids are 0..n-1)
+        self._nodes: Optional[List[int]] = None
+        self._index: Optional[Dict[int, int]] = None
+        self._n = 0
+        # APSP state: flat numpy table over interned node columns
         self._apsp: Optional[np.ndarray] = None  # shape (n*n,), float64
-        self._apsp_nodes: List[int] = []  # interned index -> node id
-        self._apsp_index: Optional[Dict[int, int]] = None  # None: ids are 0..n-1
-        self._apsp_n = 0
+        self._apsp_matrix: Optional[np.ndarray] = None  # (n, n) view of it
         self._apsp_view: Optional[memoryview] = None  # python-float reads
+        # pinned rows (tiers 1 and 2): one float64 block, one row per
+        # pinned source, inf where unreachable; tier 0 pins read the table
+        self._pin_rows: Dict[int, int] = {}  # pinned source -> block row
+        self._pin_block: Optional[np.ndarray] = None  # (capacity, n)
+        self._pin_view: Optional[memoryview] = None  # flat python-float reads
         # tier-1 state, built lazily on first query
         self._ch: Optional[ContractionHierarchy] = None
         self._alt: Optional[LandmarkIndex] = None
@@ -149,9 +163,10 @@ class DistanceOracle:
         self._degraded_epoch = -1
         # queries on undirected networks are canonicalised to (min, max)
         self._undirected = network.undirected
-        # costs_from row views, bounded like _source_cache
+        # costs_from dict views of table/block rows, bounded like
+        # _source_cache (a view is rebuilt from its row, never re-searched)
         self._row_cache: "OrderedDict[int, Dict[int, float]]" = OrderedDict()
-        # sources pinned by warm(): never evicted from the LRUs
+        # sources pinned by warm(): held in the block, never evicted
         self._pinned_sources: Set[int] = set()
         # counters (read by repro.perf)
         self.query_count = 0
@@ -265,10 +280,15 @@ class DistanceOracle:
         if tier == 0:
             if self._apsp is None:
                 self._build_apsp()
-            index = self._apsp_index
+            index = self._index
             if index is None:
-                return self._apsp_view[u * self._apsp_n + v]
-            return self._apsp_view[index[u] * self._apsp_n + index[v]]
+                return self._apsp_view[u * self._n + v]
+            return self._apsp_view[index[u] * self._n + index[v]]
+        row = self._pin_rows.get(u)
+        if row is not None:
+            self.source_cache_hits += 1
+            index = self._index
+            return self._pin_view[row * self._n + (v if index is None else index[v])]
         cached = self._source_cache.get(u)
         if cached is not None:
             self._source_cache.move_to_end(u)
@@ -339,8 +359,8 @@ class DistanceOracle:
             return self.cost
         self.fast_path = True
         view = self._apsp_view
-        n = self._apsp_n
-        index = self._apsp_index
+        n = self._n
+        index = self._index
 
         if index is None:
             if self._undirected:
@@ -381,31 +401,40 @@ class DistanceOracle:
     def costs_from(self, source: int) -> Dict[int, float]:
         """All shortest distances from ``source`` (cached).
 
-        In APSP mode the dict is a lazily-built view of the table row
-        (finite entries only, matching :func:`dijkstra`'s convention).
-        Rows are direction-specific (distances *from* ``source``); on
-        undirected networks ``cost(u, v)`` may therefore differ from
-        ``costs_from(u)[v]`` in the last ulp when ``u > v`` — point
-        queries read the canonical direction.
+        Table rows (tier 0) and pinned rows are handed out as lazily-built
+        dict views (finite entries only, matching :func:`dijkstra`'s
+        convention) under a bounded LRU; evicting a view costs a rebuild
+        from its row, never a search.  Rows are direction-specific
+        (distances *from* ``source``); on undirected networks
+        ``cost(u, v)`` may therefore differ from ``costs_from(u)[v]`` in
+        the last ulp when ``u > v`` — point queries read the canonical
+        direction.
         """
         if self.tier == 0 and self._apsp is None:
             self._build_apsp()
+        view = self._row_cache.get(source)
+        if view is not None:
+            self._row_cache.move_to_end(source)
+            return view
         if self._apsp is not None:
-            row = self._row_cache.get(source)
-            if row is not None:
-                self._row_cache.move_to_end(source)
-                return row
-            idx = source if self._apsp_index is None else self._apsp_index[source]
-            base = idx * self._apsp_n
-            values = self._apsp[base : base + self._apsp_n].tolist()
-            row = {
-                node: d
-                for node, d in zip(self._apsp_nodes, values)
-                if d != INF
-            }
-            self._row_cache[source] = row
-            self._evict(self._row_cache, self.cache_rows)
-            return row
+            row = self._apsp_matrix[self.column(source)]
+        else:
+            if source in self._pinned_sources and source not in self._pin_rows:
+                # pinned, but dropped by invalidate(recompute_pinned=False)
+                self._pin((source,))
+            slot = self._pin_rows.get(source)
+            if slot is None:
+                return self._search_from(source)
+            self.source_cache_hits += 1
+            row = self._pin_block[slot]
+        values = row.tolist()
+        view = {node: d for node, d in zip(self._nodes, values) if d != INF}
+        self._row_cache[source] = view
+        self._evict(self._row_cache, self.cache_rows)
+        return view
+
+    def _search_from(self, source: int) -> Dict[int, float]:
+        """An unpinned source's full Dijkstra result, under the LRU."""
         cached = self._source_cache.get(source)
         if cached is not None:
             self._source_cache.move_to_end(source)
@@ -417,52 +446,138 @@ class DistanceOracle:
         self._evict(self._source_cache, self.cache_sources)
         return dist
 
-    def _evict(self, cache: "OrderedDict", limit: int) -> None:
-        """Shrink ``cache`` to ``limit`` entries, oldest first, skipping pins.
+    @staticmethod
+    def _evict(cache: "OrderedDict", limit: int) -> None:
+        """Shrink ``cache`` to ``limit`` entries, oldest first."""
+        while len(cache) > limit:
+            cache.popitem(last=False)
 
-        Pinned sources are exempt, so the cache may stay above ``limit``
-        when the overflow is entirely pinned — warm() callers asked for
-        exactly that trade.
+    # ------------------------------------------------------------------
+    # node columns and the pinned block
+    # ------------------------------------------------------------------
+    def _intern(self) -> None:
+        """Intern node ids to dense columns (once per epoch)."""
+        if self._nodes is not None:
+            return
+        nodes = sorted(self.network.nodes())
+        n = len(nodes)
+        self._nodes = nodes
+        contiguous = nodes == list(range(n))
+        self._index = None if contiguous else {node: i for i, node in enumerate(nodes)}
+        self._n = n
+
+    def column(self, node: int) -> int:
+        """The column of ``node`` in the table and the pinned block."""
+        self._intern()
+        return node if self._index is None else self._index[node]
+
+    def columns(self, nodes: Iterable[int]) -> np.ndarray:
+        """:meth:`column` of every node (all in the network), as int64."""
+        self._intern()
+        index = self._index
+        if index is not None:
+            return np.fromiter((index[node] for node in nodes), dtype=np.int64)
+        if isinstance(nodes, np.ndarray):
+            return nodes
+        return np.fromiter(nodes, dtype=np.int64)
+
+    def _fill_row(self, source: int, out: np.ndarray) -> None:
+        """Write ``dijkstra(source)`` into ``out`` (inf where unreachable)."""
+        self.dijkstra_count += 1
+        dist = dijkstra(self.network, source)
+        out.fill(INF)
+        out[self.columns(dist.keys())] = np.fromiter(
+            dist.values(), dtype=np.float64, count=len(dist)
+        )
+
+    def _pin(self, sources: Iterable[int]) -> None:
+        """Give every source not yet in the pinned block its own row."""
+        new = [s for s in dict.fromkeys(sources) if s not in self._pin_rows]
+        if not new:
+            return
+        self._intern()
+        used = len(self._pin_rows)
+        capacity = 0 if self._pin_block is None else len(self._pin_block)
+        if used + len(new) > capacity:
+            block = np.empty(
+                (max(used + len(new), capacity + capacity // 2), self._n),
+                dtype=np.float64,
+            )
+            if used:
+                block[:used] = self._pin_block[:used]
+            self._pin_block = block
+            self._pin_view = memoryview(block.reshape(-1))
+        for source in new:
+            row = len(self._pin_rows)
+            self._fill_row(source, self._pin_block[row])
+            self._pin_rows[source] = row
+            # a dict row searched before the pin would duplicate the block
+            self._source_cache.pop(source, None)
+
+    def pinned_block(self) -> Optional[np.ndarray]:
+        """The rows × nodes float64 matrix every pinned row lives in.
+
+        At tier 0 this is the APSP table itself (one row per node);
+        otherwise it is the block :meth:`warm` fills, ``None`` while
+        nothing is pinned.  Entries are bit-identical to
+        :func:`dijkstra` and hold ``inf`` where unreachable.  Index it
+        with :meth:`pinned_row` and :meth:`column`.  Rows past the pinned
+        ones are unused capacity.  A warm() that grows the block, an
+        :meth:`unpin` and an :meth:`invalidate` replace the returned
+        array, so holders compare identity to detect a new block.
         """
-        if len(cache) <= limit:
-            return
-        if not self._pinned_sources:
-            while len(cache) > limit:
-                cache.popitem(last=False)
-            return
-        evictable = [k for k in cache if k not in self._pinned_sources]
-        for key in evictable[: len(cache) - limit]:
-            del cache[key]
+        if self.tier == 0:
+            if self._apsp is None:
+                self._build_apsp()
+            return self._apsp_matrix
+        return self._pin_block
+
+    def pinned_row(self, source: int) -> int:
+        """The row of pinned ``source`` in :meth:`pinned_block`."""
+        if self.tier == 0:
+            return self.column(source)
+        return self._pin_rows[source]
 
     def warm(self, sources: Iterable[int]) -> None:
-        """Precompute the given sources and pin them into the LRU caches.
+        """Precompute the given sources and pin them.
 
-        Pinned sources are never evicted by later queries (in either the
-        Dijkstra-result or the APSP-row cache), so a dispatcher can warm
-        its depot/fleet locations once and keep them hot for the whole
-        run.  Pins survive :meth:`invalidate` — the cached values are
-        dropped with everything else and the pinned sources are
-        recomputed eagerly against the mutated network, so a warmed row
-        is never served stale.
+        Pinned rows live in one flat float64 block (at tier 0, in the
+        APSP table) and are never evicted by later queries, so a
+        dispatcher can warm its area centres once and keep them hot for
+        the whole run.  ``cost(u, v)`` with a pinned ``u`` is one block
+        read.  Pins survive :meth:`invalidate` — the rows are dropped
+        with everything else and the pinned sources are recomputed
+        eagerly against the mutated network, so a warmed row is never
+        served stale.
         """
-        for s in sources:
-            self._pinned_sources.add(s)
-            self.costs_from(s)
+        sources = list(sources)
+        self._pinned_sources.update(sources)
+        if self.tier == 0:
+            if self._apsp is None:
+                self._build_apsp()
+        else:
+            self._pin(sources)
 
     def unpin(self) -> None:
-        """Forget all warm() pins (entries become ordinary LRU citizens)."""
+        """Forget all warm() pins and free their block."""
         self._pinned_sources.clear()
+        self._drop_pins()
+
+    def _drop_pins(self) -> None:
+        self._pin_rows = {}
+        self._pin_block = None
+        self._pin_view = None
 
     def invalidate(self, recompute_pinned: bool = True) -> None:
         """Drop all caches; call after mutating the underlying network.
 
         warm() pins survive *and are recomputed eagerly*: the pinned
-        values are dropped with everything else, but each pinned source
-        is immediately re-solved against the mutated network, so warmed
-        rows are never silently stale and stay hot for the next frame.
-        Pass ``recompute_pinned=False`` to defer that work (pins then
-        refill lazily on their next query).  Use :meth:`unpin` to forget
-        the pins entirely.
+        rows are dropped with everything else, but each pinned source
+        is immediately re-solved against the mutated network into a new
+        block, so warmed rows are never silently stale and stay hot for
+        the next frame.  Pass ``recompute_pinned=False`` to defer that
+        work (a pinned row then refills on its next :meth:`costs_from`
+        or :meth:`warm`).  Use :meth:`unpin` to forget the pins entirely.
 
         Tier-1 structures (CH, landmarks) are dropped too and rebuilt
         lazily on the next query — unless ``rebuild_budget_s`` is set and
@@ -485,10 +600,12 @@ class DistanceOracle:
             self._pair_cache.clear()
             self._row_cache.clear()
             self._apsp = None
+            self._apsp_matrix = None
             self._apsp_view = None
-            self._apsp_index = None
-            self._apsp_nodes = []
-            self._apsp_n = 0
+            self._drop_pins()
+            self._nodes = None
+            self._index = None
+            self._n = 0
             self._ch = None
             self._alt = None
             self.fast_path = False
@@ -507,25 +624,30 @@ class DistanceOracle:
                 # next invalidation rebuilds (and re-measures).
                 self._degraded_epoch = self.epoch
             if recompute_pinned and self._pinned_sources:
-                for source in sorted(self._pinned_sources):
-                    self.costs_from(source)
+                self.warm(sorted(self._pinned_sources))
 
     # ------------------------------------------------------------------
     # pickling (sharded dispatch ships oracles to worker processes)
     # ------------------------------------------------------------------
     def __getstate__(self) -> Dict[str, object]:
         state = self.__dict__.copy()
-        # memoryviews cannot be pickled; rebuilt from the table on restore.
-        # The CH (its own __getstate__ ships the upward graph only) and the
-        # landmark index pickle as-is, so workers answer tier-1 queries
-        # without re-contracting.
+        # memoryviews cannot be pickled, and the (n, n) matrix view would
+        # ship the table twice; all three are rebuilt on restore.  The
+        # pinned block ships as one array.  The CH (its own __getstate__
+        # ships the upward graph only) and the landmark index pickle
+        # as-is, so workers answer tier-1 queries without re-contracting.
         state["_apsp_view"] = None
+        state["_apsp_matrix"] = None
+        state["_pin_view"] = None
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.__dict__.update(state)
         if self._apsp is not None:
+            self._apsp_matrix = self._apsp.reshape(self._n, self._n)
             self._apsp_view = memoryview(self._apsp)
+        if self._pin_block is not None:
+            self._pin_view = memoryview(self._pin_block.reshape(-1))
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
@@ -565,26 +687,14 @@ class DistanceOracle:
             self._build_apsp_inner()
 
     def _build_apsp_inner(self) -> None:
-        nodes = sorted(self.network.nodes())
-        n = len(nodes)
-        contiguous = nodes == list(range(n))
-        index = None if contiguous else {node: i for i, node in enumerate(nodes)}
-        table = np.full(n * n, INF, dtype=np.float64)
-        for i, node in enumerate(nodes):
-            self.dijkstra_count += 1
-            dist = dijkstra(self.network, node)
-            base = i * n
-            if contiguous:
-                for target, d in dist.items():
-                    table[base + target] = d
-            else:
-                for target, d in dist.items():
-                    table[base + index[target]] = d
-        self._apsp_nodes = nodes
-        self._apsp_index = index
-        self._apsp_n = n
-        self._apsp = table
-        self._apsp_view = memoryview(table)  # reads yield python floats
+        self._intern()
+        n = self._n
+        table = np.empty((n, n), dtype=np.float64)
+        for i, node in enumerate(self._nodes):
+            self._fill_row(node, table[i])
+        self._apsp_matrix = table
+        self._apsp = table.reshape(-1)
+        self._apsp_view = memoryview(self._apsp)  # reads yield python floats
         self._row_cache.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

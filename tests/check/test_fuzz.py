@@ -109,6 +109,44 @@ class TestDispatchFuzz:
         assert failing, "no scenario noticed the planted teleport"
 
 
+class TestTieredPruneFuzz:
+    """``--prune --tiered``: pruning on a forced tier-1 oracle's pinned
+    block, with a mid-run travel-time perturbation in some seeds."""
+
+    def test_seeds_clean_and_perturbed(self):
+        from repro.check.fuzz import PruneFuzzConfig, run_prune_fuzz
+
+        run = run_prune_fuzz(range(8), PruneFuzzConfig(tiered=True))
+        assert run.ok, [str(f) for f in run.failures]
+        assert any(r.perturbed_at is not None for r in run.reports)
+        assert sum(r.pairs_pruned for r in run.reports) > 0
+
+    def test_planted_stale_block_is_caught(self, monkeypatch):
+        """An index that keeps its pre-perturbation centre rows must fail."""
+        from repro.check.fuzz import PruneFuzzConfig, fuzz_prune_seed
+        from repro.core.candidates import CandidateIndex
+
+        tables = CandidateIndex._tables
+        resync = CandidateIndex.resync
+
+        def stale_tables(self):
+            if self._block is not None:
+                return self._block  # never re-derive once built
+            return tables(self)
+
+        def epoch_blind_resync(self, fleet):
+            self._epoch = self.oracle.epoch  # the epoch change goes unseen
+            resync(self, fleet)
+
+        monkeypatch.setattr(CandidateIndex, "_tables", stale_tables)
+        monkeypatch.setattr(CandidateIndex, "resync", epoch_blind_resync)
+        config = PruneFuzzConfig(tiered=True)
+        failing = [
+            seed for seed in range(25) if not fuzz_prune_seed(seed, config).ok
+        ]
+        assert failing, "no seed noticed the stale centre rows"
+
+
 class TestMinimize:
     def test_clean_seed_returns_none(self):
         assert minimize_seed(1) is None

@@ -6,7 +6,7 @@ import pytest
 from repro.core.candidates import (
     CANDIDATE_MODES,
     CandidateIndex,
-    VehicleBuckets,
+    VehicleColumns,
     build_candidate_index,
 )
 from repro.core.dispatch import Dispatcher
@@ -96,23 +96,37 @@ class TestMaintenance:
         index.remove(2)  # unknown ids are ignored
         assert len(index) == 1
 
-    def test_update_moves_between_buckets(self, net, index):
-        # find two adjacent nodes owned by different areas: a vehicle
-        # whose current edge straddles the boundary lands on either side
+    def test_update_moves_between_buckets(self, net, oracle, index):
+        # find two adjacent nodes owned by different areas, where u's
+        # centre bounds v strictly away from u: a vehicle whose current
+        # edge straddles the boundary lands on either side
         areas = index.areas
         pair = None
         for u, v, _cost in net.edges():
-            if areas.center_of(u) != areas.center_of(v):
+            cu = areas.center_of(u)
+            if cu != areas.center_of(v) and (
+                oracle.costs_from(cu)[v] - oracle.costs_from(cu)[u] > 1e-6
+            ):
                 pair = (u, v)
                 break
         assert pair is not None, "7x7 grid must span multiple areas"
         u, v = pair
         index.insert(9, u, None)
-        entry_center = index._entries[9][3]
-        assert entry_center == areas.center_of(u)
         index.update(9, v, None)
-        assert index._entries[9][3] == areas.center_of(v)
-        assert 9 not in index._buckets[entry_center].entries
+        # after the move the vehicle is bounded through v's area: a pickup
+        # at v due now is kept (the stale bound through u's centre would
+        # prune it), and so is every pickup it can exactly make in time
+        vehicle = Vehicle(vehicle_id=9, location=v, capacity=3)
+        for source in sorted(net.nodes()):
+            rider = Rider(
+                rider_id=0, source=source, destination=u if source != u else v,
+                pickup_deadline=oracle.cost(v, source),
+                dropoff_deadline=500.0,
+            )
+            assert index.prune(
+                rider, [vehicle], 0.0, vehicles_by_id={9: vehicle},
+                assume_tracked=True,
+            ) == [vehicle]
 
     def test_modes_validated(self, net, oracle):
         assert CANDIDATE_MODES == ("full", "spatial", "spatiotemporal")
@@ -283,7 +297,7 @@ class TestEdgeCases:
 
 
 class TestGroupFilterRegression:
-    """filter_vehicles_for_group via buckets == the full scan, always."""
+    """filter_vehicles_for_group via a VehicleColumns view == the full scan, always."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_never_returns_excluded_vehicle(self, net, oracle, seed):
@@ -293,7 +307,7 @@ class TestGroupFilterRegression:
         riders = _random_riders(net, oracle, rng, 12, slack=(0.5, 25.0))
         instance = _instance(net, oracle, riders, vehicles)
         state = SolverState(instance)
-        buckets = VehicleBuckets(plan.areas, plan.oracle, vehicles)
+        view = VehicleColumns(plan.oracle, vehicles)
         by_area = {}
         cost = instance.cost
         for r in riders:
@@ -307,7 +321,7 @@ class TestGroupFilterRegression:
                 state, plan, center, group, vehicles
             )
             fast = filter_vehicles_for_group(
-                state, plan, center, group, vehicles, buckets=buckets
+                state, plan, center, group, vehicles, view=view
             )
             assert fast == full  # same vehicles, same order
             # the headline guarantee: nothing the full scan excludes
@@ -315,12 +329,12 @@ class TestGroupFilterRegression:
                         - set(v.vehicle_id for v in full))
 
     def test_foreign_vehicle_list_falls_back(self, net, oracle):
-        # buckets built for another list must not be consulted
+        # a view built for another list must not be consulted
         plan = prepare_grouping(net, k=8)
         rng = np.random.default_rng(3)
         vehicles = _random_fleet(net, rng, 5, with_ready=False)
         other = list(vehicles)
-        buckets = VehicleBuckets(plan.areas, plan.oracle, other)
+        view = VehicleColumns(plan.oracle, other)
         riders = _random_riders(net, oracle, rng, 4, slack=(5.0, 30.0))
         state = SolverState(_instance(net, oracle, riders, vehicles))
         center = plan.areas.center_of(riders[0].source)
@@ -328,7 +342,7 @@ class TestGroupFilterRegression:
             state, plan, center, riders, vehicles
         )
         fast = filter_vehicles_for_group(
-            state, plan, center, riders, vehicles, buckets=buckets
+            state, plan, center, riders, vehicles, view=view
         )
         assert fast == full
 
@@ -415,6 +429,40 @@ class TestDispatcherIntegration:
                 net, fleet, oracle=oracle,
                 candidate_mode="spatial", candidate_index=foreign,
             )
+
+    def test_tier1_run_keeps_pinned_rows_out_of_dict_caches(self, net):
+        """Centre rows are read from the pinned block, never as dicts."""
+        from repro.core.disruptions import TravelTimePerturbation
+
+        rng = np.random.default_rng(8)
+        network = net.copy()
+        oracle = DistanceOracle(network, tier=1)
+        fleet = _random_fleet(network, rng, 8, with_ready=False)
+        d = Dispatcher(
+            network, fleet, method="eg", frame_length=20.0, oracle=oracle,
+            candidate_mode="spatiotemporal",
+        )
+        rid = 0
+        for clock in (0.0, 20.0, 40.0):
+            riders = _random_riders(network, oracle, rng, 6, clock=clock)
+            d.dispatch_frame(
+                [
+                    Rider(
+                        rider_id=rid + i, source=r.source,
+                        destination=r.destination,
+                        pickup_deadline=r.pickup_deadline,
+                        dropoff_deadline=r.dropoff_deadline,
+                    )
+                    for i, r in enumerate(riders)
+                ]
+            )
+            rid += len(riders)
+            u, v, _w = sorted(network.edges())[int(clock)]
+            d.inject([TravelTimePerturbation(factors=((u, v, 0.5),))])
+        pinned = oracle._pinned_sources
+        assert pinned == set(d.candidates.areas.centers)
+        assert not pinned & set(oracle._source_cache)
+        assert not pinned & set(oracle._row_cache)
 
     def test_prune_fuzz_seeds_clean(self):
         from repro.check.fuzz import fuzz_prune_seed

@@ -617,3 +617,52 @@ class TestMultiFrameValidation:
                     # never plannable before the true arrival time
                     assert fv.ready_time > dispatcher.clock - 8.0
         assert dispatcher.total_requests == 20
+
+
+class TestSetupBuildsOneOracle:
+    """Regression: the area cover behind candidate retrieval and the shard
+    plan used to build a private DistanceOracle (a second APSP table, or
+    a second CH + ALT at city scale) instead of the dispatcher's own."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        from repro.roadnet import oracle as oracle_module
+
+        builds = {"apsp": 0, "ch": 0}
+        build_apsp = oracle_module.DistanceOracle._build_apsp
+        contraction = oracle_module.ContractionHierarchy
+
+        def counting_apsp(self):
+            builds["apsp"] += 1
+            build_apsp(self)
+
+        def counting_ch(*args, **kwargs):
+            builds["ch"] += 1
+            return contraction(*args, **kwargs)
+
+        monkeypatch.setattr(
+            oracle_module.DistanceOracle, "_build_apsp", counting_apsp
+        )
+        monkeypatch.setattr(oracle_module, "ContractionHierarchy", counting_ch)
+        return builds
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"candidate_mode": "spatial"},
+            {"candidate_mode": "spatiotemporal"},
+            {"candidate_mode": "full", "shard_workers": 1},
+        ],
+    )
+    @pytest.mark.parametrize("tier", [0, 1])
+    def test_dispatcher_builds_no_second_oracle(
+        self, city, monkeypatch, kwargs, tier
+    ):
+        builds = self._count_builds(monkeypatch)
+        oracle = DistanceOracle(city, tier=tier)
+        oracle.cost(0, 63)  # the first query builds the tier
+        built = dict(builds)
+        fleet = [Vehicle(vehicle_id=0, location=0, capacity=2)]
+        Dispatcher(city, fleet, oracle=oracle, **kwargs)
+        assert builds == built
+        assert built == ({"apsp": 1, "ch": 0} if tier == 0 else {"apsp": 0, "ch": 1})

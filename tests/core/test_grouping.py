@@ -45,9 +45,14 @@ class TestPrepareGrouping:
             assert grid_plan.areas.center_of(node) is not None
 
     def test_oracle_warmed_for_centers(self, grid_plan):
-        # every centre's distances were precomputed at plan time
+        # every centre's distances were precomputed at plan time: reading
+        # a centre's row runs no search
+        oracle = grid_plan.oracle
+        before = oracle.dijkstra_count + oracle.bidirectional_count
         for center in grid_plan.areas.centers:
-            assert center in grid_plan.oracle._source_cache
+            oracle.costs_from(center)
+        assert oracle.dijkstra_count + oracle.bidirectional_count == before
+        assert oracle.stats()["pinned_sources"] == len(grid_plan.areas.centers)
 
 
 class TestRunGrouping:
@@ -103,6 +108,38 @@ class TestRunGrouping:
 
 
 class TestVehicleFilter:
+    def test_filter_reads_centre_rows_from_the_block(
+        self, small_grid, grid_plan, monkeypatch
+    ):
+        # the filter answers from the pinned centre rows: no search and no
+        # dict view, with the predicate applied to dijkstra()'s distances
+        from repro.roadnet.shortest_path import dijkstra
+
+        instance = TestRunGrouping().make_instance(small_grid)
+        state = SolverState(instance)
+        oracle = grid_plan.oracle
+
+        def no_dict_rows(source):
+            raise AssertionError("filter built a dict row")
+
+        monkeypatch.setattr(oracle, "costs_from", no_dict_rows)
+        before = oracle.dijkstra_count + oracle.bidirectional_count
+        bound = grid_plan.short_trip_bound
+        slack = 2.0 - instance.start_time
+        for center in grid_plan.areas.centers:
+            dest = center + 1 if center + 1 in small_grid else center - 1
+            group = [make_rider(0, source=center, destination=dest,
+                                pickup_deadline=2.0, dropoff_deadline=9.0)]
+            valid = filter_vehicles_for_group(
+                state, grid_plan, center, group, instance.vehicles
+            )
+            dist = dijkstra(grid_plan.network, center)
+            assert valid == [
+                v for v in instance.vehicles
+                if dist.get(v.location, math.inf) - bound < slack + 1e-9
+            ]
+        assert oracle.dijkstra_count + oracle.bidirectional_count == before
+
     def test_filter_keeps_close_vehicles(self, small_grid, grid_plan):
         instance = TestRunGrouping().make_instance(small_grid)
         state = SolverState(instance)

@@ -48,3 +48,33 @@ class TestSolve:
         a = solve(line_instance, method="ba").total_utility()
         b = solve(line_instance, method="ba").total_utility()
         assert a == pytest.approx(b)
+
+
+class TestTracingOff:
+    def test_solve_does_not_count_served_without_a_tracer(
+        self, line_instance, monkeypatch
+    ):
+        """Regression: solve() annotated its span with ``num_served`` (a
+        walk over every schedule) even when tracing was disabled."""
+        import io
+
+        from repro.core.assignment import Assignment
+        from repro.obs import trace
+
+        assert not trace.enabled()
+        calls = []
+        original = Assignment.served_rider_ids
+
+        def counting(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(Assignment, "served_rider_ids", counting)
+        solve(line_instance, method="eg")
+        assert calls == []
+        trace.start_trace(stream=io.StringIO())
+        try:
+            solve(line_instance, method="eg")
+        finally:
+            trace.stop_trace()
+        assert calls  # the traced span still records the count

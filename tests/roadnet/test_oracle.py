@@ -10,6 +10,21 @@ from repro.roadnet.oracle import DistanceOracle
 from repro.roadnet.shortest_path import dijkstra
 
 
+def _searches(oracle):
+    return (
+        oracle.dijkstra_count + oracle.bidirectional_count + oracle.ch_query_count
+    )
+
+
+def _served_hot(oracle, source, probe=24):
+    """``source`` is answered (point query and row) without any search."""
+    before = _searches(oracle)
+    oracle.cost(source, probe)
+    row = oracle.costs_from(source)
+    assert row == dijkstra(oracle.network, source)
+    return _searches(oracle) == before
+
+
 class TestCost:
     def test_same_node_zero(self, line_network):
         oracle = DistanceOracle(line_network)
@@ -91,8 +106,9 @@ class TestLruMode:
     def test_warm_pins_sources(self, small_grid):
         oracle = DistanceOracle(small_grid, apsp_threshold=0)
         oracle.warm([0, 1])
-        assert 0 in oracle._source_cache
-        assert 1 in oracle._source_cache
+        assert oracle.stats()["pinned_sources"] == 2
+        assert _served_hot(oracle, 0)
+        assert _served_hot(oracle, 1)
 
     def test_invalidate_clears_caches(self, small_grid):
         oracle = DistanceOracle(small_grid)
@@ -272,10 +288,7 @@ class TestWarmPinning:
         nodes = sorted(small_grid.nodes())
         for node in nodes[1:8]:  # way past the 2-entry budget
             oracle.costs_from(node)
-        assert 0 in oracle._source_cache
-        before = oracle.dijkstra_count
-        oracle.costs_from(0)
-        assert oracle.dijkstra_count == before  # served hot, no re-search
+        assert _served_hot(oracle, 0)  # no re-search after the pressure
 
     def test_unpinned_sources_still_evicted(self, small_grid):
         oracle = DistanceOracle(small_grid, cache_sources=2, apsp_threshold=0)
@@ -283,26 +296,37 @@ class TestWarmPinning:
         oracle.costs_from(1)
         oracle.costs_from(2)
         oracle.costs_from(3)
-        assert 0 in oracle._source_cache
-        assert len(oracle._source_cache) == 2  # pin + one LRU slot
+        assert _served_hot(oracle, 0)
+        assert len(oracle._source_cache) == 2  # the LRU keeps its budget
+        before = oracle.dijkstra_count
+        oracle.costs_from(1)  # the oldest unpinned row was evicted
+        assert oracle.dijkstra_count == before + 1
 
     def test_pins_apply_to_apsp_rows(self, small_grid):
         oracle = DistanceOracle(small_grid, cache_rows=2)
         oracle.warm([0])
         for node in range(1, 8):
             oracle.costs_from(node)
-        assert 0 in oracle._row_cache
+        assert oracle.stats()["pinned_sources"] == 1
+        # the pinned row is the table row itself
+        assert oracle.pinned_block()[oracle.pinned_row(0)].tolist() == [
+            dijkstra(small_grid, 0).get(node, math.inf)
+            for node in sorted(small_grid.nodes())
+        ]
+        assert _served_hot(oracle, 0)
 
     def test_pins_survive_invalidate(self, small_grid):
         oracle = DistanceOracle(small_grid, cache_sources=2, apsp_threshold=0)
         oracle.warm([0])
+        before = oracle.dijkstra_count
         oracle.invalidate()
         # pinned rows are recomputed eagerly (stale values dropped, fresh
         # ones already hot) and the pin itself survives cache pressure
-        assert 0 in oracle._source_cache
+        assert oracle.dijkstra_count == before + 1
+        assert _served_hot(oracle, 0)
         for node in range(1, 8):
             oracle.costs_from(node)
-        assert 0 in oracle._source_cache
+        assert _served_hot(oracle, 0)
 
     def test_invalidate_recomputes_pinned_rows_eagerly(self):
         """Regression: invalidate() used to drop pinned rows without
@@ -318,9 +342,11 @@ class TestWarmPinning:
         assert oracle.cost(0, 2) == pytest.approx(20.0)
         net.adjacency[0][1] = 1.0
         net.adjacency[1][0] = 1.0
+        before = oracle.dijkstra_count
         oracle.invalidate()
-        # eagerly recomputed: already in the cache, no new dijkstra needed
-        assert 0 in oracle._source_cache
+        # eagerly recomputed: re-searched inside invalidate(), so the
+        # next query needs no new dijkstra
+        assert oracle.dijkstra_count == before + 1
         before = oracle.dijkstra_count
         assert oracle.cost(0, 2) == pytest.approx(11.0)
         assert oracle.dijkstra_count == before
@@ -328,10 +354,15 @@ class TestWarmPinning:
     def test_invalidate_can_skip_pinned_recompute(self, small_grid):
         oracle = DistanceOracle(small_grid, apsp_threshold=0)
         oracle.warm([0])
+        before = oracle.dijkstra_count
         oracle.invalidate(recompute_pinned=False)
-        assert not oracle._source_cache  # lazily rebuilt on next query
-        oracle.costs_from(0)
-        assert 0 in oracle._source_cache  # still pinned
+        assert oracle.dijkstra_count == before  # no eager work
+        oracle.costs_from(0)  # lazily rebuilt on next query
+        assert oracle.dijkstra_count == before + 1
+        assert oracle.stats()["pinned_sources"] == 1  # still pinned
+        for node in range(1, 8):
+            oracle.costs_from(node)
+        assert _served_hot(oracle, 0)
 
     def test_invalidate_bumps_epoch(self, small_grid):
         oracle = DistanceOracle(small_grid)
@@ -357,8 +388,9 @@ class TestWarmPinning:
     def test_all_pinned_overflow_allowed(self, small_grid):
         oracle = DistanceOracle(small_grid, cache_sources=1, apsp_threshold=0)
         oracle.warm([0, 1, 2])
-        assert len(oracle._source_cache) == 3  # pins beat the budget
         assert oracle.stats()["pinned_sources"] == 3
+        for source in (0, 1, 2):  # pins beat the budget
+            assert _served_hot(oracle, source)
 
 
 class TestInterning:
@@ -367,7 +399,7 @@ class TestInterning:
     def test_contiguous_ids_skip_index(self, line_network):
         oracle = DistanceOracle(line_network)
         oracle.cost(0, 4)
-        assert oracle._apsp_index is None  # ids are already 0..n-1
+        assert oracle._index is None  # ids are already 0..n-1
 
     def test_non_contiguous_ids_interned(self):
         net = RoadNetwork()
@@ -375,7 +407,7 @@ class TestInterning:
         net.add_edge(50, 500, 2.0)
         oracle = DistanceOracle(net)
         assert oracle.cost(5, 500) == pytest.approx(3.0)
-        assert oracle._apsp_index == {5: 0, 50: 1, 500: 2}
+        assert oracle._index == {5: 0, 50: 1, 500: 2}
         fast = oracle.fast_cost_fn()
         assert fast(500, 5) == pytest.approx(3.0)
         assert fast(50, 50) == 0.0
