@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import statistics
 import sys
@@ -322,6 +323,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "benchmark": "insertion_engine",
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "python": sys.version.split()[0],
+        "cpu_count": os.cpu_count(),
         "network": {"generator": "nyc_like", "seed": args.seed},
         "config": {
             "smoke": args.smoke,

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -336,6 +337,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "benchmark": "matching_scale",
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "python": sys.version.split()[0],
+        "cpu_count": os.cpu_count(),
         "network": {
             "generator": "grid_city",
             "rows": rows,

@@ -18,6 +18,12 @@ measured query and the numbers reflect the underlying search, not cache
 policy.  A correctness leg pins sampled tier-1 answers bit-for-bit
 against plain Dijkstra and tier-2 answers to within float tolerance.
 
+A batched-pinning leg warms sampled sources on the tier-1 oracle, which
+fills their rows with the batched many-source pass (PHAST, exact
+re-accumulation, verification), then re-solves every row with plain
+Dijkstra: it reports both timings and exits non-zero on any bit mismatch,
+in ``--smoke`` runs too.
+
 The headline gate is the tiering claim: tier-1 p50 query latency must
 beat tier-2 by >= 10x on the imported network.  Preprocessing is
 reported, not gated — the CH build is a one-off cost the dispatcher
@@ -190,6 +196,40 @@ def _check_exactness(
     return checked
 
 
+def _batched_pinning(
+    network, tier1: DistanceOracle, rng: np.random.Generator, num_sources: int
+) -> dict:
+    """Pin sampled sources through the batched pass; compare every row
+    bit-for-bit with a fresh Dijkstra and time both."""
+    nodes = sorted(network.nodes())
+    picks = sorted(
+        {int(nodes[int(i)]) for i in rng.integers(len(nodes), size=num_sources)}
+    )
+    before = tier1.stats()
+    t0 = time.perf_counter()
+    tier1.warm(picks)
+    batched_s = time.perf_counter() - t0
+    after = tier1.stats()
+    block = tier1.pinned_block()
+    dijkstra_s = 0.0
+    mismatches = 0
+    for source in picks:
+        t0 = time.perf_counter()
+        truth = dijkstra(network, source)
+        dijkstra_s += time.perf_counter() - t0
+        expect = np.full(len(nodes), INF)
+        expect[tier1.columns(truth.keys())] = list(truth.values())
+        mismatches += int(np.count_nonzero(block[tier1.pinned_row(source)] != expect))
+    return {
+        "sources": len(picks),
+        "batched_s": round(batched_s, 3),
+        "dijkstra_s": round(dijkstra_s, 3),
+        "speedup": round(dijkstra_s / max(batched_s, 1e-9), 1),
+        "fallbacks": after["batch_fallbacks"] - before["batch_fallbacks"],
+        "mismatched_cells": mismatches,
+    }
+
+
 def bench(
     seed: int,
     rows: int,
@@ -198,6 +238,7 @@ def bench(
     tier2_pairs: int,
     exact_sources: int,
     exact_dsts: int,
+    pin_sources: int,
 ) -> dict:
     network, net_meta = _import_network(rows, cols, seed)
     nodes = sorted(network.nodes())
@@ -260,6 +301,16 @@ def bench(
         flush=True,
     )
 
+    with _trace.span("bench.oracle.pinning", sources=pin_sources):
+        pinning = _batched_pinning(network, tier1, rng, pin_sources)
+    print(
+        f"batched pinning: {pinning['sources']} rows in "
+        f"{pinning['batched_s']}s vs {pinning['dijkstra_s']}s of Dijkstra "
+        f"({pinning['fallbacks']} fallbacks, "
+        f"{pinning['mismatched_cells']} mismatched cells)",
+        flush=True,
+    )
+
     run1.pop("costs")
     run2.pop("costs")
     speedup = round(run2["p50_ms"] / max(run1["p50_ms"], 1e-9), 1)
@@ -273,6 +324,7 @@ def bench(
         },
         "tier2": run2,
         "exact_checked": exact_checked,
+        "batched_pinning": pinning,
         "p50_speedup": speedup,
     }
 
@@ -305,10 +357,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         rows = cols = 20
         tier1_pairs, tier2_pairs = 50, 10
         exact_sources, exact_dsts = 2, 10
+        pin_sources = 60
     else:
         rows = cols = 320          # 102,400 nodes — past the paper's 100k bar
         tier1_pairs, tier2_pairs = 200, 40
         exact_sources, exact_dsts = 3, 12
+        pin_sources = 16
 
     if args.trace:
         start_trace(
@@ -322,7 +376,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     with _trace.span("bench.oracle", seed=args.seed, smoke=args.smoke):
         result = bench(
             args.seed, rows, cols, tier1_pairs, tier2_pairs,
-            exact_sources, exact_dsts,
+            exact_sources, exact_dsts, pin_sources,
         )
     if args.trace:
         stop_trace()
@@ -339,6 +393,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "seed": args.seed,
             "tier1_pairs": tier1_pairs,
             "tier2_pairs": tier2_pairs,
+            "pin_sources": pin_sources,
         },
         **result,
         "headline": {
@@ -360,6 +415,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"(threshold >=10x; pass={report['headline']['pass']})"
     )
     print(f"wrote {args.out}")
+    if result["batched_pinning"]["mismatched_cells"]:
+        print("FAIL: batched pinned rows differ from Dijkstra")
+        return 1
     if not args.smoke and not report["headline"]["pass"]:
         return 1
     return 0

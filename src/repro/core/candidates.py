@@ -428,7 +428,7 @@ def build_candidate_index(
     ) as span:
         areas = build_areas(
             network, k, cover=cover, search_budget=search_budget,
-            cost=oracle.fast_cost_fn(),
+            oracle=oracle,
         )
         oracle.warm(areas.centers)
         landmarks = None

@@ -501,7 +501,7 @@ class Dispatcher:
             areas = (
                 self.candidates.areas
                 if self.candidates is not None
-                else build_areas(network, k=8, cost=self.oracle.fast_cost_fn())
+                else build_areas(network, k=8, oracle=self.oracle)
             )
             self._shard_plan = ShardPlan(areas, shard_count)
             self._shard_executor = build_shard_executor(

@@ -94,10 +94,9 @@ def prepare_grouping(
         d_max = default_d_max(network)
     split = split_long_edges(network, d_max).network
     kwargs = {} if search_budget is None else {"search_budget": search_budget}
-    areas = build_areas(split, k, **kwargs)
-    oracle = DistanceOracle(
-        split, cache_sources=max(2048, 2 * areas.num_areas), apsp_threshold=0
-    )
+    oracle = DistanceOracle(split, apsp_threshold=0)
+    areas = build_areas(split, k, oracle=oracle, **kwargs)
+    oracle.cache_sources = max(oracle.cache_sources, 2 * areas.num_areas)
     # warm the centre->anywhere distances now: the fast vehicle filter needs
     # them and this is offline road-network preprocessing, not solve time
     oracle.warm(areas.centers)
@@ -320,10 +319,12 @@ def estimate_best_k(
     s = split.num_nodes
     probed: Dict[int, int] = {}
     kwargs = {} if search_budget is None else {"search_budget": search_budget}
+    oracle = DistanceOracle(split)
 
     def eta_of(k: int) -> int:
         if k not in probed:
-            probed[k] = max(len(k_shortest_path_cover(split, k, **kwargs)), 1)
+            cover = k_shortest_path_cover(split, k, oracle=oracle, **kwargs)
+            probed[k] = max(len(cover), 1)
         return probed[k]
 
     lo, hi = k_min, k_max

@@ -623,6 +623,8 @@ def absorb_oracle_delta(
     oracle.dijkstra_count += delta.dijkstra_count
     oracle.bidirectional_count += delta.bidirectional_count
     oracle.ch_query_count += delta.ch_query_count
+    oracle.batch_rows += delta.batch_rows
+    oracle.batch_fallbacks += delta.batch_fallbacks
     oracle.pair_cache_hits += delta.pair_cache_hits
     oracle.source_cache_hits += delta.source_cache_hits
 

@@ -458,7 +458,8 @@ WORKLOAD_STATS = WorkloadStats()
 class OracleStats:
     """Snapshot of a :class:`~repro.roadnet.oracle.DistanceOracle`.
 
-    ``searches`` (Dijkstras + bidirectional runs) is the actual graph work;
+    ``searches`` (Dijkstras, bidirectional runs, CH queries and batched
+    rows) is the actual graph work;
     ``hit_rate`` is the fraction of non-trivial queries answered without a
     search — in APSP mode every query after the build is a hit.
 
@@ -484,6 +485,11 @@ class OracleStats:
     ch_query_count: int = 0
     tier: int = 2
     effective_tier: int = 2
+    #: rows filled by the batched many-source pass (pinned rows, the
+    #: tier-0 table, the cover's hop-local rows) and how many of them the
+    #: verifier sent back to ``dijkstra()`` (also in ``dijkstra_count``)
+    batch_rows: int = 0
+    batch_fallbacks: int = 0
 
     @classmethod
     def from_oracle(cls, oracle: Any) -> "OracleStats":
@@ -491,7 +497,15 @@ class OracleStats:
 
     @property
     def searches(self) -> int:
-        return self.dijkstra_count + self.bidirectional_count + self.ch_query_count
+        """Graph searches: Dijkstras, bidirectional runs, CH queries and
+        rows of the batched pass (each fallback row counted once)."""
+        return (
+            self.dijkstra_count
+            + self.bidirectional_count
+            + self.ch_query_count
+            + self.batch_rows
+            - self.batch_fallbacks
+        )
 
     @property
     def hit_rate(self) -> float:
@@ -539,6 +553,8 @@ class OracleStats:
             ch_query_count=self.ch_query_count - since.ch_query_count,
             tier=self.tier,
             effective_tier=self.effective_tier,
+            batch_rows=self.batch_rows - since.batch_rows,
+            batch_fallbacks=self.batch_fallbacks - since.batch_fallbacks,
         )
 
     def as_dict(self) -> Dict[str, Any]:

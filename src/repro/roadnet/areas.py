@@ -18,11 +18,14 @@ bound the short-trip classification relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
 
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.kpathcover import k_path_cover, k_shortest_path_cover
 from repro.roadnet.shortest_path import multi_source_dijkstra as nearest_center_labelling
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.roadnet.oracle import DistanceOracle
 
 
 @dataclass
@@ -89,7 +92,7 @@ def build_areas(
     cover: Optional[Iterable[int]] = None,
     search_budget: Optional[int] = None,
     mode: str = "shortest",
-    cost: Optional[Callable[[int, int], float]] = None,
+    oracle: Optional["DistanceOracle"] = None,
 ) -> AreaIndex:
     """Algorithm 4 (AreaConstruction).
 
@@ -107,15 +110,15 @@ def build_areas(
         ``"shortest"`` (default — the paper's k-SPC) covers only shortest
         paths and gives far fewer key vertices; ``"all"`` covers every
         simple path (denser cover, no distance oracle needed).
-    cost:
-        ``cost(u, v)`` oracle for the ``"shortest"`` cover's shortest-ness
-        checks.  Pass the caller's own oracle (``oracle.fast_cost_fn()``)
-        so the cover does not build a second one.
+    oracle:
+        The :class:`~repro.roadnet.oracle.DistanceOracle` answering the
+        ``"shortest"`` cover's shortest-ness checks.  Pass the caller's
+        own so the cover does not build a second one.
     """
     if cover is None:
         kwargs = {} if search_budget is None else {"search_budget": search_budget}
         if mode == "shortest":
-            cover_set = k_shortest_path_cover(network, k, cost=cost, **kwargs)
+            cover_set = k_shortest_path_cover(network, k, oracle=oracle, **kwargs)
         elif mode == "all":
             cover_set = k_path_cover(network, k, **kwargs)
         else:

@@ -32,6 +32,14 @@ CH in for the all-pairs table without perturbing any solver decision
 (floating-point addition is not associative, so summing the same edges in a
 different order can differ in the last ulp).
 
+The hierarchy also serves many sources at once: :meth:`ContractionHierarchy.phast`
+is PHAST (Delling, Goldberg, Nowatzyk and Werneck, IPDPS 2011) — an upward
+sweep and a downward sweep over the vertices grouped into rank levels,
+each level one NumPy column operation for every source together.  Its
+values are shortcut sums, so they are estimates of the Dijkstra floats,
+not copies of them; :mod:`repro.roadnet.batched` turns them into exact
+rows.
+
 The implementation is exact (verified against Dijkstra by the test suite)
 and self-contained — no external solver, as everything else in this
 reproduction.
@@ -41,6 +49,8 @@ from __future__ import annotations
 
 import heapq
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.shortest_path import INF
@@ -127,6 +137,8 @@ class ContractionHierarchy:
                 else:
                     goals.append({u: table.get(u, INF) for u in node_ids})
             self._alt_goals = goals
+        #: PHAST sweep plan over node columns, built on first use
+        self._sweeps: Optional[Tuple[list, list]] = None
 
     # ------------------------------------------------------------------
     # preprocessing
@@ -321,8 +333,15 @@ class ContractionHierarchy:
             src_d = [t[source] for t in tables]
             dst_d = [t[target] for t in tables]
             upper = min(a + b for a, b in zip(src_d, dst_d))
-            if upper < INF:
-                best = upper * (1.0 + 1e-9)
+            # a zero bound would prune the very first pop (d >= best):
+            # zero-cost pairs are left to the plain search.  A landmark
+            # lower bound is a difference of two landmark distances and
+            # carries their rounding, not the pair's: the seeded radius
+            # is padded by it too, or a short pair far from every
+            # landmark prunes its own source before any meeting
+            if 0.0 < upper < INF:
+                scale = max(x for x in src_d + dst_d if x < INF)
+                best = upper * (1.0 + 1e-9) + 1e-12 * scale
             # widest-gap landmarks give the tightest bounds for this pair
             gaps = []
             for i, (a, b) in enumerate(zip(src_d, dst_d)):
@@ -451,6 +470,78 @@ class ContractionHierarchy:
                 push((x, mid))
 
     # ------------------------------------------------------------------
+    # many sources at once (PHAST)
+    # ------------------------------------------------------------------
+    def phast(self, sources: np.ndarray) -> np.ndarray:
+        """Distance estimates from every source to every node.
+
+        ``sources`` are node columns: positions in the ascending node-id
+        order (:meth:`DistanceOracle.column`).  Returns an
+        ``(nodes, sources)`` float64 array, ``inf`` where unreachable.
+        The upward sweep leaves each column holding its source's upward
+        search space; the downward sweep then settles every node from its
+        higher-ranked neighbours.  Both walk the rank levels of
+        :meth:`_sweep_plan`, one vectorised step per level for all
+        sources.  Entries are shortcut sums and may differ from
+        :func:`~repro.roadnet.shortest_path.dijkstra` in the last ulps.
+        """
+        upward, downward = self._sweep_plan()
+        dist = np.full((len(self.rank), len(sources)), INF)
+        dist[sources, np.arange(len(sources))] = 0.0
+        for plan in (upward, downward):
+            for targets, heads, weights, starts in plan:
+                best = np.minimum.reduceat(dist[heads] + weights, starts, axis=0)
+                np.minimum(best, dist[targets], out=best)
+                dist[targets] = best
+        return dist
+
+    def _sweep_plan(self) -> Tuple[list, list]:
+        """Level-grouped arcs of the upward and the downward sweep.
+
+        A node's upward level is one more than the highest level among
+        its lower-ranked neighbours (0 without any), its downward level
+        one more than the highest among its higher-ranked neighbours;
+        nodes of one level share no arc, so each level relaxes in one
+        step.  Each step is ``(targets, heads, weights, starts)``: arcs
+        ``heads -> targets`` sorted by target, with ``starts`` the first
+        arc of every target (the segments of ``minimum.reduceat``).
+        """
+        if self._sweeps is not None:
+            return self._sweeps
+        nodes = sorted(self.rank)
+        column = {node: i for i, node in enumerate(nodes)}
+        low: List[int] = []
+        high: List[int] = []
+        cost: List[float] = []
+        for u, arcs in self._upward.items():
+            for v, c in arcs:
+                low.append(column[u])
+                high.append(column[v])
+                cost.append(c)
+        lo = np.array(low, dtype=np.int64)
+        hi = np.array(high, dtype=np.int64)
+        weight = np.array(cost, dtype=np.float64)
+        by_rank = sorted(range(len(nodes)), key=lambda i: self.rank[nodes[i]])
+        below: List[List[int]] = [[] for _ in nodes]
+        above: List[List[int]] = [[] for _ in nodes]
+        for a, b in zip(low, high):
+            below[b].append(a)
+            above[a].append(b)
+        up_level = [0] * len(nodes)
+        for v in by_rank:
+            if below[v]:
+                up_level[v] = 1 + max(up_level[a] for a in below[v])
+        down_level = [0] * len(nodes)
+        for v in reversed(by_rank):
+            if above[v]:
+                down_level[v] = 1 + max(down_level[b] for b in above[v])
+        self._sweeps = (
+            _level_steps(np.array(up_level), hi, lo, weight),
+            _level_steps(np.array(down_level), lo, hi, weight),
+        )
+        return self._sweeps
+
+    # ------------------------------------------------------------------
     # pickling (sharded dispatch ships tier-1 oracles to workers)
     # ------------------------------------------------------------------
     def __getstate__(self) -> Dict[str, object]:
@@ -465,14 +556,33 @@ class ContractionHierarchy:
         """
         state = self.__dict__.copy()
         state["_graph"] = None
+        state["_sweeps"] = None  # rebuilt from _upward on first use
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.__dict__.update(state)
         self.__dict__.setdefault("_alt_goals", None)
+        self.__dict__.setdefault("_sweeps", None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ContractionHierarchy(nodes={len(self.rank)}, "
             f"shortcuts={self.num_shortcuts})"
         )
+
+
+def _level_steps(
+    level: np.ndarray, targets: np.ndarray, heads: np.ndarray, weights: np.ndarray
+) -> list:
+    """Group arcs ``heads -> targets`` into one sweep step per target level."""
+    order = np.lexsort((targets, level[targets]))
+    targets, heads, weights = targets[order], heads[order], weights[order]
+    levels = level[targets]
+    steps = []
+    for arcs in np.split(np.arange(len(targets)), np.flatnonzero(np.diff(levels)) + 1):
+        if not len(arcs):
+            continue
+        t = targets[arcs]
+        starts = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
+        steps.append((t[starts], heads[arcs], weights[arcs][:, None], starts))
+    return steps

@@ -22,9 +22,12 @@ Hence the returned set is always a valid cover.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Set
 
 from repro.roadnet.graph import RoadNetwork
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.roadnet.oracle import DistanceOracle
 
 #: Safety valve for the per-vertex path search.  When the DFS would expand
 #: more than this many states the vertex is conservatively kept in the
@@ -80,7 +83,7 @@ def k_path_cover(
 def k_shortest_path_cover(
     network: RoadNetwork,
     k: int,
-    cost: Optional[Callable[[int, int], float]] = None,
+    oracle: Optional["DistanceOracle"] = None,
     order: Optional[Iterable[int]] = None,
     search_budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> Set[int]:
@@ -94,21 +97,27 @@ def k_shortest_path_cover(
     path sub-structure property prunes drastically: a prefix is only
     extended while it remains a shortest path itself.
 
+    Every pair a check compares is joined by a path of at most ``k - 1``
+    edges, so the distances come from
+    :meth:`~repro.roadnet.oracle.DistanceOracle.hop_local_cost_fn`: table
+    reads at tier 0, one batched hop-local pass otherwise — never a point
+    query per pair.
+
     Parameters
     ----------
-    cost:
-        ``cost(u, v)`` shortest-distance oracle used for the shortest-ness
-        checks.  Defaults to a :class:`~repro.roadnet.oracle.DistanceOracle`
-        over the network.
+    oracle:
+        The :class:`~repro.roadnet.oracle.DistanceOracle` over ``network``
+        that answers the shortest-ness checks.  Defaults to a new one.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k == 1:
         return set(network.nodes())
-    if cost is None:
+    if oracle is None:
         from repro.roadnet.oracle import DistanceOracle
 
-        cost = DistanceOracle(network).fast_cost_fn()
+        oracle = DistanceOracle(network)
+    cost = oracle.hop_local_cost_fn(k - 1)
 
     cover: Set[int] = set(network.nodes())
     if order is None:

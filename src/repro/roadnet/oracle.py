@@ -33,9 +33,18 @@ block), bit-identical to :func:`dijkstra` and read like the table.  The
 candidate index prunes straight off it; dict views are built only for
 callers of :meth:`costs_from`.
 
+The table, the pinned rows and the eager re-pin of :meth:`invalidate` are
+all filled by one batched many-source pass (:mod:`repro.roadnet.batched`):
+PHAST over the epoch's contraction hierarchy, exact re-accumulation and a
+verifier that proves each row equal to :func:`dijkstra`, which re-solves
+only the rows it rejects.  At tier 0 the hierarchy is built for the table
+and dropped; without one (directed networks, tier 2, a degraded epoch)
+every row is a :func:`dijkstra`.  :meth:`hop_local_cost_fn` serves the
+area cover's pair checks from the same verifier.
+
 Disruption-epoch invalidation (:meth:`invalidate`) drops the CH and
-landmark structures with the caches; tier 1 rebuilds lazily on the next
-query.  When a ``rebuild_budget_s`` is set and the last CH build exceeded
+landmark structures with the caches; tier 1 rebuilds on the next query
+(or right away, to re-fill pinned rows).  When a ``rebuild_budget_s`` is set and the last CH build exceeded
 it, the oracle instead degrades to tier 2 for one epoch (queries fall back
 to bidirectional search) so a mid-frame road closure never stalls the
 dispatcher on a full re-contraction.
@@ -50,11 +59,12 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
 from repro.obs import trace as _trace
+from repro.roadnet import batched
 from repro.roadnet.contraction import ContractionHierarchy
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.landmarks import LandmarkIndex
@@ -63,6 +73,11 @@ from repro.roadnet.shortest_path import INF, bidirectional_dijkstra, dijkstra
 #: below this many nodes, auto-selection never picks tier 1 — the CH build
 #: is pure overhead when per-pair bidirectional searches are already cheap
 TIER1_MIN_NODES = 4000
+
+#: hop-local rows :meth:`DistanceOracle.hop_local_cost_fn` keeps as dicts;
+#: the area cover checks vertices in an order whose neighbourhoods overlap,
+#: so a window of recent sources serves almost every lookup
+_RECENT_LOCAL_ROWS = 1024
 
 
 class DistanceOracle:
@@ -168,9 +183,14 @@ class DistanceOracle:
         self._row_cache: "OrderedDict[int, Dict[int, float]]" = OrderedDict()
         # sources pinned by warm(): held in the block, never evicted
         self._pinned_sources: Set[int] = set()
-        # counters (read by repro.perf)
+        # padded arc arrays of the batched pass (once per epoch)
+        self._arcs: Optional[batched.ArcArrays] = None
+        # counters (read by repro.perf); dijkstra_count counts every
+        # dijkstra() run, batch fallbacks included
         self.query_count = 0
         self.dijkstra_count = 0
+        self.batch_rows = 0
+        self.batch_fallbacks = 0
         self.bidirectional_count = 0
         self.ch_query_count = 0
         self.pair_cache_hits = 0
@@ -481,7 +501,7 @@ class DistanceOracle:
             return nodes
         return np.fromiter(nodes, dtype=np.int64)
 
-    def _fill_row(self, source: int, out: np.ndarray) -> None:
+    def _dijkstra_row(self, source: int, out: np.ndarray) -> None:
         """Write ``dijkstra(source)`` into ``out`` (inf where unreachable)."""
         self.dijkstra_count += 1
         dist = dijkstra(self.network, source)
@@ -489,6 +509,153 @@ class DistanceOracle:
         out[self.columns(dist.keys())] = np.fromiter(
             dist.values(), dtype=np.float64, count=len(dist)
         )
+
+    def _fill_rows(self, sources: Sequence[int], out: np.ndarray) -> None:
+        """Write ``dijkstra(source)`` of every source into the rows of ``out``.
+
+        ``out`` holds one row per source.  With a contraction
+        hierarchy (:meth:`_row_hierarchy`) the rows come from the batched
+        pass, :func:`~repro.roadnet.batched.chunk_rows` sources at a time:
+        PHAST estimates, exact re-accumulation, verification.
+        Each rejected row is re-solved with :func:`dijkstra` and counted
+        in ``batch_fallbacks``.  Without a hierarchy every row is a
+        :func:`dijkstra`.
+        """
+        fallbacks = 0
+        with _trace.span("oracle.fill_rows", sources=len(sources)) as span:
+            hierarchy = self._row_hierarchy()
+            if hierarchy is None:
+                for source, row in zip(sources, out):
+                    self._dijkstra_row(source, row)
+            else:
+                arcs = self._arc_arrays()
+                columns = self.columns(sources)
+                step = batched.chunk_rows(self._n)
+                for lo in range(0, len(columns), step):
+                    chunk = columns[lo:lo + step]
+                    dist = batched.exact_rows(hierarchy.phast(chunk), chunk, arcs)
+                    rows = out[lo:lo + step]
+                    rows[:] = dist.T
+                    for i in np.flatnonzero(~batched.verify_rows(dist, chunk, arcs)):
+                        self._dijkstra_row(sources[lo + i], rows[i])
+                        fallbacks += 1
+                self.batch_rows += len(columns)
+                self.batch_fallbacks += fallbacks
+            span.annotate(fallbacks=fallbacks)
+
+    def _row_hierarchy(self) -> Optional[ContractionHierarchy]:
+        """The hierarchy the batched pass sweeps, or ``None``.
+
+        Tier 1 uses the epoch's own; tier 0 builds one for the table,
+        which the caller drops with it.  Directed networks, tier 2 and a
+        degraded epoch have none.
+        """
+        if not self._undirected or not len(self.network):
+            return None
+        tier = self.effective_tier
+        if tier == 1:
+            return self._ensure_ch()
+        if tier == 0:
+            with _trace.span("oracle.build_ch", nodes=len(self.network)):
+                return ContractionHierarchy(self.network)
+        return None
+
+    def _arc_arrays(self) -> batched.ArcArrays:
+        self._intern()
+        if self._arcs is None:
+            self._arcs = batched.ArcArrays(self.network, self._nodes, self._index)
+        return self._arcs
+
+    def hop_local_cost_fn(self, hops: int) -> "Callable[[int, int], float]":
+        """``cost(u, v)`` for pairs joined by a path of at most ``hops`` arcs.
+
+        These are the only pairs the area cover
+        (:func:`~repro.roadnet.kpathcover.k_shortest_path_cover`) checks.
+        Tier 0 reads the table (:meth:`fast_cost_fn`).  Otherwise one
+        batched hop-local pass (:func:`~repro.roadnet.batched.local_rows`)
+        over every source, :func:`~repro.roadnet.batched.chunk_rows` at a
+        time, tables the exact
+        canonical distance of every such pair, so the cover makes no point
+        query.  Rows the verifier rejects are re-solved with
+        :func:`dijkstra` and counted in ``batch_fallbacks``.  Any other
+        pair falls back to :meth:`cost`.
+        """
+        if self.tier == 0 or not len(self.network):
+            return self.fast_cost_fn()
+        arcs = self._arc_arrays()
+        n = self._n
+        step = batched.chunk_rows(n)
+        dist = np.full(min(step, n) * n, INF)
+        sources: List[np.ndarray] = []
+        targets: List[np.ndarray] = []
+        values: List[np.ndarray] = []
+        fallbacks = 0
+        with _trace.span("oracle.fill_local", sources=n, hops=hops) as span:
+            for lo in range(0, n, step):
+                chunk = np.arange(lo, min(n, lo + step))
+                cells, found, ok = batched.local_rows(chunk, arcs, hops, dist)
+                rows, cols = np.divmod(cells, n)
+                for i in np.flatnonzero(~ok):
+                    exact = np.empty(n)
+                    self._dijkstra_row(self._nodes[lo + i], exact)
+                    mine = rows == i
+                    found[mine] = exact[cols[mine]]
+                    fallbacks += 1
+                rows += lo
+                keep = cols > rows if self._undirected else cols != rows
+                sources.append(rows[keep])
+                targets.append(cols[keep])
+                values.append(found[keep])
+            span.annotate(fallbacks=fallbacks)
+        self.batch_rows += n
+        self.batch_fallbacks += fallbacks
+        # CSR by source column (cells come out sorted); a row becomes a
+        # dict only while recent, so the table holds no per-pair objects
+        indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(np.concatenate(sources), minlength=n)))
+        ).tolist()
+        targets_all = np.concatenate(targets)
+        values_all = np.concatenate(values)
+        recent: Dict[int, Dict[int, float]] = {}
+        nodes = self._nodes
+        index = self._index
+        undirected = self._undirected
+        cost = self.cost
+        # at tier 1 every answer equals the CH's, so it goes into the pair
+        # LRU as a point query's would: later queries between nearby nodes
+        # (a vehicle and a pickup, say) still hit it
+        pairs = self._pair_cache if self.effective_tier == 1 else None
+        capacity = self.cache_pairs
+
+        def local_cost(u: int, v: int) -> float:
+            if u == v:
+                return 0.0
+            if undirected and u > v:
+                u, v = v, u
+            if pairs is not None:
+                hit = pairs.get((u, v))
+                if hit is not None:
+                    pairs.move_to_end((u, v))
+                    return hit
+            if index is not None:
+                u, v = index[u], index[v]
+            row = recent.get(u)
+            if row is None:
+                lo, hi = indptr[u], indptr[u + 1]
+                row = dict(zip(targets_all[lo:hi].tolist(), values_all[lo:hi].tolist()))
+                if len(recent) >= _RECENT_LOCAL_ROWS:
+                    del recent[next(iter(recent))]  # oldest first
+                recent[u] = row
+            d = row.get(v)
+            if d is None:
+                return cost(nodes[u], nodes[v])
+            if pairs is not None:
+                pairs[nodes[u], nodes[v]] = d
+                if len(pairs) > capacity:
+                    pairs.popitem(last=False)
+            return d
+
+        return local_cost
 
     def _pin(self, sources: Iterable[int]) -> None:
         """Give every source not yet in the pinned block its own row."""
@@ -507,9 +674,8 @@ class DistanceOracle:
                 block[:used] = self._pin_block[:used]
             self._pin_block = block
             self._pin_view = memoryview(block.reshape(-1))
-        for source in new:
-            row = len(self._pin_rows)
-            self._fill_row(source, self._pin_block[row])
+        self._fill_rows(new, self._pin_block[used:used + len(new)])
+        for row, source in enumerate(new, start=used):
             self._pin_rows[source] = row
             # a dict row searched before the pin would duplicate the block
             self._source_cache.pop(source, None)
@@ -579,11 +745,12 @@ class DistanceOracle:
         work (a pinned row then refills on its next :meth:`costs_from`
         or :meth:`warm`).  Use :meth:`unpin` to forget the pins entirely.
 
-        Tier-1 structures (CH, landmarks) are dropped too and rebuilt
-        lazily on the next query — unless ``rebuild_budget_s`` is set and
-        the last CH build exceeded it, in which case the new epoch runs
-        degraded at tier 2 (bidirectional queries) and the rebuild is
-        deferred to the epoch after.
+        Tier-1 structures (CH, landmarks) are dropped too and rebuilt on
+        the next query, or at once when pinned rows are re-filled through
+        the batched pass — unless ``rebuild_budget_s`` is set and the
+        last CH build exceeded it, in which case the new epoch runs
+        degraded at tier 2 (bidirectional queries, pinned rows by
+        :func:`dijkstra`) and the rebuild is deferred to the epoch after.
 
         Every call bumps :attr:`epoch`.  Holders of
         :meth:`fast_cost_fn` closures must not use them across an epoch
@@ -606,6 +773,7 @@ class DistanceOracle:
             self._nodes = None
             self._index = None
             self._n = 0
+            self._arcs = None
             self._ch = None
             self._alt = None
             self.fast_path = False
@@ -639,6 +807,7 @@ class DistanceOracle:
         state["_apsp_view"] = None
         state["_apsp_matrix"] = None
         state["_pin_view"] = None
+        state["_arcs"] = None  # rebuilt from the network on demand
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
@@ -657,6 +826,8 @@ class DistanceOracle:
             "nodes": len(self.network),
             "query_count": self.query_count,
             "dijkstra_count": self.dijkstra_count,
+            "batch_rows": self.batch_rows,
+            "batch_fallbacks": self.batch_fallbacks,
             "bidirectional_count": self.bidirectional_count,
             "ch_query_count": self.ch_query_count,
             "pair_cache_hits": self.pair_cache_hits,
@@ -690,8 +861,7 @@ class DistanceOracle:
         self._intern()
         n = self._n
         table = np.empty((n, n), dtype=np.float64)
-        for i, node in enumerate(self._nodes):
-            self._fill_row(node, table[i])
+        self._fill_rows(self._nodes, table)
         self._apsp_matrix = table
         self._apsp = table.reshape(-1)
         self._apsp_view = memoryview(self._apsp)  # reads yield python floats

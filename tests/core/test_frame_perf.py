@@ -77,7 +77,9 @@ class TestFramePerfDeltas:
         r1 = dispatcher.dispatch_frame(requests(0))
         r2 = dispatcher.dispatch_frame(requests(1))
         total = dispatcher.perf_report()
-        for field in ("query_count", "dijkstra_count", "bidirectional_count"):
+        for field in (
+            "query_count", "dijkstra_count", "bidirectional_count", "batch_rows",
+        ):
             assert (
                 getattr(r1.perf.oracle, field)
                 + getattr(r2.perf.oracle, field)
@@ -89,8 +91,8 @@ class TestFramePerfDeltas:
             == total.validation.schedules
         )
         # the APSP build ran once, in frame 1; frame 2 must not re-report it
-        assert r1.perf.oracle.dijkstra_count == len(small_grid)
-        assert r2.perf.oracle.dijkstra_count == 0
+        assert r1.perf.oracle.searches == len(small_grid)
+        assert r2.perf.oracle.searches == 0
 
     def test_perf_report_excludes_pre_construction_work(
         self, small_grid, line_instance

@@ -78,6 +78,33 @@ class TestQueries:
         ch = ContractionHierarchy(net)
         assert math.isinf(ch.cost(0, 9))
 
+    def test_zero_cost_pair_with_landmarks(self):
+        # regression: a zero landmark upper bound pruned the first pop and
+        # the query returned inf for a pair joined by a zero-weight edge
+        from repro.roadnet.landmarks import LandmarkIndex
+
+        net = RoadNetwork()
+        net.add_edge(0, 1, 0.0)
+        net.add_edge(1, 2, 2.0)
+        ch = ContractionHierarchy(net, landmarks=LandmarkIndex(net, num_landmarks=2))
+        assert ch.cost(0, 1) == 0.0
+        assert ch.cost(0, 2) == 2.0
+
+    def test_tiny_pair_far_from_landmarks(self):
+        # regression: the landmark bound of a 1e-12 pair next to unit
+        # edges carried more rounding than the pair's own distance and
+        # pruned the source, so the query returned inf
+        from repro.roadnet.landmarks import LandmarkIndex
+
+        net = RoadNetwork()
+        for u, v, w in ((0, 3, 1.0), (1, 2, 1e-12), (2, 3, 1e-12)):
+            net.add_edge(u, v, w)
+        ch = ContractionHierarchy(net, landmarks=LandmarkIndex(net, num_landmarks=4))
+        for u in net.nodes():
+            truth = dijkstra(net, u)
+            for v in net.nodes():
+                assert ch.cost(u, v) == truth[v], (u, v)
+
     def test_callable(self, grid_ch):
         assert grid_ch(0, 24) == grid_ch.cost(0, 24)
 

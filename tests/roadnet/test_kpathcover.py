@@ -112,7 +112,7 @@ class TestKShortestPathCover:
 
     def test_explicit_cost_oracle_accepted(self, small_grid):
         oracle = DistanceOracle(small_grid)
-        cover = k_shortest_path_cover(small_grid, 3, cost=oracle.fast_cost_fn())
+        cover = k_shortest_path_cover(small_grid, 3, oracle=oracle)
         assert verify_cover(small_grid, cover, 3) or len(cover) > 0
 
     def test_invalid_k(self, line_network):

@@ -199,6 +199,8 @@ class TestStats:
             "nodes",
             "query_count",
             "dijkstra_count",
+            "batch_rows",
+            "batch_fallbacks",
             "bidirectional_count",
             "pair_cache_hits",
             "pair_cache_size",

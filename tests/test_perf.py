@@ -47,7 +47,10 @@ class TestOracleStats:
         assert stats.mode == "apsp"
         assert stats.query_count == 1
         assert stats.hit_rate == 1.0
-        assert stats.searches == stats.dijkstra_count
+        # the table is filled by the batched pass; fallbacks count once
+        assert stats.searches == (
+            stats.dijkstra_count + stats.batch_rows - stats.batch_fallbacks
+        )
 
     def test_hit_rate_lru(self, small_grid):
         oracle = DistanceOracle(small_grid, apsp_threshold=0, cache_sources=0)
@@ -100,11 +103,13 @@ class TestOracleStats:
         """In APSP mode every query after the build is a table read: the
         build's Dijkstras are precomputation, not per-query misses."""
         oracle = DistanceOracle(small_grid)
-        oracle.cost(0, 7)  # triggers the build (25 Dijkstras)
+        oracle.cost(0, 7)  # triggers the build (25 batched rows)
         oracle.cost(3, 9)
         stats = OracleStats.from_oracle(oracle)
         assert stats.mode == "apsp"
-        assert stats.dijkstra_count == len(small_grid)
+        assert stats.batch_rows == len(small_grid)
+        assert stats.dijkstra_count == stats.batch_fallbacks
+        assert stats.searches == len(small_grid)
         assert stats.hit_rate == 1.0
 
     def test_delta(self, small_grid):
