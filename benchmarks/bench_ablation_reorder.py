@@ -9,11 +9,9 @@ and (b) the runtime gap, verifying the paper's engineering judgement.
 import time
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import record, run_once
 from repro.core.insertion import arrange_single_rider
-from repro.core.kinetic import KineticTree
 from repro.core.reorder import arrange_single_rider_reordered
 from repro.core.requests import Rider
 from repro.core.schedule import TransferSequence
@@ -59,8 +57,8 @@ def run_reorder_ablation():
         experiment="ablation_reorder",
         description="Algorithm 1 vs optimal reordering insertion",
     )
-    stats = {"plain_cost": 0.0, "reorder_cost": 0.0, "kinetic_cost": 0.0,
-             "plain_time": 0.0, "reorder_time": 0.0, "kinetic_time": 0.0,
+    stats = {"plain_cost": 0.0, "reorder_cost": 0.0,
+             "plain_time": 0.0, "reorder_time": 0.0,
              "both_feasible": 0, "reorder_strictly_better": 0}
     for seq, rider in cases:
         t0 = time.perf_counter()
@@ -69,30 +67,16 @@ def run_reorder_ablation():
         t0 = time.perf_counter()
         reordered = arrange_single_rider_reordered(seq, rider)
         stats["reorder_time"] += time.perf_counter() - t0
-        # kinetic tree ([20]): build from the same riders, insert, query
-        tree = KineticTree(
-            origin=seq.origin, start_time=seq.start_time,
-            capacity=seq.capacity, cost=seq.cost,
-        )
-        for existing in seq.assigned_riders():
-            tree.insert(existing)
-        t0 = time.perf_counter()
-        kinetic_cost = tree.try_insert(rider)
-        stats["kinetic_time"] += time.perf_counter() - t0
         if plain is None or reordered is None:
             continue
         stats["both_feasible"] += 1
         stats["plain_cost"] += plain.sequence.total_cost
         stats["reorder_cost"] += reordered.total_cost
-        stats["kinetic_cost"] += (
-            kinetic_cost if kinetic_cost is not None else reordered.total_cost
-        )
         if reordered.total_cost < plain.sequence.total_cost - 1e-6:
             stats["reorder_strictly_better"] += 1
     for name, kind in (
         ("algorithm1", "plain"),
         ("reordering", "reorder"),
-        ("kinetic[20]", "kinetic"),
     ):
         result.rows.append(
             ResultRow(
@@ -121,6 +105,3 @@ def test_reordering_gains_little(benchmark):
     assert gap < 0.10, f"reordering gained {gap:.1%}; expected < 10%"
     # and Algorithm 1 is much cheaper to run
     assert stats["plain_time"] < stats["reorder_time"]
-    # the kinetic tree ([20]) and the brute-force reordering agree — two
-    # independent implementations of the same optimum
-    assert stats["kinetic_cost"] == pytest.approx(stats["reorder_cost"], abs=1e-3)

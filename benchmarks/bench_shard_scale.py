@@ -2,19 +2,16 @@
 """Shard-scale benchmark: partitioned dispatch vs the single-solve frame.
 
 Drives the rolling-horizon :class:`repro.core.dispatch.Dispatcher` over
-identical multi-frame request streams at growing fleet sizes, once
-unsharded (the baseline single global solve per frame) and once per
-shard worker count:
+identical multi-frame request streams at growing fleet sizes, twice:
 
 - ``unsharded`` — ``dispatch_frame`` as a single solve over the whole
   fleet: every rider's coarse reachability scan walks all ``n``
   vehicles.
-- ``workers=w`` — the partition-solve-merge pipeline of
-  :mod:`repro.core.shards` with ``shard_count`` area shards, solved on a
-  :class:`~repro.core.shards.SerialShardExecutor` (``w=1``) or a
-  ``w``-worker process pool.  Each rider's scan touches only its own
-  shard's fleet, so the per-frame scan work drops by roughly the shard
-  count before any process-level parallelism is applied.
+- ``sharded`` — the partition-solve-merge pipeline of
+  :mod:`repro.core.shards` with ``shard_count`` area shards, solved one
+  after another in this process.  Each rider's scan touches only its
+  own shard's fleet, so the per-frame scan work drops by roughly the
+  shard count.
 
 Riders carry tight pickup deadlines (a couple of minutes on a
 ~1-minute-per-block grid), the large-fleet regime sharding targets: the
@@ -23,21 +20,15 @@ nearby vehicles are relevant.  The synthetic per-pair utility matrix is
 disabled (``utility_matrix="default"``) so the O(m*n) matrix fill does
 not mask the solve cost being measured.
 
-Each (fleet size, worker count) cell reports wall-clock per frame, the
-served-rider totals (asserted identical across *worker counts* — the
-executor-equivalence guarantee; the unsharded baseline may allocate
-boundary riders differently and is compared on service level, not
-identity), and the shard-statistics delta (shards solved, boundary
-riders, reconciliations).  The headline gate is the scaling claim at
-the largest fleet: ``unsharded / sharded(headline workers) >= 2x`` per
-frame.  The gated worker count is 4 on machines with at least 4 cores;
-on smaller containers process fan-out cannot beat wall-clock (workers
-above the core count add IPC overhead without CPU to back it), so the
-gate falls back to the serial pipeline (``workers=1``), whose speedup
-comes from the partition itself: each rider's scan touches only its own
-shard's slice of the fleet.  The report records ``cpu_count`` and the
-full worker curve either way, so flat curves on small containers read
-as what they are.
+Each (fleet size, configuration) cell reports wall-clock per frame,
+the served-rider totals (the unsharded baseline may allocate boundary
+riders differently, so the two are compared on service level, not
+identity), and for the sharded run the shard-statistics delta (shards
+solved, boundary riders, reconciliations).  The headline gate is the
+scaling claim at the largest fleet: ``unsharded / sharded >= 2x`` per
+frame, with at least 95% of the unsharded service.  The report records
+``cpu_count``; the pipeline is single-threaded, so the core count does
+not change the claim.
 
 Usage::
 
@@ -82,9 +73,7 @@ def _build_network(rows: int, cols: int, seed: int):
         rows, cols, seed=seed, removal_fraction=0.0, arterial_every=None
     )
     # keep the exact-distance fast path (flat APSP table): the benchmark
-    # measures frame decomposition, not oracle cache policy.  The table
-    # also rides along in the pickled worker context, so workers never
-    # recompute it.
+    # measures frame decomposition, not oracle cache policy
     oracle = DistanceOracle(network, apsp_threshold=max(2048, len(network) + 1))
     return network, oracle
 
@@ -136,7 +125,7 @@ def _frames(
 # measurement
 # ----------------------------------------------------------------------
 def _run_config(
-    workers: Optional[int],
+    sharded: bool,
     shard_count: int,
     method: str,
     network,
@@ -145,10 +134,10 @@ def _run_config(
     frames: List[List[Rider]],
     frame_length: float,
 ) -> Dict[str, object]:
-    """One full dispatch run; ``workers=None`` is the unsharded baseline."""
+    """One full dispatch run, sharded or as the unsharded baseline."""
     kwargs: Dict[str, object] = {}
-    if workers is not None:
-        kwargs.update(shard_workers=workers, shard_count=shard_count)
+    if sharded:
+        kwargs.update(shard_workers=1, shard_count=shard_count)
     dispatcher = Dispatcher(
         network,
         [Vehicle(vehicle_id=v.vehicle_id, location=v.location, capacity=v.capacity)
@@ -177,17 +166,15 @@ def _run_config(
         dispatcher.close()
     delta = SHARD_STATS.delta(before)
     result: Dict[str, object] = {
-        "workers": workers,
         "frame_s": round(elapsed / len(frames), 4),
         "total_s": round(elapsed, 4),
         "served": sorted(served),
         "utility": round(utility, 6),
     }
-    if workers is not None:
+    if sharded:
         result.update(
             {
                 "shards_solved": delta.shards_solved,
-                "process_frames": delta.process_frames,
                 "boundary_riders": delta.boundary_riders,
                 "reconciled_riders": delta.reconciled_riders,
             }
@@ -200,14 +187,12 @@ def bench_scale(
     rows: int,
     cols: int,
     fleet_sizes: List[int],
-    worker_counts: List[int],
     shard_count: int,
     method: str,
     num_frames: int,
     riders_per_frame: int,
     frame_length: float,
     pickup_window: tuple,
-    headline_workers: int,
 ) -> List[dict]:
     network, oracle = _build_network(rows, cols, seed)
     nodes = sorted(network.nodes())
@@ -221,60 +206,35 @@ def bench_scale(
             frame_length, pickup_window,
         )
         with _trace.span("bench.shards.size", vehicles=size, method=method):
-            baseline = _run_config(
-                None, shard_count, method, network, oracle, fleet,
-                frames, frame_length,
-            )
             runs = {
-                w: _run_config(
-                    w, shard_count, method, network, oracle, fleet,
+                name: _run_config(
+                    sharded, shard_count, method, network, oracle, fleet,
                     frames, frame_length,
                 )
-                for w in worker_counts
+                for name, sharded in (("unsharded", False), ("sharded", True))
             }
-        reference = runs[worker_counts[0]]
-        for w in worker_counts[1:]:
-            if runs[w]["served"] != reference["served"]:
-                raise AssertionError(
-                    f"executor-equivalence violation at {size} vehicles: "
-                    f"workers={w} served {len(runs[w]['served'])} riders "
-                    f"!= workers={worker_counts[0]} "
-                    f"{len(reference['served'])}"
-                )
         case = {
             "vehicles": size,
             "method": method,
             "shard_count": shard_count,
             "frames": num_frames,
             "riders_per_frame": riders_per_frame,
-            "served_unsharded": len(baseline["served"]),
-            "served_sharded": len(reference["served"]),
-            "unsharded": {
-                k: v for k, v in baseline.items() if k not in ("served", "workers")
-            },
+            "served_unsharded": len(runs["unsharded"]["served"]),
+            "served_sharded": len(runs["sharded"]["served"]),
         }
-        for w in worker_counts:
-            entry = {
-                k: v for k, v in runs[w].items() if k not in ("served", "workers")
-            }
-            entry["speedup_vs_unsharded"] = round(
-                baseline["total_s"] / max(runs[w]["total_s"], 1e-9), 2
-            )
-            entry["speedup_vs_serial"] = round(
-                reference["total_s"] / max(runs[w]["total_s"], 1e-9), 2
-            )
-            case[f"workers_{w}"] = entry
+        for name, run in runs.items():
+            case[name] = {k: v for k, v in run.items() if k != "served"}
+        case["sharded"]["speedup_vs_unsharded"] = round(
+            runs["unsharded"]["total_s"] / max(runs["sharded"]["total_s"], 1e-9),
+            2,
+        )
         cases.append(case)
-        headline = case[f"workers_{headline_workers}"]
         print(
             f"{size:6d} vehicles [{method}]:"
             f" unsharded {case['unsharded']['frame_s']*1e3:8.1f} ms/frame"
-            + "".join(
-                f"  w={w} {case[f'workers_{w}']['frame_s']*1e3:7.1f} ms"
-                f" ({case[f'workers_{w}']['speedup_vs_unsharded']:.1f}x)"
-                for w in worker_counts
-            )
-            + f"  served {case['served_sharded']}/{case['served_unsharded']}"
+            f"  sharded {case['sharded']['frame_s']*1e3:7.1f} ms"
+            f" ({case['sharded']['speedup_vs_unsharded']:.1f}x)"
+            f"  served {case['served_sharded']}/{case['served_unsharded']}"
         )
     return cases
 
@@ -285,7 +245,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="tiny grid and fleet, serial + 2 workers only (CI wiring check)",
+        help="tiny grid and fleet (CI wiring check)",
     )
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
@@ -305,21 +265,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.smoke:
         rows = cols = 8
         fleet_sizes = [60]
-        worker_counts = [1, 2]
         shard_count = 4
         num_frames, riders_per_frame = 2, 8
         frame_length, pickup_window = 10.0, (2.0, 6.0)
-        headline_workers = 2
     else:
         rows = cols = 40
         fleet_sizes = [2000, 10000]
-        worker_counts = [1, 2, 4, 8]
         shard_count = 8
         num_frames, riders_per_frame = 6, 60
         frame_length, pickup_window = 5.0, (1.0, 2.5)
-        # gate the 4-worker pool only when the hardware can back it;
-        # a 1-core container gates the serial pipeline instead
-        headline_workers = 4 if (os.cpu_count() or 1) >= 4 else 1
 
     if args.trace:
         start_trace(
@@ -332,17 +286,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     with _trace.span("bench.shards", seed=args.seed, smoke=args.smoke):
         cases = bench_scale(
-            args.seed, rows, cols, fleet_sizes, worker_counts, shard_count,
+            args.seed, rows, cols, fleet_sizes, shard_count,
             "eg", num_frames, riders_per_frame, frame_length, pickup_window,
-            headline_workers,
         )
     if args.trace:
         stop_trace()
         print(f"trace written to {args.trace}")
 
     largest = max(cases, key=lambda c: c["vehicles"])
-    headline_cell = largest[f"workers_{headline_workers}"]
-    headline_speedup = headline_cell["speedup_vs_unsharded"]
+    headline_speedup = largest["sharded"]["speedup_vs_unsharded"]
     served_ratio = (
         largest["served_sharded"] / largest["served_unsharded"]
         if largest["served_unsharded"]
@@ -362,7 +314,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "config": {
             "smoke": args.smoke,
             "fleet_sizes": fleet_sizes,
-            "worker_counts": worker_counts,
             "shard_count": shard_count,
             "method": "eg",
             "frames": num_frames,
@@ -375,7 +326,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "metric": (
                 f"end-to-end frame dispatch at {largest['vehicles']} "
                 f"vehicles, single global solve vs sharded pipeline "
-                f"({shard_count} shards, {headline_workers} workers)"
+                f"({shard_count} shards)"
             ),
             "speedup": headline_speedup,
             "speedup_threshold": 2.0,
@@ -389,8 +340,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(
-        f"headline: {headline_speedup}x at {largest['vehicles']} vehicles "
-        f"with {headline_workers} workers, service ratio {served_ratio:.3f} "
+        f"headline: {headline_speedup}x at {largest['vehicles']} vehicles, "
+        f"service ratio {served_ratio:.3f} "
         f"(thresholds >=2x, >=0.95; pass={report['headline']['pass']})"
     )
     print(f"wrote {args.out}")

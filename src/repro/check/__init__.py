@@ -26,7 +26,7 @@ redundant counterweight:
   frame-for-frame, and count-trigger replays must hold every frame and
   ledger invariant;
 - :mod:`repro.check.crash` kills durable dispatcher runs at seeded
-  WAL/snapshot/worker boundaries, restores them from the checkpoint
+  WAL/snapshot boundaries, restores them from the checkpoint
   directory (:mod:`repro.core.durability`), and asserts frame-for-frame
   equivalence with an uninterrupted run plus ledger conservation;
 - :mod:`repro.check.corruptions` plants known bug classes to prove the

@@ -31,15 +31,16 @@ Modes
   (:mod:`repro.core.candidates`, audit armed), asserting identical
   assignments frame-for-frame and zero unsound prunes.
 - ``--dispatch-shards``: differential-fuzz **sharded dispatch** — each
-  seed's scenario runs unsharded, sharded with a serial executor and
-  sharded over worker processes (:mod:`repro.core.shards`), asserting
-  worker-count invariance always, exact equality with the unsharded run
-  on conflict-free frames, per-frame never-worse-than-carried-in on the
-  rest, and no aggregate service loss across the seed set.
+  seed's scenario runs unsharded and sharded (:mod:`repro.core.shards`),
+  asserting exact equality with the unsharded run on conflict-free
+  frames, per-frame never-worse-than-carried-in on the rest, and no
+  aggregate service loss across the seed set.
+- ``--sharded`` (with ``--chaos``): route the chaos scenarios through
+  sharded dispatch.
 - ``--crash``: **crash-injection fuzzing** — each seed runs a
   dispatcher scenario twice: uninterrupted, and with durability enabled
-  plus a seeded kill (at a named WAL/snapshot crash point, between
-  frames, or a worker SIGKILL mid-shard-solve); the killed run is
+  plus a seeded kill (at a named WAL/snapshot crash point or between
+  frames); the killed run is
   restored from its checkpoint directory, resumed, and must match the
   uninterrupted run frame-for-frame with a conserved rider ledger and
   identical final fleet state.
@@ -190,14 +191,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--dispatch-shards", action="store_true",
-        help="differential-fuzz sharded dispatch: serial and "
-             "process-pool runs must match frame-for-frame, and must "
+        help="differential-fuzz sharded dispatch: sharded runs must "
              "match unsharded dispatch on conflict-free frames",
     )
     parser.add_argument(
         "--crash", action="store_true",
         help="crash-injection fuzzing: kill durable dispatcher runs at "
-             "seeded WAL/snapshot/worker boundaries, restore from the "
+             "seeded WAL/snapshot boundaries, restore from the "
              "checkpoint directory, and assert frame-for-frame "
              "equivalence with an uninterrupted run",
     )
@@ -219,10 +219,8 @@ def main(argv: Optional[List[str]] = None) -> int:
              "mid-run travel-time perturbation in some seeds",
     )
     parser.add_argument(
-        "--shard-workers", type=int, default=None, metavar="N",
-        help="worker-process count for the sharded leg (default 4 for "
-             "--dispatch-shards); with --chaos, routes chaos scenarios "
-             "through sharded dispatch with N workers",
+        "--sharded", action="store_true",
+        help="with --chaos: route chaos scenarios through sharded dispatch",
     )
     parser.add_argument(
         "--replay", type=int, default=None, metavar="SEED",
@@ -251,6 +249,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args(argv)
+    if args.sharded and not args.chaos:
+        parser.error("--sharded is only valid with --chaos")
     verbose = args.verbose
 
     if args.trace:
@@ -269,23 +269,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def _run(args: argparse.Namespace, verbose: bool) -> int:
 
-    # shared by the --dispatch-shards and --chaos sharded legs
     shard_config = ShardFuzzConfig()
-    if args.shard_workers is not None:
-        shard_config.shard_workers = args.shard_workers
-    chaos_config = ChaosFuzzConfig()
-    if args.shard_workers is not None and args.chaos:
-        chaos_config.shard_workers = args.shard_workers
-    if args.tiered:
-        chaos_config.tiered = True
+    chaos_config = ChaosFuzzConfig(sharded=args.sharded, tiered=args.tiered)
     dispatch_config = DispatchFuzzConfig(tiered=args.tiered)
     prune_config = PruneFuzzConfig(tiered=args.tiered)
     crash_config = CrashFuzzConfig()
-    if args.shard_workers is not None and args.crash:
-        crash_config.shard_workers = args.shard_workers
     stream_config = StreamFuzzConfig()
-    if args.shard_workers is not None and args.stream:
-        stream_config.shard_workers = args.shard_workers
 
     # ------------------------------------------------------------------
     if args.replay is not None and args.stream:
@@ -351,7 +340,7 @@ def _run(args: argparse.Namespace, verbose: bool) -> int:
             f"frames={sreport.num_frames} vehicles={sreport.num_vehicles} "
             f"frame_length={sreport.frame_length:.2f} "
             f"max_retries={sreport.max_retries} "
-            f"shards={sreport.shard_count} workers={sreport.shard_workers}"
+            f"shards={sreport.shard_count}"
         )
         print(
             f"  requests={sreport.total_requests} "

@@ -11,17 +11,15 @@ twice:
    directory and a seeded kill: a :class:`SimulatedCrash` raised from
    one of the named :data:`~repro.core.durability.CRASH_POINTS` inside
    ``commit_frame`` (before the WAL append, between WAL append and
-   snapshot, mid-atomic-rename, after the snapshot), a plain process
-   exit between frames, or — on sharded seeds — a worker SIGKILL
-   mid-shard-solve compounded with a post-WAL crash of the coordinator.
+   snapshot, mid-atomic-rename, after the snapshot), or a plain process
+   exit between frames.
 
 The trial then calls :meth:`Dispatcher.restore` on the checkpoint
 directory (replaying the WAL tail), dispatches the remaining frames,
 and asserts:
 
-- **frame-for-frame equivalence**: every frame's logical summary
-  (:func:`~repro.core.durability.logical_summary` — fault counters
-  excluded, since the baseline absorbed no faults) matches the
+- **frame-for-frame equivalence**: every frame's summary
+  (:func:`~repro.core.durability.frame_summary`) matches the
   uninterrupted run, including the frames re-materialized from the
   snapshot and WAL;
 - **ledger conservation** on the restored dispatcher
@@ -30,20 +28,18 @@ and asserts:
   crash;
 - **fleet-state equality**: locations, ready times, onboard riders,
   committed chains, costs and served counts all match the baseline;
-- **no frame ever fails to commit**: worker faults must be absorbed by
-  the executor's retry/serial-fallback ladder, never surface as an
-  exception from ``dispatch_frame``.
+- **no frame ever fails to commit**: ``dispatch_frame`` never raises
+  before the seeded kill or after the restore.
 
 Scenario modes mirror the dispatcher fuzzers: a fraction of seeds run
-sharded (process-pool executor, where worker kills are possible), a
-fraction on the spatio-temporal candidate index, and a fraction on a
+sharded, a fraction on the spatio-temporal candidate index, and a
+fraction on a
 tier-1 (CH + ALT) distance oracle — so checkpoints round-trip under
 every dispatch configuration, not just the default one.
 """
 
 from __future__ import annotations
 
-import os
 import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -56,9 +52,7 @@ from repro.core.durability import (
     DurabilityConfig,
     SimulatedCrash,
     frame_summary,
-    logical_summary,
 )
-from repro.core import shards as _shards
 from repro.core.requests import Rider
 from repro.core.vehicles import Vehicle
 from repro.obs import trace as _trace
@@ -76,13 +70,9 @@ from repro.check.fuzz import (
 
 #: Kill kinds beyond the named durability crash points.
 _BETWEEN_FRAMES = "between_frames"
-_WORKER_KILL = "worker_kill"
 
-#: All kill kinds a non-sharded seed can draw.
+#: All kill kinds a seed can draw.
 KILL_KINDS: Tuple[str, ...] = CRASH_POINTS + (_BETWEEN_FRAMES,)
-
-#: Sharded seeds additionally draw mid-shard worker SIGKILLs.
-SHARDED_KILL_KINDS: Tuple[str, ...] = KILL_KINDS + (_WORKER_KILL,)
 
 
 @dataclass
@@ -111,10 +101,7 @@ class CrashFuzzConfig:
     shard_fraction: float = 0.25
     candidate_fraction: float = 0.25
     tiered_fraction: float = 0.20
-    shard_workers: int = 2
     shard_count: int = 4
-    shard_timeout: float = 30.0
-    shard_retries: int = 2
 
 
 @dataclass
@@ -224,12 +211,7 @@ def _fuzz_crash_seed_impl(
     else:
         mode = "plain"
 
-    # worker kills (and the shard_timeout deadline) need a real process
-    # pool; with shard_workers=1 the sharded seeds run the serial
-    # executor and draw only the coordinator-side kill kinds
-    pooled = mode == "sharded" and config.shard_workers >= 2
-    kinds = SHARDED_KILL_KINDS if pooled else KILL_KINDS
-    kill_kind = kinds[int(rng.integers(len(kinds)))]
+    kill_kind = KILL_KINDS[int(rng.integers(len(KILL_KINDS)))]
     # kill somewhere a prefix of frames is already committed and a
     # suffix remains, so restore always has both state and work left
     kill_frame = int(rng.integers(1, num_frames - 1)) if num_frames > 2 else 1
@@ -284,15 +266,7 @@ def _fuzz_crash_seed_impl(
     def make_dispatcher(durability=None) -> Dispatcher:
         kwargs: dict = {}
         if mode == "sharded":
-            kwargs.update(
-                shard_workers=config.shard_workers,
-                shard_count=config.shard_count,
-            )
-            if config.shard_workers >= 2:
-                kwargs.update(
-                    shard_timeout=config.shard_timeout,
-                    shard_retries=config.shard_retries,
-                )
+            kwargs.update(shard_workers=1, shard_count=config.shard_count)
         elif mode == "candidate":
             kwargs.update(candidate_mode="spatiotemporal")
         dispatch_oracle = (
@@ -311,6 +285,7 @@ def _fuzz_crash_seed_impl(
             seed=seed,
             max_retries=max_retries,
             durability=durability,
+            **kwargs,
         )
 
     # ------------------------------------------------------------------
@@ -321,9 +296,7 @@ def _fuzz_crash_seed_impl(
         with make_dispatcher() as baseline:
             for batch in frames:
                 baseline_summaries.append(
-                    logical_summary(
-                        frame_summary(baseline.dispatch_frame(batch))
-                    )
+                    frame_summary(baseline.dispatch_frame(batch))
                 )
             baseline_ledger = _ledger_values(baseline)
             baseline_fleet = _fleet_digest(baseline)
@@ -339,36 +312,20 @@ def _fuzz_crash_seed_impl(
             DurabilityConfig(tmpdir, checkpoint_every=checkpoint_every,
                              fsync=False)
         )
-        fault_marker = os.path.join(tmpdir, "fault.marker")
         crashed = False
         try:
-            if kill_kind in CRASH_POINTS or kill_kind == _WORKER_KILL:
-                crash_point = (
-                    "post_wal" if kill_kind == _WORKER_KILL else kill_kind
-                )
+            if kill_kind in CRASH_POINTS:
 
                 def crash_hook(point: str) -> None:
                     # the frame cursor advances before commit_frame runs,
                     # so frame k commits with _frame_index == k + 1
                     if (
-                        point == crash_point
+                        point == kill_kind
                         and durable._frame_index == kill_frame + 1
                     ):
                         raise SimulatedCrash(point)
 
                 durable._durability.crash_hook = crash_hook
-            if kill_kind == _WORKER_KILL:
-                # arm a one-shot worker SIGKILL inside the kill frame's
-                # sharded solve; the dead worker consumes the marker, so
-                # the executor's rebuilt pool solves the retry cleanly
-                with open(fault_marker, "w"):
-                    pass
-
-                def inject(task: _shards.ShardTask) -> None:
-                    if durable._frame_index == kill_frame:
-                        task.fault_path = fault_marker
-
-                _shards._FAULT_INJECTOR = inject
 
             for frame, batch in enumerate(frames):
                 if kill_kind == _BETWEEN_FRAMES and frame == kill_frame + 1:
@@ -392,10 +349,8 @@ def _fuzz_crash_seed_impl(
             )
             return report
         finally:
-            _shards._FAULT_INJECTOR = None
-            # a real crash loses the process; here we only reap the
-            # worker pool so the fuzz run doesn't leak processes (the
-            # checkpoint directory is untouched)
+            # a real crash loses the process; here we only release the
+            # WAL handle (the checkpoint directory is untouched)
             durable.close()
         if not crashed:
             fail("crash_kill", f"{kill_kind} kill produced no crash")
@@ -437,9 +392,7 @@ def _fuzz_crash_seed_impl(
             # ----------------------------------------------------------
             # equivalence with the uninterrupted run
             # ----------------------------------------------------------
-            resumed_summaries = [
-                logical_summary(frame_summary(r)) for r in restored.reports
-            ]
+            resumed_summaries = [frame_summary(r) for r in restored.reports]
             if len(resumed_summaries) != len(baseline_summaries):
                 fail(
                     "crash_equivalence",

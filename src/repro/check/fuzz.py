@@ -1273,15 +1273,11 @@ def run_prune_fuzz(
 class ShardFuzzConfig:
     """Shape of the randomized shard-equivalence differential scenarios.
 
-    Each seed runs one multi-frame dispatch scenario *three* times over
-    the same network, oracle, fleet and request stream — unsharded,
-    sharded with ``shard_workers=1`` (serial executor) and sharded with
-    ``shard_workers`` worker processes — and asserts the equivalence
-    contract of :mod:`repro.core.shards`:
+    Each seed runs one multi-frame dispatch scenario twice over the
+    same network, oracle, fleet and request stream — unsharded and
+    sharded — and asserts the equivalence contract of
+    :mod:`repro.core.shards`:
 
-    - serial and process runs are frame-for-frame identical, always and
-      for every method (the partition is fixed by ``shard_count``, so
-      worker count cannot change results);
     - while no frame has had a *boundary conflict* (some batch rider
       with a coarse-reachable vehicle outside its own shard), sharded
       frames equal unsharded frames exactly for the deterministic
@@ -1316,7 +1312,6 @@ class ShardFuzzConfig:
     #: strict unsharded-equality applies to these only (BA's rng rider
     #: order is a global draw and cannot decompose across shards)
     strict_methods: Tuple[str, ...] = ("eg", "cf", "gbs+eg")
-    shard_workers: int = 4
     shard_count: int = 4
     #: fraction of seeds drawn with tight pickup deadlines (few
     #: reachable vehicles per rider), the regime where conflict-free
@@ -1336,7 +1331,6 @@ class ShardSeedReport:
     frame_length: float = 0.0
     max_retries: int = 1
     shard_count: int = 0
-    shard_workers: int = 0
     strict_frames: int = 0
     conflict_frames: int = 0
     total_requests: int = 0
@@ -1381,14 +1375,12 @@ def fuzz_shard_seed(
 ) -> ShardSeedReport:
     """Differential-check sharded dispatch against the global solve.
 
-    See :class:`ShardFuzzConfig` for the three-way contract one trial
-    asserts.  Frame comparisons reuse the candidate-prune comparator
+    See :class:`ShardFuzzConfig` for the contract one trial asserts.  Frame comparisons reuse the candidate-prune comparator
     (:func:`_compare_prune_frames`): served ids, utility, expiry counts,
     per-vehicle schedules stop-by-stop with arrival tolerances, the
     carry-over queue and the rider ledger.  The unsharded comparison is
     dropped from the first boundary-conflict frame onward (divergence
-    legitimately cascades through carried state); the serial-vs-process
-    comparison never is.
+    legitimately cascades through carried state).
     """
     with _trace.span("fuzz.seed", kind="shards", seed=seed) as seed_span:
         report = _fuzz_shard_seed_impl(seed, config)
@@ -1426,7 +1418,7 @@ def _fuzz_shard_seed_impl(
         )
         for j in range(num_vehicles)
     ]
-    # the whole request stream is drawn up front so all three dispatchers
+    # the whole request stream is drawn up front so both dispatchers
     # see byte-identical frames (the rng is shared state)
     frames: List[List[Rider]] = []
     rider_id = 0
@@ -1447,10 +1439,10 @@ def _fuzz_shard_seed_impl(
 
     plan = _plan_for(network) if method.startswith("gbs") else None
 
-    def make_dispatcher(shard_workers: Optional[int]) -> Dispatcher:
+    def make_dispatcher(sharded: bool) -> Dispatcher:
         kwargs = {}
-        if shard_workers is not None:
-            kwargs["shard_workers"] = shard_workers
+        if sharded:
+            kwargs["shard_workers"] = 1
             kwargs["shard_count"] = config.shard_count
             # the merge/reconciliation machinery is what's under test:
             # independently validate every sharded frame it commits
@@ -1469,9 +1461,8 @@ def _fuzz_shard_seed_impl(
             **kwargs,
         )
 
-    baseline = make_dispatcher(None)
-    serial = make_dispatcher(1)
-    procs = make_dispatcher(config.shard_workers)
+    baseline = make_dispatcher(False)
+    sharded = make_dispatcher(True)
     report = ShardSeedReport(
         seed=seed,
         method=method,
@@ -1480,7 +1471,6 @@ def _fuzz_shard_seed_impl(
         frame_length=frame_length,
         max_retries=max_retries,
         shard_count=config.shard_count,
-        shard_workers=config.shard_workers,
         num_riders=rider_id,
     )
     failures = report.failures
@@ -1491,9 +1481,9 @@ def _fuzz_shard_seed_impl(
         )
 
     strict = method in config.strict_methods
-    with baseline, serial, procs:
+    with baseline, sharded:
         for frame, requests in enumerate(frames):
-            if _frame_has_boundary_conflict(serial, requests):
+            if _frame_has_boundary_conflict(sharded, requests):
                 # carried state downstream of a conflict frame may
                 # legitimately differ from the unsharded run's, so the
                 # strict comparison is off for the rest of the scenario
@@ -1511,52 +1501,33 @@ def _fuzz_shard_seed_impl(
                 )
                 break
             try:
-                serial_report = serial.dispatch_frame(list(requests))
+                sharded_report = sharded.dispatch_frame(list(requests))
             except Exception as exc:
                 fail(
                     "shards",
-                    f"frame {frame}: workers=1 raised "
-                    f"{type(exc).__name__}: {exc}",
-                )
-                break
-            try:
-                procs_report = procs.dispatch_frame(list(requests))
-            except Exception as exc:
-                fail(
-                    "shards",
-                    f"frame {frame}: workers={config.shard_workers} raised "
+                    f"frame {frame}: sharded run raised "
                     f"{type(exc).__name__}: {exc}",
                 )
                 break
             # conflict or not, a sharded frame may only *add* service on
             # top of the carried-in residual plans
-            if serial_report.utility < -_EPS:
+            if sharded_report.utility < -_EPS:
                 fail(
                     "shard_frame",
                     f"frame {frame}: sharded frame utility "
-                    f"{serial_report.utility:.9f} fell below the "
+                    f"{sharded_report.utility:.9f} fell below the "
                     f"carried-in baseline",
                 )
                 break
-            # worker count must never change results, conflict or not
-            _compare_prune_frames(
-                frame,
-                f"workers={config.shard_workers}",
-                serial,
-                procs,
-                serial_report,
-                procs_report,
-                fail,
-            )
             if strict:
                 _compare_prune_frames(
-                    frame, "sharded", baseline, serial,
-                    base_report, serial_report, fail,
+                    frame, "sharded", baseline, sharded,
+                    base_report, sharded_report, fail,
                 )
             if failures:
                 break
-    report.total_requests = serial.total_requests
-    report.total_served = serial.total_served
+    report.total_requests = sharded.total_requests
+    report.total_served = sharded.total_served
     report.baseline_served = baseline.total_served
     return report
 
@@ -1645,11 +1616,8 @@ class ChaosFuzzConfig:
     p_watchdog: float = 0.5
     watchdog_budget: float = 30.0
     #: route frames through sharded dispatch (the watchdog is disabled
-    #: when set — frame budgets do not compose with sharded solves, but
-    #: chaos still exercises the pool-rebuild path: every applied
-    #: network disruption bumps the oracle epoch and forces the process
-    #: executor to re-ship its context)
-    shard_workers: Optional[int] = None
+    #: when set — frame budgets do not compose with sharded solves)
+    sharded: bool = False
     shard_count: int = 4
     #: force the dispatcher onto a tier-1 (CH + ALT) oracle and shadow it
     #: with an untiered oracle on the same mutating network: after every
@@ -1858,7 +1826,7 @@ def _fuzz_chaos_seed_impl(
     # the gate variable is drawn unconditionally to keep the rng stream
     # aligned across configs; sharded dispatch forces the watchdog off
     watchdog = bool(rng.random() < config.p_watchdog)
-    if config.shard_workers is not None:
+    if config.sharded:
         watchdog = False
     fleet = [
         Vehicle(
@@ -1869,11 +1837,8 @@ def _fuzz_chaos_seed_impl(
         for j in range(num_vehicles)
     ]
     shard_kwargs = {}
-    if config.shard_workers is not None:
-        shard_kwargs = {
-            "shard_workers": config.shard_workers,
-            "shard_count": config.shard_count,
-        }
+    if config.sharded:
+        shard_kwargs = {"shard_workers": 1, "shard_count": config.shard_count}
     dispatcher = Dispatcher(
         network,
         fleet,

@@ -33,7 +33,7 @@ method, utility weights, per-frame request batches) and runs two legs:
    calls are exercised by the differential leg.)
 
 Scenario modes mirror the other fuzzers: a fraction of seeds run
-sharded (process-pool executor on both dispatchers), a fraction on a
+sharded (on both dispatchers), a fraction on a
 shared tier-1 (CH + ALT) distance oracle, and a fraction under chaos —
 seeded mid-horizon disruptions drawn from the *batch* dispatcher's
 state and injected into both dispatchers at the same frame boundary, on
@@ -104,7 +104,6 @@ class StreamFuzzConfig:
     shard_fraction: float = 0.2
     tiered_fraction: float = 0.2
     chaos_fraction: float = 0.25
-    shard_workers: int = 2
     shard_count: int = 4
     max_batch_range: Tuple[int, int] = (2, 4)
     p_breakdown: float = 0.25
@@ -282,10 +281,7 @@ def _fuzz_stream_seed_impl(
     def make_dispatcher(network, oracle) -> Dispatcher:
         kwargs: dict = {}
         if mode == "sharded":
-            kwargs.update(
-                shard_workers=config.shard_workers,
-                shard_count=config.shard_count,
-            )
+            kwargs.update(shard_workers=1, shard_count=config.shard_count)
         return Dispatcher(
             network,
             [Vehicle(vehicle_id=j, location=loc, capacity=cap)

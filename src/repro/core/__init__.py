@@ -48,8 +48,6 @@ from repro.core.insertion import (
     valid_insertions,
 )
 from repro.core.instance import URRInstance
-from repro.core.kinetic import KineticTree
-from repro.core.kinetic_solver import run_kinetic_greedy
 from repro.core.local_search import SearchStats, improve_assignment
 from repro.core.reorder import arrange_single_rider_reordered
 from repro.core.requests import Rider
@@ -75,7 +73,6 @@ __all__ = [
     "ExtendedUtilityModel",
     "FrameReport",
     "GroupingPlan",
-    "KineticTree",
     "KnapsackItem",
     "InsertionCandidate",
     "InsertionPlan",
@@ -113,7 +110,6 @@ __all__ = [
     "plan_insertion",
     "prepare_grouping",
     "run_bilateral",
-    "run_kinetic_greedy",
     "serviceable_riders",
     "utility_upper_bound",
     "run_cost_first",

@@ -59,19 +59,13 @@ from repro.core.durability import (
     DurabilityLog,
     apply_snapshot_state,
     frame_summary,
-    logical_summary,
     network_fingerprint,
 )
 from repro.core.grouping import GroupingPlan
 from repro.core.instance import LazySchedules, URRInstance
 from repro.core.requests import Rider
 from repro.core.schedule import Stop, StopKind, TransferSequence
-from repro.core.shards import (
-    ShardContext,
-    ShardPlan,
-    build_shard_executor,
-    solve_sharded,
-)
+from repro.core.shards import ShardPlan, solve_sharded
 from repro.core.solver import FALLBACK_METHODS, solve, solve_anytime
 from repro.core.vehicles import Vehicle
 from repro.roadnet.areas import build_areas
@@ -171,10 +165,7 @@ class FrameReport:
     back to a cheaper tier (``fallback_tier > 0``; the last resort is
     ``"baseline"``, the carried-in residual plans).
 
-    ``shard_retries`` / ``shard_fallbacks`` count shard solves that had
-    to be re-submitted to a rebuilt worker pool or solved inline after a
-    worker fault or timeout (always zero for unsharded and serial-shard
-    frames).  ``restored`` marks a stub rebuilt from a durability
+    ``restored`` marks a stub rebuilt from a durability
     checkpoint: its numeric summary is exact but ``assignment`` and
     ``perf`` are ``None`` (the live objects do not survive a restart).
 
@@ -200,10 +191,6 @@ class FrameReport:
     fallback_tier: int = 0
     budget_exceeded: bool = False
     perf: Optional[FramePerf] = None
-    # fault-tolerant shard execution: shard solves re-submitted to a
-    # rebuilt pool / solved inline after a worker fault or timeout
-    shard_retries: int = 0
-    shard_fallbacks: int = 0
     # True for report stubs rebuilt from a checkpoint: the numeric
     # summary survives restore, the live assignment object does not
     restored: bool = False
@@ -341,27 +328,15 @@ class Dispatcher:
         matrix construction does not mask the matching cost.
     shard_workers:
         ``None`` (default) solves each frame as one global instance.
-        An integer routes frames through the partition-solve-merge
-        pipeline of :mod:`repro.core.shards`: ``1`` solves the shards
-        sequentially in-process, ``>= 2`` fans them out over a
-        persistent worker-process pool.  The partition itself is fixed
-        by ``shard_count``, so results are identical for every worker
-        count.  Incompatible with ``frame_budget``.
+        ``1`` routes frames through the partition-solve-merge pipeline
+        of :mod:`repro.core.shards`, which solves the shards one after
+        another in this process.  Any other value raises
+        :class:`ValueError` (process-pool sharding was removed).
+        Incompatible with ``frame_budget``.
     shard_count:
         Number of area-based shards each frame is split into (default
         8).  Part of the result contract — changing it changes which
         riders see which vehicles before reconciliation.
-    shard_timeout:
-        Optional per-shard wall-clock deadline in seconds for the
-        process-pool executor — the sharded counterpart of
-        ``frame_budget`` (which the watchdog owns and which cannot be
-        combined with sharding): a hung worker blows the deadline and
-        its shards walk the retry/serial-fallback ladder instead of
-        stalling the frame forever.  Requires ``shard_workers >= 2``.
-    shard_retries:
-        Retry rounds (each on a freshly rebuilt pool) a faulted or
-        timed-out shard solve is granted before the final in-process
-        serial fallback (default 1).
     durability:
         Optional checkpoint/WAL directory — a path or a
         :class:`~repro.core.durability.DurabilityConfig`.  When set,
@@ -393,8 +368,6 @@ class Dispatcher:
         utility_matrix: str = "synthetic",
         shard_workers: Optional[int] = None,
         shard_count: int = 8,
-        shard_timeout: Optional[float] = None,
-        shard_retries: int = 1,
         durability: Optional["DurabilityConfig | str"] = None,
     ) -> None:
         ids = [v.vehicle_id for v in fleet]
@@ -415,28 +388,23 @@ class Dispatcher:
                 f"expected 'synthetic' or 'default'"
             )
         if shard_workers is not None:
-            if shard_workers < 1:
-                raise ValueError("shard_workers must be >= 1")
+            if shard_workers != 1:
+                raise ValueError(
+                    f"shard_workers must be None or 1, got {shard_workers!r}: "
+                    f"process-pool sharding was removed, shards are solved "
+                    f"in-process"
+                )
             if shard_count < 1:
                 raise ValueError("shard_count must be >= 1")
             if frame_budget is not None:
                 # the watchdog's accept/fallback ladder is a single-solve
-                # protocol; a frame fanned out over shards has no single
+                # protocol; a frame split into shards has no single
                 # solver attempt to time-box or degrade
                 raise ValueError(
                     "frame_budget cannot be combined with shard_workers: "
                     "the anytime watchdog does not compose with sharded "
                     "dispatch"
                 )
-        if shard_timeout is not None and (
-            shard_workers is None or shard_workers < 2
-        ):
-            raise ValueError(
-                "shard_timeout requires a process-pool executor "
-                "(shard_workers >= 2)"
-            )
-        if shard_retries < 0:
-            raise ValueError("shard_retries must be >= 0")
         self.network = network
         self.oracle = oracle or DistanceOracle(network)
         if frame_budget is not None and self.oracle.rebuild_budget_s is None:
@@ -489,14 +457,10 @@ class Dispatcher:
             )
             self.candidates = candidate_index
         # sharded dispatch: the partition is fixed at construction (a
-        # function of the network and shard_count only), so worker count
-        # never changes which shard a rider or vehicle lands in
+        # function of the network and shard_count only)
         self.shard_workers = shard_workers
         self.shard_count = shard_count
-        self.shard_timeout = shard_timeout
-        self.shard_retries = shard_retries
         self._shard_plan: Optional[ShardPlan] = None
-        self._shard_executor = None
         if shard_workers is not None:
             areas = (
                 self.candidates.areas
@@ -504,9 +468,6 @@ class Dispatcher:
                 else build_areas(network, k=8, oracle=self.oracle)
             )
             self._shard_plan = ShardPlan(areas, shard_count)
-            self._shard_executor = build_shard_executor(
-                shard_workers, timeout=shard_timeout, retries=shard_retries
-            )
         self.reports: List[FrameReport] = []
         self._frame_index = 0
         self._clock = 0.0
@@ -617,8 +578,6 @@ class Dispatcher:
                 # only touched/carried vehicles are ever built, so frame
                 # accounting stays O(touched) on large idle fleets
                 baselines = LazySchedules(instance)
-            shard_retries = 0
-            shard_fallbacks = 0
             solve_start = time.perf_counter()
             if self._shard_plan is not None:
                 with _trace.span(
@@ -626,28 +585,13 @@ class Dispatcher:
                     method=self.method,
                     shards=self.shard_count,
                 ):
-                    context = ShardContext(
-                        network=self.network,
-                        oracle=self.oracle,
-                        social=self.social,
-                        plan=self.plan,
-                        epoch=self.oracle.epoch,
-                    )
-                    assignment, _partition = solve_sharded(
-                        instance,
-                        self._shard_plan,
-                        self._shard_executor,
-                        context,
-                        self.method,
+                    assignment = solve_sharded(
+                        instance, self._shard_plan, self.method, self.plan
                     )
                 solver_tier, fallback_tier, budget_exceeded = (
                     self.method, 0, False,
                 )
                 tier_seconds = {self.method: assignment.elapsed_seconds}
-                faults = getattr(self._shard_executor, "last_faults", None)
-                if faults is not None:
-                    shard_retries = faults.retries
-                    shard_fallbacks = faults.fallbacks
             elif self.frame_budget is None:
                 with _trace.span("dispatch.solve", method=self.method):
                     assignment = solve(
@@ -798,8 +742,6 @@ class Dispatcher:
                 fallback_tier=fallback_tier,
                 budget_exceeded=budget_exceeded,
                 perf=frame_perf,
-                shard_retries=shard_retries,
-                shard_fallbacks=shard_fallbacks,
                 frame_length=frame_length,
             )
             frame_span.annotate(
@@ -1223,14 +1165,11 @@ class Dispatcher:
         return PerfSnapshot.capture(self.oracle).since(self._perf_baseline)
 
     def close(self) -> None:
-        """Release the shard worker pool and durability file handles.
+        """Release the durability file handles.
 
         Safe to call repeatedly; the dispatcher stays usable afterwards
-        (a fresh pool is spun up on the next sharded frame, the WAL is
-        reopened on the next durable commit).
+        (the WAL is reopened on the next durable commit).
         """
-        if self._shard_executor is not None:
-            self._shard_executor.close()
         if self._durability is not None:
             self._durability.close()
 
@@ -1279,9 +1218,9 @@ class Dispatcher:
            replay-deterministic), then write a fresh snapshot.
 
         ``overrides`` replace stored config keys (e.g. resume with
-        ``shard_workers=None`` on a machine without spare cores); the
-        solver-facing parameters should normally be left alone, since
-        changing them changes every post-restore frame.
+        ``validate_frames=True`` to audit every replayed and later
+        frame); the solver-facing parameters should normally be left
+        alone, since changing them changes every post-restore frame.
         """
         log = (
             durability
@@ -1354,8 +1293,7 @@ class Dispatcher:
                 )
                 if (
                     dispatcher.frame_budget is None
-                    and logical_summary(frame_summary(replayed))
-                    != logical_summary(record["summary"])
+                    and frame_summary(replayed) != record["summary"]
                 ):
                     raise CheckpointError(
                         f"WAL replay diverged at frame "

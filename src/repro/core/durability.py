@@ -74,7 +74,9 @@ from repro.workload.serialize import (
 PathLike = Union[str, Path]
 
 #: Snapshot format version; bumped on any incompatible layout change.
-CHECKPOINT_VERSION = 1
+#: Version 2 dropped the process-pool shard options from the config and
+#: the shard retry/fallback counters from the frame summaries.
+CHECKPOINT_VERSION = 2
 
 #: Named crash-injection points, in the order they occur inside
 #: :meth:`DurabilityLog.commit_frame`.
@@ -183,26 +185,7 @@ def frame_summary(report) -> dict:
         "solver_tier": report.solver_tier,
         "fallback_tier": report.fallback_tier,
         "budget_exceeded": report.budget_exceeded,
-        "shard_retries": report.shard_retries,
-        "shard_fallbacks": report.shard_fallbacks,
     }
-
-
-#: Summary keys that record absorbed faults rather than logical outcomes.
-#: A worker killed mid-frame bumps ``shard_retries`` in the original run
-#: but not in a clean WAL replay, so equivalence checks compare summaries
-#: through :func:`logical_summary`.
-FAULT_SUMMARY_KEYS = ("shard_retries", "shard_fallbacks")
-
-
-def logical_summary(summary: dict) -> dict:
-    """``summary`` minus the operational fault counters.
-
-    This is the replay-deterministic slice: everything the solver
-    computes from the frame inputs, with the executor's retry/fallback
-    bookkeeping (which depends on which workers happened to die) removed.
-    """
-    return {k: v for k, v in summary.items() if k not in FAULT_SUMMARY_KEYS}
 
 
 # ----------------------------------------------------------------------
@@ -255,8 +238,6 @@ def snapshot_dispatcher(dispatcher, fingerprint: int) -> dict:
             "utility_matrix": dispatcher.utility_matrix,
             "shard_workers": dispatcher.shard_workers,
             "shard_count": dispatcher.shard_count,
-            "shard_timeout": dispatcher.shard_timeout,
-            "shard_retries": dispatcher.shard_retries,
         },
         "network_fingerprint": fingerprint,
         "oracle_epoch": dispatcher.oracle.epoch,
@@ -345,8 +326,6 @@ def apply_snapshot_state(dispatcher, snapshot: dict) -> None:
             solver_tier=summary["solver_tier"],
             fallback_tier=summary["fallback_tier"],
             budget_exceeded=summary["budget_exceeded"],
-            shard_retries=summary["shard_retries"],
-            shard_fallbacks=summary["shard_fallbacks"],
             restored=True,
         )
         for summary in snapshot["reports"]

@@ -120,21 +120,6 @@ class URRInstance:
                 )
 
     # ------------------------------------------------------------------
-    # pickling (sharded dispatch ships sub-instances to worker processes)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> Dict[str, object]:
-        state = self.__dict__.copy()
-        # the fast-path cost closure holds oracle memoryview state;
-        # rebuilt from the (picklable) oracle on restore
-        state.pop("cost", None)
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        assert self.oracle is not None
-        self.cost = self.oracle.fast_cost_fn()
-
-    # ------------------------------------------------------------------
     @property
     def num_riders(self) -> int:
         return len(self.riders)
@@ -315,28 +300,6 @@ class LazySchedules(MutableMapping):
 
     def __contains__(self, vehicle_id: object) -> bool:
         return vehicle_id in self._ids
-
-    # ------------------------------------------------------------------
-    # pickling: slots classes need explicit state; materialized
-    # sequences lose their cost closures in transit and are rebound to
-    # the restored instance's fast path here
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> Dict[str, object]:
-        return {
-            "_instance": self._instance,
-            "_ids": self._ids,
-            "_data": self._data,
-            "touched": self.touched,
-        }
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self._instance = state["_instance"]
-        self._ids = state["_ids"]
-        self._data = state["_data"]
-        self.touched = state["touched"]
-        cost = self._instance.cost
-        for seq in self._data.values():
-            seq.bind_cost(cost)
 
     # ------------------------------------------------------------------
     def peek(self, vehicle_id: int) -> Optional[TransferSequence]:

@@ -1,8 +1,8 @@
 """Reordering insertion (extension; Section 3 discussion).
 
 The paper keeps existing schedules fixed when inserting a rider, citing
-[25]'s finding that reordering costs much and gains little; [20]'s kinetic
-tree would explore all valid orders.  To *test* that claim we provide the
+[25]'s finding that reordering costs much and gains little; [20] keeps a
+tree of all valid orders instead.  To *test* that claim we provide the
 optimal reordering insertion: given a schedule and a new rider, search all
 valid stop orders of (existing stops + the rider's two stops) for the one
 with minimum total travel cost.

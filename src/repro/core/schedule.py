@@ -38,23 +38,6 @@ CostFn = Callable[[int, int], float]
 INF = float("inf")
 
 
-def unbound_cost(u: int, v: int) -> float:
-    """Placeholder cost function installed when a sequence is unpickled.
-
-    Cost callables are closures over oracle state (memoryviews, caches)
-    and do not survive pickling, so a sequence crosses process boundaries
-    with its *derived arrays intact* but its cost function severed.  Reads
-    (arrivals, utilities, validity over the cached arrays) keep working;
-    any mutation that would :meth:`TransferSequence._recompute` must first
-    rebind via :meth:`TransferSequence.bind_cost` (URRInstance and
-    LazySchedules do this automatically on restore).
-    """
-    raise RuntimeError(
-        "TransferSequence was unpickled without a cost function; "
-        "call bind_cost(instance.cost) before mutating the schedule"
-    )
-
-
 class StopKind(enum.Enum):
     PICKUP = "pickup"
     DROPOFF = "dropoff"
@@ -292,30 +275,6 @@ class TransferSequence:
                     f"{load} > {self.capacity}"
                 )
         return errors
-
-    # ------------------------------------------------------------------
-    # pickling
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> Dict[str, object]:
-        state = self.__dict__.copy()
-        # the cost callable is a closure over oracle internals; severed in
-        # transit and replaced by the unbound_cost sentinel on restore
-        state["cost"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        if self.cost is None:
-            self.cost = unbound_cost
-
-    def bind_cost(self, cost: CostFn) -> None:
-        """Re-attach a cost function after unpickling.
-
-        The derived arrays are already consistent (they crossed the
-        process boundary verbatim), so no recompute happens here; the
-        function is only needed for *future* mutations.
-        """
-        self.cost = cost
 
     # ------------------------------------------------------------------
     # mutation

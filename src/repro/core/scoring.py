@@ -96,22 +96,6 @@ class SolverState:
         ] = None
 
     # ------------------------------------------------------------------
-    # pickling (sharded dispatch returns solver state from workers)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> Dict[str, object]:
-        state = self.__dict__.copy()
-        # the model closes over the instance's fast-path cost closure and
-        # the candidate view caches object identities; both rebuilt lazily
-        state["model"] = None
-        state["_candidate_view"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        if self.model is None:
-            self.model = self.instance.utility_model()
-
-    # ------------------------------------------------------------------
     def schedule(self, vehicle_id: int) -> TransferSequence:
         return self.schedules[vehicle_id]
 

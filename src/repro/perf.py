@@ -84,13 +84,6 @@ class InsertionStats:
     def as_dict(self) -> Dict[str, int]:
         return asdict(self)
 
-    def absorb(self, delta: "InsertionStats") -> None:
-        """Add a worker process's interval into this (parent) counter set."""
-        self.plans += delta.plans
-        self.pairs_evaluated += delta.pairs_evaluated
-        self.materializations += delta.materializations
-        self.reference_calls += delta.reference_calls
-
 
 #: Process-wide counters incremented by ``repro.core.insertion``.
 INSERTION_STATS = InsertionStats()
@@ -133,13 +126,6 @@ class ValidationStats:
 
     def as_dict(self) -> Dict[str, int]:
         return asdict(self)
-
-    def absorb(self, delta: "ValidationStats") -> None:
-        """Add a worker process's interval into this (parent) counter set."""
-        self.assignments += delta.assignments
-        self.schedules += delta.schedules
-        self.stops += delta.stops
-        self.violations += delta.violations
 
 
 #: Process-wide counters incremented by ``repro.check``.
@@ -206,14 +192,6 @@ class WatchdogStats:
             "budget_exceeded": self.budget_exceeded,
             "tier_uses": dict(self.tier_uses),
         }
-
-    def absorb(self, delta: "WatchdogStats") -> None:
-        """Add a worker process's interval into this (parent) counter set."""
-        self.frames += delta.frames
-        self.fallbacks += delta.fallbacks
-        self.budget_exceeded += delta.budget_exceeded
-        for tier, count in delta.tier_uses.items():
-            self.tier_uses[tier] = self.tier_uses.get(tier, 0) + count
 
 
 #: Process-wide counters incremented by ``repro.core.solver.solve_anytime``.
@@ -289,14 +267,6 @@ class CandidateStats:
         data["mean_candidates"] = self.mean_candidates
         return data
 
-    def absorb(self, delta: "CandidateStats") -> None:
-        """Add a worker process's interval into this (parent) counter set."""
-        self.retrievals += delta.retrievals
-        self.pairs_considered += delta.pairs_considered
-        self.pairs_pruned_spatial += delta.pairs_pruned_spatial
-        self.pairs_pruned_temporal += delta.pairs_pruned_temporal
-        self.pruned_in_error += delta.pruned_in_error
-
 
 #: Process-wide counters incremented by ``repro.core.candidates``.
 CANDIDATE_STATS = CandidateStats()
@@ -309,49 +279,26 @@ class ShardStats:
     ``frames_sharded`` counts frames routed through partition-solve-merge,
     ``shards_solved`` the per-shard sub-solves inside them (including
     empty shards that were skipped without solving — those are *not*
-    counted), and ``process_frames`` how many sharded frames ran on the
-    process-pool executor (the rest ran the in-process serial executor).
-    ``riders_sharded`` / ``vehicles_sharded`` count partition assignments,
-    ``boundary_riders`` the unserved riders whose candidate set crossed a
-    shard boundary, and ``reconciled_riders`` how many of those the
-    reconciliation pass actually served.
-
-    The fault-tolerance counters trace the process executor's retry
-    ladder: ``shard_timeouts`` shard solves that blew their per-shard
-    deadline, ``worker_faults`` futures lost to a dead worker
-    (``BrokenProcessPool``), ``shard_retries`` shard solves re-submitted
-    to a rebuilt pool, ``serial_fallbacks`` shards that exhausted
-    retries and were solved inline in the parent, and ``pool_rebuilds``
-    fault-driven pool teardowns (epoch-driven rebuilds are not counted
-    — they are routine invalidation, not faults).
+    counted).  ``riders_sharded`` / ``vehicles_sharded`` count partition
+    assignments, ``boundary_riders`` the unserved riders whose candidate
+    set crossed a shard boundary, and ``reconciled_riders`` how many of
+    those the reconciliation pass actually served.
     """
 
     frames_sharded: int = 0
     shards_solved: int = 0
-    process_frames: int = 0
     riders_sharded: int = 0
     vehicles_sharded: int = 0
     boundary_riders: int = 0
     reconciled_riders: int = 0
-    shard_timeouts: int = 0
-    worker_faults: int = 0
-    shard_retries: int = 0
-    serial_fallbacks: int = 0
-    pool_rebuilds: int = 0
 
     def reset(self) -> None:
         self.frames_sharded = 0
         self.shards_solved = 0
-        self.process_frames = 0
         self.riders_sharded = 0
         self.vehicles_sharded = 0
         self.boundary_riders = 0
         self.reconciled_riders = 0
-        self.shard_timeouts = 0
-        self.worker_faults = 0
-        self.shard_retries = 0
-        self.serial_fallbacks = 0
-        self.pool_rebuilds = 0
 
     def snapshot(self) -> "ShardStats":
         return ShardStats(**asdict(self))
@@ -361,35 +308,14 @@ class ShardStats:
         return ShardStats(
             frames_sharded=self.frames_sharded - since.frames_sharded,
             shards_solved=self.shards_solved - since.shards_solved,
-            process_frames=self.process_frames - since.process_frames,
             riders_sharded=self.riders_sharded - since.riders_sharded,
             vehicles_sharded=self.vehicles_sharded - since.vehicles_sharded,
             boundary_riders=self.boundary_riders - since.boundary_riders,
             reconciled_riders=self.reconciled_riders - since.reconciled_riders,
-            shard_timeouts=self.shard_timeouts - since.shard_timeouts,
-            worker_faults=self.worker_faults - since.worker_faults,
-            shard_retries=self.shard_retries - since.shard_retries,
-            serial_fallbacks=self.serial_fallbacks - since.serial_fallbacks,
-            pool_rebuilds=self.pool_rebuilds - since.pool_rebuilds,
         )
 
     def as_dict(self) -> Dict[str, int]:
         return asdict(self)
-
-    def absorb(self, delta: "ShardStats") -> None:
-        """Add a worker process's interval into this (parent) counter set."""
-        self.frames_sharded += delta.frames_sharded
-        self.shards_solved += delta.shards_solved
-        self.process_frames += delta.process_frames
-        self.riders_sharded += delta.riders_sharded
-        self.vehicles_sharded += delta.vehicles_sharded
-        self.boundary_riders += delta.boundary_riders
-        self.reconciled_riders += delta.reconciled_riders
-        self.shard_timeouts += delta.shard_timeouts
-        self.worker_faults += delta.worker_faults
-        self.shard_retries += delta.shard_retries
-        self.serial_fallbacks += delta.serial_fallbacks
-        self.pool_rebuilds += delta.pool_rebuilds
 
 
 #: Process-wide counters incremented by ``repro.core.shards``.
@@ -443,11 +369,6 @@ class WorkloadStats:
 
     def as_dict(self) -> Dict[str, int]:
         return asdict(self)
-
-    def absorb(self, delta: "WorkloadStats") -> None:
-        """Add a worker process's interval into this (parent) counter set."""
-        for key, value in asdict(delta).items():
-            setattr(self, key, getattr(self, key) + value)
 
 
 #: Process-wide counters incremented by ``repro.workload.taxi``.
@@ -611,24 +532,6 @@ def report(oracle: Any = None) -> PerfReport:
         shards=SHARD_STATS.snapshot(),
         workload=WORKLOAD_STATS.snapshot(),
     )
-
-
-def absorb_report(interval: PerfReport) -> None:
-    """Merge a worker process's interval into this process's globals.
-
-    The sharded dispatcher brackets each worker task with
-    :meth:`PerfSnapshot.capture` and ships the delta home; absorbing it
-    here makes the parent's own snapshot-delta brackets (per-frame and
-    per-run) count the shard work exactly once, as if it had run inline.
-    Oracle counters are absorbed separately by the dispatcher (the oracle
-    is an object, not a process-wide global).
-    """
-    INSERTION_STATS.absorb(interval.insertion)
-    VALIDATION_STATS.absorb(interval.validation)
-    WATCHDOG_STATS.absorb(interval.watchdog)
-    CANDIDATE_STATS.absorb(interval.candidates)
-    SHARD_STATS.absorb(interval.shards)
-    WORKLOAD_STATS.absorb(interval.workload)
 
 
 # ----------------------------------------------------------------------

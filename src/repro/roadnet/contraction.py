@@ -541,29 +541,6 @@ class ContractionHierarchy:
         )
         return self._sweeps
 
-    # ------------------------------------------------------------------
-    # pickling (sharded dispatch ships tier-1 oracles to workers)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> Dict[str, object]:
-        """Ship the query structures only.
-
-        ``_graph`` (originals + every shortcut, both directions) is pure
-        preprocessing state — queries walk ``_upward``/``_middle`` and the
-        network's own adjacency — and roughly doubles the pickle, so it is
-        dropped.  The restored hierarchy answers queries identically but
-        cannot be re-contracted (it never needs to be: disruptions rebuild
-        from the network instead).
-        """
-        state = self.__dict__.copy()
-        state["_graph"] = None
-        state["_sweeps"] = None  # rebuilt from _upward on first use
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self.__dict__.setdefault("_alt_goals", None)
-        self.__dict__.setdefault("_sweeps", None)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ContractionHierarchy(nodes={len(self.rank)}, "

@@ -795,30 +795,6 @@ class DistanceOracle:
                 self.warm(sorted(self._pinned_sources))
 
     # ------------------------------------------------------------------
-    # pickling (sharded dispatch ships oracles to worker processes)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> Dict[str, object]:
-        state = self.__dict__.copy()
-        # memoryviews cannot be pickled, and the (n, n) matrix view would
-        # ship the table twice; all three are rebuilt on restore.  The
-        # pinned block ships as one array.  The CH (its own __getstate__
-        # ships the upward graph only) and the landmark index pickle
-        # as-is, so workers answer tier-1 queries without re-contracting.
-        state["_apsp_view"] = None
-        state["_apsp_matrix"] = None
-        state["_pin_view"] = None
-        state["_arcs"] = None  # rebuilt from the network on demand
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        if self._apsp is not None:
-            self._apsp_matrix = self._apsp.reshape(self._n, self._n)
-            self._apsp_view = memoryview(self._apsp)
-        if self._pin_block is not None:
-            self._pin_view = memoryview(self._pin_block.reshape(-1))
-
-    # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
         """Counter snapshot (see :mod:`repro.perf` for the typed view)."""
         return {

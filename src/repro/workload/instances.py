@@ -132,8 +132,7 @@ class VehicleUtilityTable(Mapping):
 
         Equal to filtering the whole mapping by vehicle, at the cost of
         slicing this table's own columns; the overlay stays shared and
-        is filtered on lookup (and only when pickled, see
-        :meth:`__getstate__`).
+        is filtered on lookup.
         """
         scope = frozenset(vehicle_ids)
         if self._scope is not None:
@@ -204,19 +203,6 @@ class VehicleUtilityTable(Mapping):
                 if in_base and vid in self._cols:
                     continue
                 yield (rid, vid)
-
-    # -- pickling: a restricted view ships only its own columns ---------
-    def __getstate__(self) -> Dict[str, object]:
-        state = self.__dict__.copy()
-        if self._scope is not None:
-            scope = self._scope
-            rows = {}
-            for rid, row in self._overlay.items():
-                kept = {vid: v for vid, v in row.items() if vid in scope}
-                if kept:
-                    rows[rid] = kept
-            state["_overlay"] = rows
-        return state
 
 
 def synthetic_vehicle_utilities(

@@ -62,6 +62,24 @@ class TestChaosCli:
         assert code == 0
         assert "chaos scenarios" in capsys.readouterr().out
 
+    def test_sharded_chaos_dispatches_through_shards(self, capsys):
+        from repro import perf
+        from repro.check.__main__ import main
+
+        before = perf.SHARD_STATS.frames_sharded
+        code = main(["--chaos", "--sharded", "--seeds", "3", "--skip-self-test"])
+        assert code == 0
+        assert "chaos scenarios" in capsys.readouterr().out
+        assert perf.SHARD_STATS.frames_sharded > before
+
+    @pytest.mark.parametrize("mode", [[], ["--dispatch"], ["--crash"], ["--stream"]])
+    def test_sharded_requires_chaos(self, mode):
+        from repro.check.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(mode + ["--sharded", "--seeds", "1", "--skip-self-test"])
+        assert exc.value.code == 2
+
     def test_chaos_replay(self, capsys):
         from repro.check.__main__ import main
 

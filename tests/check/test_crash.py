@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro import perf
 from repro.check.__main__ import main
 from repro.check.crash import (
     KILL_KINDS,
-    SHARDED_KILL_KINDS,
     CrashFuzzConfig,
     fuzz_crash_seed,
     run_crash_fuzz,
@@ -22,24 +22,33 @@ class TestSeeds:
         assert report.scenario == "crash"
         assert report.num_riders > 0
 
-    def test_worker_kill_seed_absorbs_the_fault(self):
-        # force the sharded mode so a worker-kill seed is reachable,
-        # then scan for one: the run must still recover equivalently
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sharded_seed_dispatches_through_shards(self, seed):
+        # regression: the mode's dispatcher options were once built and
+        # then dropped, so "sharded" seeds ran unsharded
         config = CrashFuzzConfig(
             shard_fraction=1.0, candidate_fraction=0.0, tiered_fraction=0.0
         )
-        for seed in range(40):
-            report = fuzz_crash_seed(seed, config)
-            assert report.ok, [str(f) for f in report.failures]
-            if report.kill_kind == "worker_kill":
-                return
-        pytest.fail("no seed in 0..39 drew a worker_kill")
+        before = perf.SHARD_STATS.frames_sharded
+        report = fuzz_crash_seed(seed, config)
+        assert report.mode == "sharded"
+        assert report.ok, [str(f) for f in report.failures]
+        assert perf.SHARD_STATS.frames_sharded > before
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_candidate_seed_retrieves_through_the_index(self, seed):
+        config = CrashFuzzConfig(
+            shard_fraction=0.0, candidate_fraction=1.0, tiered_fraction=0.0
+        )
+        before = perf.CANDIDATE_STATS.retrievals
+        report = fuzz_crash_seed(seed, config)
+        assert report.mode == "candidate"
+        assert report.ok, [str(f) for f in report.failures]
+        assert perf.CANDIDATE_STATS.retrievals > before
 
     def test_kill_kind_catalogues(self):
         assert "between_frames" in KILL_KINDS
         assert "worker_kill" not in KILL_KINDS
-        assert "worker_kill" in SHARDED_KILL_KINDS
-        assert set(KILL_KINDS) < set(SHARDED_KILL_KINDS)
 
 
 class TestRun:

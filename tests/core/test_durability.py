@@ -201,6 +201,29 @@ class TestGuards:
         with pytest.raises(CheckpointError, match="version"):
             Dispatcher.restore(str(tmp_path))
 
+    def test_version_1_checkpoint_is_rejected_with_a_typed_error(
+        self, city, tmp_path
+    ):
+        # version 1 stored the process-pool shard options in the config
+        # and shard fault counters in every frame summary; restoring one
+        # must fail as a CheckpointError, not a TypeError from an
+        # unknown Dispatcher keyword
+        with make_dispatcher(city, "plain", durability=str(tmp_path)) as d:
+            d.dispatch_frame(frame_requests(0, 0))
+        for name in ("snapshot.json", "network.json"):
+            payload = json.loads((tmp_path / name).read_text())
+            payload["format_version"] = 1
+            if name == "snapshot.json":
+                payload["config"].update(
+                    shard_workers=1, shard_timeout=30.0, shard_retries=2
+                )
+                for summary in payload["reports"]:
+                    summary.update(shard_retries=0, shard_fallbacks=0)
+            (tmp_path / name).write_text(json.dumps(payload))
+        assert CHECKPOINT_VERSION == 2
+        with pytest.raises(CheckpointError, match="version 1"):
+            Dispatcher.restore(str(tmp_path))
+
     def test_network_fingerprint_mismatch_is_rejected(self, city, tmp_path):
         with make_dispatcher(city, "plain", durability=str(tmp_path)) as d:
             d.dispatch_frame(frame_requests(0, 0))

@@ -1,9 +1,9 @@
 """Sharded dispatch through the Dispatcher front door.
 
 Covers constructor validation, the single-shard == unsharded identity,
-serial-vs-process frame equivalence, shard counters in
-``FrameReport.perf``, executor lifecycle, and the PYTHONHASHSEED
-regression (dispatch must not lean on dict/set iteration order).
+repeatable sharded frames, shard counters in ``FrameReport.perf``,
+dispatcher lifecycle, and the PYTHONHASHSEED regression (dispatch must
+not lean on dict/set iteration order).
 """
 
 import json
@@ -81,16 +81,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Dispatcher(city, make_fleet(), shard_workers=0)
 
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_rejects_process_pool_worker_counts(self, city, workers):
+        with pytest.raises(ValueError, match="process-pool sharding was removed"):
+            Dispatcher(city, make_fleet(), shard_workers=workers)
+
     def test_rejects_nonpositive_shard_count(self, city):
         with pytest.raises(ValueError):
             Dispatcher(city, make_fleet(), shard_workers=1, shard_count=0)
 
     def test_rejects_frame_budget_combination(self, city):
         # the anytime watchdog races a wall clock; it does not compose
-        # with a frame fanned out over worker processes
+        # with a frame split into shards
         with pytest.raises(ValueError):
             Dispatcher(
-                city, make_fleet(), shard_workers=2, frame_budget=0.5
+                city, make_fleet(), shard_workers=1, frame_budget=0.5
             )
 
     def test_close_is_idempotent(self, city):
@@ -116,18 +121,18 @@ class TestEquivalence:
         )
         assert sharded == plain
 
-    def test_serial_equals_process_pool(self, city):
-        # the partition is executor-independent, so worker count must
-        # never change a frame — byte-identical outcomes required
-        serial = run_frames(
+    def test_sharded_frames_repeat_exactly(self, city):
+        # the partition and the shard solve order are fixed by
+        # shard_count, so two runs produce byte-identical frames
+        first = run_frames(
             Dispatcher(city, make_fleet(), method="eg", frame_length=20.0,
                        seed=9, shard_workers=1, shard_count=4)
         )
-        pooled = run_frames(
+        second = run_frames(
             Dispatcher(city, make_fleet(), method="eg", frame_length=20.0,
-                       seed=9, shard_workers=2, shard_count=4)
+                       seed=9, shard_workers=1, shard_count=4)
         )
-        assert pooled == serial
+        assert second == first
 
 
 class TestShardCounters:
@@ -144,17 +149,6 @@ class TestShardCounters:
             assert report.perf.shards.frames_sharded == 1
             assert report.perf.shards.shards_solved >= 1
             assert report.perf.shards.riders_sharded == report.batch_size
-            assert report.perf.shards.process_frames == 0
-
-    def test_process_frames_counted(self, city):
-        dispatcher = Dispatcher(city, make_fleet(), method="eg",
-                                frame_length=20.0, seed=9,
-                                shard_workers=2, shard_count=4)
-        try:
-            report = dispatcher.dispatch_frame(frame_requests(0, 0))
-        finally:
-            dispatcher.close()
-        assert report.perf.shards.process_frames == 1
 
 
 _HASHSEED_SCRIPT = r"""

@@ -2,21 +2,15 @@
 
 Property focus: the partition is *total* (every rider and vehicle lands
 in exactly one shard), *lossless* (the shard union is the frame), and a
-pure function of the network + ``shard_count`` — never of worker count,
-executor choice, input order, or hash seed.
+pure function of the network + ``shard_count`` — never of input order
+or hash seed.
 """
 
 import random
 
 import pytest
 
-from repro.core.shards import (
-    ProcessShardExecutor,
-    SerialShardExecutor,
-    ShardPlan,
-    build_shard_executor,
-    partition_frame,
-)
+from repro.core.shards import ShardPlan, partition_frame
 from repro.core.vehicles import Vehicle
 from repro.roadnet.areas import build_areas
 from repro.roadnet.generators import grid_city
@@ -82,20 +76,6 @@ class TestShardPlan:
         rebuilt = ShardPlan(build_areas(city, k=8), shard_count=4)
         for node in range(NODES):
             assert rebuilt.shard_of(node) == plan.shard_of(node)
-
-    def test_plan_ignores_worker_count(self, plan):
-        # the partition is keyed on the network only: constructing any
-        # executor never feeds back into the node -> shard mapping
-        mapping = {node: plan.shard_of(node) for node in range(NODES)}
-        serial = build_shard_executor(1)
-        pooled = build_shard_executor(4)
-        try:
-            assert isinstance(serial, SerialShardExecutor)
-            assert isinstance(pooled, ProcessShardExecutor)
-            assert {n: plan.shard_of(n) for n in range(NODES)} == mapping
-        finally:
-            serial.close()
-            pooled.close()
 
 
 class TestPartitionFrame:

@@ -196,24 +196,3 @@ class TestBitIdenticalToDijkstra:
                 out.extend(frag)
         for a, b in out:
             assert b in small_grid.adjacency[a]
-
-
-class TestPickle:
-    def test_roundtrip_answers_identically(self, small_grid):
-        import pickle
-
-        ch = ContractionHierarchy(small_grid)
-        clone = pickle.loads(pickle.dumps(ch))
-        assert clone._graph is None  # preprocessing state dropped
-        nodes = sorted(small_grid.nodes())
-        for src in nodes[::4]:
-            for dst in nodes[::3]:
-                assert clone.cost(src, dst) == ch.cost(src, dst)
-
-    def test_pickle_smaller_without_graph(self, small_grid):
-        import pickle
-
-        ch = ContractionHierarchy(small_grid)
-        shipped = len(pickle.dumps(ch))
-        kept = len(pickle.dumps(ch.__dict__))  # with _graph retained
-        assert shipped < kept

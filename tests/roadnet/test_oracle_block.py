@@ -2,11 +2,10 @@
 
 Pinned rows (and, at tier 0, the APSP table that serves as the block) must
 read bit-identically to :func:`dijkstra` at every tier, through warm,
-unpin, invalidate (after a network mutation) and a pickle round trip.
+unpin and invalidate (after a network mutation).
 """
 
 import math
-import pickle
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -70,7 +69,7 @@ def _mutate(net: RoadNetwork, factor: float) -> None:
 
 
 _OPS = st.lists(
-    st.sampled_from(["warm", "unpin", "invalidate", "invalidate_lazy", "pickle"]),
+    st.sampled_from(["warm", "unpin", "invalidate", "invalidate_lazy"]),
     min_size=1,
     max_size=6,
 )
@@ -93,15 +92,12 @@ class TestPinnedBlock:
             elif op == "unpin":
                 oracle.unpin()
                 assert oracle.stats()["pinned_sources"] == 0
-            elif op in ("invalidate", "invalidate_lazy"):
+            else:
                 _mutate(net, data.draw(st.sampled_from([0.5, 2.0])))
                 oracle.invalidate(recompute_pinned=op == "invalidate")
                 if op == "invalidate_lazy":
                     for source in sorted(oracle._pinned_sources):
                         oracle.costs_from(source)  # refills lazily
-            else:
-                oracle = pickle.loads(pickle.dumps(oracle))
-                net = oracle.network
             _assert_pinned_rows_exact(oracle)
             # a point query whose canonical source is pinned reads its row
             for source in sorted(oracle._pinned_sources):

@@ -1,8 +1,7 @@
 """Tests for the tiered DistanceOracle (tier selection, CH tier-1 queries,
-degraded epochs, pickling, and the shared ALT index)."""
+degraded epochs, and the shared ALT index)."""
 
 import math
-import pickle
 
 import pytest
 
@@ -138,27 +137,6 @@ class TestDegradedEpoch:
         oracle.cost(0, 17)
         oracle.invalidate()
         assert oracle.effective_tier == 1
-
-
-class TestTier1Pickle:
-    def test_roundtrip_bit_identical(self, jitter_grid):
-        oracle = DistanceOracle(jitter_grid, tier=1)
-        oracle.cost(0, 17)  # build CH before shipping
-        clone = pickle.loads(pickle.dumps(oracle))
-        assert clone._ch is not None
-        assert clone._ch._graph is None  # upward graph shipped, build state not
-        nodes = sorted(jitter_grid.nodes())
-        for u in nodes[::2]:
-            for v in nodes[::3]:
-                assert clone.cost(u, v) == oracle.cost(u, v)
-
-    def test_epoch_and_tier_survive(self, jitter_grid):
-        oracle = DistanceOracle(jitter_grid, tier=1)
-        oracle.cost(0, 1)
-        oracle.invalidate()
-        clone = pickle.loads(pickle.dumps(oracle))
-        assert clone.epoch == oracle.epoch
-        assert clone.tier == 1
 
 
 class TestLowerBoundAndSharedLandmarks:

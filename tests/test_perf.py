@@ -269,11 +269,9 @@ class TestWiring:
 
 
 class TestShardAccounting:
-    """Per-frame deltas must still partition the run when frames fan out
-    over worker processes: each worker brackets its own counters, ships
-    the delta home, and the parent absorbs it exactly once inside the
-    frame's snapshot bracket.  Double-absorption or dropped deltas both
-    break the ``sum(frame deltas) == run total`` identity below.
+    """Per-frame deltas must still partition the run when frames are
+    split into shards: every shard solve ticks the counters inside its
+    frame's snapshot bracket, so ``sum(frame deltas) == run total``.
     """
 
     @staticmethod
@@ -290,7 +288,7 @@ class TestShardAccounting:
             for i, (src, dst) in enumerate(specs)
         ]
 
-    def _dispatcher(self, small_grid, workers):
+    def _dispatcher(self, small_grid):
         from repro.core.dispatch import Dispatcher
         from repro.core.vehicles import Vehicle
 
@@ -300,11 +298,11 @@ class TestShardAccounting:
         ]
         return Dispatcher(
             small_grid, fleet, method="eg", frame_length=10.0, seed=3,
-            shard_workers=workers, shard_count=4,
+            shard_workers=1, shard_count=4,
         )
 
-    def test_process_frame_deltas_partition_the_run(self, small_grid):
-        dispatcher = self._dispatcher(small_grid, workers=2)
+    def test_sharded_frame_deltas_partition_the_run(self, small_grid):
+        dispatcher = self._dispatcher(small_grid)
         try:
             r1 = dispatcher.dispatch_frame(self._requests(0))
             r2 = dispatcher.dispatch_frame(self._requests(1))
@@ -322,38 +320,12 @@ class TestShardAccounting:
                 getattr(r1.perf.oracle, name) + getattr(r2.perf.oracle, name)
                 == getattr(total.oracle, name)
             ), name
-        for name in ("frames_sharded", "shards_solved", "process_frames",
-                     "riders_sharded", "vehicles_sharded", "boundary_riders",
+        for name in ("frames_sharded", "shards_solved", "riders_sharded",
+                     "vehicles_sharded", "boundary_riders",
                      "reconciled_riders"):
             assert (
                 getattr(r1.perf.shards, name) + getattr(r2.perf.shards, name)
                 == getattr(total.shards, name)
             ), name
         assert total.shards.frames_sharded == 2
-        assert total.shards.process_frames == 2
-        assert total.shards.shards_solved >= 2  # workers' counts absorbed
-
-    def test_serial_and_process_accounting_agree(self, small_grid):
-        """The same work must be *counted* the same whether shards are
-        solved inline (counters ticked directly) or in workers (deltas
-        shipped home) — equal frames imply equal plan counts."""
-        serial = self._dispatcher(small_grid, workers=1)
-        try:
-            s1 = serial.dispatch_frame(self._requests(0))
-            s2 = serial.dispatch_frame(self._requests(1))
-            serial_total = serial.perf_report()
-        finally:
-            serial.close()
-        pooled = self._dispatcher(small_grid, workers=2)
-        try:
-            p1 = pooled.dispatch_frame(self._requests(0))
-            p2 = pooled.dispatch_frame(self._requests(1))
-            pooled_total = pooled.perf_report()
-        finally:
-            pooled.close()
-        assert (s1.num_served, s2.num_served) == (p1.num_served, p2.num_served)
-        assert serial_total.insertion.plans == pooled_total.insertion.plans
-        assert (
-            serial_total.shards.shards_solved
-            == pooled_total.shards.shards_solved
-        )
+        assert total.shards.shards_solved >= 2

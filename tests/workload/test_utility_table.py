@@ -8,8 +8,6 @@ the shard slicer make must agree with it, and the generator must be left
 in the same state.
 """
 
-import pickle
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +20,7 @@ from repro.check.utilities import (
     eager_vehicle_utilities,
 )
 from repro.core.instance import URRInstance
-from repro.core.shards import Shard, make_shard_task
+from repro.core import shards
 from repro.core.vehicles import Vehicle
 from repro.workload.instances import (
     InstanceConfig,
@@ -182,11 +180,8 @@ class TestShardView:
         assert view.restrict(narrower) == eager_shard_utilities(
             oracle, narrower
         )
-        # the pickle round trip carries the same pairs
-        restored = pickle.loads(pickle.dumps(view))
-        assert_same_mapping(restored, expected)
 
-    def test_pickle_ships_only_own_columns(self):
+    def test_view_slices_own_columns_and_shares_overlay(self):
         riders = [make_rider(i, source=0, destination=1) for i in range(5)]
         fleet = [Vehicle(j, 0, 2) for j in range(8)]
         pinned = {
@@ -197,18 +192,27 @@ class TestShardView:
             riders, fleet, np.random.default_rng(3)
         ).layered(pinned)
         view = table.restrict([1, 6, 9])
-        state = pickle.loads(pickle.dumps(view)).__dict__
-        assert state["_values"].shape == (5, 2)  # vehicles 1 and 6
-        assert state["_overlay"] == {
-            0: {1: 0.25, 6: 0.25},
-            70: {1: 0.75, 6: 0.75, 9: 0.75},
-        }
+        assert view._values.shape == (5, 2)  # vehicles 1 and 6
+        assert view[(0, 6)] == 0.25 and view[(70, 9)] == 0.75
+        assert (70, 2) not in view
         # the live view shares the dispatcher's rows, it does not copy
         assert view._overlay is pinned
 
-    def test_make_shard_task_hands_out_the_view(self, small_grid):
-        riders = [make_rider(i, source=0, destination=1) for i in range(4)]
-        fleet = [Vehicle(j, 0, 2) for j in range(6)]
+    def test_solve_sharded_hands_out_the_view(self, small_grid, monkeypatch):
+        class TwoShards:
+            """Nodes below 3 form shard 0, the rest shard 1."""
+
+            shard_count = 2
+
+            @staticmethod
+            def shard_of(node):
+                return 0 if node < 3 else 1
+
+        riders = [
+            make_rider(i, source=4 if i < 2 else 0, destination=1)
+            for i in range(4)
+        ]
+        fleet = [Vehicle(j, j, 2) for j in range(6)]
         pinned = {2: {0: 0.1, 5: 0.9}, 30: {3: 0.4}}
         table = synthetic_vehicle_utilities(
             riders, fleet, np.random.default_rng(11)
@@ -216,14 +220,27 @@ class TestShardView:
         oracle = eager_frame_utilities(
             riders, fleet, pinned, np.random.default_rng(11)
         )
-        shard = Shard(shard_id=0, vehicles=fleet[3:], riders=riders[:2])
-        expected = eager_shard_utilities(oracle, [3, 4, 5])
+        solved = []
+        real_solve = shards.solve
+
+        def recording_solve(instance, **kwargs):
+            solved.append(instance)
+            return real_solve(instance, **kwargs)
+
+        monkeypatch.setattr(shards, "solve", recording_solve)
         for utilities in (table, dict(oracle)):
             # a plain-dict instance is wrapped, not special-cased
             instance = URRInstance(
                 network=small_grid, riders=riders, vehicles=fleet,
                 vehicle_utilities=utilities,
             )
-            task = make_shard_task(instance, shard, "eg")
-            assert isinstance(task.vehicle_utilities, VehicleUtilityTable)
-            assert task.vehicle_utilities == expected
+            solved.clear()
+            shards.solve_sharded(instance, TwoShards(), "eg")
+            assert [
+                [v.vehicle_id for v in sub.vehicles] for sub in solved
+            ] == [[0, 1, 2], [3, 4, 5]]
+            for sub, vids in zip(solved, ([0, 1, 2], [3, 4, 5])):
+                assert isinstance(sub.vehicle_utilities, VehicleUtilityTable)
+                assert sub.vehicle_utilities == eager_shard_utilities(
+                    oracle, vids
+                )
