@@ -33,9 +33,9 @@ and asserts:
 
 Scenario modes mirror the dispatcher fuzzers: a fraction of seeds run
 sharded, a fraction on the spatio-temporal candidate index, and a
-fraction on a
-tier-1 (CH + ALT) distance oracle — so checkpoints round-trip under
-every dispatch configuration, not just the default one.
+fraction on a tier-1 (CH + ALT) distance oracle — so checkpoints
+round-trip under every dispatch configuration, not just the default
+one.
 """
 
 from __future__ import annotations
