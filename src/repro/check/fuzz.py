@@ -1,76 +1,60 @@
-"""Seeded differential-fuzz harness for the URR solvers.
+"""One lockstep differential fuzz runner for the URR solvers and dispatcher.
 
-One seed drives one end-to-end trial:
+Every fuzz mode is a row of :data:`MODES` over one seeded
+:class:`~repro.check.scenario.Scenario` (:func:`draw_scenario`).
+:func:`run_trial` drives a reference dispatcher **A** and an optional
+candidate dispatcher **B** through that scenario in lockstep.  Three axes
+select what B is and how it runs:
 
-1. **generate** — a randomized small instance from one of the canned
-   :mod:`repro.workload.scenarios` regimes on a perturbed grid city
-   (riders, vehicles, deadlines, ``alpha``/``beta`` and pairwise
-   similarities all seed-derived);
-2. **solve** — every method in :data:`repro.core.solver.METHODS` (OPT only
-   while the rider count keeps enumeration tractable);
-3. **validate** — each result through the independent
-   :func:`repro.check.validate_assignment` oracle;
-4. **cross-check** — dominance sandwich ``heuristic <= OPT <=
-   utility_upper_bound`` (and every method below the bound even when OPT
-   is skipped);
-5. **differential** — the zero-copy insertion engine against
-   :func:`repro.core.insertion.arrange_single_rider_reference`,
-   rider-by-rider, on the empty and the solved schedules.
+- **config** — B's dispatcher: a forced tier-1 (CH + ALT) oracle, the
+  spatial or spatio-temporal candidate index (audit armed), or sharded
+  dispatch.  A runs the row's reference config;
+- **perturbation** — seeded chaos events (breakdowns, cancellations,
+  no-shows, travel-time perturbations, closures) drawn from A's state at
+  every frame boundary and injected into both runs, or one broad
+  travel-time perturbation at a seeded frame;
+- **drive** — how B consumes the frames: ``dispatch_frame``
+  (``"frames"``), the streaming micro-batch engine (``"stream"``,
+  :mod:`repro.check.stream`), or kill → :meth:`Dispatcher.restore` →
+  resume (``"crash"``, :mod:`repro.check.crash`).  On those two drives
+  A runs B's drawn config, so the drive is the only difference.
 
-A second harness targets the **rolling-horizon dispatcher**
-(:func:`fuzz_dispatch_seed`): one seed drives a whole multi-frame run —
-fleet, frame length, solver method, retry budget and every frame's
-requests are seed-derived; every frame's assignment goes through the
-independent validator (which re-checks carried-over commitments and
-mid-route vehicle state), and the dispatcher's cross-frame invariants
-(ready times ahead of the clock, carry-over queue discipline, conserved
-rider accounting) are asserted at every boundary.
+Every run gets the shared per-frame checks — the independent validator,
+the cross-frame invariants and rider-ledger conservation — and every A/B
+pair goes through one frame comparator whose failures name the axis that
+diverged.  Mode-specific checks hang off the matching axis: the bitwise
+cost sweep whenever A and B sit on different oracle tiers, the prune
+audit whenever a candidate index runs, the conflict relaxation (plus an
+aggregate-service check across the run) when only B is sharded, and the
+summary/ledger/fleet equality of the crash drive.
 
-A third harness (:func:`fuzz_chaos_seed`) layers **typed mid-horizon
-disruptions** (:mod:`repro.core.disruptions`) over the dispatcher
-scenarios: vehicle breakdowns, rider cancellations and no-shows,
-travel-time perturbations and road closures are injected between frames
-from a seeded schedule, asserting at every boundary that the rider
-ledger conserves every rider ever issued, that no committed rider
-vanishes except through an explicit disruption outcome, and that every
-repaired fleet state passes the independent validator.
-
-A fourth harness (:func:`fuzz_prune_seed`) differential-checks
-**candidate retrieval** (:mod:`repro.core.candidates`): the same seeded
-multi-frame scenario runs once with the full all-pairs scan and once
-through the spatio-temporal candidate index (audit armed), asserting the
-two runs agree frame-for-frame — served riders, schedules stop by stop,
-carry-over queues and rider ledgers — and that no pruned pair survives
-an exact reachability re-check.
-
-The dispatch and chaos harnesses also run in a **tiered** mode
-(``DispatchFuzzConfig.tiered`` / ``ChaosFuzzConfig.tiered``,
-``python -m repro.check --dispatch --tiered`` / ``--chaos --tiered``):
-the same seeded scenario is driven through a tier-1
-(CH + ALT) :class:`~repro.roadnet.oracle.DistanceOracle` and must match
-the untiered run frame-for-frame, with a direct bitwise cost sweep on
-top — tiered and untiered oracles must return ``==`` floats for every
-sampled pair, including across chaos-driven invalidation epochs.
+The ``"solve"`` drive is the single-instance fuzz: every method in
+:data:`repro.core.solver.METHODS` on one static instance, validated,
+sandwiched between OPT and the analytic upper bound, with the zero-copy
+insertion engine pinned against its reference implementation.
 
 Everything is deterministic in the seed, so any failure is replayable
-(``python -m repro.check --replay SEED`` /
-``--replay SEED --dispatch`` / ``--replay SEED --chaos`` /
-``--replay SEED --prune``) and shrinkable
-(:func:`minimize_seed` greedily drops riders/vehicles while the failure
-persists) into a minimal repro.
+(``python -m repro.check --mode NAME --replay SEED``) and shrinkable:
+:func:`minimize_seed` drops riders and vehicles from the drawn scenario
+while the failure persists, for every mode.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+import os
+import time
+import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.assignment import Assignment
 from repro.core.bounds import utility_upper_bound
-from repro.core.dispatch import DispatchError, Dispatcher, RiderStatus
+from repro.core.candidates import build_candidate_index
+from repro.core.dispatch import Dispatcher, RiderStatus
 from repro.core.disruptions import (
     RiderCancellation,
     RiderNoShow,
@@ -78,76 +62,103 @@ from repro.core.disruptions import (
     TravelTimePerturbation,
     VehicleBreakdown,
 )
-from repro.core.grouping import GroupingPlan, prepare_grouping
-from repro.core.requests import Rider
-from repro.core.vehicles import Vehicle
+from repro.core.instance import URRInstance
 from repro.core.insertion import (
     arrange_single_rider,
     arrange_single_rider_reference,
 )
-from repro.core.instance import URRInstance
 from repro.core.scoring import SolverState
-from repro.core.solver import METHODS, solve
+from repro.core.solver import solve
 from repro.obs import trace as _trace
-from repro.roadnet.generators import grid_city
-from repro.roadnet.graph import RoadNetwork
+from repro.perf import CANDIDATE_STATS
 from repro.roadnet.oracle import DistanceOracle
-from repro.workload.instances import InstanceConfig, build_instance
-from repro.workload.scenarios import SCENARIOS
-from repro.check.validator import (
-    ValidationReport,
-    validate_assignment,
-    validate_fleet_state,
-)
+from repro.check.crash import CrashDrive
+from repro.check.scenario import INSTANCE, Scenario, Shape, draw_scenario, plan_for
+from repro.check.stream import StreamDrive
+from repro.check.validator import validate_assignment, validate_fleet_state
 
 _EPS = 1e-6
-
-#: (alpha, beta) profiles the fuzzer cycles through — the corner cases of
-#: Eq. 1 (each term alone) plus the paper's balanced default.
-_WEIGHT_PROFILES: Tuple[Tuple[float, float], ...] = (
-    (0.33, 0.33),
-    (1.0, 0.0),
-    (0.0, 1.0),
-    (0.0, 0.0),
-    (0.5, 0.25),
-)
-
-
-@dataclass
-class FuzzConfig:
-    """Shape of the randomized instances and of the checks."""
-
-    grid_rows: int = 5
-    grid_cols: int = 5
-    num_networks: int = 4          # distinct cached road networks
-    min_riders: int = 3
-    max_riders: int = 8
-    min_vehicles: int = 1
-    max_vehicles: int = 3
-    max_capacity: int = 3
-    opt_max_riders: int = 6        # OPT is exponential; keep it tractable
-    methods: Tuple[str, ...] = METHODS
-    differential: bool = True
-    audit_event_fields: bool = True
-    similarity_pairs: int = 8      # random Eq. 3 overrides per instance
+_OPT_MAX_RIDERS = 6          # OPT is exponential; keep it tractable
+_SHARD_COUNT = 4
+#: deliberately generous, so the configured method always wins tier 0
+#: and wall-clock noise never changes a trial
+_WATCHDOG_BUDGET = 30.0
+_SWEEP_PAIRS = 40            # bitwise cost pairs per boundary
+#: per-boundary probabilities of each chaos event kind
+_P_BREAKDOWN, _P_CANCEL, _P_PERTURB, _P_CLOSURE = 0.25, 0.45, 0.35, 0.2
+#: BA's random rider order is one global draw and cannot decompose
+#: across shards, so only these methods must match unsharded dispatch
+_STRICT_SHARD_METHODS = ("eg", "cf", "gbs+eg")
 
 
+# ----------------------------------------------------------------------
+# the modes
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Mode:
+    """One row of the fuzz table: a scenario shape plus the three axes.
+
+    Dispatcher configs are ``+``-joined tokens: ``plain``, ``tier1``,
+    ``spatial``, ``spatiotemporal`` and ``sharded``.
+    """
+
+    name: str
+    shape: Shape
+    drive: str = "frames"           # "solve" | "frames" | "stream" | "crash"
+    reference: str = "plain"        # A's config on the frames drive
+    candidate: Tuple[str, ...] = ()  # B's configs, one drawn per seed
+    perturb: str = ""               # "" | "chaos" | "once"
+    p_perturb: float = 1.0          # share of seeds the perturbation hits
+
+
+_CHAOS = Shape(vehicles=(2, 4), methods=("eg", "ba", "cf"))
+_WIDE = Shape(grid=8, num_networks=3, frames=(3, 5), riders=(3, 8), vehicles=(3, 10))
+
+#: Every fuzz mode, in CI order.
+MODES: Dict[str, Mode] = {m.name: m for m in (
+    Mode("instance", INSTANCE, drive="solve"),
+    Mode("dispatch", Shape()),
+    Mode("dispatch-tiered", Shape(), candidate=("tier1",)),
+    Mode("chaos", _CHAOS, perturb="chaos"),
+    Mode("chaos-sharded", _CHAOS, reference="sharded", perturb="chaos"),
+    Mode("chaos-tiered", _CHAOS, candidate=("tier1",), perturb="chaos"),
+    Mode("prune", _WIDE, candidate=("spatial", "spatiotemporal")),
+    Mode("prune-tiered", _WIDE, candidate=("spatial+tier1", "spatiotemporal+tier1"),
+         perturb="once", p_perturb=0.5),
+    Mode("dispatch-shards", dataclasses.replace(_WIDE, p_tight=0.5),
+         candidate=("sharded",)),
+    Mode("crash", Shape(), drive="crash",
+         candidate=("plain", "sharded", "spatiotemporal", "tier1")),
+    Mode("stream", Shape(riders=(0, 5)), drive="stream",
+         candidate=("plain", "sharded", "tier1"), perturb="chaos", p_perturb=0.25),
+)}
+
+
+def _mode(mode: Union[str, Mode]) -> Mode:
+    return MODES[mode] if isinstance(mode, str) else mode
+
+
+def _relaxed(mode: Mode) -> bool:
+    """Only B is sharded: frames may legitimately differ after a conflict."""
+    return mode.drive == "frames" and "sharded" not in mode.reference and any(
+        "sharded" in c for c in mode.candidate
+    )
+
+
+# ----------------------------------------------------------------------
+# reports
+# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class FuzzFailure:
     """One check that failed for one seed."""
 
     seed: int
-    stage: str       # "validate" | "cross_check" | "differential"
+    stage: str       # the check, or the axis whose comparison diverged
     method: str
     detail: str
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "seed": self.seed,
-            "stage": self.stage,
-            "method": self.method,
-            "detail": self.detail,
-        }
+        return dataclasses.asdict(self)
 
     def __str__(self) -> str:
         return f"seed {self.seed} [{self.stage}/{self.method}] {self.detail}"
@@ -155,1866 +166,25 @@ class FuzzFailure:
 
 @dataclass
 class SeedReport:
-    """Everything one fuzz trial produced."""
+    """Everything one trial produced: its axis draws, counters, failures."""
 
     seed: int
-    scenario: str
-    num_riders: int
-    num_vehicles: int
-    alpha: float
-    beta: float
-    utilities: Dict[str, float] = field(default_factory=dict)
-    bound: float = 0.0
-    failures: List[FuzzFailure] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-# ----------------------------------------------------------------------
-# instance generation (deterministic in the seed)
-# ----------------------------------------------------------------------
-_NETWORK_CACHE: Dict[Tuple[int, int, int], Tuple[RoadNetwork, DistanceOracle]] = {}
-_PLAN_CACHE: Dict[int, GroupingPlan] = {}
-
-
-def _network_for(config: FuzzConfig, seed: int) -> Tuple[RoadNetwork, DistanceOracle]:
-    net_seed = seed % max(config.num_networks, 1)
-    key = (config.grid_rows, config.grid_cols, net_seed)
-    cached = _NETWORK_CACHE.get(key)
-    if cached is None:
-        network = grid_city(
-            config.grid_rows,
-            config.grid_cols,
-            seed=net_seed,
-            removal_fraction=0.0,
-            arterial_every=None,
-        )
-        cached = (network, DistanceOracle(network))
-        _NETWORK_CACHE[key] = cached
-    return cached
-
-
-def _plan_for(network: RoadNetwork) -> GroupingPlan:
-    key = id(network)
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        plan = prepare_grouping(network, k=8)
-        _PLAN_CACHE[key] = plan
-    return plan
-
-
-def random_instance(
-    seed: int, config: Optional[FuzzConfig] = None
-) -> Tuple[URRInstance, str]:
-    """The seed's randomized instance and the scenario name that shaped it."""
-    config = config or FuzzConfig()
-    rng = np.random.default_rng(seed)
-    network, oracle = _network_for(config, seed)
-    scenario_names = sorted(SCENARIOS)
-    scenario = scenario_names[int(rng.integers(len(scenario_names)))]
-    simulator = SCENARIOS[scenario](network, seed=seed, oracle=oracle)
-
-    alpha, beta = _WEIGHT_PROFILES[int(rng.integers(len(_WEIGHT_PROFILES)))]
-    lo = float(rng.uniform(4.0, 10.0))
-    instance_config = InstanceConfig(
-        num_riders=int(rng.integers(config.min_riders, config.max_riders + 1)),
-        num_vehicles=int(rng.integers(config.min_vehicles, config.max_vehicles + 1)),
-        pickup_deadline_range=(lo, lo + float(rng.uniform(2.0, 10.0))),
-        capacity=int(rng.integers(1, config.max_capacity + 1)),
-        alpha=alpha,
-        beta=beta,
-        flexible_factor=float(rng.uniform(1.2, 2.5)),
-        seed=seed,
-    )
-    instance = build_instance(
-        network, instance_config, oracle=oracle, simulator=simulator
-    )
-    # random Eq. 3 similarities so the rider-related term is exercised even
-    # without a social network attached
-    ids = [r.rider_id for r in instance.riders]
-    for _ in range(min(config.similarity_pairs, len(ids) * (len(ids) - 1) // 2)):
-        a, b = rng.choice(ids, size=2, replace=False)
-        a, b = int(min(a, b)), int(max(a, b))
-        instance.similarity_overrides[(a, b)] = float(rng.uniform(0.0, 1.0))
-    return instance, scenario
-
-
-# ----------------------------------------------------------------------
-# the checks
-# ----------------------------------------------------------------------
-def _validate_stage(
-    seed: int,
-    method: str,
-    instance: URRInstance,
-    assignment: Assignment,
-    config: FuzzConfig,
-    failures: List[FuzzFailure],
-) -> ValidationReport:
-    report = validate_assignment(
-        instance, assignment, audit_event_fields=config.audit_event_fields
-    )
-    for violation in report.violations:
-        failures.append(
-            FuzzFailure(seed=seed, stage="validate", method=method,
-                        detail=str(violation))
-        )
-    return report
-
-
-def differential_check(
-    instance: URRInstance,
-    sequences: Iterable,
-    seed: int = -1,
-) -> List[FuzzFailure]:
-    """Pin the fast insertion engine against the reference, rider by rider.
-
-    For every (schedule, rider-not-already-in-it) combination both engines
-    must agree on feasibility and on the minimum incremental cost, and the
-    fast path's materialised sequence must itself be valid.
-    """
-    failures: List[FuzzFailure] = []
-    for seq in sequences:
-        present = seq.rider_ids()
-        for rider in instance.riders:
-            if rider.rider_id in present:
-                continue
-            fast = arrange_single_rider(seq, rider)
-            reference = arrange_single_rider_reference(seq, rider)
-            if (fast is None) != (reference is None):
-                failures.append(
-                    FuzzFailure(
-                        seed=seed, stage="differential", method="engine",
-                        detail=(
-                            f"feasibility disagrees for rider "
-                            f"{rider.rider_id} on {seq!r}: fast={fast!r}, "
-                            f"reference={reference!r}"
-                        ),
-                    )
-                )
-                continue
-            if fast is None or reference is None:
-                continue
-            if abs(fast.delta_cost - reference.delta_cost) > _EPS:
-                failures.append(
-                    FuzzFailure(
-                        seed=seed, stage="differential", method="engine",
-                        detail=(
-                            f"delta cost disagrees for rider {rider.rider_id} "
-                            f"on {seq!r}: fast={fast.delta_cost!r}, "
-                            f"reference={reference.delta_cost!r}"
-                        ),
-                    )
-                )
-                continue
-            errors = fast.sequence.validity_errors()
-            if errors:
-                failures.append(
-                    FuzzFailure(
-                        seed=seed, stage="differential", method="engine",
-                        detail=(
-                            f"fast-path sequence invalid for rider "
-                            f"{rider.rider_id}: {errors[:2]}"
-                        ),
-                    )
-                )
-    return failures
-
-
-def fuzz_seed(seed: int, config: Optional[FuzzConfig] = None) -> SeedReport:
-    """Run the full generate/solve/validate/cross-check/differential trial."""
-    config = config or FuzzConfig()
-    instance, scenario = random_instance(seed, config)
-    report = SeedReport(
-        seed=seed,
-        scenario=scenario,
-        num_riders=instance.num_riders,
-        num_vehicles=instance.num_vehicles,
-        alpha=instance.alpha,
-        beta=instance.beta,
-    )
-    failures = report.failures
-
-    bound = utility_upper_bound(instance)
-    report.bound = bound.total
-    plan = _plan_for(instance.network)
-
-    assignments: Dict[str, Assignment] = {}
-    for method in config.methods:
-        if method == "opt" and instance.num_riders > config.opt_max_riders:
-            continue
-        assignment = solve(
-            instance, method=method, plan=plan,
-            opt_max_riders=config.opt_max_riders,
-        )
-        assignments[method] = assignment
-        _validate_stage(seed, method, instance, assignment, config, failures)
-        report.utilities[method] = assignment.total_utility()
-
-    # dominance sandwich: heuristic <= OPT <= upper bound
-    for method, utility in report.utilities.items():
-        if utility > bound.total + _EPS:
-            failures.append(
-                FuzzFailure(
-                    seed=seed, stage="cross_check", method=method,
-                    detail=(
-                        f"utility {utility:.9f} exceeds the analytic upper "
-                        f"bound {bound.total:.9f}"
-                    ),
-                )
-            )
-    opt_utility = report.utilities.get("opt")
-    if opt_utility is not None:
-        for method, utility in report.utilities.items():
-            if method != "opt" and utility > opt_utility + _EPS:
-                failures.append(
-                    FuzzFailure(
-                        seed=seed, stage="cross_check", method=method,
-                        detail=(
-                            f"heuristic utility {utility:.9f} exceeds OPT "
-                            f"{opt_utility:.9f}"
-                        ),
-                    )
-                )
-
-    if config.differential:
-        sequences = [instance.empty_sequence(v) for v in instance.vehicles]
-        for method in ("eg", "ba"):
-            if method in assignments:
-                sequences.extend(assignments[method].schedules.values())
-        failures.extend(differential_check(instance, sequences, seed=seed))
-    return report
-
-
-# ----------------------------------------------------------------------
-# multi-frame dispatcher fuzzing
-# ----------------------------------------------------------------------
-@dataclass
-class DispatchFuzzConfig:
-    """Shape of the randomized multi-frame dispatcher scenarios.
-
-    With ``tiered`` set, each seed becomes a differential trial instead:
-    the same pre-drawn multi-frame scenario runs through two dispatchers —
-    one on the untiered (APSP) oracle, one on a tier-1 (CH + ALT) oracle
-    forced via ``DistanceOracle(tier=1)`` — and the runs must agree
-    frame-for-frame, with a direct bitwise cost sweep on top (tiered and
-    untiered oracles must return ``==`` floats for every sampled pair).
-    """
-
-    grid_rows: int = 6
-    grid_cols: int = 6
-    num_networks: int = 4
-    min_frames: int = 4            # every scenario spans >= 4 frames
-    max_frames: int = 6
-    min_riders_per_frame: int = 2
-    max_riders_per_frame: int = 5
-    min_vehicles: int = 1
-    max_vehicles: int = 3
-    max_capacity: int = 3
-    methods: Tuple[str, ...] = ("eg", "ba", "cf", "gbs+eg")
-    audit_event_fields: bool = True
-    tiered: bool = False
-
-
-@dataclass
-class DispatchSeedReport:
-    """Everything one dispatcher fuzz trial produced."""
-
-    seed: int
+    mode: str
     method: str = ""
-    num_frames: int = 0
-    num_vehicles: int = 0
-    frame_length: float = 0.0
-    max_retries: int = 1
-    total_requests: int = 0
-    total_served: int = 0
-    total_carried: int = 0
+    riders: int = 0
+    vehicles: int = 0
+    draws: Dict[str, object] = field(default_factory=dict)
+    stats: Dict[str, float] = field(default_factory=dict)
     failures: List[FuzzFailure] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    # keep the FuzzRunReport aggregation happy
-    scenario: str = "dispatch"
-    num_riders: int = 0
-
-
-def _dispatch_requests(
-    network: RoadNetwork,
-    oracle: DistanceOracle,
-    rng: np.random.Generator,
-    count: int,
-    clock: float,
-    frame_length: float,
-    id_start: int,
-    pickup_slack: Tuple[float, float] = (0.5, 3.5),
-) -> List[Rider]:
-    """``count`` seeded requests revealed at ``clock``.
-
-    Deadlines live on the absolute dispatcher clock; the default pickup
-    slack spans one to several frames so riders are regularly carried
-    over, and the drop-off detour factor keeps shared rides feasible.
-    The shard fuzzer narrows ``pickup_slack`` on its tight-locality
-    seeds so only nearby vehicles qualify and conflict-free frames
-    actually occur.
-    """
-    riders: List[Rider] = []
-    n = network.num_nodes
-    for i in range(count):
-        source = int(rng.integers(n))
-        destination = int(rng.integers(n))
-        while destination == source:
-            destination = int(rng.integers(n))
-        shortest = oracle.cost(source, destination)
-        pickup = clock + float(rng.uniform(*pickup_slack)) * frame_length
-        riders.append(
-            Rider(
-                rider_id=id_start + i,
-                source=source,
-                destination=destination,
-                pickup_deadline=pickup,
-                dropoff_deadline=pickup
-                + float(rng.uniform(1.2, 2.5)) * shortest,
-            )
-        )
-    return riders
-
-
-def _check_frame_invariants(
-    dispatcher: Dispatcher,
-    frame_report,
-    frame: int,
-    pending_before: int,
-    max_retries: int,
-    fail: Callable[[str, str], None],
-    audit_event_fields: bool = True,
-) -> None:
-    """Independent validation + cross-frame invariants for one frame.
-
-    Shared by the dispatch and chaos fuzzers: the frame's assignment goes
-    through the independent validator, then the dispatcher's cross-frame
-    invariants (ready times, capacity, drop-off commitments, carry-over
-    queue discipline, conserved rider accounting) are asserted.
-    """
-    instance = frame_report.assignment.instance
-    validation = validate_assignment(
-        instance,
-        frame_report.assignment,
-        audit_event_fields=audit_event_fields,
-    )
-    for violation in validation.violations:
-        fail("dispatch_validate", f"frame {frame}: {violation}")
-
-    # cross-frame invariants
-    for vid, fv in dispatcher.fleet.items():
-        if fv.ready_time is not None and fv.ready_time <= dispatcher.clock:
-            fail(
-                "dispatch",
-                f"frame {frame}: vehicle {vid} ready_time "
-                f"{fv.ready_time:.6f} not ahead of clock "
-                f"{dispatcher.clock:.6f}",
-            )
-        if len(fv.onboard) > fv.capacity:
-            fail(
-                "dispatch",
-                f"frame {frame}: vehicle {vid} carries "
-                f"{len(fv.onboard)} riders (capacity {fv.capacity})",
-            )
-        committed_drops = {
-            s.rider.rider_id
-            for s in fv.committed_stops
-            if s.kind.value == "dropoff"
-        }
-        for r in fv.onboard:
-            if r.rider_id not in committed_drops:
-                fail(
-                    "dispatch",
-                    f"frame {frame}: onboard rider {r.rider_id} on "
-                    f"vehicle {vid} has no committed drop-off",
-                )
-    for entry in dispatcher._carryover:
-        if entry.rider.pickup_deadline <= dispatcher.clock:
-            fail(
-                "dispatch",
-                f"frame {frame}: dead rider {entry.rider.rider_id} in "
-                f"the carry-over queue (deadline "
-                f"{entry.rider.pickup_deadline:.6f} <= clock "
-                f"{dispatcher.clock:.6f})",
-            )
-        if entry.attempts >= max_retries:
-            fail(
-                "dispatch",
-                f"frame {frame}: rider {entry.rider.rider_id} carried "
-                f"with spent retry budget ({entry.attempts})",
-            )
-
-    # conservation: everything offered is served, expired, or carried
-    offered = frame_report.num_requests + frame_report.num_carried
-    accounted = (
-        frame_report.num_served
-        + frame_report.num_expired
-        + len(dispatcher.pending_requests)
-    )
-    if offered != accounted:
-        fail(
-            "dispatch",
-            f"frame {frame}: rider accounting leaks: offered {offered} "
-            f"!= served {frame_report.num_served} + expired "
-            f"{frame_report.num_expired} + carried "
-            f"{len(dispatcher.pending_requests)}",
-        )
-    if frame_report.num_carried != pending_before:
-        fail(
-            "dispatch",
-            f"frame {frame}: num_carried {frame_report.num_carried} != "
-            f"queue size before the frame {pending_before}",
-        )
-
-
-def fuzz_dispatch_seed(
-    seed: int, config: Optional[DispatchFuzzConfig] = None
-) -> DispatchSeedReport:
-    """Run one seeded multi-frame dispatcher scenario through the oracle.
-
-    Every frame's assignment is independently validated (including
-    carried-over commitments and mid-route vehicle state), and the
-    dispatcher's cross-frame invariants are asserted at every boundary:
-
-    - a vehicle's ``ready_time`` is always strictly ahead of the clock
-      (never planned from a location before it arrives there);
-    - onboard rider counts never exceed capacity and every onboard rider
-      has a pending committed drop-off;
-    - the carry-over queue only holds riders with live pickup deadlines
-      and unspent retry budgets;
-    - per-frame accounting conserves riders
-      (``served + expired + carried forward = offered``).
-
-    With ``config.tiered`` the seed instead runs the tiered-oracle
-    differential (see :func:`_fuzz_dispatch_tiered_impl`).
-    """
-    tiered = config is not None and config.tiered
-    kind = "dispatch-tiered" if tiered else "dispatch"
-    with _trace.span("fuzz.seed", kind=kind, seed=seed) as seed_span:
-        if tiered:
-            report = _fuzz_dispatch_tiered_impl(seed, config)
-        else:
-            report = _fuzz_dispatch_seed_impl(seed, config)
-        seed_span.annotate(ok=report.ok, failures=len(report.failures))
-    return report
-
-
-def _fuzz_dispatch_seed_impl(
-    seed: int, config: Optional[DispatchFuzzConfig]
-) -> DispatchSeedReport:
-    config = config or DispatchFuzzConfig()
-    rng = np.random.default_rng(seed)
-    net_config = FuzzConfig(
-        grid_rows=config.grid_rows,
-        grid_cols=config.grid_cols,
-        num_networks=config.num_networks,
-    )
-    network, oracle = _network_for(net_config, seed)
-
-    method = config.methods[int(rng.integers(len(config.methods)))]
-    alpha, beta = _WEIGHT_PROFILES[int(rng.integers(len(_WEIGHT_PROFILES)))]
-    num_frames = int(
-        rng.integers(config.min_frames, config.max_frames + 1)
-    )
-    num_vehicles = int(
-        rng.integers(config.min_vehicles, config.max_vehicles + 1)
-    )
-    frame_length = float(rng.uniform(3.0, 8.0))
-    max_retries = int(rng.integers(1, 5))
-    fleet = [
-        Vehicle(
-            vehicle_id=j,
-            location=int(rng.integers(network.num_nodes)),
-            capacity=int(rng.integers(1, config.max_capacity + 1)),
-        )
-        for j in range(num_vehicles)
-    ]
-    plan = _plan_for(network) if method.startswith("gbs") else None
-    dispatcher = Dispatcher(
-        network,
-        fleet,
-        method=method,
-        frame_length=frame_length,
-        plan=plan,
-        alpha=alpha,
-        beta=beta,
-        oracle=oracle,
-        seed=seed,
-        max_retries=max_retries,
-    )
-    report = DispatchSeedReport(
-        seed=seed,
-        method=method,
-        num_frames=num_frames,
-        num_vehicles=num_vehicles,
-        frame_length=frame_length,
-        max_retries=max_retries,
-    )
-    failures = report.failures
-
-    def fail(stage: str, detail: str) -> None:
-        failures.append(
-            FuzzFailure(seed=seed, stage=stage, method=method, detail=detail)
-        )
-
-    rider_id = 0
-    for frame in range(num_frames):
-        count = int(
-            rng.integers(
-                config.min_riders_per_frame, config.max_riders_per_frame + 1
-            )
-        )
-        requests = _dispatch_requests(
-            network, oracle, rng, count, dispatcher.clock, frame_length,
-            rider_id,
-        )
-        rider_id += len(requests)
-        pending_before = len(dispatcher.pending_requests)
-        try:
-            frame_report = dispatcher.dispatch_frame(requests)
-        except DispatchError as exc:
-            fail(
-                "dispatch",
-                f"frame {frame}: DispatchError on vehicle "
-                f"{exc.vehicle_id}: {exc.violations[:2]}",
-            )
-            break
-
-        _check_frame_invariants(
-            dispatcher, frame_report, frame, pending_before, max_retries,
-            fail, audit_event_fields=config.audit_event_fields,
-        )
-        report.total_carried += frame_report.num_carried
-
-    report.total_requests = dispatcher.total_requests
-    report.total_served = dispatcher.total_served
-    report.num_riders = rider_id
-    if dispatcher.total_served > dispatcher.total_requests:
-        fail(
-            "dispatch",
-            f"served {dispatcher.total_served} riders out of "
-            f"{dispatcher.total_requests} submitted",
-        )
-    return report
-
-
-def _tiered_cost_sweep(
-    network: RoadNetwork,
-    tiered: DistanceOracle,
-    untiered: DistanceOracle,
-    sweep_rng: np.random.Generator,
-    count: int,
-    fail: Callable[[str, str], None],
-    where: str,
-) -> None:
-    """Direct bitwise differential on sampled node pairs.
-
-    Tier-1 bit-identity is a hard contract (the CH unpacks and re-sums
-    original edges from the source), so tiered and untiered oracles must
-    return ``==`` floats — not approx — for every pair; only matching
-    infinities are allowed to differ as objects.
-    """
-    nodes = sorted(network.nodes())
-    for _ in range(count):
-        u = int(nodes[int(sweep_rng.integers(len(nodes)))])
-        v = int(nodes[int(sweep_rng.integers(len(nodes)))])
-        a = tiered.cost(u, v)
-        b = untiered.cost(u, v)
-        if a != b and not (math.isinf(a) and math.isinf(b)):
-            fail(
-                "tiered_cost",
-                f"{where}: cost({u}, {v}) diverges bitwise: "
-                f"tiered={a!r} untiered={b!r}",
-            )
-            return
-
-
-def _fuzz_dispatch_tiered_impl(
-    seed: int, config: DispatchFuzzConfig
-) -> DispatchSeedReport:
-    """One tiered-oracle differential trial.
-
-    The same pre-drawn multi-frame scenario runs through two dispatchers
-    over the same network and fleet — one on the shared untiered oracle,
-    one on a fresh ``DistanceOracle(tier=1)`` — and every frame boundary
-    must agree exactly (served riders, schedules stop by stop, carry-over
-    queues, rider ledgers; the comparator is shared with the prune
-    fuzzer).  A direct bitwise cost sweep from a private rng follows, so
-    the oracle contract is checked even on pairs the scenario never
-    touched.
-    """
-    rng = np.random.default_rng(seed)
-    net_config = FuzzConfig(
-        grid_rows=config.grid_rows,
-        grid_cols=config.grid_cols,
-        num_networks=config.num_networks,
-    )
-    network, oracle = _network_for(net_config, seed)
-
-    method = config.methods[int(rng.integers(len(config.methods)))]
-    alpha, beta = _WEIGHT_PROFILES[int(rng.integers(len(_WEIGHT_PROFILES)))]
-    num_frames = int(rng.integers(config.min_frames, config.max_frames + 1))
-    num_vehicles = int(
-        rng.integers(config.min_vehicles, config.max_vehicles + 1)
-    )
-    frame_length = float(rng.uniform(3.0, 8.0))
-    max_retries = int(rng.integers(1, 5))
-    fleet = [
-        Vehicle(
-            vehicle_id=j,
-            location=int(rng.integers(network.num_nodes)),
-            capacity=int(rng.integers(1, config.max_capacity + 1)),
-        )
-        for j in range(num_vehicles)
-    ]
-    # the whole request stream is drawn up front so both dispatchers see
-    # byte-identical frames (the rng is shared state)
-    frames: List[List[Rider]] = []
-    rider_id = 0
-    clock = 0.0
-    for _ in range(num_frames):
-        count = int(
-            rng.integers(
-                config.min_riders_per_frame, config.max_riders_per_frame + 1
-            )
-        )
-        requests = _dispatch_requests(
-            network, oracle, rng, count, clock, frame_length, rider_id
-        )
-        rider_id += len(requests)
-        clock += frame_length
-        frames.append(requests)
-
-    plan = _plan_for(network) if method.startswith("gbs") else None
-    tiered_oracle = DistanceOracle(network, tier=1)
-
-    def make_dispatcher(dispatch_oracle: DistanceOracle) -> Dispatcher:
-        return Dispatcher(
-            network,
-            fleet,
-            method=method,
-            frame_length=frame_length,
-            plan=plan,
-            alpha=alpha,
-            beta=beta,
-            oracle=dispatch_oracle,
-            seed=seed,
-            max_retries=max_retries,
-        )
-
-    untiered_d = make_dispatcher(oracle)
-    tiered_d = make_dispatcher(tiered_oracle)
-    report = DispatchSeedReport(
-        seed=seed,
-        method=method,
-        num_frames=num_frames,
-        num_vehicles=num_vehicles,
-        frame_length=frame_length,
-        max_retries=max_retries,
-        num_riders=rider_id,
-    )
-    failures = report.failures
-
-    def fail(stage: str, detail: str) -> None:
-        failures.append(
-            FuzzFailure(seed=seed, stage=stage, method=method, detail=detail)
-        )
-
-    for frame, requests in enumerate(frames):
-        try:
-            untiered_report = untiered_d.dispatch_frame(list(requests))
-        except DispatchError as exc:
-            fail(
-                "tiered",
-                f"frame {frame}: untiered run raised DispatchError on "
-                f"vehicle {exc.vehicle_id}: {exc.violations[:2]}",
-            )
-            break
-        try:
-            tiered_report = tiered_d.dispatch_frame(list(requests))
-        except DispatchError as exc:
-            fail(
-                "tiered",
-                f"frame {frame}: tier-1 run raised DispatchError on "
-                f"vehicle {exc.vehicle_id}: {exc.violations[:2]}",
-            )
-            break
-        _compare_prune_frames(
-            frame, "tiered", untiered_d, tiered_d, untiered_report,
-            tiered_report, fail,
-        )
-        if failures:
-            break
-
-    # the sweep draws from a private rng so it cannot disturb the
-    # scenario stream shared with the untiered config
-    sweep_rng = np.random.default_rng(seed ^ 0x7EED)
-    _tiered_cost_sweep(
-        network, tiered_oracle, oracle, sweep_rng, 200, fail, "post-run sweep"
-    )
-    if tiered_oracle.effective_tier != 1:
-        fail(
-            "tiered",
-            f"tier-1 oracle silently degraded to tier "
-            f"{tiered_oracle.effective_tier} (sweep not testing the CH)",
-        )
-    report.total_requests = untiered_d.total_requests
-    report.total_served = untiered_d.total_served
-    return report
-
-
-def run_dispatch_fuzz(
-    seeds: Iterable[int],
-    config: Optional[DispatchFuzzConfig] = None,
-    stop_after: Optional[float] = None,
-    on_seed: Optional[Callable[[DispatchSeedReport], None]] = None,
-) -> "FuzzRunReport":
-    """Fuzz multi-frame dispatcher scenarios over a sequence of seeds."""
-    import time
-
-    config = config or DispatchFuzzConfig()
-    run = FuzzRunReport()
-    start = time.perf_counter()
-    for seed in seeds:
-        if stop_after is not None and time.perf_counter() - start >= stop_after:
-            break
-        report = fuzz_dispatch_seed(seed, config)
-        run.reports.append(report)
-        if on_seed is not None:
-            on_seed(report)
-    return run
-
-
-# ----------------------------------------------------------------------
-# prune fuzzing: candidate retrieval differentials against the full scan
-# ----------------------------------------------------------------------
-@dataclass
-class PruneFuzzConfig:
-    """Shape of the randomized candidate-prune differential scenarios.
-
-    Each seed runs one multi-frame dispatch scenario *twice* — once with
-    the full all-pairs scan and once through the candidate index — and
-    asserts the runs are frame-for-frame identical.  The grid is larger
-    than the dispatch fuzzer's so the spatial bound has something to
-    prune, and both dispatchers share the network and oracle so any
-    divergence is attributable to retrieval alone.
-
-    With ``tiered`` set, the pruned run instead gets its own copy of the
-    network on a forced tier-1 oracle (``DistanceOracle(tier=1)``), so
-    the centre rows it prunes with live in the oracle's pinned block
-    rather than the APSP table; the full scan keeps an untiered oracle
-    on a second copy.  In half of the seeds (GBS excluded: its grouping
-    plan is precomputed) a mid-run
-    :class:`TravelTimePerturbation` hits both copies at one frame
-    boundary, so the index must ``resync`` onto the new epoch's block.
-    """
-
-    grid_rows: int = 8
-    grid_cols: int = 8
-    num_networks: int = 3
-    min_frames: int = 3
-    max_frames: int = 5
-    min_riders_per_frame: int = 3
-    max_riders_per_frame: int = 8
-    min_vehicles: int = 3
-    max_vehicles: int = 10
-    max_capacity: int = 3
-    methods: Tuple[str, ...] = ("eg", "ba", "cf", "gbs+eg")
-    modes: Tuple[str, ...] = ("spatial", "spatiotemporal")
-    tiered: bool = False
-
-
-@dataclass
-class PruneSeedReport:
-    """Everything one candidate-prune differential trial produced."""
-
-    seed: int
-    method: str = ""
-    mode: str = ""
-    num_frames: int = 0
-    num_vehicles: int = 0
-    frame_length: float = 0.0
-    max_retries: int = 1
-    total_requests: int = 0
-    total_served: int = 0
-    pairs_considered: int = 0
-    pairs_pruned: int = 0
-    #: frame before which a travel-time perturbation hit both runs
-    perturbed_at: Optional[int] = None
-    failures: List[FuzzFailure] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    # keep the FuzzRunReport aggregation happy
-    scenario: str = "prune"
-    num_riders: int = 0
-
-
-def fuzz_prune_seed(
-    seed: int, config: Optional[PruneFuzzConfig] = None
-) -> PruneSeedReport:
-    """Differential-check candidate retrieval against the full scan.
-
-    One seed drives the same multi-frame dispatch scenario through two
-    dispatchers over the same network, oracle, fleet and request stream —
-    one in ``candidate_mode="full"``, one in a pruning mode (the seed
-    picks ``"spatial"`` or ``"spatiotemporal"``) with the audit hook
-    armed.  At every frame boundary the two runs must agree exactly:
-
-    - served rider ids, frame utility, and expiry counts;
-    - every vehicle's committed schedule, stop by stop, with arrival
-      times within tolerance;
-    - the carry-over queue (riders and spent retry budgets);
-    - the rider-status ledger;
-
-    and the audit counter ``pruned_in_error`` must stay zero (no pruned
-    pair survives an exact reachability re-check).  Candidate pruning is
-    proven sound (:mod:`repro.core.candidates`), so any divergence is a
-    bug in the index's incremental maintenance, not an accepted
-    approximation.
-    """
-    with _trace.span("fuzz.seed", kind="prune", seed=seed) as seed_span:
-        report = _fuzz_prune_seed_impl(seed, config)
-        seed_span.annotate(ok=report.ok, failures=len(report.failures))
-    return report
-
-
-def _fuzz_prune_seed_impl(
-    seed: int, config: Optional[PruneFuzzConfig]
-) -> PruneSeedReport:
-    from repro.core.candidates import build_candidate_index
-    from repro.perf import CANDIDATE_STATS
-
-    config = config or PruneFuzzConfig()
-    rng = np.random.default_rng(seed)
-    net_config = FuzzConfig(
-        grid_rows=config.grid_rows,
-        grid_cols=config.grid_cols,
-        num_networks=config.num_networks,
-    )
-    network, oracle = _network_for(net_config, seed)
-
-    method = config.methods[int(rng.integers(len(config.methods)))]
-    mode = config.modes[int(rng.integers(len(config.modes)))]
-    alpha, beta = _WEIGHT_PROFILES[int(rng.integers(len(_WEIGHT_PROFILES)))]
-    num_frames = int(rng.integers(config.min_frames, config.max_frames + 1))
-    num_vehicles = int(
-        rng.integers(config.min_vehicles, config.max_vehicles + 1)
-    )
-    frame_length = float(rng.uniform(3.0, 8.0))
-    max_retries = int(rng.integers(1, 5))
-    fleet = [
-        Vehicle(
-            vehicle_id=j,
-            location=int(rng.integers(network.num_nodes)),
-            capacity=int(rng.integers(1, config.max_capacity + 1)),
-        )
-        for j in range(num_vehicles)
-    ]
-    # the whole request stream is drawn up front so both dispatchers see
-    # byte-identical frames (the rng is shared state)
-    frames: List[List[Rider]] = []
-    rider_id = 0
-    clock = 0.0
-    for _ in range(num_frames):
-        count = int(
-            rng.integers(
-                config.min_riders_per_frame, config.max_riders_per_frame + 1
-            )
-        )
-        requests = _dispatch_requests(
-            network, oracle, rng, count, clock, frame_length, rider_id
-        )
-        rider_id += len(requests)
-        clock += frame_length
-        frames.append(requests)
-
-    plan = _plan_for(network) if method.startswith("gbs") else None
-
-    # tiered extras come from a private rng so the scenario stream stays
-    # aligned with the untiered config
-    perturb_at: Optional[int] = None
-    perturbation = None
-    if config.tiered:
-        extra = np.random.default_rng((seed << 1) ^ 0x7E1D)
-        gbs = method.startswith("gbs")
-        if extra.random() < 0.5 and not gbs and num_frames > 1:
-            perturb_at = int(extra.integers(1, num_frames))
-            # a broad, mostly-shortening change: stale centre rows would
-            # then overestimate lower bounds and cut feasible pairs
-            edges = _edge_list(network)
-            count = int(extra.integers(1, len(edges) // 3 + 2))
-            perturbation = TravelTimePerturbation(
-                factors=tuple(
-                    (*edges[int(extra.integers(len(edges)))],
-                     float(extra.uniform(0.1, 1.5)))
-                    for _ in range(count)
-                )
-            )
-
-    def make_dispatcher(candidate_mode: str) -> Dispatcher:
-        run_network, run_oracle = network, oracle
-        if config.tiered:
-            run_network = network.copy()
-            run_oracle = DistanceOracle(
-                run_network, tier=1 if candidate_mode != "full" else None
-            )
-        kwargs = {}
-        if candidate_mode != "full":
-            kwargs["candidate_index"] = build_candidate_index(
-                run_network, oracle=run_oracle, mode=candidate_mode, audit=True
-            )
-        return Dispatcher(
-            run_network,
-            fleet,
-            method=method,
-            frame_length=frame_length,
-            plan=plan,
-            alpha=alpha,
-            beta=beta,
-            oracle=run_oracle,
-            seed=seed,
-            max_retries=max_retries,
-            candidate_mode=candidate_mode,
-            **kwargs,
-        )
-
-    full = make_dispatcher("full")
-    pruned = make_dispatcher(mode)
-    report = PruneSeedReport(
-        seed=seed,
-        method=method,
-        mode=mode,
-        num_frames=num_frames,
-        num_vehicles=num_vehicles,
-        frame_length=frame_length,
-        max_retries=max_retries,
-        num_riders=rider_id,
-        perturbed_at=perturb_at,
-    )
-    failures = report.failures
-
-    def fail(stage: str, detail: str) -> None:
-        failures.append(
-            FuzzFailure(seed=seed, stage=stage, method=method, detail=detail)
-        )
-
-    stats_before = CANDIDATE_STATS.snapshot()
-    for frame, requests in enumerate(frames):
-        if frame == perturb_at:
-            full.inject([perturbation])
-            pruned.inject([perturbation])
-        try:
-            full_report = full.dispatch_frame(list(requests))
-        except DispatchError as exc:
-            fail(
-                "prune",
-                f"frame {frame}: full scan raised DispatchError on "
-                f"vehicle {exc.vehicle_id}: {exc.violations[:2]}",
-            )
-            break
-        try:
-            pruned_report = pruned.dispatch_frame(list(requests))
-        except DispatchError as exc:
-            fail(
-                "prune",
-                f"frame {frame}: {mode} mode raised DispatchError on "
-                f"vehicle {exc.vehicle_id}: {exc.violations[:2]}",
-            )
-            break
-        _compare_prune_frames(
-            frame, mode, full, pruned, full_report, pruned_report, fail
-        )
-        if failures:
-            break
-
-    stats = CANDIDATE_STATS.snapshot().delta(stats_before)
-    report.pairs_considered = stats.pairs_considered
-    report.pairs_pruned = stats.pairs_pruned
-    if stats.pruned_in_error:
-        fail(
-            "prune_audit",
-            f"{stats.pruned_in_error} pruned pair(s) survive the exact "
-            f"reachability re-check (unsound lower bound)",
-        )
-    report.total_requests = full.total_requests
-    report.total_served = full.total_served
-    return report
-
-
-def _compare_prune_frames(
-    frame: int,
-    mode: str,
-    full: Dispatcher,
-    pruned: Dispatcher,
-    full_report,
-    pruned_report,
-    fail: Callable[[str, str], None],
-) -> None:
-    """Assert one frame boundary is identical across the two runs."""
-    full_served = sorted(full_report.assignment.served_rider_ids())
-    pruned_served = sorted(pruned_report.assignment.served_rider_ids())
-    if full_served != pruned_served:
-        fail(
-            "prune",
-            f"frame {frame}: served riders diverge: full={full_served} "
-            f"{mode}={pruned_served}",
-        )
-        return
-    if abs(full_report.utility - pruned_report.utility) > _EPS:
-        fail(
-            "prune",
-            f"frame {frame}: utility diverges: "
-            f"full={full_report.utility:.9f} "
-            f"{mode}={pruned_report.utility:.9f}",
-        )
-    if full_report.num_expired != pruned_report.num_expired:
-        fail(
-            "prune",
-            f"frame {frame}: expiry counts diverge: "
-            f"full={full_report.num_expired} "
-            f"{mode}={pruned_report.num_expired}",
-        )
-    full_schedules = full_report.assignment.schedules
-    pruned_schedules = pruned_report.assignment.schedules
-    if set(full_schedules) != set(pruned_schedules):
-        fail(
-            "prune",
-            f"frame {frame}: scheduled vehicle sets diverge: "
-            f"full={sorted(full_schedules)} {mode}={sorted(pruned_schedules)}",
-        )
-        return
-    for vid in sorted(full_schedules):
-        seq_full = full_schedules[vid]
-        seq_pruned = pruned_schedules[vid]
-        stops_full = [
-            (s.rider.rider_id, s.kind.value, s.location)
-            for s in seq_full.stops
-        ]
-        stops_pruned = [
-            (s.rider.rider_id, s.kind.value, s.location)
-            for s in seq_pruned.stops
-        ]
-        if stops_full != stops_pruned:
-            fail(
-                "prune",
-                f"frame {frame}: vehicle {vid} schedules diverge: "
-                f"full={stops_full} {mode}={stops_pruned}",
-            )
-            return
-        for idx, (a_full, a_pruned) in enumerate(
-            zip(seq_full.arrive, seq_pruned.arrive)
-        ):
-            if abs(a_full - a_pruned) > _EPS:
-                fail(
-                    "prune",
-                    f"frame {frame}: vehicle {vid} arrival {idx} "
-                    f"diverges: full={a_full:.9f} {mode}={a_pruned:.9f}",
-                )
-                return
-    full_queue = [
-        (e.rider.rider_id, e.attempts) for e in full._carryover
-    ]
-    pruned_queue = [
-        (e.rider.rider_id, e.attempts) for e in pruned._carryover
-    ]
-    if full_queue != pruned_queue:
-        fail(
-            "prune",
-            f"frame {frame}: carry-over queues diverge: "
-            f"full={full_queue} {mode}={pruned_queue}",
-        )
-    if full.ledger != pruned.ledger:
-        diff = {
-            rid: (full.ledger.get(rid), pruned.ledger.get(rid))
-            for rid in set(full.ledger) | set(pruned.ledger)
-            if full.ledger.get(rid) != pruned.ledger.get(rid)
-        }
-        fail(
-            "prune",
-            f"frame {frame}: rider ledgers diverge: {diff}",
-        )
-
-
-def run_prune_fuzz(
-    seeds: Iterable[int],
-    config: Optional[PruneFuzzConfig] = None,
-    stop_after: Optional[float] = None,
-    on_seed: Optional[Callable[[PruneSeedReport], None]] = None,
-) -> "FuzzRunReport":
-    """Fuzz candidate-prune differential scenarios over a seed sequence."""
-    import time
-
-    config = config or PruneFuzzConfig()
-    run = FuzzRunReport()
-    start = time.perf_counter()
-    for seed in seeds:
-        if stop_after is not None and time.perf_counter() - start >= stop_after:
-            break
-        report = fuzz_prune_seed(seed, config)
-        run.reports.append(report)
-        if on_seed is not None:
-            on_seed(report)
-    return run
-
-
-# ----------------------------------------------------------------------
-# shard fuzzing: sharded dispatch differentials against the global solve
-# ----------------------------------------------------------------------
-@dataclass
-class ShardFuzzConfig:
-    """Shape of the randomized shard-equivalence differential scenarios.
-
-    Each seed runs one multi-frame dispatch scenario twice over the
-    same network, oracle, fleet and request stream — unsharded and
-    sharded — and asserts the equivalence contract of
-    :mod:`repro.core.shards`:
-
-    - while no frame has had a *boundary conflict* (some batch rider
-      with a coarse-reachable vehicle outside its own shard), sharded
-      frames equal unsharded frames exactly for the deterministic
-      methods (eg / cf / gbs+eg — BA's rng rider order does not
-      decompose across shards);
-    - on conflict frames every sharded frame is never worse than its
-      carried-in baseline: incremental frame utility stays
-      non-negative, and the frame passes full assignment validation
-      (``validate_frames``), so merge and reconciliation can only add
-      service on top of the residual plans, never corrupt them.
-
-    Individual conflict-laden seeds may end a rider or two ahead *or*
-    behind the unsharded run — the partition legitimately allocates
-    vehicles differently, and the divergence compounds across carried
-    state.  What must not happen is systematic degradation, so
-    :func:`run_shard_fuzz` additionally asserts the *aggregate* riders
-    served across the whole seed set is no worse than the unsharded
-    aggregate (reported under the synthetic seed ``-1``).
-    """
-
-    grid_rows: int = 8
-    grid_cols: int = 8
-    num_networks: int = 3
-    min_frames: int = 3
-    max_frames: int = 5
-    min_riders_per_frame: int = 3
-    max_riders_per_frame: int = 8
-    min_vehicles: int = 4
-    max_vehicles: int = 10
-    max_capacity: int = 3
-    methods: Tuple[str, ...] = ("eg", "ba", "cf", "gbs+eg")
-    #: strict unsharded-equality applies to these only (BA's rng rider
-    #: order is a global draw and cannot decompose across shards)
-    strict_methods: Tuple[str, ...] = ("eg", "cf", "gbs+eg")
-    shard_count: int = 4
-    #: fraction of seeds drawn with tight pickup deadlines (few
-    #: reachable vehicles per rider), the regime where conflict-free
-    #: frames — and thus the strict unsharded-equality branch — occur
-    p_tight: float = 0.5
-    tight_pickup_slack: Tuple[float, float] = (0.05, 0.45)
-
-
-@dataclass
-class ShardSeedReport:
-    """Everything one shard-equivalence differential trial produced."""
-
-    seed: int
-    method: str = ""
-    num_frames: int = 0
-    num_vehicles: int = 0
-    frame_length: float = 0.0
-    max_retries: int = 1
-    shard_count: int = 0
-    strict_frames: int = 0
-    conflict_frames: int = 0
-    total_requests: int = 0
-    total_served: int = 0
-    baseline_served: int = 0
-    failures: List[FuzzFailure] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    # keep the FuzzRunReport aggregation happy
-    scenario: str = "shards"
-    num_riders: int = 0
-
-
-def _frame_has_boundary_conflict(
-    dispatcher: Dispatcher, requests: List[Rider]
-) -> bool:
-    """Would this frame's batch see any out-of-shard vehicle?
-
-    Evaluated against the dispatcher's *pre-frame* state (carried-in
-    schedules, current fleet positions) with the engine's own coarse
-    reachability test, so it is exactly the predicate under which
-    per-shard solves are guaranteed to compose to the global solve.
-    """
-    plan = dispatcher._shard_plan
-    assert plan is not None, "conflict predicate needs a sharded dispatcher"
-    batch = list(requests) + dispatcher.pending_requests
-    instance = dispatcher._build_instance(batch)
-    state = SolverState(instance)
-    for rider in batch:
-        home = plan.shard_of(rider.source)
-        for vehicle in state.reachable_vehicles(rider, instance.vehicles):
-            if plan.shard_of(vehicle.location) != home:
-                return True
-    return False
-
-
-def fuzz_shard_seed(
-    seed: int, config: Optional[ShardFuzzConfig] = None
-) -> ShardSeedReport:
-    """Differential-check sharded dispatch against the global solve.
-
-    See :class:`ShardFuzzConfig` for the contract one trial asserts.  Frame comparisons reuse the candidate-prune comparator
-    (:func:`_compare_prune_frames`): served ids, utility, expiry counts,
-    per-vehicle schedules stop-by-stop with arrival tolerances, the
-    carry-over queue and the rider ledger.  The unsharded comparison is
-    dropped from the first boundary-conflict frame onward (divergence
-    legitimately cascades through carried state).
-    """
-    with _trace.span("fuzz.seed", kind="shards", seed=seed) as seed_span:
-        report = _fuzz_shard_seed_impl(seed, config)
-        seed_span.annotate(ok=report.ok, failures=len(report.failures))
-    return report
-
-
-def _fuzz_shard_seed_impl(
-    seed: int, config: Optional[ShardFuzzConfig]
-) -> ShardSeedReport:
-    config = config or ShardFuzzConfig()
-    rng = np.random.default_rng(seed)
-    net_config = FuzzConfig(
-        grid_rows=config.grid_rows,
-        grid_cols=config.grid_cols,
-        num_networks=config.num_networks,
-    )
-    network, oracle = _network_for(net_config, seed)
-
-    method = config.methods[int(rng.integers(len(config.methods)))]
-    alpha, beta = _WEIGHT_PROFILES[int(rng.integers(len(_WEIGHT_PROFILES)))]
-    num_frames = int(rng.integers(config.min_frames, config.max_frames + 1))
-    num_vehicles = int(
-        rng.integers(config.min_vehicles, config.max_vehicles + 1)
-    )
-    frame_length = float(rng.uniform(3.0, 8.0))
-    max_retries = int(rng.integers(1, 5))
-    tight = bool(rng.random() < config.p_tight)
-    pickup_slack = config.tight_pickup_slack if tight else (0.5, 3.5)
-    fleet = [
-        Vehicle(
-            vehicle_id=j,
-            location=int(rng.integers(network.num_nodes)),
-            capacity=int(rng.integers(1, config.max_capacity + 1)),
-        )
-        for j in range(num_vehicles)
-    ]
-    # the whole request stream is drawn up front so both dispatchers
-    # see byte-identical frames (the rng is shared state)
-    frames: List[List[Rider]] = []
-    rider_id = 0
-    clock = 0.0
-    for _ in range(num_frames):
-        count = int(
-            rng.integers(
-                config.min_riders_per_frame, config.max_riders_per_frame + 1
-            )
-        )
-        requests = _dispatch_requests(
-            network, oracle, rng, count, clock, frame_length, rider_id,
-            pickup_slack=pickup_slack,
-        )
-        rider_id += len(requests)
-        clock += frame_length
-        frames.append(requests)
-
-    plan = _plan_for(network) if method.startswith("gbs") else None
-
-    def make_dispatcher(sharded: bool) -> Dispatcher:
-        kwargs = {}
-        if sharded:
-            kwargs["shard_workers"] = 1
-            kwargs["shard_count"] = config.shard_count
-            # the merge/reconciliation machinery is what's under test:
-            # independently validate every sharded frame it commits
-            kwargs["validate_frames"] = True
-        return Dispatcher(
-            network,
-            fleet,
-            method=method,
-            frame_length=frame_length,
-            plan=plan,
-            alpha=alpha,
-            beta=beta,
-            oracle=oracle,
-            seed=seed,
-            max_retries=max_retries,
-            **kwargs,
-        )
-
-    baseline = make_dispatcher(False)
-    sharded = make_dispatcher(True)
-    report = ShardSeedReport(
-        seed=seed,
-        method=method,
-        num_frames=num_frames,
-        num_vehicles=num_vehicles,
-        frame_length=frame_length,
-        max_retries=max_retries,
-        shard_count=config.shard_count,
-        num_riders=rider_id,
-    )
-    failures = report.failures
-
-    def fail(stage: str, detail: str) -> None:
-        failures.append(
-            FuzzFailure(seed=seed, stage=stage, method=method, detail=detail)
-        )
-
-    strict = method in config.strict_methods
-    with baseline, sharded:
-        for frame, requests in enumerate(frames):
-            if _frame_has_boundary_conflict(sharded, requests):
-                # carried state downstream of a conflict frame may
-                # legitimately differ from the unsharded run's, so the
-                # strict comparison is off for the rest of the scenario
-                report.conflict_frames += 1
-                strict = False
-            elif strict:
-                report.strict_frames += 1
-            try:
-                base_report = baseline.dispatch_frame(list(requests))
-            except DispatchError as exc:
-                fail(
-                    "shards",
-                    f"frame {frame}: unsharded run raised DispatchError on "
-                    f"vehicle {exc.vehicle_id}: {exc.violations[:2]}",
-                )
-                break
-            try:
-                sharded_report = sharded.dispatch_frame(list(requests))
-            except Exception as exc:
-                fail(
-                    "shards",
-                    f"frame {frame}: sharded run raised "
-                    f"{type(exc).__name__}: {exc}",
-                )
-                break
-            # conflict or not, a sharded frame may only *add* service on
-            # top of the carried-in residual plans
-            if sharded_report.utility < -_EPS:
-                fail(
-                    "shard_frame",
-                    f"frame {frame}: sharded frame utility "
-                    f"{sharded_report.utility:.9f} fell below the "
-                    f"carried-in baseline",
-                )
-                break
-            if strict:
-                _compare_prune_frames(
-                    frame, "sharded", baseline, sharded,
-                    base_report, sharded_report, fail,
-                )
-            if failures:
-                break
-    report.total_requests = sharded.total_requests
-    report.total_served = sharded.total_served
-    report.baseline_served = baseline.total_served
-    return report
-
-
-def run_shard_fuzz(
-    seeds: Iterable[int],
-    config: Optional[ShardFuzzConfig] = None,
-    stop_after: Optional[float] = None,
-    on_seed: Optional[Callable[[ShardSeedReport], None]] = None,
-) -> "FuzzRunReport":
-    """Fuzz shard-equivalence differential scenarios over a seed sequence.
-
-    Besides the per-seed assertions, the whole run must not degrade
-    service systematically: the riders served by the sharded runs,
-    summed across every seed, must be at least the unsharded aggregate.
-    A shortfall is reported as a ``shard_service`` failure under the
-    synthetic seed ``-1``.
-    """
-    import time
-
-    config = config or ShardFuzzConfig()
-    run = FuzzRunReport()
-    start = time.perf_counter()
-    for seed in seeds:
-        if stop_after is not None and time.perf_counter() - start >= stop_after:
-            break
-        report = fuzz_shard_seed(seed, config)
-        run.reports.append(report)
-        if on_seed is not None:
-            on_seed(report)
-    total_sharded = sum(r.total_served for r in run.reports)
-    total_baseline = sum(r.baseline_served for r in run.reports)
-    if total_sharded < total_baseline:
-        aggregate = ShardSeedReport(seed=-1)
-        aggregate.failures.append(
-            FuzzFailure(
-                seed=-1,
-                stage="shard_service",
-                method="aggregate",
-                detail=(
-                    f"sharded runs served {total_sharded} riders across "
-                    f"{run.seeds_run} seed(s) < unsharded {total_baseline} "
-                    f"— boundary reconciliation is losing service"
-                ),
-            )
-        )
-        run.reports.append(aggregate)
-    return run
-
-
-# ----------------------------------------------------------------------
-# chaos fuzzing: disruptions layered over the dispatch fuzzer
-# ----------------------------------------------------------------------
-@dataclass
-class ChaosFuzzConfig:
-    """Shape of the randomized disruption (chaos) scenarios.
-
-    The dispatch shape mirrors :class:`DispatchFuzzConfig` with two
-    deliberate deviations: fleets start at two vehicles (so a breakdown
-    can actually apply — the engine refuses to break the last vehicle)
-    and the GBS methods are excluded (their grouping plan is precomputed
-    per network, and chaos mutates the network mid-run).
-
-    ``p_*`` are the per-boundary probabilities of drawing each event
-    kind; ``watchdog_budget`` is deliberately generous so the configured
-    method always wins tier 0 and committed schedules stay deterministic
-    in the seed (wall-clock noise must never change a chaos trial).
-    """
-
-    grid_rows: int = 6
-    grid_cols: int = 6
-    num_networks: int = 4
-    min_frames: int = 4
-    max_frames: int = 6
-    min_riders_per_frame: int = 2
-    max_riders_per_frame: int = 5
-    min_vehicles: int = 2
-    max_vehicles: int = 4
-    max_capacity: int = 3
-    methods: Tuple[str, ...] = ("eg", "ba", "cf")
-    audit_event_fields: bool = True
-    p_breakdown: float = 0.25
-    p_cancel: float = 0.45
-    p_perturb: float = 0.35
-    p_closure: float = 0.2
-    p_watchdog: float = 0.5
-    watchdog_budget: float = 30.0
-    #: route frames through sharded dispatch (the watchdog is disabled
-    #: when set — frame budgets do not compose with sharded solves)
-    sharded: bool = False
-    shard_count: int = 4
-    #: force the dispatcher onto a tier-1 (CH + ALT) oracle and shadow it
-    #: with an untiered oracle on the same mutating network: after every
-    #: frame and every disruption boundary a bitwise cost sweep asserts
-    #: the two agree exactly, proving CH invalidation/rebuild keeps the
-    #: bit-identity contract across disruption epochs
-    tiered: bool = False
-
-
-@dataclass
-class ChaosSeedReport:
-    """Everything one chaos fuzz trial produced."""
-
-    seed: int
-    method: str = ""
-    num_frames: int = 0
-    num_vehicles: int = 0
-    frame_length: float = 0.0
-    max_retries: int = 1
-    watchdog: bool = False
-    num_events: int = 0
-    num_applied: int = 0
-    total_requests: int = 0
-    total_served: int = 0
-    ledger: Dict[str, int] = field(default_factory=dict)
-    failures: List[FuzzFailure] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    # keep the FuzzRunReport aggregation happy
-    scenario: str = "chaos"
-    num_riders: int = 0
-
-
-def _edge_list(network: RoadNetwork) -> List[Tuple[int, int]]:
-    """Directed edges in deterministic (insertion) order."""
-    return [(u, v) for u, v, _cost in network.edges()]
-
-
-def _chaos_events(
-    dispatcher: Dispatcher,
-    network: RoadNetwork,
-    rng: np.random.Generator,
-    config: ChaosFuzzConfig,
-) -> List:
-    """Seeded disruption schedule for one frame boundary.
-
-    Every gate variable is drawn unconditionally so the rng stream stays
-    aligned regardless of which events fire; the targets themselves are
-    drawn from sorted views of the dispatcher's state, so the whole
-    schedule is deterministic in the seed.
-    """
-    gates = [rng.random() for _ in range(4)]
-    events: List = []
-
-    if gates[0] < config.p_breakdown and len(dispatcher.fleet) > 1:
-        vids = sorted(dispatcher.fleet)
-        events.append(
-            VehicleBreakdown(vehicle_id=int(vids[int(rng.integers(len(vids)))]))
-        )
-
-    if gates[1] < config.p_cancel:
-        candidates = sorted(
-            {e.rider.rider_id for e in dispatcher._carryover}
-            | {
-                rid
-                for fv in dispatcher.fleet.values()
-                for rid in fv.committed_rider_ids()
-            }
-        )
-        if candidates:
-            rid = int(candidates[int(rng.integers(len(candidates)))])
-            cls = RiderNoShow if rng.random() < 0.3 else RiderCancellation
-            events.append(cls(rider_id=rid))
-
-    if gates[2] < config.p_perturb:
-        edges = _edge_list(network)
-        if edges:
-            count = int(rng.integers(1, min(3, len(edges)) + 1))
-            factors = tuple(
-                (u, v, float(rng.uniform(0.5, 3.0)))
-                for u, v in (
-                    edges[int(rng.integers(len(edges)))] for _ in range(count)
-                )
-            )
-            events.append(TravelTimePerturbation(factors=factors))
-
-    if gates[3] < config.p_closure:
-        edges = _edge_list(network)
-        if edges:
-            u, v = edges[int(rng.integers(len(edges)))]
-            events.append(RoadClosure(edges=((u, v),)))
-
-    return events
-
-
-def _check_ledger(
-    dispatcher: Dispatcher,
-    issued: set,
-    fail: Callable[[str, str], None],
-    where: str,
-) -> None:
-    """The conservation invariant: the ledger accounts for every rider.
-
-    - ledger keys are exactly the rider ids ever issued;
-    - ``PENDING`` is exactly the carry-over queue;
-    - ``COMMITTED`` is exactly the riders present in some vehicle's
-      onboard tuple or committed chain.
-
-    Together with the terminal statuses this proves
-    ``pending + committed + delivered + expired + cancelled = issued``
-    with no rider counted twice or lost.
-    """
-    ledger = dispatcher.ledger
-    if set(ledger) != issued:
-        fail(
-            "chaos_ledger",
-            f"{where}: ledger keys diverge from issued ids "
-            f"(extra={sorted(set(ledger) - issued)[:5]}, "
-            f"missing={sorted(issued - set(ledger))[:5]})",
-        )
-    queue_ids = {e.rider.rider_id for e in dispatcher._carryover}
-    pending = dispatcher.riders_with_status(RiderStatus.PENDING)
-    if pending != queue_ids:
-        fail(
-            "chaos_ledger",
-            f"{where}: PENDING {sorted(pending)} != carry-over queue "
-            f"{sorted(queue_ids)}",
-        )
-    fleet_ids: set = set()
-    for fv in dispatcher.fleet.values():
-        fleet_ids.update(r.rider_id for r in fv.onboard)
-        fleet_ids.update(s.rider.rider_id for s in fv.committed_stops)
-    committed = dispatcher.riders_with_status(RiderStatus.COMMITTED)
-    if committed != fleet_ids:
-        fail(
-            "chaos_ledger",
-            f"{where}: COMMITTED {sorted(committed)} != fleet plans "
-            f"{sorted(fleet_ids)}",
-        )
-
-
-def fuzz_chaos_seed(
-    seed: int, config: Optional[ChaosFuzzConfig] = None
-) -> ChaosSeedReport:
-    """Run one seeded multi-frame scenario with mid-horizon disruptions.
-
-    Layered over :func:`fuzz_dispatch_seed`'s per-frame checks, after
-    every frame *and* every disruption boundary the trial asserts:
-
-    - the :class:`~repro.core.dispatch.RiderStatus` ledger conserves
-      every rider ever issued (see :func:`_check_ledger`);
-    - no committed rider leaves ``COMMITTED`` except to ``DELIVERED``
-      (rollforward) or through an explicit disruption outcome that names
-      them in :attr:`DisruptionOutcome.affected_rider_ids`;
-    - after disruptions, the whole fleet state passes the independent
-      :func:`repro.check.validate_fleet_state` audit (structure,
-      capacity, and deadline feasibility of every repaired chain) and
-      still round-trips through :class:`~repro.core.vehicles.Vehicle`'s
-      own carried-state validation.
-
-    Chaos mutates the road network (perturbations, closures), so each
-    trial runs on a private copy of the cached network with a fresh
-    :class:`DistanceOracle` — seeds stay independent and replayable.
-    """
-    with _trace.span("fuzz.seed", kind="chaos", seed=seed) as seed_span:
-        report = _fuzz_chaos_seed_impl(seed, config)
-        seed_span.annotate(ok=report.ok, failures=len(report.failures))
-    return report
-
-
-def _fuzz_chaos_seed_impl(
-    seed: int, config: Optional[ChaosFuzzConfig]
-) -> ChaosSeedReport:
-    config = config or ChaosFuzzConfig()
-    rng = np.random.default_rng(seed)
-    net_config = FuzzConfig(
-        grid_rows=config.grid_rows,
-        grid_cols=config.grid_cols,
-        num_networks=config.num_networks,
-    )
-    base_network, _base_oracle = _network_for(net_config, seed)
-    network = base_network.copy()
-    if config.tiered:
-        oracle = DistanceOracle(network, tier=1)
-        # shadow untiered oracle on the same mutating network; swept from
-        # a private rng so the scenario stream stays aligned with the
-        # untiered config
-        shadow: Optional[DistanceOracle] = DistanceOracle(network)
-        sweep_rng = np.random.default_rng((seed << 1) ^ 0x5EED)
-    else:
-        oracle = DistanceOracle(network)
-        shadow = None
-        sweep_rng = None
-
-    method = config.methods[int(rng.integers(len(config.methods)))]
-    alpha, beta = _WEIGHT_PROFILES[int(rng.integers(len(_WEIGHT_PROFILES)))]
-    num_frames = int(rng.integers(config.min_frames, config.max_frames + 1))
-    num_vehicles = int(
-        rng.integers(config.min_vehicles, config.max_vehicles + 1)
-    )
-    frame_length = float(rng.uniform(3.0, 8.0))
-    max_retries = int(rng.integers(1, 5))
-    # the gate variable is drawn unconditionally to keep the rng stream
-    # aligned across configs; sharded dispatch forces the watchdog off
-    watchdog = bool(rng.random() < config.p_watchdog)
-    if config.sharded:
-        watchdog = False
-    fleet = [
-        Vehicle(
-            vehicle_id=j,
-            location=int(rng.integers(network.num_nodes)),
-            capacity=int(rng.integers(1, config.max_capacity + 1)),
-        )
-        for j in range(num_vehicles)
-    ]
-    shard_kwargs = {}
-    if config.sharded:
-        shard_kwargs = {"shard_workers": 1, "shard_count": config.shard_count}
-    dispatcher = Dispatcher(
-        network,
-        fleet,
-        method=method,
-        frame_length=frame_length,
-        alpha=alpha,
-        beta=beta,
-        oracle=oracle,
-        seed=seed,
-        max_retries=max_retries,
-        frame_budget=config.watchdog_budget if watchdog else None,
-        **shard_kwargs,
-    )
-    report = ChaosSeedReport(
-        seed=seed,
-        method=method,
-        num_frames=num_frames,
-        num_vehicles=num_vehicles,
-        frame_length=frame_length,
-        max_retries=max_retries,
-        watchdog=watchdog,
-    )
-    failures = report.failures
-
-    def fail(stage: str, detail: str) -> None:
-        failures.append(
-            FuzzFailure(seed=seed, stage=stage, method=method, detail=detail)
-        )
-
-    shadow_epoch = oracle.epoch
-
-    def sweep(where: str) -> None:
-        """Bitwise tiered-vs-untiered sweep, re-syncing the shadow's
-        caches whenever chaos moved the dispatcher oracle's epoch."""
-        nonlocal shadow_epoch
-        if shadow is None:
-            return
-        if oracle.epoch != shadow_epoch:
-            shadow.invalidate()
-            shadow_epoch = oracle.epoch
-        _tiered_cost_sweep(network, oracle, shadow, sweep_rng, 40, fail, where)
-
-    with dispatcher:
-        issued: set = set()
-        rider_id = 0
-        for frame in range(num_frames):
-            count = int(
-                rng.integers(
-                    config.min_riders_per_frame, config.max_riders_per_frame + 1
-                )
-            )
-            requests = _dispatch_requests(
-                network, oracle, rng, count, dispatcher.clock, frame_length,
-                rider_id,
-            )
-            rider_id += len(requests)
-            issued.update(r.rider_id for r in requests)
-            pending_before = len(dispatcher.pending_requests)
-            committed_before = dispatcher.riders_with_status(RiderStatus.COMMITTED)
-            try:
-                frame_report = dispatcher.dispatch_frame(requests)
-            except DispatchError as exc:
-                fail(
-                    "chaos_dispatch",
-                    f"frame {frame}: DispatchError on vehicle "
-                    f"{exc.vehicle_id}: {exc.violations[:2]}",
-                )
-                break
-
-            _check_frame_invariants(
-                dispatcher, frame_report, frame, pending_before, max_retries,
-                fail, audit_event_fields=config.audit_event_fields,
-            )
-            # within a frame a committed rider may only be delivered
-            for rid in committed_before:
-                status = dispatcher.ledger[rid]
-                if status not in (RiderStatus.COMMITTED, RiderStatus.DELIVERED):
-                    fail(
-                        "chaos_vanish",
-                        f"frame {frame}: committed rider {rid} became "
-                        f"{status.value} without a disruption",
-                    )
-            if watchdog and not frame_report.solver_tier:
-                fail(
-                    "chaos_watchdog",
-                    f"frame {frame}: no solver tier recorded under a "
-                    f"frame budget",
-                )
-            _check_ledger(dispatcher, issued, fail, f"frame {frame}")
-            sweep(f"frame {frame}")
-
-            # disruption boundary (skipped after the final frame: nothing
-            # downstream would exercise the repaired state)
-            if frame == num_frames - 1:
-                break
-            events = _chaos_events(dispatcher, network, rng, config)
-            if not events:
-                continue
-            committed_before = dispatcher.riders_with_status(RiderStatus.COMMITTED)
-            try:
-                outcomes = dispatcher.inject(events)
-            except Exception as exc:
-                fail(
-                    "chaos_inject",
-                    f"frame {frame}: {type(exc).__name__}: {exc}",
-                )
-                break
-            report.num_events += len(events)
-            report.num_applied += sum(1 for o in outcomes if o.applied)
-
-            allowed: set = set()
-            for outcome in outcomes:
-                allowed.update(outcome.affected_rider_ids)
-            for rid in committed_before:
-                status = dispatcher.ledger[rid]
-                if status is not RiderStatus.COMMITTED and rid not in allowed:
-                    fail(
-                        "chaos_vanish",
-                        f"frame {frame}: committed rider {rid} became "
-                        f"{status.value} outside any disruption outcome",
-                    )
-            _check_ledger(dispatcher, issued, fail, f"frame {frame} post-inject")
-            state = validate_fleet_state(
-                dispatcher.fleet.values(), dispatcher.clock,
-                oracle=dispatcher.oracle,
-            )
-            for violation in state.violations:
-                fail("chaos_fleet", f"frame {frame}: {violation}")
-            for fv in dispatcher.fleet.values():
-                try:
-                    fv.as_vehicle()
-                except ValueError as exc:
-                    fail(
-                        "chaos_fleet",
-                        f"frame {frame}: vehicle {fv.vehicle_id}: {exc}",
-                    )
-            sweep(f"frame {frame} post-inject")
-
-    report.total_requests = dispatcher.total_requests
-    report.total_served = dispatcher.total_served
-    report.num_riders = rider_id
-    report.ledger = dispatcher.ledger_counts()
-    if sum(report.ledger.values()) != len(issued):
-        fail(
-            "chaos_ledger",
-            f"final: ledger total {sum(report.ledger.values())} != "
-            f"{len(issued)} riders issued",
-        )
-    return report
-
-
-def run_chaos_fuzz(
-    seeds: Iterable[int],
-    config: Optional[ChaosFuzzConfig] = None,
-    stop_after: Optional[float] = None,
-    on_seed: Optional[Callable[[ChaosSeedReport], None]] = None,
-) -> "FuzzRunReport":
-    """Fuzz disruption-laden dispatcher scenarios over a seed sequence."""
-    import time
-
-    config = config or ChaosFuzzConfig()
-    run = FuzzRunReport()
-    start = time.perf_counter()
-    for seed in seeds:
-        if stop_after is not None and time.perf_counter() - start >= stop_after:
-            break
-        report = fuzz_chaos_seed(seed, config)
-        run.reports.append(report)
-        if on_seed is not None:
-            on_seed(report)
-    return run
 
 
 @dataclass
 class FuzzRunReport:
-    """Aggregate of many fuzz trials."""
+    """Aggregate of many trials."""
 
     reports: List[SeedReport] = field(default_factory=list)
 
@@ -2032,7 +202,7 @@ class FuzzRunReport:
 
     @property
     def ok(self) -> bool:
-        return not any(not r.ok for r in self.reports)
+        return all(r.ok for r in self.reports)
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -2042,194 +212,650 @@ class FuzzRunReport:
         }
 
 
+# ----------------------------------------------------------------------
+# one trial
+# ----------------------------------------------------------------------
+class Trial:
+    """One seed of one mode: the scenario, the axis draws and the checks."""
+
+    def __init__(self, mode: Mode, scenario: Scenario) -> None:
+        self.mode = mode
+        self.rng = np.random.default_rng((scenario.seed << 1) ^ 0xA5E5)
+        self.report = SeedReport(
+            seed=scenario.seed, mode=mode.name, method=scenario.method,
+            riders=len(scenario.riders), vehicles=len(scenario.fleet),
+        )
+        draws = self.report.draws
+        self.config = mode.reference
+        if mode.candidate:
+            self.config = mode.candidate[int(self.rng.integers(len(mode.candidate)))]
+            draws["config"] = self.config
+        self.perturb = ""
+        if mode.perturb and self.rng.random() < mode.p_perturb:
+            self.perturb = draws["perturb"] = mode.perturb
+            if scenario.method.startswith("gbs"):
+                # the grouping plan is precomputed for the unperturbed city
+                scenario = dataclasses.replace(scenario, method="eg", plan=None)
+                self.report.method = "eg"
+        self.scenario = scenario
+        if self.perturb == "chaos":
+            draws["watchdog"] = bool(self.rng.random() < 0.5)
+        self.perturb_at: Optional[int] = None
+        if self.perturb == "once" and len(scenario.frames) > 1:
+            self.perturb_at = draws["perturbed_at"] = int(
+                self.rng.integers(1, len(scenario.frames))
+            )
+        # A runs B's config unless the frames drive compares configs
+        self.reference = mode.reference if mode.drive == "frames" else self.config
+        self.label = mode.drive if mode.drive in ("stream", "crash") else self.config
+        #: rider ids issued up to and including each frame
+        self.issued: List[set] = []
+        for riders in scenario.frames:
+            self.issued.append(set(self.issued[-1] if self.issued else ()))
+            self.issued[-1].update(r.rider_id for r in riders)
+
+    # -- bookkeeping ------------------------------------------------------
+    @property
+    def failed(self) -> bool:
+        return bool(self.report.failures)
+
+    def fail(self, stage: str, detail: str, method: Optional[str] = None) -> None:
+        self.report.failures.append(FuzzFailure(
+            seed=self.scenario.seed, stage=stage,
+            method=self.report.method if method is None else method,
+            detail=detail,
+        ))
+
+    def raised(self, stage: str, where: str, exc: Exception) -> None:
+        """Record an exception, with the frame that raised it, as a failure."""
+        tb = traceback.extract_tb(exc.__traceback__)[-1]
+        self.fail(stage, f"{where}: {type(exc).__name__}: {exc} "
+                         f"({os.path.basename(tb.filename)}:{tb.lineno})")
+
+    def count(self, key: str, amount: float = 1) -> None:
+        self.report.stats[key] = self.report.stats.get(key, 0) + amount
+
+    # -- dispatchers ------------------------------------------------------
+    def open(self, config: str, **extra) -> Dispatcher:
+        """A dispatcher over the scenario in the given config."""
+        scn, tokens = self.scenario, config.split("+")
+        network, oracle = scn.network, scn.oracle
+        tier = 1 if "tier1" in tokens else None
+        if self.perturb:
+            # perturbations mutate the road network: each run gets a copy
+            network = network.copy()
+            oracle = DistanceOracle(network, tier=tier)
+        elif tier:
+            oracle = DistanceOracle(network, tier=1)
+        kwargs: dict = {}
+        for candidate_mode in ("spatial", "spatiotemporal"):
+            if candidate_mode in tokens:
+                kwargs["candidate_mode"] = candidate_mode
+                kwargs["candidate_index"] = build_candidate_index(
+                    network, oracle=oracle, mode=candidate_mode, audit=True
+                )
+        if "sharded" in tokens:
+            kwargs.update(shard_workers=1, shard_count=_SHARD_COUNT)
+        elif self.report.draws.get("watchdog"):
+            kwargs["frame_budget"] = _WATCHDOG_BUDGET
+        kwargs.update(extra)
+        return Dispatcher(
+            network, list(scn.fleet), method=scn.method,
+            frame_length=scn.frame_length, plan=scn.plan, alpha=scn.alpha,
+            beta=scn.beta, oracle=oracle, seed=scn.seed,
+            max_retries=scn.max_retries, **kwargs,
+        )
+
+    # -- shared per-run checks ----------------------------------------------
+    @staticmethod
+    def before(d: Dispatcher) -> Tuple[int, set]:
+        return len(d.pending_requests), d.riders_with_status(RiderStatus.COMMITTED)
+
+    def check_frame(
+        self, d: Dispatcher, report, frame: int, before: Tuple[int, set],
+        issued: set, who: str = "",
+    ) -> None:
+        """The validator, the cross-frame invariants and the ledger."""
+        suffix = f"@{who}" if who else ""
+
+        def fail(check: str, detail: str) -> None:
+            self.fail(check + suffix, f"frame {frame}: {detail}")
+
+        assignment = report.assignment
+        for violation in validate_assignment(assignment.instance, assignment).violations:
+            fail("validate", str(violation))
+        clock = d.clock
+        for vid, fv in d.fleet.items():
+            if fv.ready_time is not None and fv.ready_time <= clock:
+                fail("invariant", f"vehicle {vid} ready_time {fv.ready_time:.6f} "
+                                  f"not ahead of clock {clock:.6f}")
+            if len(fv.onboard) > fv.capacity:
+                fail("invariant", f"vehicle {vid} carries {len(fv.onboard)} "
+                                  f"riders (capacity {fv.capacity})")
+            drops = {s.rider.rider_id for s in fv.committed_stops
+                     if s.kind.value == "dropoff"}
+            for r in fv.onboard:
+                if r.rider_id not in drops:
+                    fail("invariant", f"onboard rider {r.rider_id} on vehicle "
+                                      f"{vid} has no committed drop-off")
+        for entry in d._carryover:
+            if entry.rider.pickup_deadline <= clock:
+                fail("invariant", f"dead rider {entry.rider.rider_id} in the "
+                                  f"carry-over queue")
+            if entry.attempts >= d.max_retries:
+                fail("invariant", f"rider {entry.rider.rider_id} carried with "
+                                  f"spent retry budget ({entry.attempts})")
+        # conservation: everything offered is served, expired, or carried
+        offered = report.num_requests + report.num_carried
+        accounted = report.num_served + report.num_expired + len(d.pending_requests)
+        if offered != accounted:
+            fail("invariant", f"rider accounting leaks: offered {offered} != "
+                              f"served + expired + carried {accounted}")
+        if report.num_carried != before[0]:
+            fail("invariant", f"num_carried {report.num_carried} != queue size "
+                              f"before the frame {before[0]}")
+        # within a frame a committed rider may only be delivered
+        for rid in sorted(before[1]):
+            status = d.ledger[rid]
+            if status not in (RiderStatus.COMMITTED, RiderStatus.DELIVERED):
+                fail("vanish", f"committed rider {rid} became {status.value} "
+                               f"without a disruption")
+        if d.frame_budget is not None and not report.solver_tier:
+            fail("watchdog", "no solver tier recorded under a frame budget")
+        self.check_ledger(d, issued, f"frame {frame}", suffix)
+
+    def check_ledger(self, d: Dispatcher, issued: set, where: str, suffix: str = "") -> None:
+        """``pending + committed + delivered + expired + cancelled = issued``.
+
+        Ledger keys are exactly the issued ids, ``PENDING`` is exactly the
+        carry-over queue, and ``COMMITTED`` exactly the riders onboard or
+        in some vehicle's committed chain.
+        """
+        def fail(detail: str) -> None:
+            self.fail("ledger" + suffix, f"{where}: {detail}")
+
+        if set(d.ledger) != issued:
+            fail(f"ledger keys diverge from issued ids (extra="
+                 f"{sorted(set(d.ledger) - issued)[:5]}, missing="
+                 f"{sorted(issued - set(d.ledger))[:5]})")
+        queue = {e.rider.rider_id for e in d._carryover}
+        pending = d.riders_with_status(RiderStatus.PENDING)
+        if pending != queue:
+            fail(f"PENDING {sorted(pending)} != carry-over queue {sorted(queue)}")
+        planned = set()
+        for fv in d.fleet.values():
+            planned.update(r.rider_id for r in fv.onboard)
+            planned.update(s.rider.rider_id for s in fv.committed_stops)
+        committed = d.riders_with_status(RiderStatus.COMMITTED)
+        if committed != planned:
+            fail(f"COMMITTED {sorted(committed)} != fleet plans {sorted(planned)}")
+
+    def inject(self, runs: List[Tuple[Dispatcher, str]], events: List, frame: int) -> None:
+        """Inject the same events into every run and audit each repair."""
+        applied = []
+        for i, (d, who) in enumerate(runs):
+            suffix = f"@{who}" if who else ""
+            before = d.riders_with_status(RiderStatus.COMMITTED)
+            try:
+                outcomes = d.inject(copy.deepcopy(events) if i else events)
+            except Exception as exc:  # noqa: BLE001 — any inject failure is a bug
+                self.raised("inject" + suffix, f"frame {frame}", exc)
+                return
+            applied.append([o.applied for o in outcomes])
+            allowed = set().union(*(o.affected_rider_ids for o in outcomes))
+            for rid in sorted(before):
+                status = d.ledger[rid]
+                if status is not RiderStatus.COMMITTED and rid not in allowed:
+                    self.fail("vanish" + suffix, f"frame {frame}: committed rider "
+                              f"{rid} became {status.value} outside any outcome")
+            self.check_ledger(d, self.issued[frame], f"frame {frame} post-inject", suffix)
+            state = validate_fleet_state(d.fleet.values(), d.clock, oracle=d.oracle)
+            for violation in state.violations:
+                self.fail("fleet" + suffix, f"frame {frame}: {violation}")
+            for fv in d.fleet.values():
+                try:
+                    fv.as_vehicle()
+                except ValueError as exc:
+                    self.fail("fleet" + suffix, f"frame {frame}: vehicle {fv.vehicle_id}: {exc}")
+        self.count("events", len(events))
+        self.count("applied", sum(applied[0]))
+        if len(applied) == 2 and applied[0] != applied[1]:
+            self.fail(self.label, f"frame {frame}: disruption outcomes diverge: "
+                                  f"reference={applied[0]} {self.label}={applied[1]}")
+
+    def sweep(self, a: Dispatcher, b: Optional[Dispatcher], where: str) -> None:
+        """Bitwise cost sweep when A and B sit on different oracle tiers.
+
+        Tier-1 bit-identity is a hard contract (the CH unpacks and re-sums
+        original edges from the source), so both must return ``==`` floats;
+        only matching infinities may differ as objects.
+        """
+        if b is None or a.oracle.tier == b.oracle.tier:
+            return
+        nodes = sorted(a.network.nodes())
+        for _ in range(_SWEEP_PAIRS):
+            u = int(nodes[int(self.rng.integers(len(nodes)))])
+            v = int(nodes[int(self.rng.integers(len(nodes)))])
+            x, y = a.oracle.cost(u, v), b.oracle.cost(u, v)
+            if x != y and not (math.isinf(x) and math.isinf(y)):
+                self.fail("tiered_cost", f"{where}: cost({u}, {v}) diverges "
+                                         f"bitwise: reference={x!r} {self.label}={y!r}")
+                return
+
+
+def _stops(stops) -> List[tuple]:
+    return [(s.rider.rider_id, s.kind.value, s.location) for s in stops]
+
+
+def _fleet_digest(d: Dispatcher) -> Dict[int, tuple]:
+    return {
+        vid: (fv.location, fv.ready_time, sorted(r.rider_id for r in fv.onboard),
+              _stops(fv.committed_stops), fv.total_cost, fv.riders_served)
+        for vid, fv in d.fleet.items()
+    }
+
+
+def _divergence(a: Dispatcher, b: Dispatcher, ra, rb, label: str) -> Optional[str]:
+    """The first difference between two frame boundaries, or ``None``.
+
+    ``rb`` is ``None`` when B has no live report for the frame (a crash
+    restore re-materialised it from the checkpoint); then only the
+    dispatcher state is compared.
+    """
+    if rb is not None:
+        served = sorted(ra.assignment.served_rider_ids()), sorted(rb.assignment.served_rider_ids())
+        if served[0] != served[1]:
+            return f"served riders diverge: reference={served[0]} {label}={served[1]}"
+        if abs(ra.utility - rb.utility) > _EPS:
+            return f"utility diverges: reference={ra.utility:.9f} {label}={rb.utility:.9f}"
+        if ra.num_expired != rb.num_expired:
+            return f"expiry counts diverge: reference={ra.num_expired} {label}={rb.num_expired}"
+        sa, sb = ra.assignment.schedules, rb.assignment.schedules
+        if set(sa) != set(sb):
+            return f"scheduled vehicle sets diverge: reference={sorted(sa)} {label}={sorted(sb)}"
+        for vid in sorted(sa):
+            stops = _stops(sa[vid].stops), _stops(sb[vid].stops)
+            if stops[0] != stops[1]:
+                return (f"vehicle {vid} schedules diverge: reference={stops[0]} "
+                        f"{label}={stops[1]}")
+            for idx, (x, y) in enumerate(zip(sa[vid].arrive, sb[vid].arrive)):
+                if abs(x - y) > _EPS:
+                    return f"vehicle {vid} arrival {idx} diverges: reference={x:.9f} {label}={y:.9f}"
+    if a.clock != b.clock:
+        return f"clocks diverge: reference={a.clock!r} {label}={b.clock!r}"
+    qa = [(e.rider.rider_id, e.attempts) for e in a._carryover]
+    qb = [(e.rider.rider_id, e.attempts) for e in b._carryover]
+    if qa != qb:
+        return f"carry-over queues diverge: reference={qa} {label}={qb}"
+    if a.ledger != b.ledger:
+        diff = {rid: (a.ledger.get(rid), b.ledger.get(rid))
+                for rid in set(a.ledger) | set(b.ledger)
+                if a.ledger.get(rid) != b.ledger.get(rid)}
+        return f"rider ledgers diverge (reference, {label}): {dict(list(diff.items())[:5])}"
+    return None
+
+
+def _boundary_conflict(d: Dispatcher, riders) -> bool:
+    """Would this frame's batch see any out-of-shard vehicle?
+
+    Evaluated on the sharded dispatcher's pre-frame state with the
+    engine's own coarse reachability test: exactly the predicate under
+    which per-shard solves compose to the global solve.
+    """
+    plan = d._shard_plan
+    batch = list(riders) + d.pending_requests
+    instance = d._build_instance(batch)
+    state = SolverState(instance)
+    return any(
+        plan.shard_of(vehicle.location) != plan.shard_of(rider.source)
+        for rider in batch
+        for vehicle in state.reachable_vehicles(rider, instance.vehicles)
+    )
+
+
+def _chaos_events(d: Dispatcher, rng) -> List:
+    """Seeded disruption schedule for one frame boundary, drawn from A.
+
+    Every gate is drawn unconditionally so the stream stays aligned
+    whichever events fire; targets come from sorted views of the state.
+    """
+    gates = [rng.random() for _ in range(4)]
+    events: List = []
+    if gates[0] < _P_BREAKDOWN and len(d.fleet) > 1:
+        vids = sorted(d.fleet)
+        events.append(VehicleBreakdown(vehicle_id=int(vids[int(rng.integers(len(vids)))])))
+    if gates[1] < _P_CANCEL:
+        riders = sorted({e.rider.rider_id for e in d._carryover} | {
+            rid for fv in d.fleet.values() for rid in fv.committed_rider_ids()
+        })
+        if riders:
+            rid = int(riders[int(rng.integers(len(riders)))])
+            cls = RiderNoShow if rng.random() < 0.3 else RiderCancellation
+            events.append(cls(rider_id=rid))
+    edges = [(u, v) for u, v, _cost in d.network.edges()]
+    if gates[2] < _P_PERTURB and edges:
+        count = int(rng.integers(1, min(3, len(edges)) + 1))
+        picks = [edges[int(rng.integers(len(edges)))] for _ in range(count)]
+        events.append(TravelTimePerturbation(
+            factors=tuple((u, v, float(rng.uniform(0.5, 3.0))) for u, v in picks)
+        ))
+    if gates[3] < _P_CLOSURE and edges:
+        events.append(RoadClosure(edges=(edges[int(rng.integers(len(edges)))],)))
+    return events
+
+
+def _boundary_events(t: Trial, a: Dispatcher, frame: int) -> List:
+    """The perturbation axis's events after ``frame`` (drawn from A).
+
+    ``once`` is one broad, mostly-shortening change before the seeded
+    frame: stale centre rows would then overestimate lower bounds and
+    cut feasible pairs.
+    """
+    if t.perturb == "chaos":
+        return _chaos_events(a, t.rng)
+    if t.perturb_at != frame + 1:
+        return []
+    edges = [(u, v) for u, v, _cost in a.network.edges()]
+    count = int(t.rng.integers(1, len(edges) // 3 + 2))
+    return [TravelTimePerturbation(factors=tuple(
+        (*edges[int(t.rng.integers(len(edges)))], float(t.rng.uniform(0.1, 1.5)))
+        for _ in range(count)
+    ))]
+
+
+class FramesDrive:
+    """B consumes each frame through ``dispatch_frame``."""
+
+    def __init__(self, trial: Trial) -> None:
+        self.dispatcher = trial.open(trial.config)
+
+    def step(self, frame: int, riders):
+        return self.dispatcher.dispatch_frame(list(riders))
+
+    def finish(self, a: Dispatcher) -> None:
+        pass
+
+    def close(self) -> None:
+        self.dispatcher.close()
+
+
+_DRIVES = {"frames": FramesDrive, "stream": StreamDrive, "crash": CrashDrive}
+
+
+def _run_lockstep(t: Trial) -> None:
+    """Drive A (and B, when the mode has one) through every frame."""
+    scn, stats_before = t.scenario, CANDIDATE_STATS.snapshot()
+    a = t.open(t.reference)
+    drive = _DRIVES[t.mode.drive](t) if t.mode.candidate else None
+    relax = _relaxed(t.mode)
+    strict = not relax or scn.method in _STRICT_SHARD_METHODS
+    last = len(scn.frames) - 1
+    try:
+        for frame, riders in enumerate(scn.frames):
+            b = drive.dispatcher if drive else None
+            runs = [(a, "")] + ([(b, t.label)] if b else [])
+            if relax:
+                if _boundary_conflict(b, riders):
+                    # carried state downstream of a conflict frame may
+                    # legitimately differ from the unsharded run's
+                    t.count("conflict_frames")
+                    strict = False
+                elif strict:
+                    t.count("strict_frames")
+            before = [Trial.before(d) for d, _ in runs]
+            try:
+                ra = a.dispatch_frame(list(riders))
+            except Exception as exc:  # noqa: BLE001 — any dispatch failure is a bug
+                t.raised("dispatch", f"frame {frame}", exc)
+                break
+            t.check_frame(a, ra, frame, before[0], t.issued[frame])
+            t.count("carried", ra.num_carried)
+            if drive is not None:
+                try:
+                    rb = drive.step(frame, riders)
+                except Exception as exc:  # noqa: BLE001
+                    t.raised(t.label, f"frame {frame}", exc)
+                    break
+                b = drive.dispatcher
+                runs[1] = (b, t.label)
+                if rb is not None:
+                    t.check_frame(b, rb, frame, before[1], t.issued[frame], t.label)
+                    if relax and rb.utility < -_EPS:
+                        t.fail(t.label, f"frame {frame}: sharded frame utility "
+                                        f"{rb.utility:.9f} fell below the carried-in baseline")
+                detail = _divergence(a, b, ra, rb, t.label) if strict and not t.failed else None
+                if detail is not None:
+                    t.fail(t.label, f"frame {frame}: {detail}")
+            t.sweep(a, b, f"frame {frame}")
+            events = _boundary_events(t, a, frame) if frame < last and not t.failed else []
+            if events:
+                t.inject(runs, events, frame)
+                t.sweep(a, b, f"frame {frame} post-inject")
+            if t.failed:
+                break
+        else:
+            if drive is not None:
+                drive.finish(a)
+                if strict and not t.failed and _fleet_digest(a) != _fleet_digest(drive.dispatcher):
+                    t.fail(t.label, "final fleet state diverges")
+        for d in (a, drive.dispatcher if drive else None):
+            if d is not None and d.oracle.tier == 1 and d.oracle.effective_tier != 1:
+                t.fail("tiered_cost", f"tier-1 oracle degraded to tier {d.oracle.effective_tier}")
+    finally:
+        a.close()
+        if drive is not None:
+            drive.close()
+    stats = CANDIDATE_STATS.snapshot().delta(stats_before)
+    t.count("pairs_considered", stats.pairs_considered)
+    t.count("pairs_pruned", stats.pairs_pruned)
+    if stats.pruned_in_error:
+        t.fail("prune_audit", f"{stats.pruned_in_error} pruned pair(s) survive the "
+                              f"exact reachability re-check (unsound lower bound)")
+    t.count("frames", len(scn.frames))
+    t.count("requests", a.total_requests)
+    t.count("served", a.total_served)
+    if drive is not None:
+        t.count("served_b", drive.dispatcher.total_served)
+    for status, n in a.ledger_counts().items():
+        t.count(f"ledger.{status}", n)
+
+
+# ----------------------------------------------------------------------
+# the single-instance drive
+# ----------------------------------------------------------------------
+def differential_check(
+    instance: URRInstance, sequences: Iterable, seed: int = -1
+) -> List[FuzzFailure]:
+    """Pin the fast insertion engine against the reference, rider by rider.
+
+    For every (schedule, rider-not-already-in-it) combination both engines
+    must agree on feasibility and on the minimum incremental cost, and the
+    fast path's materialised sequence must itself be valid.
+    """
+    failures: List[FuzzFailure] = []
+
+    def fail(detail: str) -> None:
+        failures.append(FuzzFailure(seed, "differential", "engine", detail))
+
+    for seq in sequences:
+        present = seq.rider_ids()
+        for rider in instance.riders:
+            if rider.rider_id in present:
+                continue
+            fast = arrange_single_rider(seq, rider)
+            reference = arrange_single_rider_reference(seq, rider)
+            if (fast is None) != (reference is None):
+                fail(f"feasibility disagrees for rider {rider.rider_id} on "
+                     f"{seq!r}: fast={fast!r}, reference={reference!r}")
+            elif fast is None or reference is None:
+                continue
+            elif abs(fast.delta_cost - reference.delta_cost) > _EPS:
+                fail(f"delta cost disagrees for rider {rider.rider_id} on {seq!r}: "
+                     f"fast={fast.delta_cost!r}, reference={reference.delta_cost!r}")
+            elif fast.sequence.validity_errors():
+                fail(f"fast-path sequence invalid for rider {rider.rider_id}: "
+                     f"{fast.sequence.validity_errors()[:2]}")
+    return failures
+
+
+def _run_solve(t: Trial) -> None:
+    """Every method on one static instance: validate, sandwich, differential."""
+    instance = t.scenario.static_instance()
+    t.report.draws["regime"] = t.scenario.regime
+    t.report.draws["alpha"], t.report.draws["beta"] = instance.alpha, instance.beta
+    bound = utility_upper_bound(instance).total
+    t.report.stats["bound"] = bound
+    plan = plan_for(instance.network)
+    utilities: Dict[str, float] = {}
+    sequences = [instance.empty_sequence(v) for v in instance.vehicles]
+    for method in t.mode.shape.methods:
+        if method == "opt" and not 0 < instance.num_riders <= _OPT_MAX_RIDERS:
+            continue
+        assignment = solve(instance, method=method, plan=plan,
+                           opt_max_riders=_OPT_MAX_RIDERS)
+        for violation in validate_assignment(instance, assignment).violations:
+            t.fail("validate", str(violation), method)
+        utilities[method] = t.report.stats[f"utility.{method}"] = assignment.total_utility()
+        if method in ("eg", "ba"):
+            sequences.extend(assignment.schedules.values())
+    opt = utilities.get("opt")
+    for method, utility in utilities.items():
+        if utility > bound + _EPS:
+            t.fail("cross_check", f"utility {utility:.9f} exceeds the analytic "
+                                  f"upper bound {bound:.9f}", method)
+        if opt is not None and method != "opt" and utility > opt + _EPS:
+            t.fail("cross_check", f"heuristic utility {utility:.9f} exceeds OPT "
+                                  f"{opt:.9f}", method)
+    t.report.failures.extend(differential_check(instance, sequences, t.scenario.seed))
+
+
+# ----------------------------------------------------------------------
+# the runner
+# ----------------------------------------------------------------------
+def run_trial(
+    seed: int,
+    mode: Union[str, Mode] = "instance",
+    scenario: Optional[Scenario] = None,
+) -> SeedReport:
+    """Run one seed of one mode (on ``scenario`` when the shrinker passes one)."""
+    mode = _mode(mode)
+    with _trace.span("fuzz.seed", kind=mode.name, seed=seed) as seed_span:
+        t = Trial(mode, scenario or draw_scenario(seed, mode.shape))
+        (_run_solve if mode.drive == "solve" else _run_lockstep)(t)
+        seed_span.annotate(ok=t.report.ok, failures=len(t.report.failures))
+    return t.report
+
+
 def run_fuzz(
     seeds: Iterable[int],
-    config: Optional[FuzzConfig] = None,
+    mode: Union[str, Mode] = "instance",
     stop_after: Optional[float] = None,
     on_seed: Optional[Callable[[SeedReport], None]] = None,
 ) -> FuzzRunReport:
     """Fuzz a sequence of seeds, optionally stopping on a time budget.
 
     ``stop_after`` is a wall-clock budget in seconds measured from the
-    first trial; the current trial always completes.
+    first trial; the current trial always completes.  When only B is
+    sharded, the riders it served summed over every seed must be at least
+    A's: individual conflict-laden seeds may end a rider or two either
+    way, but systematic loss is a reconciliation bug (reported under the
+    synthetic seed ``-1``).
     """
-    import time
-
-    config = config or FuzzConfig()
+    mode = _mode(mode)
     run = FuzzRunReport()
     start = time.perf_counter()
     for seed in seeds:
         if stop_after is not None and time.perf_counter() - start >= stop_after:
             break
-        report = fuzz_seed(seed, config)
-        run.reports.append(report)
+        run.reports.append(run_trial(seed, mode))
         if on_seed is not None:
-            on_seed(report)
+            on_seed(run.reports[-1])
+    if _relaxed(mode):
+        served = sum(r.stats.get("served", 0) for r in run.reports)
+        served_b = sum(r.stats.get("served_b", 0) for r in run.reports)
+        if served_b < served:
+            run.reports.append(SeedReport(seed=-1, mode=mode.name, failures=[FuzzFailure(
+                -1, "sharded", "aggregate",
+                f"sharded runs served {served_b} riders across {run.seeds_run} "
+                f"seed(s) < unsharded {served}: reconciliation is losing service",
+            )]))
     return run
 
 
 # ----------------------------------------------------------------------
 # shrinking
 # ----------------------------------------------------------------------
-FailurePredicate = Callable[[URRInstance], Optional[str]]
-
-
-def _default_predicate(config: FuzzConfig) -> FailurePredicate:
-    """First failure detail on a (sub-)instance, or ``None`` when clean."""
-
-    def predicate(instance: URRInstance) -> Optional[str]:
-        plan = _plan_for(instance.network)
-        bound = utility_upper_bound(instance)
-        utilities: Dict[str, float] = {}
-        for method in config.methods:
-            if method == "opt" and instance.num_riders > config.opt_max_riders:
-                continue
-            if method == "opt" and not instance.riders:
-                continue
-            assignment = solve(
-                instance, method=method, plan=plan,
-                opt_max_riders=config.opt_max_riders,
-            )
-            report = validate_assignment(
-                instance, assignment,
-                audit_event_fields=config.audit_event_fields,
-            )
-            if not report.ok:
-                return f"{method}: {report.violations[0]}"
-            utilities[method] = assignment.total_utility()
-        for method, utility in utilities.items():
-            if utility > bound.total + _EPS:
-                return f"{method}: utility {utility:.9f} > bound {bound.total:.9f}"
-        opt_utility = utilities.get("opt")
-        if opt_utility is not None:
-            for method, utility in utilities.items():
-                if method != "opt" and utility > opt_utility + _EPS:
-                    return f"{method}: utility {utility:.9f} > OPT {opt_utility:.9f}"
-        if config.differential:
-            sequences = [instance.empty_sequence(v) for v in instance.vehicles]
-            diff = differential_check(instance, sequences)
-            if diff:
-                return diff[0].detail
-        return None
-
-    return predicate
-
-
-def _subset_instance(
-    instance: URRInstance, riders: List, vehicles: List
-) -> URRInstance:
-    return URRInstance(
-        network=instance.network,
-        riders=list(riders),
-        vehicles=list(vehicles),
-        alpha=instance.alpha,
-        beta=instance.beta,
-        vehicle_utilities=instance.vehicle_utilities,
-        social=instance.social,
-        similarity_overrides=instance.similarity_overrides,
-        start_time=instance.start_time,
-        seed=instance.seed,
-        oracle=instance.oracle,
-    )
+FailurePredicate = Callable[[Scenario], Optional[str]]
 
 
 @dataclass
 class MinimizedRepro:
-    """Result of shrinking a failing seed."""
+    """A failing seed shrunk to the riders and vehicles that still fail it."""
 
     seed: int
+    mode: str
     detail: str
-    instance: URRInstance
+    scenario: Scenario
     original_riders: int
     original_vehicles: int
 
     def as_dict(self) -> Dict[str, object]:
-        inst = self.instance
+        scn = self.scenario
         return {
             "seed": self.seed,
+            "mode": self.mode,
             "detail": self.detail,
-            "original": {
-                "riders": self.original_riders,
-                "vehicles": self.original_vehicles,
-            },
+            "original": {"riders": self.original_riders,
+                         "vehicles": self.original_vehicles},
             "minimized": {
-                "alpha": inst.alpha,
-                "beta": inst.beta,
-                "start_time": inst.start_time,
-                "riders": [
-                    {
-                        "rider_id": r.rider_id,
-                        "source": r.source,
-                        "destination": r.destination,
-                        "pickup_deadline": r.pickup_deadline,
-                        "dropoff_deadline": r.dropoff_deadline,
-                    }
-                    for r in inst.riders
-                ],
-                "vehicles": [
-                    {
-                        "vehicle_id": v.vehicle_id,
-                        "location": v.location,
-                        "capacity": v.capacity,
-                    }
-                    for v in inst.vehicles
-                ],
+                "method": scn.method, "alpha": scn.alpha, "beta": scn.beta,
+                "frame_length": scn.frame_length, "max_retries": scn.max_retries,
+                "frames": [[dataclasses.asdict(r) for r in frame] for frame in scn.frames],
+                "vehicles": [{"vehicle_id": v.vehicle_id, "location": v.location,
+                              "capacity": v.capacity} for v in scn.fleet],
             },
         }
 
 
 def minimize_seed(
     seed: int,
-    config: Optional[FuzzConfig] = None,
+    mode: Union[str, Mode] = "instance",
     predicate: Optional[FailurePredicate] = None,
 ) -> Optional[MinimizedRepro]:
-    """Shrink a failing seed to a minimal failing sub-instance.
+    """Shrink a failing seed to a minimal failing scenario.
 
     Greedy delta-debugging: repeatedly drop one rider (then one vehicle)
     and keep the reduction whenever the failure predicate still fires.
-    Returns ``None`` when the seed does not fail to begin with.  A custom
-    ``predicate`` (instance -> failure detail or ``None``) lets callers
-    shrink against a specific bug rather than the full check battery.
+    Returns ``None`` when the seed does not fail to begin with.  The
+    default predicate re-runs the mode's whole trial; a custom one
+    (scenario -> failure detail or ``None``) shrinks against a specific
+    bug.
     """
-    config = config or FuzzConfig()
-    predicate = predicate or _default_predicate(config)
-    instance, _ = random_instance(seed, config)
-    detail = predicate(instance)
+    mode = _mode(mode)
+    if predicate is None:
+        def predicate(scenario: Scenario) -> Optional[str]:
+            report = run_trial(seed, mode, scenario)
+            return str(report.failures[0]) if report.failures else None
+
+    scenario = draw_scenario(seed, mode.shape)
+    detail = predicate(scenario)
     if detail is None:
         return None
-    original_riders = instance.num_riders
-    original_vehicles = instance.num_vehicles
-
-    riders = list(instance.riders)
-    vehicles = list(instance.vehicles)
+    repro = MinimizedRepro(seed, mode.name, detail, scenario,
+                           len(scenario.riders), len(scenario.fleet))
     shrunk = True
     while shrunk:
         shrunk = False
-        for i in range(len(riders) - 1, -1, -1):
-            if len(riders) <= 1 and len(vehicles) <= 1:
-                break
-            candidate_riders = riders[:i] + riders[i + 1:]
-            candidate = _subset_instance(instance, candidate_riders, vehicles)
-            new_detail = predicate(candidate)
-            if new_detail is not None:
-                riders = candidate_riders
-                detail = new_detail
-                shrunk = True
-        for i in range(len(vehicles) - 1, -1, -1):
-            if len(vehicles) <= 1:
-                break
-            candidate_vehicles = vehicles[:i] + vehicles[i + 1:]
-            candidate = _subset_instance(instance, riders, candidate_vehicles)
-            new_detail = predicate(candidate)
-            if new_detail is not None:
-                vehicles = candidate_vehicles
-                detail = new_detail
-                shrunk = True
+        candidates = [(Scenario.without_rider, r.rider_id)
+                      for r in reversed(repro.scenario.riders)]
+        candidates += [(Scenario.without_vehicle, v.vehicle_id)
+                       for v in reversed(repro.scenario.fleet)]
+        for drop, key in candidates:
+            smaller = drop(repro.scenario, key)
+            if not smaller.riders or not smaller.fleet:
+                continue
+            found = predicate(smaller)
+            if found is not None:
+                repro.scenario, repro.detail, shrunk = smaller, found, True
+    return repro
 
-    return MinimizedRepro(
-        seed=seed,
-        detail=detail,
-        instance=_subset_instance(instance, riders, vehicles),
-        original_riders=original_riders,
-        original_vehicles=original_vehicles,
-    )

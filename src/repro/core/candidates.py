@@ -27,8 +27,8 @@ t0 + cost(l, stop_k)`` and the triangle inequality give ``arrive[k] +
 cost(stop_k, s) >= t0 + cost(l, s)``.  Pruning on ``t0 + LB > rt^- + eps``
 with ``LB <= cost(l, s)`` therefore removes only vehicles the full scan
 removes — pruned and full retrieval return *identical* candidate sets (and
-hence frame-for-frame identical assignments; the ``--prune`` fuzzer
-asserts this).  ``audit=True`` re-checks every pruned pair with an exact
+hence frame-for-frame identical assignments; the ``prune`` fuzz
+modes assert this).  ``audit=True`` re-checks every pruned pair with an exact
 cost query and counts contradictions in
 :data:`repro.perf.CANDIDATE_STATS` (``pruned_in_error``) — always zero.
 

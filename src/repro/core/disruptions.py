@@ -35,7 +35,7 @@ recovery that never corrupts carried state:
 
 Every event yields a :class:`DisruptionOutcome` naming exactly which
 riders were stranded / released / delivered / cancelled / expired /
-extended — the chaos fuzzer (``python -m repro.check --chaos``) uses
+extended — the chaos fuzz modes (``python -m repro.check --mode chaos``) use
 these to prove that no committed rider ever vanishes except through an
 explicit event, and that the :class:`~repro.core.dispatch.RiderStatus`
 ledger conserves every rider ever issued.

@@ -47,7 +47,7 @@ every frame commit, WAL tail at most one frame deep).  Larger values
 trade restore-time replay work for less per-frame I/O on big fleets.
 
 ``crash_hook`` is the seeded fault-injection seam the crash fuzzer
-(``python -m repro.check --crash``) uses: it is called with a named
+(``python -m repro.check --mode crash``) uses: it is called with a named
 crash point (:data:`CRASH_POINTS`) at every durability boundary and may
 raise :class:`SimulatedCrash` to model a process kill at exactly that
 point.

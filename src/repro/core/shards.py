@@ -25,7 +25,7 @@ partition instead:
    when no boundary conflict exists.
 
 **Equivalence guarantee** (asserted by ``python -m repro.check
---dispatch-shards``): when no frame rider has an out-of-shard
+--mode dispatch-shards``): when no frame rider has an out-of-shard
 coarse-reachable vehicle, per-shard greedy solves commute with the
 global solve for the deterministic methods (eg / cf / gbs+eg — heap ties
 break on push order, which the partition preserves within each shard),

@@ -11,8 +11,8 @@ Subcommands
     status is 2 when any span's total time grew by more than PCT
     percent — a one-command perf-regression gate.
 
-Traces are recorded with ``python -m repro.check --dispatch --trace
-out.jsonl`` (or ``--chaos``), by the benchmarks' ``--trace`` flag, or
+Traces are recorded with ``python -m repro.check --mode dispatch --trace
+out.jsonl`` (any fuzz mode), by the benchmarks' ``--trace`` flag, or
 programmatically via :func:`repro.obs.start_trace`.
 """
 

@@ -209,8 +209,8 @@ class CandidateStats:
     (area-centre triangle bound) and temporal (landmark lower bound)
     filters discarded without an exact cost query.  ``pruned_in_error``
     counts pruned pairs an exact-cost audit found feasible after all —
-    the bounds are sound, so any non-zero value is a bug (the ``--prune``
-    fuzzer asserts it stays zero; the audit itself is opt-in).
+    the bounds are sound, so any non-zero value is a bug (the ``prune``
+    fuzz modes assert it stays zero; the audit itself is opt-in).
     """
 
     retrievals: int = 0

@@ -36,8 +36,8 @@ With ``delta_t`` pinned to the dispatcher's configured ``frame_length``
 and ``max_batch`` unbounded, every window is exactly one batch frame:
 arrivals timestamped inside frame ``f`` are dispatched together at
 clock ``f * frame_length``, bit-for-bit identical to calling
-``dispatch_frame`` per frame with the same rider lists (the ``--stream``
-differential fuzzer in :mod:`repro.check` enforces this frame-for-frame,
+``dispatch_frame`` per frame with the same rider lists (the ``stream``
+fuzz mode of :mod:`repro.check` enforces this frame-for-frame,
 including under sharded, tiered-oracle and chaos disruption runs).
 
 Crash recovery
@@ -186,8 +186,8 @@ class StreamingEngine:
     boundary_hook:
         Optional callback ``hook(engine, stream_batch)`` invoked after
         every dispatched micro-batch — the seam for injecting
-        disruptions mid-stream (the chaos leg of the ``--stream`` fuzzer
-        replays recorded disruption schedules through it).
+        disruptions mid-stream (the count-trigger leg of the ``stream``
+        fuzz mode audits every micro-batch through it).
     """
 
     def __init__(

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.check.__main__ import _parse_budget, main
 from repro.check.fuzz import FuzzFailure, FuzzRunReport, SeedReport
 
@@ -20,26 +22,27 @@ class TestCleanRun:
         assert "self-test 'overfull': caught (capacity_exceeded)" in out
         assert "self-test 'deadline': caught (deadline_missed)" in out
         assert "self-test 'utility': caught (utility_mismatch)" in out
+        assert "fuzzed 3 instance seeds" in out
         assert "0 failing" in out
 
     def test_replay_exit_zero(self, capsys):
         assert main(["--replay", "2"]) == 0
         out = capsys.readouterr().out
-        assert "seed 2:" in out
-        assert "bound" in out
+        assert "seed 2 [instance]:" in out
+        assert "bound=" in out
 
     def test_replay_minimize_on_clean_seed(self, capsys):
         assert main(["--replay", "2", "--minimize"]) == 0
         assert "nothing to minimize" in capsys.readouterr().out
 
     def test_dispatch_mode(self, capsys):
-        assert main(["--dispatch", "--seeds", "3", "--skip-self-test"]) == 0
-        assert "3 dispatcher scenarios" in capsys.readouterr().out
+        assert main(["--mode", "dispatch", "--seeds", "3", "--skip-self-test"]) == 0
+        assert "fuzzed 3 dispatch seeds" in capsys.readouterr().out
 
     def test_dispatch_replay(self, capsys):
-        assert main(["--dispatch", "--replay", "2"]) == 0
+        assert main(["--mode", "dispatch", "--replay", "2"]) == 0
         out = capsys.readouterr().out
-        assert "seed 2:" in out
+        assert "seed 2 [dispatch]:" in out
         assert "frames=" in out
 
 
@@ -48,8 +51,7 @@ class TestFailingRun:
         failing = FuzzRunReport(
             reports=[
                 SeedReport(
-                    seed=7, scenario="uniform", num_riders=3, num_vehicles=1,
-                    alpha=0.33, beta=0.33,
+                    seed=7, mode="instance", riders=3, vehicles=1,
                     failures=[
                         FuzzFailure(
                             seed=7, stage="validate", method="eg",
@@ -70,5 +72,51 @@ class TestFailingRun:
         assert code == 1
         payload = json.loads(out_path.read_text())
         assert payload["failing_seeds"] == [7]
+        assert payload["mode"] == "instance"
         assert payload["failures"][0]["stage"] == "validate"
         assert "seed 7" in capsys.readouterr().out
+
+
+class TestArgumentErrors:
+    """Bad input is an argparse error (exit 2), never a traceback or a
+    silently-empty pass."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--budget", "abc"],
+            ["--seeds", "0"],
+            ["--seeds", "-3"],
+            ["--mode", "bogus"],
+            # the old per-mode booleans are gone: combining two of them
+            # once silently picked one, and --tiered was ignored by most
+            ["--chaos", "--prune"],
+            ["--mode", "stream", "--tiered"],
+            ["--minimize"],
+        ],
+    )
+    def test_rejected_with_exit_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--skip-self-test"])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_minimize_shrinks_a_frame_mode(self, monkeypatch, capsys):
+        """--minimize works for every mode, not only the single-instance one."""
+        from repro.core.dispatch import Dispatcher
+
+        original = Dispatcher.dispatch_frame
+
+        def teleporting(self, requests, **kwargs):
+            report = original(self, requests, **kwargs)
+            for fv in self.fleet.values():
+                if fv.ready_time is not None:
+                    fv.ready_time = self.clock - 1.0
+            return report
+
+        monkeypatch.setattr(Dispatcher, "dispatch_frame", teleporting)
+        assert main(["--mode", "dispatch", "--replay", "2", "--minimize"]) == 1
+        out = capsys.readouterr().out
+        assert "minimized to 1 riders / 1 vehicles" in out
+        payload = json.loads(out[out.index("{"):])
+        assert payload["mode"] == "dispatch"

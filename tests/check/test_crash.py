@@ -1,48 +1,43 @@
-"""The crash-injection fuzzer (`--crash`) and its CLI wiring."""
+"""The crash drive (`--mode crash`) and its CLI wiring."""
+
+import dataclasses
 
 import pytest
 
 from repro import perf
+from repro.check import KILL_KINDS, MODES, run_fuzz, run_trial
 from repro.check.__main__ import main
-from repro.check.crash import (
-    KILL_KINDS,
-    CrashFuzzConfig,
-    fuzz_crash_seed,
-    run_crash_fuzz,
-)
+
+
+def _crash(config):
+    return dataclasses.replace(MODES["crash"], candidate=(config,))
 
 
 class TestSeeds:
     @pytest.mark.parametrize("seed", range(6))
     def test_seed_recovers_equivalently(self, seed):
-        report = fuzz_crash_seed(seed)
+        report = run_trial(seed, "crash")
         assert report.ok, [str(f) for f in report.failures]
         # the kill always leaves work to resume or frames to replay
-        assert report.frames_restored + report.frames_resumed > 0
-        assert report.scenario == "crash"
-        assert report.num_riders > 0
+        assert report.stats["frames_restored"] + report.stats.get("frames_resumed", 0) > 0
+        assert report.mode == "crash"
+        assert report.riders > 0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_sharded_seed_dispatches_through_shards(self, seed):
         # regression: the mode's dispatcher options were once built and
         # then dropped, so "sharded" seeds ran unsharded
-        config = CrashFuzzConfig(
-            shard_fraction=1.0, candidate_fraction=0.0, tiered_fraction=0.0
-        )
         before = perf.SHARD_STATS.frames_sharded
-        report = fuzz_crash_seed(seed, config)
-        assert report.mode == "sharded"
+        report = run_trial(seed, _crash("sharded"))
+        assert report.draws["config"] == "sharded"
         assert report.ok, [str(f) for f in report.failures]
         assert perf.SHARD_STATS.frames_sharded > before
 
     @pytest.mark.parametrize("seed", range(3))
     def test_candidate_seed_retrieves_through_the_index(self, seed):
-        config = CrashFuzzConfig(
-            shard_fraction=0.0, candidate_fraction=1.0, tiered_fraction=0.0
-        )
         before = perf.CANDIDATE_STATS.retrievals
-        report = fuzz_crash_seed(seed, config)
-        assert report.mode == "candidate"
+        report = run_trial(seed, _crash("spatiotemporal"))
+        assert report.draws["config"] == "spatiotemporal"
         assert report.ok, [str(f) for f in report.failures]
         assert perf.CANDIDATE_STATS.retrievals > before
 
@@ -50,10 +45,28 @@ class TestSeeds:
         assert "between_frames" in KILL_KINDS
         assert "worker_kill" not in KILL_KINDS
 
+    def test_lost_wal_record_is_caught(self, monkeypatch):
+        """A restore that loses a durably committed frame must fail the
+        cursor check, even though deterministic re-dispatch would hide it
+        from every frame comparison."""
+        from repro.core.durability import DurabilityLog
+
+        load = DurabilityLog.load
+
+        def lossy(self):
+            snapshot, records = load(self)
+            return snapshot, records[:-1]
+
+        monkeypatch.setattr(DurabilityLog, "load", lossy)
+        run = run_fuzz(range(25), "crash")
+        lost = [f for f in run.failures if "restored cursor" in f.detail]
+        assert lost, "no seed noticed the lost WAL record"
+        assert all(f.stage == "crash" for f in lost)
+
 
 class TestRun:
     def test_aggregates_reports(self):
-        run = run_crash_fuzz(range(3))
+        run = run_fuzz(range(3), "crash")
         assert run.seeds_run == 3
         assert run.ok
         assert run.failing_seeds == []
@@ -61,11 +74,11 @@ class TestRun:
 
 class TestCli:
     def test_crash_mode_exit_zero(self, capsys):
-        assert main(["--crash", "--seeds", "3", "--skip-self-test"]) == 0
-        assert "3 crash-recovery trials" in capsys.readouterr().out
+        assert main(["--mode", "crash", "--seeds", "3", "--skip-self-test"]) == 0
+        assert "fuzzed 3 crash seeds" in capsys.readouterr().out
 
     def test_crash_replay(self, capsys):
-        assert main(["--crash", "--replay", "1", "--skip-self-test"]) == 0
+        assert main(["--mode", "crash", "--replay", "1", "--skip-self-test"]) == 0
         out = capsys.readouterr().out
-        assert "seed 1:" in out
+        assert "seed 1 [crash]:" in out
         assert "kill=" in out

@@ -1,17 +1,17 @@
-"""The seeded fuzz harness: clean runs, sandwich checks, shrinking."""
+"""The seeded fuzz runner: clean runs, sandwich checks, shrinking."""
 
+import dataclasses
 import itertools
 
 from repro.check import (
-    DispatchFuzzConfig,
-    FuzzConfig,
+    MODES,
+    Shape,
     differential_check,
-    fuzz_dispatch_seed,
-    fuzz_seed,
+    draw_scenario,
     minimize_seed,
     random_instance,
-    run_dispatch_fuzz,
     run_fuzz,
+    run_trial,
 )
 
 
@@ -28,11 +28,14 @@ class TestDeterminism:
         ]
 
     def test_seed_shapes_respect_config(self):
-        config = FuzzConfig(min_riders=2, max_riders=4, max_vehicles=2)
+        shape = Shape(grid=5, frames=None, riders=(2, 4), vehicles=(1, 2))
         for seed in range(6):
-            instance, _ = random_instance(seed, config)
+            instance, _ = random_instance(seed, shape)
             assert instance.num_riders <= 4
             assert 1 <= instance.num_vehicles <= 2
+            scenario = draw_scenario(seed, dataclasses.replace(shape, frames=(3, 3)))
+            assert len(scenario.frames) == 3
+            assert all(2 <= len(frame) <= 4 for frame in scenario.frames)
 
 
 class TestFuzzRuns:
@@ -42,14 +45,18 @@ class TestFuzzRuns:
         assert run.ok, [str(f) for f in run.failures]
 
     def test_sandwich_recorded(self):
-        report = fuzz_seed(3)
+        report = run_trial(3)
         assert report.ok
-        assert report.utilities  # at least the heuristics ran
-        for utility in report.utilities.values():
-            assert utility <= report.bound + 1e-6
-        if "opt" in report.utilities:
-            for method, utility in report.utilities.items():
-                assert utility <= report.utilities["opt"] + 1e-6
+        utilities = {
+            k.split(".", 1)[1]: v for k, v in report.stats.items()
+            if k.startswith("utility.")
+        }
+        assert utilities  # at least the heuristics ran
+        for utility in utilities.values():
+            assert utility <= report.stats["bound"] + 1e-6
+        if "opt" in utilities:
+            for utility in utilities.values():
+                assert utility <= utilities["opt"] + 1e-6
 
     def test_budget_stops_the_run(self):
         run = run_fuzz(itertools.count(), stop_after=0.3)
@@ -67,84 +74,48 @@ class TestFuzzRuns:
 
 class TestDispatchFuzz:
     def test_scenario_shape_and_determinism(self):
-        a = fuzz_dispatch_seed(11)
-        b = fuzz_dispatch_seed(11)
-        assert a.num_frames >= 4  # the acceptance floor
-        assert (a.method, a.num_frames, a.total_requests, a.total_served) == (
-            b.method, b.num_frames, b.total_requests, b.total_served
-        )
+        a = run_trial(11, "dispatch")
+        b = run_trial(11, "dispatch")
+        assert a.stats["frames"] >= 4  # the acceptance floor
+        assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
     def test_six_scenarios_clean(self):
-        run = run_dispatch_fuzz(range(6))
+        run = run_fuzz(range(6), "dispatch")
         assert run.seeds_run == 6
         assert run.ok, [str(f) for f in run.failures]
         # frames genuinely straddle boundaries: some seed carries riders
-        assert any(r.total_carried > 0 for r in run.reports)
+        assert any(r.stats["carried"] > 0 for r in run.reports)
 
     def test_config_respected(self):
-        config = DispatchFuzzConfig(
-            min_frames=5, max_frames=5, min_vehicles=2, max_vehicles=2
+        mode = dataclasses.replace(
+            MODES["dispatch"], shape=Shape(frames=(5, 5), vehicles=(2, 2))
         )
-        report = fuzz_dispatch_seed(0, config)
-        assert report.num_frames == 5
-        assert report.num_vehicles == 2
-
-    def test_planted_teleport_is_caught(self, monkeypatch):
-        """A rollforward that resets ready_time must fail the invariants."""
-        from repro.core.dispatch import Dispatcher
-
-        original = Dispatcher.dispatch_frame
-
-        def teleporting(self, requests):
-            report = original(self, requests)
-            for fv in self.fleet.values():
-                if fv.ready_time is not None:
-                    fv.ready_time = self.clock - 1.0  # pretend it's already there
-            return report
-
-        monkeypatch.setattr(Dispatcher, "dispatch_frame", teleporting)
-        failing = [
-            seed for seed in range(8) if not fuzz_dispatch_seed(seed).ok
-        ]
-        assert failing, "no scenario noticed the planted teleport"
+        report = run_trial(0, mode)
+        assert report.stats["frames"] == 5
+        assert report.vehicles == 2
 
 
 class TestTieredPruneFuzz:
-    """``--prune --tiered``: pruning on a forced tier-1 oracle's pinned
+    """``--mode prune-tiered``: pruning on a forced tier-1 oracle's pinned
     block, with a mid-run travel-time perturbation in some seeds."""
 
     def test_seeds_clean_and_perturbed(self):
-        from repro.check.fuzz import PruneFuzzConfig, run_prune_fuzz
-
-        run = run_prune_fuzz(range(8), PruneFuzzConfig(tiered=True))
+        run = run_fuzz(range(8), "prune-tiered")
         assert run.ok, [str(f) for f in run.failures]
-        assert any(r.perturbed_at is not None for r in run.reports)
-        assert sum(r.pairs_pruned for r in run.reports) > 0
+        assert any("perturbed_at" in r.draws for r in run.reports)
+        assert sum(r.stats["pairs_pruned"] for r in run.reports) > 0
 
-    def test_planted_stale_block_is_caught(self, monkeypatch):
-        """An index that keeps its pre-perturbation centre rows must fail."""
-        from repro.check.fuzz import PruneFuzzConfig, fuzz_prune_seed
-        from repro.core.candidates import CandidateIndex
 
-        tables = CandidateIndex._tables
-        resync = CandidateIndex.resync
+class TestEveryMode:
+    def test_every_mode_revalidates_schedules(self):
+        """Every mode's runs go through the independent validator."""
+        from repro import perf
 
-        def stale_tables(self):
-            if self._block is not None:
-                return self._block  # never re-derive once built
-            return tables(self)
-
-        def epoch_blind_resync(self, fleet):
-            self._epoch = self.oracle.epoch  # the epoch change goes unseen
-            resync(self, fleet)
-
-        monkeypatch.setattr(CandidateIndex, "_tables", stale_tables)
-        monkeypatch.setattr(CandidateIndex, "resync", epoch_blind_resync)
-        config = PruneFuzzConfig(tiered=True)
-        failing = [
-            seed for seed in range(25) if not fuzz_prune_seed(seed, config).ok
-        ]
-        assert failing, "no seed noticed the stale centre rows"
+        for name in MODES:
+            before = perf.VALIDATION_STATS.schedules
+            report = run_trial(1, name)
+            assert report.ok, [str(f) for f in report.failures]
+            assert perf.VALIDATION_STATS.schedules > before, name
 
 
 class TestMinimize:
@@ -164,10 +135,30 @@ class TestMinimize:
 
         repro = minimize_seed(4, predicate=predicate)
         assert repro is not None
-        assert repro.instance.num_riders == 1
-        assert repro.instance.riders[0].rider_id == target
-        assert repro.instance.num_vehicles == 1
+        assert [r.rider_id for r in repro.scenario.riders] == [target]
+        assert len(repro.scenario.fleet) == 1
         assert repro.original_riders == instance.num_riders
         payload = repro.as_dict()
         assert payload["seed"] == 4
-        assert len(payload["minimized"]["riders"]) == 1
+        assert len(payload["minimized"]["frames"][0]) == 1
+
+    def test_shrinks_a_dispatcher_scenario(self, monkeypatch):
+        """The shrinker works on frame modes too, re-running the trial."""
+        from repro.core.dispatch import Dispatcher
+
+        original = Dispatcher.dispatch_frame
+
+        def teleporting(self, requests, **kwargs):
+            report = original(self, requests, **kwargs)
+            for fv in self.fleet.values():
+                if fv.ready_time is not None:
+                    fv.ready_time = self.clock - 1.0
+            return report
+
+        monkeypatch.setattr(Dispatcher, "dispatch_frame", teleporting)
+        repro = minimize_seed(2, "dispatch")
+        assert repro is not None
+        assert "ready_time" in repro.detail
+        assert len(repro.scenario.riders) == 1
+        assert len(repro.scenario.fleet) == 1
+        assert repro.original_riders > 1

@@ -1,0 +1,103 @@
+"""One planted bug per fuzz mode: each must fail at least one of seeds 0-24.
+
+A fuzz mode that cannot see a bug planted right in the layer it guards
+proves nothing, so every row below plants one and runs the mode's
+25-seed CI pass against it.
+"""
+
+import pytest
+
+from repro.check import run_fuzz
+
+
+def _teleport(monkeypatch):
+    """A rollforward that resets ready_time behind the clock."""
+    from repro.core.dispatch import Dispatcher
+
+    original = Dispatcher.dispatch_frame
+
+    def teleporting(self, requests, **kwargs):
+        report = original(self, requests, **kwargs)
+        for fv in self.fleet.values():
+            if fv.ready_time is not None:
+                fv.ready_time = self.clock - 1.0  # pretend it's already there
+        return report
+
+    monkeypatch.setattr(Dispatcher, "dispatch_frame", teleporting)
+
+
+def _stale_block(monkeypatch):
+    """An index that keeps its pre-perturbation centre rows."""
+    from repro.core.candidates import CandidateIndex
+
+    tables = CandidateIndex._tables
+    resync = CandidateIndex.resync
+
+    def stale_tables(self):
+        if self._block is not None:
+            return self._block  # never re-derive once built
+        return tables(self)
+
+    def epoch_blind_resync(self, fleet):
+        self._epoch = self.oracle.epoch  # the epoch change goes unseen
+        resync(self, fleet)
+
+    monkeypatch.setattr(CandidateIndex, "_tables", stale_tables)
+    monkeypatch.setattr(CandidateIndex, "resync", epoch_blind_resync)
+
+
+def _lossy_engine(monkeypatch):
+    """An engine that silently loses the first arrival it ever sees."""
+    from repro.service import StreamingEngine
+
+    process = StreamingEngine.process
+    dropped = []
+
+    def lossy(self, arrivals, until=None, drain=False):
+        arrivals = list(arrivals)
+        if arrivals and not dropped:
+            dropped.append(arrivals.pop(0))
+        return process(self, arrivals, until=until, drain=drain)
+
+    monkeypatch.setattr(StreamingEngine, "process", lossy)
+
+
+def _lossy_wal(monkeypatch):
+    """A WAL reader that drops the last durably appended record."""
+    from repro.core.durability import DurabilityLog
+
+    load = DurabilityLog.load
+
+    def lossy(self):
+        snapshot, records = load(self)
+        return snapshot, records[:-1]
+
+    monkeypatch.setattr(DurabilityLog, "load", lossy)
+
+
+def _drop_last_shard(monkeypatch):
+    """A shard merge that forgets the last shard's schedules."""
+    from repro.core import shards
+
+    merge = shards.merge_shard_results
+
+    def lossy(schedules, results):
+        merge(schedules, list(results)[:-1])
+
+    monkeypatch.setattr(shards, "merge_shard_results", lossy)
+
+
+PLANTED = {
+    "dispatch": _teleport,
+    "prune-tiered": _stale_block,
+    "stream": _lossy_engine,
+    "crash": _lossy_wal,
+    "dispatch-shards": _drop_last_shard,
+}
+
+
+@pytest.mark.parametrize("mode", list(PLANTED))
+def test_planted_bug_is_caught(mode, monkeypatch):
+    PLANTED[mode](monkeypatch)
+    run = run_fuzz(range(25), mode)
+    assert not run.ok, f"no {mode} seed noticed the planted bug"

@@ -1,95 +1,94 @@
-"""The streaming differential fuzzer (`--stream`) and its CLI wiring."""
+"""The streaming drive (`--mode stream`) and its CLI wiring."""
+
+import dataclasses
 
 import pytest
 
+from repro import perf
+from repro.check import MODES, draw_scenario, run_fuzz, run_trial
 from repro.check.__main__ import main
-from repro.check.stream import (
-    STREAM_MODES,
-    StreamFuzzConfig,
-    fuzz_stream_seed,
-    run_stream_fuzz,
-)
-from repro.service import StreamingEngine
+
+
+def _stream(config="plain", p_perturb=0.0):
+    return dataclasses.replace(
+        MODES["stream"], candidate=(config,), p_perturb=p_perturb
+    )
 
 
 class TestSeeds:
     @pytest.mark.parametrize("seed", range(6))
     def test_seed_is_equivalent(self, seed):
-        report = fuzz_stream_seed(seed)
+        report = run_trial(seed, "stream")
         assert report.ok, [str(f) for f in report.failures]
-        assert report.scenario == "stream"
-        assert report.mode in STREAM_MODES
-        assert report.num_riders > 0
+        assert report.mode == "stream"
+        assert report.draws["config"] in MODES["stream"].candidate
+        # empty frames are drawn on purpose (an interval trigger must fire
+        # on windows with no arrivals); the report counts what was drawn
+        assert report.riders == len(draw_scenario(seed, MODES["stream"].shape).riders)
 
     def test_chaos_seeds_replay_disruptions(self):
-        config = StreamFuzzConfig(
-            shard_fraction=0.0, tiered_fraction=0.0, chaos_fraction=1.0
-        )
         events = 0
         for seed in range(6):
-            report = fuzz_stream_seed(seed, config)
+            report = run_trial(seed, _stream(p_perturb=1.0))
             assert report.ok, [str(f) for f in report.failures]
-            assert report.mode == "chaos"
-            # chaos seeds stop after the differential leg
-            assert report.count_batches == 0
-            events += report.num_events
+            assert report.draws["perturb"] == "chaos"
+            # chaos seeds stop after the lockstep
+            assert "count_batches" not in report.stats
+            events += report.stats.get("events", 0)
         assert events > 0
 
     def test_tiered_seed_is_equivalent(self):
-        config = StreamFuzzConfig(
-            shard_fraction=0.0, tiered_fraction=1.0, chaos_fraction=0.0
-        )
-        report = fuzz_stream_seed(3, config)
+        report = run_trial(3, _stream("tier1"))
         assert report.ok, [str(f) for f in report.failures]
-        assert report.mode == "tiered"
+        assert report.draws["config"] == "tier1"
 
     def test_sharded_seed_is_equivalent(self):
-        config = StreamFuzzConfig(
-            shard_fraction=1.0, tiered_fraction=0.0, chaos_fraction=0.0
-        )
-        report = fuzz_stream_seed(2, config)
+        report = run_trial(2, _stream("sharded"))
         assert report.ok, [str(f) for f in report.failures]
-        assert report.mode == "sharded"
+        assert report.draws["config"] == "sharded"
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sharded_seed_dispatches_through_shards(self, seed):
+        # regression: the sharded options were once built and then never
+        # passed to the dispatcher, so "sharded" seeds ran unsharded
+        before = perf.SHARD_STATS.frames_sharded
+        report = run_trial(seed, _stream("sharded"))
+        assert report.ok, [str(f) for f in report.failures]
+        assert perf.SHARD_STATS.frames_sharded > before
 
     def test_count_trigger_leg_runs_on_non_chaos_seeds(self):
-        config = StreamFuzzConfig(
-            shard_fraction=0.0, tiered_fraction=0.0, chaos_fraction=0.0
-        )
-        report = fuzz_stream_seed(1, config)
+        report = run_trial(1, _stream())
         assert report.ok, [str(f) for f in report.failures]
-        assert report.count_batches > 0
+        assert report.stats["count_batches"] > 0
 
 
 class TestDetection:
-    def test_dropped_arrival_is_caught(self, monkeypatch):
-        # an engine that silently loses the first arrival it ever sees
-        # must be flagged by the differential — the stream dispatcher's
-        # admissions and ledger no longer match the batch run
-        class LossyEngine(StreamingEngine):
-            dropped = False
+    def test_divergence_names_the_stream_axis(self, monkeypatch):
+        """A planted stream divergence is reported under the stream stage,
+        not under another axis's name."""
+        from repro.service import StreamingEngine
 
-            def process(self, arrivals, until=None, drain=False):
-                arrivals = list(arrivals)
-                if arrivals and not LossyEngine.dropped:
-                    LossyEngine.dropped = True
-                    arrivals = arrivals[1:]
-                return super().process(arrivals, until=until, drain=drain)
+        process = StreamingEngine.process
+        dropped = []
 
-        monkeypatch.setattr(
-            "repro.check.stream.StreamingEngine", LossyEngine
-        )
-        config = StreamFuzzConfig(
-            shard_fraction=0.0, tiered_fraction=0.0, chaos_fraction=0.0,
-            min_riders_per_frame=2,
-        )
-        report = fuzz_stream_seed(0, config)
+        def lossy(self, arrivals, until=None, drain=False):
+            arrivals = list(arrivals)
+            if arrivals and not dropped:
+                dropped.append(arrivals.pop(0))
+            return process(self, arrivals, until=until, drain=drain)
+
+        monkeypatch.setattr(StreamingEngine, "process", lossy)
+        report = run_trial(0, dataclasses.replace(_stream(), shape=dataclasses.replace(
+            MODES["stream"].shape, riders=(2, 5)
+        )))
         assert not report.ok
-        assert any("stream" in f.stage for f in report.failures)
+        assert "stream" in {f.stage for f in report.failures}
+        assert all("stream" in f.stage for f in report.failures)
 
 
 class TestRun:
     def test_aggregates_reports(self):
-        run = run_stream_fuzz(range(3))
+        run = run_fuzz(range(3), "stream")
         assert run.seeds_run == 3
         assert run.ok
         assert run.failing_seeds == []
@@ -97,12 +96,12 @@ class TestRun:
 
 class TestCli:
     def test_stream_mode_exit_zero(self, capsys):
-        assert main(["--stream", "--seeds", "3", "--skip-self-test"]) == 0
-        assert "3 stream differentials" in capsys.readouterr().out
+        assert main(["--mode", "stream", "--seeds", "3", "--skip-self-test"]) == 0
+        assert "fuzzed 3 stream seeds" in capsys.readouterr().out
 
     def test_stream_replay(self, capsys):
-        assert main(["--stream", "--replay", "1", "--skip-self-test"]) == 0
+        assert main(["--mode", "stream", "--replay", "1", "--skip-self-test"]) == 0
         out = capsys.readouterr().out
-        assert "seed 1:" in out
-        assert "mode=" in out
+        assert "seed 1 [stream]:" in out
+        assert "config=" in out
         assert "count_batches=" in out

@@ -465,9 +465,9 @@ class TestDispatcherIntegration:
         assert not pinned & set(oracle._row_cache)
 
     def test_prune_fuzz_seeds_clean(self):
-        from repro.check.fuzz import fuzz_prune_seed
+        from repro.check import run_trial
 
         for seed in range(3):
-            report = fuzz_prune_seed(seed)
+            report = run_trial(seed, "prune")
             assert report.ok, report.failures
-            assert report.pairs_considered > 0
+            assert report.stats["pairs_considered"] > 0

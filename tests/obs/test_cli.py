@@ -2,7 +2,7 @@
 
 Includes the integration path the CI trace-smoke step exercises: record a
 trace from a real multi-frame dispatch run (and from ``python -m
-repro.check --dispatch --trace``), then summarise it with the CLI.
+repro.check --mode dispatch --trace``), then summarise it with the CLI.
 """
 
 import json
@@ -169,14 +169,14 @@ class TestIntegration:
         assert obs_main(["summary", path]) == 0
 
     def test_trace_from_check_cli(self, tmp_path, capsys):
-        """The CI trace-smoke path: repro.check --dispatch --trace, then
+        """The CI trace-smoke path: repro.check --mode dispatch --trace, then
         repro.obs summary over the artifact."""
         from repro.check.__main__ import main as check_main
 
         path = str(tmp_path / "check.jsonl")
         out = str(tmp_path / "failures.json")
         rc = check_main([
-            "--dispatch", "--seeds", "1", "--skip-self-test",
+            "--mode", "dispatch", "--seeds", "1", "--skip-self-test",
             "--trace", path, "--out", out,
         ])
         assert rc == 0
