@@ -54,7 +54,7 @@ from repro.core.requests import Rider
 from repro.core.schedule import TransferSequence
 from repro.obs import start_trace, stop_trace
 from repro.obs import trace as _trace
-from repro.perf import INSERTION_STATS, reset_insertion_stats
+from repro.perf import INSERTION_STATS
 from repro.roadnet import nyc_like
 from repro.roadnet.oracle import DistanceOracle
 
@@ -301,7 +301,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "smoke": args.smoke,
             },
         )
-    reset_insertion_stats()
+    INSERTION_STATS.reset()
     with _trace.span("bench.insertion", seed=args.seed):
         cases = bench_insertion(args.seed, sizes, rounds, per_size, probes)
     engine_stats = INSERTION_STATS.as_dict()

@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 import numpy as np
 
 from repro.obs import trace as _trace
-from repro.perf import FramePerf, PerfReport, PerfSnapshot
+from repro.perf import FramePerf, PerfReport
 from repro.core.assignment import Assignment
 from repro.core.candidates import (
     CANDIDATE_MODES,
@@ -493,7 +493,7 @@ class Dispatcher:
         # cumulative, so both the run report and the per-frame reports
         # subtract captures — construction-time for the run, frame
         # boundaries for FrameReport.perf
-        self._perf_baseline = PerfSnapshot.capture(self.oracle)
+        self._perf_baseline = PerfReport.capture(self.oracle)
         # rolling cursor: advanced at every frame end, so the per-frame
         # deltas partition the run exactly (work done between frames —
         # disruption repair, notably — lands in the following frame,
@@ -714,8 +714,8 @@ class Dispatcher:
                 )
                 self._pin_utilities(instance)
 
-            frame_after = PerfSnapshot.capture(self.oracle)
-            frame_perf = FramePerf.from_reports(
+            frame_after = PerfReport.capture(self.oracle)
+            frame_perf = FramePerf(
                 frame_after.since(frame_before),
                 wall_seconds=time.perf_counter() - wall_start,
                 solve_seconds=solve_seconds,
@@ -750,11 +750,12 @@ class Dispatcher:
                 batch=report.batch_size,
                 expired=report.num_expired,
             )
-            _trace.instant(
-                "frame.perf",
-                frame=self._frame_index,
-                perf=frame_perf.as_dict(),
-            )
+            if _trace.enabled():
+                _trace.instant(
+                    "frame.perf",
+                    frame=self._frame_index,
+                    perf=frame_perf.as_dict(),
+                )
             self.reports.append(report)
             self._frame_index += 1
             self._clock = next_clock
@@ -1162,7 +1163,7 @@ class Dispatcher:
         field-wise sum of the per-frame ``FrameReport.perf`` breakdowns
         (plus any disruption repair after the last frame).
         """
-        return PerfSnapshot.capture(self.oracle).since(self._perf_baseline)
+        return PerfReport.capture(self.oracle).since(self._perf_baseline)
 
     def close(self) -> None:
         """Release the durability file handles.

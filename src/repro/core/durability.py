@@ -261,8 +261,6 @@ def snapshot_dispatcher(dispatcher, fingerprint: int) -> dict:
         ],
         "pending_disruption_seconds": dispatcher._pending_disruption_seconds,
         "reports": [frame_summary(r) for r in dispatcher.reports],
-        # informational only (restore starts fresh perf baselines)
-        "perf": dispatcher.perf_report().as_dict(),
     }
 
 

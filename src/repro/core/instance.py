@@ -216,12 +216,6 @@ class URRInstance:
         """
         return self.initial_sequence(vehicle)
 
-    def perf_report(self) -> "PerfReport":
-        """Oracle + insertion-engine counters (see :mod:`repro.perf`)."""
-        from repro.perf import report
-
-        return report(self.oracle)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"URRInstance(riders={self.num_riders}, vehicles={self.num_vehicles}, "

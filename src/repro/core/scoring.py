@@ -16,7 +16,6 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.perf import PerfReport, report as perf_report
 from repro.core.insertion import (
     InsertionPlan,
     InsertionResult,
@@ -107,10 +106,6 @@ class SolverState:
         refinement, admission control).
         """
         return plan_insertion(self.schedules[vehicle.vehicle_id], rider)
-
-    def perf_report(self) -> PerfReport:
-        """Oracle + insertion-engine counters (see :mod:`repro.perf`)."""
-        return perf_report(self.instance.oracle)
 
     def utility(self, vehicle_id: int) -> float:
         """Cached ``mu(S_j)`` of the vehicle's current schedule."""

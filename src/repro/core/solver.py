@@ -278,7 +278,13 @@ def solve_anytime(
 
     elapsed = time.perf_counter() - start
     exceeded = budget is not None and elapsed > budget
-    WATCHDOG_STATS.record(tier_name, tier_index, exceeded)
+    stats = WATCHDOG_STATS
+    stats.frames += 1
+    stats.tier_uses[tier_name] = stats.tier_uses.get(tier_name, 0) + 1
+    if tier_index > 0:
+        stats.fallbacks += 1
+    if exceeded:
+        stats.budget_exceeded += 1
     return result, AnytimeReport(
         tier=tier_name,
         tier_index=tier_index,

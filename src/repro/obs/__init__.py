@@ -17,14 +17,15 @@ hot path costs nothing until a tracer is installed::
     obs.stop_trace()
 
 Per-frame *counter deltas* (insertion plans, oracle searches, validator
-work, watchdog tiers) are not spans: the dispatcher snapshots the
-:mod:`repro.perf` globals around each frame and stores the difference
-in ``FrameReport.perf`` — and, when tracing is on, mirrors it into the
-trace as a ``frame.perf`` instant so the CLI can build its per-frame
-table from the file alone.
+work, watchdog tiers) are not spans: the dispatcher captures every
+:mod:`repro.perf` counter family around each frame and stores the
+difference in ``FrameReport.perf``.  When tracing is on it mirrors the
+difference's ``as_dict()``, derived values included, into the trace as a
+``frame.perf`` instant, so the CLI builds its per-frame table from the
+file alone and never re-derives a count :mod:`repro.perf` defines.
 
-This package depends only on the standard library and
-:mod:`repro.perf`; everything else in ``repro`` may import it freely.
+This package depends only on the standard library; everything else in
+``repro`` may import it freely.
 """
 
 from repro.obs.trace import (

@@ -185,19 +185,11 @@ def summarize(trace: TraceData, top: int = 10) -> str:
             perf = frame_perf.get(f, {})
             span = frame_spans.get(f)
             attrs = span["attrs"] if span else {}
-            searches = None
-            dij = _get(perf, "oracle", "dijkstra_count")
-            bidi = _get(perf, "oracle", "bidirectional_count")
-            if dij is not None and bidi is not None:
-                searches = dij + bidi
-            # candidate retrieval (PR 6): returned / pruned pair counts,
-            # "-" on traces that predate the index or run mode "full"
+            # derived values come precomputed in the payload (repro.perf
+            # defines them); "-" on traces that predate a counter
+            searches = _get(perf, "oracle", "searches")
             cands = _get(perf, "candidates", "candidates_returned")
-            pruned = None
-            pruned_s = _get(perf, "candidates", "pairs_pruned_spatial")
-            pruned_t = _get(perf, "candidates", "pairs_pruned_temporal")
-            if pruned_s is not None and pruned_t is not None:
-                pruned = pruned_s + pruned_t
+            pruned = _get(perf, "candidates", "pairs_pruned")
             # sharded dispatch (PR 7): shard solves and boundary riders
             # reconciled; "-" on traces from unsharded runs
             shards = _get(perf, "shards", "shards_solved")

@@ -317,9 +317,7 @@ class TestEagerRowCheckpointCompat:
 
     @staticmethod
     def payload(directory):
-        snapshot = json.loads((directory / "snapshot.json").read_text())
-        snapshot.pop("perf")  # wall-clock counters, informational only
-        return snapshot
+        return json.loads((directory / "snapshot.json").read_text())
 
     def test_eager_checkpoint_restores_and_finishes_identically(
         self, city, tmp_path
@@ -335,6 +333,11 @@ class TestEagerRowCheckpointCompat:
                 d.dispatch_frame(frame_requests(f, f * 10))
         # the snapshot payload is the same either way
         assert self.payload(eager_dir) == self.payload(table_dir)
+        # older version-2 writers also stored an unread "perf" block
+        legacy = self.payload(eager_dir)
+        assert "perf" not in legacy
+        legacy["perf"] = {"insertion": {"plans": 1}}
+        (eager_dir / "snapshot.json").write_text(json.dumps(legacy))
 
         with self.short_frames(city) as reference:
             use_eager_rows(reference)

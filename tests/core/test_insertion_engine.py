@@ -24,7 +24,7 @@ from repro.core.insertion import (
 )
 from repro.core.requests import Rider
 from repro.core.schedule import Stop, TransferSequence
-from repro.perf import INSERTION_STATS, reset_insertion_stats
+from repro.perf import INSERTION_STATS
 from repro.roadnet.generators import grid_city
 from repro.roadnet.oracle import DistanceOracle
 
@@ -234,7 +234,7 @@ class TestEngineCounters:
     def test_plan_counts(self):
         rng = random.Random(12)
         seq = _grow_schedule(rng, 6, capacity=3, slack=2.0)
-        reset_insertion_stats()
+        INSERTION_STATS.reset()
         plan_insertion(seq, _probe(rng, seq, 2.0))
         assert INSERTION_STATS.plans == 1
         assert INSERTION_STATS.materializations == 0
@@ -245,7 +245,7 @@ class TestEngineCounters:
         result = None
         while result is None:
             result = arrange_single_rider(seq, _probe(rng, seq, 3.0))
-        reset_insertion_stats()
+        INSERTION_STATS.reset()
         first = result.sequence
         second = result.sequence
         assert first is second
@@ -254,7 +254,7 @@ class TestEngineCounters:
     def test_reference_counts(self):
         rng = random.Random(14)
         seq = _grow_schedule(rng, 4, capacity=3, slack=2.5)
-        reset_insertion_stats()
+        INSERTION_STATS.reset()
         arrange_single_rider_reference(seq, _probe(rng, seq, 2.0))
         assert INSERTION_STATS.reference_calls == 1
         assert INSERTION_STATS.plans == 0

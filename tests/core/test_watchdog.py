@@ -9,7 +9,7 @@ from repro.core.solver import (
     solve_anytime,
 )
 from repro.core.vehicles import Vehicle
-from repro.perf import WATCHDOG_STATS, reset_watchdog_stats
+from repro.perf import WATCHDOG_STATS
 from repro.roadnet.generators import grid_city
 from repro.workload.instances import InstanceConfig, build_instance
 from tests.conftest import make_rider
@@ -30,9 +30,9 @@ def instance(city):
 
 @pytest.fixture(autouse=True)
 def _fresh_watchdog_stats():
-    reset_watchdog_stats()
+    WATCHDOG_STATS.reset()
     yield
-    reset_watchdog_stats()
+    WATCHDOG_STATS.reset()
 
 
 class TestSolveAnytime:

@@ -55,7 +55,8 @@ def synthetic_trace(path, scale=1.0):
                 "disruption_seconds": 0.0,
                 "insertion": {"plans": 4 + frame},
                 "validation": {"schedules": 0},
-                "oracle": {"dijkstra_count": 1, "bidirectional_count": 2},
+                "oracle": {"dijkstra_count": 1, "bidirectional_count": 2,
+                           "searches": 3},
             }},
         })
     write_trace(path, events)
@@ -84,7 +85,7 @@ class TestSummaryModule:
         assert "top spans" in text
         assert "serving-tier histogram:" in text
         assert "dispatch.frame" in text
-        # per-frame searches column = dijkstra + bidirectional
+        # the per-frame searches column reads oracle.searches
         assert any("3" in line for line in text.splitlines())
 
     def test_tier_histogram_falls_back_to_tier_spans(self, tmp_path):
@@ -167,6 +168,41 @@ class TestIntegration:
         )
         assert solve_frames == [0, 1]
         assert obs_main(["summary", path]) == 0
+
+    def test_searches_column_counts_tier1_graph_work(self, tmp_path):
+        """On a CH oracle, every search is a CH query or a batched row;
+        the column must show the frame's ``oracle.searches``, not only
+        its Dijkstra and bidirectional runs."""
+        from repro.roadnet.generators import grid_city
+        from repro.roadnet.oracle import DistanceOracle
+
+        city = grid_city(8, 8, seed=2, removal_fraction=0.0,
+                         arterial_every=None)
+        fleet = [Vehicle(vehicle_id=i, location=9 * i, capacity=2)
+                 for i in range(4)]
+        path = str(tmp_path / "tier1.jsonl")
+        start_trace(path)
+        with Dispatcher(city, fleet, method="eg", frame_length=10.0, seed=1,
+                        oracle=DistanceOracle(city, tier=1)) as dispatcher:
+            reports = [
+                dispatcher.dispatch_frame([
+                    make_rider(10 * f + i, source=(7 * i + f) % 64,
+                               destination=(7 * i + f + 30) % 64,
+                               pickup_deadline=10.0 * f + 25.0,
+                               dropoff_deadline=10.0 * f + 90.0)
+                    for i in range(5)
+                ])
+                for f in range(3)
+            ]
+        stop_trace()
+
+        lines = summarize(load_trace(path)).splitlines()
+        header = lines.index("per-frame breakdown:") + 1
+        column = lines[header].split().index("searches")
+        rows = [line.split() for line in lines[header + 2:header + 5]]
+        expected = [str(r.perf.oracle.searches) for r in reports]
+        assert [row[column] for row in rows] == expected
+        assert all(r.perf.oracle.ch_query_count for r in reports)
 
     def test_trace_from_check_cli(self, tmp_path, capsys):
         """The CI trace-smoke path: repro.check --mode dispatch --trace, then

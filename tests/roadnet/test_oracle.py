@@ -217,16 +217,16 @@ class TestStats:
         assert oracle.mode == "lru"
 
     def test_stats_match_perf_snapshot_fields(self, small_grid):
-        from repro.perf import OracleStats
+        from repro.perf import PerfReport
 
         oracle = DistanceOracle(small_grid)
         oracle.cost(0, 1)
-        stats = OracleStats.from_oracle(oracle)  # raises if keys drift
+        stats = PerfReport.capture(oracle).oracle  # raises if keys drift
         assert stats.mode == "apsp"
         assert stats.fast_path is False
 
     def test_fast_path_flag_reported(self, small_grid):
-        from repro.perf import OracleStats
+        from repro.perf import PerfReport
 
         oracle = DistanceOracle(small_grid)
         assert oracle.stats()["fast_path"] is False
@@ -234,7 +234,7 @@ class TestStats:
         fast(0, 24)  # bypasses query_count by design...
         assert oracle.stats()["query_count"] == 0
         assert oracle.stats()["fast_path"] is True  # ...and says so
-        assert OracleStats.from_oracle(oracle).fast_path is True
+        assert PerfReport.capture(oracle).oracle.fast_path is True
         oracle.invalidate()
         assert oracle.stats()["fast_path"] is False
 
@@ -374,9 +374,9 @@ class TestWarmPinning:
         oracle.invalidate()
         assert oracle.epoch == 2
         assert oracle.stats()["epoch"] == 2
-        from repro.perf import OracleStats
+        from repro.perf import PerfReport
 
-        assert OracleStats.from_oracle(oracle).epoch == 2
+        assert PerfReport.capture(oracle).oracle.epoch == 2
 
     def test_unpin_restores_lru_behaviour(self, small_grid):
         oracle = DistanceOracle(small_grid, cache_sources=2, apsp_threshold=0)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import perf
 from repro.core import dispatch, durability, insertion, shards
 from repro.core.candidates import CandidateIndex
 from repro.core.dispatch import Dispatcher
@@ -53,11 +54,45 @@ SEAMS = [
 ]
 
 
+#: every counter the benchmark reads; it reads them with ``getattr`` and
+#: records 0 for a missing one, so a rename would zero a per-layer metric
+COUNTERS = [
+    ("INSERTION_STATS", "plans"),
+    ("INSERTION_STATS", "pairs_evaluated"),
+    ("CANDIDATE_STATS", "pairs_considered"),
+    ("CANDIDATE_STATS", "pairs_pruned_spatial"),
+    ("CANDIDATE_STATS", "pairs_pruned_temporal"),
+    ("SHARD_STATS", "boundary_riders"),
+    ("SHARD_STATS", "reconciled_riders"),
+    ("WORKLOAD_STATS", "dest_cache_hits"),
+    ("WORKLOAD_STATS", "dest_cache_misses"),
+    ("WORKLOAD_STATS", "trips_generated"),
+    ("DistanceOracle", "query_count"),
+    ("DistanceOracle", "ch_query_count"),
+    ("DistanceOracle", "dijkstra_count"),
+    ("DistanceOracle", "pair_cache_hits"),
+    ("FramePerf", "roll_seconds"),
+]
+
+
 @pytest.mark.parametrize(
     "owner, name", SEAMS, ids=[f"{o.__name__}.{n}" for o, n in SEAMS]
 )
 def test_seam_is_defined_on_its_owner(owner, name):
     assert name in vars(owner)
+
+
+@pytest.mark.parametrize(
+    "owner, name", COUNTERS, ids=[f"{o}.{n}" for o, n in COUNTERS]
+)
+def test_counter_the_benchmark_reads_exists(owner, name):
+    if owner == "DistanceOracle":
+        obj = DistanceOracle(grid_city(3, 3, seed=1))
+    elif owner == "FramePerf":
+        obj = perf.FramePerf(perf.PerfReport.capture())
+    else:
+        obj = getattr(perf, owner)
+    assert isinstance(getattr(obj, name), (int, float))
 
 
 @pytest.mark.skipif(not LAYERS.exists(), reason="benchmark tracer not present")
