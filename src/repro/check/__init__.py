@@ -29,6 +29,10 @@ redundant counterweight:
 - :mod:`repro.check.utilities` keeps the eager per-pair ``mu_v`` builders
   that the dispatcher's array-backed table replaced, as the reference
   the table is tested against;
+- :mod:`repro.check.rebuild` keeps the rebuild-everything frame state
+  (every vehicle re-read, audited and re-indexed every frame) as the
+  reference for the dispatcher's incremental one (the ``rebuild`` fuzz
+  config token);
 - ``python -m repro.check --mode NAME`` drives it all from the command
   line (see ``--help``; CI runs every mode).
 

@@ -8,7 +8,10 @@ select what B is and how it runs:
 
 - **config** — B's dispatcher: a forced tier-1 (CH + ALT) oracle, the
   spatial or spatio-temporal candidate index (audit armed), or sharded
-  dispatch.  A runs the row's reference config;
+  dispatch.  A runs the row's reference config, which may add the
+  ``rebuild`` token: A then re-reads, audits and re-indexes every
+  vehicle before every frame (:mod:`repro.check.rebuild`), so B's
+  incremental frame state is compared with a full rebuild;
 - **perturbation** — seeded chaos events (breakdowns, cancellations,
   no-shows, travel-time perturbations, closures) drawn from A's state at
   every frame boundary and injected into both runs, or one broad
@@ -73,6 +76,7 @@ from repro.obs import trace as _trace
 from repro.perf import CANDIDATE_STATS
 from repro.roadnet.oracle import DistanceOracle
 from repro.check.crash import CrashDrive
+from repro.check.rebuild import use_full_rebuild
 from repro.check.scenario import INSTANCE, Scenario, Shape, draw_scenario, plan_for
 from repro.check.stream import StreamDrive
 from repro.check.validator import validate_assignment, validate_fleet_state
@@ -99,7 +103,8 @@ class Mode:
     """One row of the fuzz table: a scenario shape plus the three axes.
 
     Dispatcher configs are ``+``-joined tokens: ``plain``, ``tier1``,
-    ``spatial``, ``spatiotemporal`` and ``sharded``.
+    ``spatial``, ``spatiotemporal``, ``sharded`` and ``rebuild`` (the
+    rebuild-everything reference of :mod:`repro.check.rebuild`).
     """
 
     name: str
@@ -125,6 +130,10 @@ MODES: Dict[str, Mode] = {m.name: m for m in (
     Mode("prune", _WIDE, candidate=("spatial", "spatiotemporal")),
     Mode("prune-tiered", _WIDE, candidate=("spatial+tier1", "spatiotemporal+tier1"),
          perturb="once", p_perturb=0.5),
+    Mode("chaos-rebuild", _CHAOS, reference="rebuild", candidate=("plain",),
+         perturb="chaos"),
+    Mode("prune-rebuild", _WIDE, reference="spatiotemporal+rebuild",
+         candidate=("spatiotemporal",)),
     Mode("dispatch-shards", dataclasses.replace(_WIDE, p_tight=0.5),
          candidate=("sharded",)),
     Mode("crash", Shape(), drive="crash",
@@ -247,7 +256,13 @@ class Trial:
             )
         # A runs B's config unless the frames drive compares configs
         self.reference = mode.reference if mode.drive == "frames" else self.config
-        self.label = mode.drive if mode.drive in ("stream", "crash") else self.config
+        #: the failure stage of an A/B divergence (the axis that differs)
+        #: and B's name in the diverging values
+        self.label = self.name = (
+            mode.drive if mode.drive in ("stream", "crash") else self.config
+        )
+        if "rebuild" in self.reference.split("+") and "rebuild" not in self.config:
+            self.label, self.name = "rebuild", "incremental"
         #: rider ids issued up to and including each frame
         self.issued: List[set] = []
         for riders in scenario.frames:
@@ -299,12 +314,15 @@ class Trial:
         elif self.report.draws.get("watchdog"):
             kwargs["frame_budget"] = _WATCHDOG_BUDGET
         kwargs.update(extra)
-        return Dispatcher(
+        dispatcher = Dispatcher(
             network, list(scn.fleet), method=scn.method,
             frame_length=scn.frame_length, plan=scn.plan, alpha=scn.alpha,
             beta=scn.beta, oracle=oracle, seed=scn.seed,
             max_retries=scn.max_retries, **kwargs,
         )
+        if "rebuild" in tokens:
+            use_full_rebuild(dispatcher)
+        return dispatcher
 
     # -- shared per-run checks ----------------------------------------------
     @staticmethod
@@ -338,6 +356,22 @@ class Trial:
                 if r.rider_id not in drops:
                     fail("invariant", f"onboard rider {r.rider_id} on vehicle "
                                       f"{vid} has no committed drop-off")
+        index = d.candidates
+        if index is not None:
+            # every slot sits where its vehicle is: a changed vehicle the
+            # dispatcher failed to re-index would prune from a stale spot
+            if set(index.tracked_ids()) != set(d.fleet):
+                fail("invariant", f"candidate index tracks {sorted(index.tracked_ids())}, "
+                                  f"fleet is {sorted(d.fleet)}")
+            for vid, fv in d.fleet.items():
+                slot = index._slot.get(vid)
+                if slot is None:
+                    continue
+                ready = -math.inf if fv.ready_time is None else fv.ready_time
+                if (index._loc[slot], index._ready[slot]) != (fv.location, ready):
+                    fail("invariant", f"vehicle {vid}'s index slot "
+                                      f"({index._loc[slot]}, {index._ready[slot]}) is stale: "
+                                      f"the vehicle is at ({fv.location}, {ready})")
         for entry in d._carryover:
             if entry.rider.pickup_deadline <= clock:
                 fail("invariant", f"dead rider {entry.rider.rider_id} in the "
@@ -421,7 +455,7 @@ class Trial:
         self.count("applied", sum(applied[0]))
         if len(applied) == 2 and applied[0] != applied[1]:
             self.fail(self.label, f"frame {frame}: disruption outcomes diverge: "
-                                  f"reference={applied[0]} {self.label}={applied[1]}")
+                                  f"reference={applied[0]} {self.name}={applied[1]}")
 
     def sweep(self, a: Dispatcher, b: Optional[Dispatcher], where: str) -> None:
         """Bitwise cost sweep when A and B sit on different oracle tiers.
@@ -439,7 +473,7 @@ class Trial:
             x, y = a.oracle.cost(u, v), b.oracle.cost(u, v)
             if x != y and not (math.isinf(x) and math.isinf(y)):
                 self.fail("tiered_cost", f"{where}: cost({u}, {v}) diverges "
-                                         f"bitwise: reference={x!r} {self.label}={y!r}")
+                                         f"bitwise: reference={x!r} {self.name}={y!r}")
                 return
 
 
@@ -593,7 +627,7 @@ def _run_lockstep(t: Trial) -> None:
     try:
         for frame, riders in enumerate(scn.frames):
             b = drive.dispatcher if drive else None
-            runs = [(a, "")] + ([(b, t.label)] if b else [])
+            runs = [(a, "")] + ([(b, t.name)] if b else [])
             if relax:
                 if _boundary_conflict(b, riders):
                     # carried state downstream of a conflict frame may
@@ -617,13 +651,13 @@ def _run_lockstep(t: Trial) -> None:
                     t.raised(t.label, f"frame {frame}", exc)
                     break
                 b = drive.dispatcher
-                runs[1] = (b, t.label)
+                runs[1] = (b, t.name)
                 if rb is not None:
-                    t.check_frame(b, rb, frame, before[1], t.issued[frame], t.label)
+                    t.check_frame(b, rb, frame, before[1], t.issued[frame], t.name)
                     if relax and rb.utility < -_EPS:
                         t.fail(t.label, f"frame {frame}: sharded frame utility "
                                         f"{rb.utility:.9f} fell below the carried-in baseline")
-                detail = _divergence(a, b, ra, rb, t.label) if strict and not t.failed else None
+                detail = _divergence(a, b, ra, rb, t.name) if strict and not t.failed else None
                 if detail is not None:
                     t.fail(t.label, f"frame {frame}: {detail}")
             t.sweep(a, b, f"frame {frame}")

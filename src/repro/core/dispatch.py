@@ -29,7 +29,12 @@ machine:
 - an optional per-frame wall-clock budget (``frame_budget``) routes the
   solve through the anytime watchdog
   (:func:`repro.core.solver.solve_anytime`), so a frame always commits
-  some valid plan; the serving tier lands in :class:`FrameReport`.
+  some valid plan; the serving tier lands in :class:`FrameReport`;
+- per-frame bookkeeping is incremental: a frame rebuilds, audits and
+  re-indexes only the vehicles whose carried state was written since
+  they were last audited (:class:`FleetVehicle` notices the write,
+  :meth:`Dispatcher._sync_fleet` picks it up), so its cost follows the
+  batch and the changed vehicles rather than the fleet.
 
 This is the online counterpart the Related Work section contrasts with
 ([25], [20]): requests within a frame are batched — between frames the
@@ -41,7 +46,9 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
+from typing import (
+    Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING,
+)
 
 import numpy as np
 
@@ -175,6 +182,13 @@ class FrameReport:
     Frame N's numbers exclude frames 1..N-1 and anything else the
     process ran earlier; summing a field across reports reconstructs
     the run total.
+
+    ``changed_vehicles`` names the vehicles whose plan this frame wrote
+    (solver insertions, degrade reverts) or re-derived and audited (their
+    carried state changed since their last audit).  Every other vehicle's
+    plan is the one an earlier frame already reported, with the same
+    arrival times, so a reader of the frame's plans (the streaming
+    engine's latency spans) need only look at these.
     """
 
     frame_index: int
@@ -199,6 +213,7 @@ class FrameReport:
     # fired early (count trigger) — the WAL persists it so replay can
     # reproduce variable-length frames exactly
     frame_length: Optional[float] = None
+    changed_vehicles: FrozenSet[int] = frozenset()
 
     @property
     def batch_size(self) -> int:
@@ -213,6 +228,15 @@ class FrameReport:
         return self.num_served / self.batch_size
 
 
+#: The :class:`FleetVehicle` fields its solver-side :class:`Vehicle` is
+#: built from.  Writing any of them drops the cached ``Vehicle`` and
+#: committed-rider ids, which is how the dispatcher learns the vehicle
+#: changed (see :meth:`Dispatcher._sync_fleet`).
+_CARRIED_FIELDS = frozenset(
+    {"location", "capacity", "ready_time", "onboard", "committed_stops"}
+)
+
+
 @dataclass
 class FleetVehicle:
     """A vehicle's dispatcher-side state.
@@ -222,6 +246,12 @@ class FleetVehicle:
     are rewritten by the rollforward after every frame.  ``total_cost``
     accumulates each frame's *incremental* travel cost (committed legs are
     charged once, when first planned).
+
+    :meth:`as_vehicle` and :meth:`committed_rider_ids` are cached until
+    one of the carried fields is written, by anyone: the rollforward,
+    the disruption engine, a restore, or code editing
+    ``Dispatcher.fleet`` directly.  The dispatcher treats a vehicle whose
+    cached ``Vehicle`` was dropped as changed.
     """
 
     vehicle_id: int
@@ -232,17 +262,32 @@ class FleetVehicle:
     committed_stops: Tuple[Stop, ...] = ()
     total_cost: float = 0.0
     riders_served: int = 0
+    _vehicle: Optional[Vehicle] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _rider_ids: Optional[FrozenSet[int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+        if name in _CARRIED_FIELDS:
+            object.__setattr__(self, "_vehicle", None)
+            object.__setattr__(self, "_rider_ids", None)
 
     def as_vehicle(self) -> Vehicle:
         """The solver-side view of this vehicle for the next frame."""
-        return Vehicle(
-            vehicle_id=self.vehicle_id,
-            location=self.location,
-            capacity=self.capacity,
-            ready_time=self.ready_time,
-            onboard=self.onboard,
-            committed_stops=self.committed_stops,
-        )
+        vehicle = self._vehicle
+        if vehicle is None:
+            vehicle = self._vehicle = Vehicle(
+                vehicle_id=self.vehicle_id,
+                location=self.location,
+                capacity=self.capacity,
+                ready_time=self.ready_time,
+                onboard=self.onboard,
+                committed_stops=self.committed_stops,
+            )
+        return vehicle
 
     def pending_pickup_ids(self) -> Set[int]:
         """Ids of committed riders not yet picked up (releasable)."""
@@ -252,11 +297,49 @@ class FleetVehicle:
             if s.kind is StopKind.PICKUP
         }
 
-    def committed_rider_ids(self) -> Set[int]:
+    def committed_rider_ids(self) -> FrozenSet[int]:
         """Ids of every rider this vehicle is committed to."""
-        ids = {r.rider_id for r in self.onboard}
-        ids.update(s.rider.rider_id for s in self.committed_stops)
+        ids = self._rider_ids
+        if ids is None:
+            ids = self._rider_ids = frozenset(
+                [r.rider_id for r in self.onboard]
+                + [s.rider.rider_id for s in self.committed_stops]
+            )
         return ids
+
+
+class CommittedRiders:
+    """Fleet-wide ``rider id -> vehicles committed to it`` map.
+
+    Kept current one vehicle at a time (:meth:`assign`), so reading it
+    costs nothing per frame.  ``shared`` holds the riders more than one
+    vehicle is committed to: carried-state corruption the frame audit
+    reports as a cross-vehicle duplicate.
+    """
+
+    __slots__ = ("owners", "shared", "_ids")
+
+    def __init__(self) -> None:
+        self.owners: Dict[int, List[int]] = {}
+        self.shared: Set[int] = set()
+        self._ids: Dict[int, FrozenSet[int]] = {}
+
+    def assign(self, vehicle_id: int, rider_ids: FrozenSet[int]) -> None:
+        """Replace the riders registered for one vehicle."""
+        for rid in self._ids.pop(vehicle_id, ()):
+            owners = self.owners[rid]
+            owners.remove(vehicle_id)
+            if not owners:
+                del self.owners[rid]
+            elif len(owners) == 1:
+                self.shared.discard(rid)
+        if rider_ids:
+            self._ids[vehicle_id] = rider_ids
+        for rid in rider_ids:
+            owners = self.owners.setdefault(rid, [])
+            owners.append(vehicle_id)
+            if len(owners) > 1:
+                self.shared.add(rid)
 
 
 class Dispatcher:
@@ -456,6 +539,17 @@ class Dispatcher:
                 for vid, fv in self.fleet.items()
             )
             self.candidates = candidate_index
+        # incremental frame state: the Vehicle last read from each fleet
+        # entry (a different object means the entry changed), the riders
+        # each vehicle is committed to, and the vehicles whose carried
+        # state changed since their last audit (all of them at first)
+        self._vehicles: Dict[int, Vehicle] = {}
+        self._committed = CommittedRiders()
+        self._dirty: Set[int] = set()
+        self._epoch = self.oracle.epoch
+        # per-frame audit/rebuild tallies for FramePerf
+        self._audited: Set[int] = set()
+        self._rebuilt = 0
         # sharded dispatch: the partition is fixed at construction (a
         # function of the network and shard_count only)
         self.shard_workers = shard_workers
@@ -571,13 +665,16 @@ class Dispatcher:
             self._carryover = []
             batch = new_riders + [entry.rider for entry in carried]
             batch_ids = {r.rider_id for r in batch}
+            self._audited = set()
 
+            build_start = time.perf_counter()
             with _trace.span("dispatch.build_instance"):
                 instance = self._build_instance(batch)
                 # the carried-in residual plans, materialized on demand:
-                # only touched/carried vehicles are ever built, so frame
-                # accounting stays O(touched) on large idle fleets
+                # only touched vehicles' baselines are ever built, so
+                # frame accounting stays O(touched) on large idle fleets
                 baselines = LazySchedules(instance)
+            build_seconds = time.perf_counter() - build_start
             solve_start = time.perf_counter()
             if self._shard_plan is not None:
                 with _trace.span(
@@ -624,10 +721,14 @@ class Dispatcher:
                         tier_seconds.get(attempt.tier, 0.0) + attempt.elapsed
                     )
             solve_seconds = time.perf_counter() - solve_start
+            audit_start = time.perf_counter()
             with _trace.span("dispatch.audit"):
                 assignment = self._enforce_validity(
                     instance, assignment, baselines
                 )
+            audit_seconds = time.perf_counter() - audit_start
+            # every changed vehicle's plan passed the audit
+            self._dirty.clear()
             validate_seconds = 0.0
             if self.validate_frames:
                 # imported lazily: repro.check depends on repro.core
@@ -643,7 +744,8 @@ class Dispatcher:
             # their pristine initial sequence, so their delta is exactly
             # zero — summing over the touched set is the full difference.
             model = instance.utility_model()
-            touched = getattr(assignment.schedules, "touched", None)
+            schedules = assignment.schedules
+            touched = getattr(schedules, "touched", None)
             frame_utility = 0.0
             frame_cost = 0.0
             if touched is None:
@@ -658,14 +760,24 @@ class Dispatcher:
                 frame_cost = assignment.total_travel_cost() - baseline_cost
             else:
                 for vid in touched:
-                    seq = assignment.schedules[vid]
+                    seq = schedules[vid]
                     base = baselines[vid]
                     vehicle = instance.vehicle(vid)
                     frame_utility += model.schedule_utility(
                         vehicle, seq
                     ) - model.schedule_utility(vehicle, base)
                     frame_cost += seq.total_cost - base.total_cost
-            served_ids = assignment.served_rider_ids() & batch_ids
+            if touched is None:
+                served_ids = assignment.served_rider_ids() & batch_ids
+                changed = frozenset(schedules)
+            else:
+                # batch riders can only be in schedules the solver wrote
+                served_ids = {
+                    r.rider_id
+                    for vid in touched
+                    for r in schedules[vid].assigned_riders()
+                } & batch_ids
+                changed = frozenset(touched | self._audited)
             # canonical order: ledger writes must not depend on set
             # iteration order, or sharded and unsharded runs could
             # diverge on anything downstream of insertion order
@@ -676,36 +788,36 @@ class Dispatcher:
             roll_start = time.perf_counter()
             with _trace.span("dispatch.roll"):
                 for vid, fv in self.fleet.items():
-                    if (
-                        touched is not None
-                        and vid not in touched
-                        and not fv.committed_stops
-                        and not fv.onboard
+                    if touched is None or vid in touched:
+                        seq = schedules.get(vid)
+                        if seq is None:
+                            seq = baselines[vid]
+                        fv.total_cost += (
+                            seq.total_cost - baselines[vid].total_cost
+                        )
+                        fv.riders_served += sum(
+                            1 for r in seq.assigned_riders()
+                            if r.rider_id in batch_ids
+                        )
+                        self._roll_vehicle(fv, seq, next_clock)
+                    elif fv.committed_stops or fv.onboard:
+                        # untouched: the pristine plan, whose cost and
+                        # served deltas are exactly zero.  It changed when
+                        # last rolled, so the audit already built it.
+                        seq = schedules.peek(vid)
+                        if seq is None:
+                            seq = baselines[vid]
+                        self._roll_vehicle(fv, seq, next_clock)
+                    elif (
+                        fv.ready_time is not None
+                        and fv.ready_time <= next_clock + _EPS
                     ):
-                        # untouched idle vehicle: its schedule is the
-                        # pristine empty sequence — nothing to walk, no
-                        # cost/served deltas; just retire a stale
-                        # finished-leg timestamp like _roll_vehicle would
-                        if (
-                            fv.ready_time is not None
-                            and fv.ready_time <= next_clock + _EPS
-                        ):
-                            fv.ready_time = None
-                        continue
-                    seq = assignment.schedules.get(vid)
-                    if seq is None:
-                        seq = baselines[vid]
-                    fv.total_cost += seq.total_cost - baselines[vid].total_cost
-                    fv.riders_served += sum(
-                        1 for r in seq.assigned_riders()
-                        if r.rider_id in batch_ids
-                    )
-                    self._roll_vehicle(fv, seq, next_clock)
-                if self.candidates is not None:
-                    # incremental index maintenance: move each vehicle's slot
-                    # to its rolled-forward position (upsert, no rebuild)
-                    for vid, fv in self.fleet.items():
-                        self.candidates.update(vid, fv.location, fv.ready_time)
+                        # untouched idle vehicle: nothing to walk; retire
+                        # a stale finished-leg timestamp like
+                        # _roll_vehicle would
+                        fv.ready_time = None
+                # the rolled vehicles: committed-rider map and index slots
+                self._sync_fleet()
             roll_seconds = time.perf_counter() - roll_start
 
             with _trace.span("dispatch.carryover"):
@@ -718,13 +830,18 @@ class Dispatcher:
             frame_perf = FramePerf(
                 frame_after.since(frame_before),
                 wall_seconds=time.perf_counter() - wall_start,
+                build_seconds=build_seconds,
                 solve_seconds=solve_seconds,
+                audit_seconds=audit_seconds,
                 validate_seconds=validate_seconds,
                 roll_seconds=roll_seconds,
                 disruption_seconds=self._pending_disruption_seconds,
                 tier_seconds=tier_seconds,
+                vehicles_rebuilt=self._rebuilt,
+                vehicles_audited=len(self._audited),
             )
             self._pending_disruption_seconds = 0.0
+            self._rebuilt = 0
             self._perf_cursor = frame_after
 
             report = FrameReport(
@@ -743,6 +860,7 @@ class Dispatcher:
                 budget_exceeded=budget_exceeded,
                 perf=frame_perf,
                 frame_length=frame_length,
+                changed_vehicles=changed,
             )
             frame_span.annotate(
                 tier=solver_tier,
@@ -853,48 +971,79 @@ class Dispatcher:
         Per-vehicle checks: schedule validity (deadlines, order, capacity)
         plus commitment integrity — the carried-in onboard riders and
         committed stops must survive, in order, in the new schedule.
+
+        Only the schedules the solver wrote and the vehicles whose carried
+        state changed since their last audit are checked.  Any other
+        schedule is the pristine residual plan of a vehicle that passed an
+        earlier audit and has not changed since, in the same metric: it
+        re-derives the same arrival times and passes again.
         """
         offending: Dict[int, List[str]] = {}
-        peek = getattr(assignment.schedules, "peek", None)
+        schedules = assignment.schedules
+        touched = getattr(schedules, "touched", None)
+        audit = None if touched is None else touched | self._dirty
         for vehicle in instance.vehicles:
-            if peek is not None:
-                seq = peek(vehicle.vehicle_id)
-                if seq is None and not vehicle.has_carried_state:
-                    # never materialized and nothing carried: the schedule
-                    # is the pristine empty sequence — trivially valid
-                    continue
-                if seq is None:
-                    # pristine but carrying commitments: audit the
-                    # materialized residual plan like any other
-                    seq = assignment.schedules[vehicle.vehicle_id]
-            else:
-                seq = assignment.schedules.get(vehicle.vehicle_id)
+            vid = vehicle.vehicle_id
+            if audit is None:
+                seq = schedules.get(vid)
                 if seq is None:
                     if vehicle.has_carried_state:
-                        offending[vehicle.vehicle_id] = [
+                        offending[vid] = [
                             "carried-over plan missing from the assignment"
                         ]
                     continue
+            elif vid not in audit:
+                continue
+            else:
+                seq = schedules.peek(vid)
+                if seq is None:
+                    if not vehicle.has_carried_state:
+                        # nothing carried: the pristine empty sequence
+                        continue
+                    seq = schedules[vid]
+            self._audited.add(vid)
             errors = seq.validity_errors()
             errors.extend(self._commitment_errors(vehicle, seq))
             if errors:
-                offending[vehicle.vehicle_id] = errors
+                offending[vid] = errors
+        return offending, self._duplicate_riders(schedules, touched)
 
+    def _duplicate_riders(self, schedules, touched) -> List[str]:
+        """Riders that two vehicles' schedules both serve.
+
+        Batch riders can only sit in written schedules; a carried rider
+        sits in every unwritten schedule of a vehicle committed to it,
+        which the fleet-wide committed-rider map answers without building
+        those schedules.
+        """
         duplicates: List[str] = []
         seen: Dict[int, int] = {}
-        for vid, seq in (
-            assignment.schedules.iter_active()
-            if hasattr(assignment.schedules, "iter_active")
-            else assignment.schedules.items()
-        ):
-            for rider in seq.assigned_riders():
-                if rider.rider_id in seen and seen[rider.rider_id] != vid:
-                    duplicates.append(
-                        f"rider {rider.rider_id} assigned to vehicles "
-                        f"{seen[rider.rider_id]} and {vid}"
-                    )
-                seen.setdefault(rider.rider_id, vid)
-        return offending, duplicates
+
+        def assigned(rid: int, vid: int) -> None:
+            first = seen.setdefault(rid, vid)
+            if first != vid:
+                duplicates.append(
+                    f"rider {rid} assigned to vehicles {first} and {vid}"
+                )
+
+        if touched is None:
+            for vid, seq in schedules.items():
+                for rider in seq.assigned_riders():
+                    assigned(rider.rider_id, vid)
+            return duplicates
+        owners = self._committed.owners
+        for rid in sorted(self._committed.shared):
+            for vid in owners[rid]:
+                if vid not in touched:
+                    assigned(rid, vid)
+        for vid in sorted(touched):
+            for rider in schedules[vid].assigned_riders():
+                rid = rider.rider_id
+                for owner in owners.get(rid, ()):
+                    if owner not in touched:
+                        assigned(rid, owner)
+                assigned(rid, vid)
+        return duplicates
 
     def _first_violation(
         self, instance: URRInstance, assignment: Assignment
@@ -936,11 +1085,12 @@ class Dispatcher:
         # pool via the normal unserved path
         for vid in offending:
             assignment.schedules[vid] = baselines[vid]
-        remaining = assignment.validity_errors()
-        for vehicle in instance.vehicles:
-            seq = assignment.schedules.get(vehicle.vehicle_id)
-            if seq is not None:
-                remaining.extend(self._commitment_errors(vehicle, seq))
+        still, duplicates = self._frame_violations(instance, assignment)
+        remaining = [
+            f"vehicle {vid}: {error}"
+            for vid, errors in still.items()
+            for error in errors
+        ] + duplicates
         if remaining:
             # the carried-in state itself is broken — degrading cannot help
             raise DispatchError(
@@ -1077,9 +1227,7 @@ class Dispatcher:
         its base row of the frame's table (whose columns are the fleet,
         which does not change inside a frame)."""
         live: Set[int] = {entry.rider.rider_id for entry in self._carryover}
-        for fv in self.fleet.values():
-            live.update(r.rider_id for r in fv.onboard)
-            live.update(s.rider.rider_id for s in fv.committed_stops)
+        live.update(self._committed.owners)
         pinned: Dict[int, Dict[int, float]] = {}
         # sorted: the pinned overlay must be insertion-ordered the same
         # way every run (set iteration order is not a contract)
@@ -1309,8 +1457,43 @@ class Dispatcher:
         return dispatcher
 
     # ------------------------------------------------------------------
+    def _sync_fleet(self) -> List[Vehicle]:
+        """The solver-side fleet, re-reading only the vehicles that changed.
+
+        Writing a carried field of a :class:`FleetVehicle` drops its
+        cached :class:`Vehicle`, so an entry changed since the last sync
+        exactly when :meth:`FleetVehicle.as_vehicle` hands back a
+        different object than the one recorded here (a replaced entry
+        too).  A changed vehicle is marked for audit, re-registered in the
+        committed-rider map and moved in the candidate index; vehicles
+        gone from the fleet (breakdowns) are forgotten.  A new oracle
+        epoch re-times every residual plan, so it marks every vehicle for
+        audit.  Returns the vehicles in fleet order.
+        """
+        known = self._vehicles
+        vehicles: List[Vehicle] = []
+        for vid, fv in self.fleet.items():
+            vehicle = fv._vehicle
+            if vehicle is None or vehicle is not known.get(vid):
+                vehicle = known[vid] = fv.as_vehicle()
+                self._committed.assign(vid, fv.committed_rider_ids())
+                self._dirty.add(vid)
+                self._rebuilt += 1
+                if self.candidates is not None:
+                    self.candidates.update(vid, fv.location, fv.ready_time)
+            vehicles.append(vehicle)
+        if len(known) > len(self.fleet):
+            for vid in known.keys() - self.fleet.keys():
+                del known[vid]
+                self._committed.assign(vid, frozenset())
+                self._dirty.discard(vid)
+        if self.oracle.epoch != self._epoch:
+            self._epoch = self.oracle.epoch
+            self._dirty.update(self.fleet)
+        return vehicles
+
     def _build_instance(self, riders: List[Rider]) -> URRInstance:
-        vehicles = [fv.as_vehicle() for fv in self.fleet.values()]
+        vehicles = self._sync_fleet()
         if self.utility_matrix == "synthetic":
             rng = np.random.default_rng(self.seed + self._frame_index)
             table = synthetic_vehicle_utilities(riders, vehicles, rng)

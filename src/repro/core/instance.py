@@ -94,9 +94,10 @@ class URRInstance:
         if len(set(vehicle_ids)) != len(vehicle_ids):
             raise ValueError("duplicate vehicle ids in instance")
         rider_id_set = set(rider_ids)
-        for v in self.vehicles:
-            if not v.has_carried_state:
-                continue
+        # vehicles committed to riders (a carried ready_time alone
+        # commits to nobody)
+        carrying = [v for v in self.vehicles if v.onboard or v.committed_stops]
+        for v in carrying:
             clash = v.committed_rider_ids() & rider_id_set
             if clash:
                 raise ValueError(
@@ -111,7 +112,7 @@ class URRInstance:
         }
         # carried-over riders keep their social profile: their committed
         # rides still contribute co-rider similarity to this frame's batch
-        for v in self.vehicles:
+        for v in carrying:
             for r in v.onboard:
                 self._social_by_rider.setdefault(r.rider_id, r.social_id)
             for s in v.committed_stops:

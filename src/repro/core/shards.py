@@ -230,9 +230,12 @@ def reconcile_boundary(
 
     Returns ``(boundary_riders, reconciled_riders)``.
     """
-    served: set = set()
-    for _vid, seq in schedules.iter_active():
-        served.update(r.rider_id for r in seq.assigned_riders())
+    # batch riders can only sit in schedules a shard solve wrote
+    served = {
+        r.rider_id
+        for vid in schedules.touched
+        for r in schedules[vid].assigned_riders()
+    }
     state = SolverState(instance, schedules=schedules)
     rider_shard = partition.rider_shard
     vehicle_shard = partition.vehicle_shard

@@ -196,6 +196,9 @@ def summarize(trace: TraceData, top: int = 10) -> str:
             if not shards:
                 shards = None
             reconciled = _get(perf, "shards", "reconciled_riders")
+            # schedules the frame audit checked (changed vehicles plus
+            # the solver's writes); "-" on traces that predate it
+            audited = _get(perf, "vehicles_audited")
             rows.append([
                 str(f),
                 _fmt_seconds(span["dur"] if span else None),
@@ -208,6 +211,7 @@ def summarize(trace: TraceData, top: int = 10) -> str:
                 str(cands if cands is not None else "-"),
                 str(pruned if pruned is not None else "-"),
                 str(_get(perf, "validation", "schedules") or 0),
+                str(audited) if audited is not None else "-",
                 str(shards) if shards is not None else "-",
                 str(reconciled) if shards is not None else "-",
                 f"{attrs.get('served', '-')}/{attrs.get('batch', '-')}",
@@ -216,8 +220,8 @@ def summarize(trace: TraceData, top: int = 10) -> str:
         lines.append("per-frame breakdown:")
         lines.extend(_table(
             ["frame", "wall", "solve", "validate", "disrupt", "tier",
-             "plans", "searches", "cands", "pruned", "validated", "shards",
-             "reconciled", "served"],
+             "plans", "searches", "cands", "pruned", "validated", "audited",
+             "shards", "reconciled", "served"],
             rows,
         ))
 

@@ -349,14 +349,25 @@ class FramePerf(PerfReport):
     wall-clock sections measured inside the frame:
 
     - ``wall_seconds`` — the whole ``dispatch_frame`` call;
+    - ``build_seconds`` — building the frame's instance (re-reading the
+      changed vehicles and drawing the mu_v table);
     - ``solve_seconds`` — the solver (all watchdog tiers included);
     - ``tier_seconds`` — solver time by tier name (one entry without a
       watchdog, one per attempted tier with one);
+    - ``audit_seconds`` — the frame audit (degrade included);
     - ``validate_seconds`` — the opt-in ``validate_frames`` audit;
     - ``roll_seconds`` — rolling every vehicle to the next clock;
     - ``disruption_seconds`` — time spent in ``Dispatcher.inject`` since
       the previous frame (disruptions strike *between* frames; their
       repair cost is attributed to the frame that follows them).
+
+    Two counts show how much of the fleet the frame had to look at:
+
+    - ``vehicles_rebuilt`` — vehicles whose carried state changed, so the
+      dispatcher built a new solver-side ``Vehicle`` for them (since the
+      previous frame, the roll of this one included);
+    - ``vehicles_audited`` — vehicles whose schedule the frame audit
+      checked: the solver's writes plus the changed vehicles.
     """
 
     def __init__(
@@ -368,23 +379,35 @@ class FramePerf(PerfReport):
         roll_seconds: float = 0.0,
         disruption_seconds: float = 0.0,
         tier_seconds: Optional[Dict[str, float]] = None,
+        build_seconds: float = 0.0,
+        audit_seconds: float = 0.0,
+        vehicles_rebuilt: int = 0,
+        vehicles_audited: int = 0,
     ) -> None:
         super().__init__(interval.families)
         self.wall_seconds = wall_seconds
+        self.build_seconds = build_seconds
         self.solve_seconds = solve_seconds
+        self.audit_seconds = audit_seconds
         self.validate_seconds = validate_seconds
         self.roll_seconds = roll_seconds
         self.disruption_seconds = disruption_seconds
         self.tier_seconds = dict(tier_seconds or {})
+        self.vehicles_rebuilt = vehicles_rebuilt
+        self.vehicles_audited = vehicles_audited
 
     def as_dict(self) -> Dict[str, Any]:
         data = super().as_dict()
         data.update(
             wall_seconds=self.wall_seconds,
+            build_seconds=self.build_seconds,
             solve_seconds=self.solve_seconds,
+            audit_seconds=self.audit_seconds,
             validate_seconds=self.validate_seconds,
             roll_seconds=self.roll_seconds,
             disruption_seconds=self.disruption_seconds,
             tier_seconds=dict(self.tier_seconds),
+            vehicles_rebuilt=self.vehicles_rebuilt,
+            vehicles_audited=self.vehicles_audited,
         )
         return data

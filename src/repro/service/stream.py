@@ -61,11 +61,15 @@ times, exact while execution follows the plan) — and emitted through
 :mod:`repro.obs` as ``stream.admit`` / ``stream.request`` instants plus
 a ``stream.batch`` span per micro-batch.
 :meth:`StreamingEngine.latency_summary` aggregates p50/p95/p99 per
-stage.
+stage.  Those latencies are simulated minutes; each
+:class:`StreamBatch` also records the wall-clock seconds the engine
+spent on it (``wall_seconds``), and :meth:`StreamingEngine.summary`
+reports their p50/p95 as ``wall_ms``.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional
 
@@ -142,7 +146,12 @@ class RequestSpan:
 
 @dataclass(frozen=True)
 class StreamBatch:
-    """One dispatched micro-batch: the window and its frame report."""
+    """One dispatched micro-batch: the window and its frame report.
+
+    ``wall_seconds`` is the wall-clock cost of the batch: its
+    ``dispatch_frame`` call plus the latency-span update after it (the
+    boundary hook is the caller's time and is excluded).
+    """
 
     index: int
     trigger: str  # "interval" | "count" | "drain"
@@ -150,6 +159,7 @@ class StreamBatch:
     solved_at: float  # trigger time T (the new dispatcher clock)
     num_new: int  # arrivals buffered in this window
     report: FrameReport
+    wall_seconds: float = 0.0
 
     @property
     def frame_length(self) -> float:
@@ -300,6 +310,7 @@ class StreamingEngine:
         solved_at = max(float(trigger_time), clock)
         batch, self._buffer = self._buffer, []
         riders = [a.rider for a in batch]
+        start = time.perf_counter()
         with _trace.span(
             "stream.batch",
             trigger=trigger,
@@ -309,6 +320,7 @@ class StreamingEngine:
             report = self.dispatcher.dispatch_frame(
                 riders, frame_length=solved_at - clock
             )
+        self._update_spans(report, solved_at)
         stream_batch = StreamBatch(
             index=len(self.batches),
             trigger=trigger,
@@ -316,9 +328,9 @@ class StreamingEngine:
             solved_at=solved_at,
             num_new=len(riders),
             report=report,
+            wall_seconds=time.perf_counter() - start,
         )
         self.batches.append(stream_batch)
-        self._update_spans(report, solved_at)
         _trace.counter(
             "stream.open_requests", value=len(self._open_spans), frame=report.frame_index
         )
@@ -365,12 +377,19 @@ class StreamingEngine:
                 span.vehicle_id = None
 
     def _scheduled_stop_times(self, report: FrameReport):
-        """(vehicle, pickup, dropoff) plan times per rider this frame."""
+        """(vehicle, pickup, dropoff) plan times per rider this frame.
+
+        Read from the frame's changed vehicles only: every other plan is
+        one an earlier frame reported, with the same times, so its riders'
+        spans already hold them.
+        """
         times: Dict[int, List[Optional[float]]] = {}
         assignment = report.assignment
         if assignment is None:
             return times
-        for vid, seq in assignment.schedules.iter_active():
+        schedules = assignment.schedules
+        for vid in sorted(report.changed_vehicles):
+            seq = schedules[vid]
             for stop, arrive in zip(seq.stops, seq.arrive):
                 entry = times.setdefault(stop.rider.rider_id, [vid, None, None])
                 if stop.kind is StopKind.PICKUP:
@@ -424,6 +443,7 @@ class StreamingEngine:
         triggers: Dict[str, int] = {}
         for batch in self.batches:
             triggers[batch.trigger] = triggers.get(batch.trigger, 0) + 1
+        wall_ms = [batch.wall_seconds * 1e3 for batch in self.batches]
         return {
             "batches": len(self.batches),
             "triggers": triggers,
@@ -435,4 +455,8 @@ class StreamingEngine:
             "cancelled": cancelled,
             "open": len(self._open_spans),
             "latency": self.latency_summary(),
+            "wall_ms": {
+                "p50": float(np.percentile(wall_ms, 50)),
+                "p95": float(np.percentile(wall_ms, 95)),
+            } if wall_ms else {},
         }

@@ -106,6 +106,30 @@ class TestTieredPruneFuzz:
         assert sum(r.stats["pairs_pruned"] for r in run.reports) > 0
 
 
+class TestRebuildAxis:
+    """``chaos-rebuild``: incremental B against the rebuild-everything A."""
+
+    def test_divergence_is_named_after_the_rebuild_axis(self, monkeypatch):
+        from repro.core.dispatch import Dispatcher
+
+        roll = Dispatcher._roll_vehicle
+
+        def forgetful(self, fv, seq, next_clock):
+            cached = fv._vehicle
+            roll(self, fv, seq, next_clock)
+            fv._vehicle = cached  # B plans from the pre-roll state
+
+        monkeypatch.setattr(Dispatcher, "_roll_vehicle", forgetful)
+        stages = {
+            f.stage for seed in range(6)
+            for f in run_trial(seed, "chaos-rebuild").failures
+        }
+        assert "rebuild" in stages
+        # B's own checks are labelled as the incremental run, A's unlabelled
+        assert all(s == "rebuild" or "@" not in s or s.endswith("@incremental")
+                   for s in stages), stages
+
+
 class TestEveryMode:
     def test_every_mode_revalidates_schedules(self):
         """Every mode's runs go through the independent validator."""

@@ -87,12 +87,27 @@ def _drop_last_shard(monkeypatch):
     monkeypatch.setattr(shards, "merge_shard_results", lossy)
 
 
+def _stale_vehicle(monkeypatch):
+    """A rollforward that forgets to drop the vehicle's cached Vehicle."""
+    from repro.core.dispatch import Dispatcher
+
+    roll = Dispatcher._roll_vehicle
+
+    def forgetful(self, fv, seq, next_clock):
+        cached = fv._vehicle
+        roll(self, fv, seq, next_clock)
+        fv._vehicle = cached  # the next frame plans from the old state
+
+    monkeypatch.setattr(Dispatcher, "_roll_vehicle", forgetful)
+
+
 PLANTED = {
     "dispatch": _teleport,
     "prune-tiered": _stale_block,
     "stream": _lossy_engine,
     "crash": _lossy_wal,
     "dispatch-shards": _drop_last_shard,
+    "chaos-rebuild": _stale_vehicle,
 }
 
 

@@ -667,3 +667,122 @@ class TestSetupBuildsOneOracle:
         assert builds == built
         # at tier 0 the table's batched pass sweeps one throwaway hierarchy
         assert built == ({"apsp": 1, "ch": 1} if tier == 0 else {"apsp": 0, "ch": 1})
+
+
+def _parked_fleet(size, ready_time=500.0):
+    """Vehicle 0 idle at node 0; the rest parked until ``ready_time``.
+
+    A parked vehicle carries state (a ready time ahead of the clock) that
+    no frame changes until the clock reaches it.
+    """
+    return [Vehicle(vehicle_id=0, location=0, capacity=2)] + [
+        Vehicle(vehicle_id=vid, location=vid % 64, capacity=2,
+                ready_time=ready_time)
+        for vid in range(1, size)
+    ]
+
+
+class TestIncrementalFrameState:
+    """A frame rebuilds, audits and re-indexes only the vehicles whose
+    carried state changed (plus the schedules the solver wrote)."""
+
+    def test_frame_work_scales_with_changed_vehicles(self, city, monkeypatch):
+        from repro.core import dispatch as dispatch_module
+        from repro.core.instance import URRInstance
+
+        dispatcher = Dispatcher(city, _parked_fleet(200), method="eg",
+                                frame_length=1.0, seed=3)
+        dispatcher.dispatch_frame([])  # every vehicle starts changed
+        changed = [7, 50, 123]
+        for vid in changed:
+            dispatcher.fleet[vid].ready_time = 600.0
+
+        calls = {"initial_sequence": 0, "Vehicle": 0}
+        initial_sequence = URRInstance.initial_sequence
+        vehicle_cls = dispatch_module.Vehicle
+
+        def counting_initial_sequence(self, vehicle):
+            calls["initial_sequence"] += 1
+            return initial_sequence(self, vehicle)
+
+        def counting_vehicle(*args, **kwargs):
+            calls["Vehicle"] += 1
+            return vehicle_cls(*args, **kwargs)
+
+        monkeypatch.setattr(URRInstance, "initial_sequence",
+                            counting_initial_sequence)
+        monkeypatch.setattr(dispatch_module, "Vehicle", counting_vehicle)
+        report = dispatcher.dispatch_frame([])
+        touched = report.assignment.schedules.touched
+        assert calls["initial_sequence"] <= len(touched) + len(changed)
+        assert calls["Vehicle"] <= len(changed)
+        assert report.perf.vehicles_rebuilt == len(changed)
+        assert report.perf.vehicles_audited == len(changed)
+        assert report.changed_vehicles == frozenset(changed)
+
+    def test_restore_audits_every_carried_vehicle(
+        self, city, tmp_path, monkeypatch
+    ):
+        from repro.core.durability import DurabilityConfig
+
+        run = Dispatcher(
+            city, _parked_fleet(20), method="eg", frame_length=6.0, seed=7,
+            durability=DurabilityConfig(tmp_path, fsync=False),
+        )
+        run.dispatch_frame(_interleaved_trips())
+        run.dispatch_frame([])
+        run.close()
+
+        restored = Dispatcher.restore(tmp_path, city)
+        carried = {
+            vid for vid, fv in restored.fleet.items()
+            if fv.as_vehicle().has_carried_state
+        }
+        audited = set()
+        commitment_errors = Dispatcher._commitment_errors
+
+        def spy(self, vehicle, seq):
+            audited.add(vehicle.vehicle_id)
+            return commitment_errors(self, vehicle, seq)
+
+        monkeypatch.setattr(Dispatcher, "_commitment_errors", spy)
+        try:
+            report = restored.dispatch_frame([])
+            assert len(carried) == 20
+            assert carried <= audited
+            assert report.perf.vehicles_audited == len(audited)
+            # once audited, a parked vehicle is not audited again
+            audited.clear()
+            report = restored.dispatch_frame([])
+            assert not audited & set(range(1, 20))
+            assert report.perf.vehicles_audited == len(audited)
+            assert report.changed_vehicles == frozenset(audited)
+        finally:
+            restored.close()
+
+    def test_carried_duplicate_written_between_frames_is_reported(self, city):
+        far = [
+            make_rider(rid, source=src, destination=dst,
+                       pickup_deadline=1000.0, dropoff_deadline=2000.0)
+            for rid, src, dst in ((0, 27, 63), (1, 36, 7))
+        ]
+        a, b = far
+        fleet = [
+            Vehicle(vehicle_id=0, location=0, capacity=2, committed_stops=(
+                Stop.pickup(a), Stop.pickup(b), Stop.dropoff(a),
+                Stop.dropoff(b),
+            )),
+            Vehicle(vehicle_id=1, location=36, capacity=2),
+            Vehicle(vehicle_id=2, location=9, capacity=2),
+        ]
+        dispatcher = Dispatcher(city, fleet, method="eg", frame_length=1.0,
+                                seed=1)
+        dispatcher.dispatch_frame([])
+        # vehicle 0 is heading for a's pickup; b's pickup is still pending
+        assert dispatcher.fleet[0].pending_pickup_ids() == {1}
+        dispatcher.fleet[1].committed_stops = (Stop.pickup(b), Stop.dropoff(b))
+        with pytest.raises(DispatchError) as excinfo:
+            dispatcher.dispatch_frame([])
+        assert excinfo.value.vehicle_id is None
+        assert any("rider 1 assigned to vehicles" in v
+                   for v in excinfo.value.violations)

@@ -88,6 +88,15 @@ class TestSummaryModule:
         # the per-frame searches column reads oracle.searches
         assert any("3" in line for line in text.splitlines())
 
+    def test_audited_column_dashes_on_older_traces(self, tmp_path):
+        """The synthetic trace's payloads predate ``vehicles_audited``."""
+        path = synthetic_trace(str(tmp_path / "t.jsonl"))
+        lines = summarize(load_trace(path)).splitlines()
+        header = lines.index("per-frame breakdown:") + 1
+        column = lines[header].split().index("audited")
+        rows = [line.split() for line in lines[header + 2:header + 4]]
+        assert [row[column] for row in rows] == ["-", "-"]
+
     def test_tier_histogram_falls_back_to_tier_spans(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
         write_trace(path, [
@@ -203,6 +212,36 @@ class TestIntegration:
         expected = [str(r.perf.oracle.searches) for r in reports]
         assert [row[column] for row in rows] == expected
         assert all(r.perf.oracle.ch_query_count for r in reports)
+
+    def test_audited_column_counts_audited_vehicles(self, tmp_path, small_grid):
+        """The column shows each frame's ``vehicles_audited``: every
+        vehicle in the first frame, then only the changed ones."""
+        fleet = [Vehicle(vehicle_id=0, location=0, capacity=2)] + [
+            Vehicle(vehicle_id=i, location=i, capacity=2, ready_time=500.0)
+            for i in range(1, 6)
+        ]
+        path = str(tmp_path / "audited.jsonl")
+        start_trace(path)
+        dispatcher = Dispatcher(
+            small_grid, fleet, method="eg", frame_length=10.0, seed=1
+        )
+        reports = [
+            dispatcher.dispatch_frame([
+                make_rider(0, source=1, destination=23,
+                           pickup_deadline=20.0, dropoff_deadline=60.0),
+            ]),
+            dispatcher.dispatch_frame([]),
+        ]
+        stop_trace()
+
+        lines = summarize(load_trace(path)).splitlines()
+        header = lines.index("per-frame breakdown:") + 1
+        column = lines[header].split().index("audited")
+        rows = [line.split() for line in lines[header + 2:header + 4]]
+        expected = [str(r.perf.vehicles_audited) for r in reports]
+        assert [row[column] for row in rows] == expected
+        assert reports[0].perf.vehicles_audited == 6
+        assert reports[1].perf.vehicles_audited < 6
 
     def test_trace_from_check_cli(self, tmp_path, capsys):
         """The CI trace-smoke path: repro.check --mode dispatch --trace, then

@@ -1,5 +1,7 @@
 """Unit tests for repro.service (streaming micro-batch engine)."""
 
+import time
+
 import pytest
 
 from repro.core.dispatch import Dispatcher, RiderStatus
@@ -221,6 +223,64 @@ class TestLatencySpans:
             + summary["cancelled"] + summary["open"]
             == summary["admitted"]
         )
+
+
+class TestChangedVehicleSpans:
+    def test_spans_match_a_read_of_every_active_plan(self, city, monkeypatch):
+        """Reading only each frame's changed vehicles leaves every span
+        exactly as reading every active plan would, disruptions included."""
+        from repro.core.disruptions import TravelTimePerturbation
+        from repro.core.schedule import StopKind
+
+        def every_active_plan(self, report):
+            times = {}
+            if report.assignment is None:
+                return times
+            for vid, seq in report.assignment.schedules.iter_active():
+                for stop, arrive in zip(seq.stops, seq.arrive):
+                    entry = times.setdefault(
+                        stop.rider.rider_id, [vid, None, None]
+                    )
+                    entry[1 if stop.kind is StopKind.PICKUP else 2] = arrive
+            return {rid: tuple(entry) for rid, entry in times.items()}
+
+        def perturb_once(engine, batch):
+            if batch.index == 5:
+                engine.dispatcher.inject([
+                    TravelTimePerturbation(factors=((0, 1, 2.5), (14, 15, 0.5)))
+                ])
+
+        def spans(read):
+            if read is not None:
+                monkeypatch.setattr(
+                    StreamingEngine, "_scheduled_stop_times", read
+                )
+            # a private copy: the perturbation edits the network
+            dispatcher = Dispatcher(city.copy(), make_fleet(), method="eg",
+                                    frame_length=2.0, seed=1)
+            engine = StreamingEngine(dispatcher, boundary_hook=perturb_once)
+            engine.process(stream_of(city, rate=1.2), until=60.0, drain=True)
+            return {rid: vars(span) for rid, span in engine.spans.items()}
+
+        incremental = spans(None)
+        assert spans(every_active_plan) == incremental
+        assert sum(s["delivery"] is not None for s in incremental.values())
+
+
+class TestWallClock:
+    def test_batch_wall_seconds_bounded_by_process(self, city):
+        engine = StreamingEngine(make_dispatcher(city), delta_t=3.0, max_batch=4)
+        start = time.perf_counter()
+        engine.process(stream_of(city), until=60.0, drain=True)
+        elapsed = time.perf_counter() - start
+        walls = [batch.wall_seconds for batch in engine.batches]
+        assert walls and all(w >= 0.0 for w in walls)
+        assert sum(walls) <= elapsed
+        wall_ms = engine.summary()["wall_ms"]
+        assert 0.0 <= wall_ms["p50"] <= wall_ms["p95"] <= max(walls) * 1e3
+
+    def test_summary_without_batches(self, city):
+        assert StreamingEngine(make_dispatcher(city)).summary()["wall_ms"] == {}
 
 
 class TestCrashResume:
