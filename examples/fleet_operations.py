@@ -79,8 +79,8 @@ def main() -> None:
         for frame in range(FRAMES):
             start = dispatcher.clock
             requests = requests_for_frame(
-                network, oracle, sim, frame, start, dispatcher.frame_length,
-                next_rider_id,
+                network, oracle, sim, frame, start,
+                dispatcher.config.frame_length, next_rider_id,
             )
             next_rider_id += len(requests)
             report = dispatcher.dispatch_frame(requests)

@@ -1,4 +1,4 @@
-"""The crash drive of the fuzz runner (``--mode crash``).
+"""The crash drive of the fuzz runner (``--mode crash``, ``crash-rebuild``).
 
 The candidate run B is durable (:mod:`repro.core.durability`): it
 checkpoints at a seeded cadence and is killed at a seeded frame, either
@@ -8,7 +8,10 @@ by a :class:`SimulatedCrash` raised from one of the named
 rename, after the snapshot) or by a plain process exit between frames.
 The drive then calls :meth:`Dispatcher.restore` on the checkpoint
 directory and resumes; the runner keeps comparing it with the
-uninterrupted reference run A at every frame boundary.
+uninterrupted reference run A at every frame boundary.  On
+``crash-rebuild`` A also re-reads and audits every vehicle every frame
+(:mod:`repro.check.rebuild`), while the restored B resumes on its
+incremental frame state.
 
 On top of that the drive asserts:
 

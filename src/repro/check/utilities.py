@@ -113,8 +113,9 @@ def use_eager_rows(dispatcher: "Dispatcher") -> None:
     def _build_instance(riders):
         instance = build_instance(dispatcher, riders)
         rng = None
-        if dispatcher.utility_matrix == "synthetic":
-            rng = np.random.default_rng(dispatcher.seed + dispatcher._frame_index)
+        config = dispatcher.config
+        if config.utility_matrix == "synthetic":
+            rng = np.random.default_rng(config.seed + dispatcher._frame_index)
         instance.vehicle_utilities = eager_frame_utilities(
             riders, instance.vehicles, dispatcher._pinned_utilities, rng
         )

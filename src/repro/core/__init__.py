@@ -15,7 +15,7 @@ from repro.core.candidates import (
     build_candidate_index,
 )
 from repro.core.cost_first import run_cost_first
-from repro.core.dispatch import Dispatcher, FrameReport
+from repro.core.dispatch import DispatchConfig, Dispatcher, FrameReport
 from repro.core.metrics import (
     AssignmentMetrics,
     RiderMetrics,
@@ -69,6 +69,7 @@ __all__ = [
     "BoundReport",
     "CANDIDATE_MODES",
     "CandidateIndex",
+    "DispatchConfig",
     "Dispatcher",
     "ExtendedUtilityModel",
     "FrameReport",

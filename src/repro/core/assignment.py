@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.core.instance import URRInstance
+from repro.core.instance import LazySchedules, URRInstance
 from repro.core.schedule import TransferSequence
 
 
@@ -27,11 +27,12 @@ class Assignment:
     # ------------------------------------------------------------------
     @classmethod
     def empty(cls, instance: URRInstance, solver_name: str = "") -> "Assignment":
-        """All vehicles idle at their current locations."""
-        schedules = {
-            v.vehicle_id: instance.empty_sequence(v) for v in instance.vehicles
-        }
-        return cls(instance=instance, schedules=schedules, solver_name=solver_name)
+        """Every vehicle on its carried-in plan (idle when it has none)."""
+        return cls(
+            instance=instance,
+            schedules=LazySchedules(instance),
+            solver_name=solver_name,
+        )
 
     # ------------------------------------------------------------------
     def schedule(self, vehicle_id: int) -> TransferSequence:

@@ -205,7 +205,7 @@ class DisruptionEngine:
     ) -> None:
         self.dispatcher = dispatcher
         if strand_grace is None:
-            strand_grace = 2.0 * dispatcher.frame_length
+            strand_grace = 2.0 * dispatcher.config.frame_length
         if strand_grace <= 0:
             raise ValueError("strand_grace must be positive")
         if strand_detour_factor <= 0:

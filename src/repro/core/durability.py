@@ -58,7 +58,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
@@ -75,8 +75,10 @@ PathLike = Union[str, Path]
 
 #: Snapshot format version; bumped on any incompatible layout change.
 #: Version 2 dropped the process-pool shard options from the config and
-#: the shard retry/fallback counters from the frame summaries.
-CHECKPOINT_VERSION = 2
+#: the shard retry/fallback counters from the frame summaries; version 3
+#: stores the config as the dispatcher's ``DispatchConfig`` fields (the
+#: watchdog's ``fallbacks`` chain is no longer a setting).
+CHECKPOINT_VERSION = 3
 
 #: Named crash-injection points, in the order they occur inside
 #: :meth:`DurabilityLog.commit_frame`.
@@ -223,22 +225,7 @@ def snapshot_dispatcher(dispatcher, fingerprint: int) -> dict:
         "format_version": CHECKPOINT_VERSION,
         "frames_committed": dispatcher._frame_index,
         "clock": dispatcher._clock,
-        "config": {
-            "method": dispatcher.method,
-            "frame_length": dispatcher.frame_length,
-            "alpha": dispatcher.alpha,
-            "beta": dispatcher.beta,
-            "seed": dispatcher.seed,
-            "max_retries": dispatcher.max_retries,
-            "degrade": dispatcher.degrade,
-            "validate_frames": dispatcher.validate_frames,
-            "frame_budget": dispatcher.frame_budget,
-            "fallbacks": list(dispatcher.fallbacks),
-            "candidate_mode": dispatcher.candidate_mode,
-            "utility_matrix": dispatcher.utility_matrix,
-            "shard_workers": dispatcher.shard_workers,
-            "shard_count": dispatcher.shard_count,
-        },
+        "config": asdict(dispatcher.config),
         "network_fingerprint": fingerprint,
         "oracle_epoch": dispatcher.oracle.epoch,
         "fleet": fleet,

@@ -208,15 +208,6 @@ class URRInstance:
             committed=vehicle.committed_rider_ids(),
         )
 
-    def empty_sequence(self, vehicle: Vehicle) -> TransferSequence:
-        """Backwards-compatible alias of :meth:`initial_sequence`.
-
-        Historical name from the single-frame era when every vehicle
-        started empty; with carried-over state the "empty" sequence may
-        legitimately contain committed stops.
-        """
-        return self.initial_sequence(vehicle)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"URRInstance(riders={self.num_riders}, vehicles={self.num_vehicles}, "

@@ -26,7 +26,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.assignment import Assignment
 from repro.core.insertion import arrange_single_rider
-from repro.core.instance import URRInstance
+from repro.core.instance import LazySchedules, URRInstance
 from repro.core.requests import Rider
 from repro.core.schedule import TransferSequence
 from repro.core.utility import UtilityModel
@@ -67,9 +67,9 @@ def improve_assignment(
     """
     instance = assignment.instance
     model = instance.utility_model()
-    schedules: Dict[int, TransferSequence] = {
-        vid: seq.copy() for vid, seq in assignment.schedules.items()
-    }
+    schedules = LazySchedules(instance)
+    for vid, seq in assignment.schedules.items():
+        schedules[vid] = seq.copy()
     utilities: Dict[int, float] = {
         vid: model.schedule_utility(instance.vehicle(vid), seq)
         for vid, seq in schedules.items()

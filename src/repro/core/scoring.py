@@ -204,17 +204,25 @@ class SolverState:
         if index is not None:
             vehicles = self._retrieve_candidates(rider, vehicles, index)
         cost = self.instance.cost
+        start_time = self.instance.vehicle_start_time
+        schedules = self.schedules
         deadline = rider.pickup_deadline
         result: List[Vehicle] = []
         for vehicle in vehicles:
-            seq = self.schedules[vehicle.vehicle_id]
             # per-vehicle availability: a carried-over vehicle is busy
-            # finishing its in-flight leg until seq.start_time
-            t0 = seq.start_time
+            # finishing its in-flight leg until its ready time
+            t0 = start_time(vehicle)
             if t0 + cost(vehicle.location, rider.source) <= deadline + 1e-9:
                 result.append(vehicle)
                 continue
-            # the vehicle may still reach the source from a later stop
+            # the vehicle may still reach the source from a later stop;
+            # a schedule nobody built has stops only when some are
+            # committed, so no other schedule is built here
+            seq = schedules.peek(vehicle.vehicle_id)
+            if seq is None:
+                if not vehicle.committed_stops:
+                    continue
+                seq = schedules[vehicle.vehicle_id]
             for idx, stop in enumerate(seq.stops):
                 if seq.arrive[idx] > deadline:
                     break

@@ -332,10 +332,8 @@ def solve_sharded(
             candidates=None,
         )
         solved = solve(sub, method=method, plan=grouping)
-        touched = getattr(solved.schedules, "touched", None)
-        if touched is None:  # pragma: no cover - defensive: eager dict result
-            touched = set(solved.schedules)
-        results.append({vid: solved.schedules[vid] for vid in sorted(touched)})
+        written = solved.schedules
+        results.append({vid: written[vid] for vid in sorted(written.touched)})
         elapsed += solved.elapsed_seconds
     schedules = LazySchedules(instance)
     merge_shard_results(schedules, results)

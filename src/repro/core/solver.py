@@ -178,7 +178,6 @@ def solve_anytime(
     budget: Optional[float] = None,
     plan: Optional[GroupingPlan] = None,
     accept: Optional[Callable[[Assignment], Optional[str]]] = None,
-    baseline: Optional[Callable[[], Assignment]] = None,
     **solve_kwargs,
 ) -> Tuple[Assignment, AnytimeReport]:
     """Solve with a wall-clock budget and an anytime fallback chain.
@@ -192,13 +191,12 @@ def solve_anytime(
     only recorded as ``budget_exceeded``).  A tier that raises or whose
     plan is rejected falls through to the next.
 
-    When every solver tier is skipped, errored or rejected, the
-    ``baseline`` factory supplies the last resort (by default the
-    vehicles' carried-in residual plans via
-    :meth:`URRInstance.initial_sequence` — commitments honoured, no new
-    riders).  The baseline is returned *without* an accept check: it is
-    the caller's known-good floor, and the caller's own audit is the
-    right place to detect carried-state corruption.
+    When every solver tier is skipped, errored or rejected, the last
+    resort is :meth:`Assignment.empty`: the vehicles' carried-in residual
+    plans (commitments honoured, no new riders).  The baseline is
+    returned *without* an accept check: it is the caller's known-good
+    floor, and the caller's own audit is the right place to detect
+    carried-state corruption.
 
     Returns the winning assignment plus an :class:`AnytimeReport` with
     the serving tier and per-tier attempt log.  Every call is counted in
@@ -259,17 +257,7 @@ def solve_anytime(
         break
 
     if result is None:
-        if baseline is not None:
-            result = baseline()
-        else:
-            result = Assignment(
-                instance=instance,
-                schedules={
-                    v.vehicle_id: instance.initial_sequence(v)
-                    for v in instance.vehicles
-                },
-            )
-        result.solver_name = BASELINE_TIER
+        result = Assignment.empty(instance, solver_name=BASELINE_TIER)
         attempts.append(
             TierAttempt(tier=BASELINE_TIER, status="accepted",
                         detail="carried-in residual plans")

@@ -210,8 +210,8 @@ class StreamingEngine:
         ] = None,
     ) -> None:
         self.dispatcher = dispatcher
-        self.delta_t = (
-            float(dispatcher.frame_length) if delta_t is None else float(delta_t)
+        self.delta_t = float(
+            dispatcher.config.frame_length if delta_t is None else delta_t
         )
         if not np.isfinite(self.delta_t) or self.delta_t <= 0:
             raise ValueError(f"delta_t must be finite and > 0, got {self.delta_t}")

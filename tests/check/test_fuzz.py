@@ -67,7 +67,7 @@ class TestFuzzRuns:
 
         instance, _ = random_instance(9)
         assignment = solve(instance, method="eg")
-        sequences = [instance.empty_sequence(v) for v in instance.vehicles]
+        sequences = [instance.initial_sequence(v) for v in instance.vehicles]
         sequences.extend(assignment.schedules.values())
         assert differential_check(instance, sequences) == []
 

@@ -101,6 +101,23 @@ def _stale_vehicle(monkeypatch):
     monkeypatch.setattr(Dispatcher, "_roll_vehicle", forgetful)
 
 
+def _stale_restore(monkeypatch):
+    """A restore that keeps the construction-time placeholder vehicles."""
+    from repro.core import dispatch
+
+    apply = dispatch.apply_snapshot_state
+
+    def forgetful(dispatcher, snapshot):
+        placeholders = {
+            vid: fv.as_vehicle() for vid, fv in dispatcher.fleet.items()
+        }
+        apply(dispatcher, snapshot)
+        for vid, fv in dispatcher.fleet.items():
+            fv._vehicle = placeholders[vid]  # resumes planning from them
+
+    monkeypatch.setattr(dispatch, "apply_snapshot_state", forgetful)
+
+
 PLANTED = {
     "dispatch": _teleport,
     "prune-tiered": _stale_block,
@@ -108,6 +125,7 @@ PLANTED = {
     "crash": _lossy_wal,
     "dispatch-shards": _drop_last_shard,
     "chaos-rebuild": _stale_vehicle,
+    "crash-rebuild": _stale_restore,
 }
 
 

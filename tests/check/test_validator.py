@@ -118,7 +118,7 @@ class TestCorruptionsCaught:
         )
         other = next(v for v in assignment.schedules if v != busiest)
         corrupted_schedules = dict(assignment.schedules)
-        corrupted_schedules[other] = instance.empty_sequence(
+        corrupted_schedules[other] = instance.initial_sequence(
             instance.vehicle(other)
         ).with_stops(list(assignment.schedules[busiest].stops))
         from repro.core.assignment import Assignment

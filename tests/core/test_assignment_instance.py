@@ -78,7 +78,7 @@ class TestInstance:
         assert line_instance.rng().integers(1000) == line_instance.rng().integers(1000)
 
     def test_empty_sequence(self, line_instance):
-        seq = line_instance.empty_sequence(line_instance.vehicles[0])
+        seq = line_instance.initial_sequence(line_instance.vehicles[0])
         assert seq.origin == 0
         assert seq.capacity == 2
         assert len(seq) == 0

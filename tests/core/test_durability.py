@@ -8,6 +8,7 @@ The post-restore frames must be byte-identical (as canonical JSON) to
 an uninterrupted run's — durability must never perturb dispatch.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -205,24 +206,51 @@ class TestGuards:
         self, city, tmp_path
     ):
         # version 1 stored the process-pool shard options in the config
-        # and shard fault counters in every frame summary; restoring one
-        # must fail as a CheckpointError, not a TypeError from an
-        # unknown Dispatcher keyword
-        with make_dispatcher(city, "plain", durability=str(tmp_path)) as d:
+        # and shard fault counters in every frame summary; version 2
+        # stored the watchdog's fallback chain.  Restoring either must
+        # fail as a CheckpointError, not a TypeError from an unknown
+        # config field
+        legacy_config = {
+            1: {"shard_workers": 1, "shard_timeout": 30.0, "shard_retries": 2},
+            2: {"fallbacks": ["eg", "cf"]},
+        }
+        assert CHECKPOINT_VERSION == 3
+        for version, config in legacy_config.items():
+            directory = tmp_path / f"v{version}"
+            durable = str(directory)
+            with make_dispatcher(city, "plain", durability=durable) as d:
+                d.dispatch_frame(frame_requests(0, 0))
+            for name in ("snapshot.json", "network.json"):
+                payload = json.loads((directory / name).read_text())
+                payload["format_version"] = version
+                if name == "snapshot.json":
+                    payload["config"].update(config)
+                    if version == 1:
+                        for summary in payload["reports"]:
+                            summary.update(shard_retries=0, shard_fallbacks=0)
+                (directory / name).write_text(json.dumps(payload))
+            with pytest.raises(CheckpointError, match=f"version {version}"):
+                Dispatcher.restore(str(directory))
+
+    def test_snapshot_config_is_the_dispatch_config(self, city, tmp_path):
+        with make_dispatcher(
+            city, "candidate", durability=str(tmp_path)
+        ) as d:
             d.dispatch_frame(frame_requests(0, 0))
-        for name in ("snapshot.json", "network.json"):
-            payload = json.loads((tmp_path / name).read_text())
-            payload["format_version"] = 1
-            if name == "snapshot.json":
-                payload["config"].update(
-                    shard_workers=1, shard_timeout=30.0, shard_retries=2
-                )
-                for summary in payload["reports"]:
-                    summary.update(shard_retries=0, shard_fallbacks=0)
-            (tmp_path / name).write_text(json.dumps(payload))
-        assert CHECKPOINT_VERSION == 2
-        with pytest.raises(CheckpointError, match="version 1"):
-            Dispatcher.restore(str(tmp_path))
+            config = d.config
+        snapshot = json.loads((tmp_path / "snapshot.json").read_text())
+        assert snapshot["config"] == dataclasses.asdict(config)
+        # overrides go through the same validation as construction
+        with pytest.raises(ValueError, match="max_retries"):
+            Dispatcher.restore(str(tmp_path), max_retries=0)
+        with pytest.raises(TypeError, match="fallbacks"):
+            Dispatcher.restore(str(tmp_path), fallbacks=["cf"])
+        with Dispatcher.restore(
+            str(tmp_path), validate_frames=True
+        ) as restored:
+            assert restored.config == dataclasses.replace(
+                config, validate_frames=True
+            )
 
     def test_network_fingerprint_mismatch_is_rejected(self, city, tmp_path):
         with make_dispatcher(city, "plain", durability=str(tmp_path)) as d:

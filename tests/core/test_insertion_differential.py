@@ -23,7 +23,7 @@ class TestFastEngineMatchesReference:
     def test_on_solved_schedules(self, seed):
         instance, _ = random_instance(seed)
         assignment = solve(instance, method="eg")
-        sequences = [instance.empty_sequence(v) for v in instance.vehicles]
+        sequences = [instance.initial_sequence(v) for v in instance.vehicles]
         sequences.extend(assignment.schedules.values())
         failures = differential_check(instance, sequences, seed=seed)
         assert failures == [], [str(f) for f in failures]

@@ -46,7 +46,7 @@ class TestSolverState:
 
     def test_replace_schedule(self, line_instance):
         state = SolverState(line_instance)
-        fresh = line_instance.empty_sequence(line_instance.vehicles[0])
+        fresh = line_instance.initial_sequence(line_instance.vehicles[0])
         state.replace_schedule(0, fresh)
         assert state.utility(0) == 0.0
 

@@ -1,5 +1,7 @@
 """Unit tests for the anytime solver watchdog (solve_anytime + dispatcher)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.dispatch import Dispatcher
@@ -140,7 +142,7 @@ class TestDispatcherWatchdog:
         first = d.dispatch_frame(self._riders(0.0))
         assert first.solver_tier == "eg"
         # starve the next frame: every solver tier is gated out
-        d.frame_budget = 0.0
+        d.config = dataclasses.replace(d.config, frame_budget=0.0)
         second = d.dispatch_frame(self._riders(10.0, id_base=100))
         assert second.solver_tier == BASELINE_TIER
         assert second.fallback_tier > 0
@@ -171,11 +173,32 @@ class TestDispatcherWatchdog:
                        seed=5, frame_budget=0.0, max_retries=3)
         starved = d.dispatch_frame(self._riders(0.0))
         assert starved.solver_tier == BASELINE_TIER
-        d.frame_budget = 30.0
+        d.config = dataclasses.replace(d.config, frame_budget=30.0)
         recovered = d.dispatch_frame([])
         assert recovered.solver_tier == "eg"
         assert recovered.num_carried == 3
         assert recovered.num_served > 0
+
+    def test_accepted_plan_is_audited_once(self, city, monkeypatch):
+        """The watchdog's accept check is the frame audit: a plan it
+        accepted is not audited a second time."""
+        audits = []
+        frame_violations = Dispatcher._frame_violations
+
+        def counting(self, instance, assignment):
+            audits.append(self._frame_index)
+            return frame_violations(self, instance, assignment)
+
+        monkeypatch.setattr(Dispatcher, "_frame_violations", counting)
+        fleet = [Vehicle(0, 0, 2), Vehicle(1, 35, 2)]
+        d = Dispatcher(city, fleet, method="eg", frame_length=10.0,
+                       seed=5, frame_budget=30.0)
+        for frame in range(3):
+            report = d.dispatch_frame(
+                self._riders(10.0 * frame, id_base=100 * frame)
+            )
+            assert report.fallback_tier == 0
+        assert audits == [0, 1, 2]
 
     def test_no_budget_means_no_watchdog(self, city):
         fleet = [Vehicle(0, 0, 2)]
