@@ -36,8 +36,8 @@ class TestSeeds:
     @pytest.mark.parametrize("seed", range(3))
     def test_candidate_seed_retrieves_through_the_index(self, seed):
         before = perf.CANDIDATE_STATS.retrievals
-        report = run_trial(seed, _crash("spatiotemporal"))
-        assert report.draws["config"] == "spatiotemporal"
+        report = run_trial(seed, _crash("index"))
+        assert report.draws["config"] == "index"
         assert report.ok, [str(f) for f in report.failures]
         assert perf.CANDIDATE_STATS.retrievals > before
 
