@@ -24,6 +24,14 @@ re-accumulation, verification), then re-solves every row with plain
 Dijkstra: it reports both timings and exits non-zero on any bit mismatch,
 in ``--smoke`` runs too.
 
+A metric-change leg then does what a disruption does mid-run: it warms
+the pair cache, lengthens 8 arcs by 1.5x and closes 3 roads (the
+``ops_chaos`` perturbation and closure), invalidates the tier-1 oracle,
+and times a fresh contraction against the kept-order one it rebuilds.
+It reports how many cached pairs the invalidation kept and exits
+non-zero if any sampled answer or kept pair differs from Dijkstra, in
+``--smoke`` runs too.
+
 The headline gate is the tiering claim: tier-1 p50 query latency must
 beat tier-2 by >= 10x on the imported network.  Preprocessing is
 reported, not gated — the CH build is a one-off cost the dispatcher
@@ -57,6 +65,7 @@ import numpy as np
 
 from repro.obs import start_trace, stop_trace
 from repro.obs import trace as _trace
+from repro.roadnet.contraction import ContractionHierarchy
 from repro.roadnet.generators import grid_city
 from repro.roadnet.io import read_dimacs, write_dimacs
 from repro.roadnet.oracle import DistanceOracle
@@ -196,6 +205,74 @@ def _check_exactness(
     return checked
 
 
+def _metric_change(
+    network,
+    tier1: DistanceOracle,
+    rng: np.random.Generator,
+    warm_pairs: int,
+    check_kept: int,
+    exact_sources: int,
+    exact_dsts: int,
+) -> dict:
+    """Lengthen 8 arcs and close 3 roads on a warmed tier-1 oracle; time a
+    fresh contraction against the kept-order one and check the kept pairs
+    and fresh answers against Dijkstra."""
+    nodes = sorted(network.nodes())
+    tier1.unpin()  # the pinning leg's rows would be re-filled, untimed here
+    for u, v in _query_pairs(rng, nodes, warm_pairs):
+        tier1.cost(u, v)
+    cached = tier1.stats()["pair_cache_size"]
+    edges = sorted(
+        (u, v) for u in nodes for v in network.adjacency[u] if u < v
+    )
+    picks = [edges[int(i)] for i in rng.choice(len(edges), size=11, replace=False)]
+    for u, v in picks[:8]:
+        for a, b in ((u, v), (v, u)):
+            cost = network.adjacency[a][b] * 1.5
+            network.adjacency[a][b] = cost
+            network.reverse_adjacency[b][a] = cost
+    for u, v in picks[8:]:
+        network.remove_edge(u, v)
+        network.remove_edge(v, u)
+    order = tier1._ch.order
+    t0 = time.perf_counter()
+    tier1.invalidate()
+    invalidate_s = time.perf_counter() - t0
+    kept = tier1.stats()["pair_cache_size"]
+    landmarks = tier1.shared_landmarks()
+    with _trace.span("bench.oracle.contract", order="fresh"):
+        t0 = time.perf_counter()
+        fresh_shortcuts = ContractionHierarchy(network, landmarks=landmarks).num_shortcuts
+        fresh_s = time.perf_counter() - t0
+    with _trace.span("bench.oracle.contract", order="kept"):
+        t0 = time.perf_counter()
+        tier1._ensure_ch()  # the oracle's own rebuild, in the kept order
+        kept_s = time.perf_counter() - t0
+    if tier1._ch.rank != {node: i for i, node in enumerate(order)}:
+        raise AssertionError("the rebuild did not keep the contraction order")
+    mismatched = 0
+    sample = list(tier1._pair_cache.items())
+    for (u, v), d in sample[:: max(1, len(sample) // check_kept)]:
+        if dijkstra(network, u).get(v, INF) != d:
+            mismatched += 1
+    checked = _check_exactness(network, tier1, rng, exact_sources, exact_dsts)
+    return {
+        "lengthened_arcs": 8,
+        "closed_roads": 3,
+        "pairs_cached": cached,
+        "pairs_kept": kept,
+        "invalidate_s": round(invalidate_s, 3),
+        "fresh_contraction_s": round(fresh_s, 2),
+        "fresh_shortcuts": fresh_shortcuts,
+        "kept_order_contraction_s": round(kept_s, 2),
+        "kept_order_shortcuts": tier1._ch.num_shortcuts,
+        "speedup": round(fresh_s / max(kept_s, 1e-9), 2),
+        "kept_pairs_checked": len(sample[:: max(1, len(sample) // check_kept)]),
+        "mismatched_kept_pairs": mismatched,
+        "exact_checked": checked,
+    }
+
+
 def _batched_pinning(
     network, tier1: DistanceOracle, rng: np.random.Generator, num_sources: int
 ) -> dict:
@@ -239,6 +316,8 @@ def bench(
     exact_sources: int,
     exact_dsts: int,
     pin_sources: int,
+    warm_pairs: int,
+    check_kept: int,
 ) -> dict:
     network, net_meta = _import_network(rows, cols, seed)
     nodes = sorted(network.nodes())
@@ -311,6 +390,21 @@ def bench(
         flush=True,
     )
 
+    ch_shortcuts = tier1._ch.num_shortcuts
+    with _trace.span("bench.oracle.metric_change", warm_pairs=warm_pairs):
+        change = _metric_change(
+            network, tier1, rng, warm_pairs, check_kept, exact_sources, exact_dsts
+        )
+    print(
+        f"metric change: fresh contraction {change['fresh_contraction_s']}s, "
+        f"kept order {change['kept_order_contraction_s']}s "
+        f"({change['speedup']}x); {change['pairs_kept']} of "
+        f"{change['pairs_cached']} cached pairs kept, "
+        f"{change['mismatched_kept_pairs']} of "
+        f"{change['kept_pairs_checked']} checked differ from Dijkstra",
+        flush=True,
+    )
+
     run1.pop("costs")
     run2.pop("costs")
     speedup = round(run2["p50_ms"] / max(run1["p50_ms"], 1e-9), 1)
@@ -319,12 +413,13 @@ def bench(
         "auto_selected_tier": auto_tier,
         "tier1": {
             "build_s": round(build_s, 2),
-            "ch_shortcuts": tier1._ch.num_shortcuts,
+            "ch_shortcuts": ch_shortcuts,
             **run1,
         },
         "tier2": run2,
         "exact_checked": exact_checked,
         "batched_pinning": pinning,
+        "metric_change": change,
         "p50_speedup": speedup,
     }
 
@@ -358,11 +453,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         tier1_pairs, tier2_pairs = 50, 10
         exact_sources, exact_dsts = 2, 10
         pin_sources = 60
+        warm_pairs, check_kept = 400, 400
     else:
         rows = cols = 320          # 102,400 nodes — past the paper's 100k bar
         tier1_pairs, tier2_pairs = 200, 40
         exact_sources, exact_dsts = 3, 12
         pin_sources = 16
+        warm_pairs, check_kept = 400, 24
 
     if args.trace:
         start_trace(
@@ -376,7 +473,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     with _trace.span("bench.oracle", seed=args.seed, smoke=args.smoke):
         result = bench(
             args.seed, rows, cols, tier1_pairs, tier2_pairs,
-            exact_sources, exact_dsts, pin_sources,
+            exact_sources, exact_dsts, pin_sources, warm_pairs, check_kept,
         )
     if args.trace:
         stop_trace()
@@ -394,6 +491,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "tier1_pairs": tier1_pairs,
             "tier2_pairs": tier2_pairs,
             "pin_sources": pin_sources,
+            "warm_pairs": warm_pairs,
         },
         **result,
         "headline": {
@@ -417,6 +515,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"wrote {args.out}")
     if result["batched_pinning"]["mismatched_cells"]:
         print("FAIL: batched pinned rows differ from Dijkstra")
+        return 1
+    if result["metric_change"]["mismatched_kept_pairs"]:
+        print("FAIL: pairs kept across the metric change differ from Dijkstra")
         return 1
     if not args.smoke and not report["headline"]["pass"]:
         return 1

@@ -470,15 +470,25 @@ class Trial:
 
         Tier-1 bit-identity is a hard contract (the CH unpacks and re-sums
         original edges from the source), so both must return ``==`` floats;
-        only matching infinities may differ as objects.
+        only matching infinities may differ as objects.  Random pairs
+        rarely hit B's pair cache, so an evenly strided sample of the
+        cached pairs themselves (the ones an invalidation kept included)
+        is compared too.
         """
         if b is None or a.oracle.tier == b.oracle.tier:
             return
         nodes = sorted(a.network.nodes())
+        pairs = []
         for _ in range(_SWEEP_PAIRS):
             u = int(nodes[int(self.rng.integers(len(nodes)))])
             v = int(nodes[int(self.rng.integers(len(nodes)))])
-            x, y = a.oracle.cost(u, v), b.oracle.cost(u, v)
+            pairs.append((u, v, b.oracle.cost(u, v)))
+        cached = list(b.oracle._pair_cache.items())
+        pairs.extend(
+            (u, v, y) for (u, v), y in cached[::max(1, len(cached) // _SWEEP_PAIRS)]
+        )
+        for u, v, y in pairs:
+            x = a.oracle.cost(u, v)
             if x != y and not (math.isinf(x) and math.isinf(y)):
                 self.fail("tiered_cost", f"{where}: cost({u}, {v}) diverges "
                                          f"bitwise: reference={x!r} {self.name}={y!r}")

@@ -443,7 +443,9 @@ class DurabilityLog:
     ) -> None:
         tmp = path.with_suffix(path.suffix + ".tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            # json.dump() always runs the pure-Python encoder; dumps()
+            # takes the C one and writes the same bytes
+            fh.write(json.dumps(payload))
             fh.write("\n")
             fh.flush()
             if self.config.fsync:

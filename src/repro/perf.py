@@ -279,7 +279,7 @@ ORACLE_STATS = Counters(
     "oracle",
     ["query_count", "dijkstra_count", "bidirectional_count",
      "ch_query_count", "pair_cache_hits", "source_cache_hits",
-     "batch_rows", "batch_fallbacks"],
+     "batch_rows", "batch_fallbacks", "pairs_kept"],
     gauges={
         "mode": "", "nodes": 0, "pair_cache_size": 0,
         "source_cache_size": 0, "row_cache_size": 0, "pinned_sources": 0,

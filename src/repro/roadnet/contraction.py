@@ -21,7 +21,11 @@ Hierarchies are the standard answer:
 
 Node importance uses the classic lazy heuristic: edge difference (shortcuts
 added minus edges removed) plus contracted-neighbour count, re-evaluated
-lazily on pop.
+lazily on pop.  A caller that already has a good order (an earlier
+hierarchy's :attr:`ContractionHierarchy.order` over the same nodes, say
+after a travel-time change) passes it in and skips the heuristic: the
+witness searches run on the current weights and no priority is evaluated.
+Any order yields an exact hierarchy; the order only sets its size.
 
 Every shortcut remembers the node it bypasses, so queries can *unpack* the
 winning up-down path into original edges and accumulate the distance in
@@ -48,7 +52,7 @@ reproduction.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,6 +89,11 @@ class ContractionHierarchy:
         after the rebuild) would make the "lower" bounds inadmissible and
         the pruning wrong, so rebuild the hierarchy and the index
         together (``DistanceOracle.invalidate`` drops both).
+    order:
+        Optional contraction order, lowest rank first: every node of the
+        network exactly once (typically an earlier hierarchy's
+        :attr:`order`).  Given one, the build contracts in that order and
+        evaluates no priorities.
     """
 
     def __init__(
@@ -92,11 +101,16 @@ class ContractionHierarchy:
         network: RoadNetwork,
         witness_hop_limit: int = 60,
         landmarks: Optional["LandmarkIndex"] = None,
+        order: Optional[Sequence[int]] = None,
     ) -> None:
         if not network.undirected:
             raise ValueError("ContractionHierarchy requires an undirected network")
         if len(network) == 0:
             raise ValueError("cannot build a hierarchy over an empty network")
+        if order is not None and (
+            len(order) != len(network) or set(order) != set(network.adjacency)
+        ):
+            raise ValueError("order must list every node of the network once")
         self.network = network
         self.witness_hop_limit = witness_hop_limit
         #: contraction rank per node (higher = more important)
@@ -108,11 +122,16 @@ class ContractionHierarchy:
         #: (u, v) -> bypassed node for every edge that is (currently) a
         #: shortcut; edges absent from this map are original network edges
         self._middle: Dict[Tuple[int, int], int] = {}
+        #: build-time weight of every original edge a shorter shortcut
+        #: replaced in ``_graph`` (see :meth:`changed_arcs`)
+        self._displaced: Dict[Tuple[int, int], float] = {}
         self.num_shortcuts = 0
         #: lazy-update churn: how many popped nodes were re-pushed because
         #: their fresh priority lost to the (live) heap top
         self.num_repushes = 0
-        self._build()
+        #: the nodes in contraction order, lowest rank first
+        self.order: List[int] = []
+        self._build(order)
         #: upward adjacency used by queries (toward higher ranks only)
         self._upward: Dict[int, List[Tuple[int, float]]] = {
             u: [
@@ -143,11 +162,17 @@ class ContractionHierarchy:
     # ------------------------------------------------------------------
     # preprocessing
     # ------------------------------------------------------------------
-    def _build(self) -> None:
+    def _build(self, order: Optional[Sequence[int]]) -> None:
         remaining: Dict[int, Dict[int, float]] = {
             u: dict(nbrs) for u, nbrs in self._graph.items()
         }
         contracted_neighbors: Dict[int, int] = {u: 0 for u in remaining}
+        if order is not None:
+            for rank, node in enumerate(order):
+                self._contract(node, remaining, contracted_neighbors)
+                self.rank[node] = rank
+            self.order = list(order)
+            return
         heap: List[Tuple[float, int]] = []
         for node in remaining:
             priority = self._priority(node, remaining, contracted_neighbors)
@@ -172,6 +197,7 @@ class ContractionHierarchy:
                 continue
             self._contract(node, remaining, contracted_neighbors)
             self.rank[node] = next_rank
+            self.order.append(node)
             next_rank += 1
 
     def _priority(
@@ -280,7 +306,10 @@ class ContractionHierarchy:
         for a, b in ((u, v), (v, u)):
             if cost < remaining[a].get(b, INF):
                 remaining[a][b] = cost
-            if cost < self._graph[a].get(b, INF):
+            old = self._graph[a].get(b, INF)
+            if cost < old:
+                if old < INF and (a, b) not in self._middle:
+                    self._displaced[(a, b)] = old
                 self._graph[a][b] = cost
                 self._middle[(a, b)] = via
         self.num_shortcuts += 1
@@ -296,6 +325,30 @@ class ContractionHierarchy:
             del remaining[neighbor][node]
             contracted_neighbors[neighbor] += 1
         remaining[node] = {}
+
+    def changed_arcs(self) -> List[Tuple[int, int, float, float]]:
+        """Every arc whose weight in the network now differs from the
+        weight this hierarchy was built on, as ``(tail, head, old, new)``
+        with ``inf`` for a missing arc (an added arc has an infinite old
+        weight, a removed one an infinite new weight).  Call it only
+        while the network has the hierarchy's node set."""
+        middle, displaced = self._middle, self._displaced
+        adjacency = self.network.adjacency
+        changed: List[Tuple[int, int, float, float]] = []
+        for u, arcs in self._graph.items():
+            now = adjacency[u]
+            for v, w in arcs.items():
+                if (u, v) in middle:
+                    w = displaced.get((u, v))
+                    if w is None:
+                        continue  # a shortcut, not an original arc
+                new = now.get(v, INF)
+                if new != w:
+                    changed.append((u, v, w, new))
+            for v, new in now.items():
+                if v not in arcs or ((u, v) in middle and (u, v) not in displaced):
+                    changed.append((u, v, INF, new))
+        return changed
 
     # ------------------------------------------------------------------
     # queries

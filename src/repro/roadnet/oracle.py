@@ -44,7 +44,10 @@ area cover's pair checks from the same verifier.
 
 Disruption-epoch invalidation (:meth:`invalidate`) drops the CH and
 landmark structures with the caches; tier 1 rebuilds on the next query
-(or right away, to re-fill pinned rows).  When a ``rebuild_budget_s`` is set and the last CH build exceeded
+(or right away, to re-fill pinned rows), contracting in the last
+hierarchy's order while the node set is unchanged.  A change that only
+lengthens or removes arcs keeps every cached pair whose shortest path
+provably avoids the changed arcs.  When a ``rebuild_budget_s`` is set and the last CH build exceeded
 it, the oracle instead degrades to tier 2 for one epoch (queries fall back
 to bidirectional search) so a mid-frame road closure never stalls the
 dispatcher on a full re-contraction.
@@ -185,6 +188,8 @@ class DistanceOracle:
         self._pinned_sources: Set[int] = set()
         # padded arc arrays of the batched pass (once per epoch)
         self._arcs: Optional[batched.ArcArrays] = None
+        # contraction order of the last hierarchy, lowest rank first
+        self._order: Optional[List[int]] = None
         # counters (read by repro.perf); dijkstra_count counts every
         # dijkstra() run, batch fallbacks included
         self.query_count = 0
@@ -195,6 +200,8 @@ class DistanceOracle:
         self.ch_query_count = 0
         self.pair_cache_hits = 0
         self.source_cache_hits = 0
+        # cached pairs invalidate() carried into a new epoch
+        self.pairs_kept = 0
         # whether fast_cost_fn() handed out a counter-bypassing closure —
         # when true, query_count undercounts the real query volume
         self.fast_path = False
@@ -264,12 +271,32 @@ class DistanceOracle:
             # the bounds the queries consult are always current-epoch
             started = time.perf_counter()
             landmarks = self._ensure_alt()
-            with _trace.span("oracle.build_ch", nodes=len(self.network)):
-                self._ch = ContractionHierarchy(
-                    self.network, landmarks=landmarks
-                )
+            self._ch = self._build_ch(landmarks)
             self._tier1_build_s = time.perf_counter() - started
         return self._ch
+
+    def _build_ch(
+        self, landmarks: Optional[LandmarkIndex] = None
+    ) -> ContractionHierarchy:
+        """A hierarchy over the network as it is now.
+
+        Over the node set of the last hierarchy it contracts in that
+        hierarchy's order, which a metric change leaves valid (any order
+        gives an exact hierarchy) and which saves evaluating every
+        node's priority again; otherwise it picks a fresh order.
+        """
+        network = self.network
+        order = self._order
+        if order is not None and network.adjacency.keys() != set(order):
+            order = None
+        with _trace.span(
+            "oracle.build_ch", nodes=len(network), kept_order=order is not None
+        ):
+            hierarchy = ContractionHierarchy(
+                network, landmarks=landmarks, order=order
+            )
+        self._order = hierarchy.order
+        return hierarchy
 
     def _ensure_alt(self) -> LandmarkIndex:
         if self._alt is None:
@@ -556,8 +583,7 @@ class DistanceOracle:
         if tier == 1:
             return self._ensure_ch()
         if tier == 0:
-            with _trace.span("oracle.build_ch", nodes=len(self.network)):
-                return ContractionHierarchy(self.network)
+            return self._build_ch()
         return None
 
     def _arc_arrays(self) -> batched.ArcArrays:
@@ -735,7 +761,8 @@ class DistanceOracle:
         self._pin_view = None
 
     def invalidate(self, recompute_pinned: bool = True) -> None:
-        """Drop all caches; call after mutating the underlying network.
+        """Drop the caches a network change may have made stale; call
+        after mutating the underlying network.
 
         warm() pins survive *and are recomputed eagerly*: the pinned
         rows are dropped with everything else, but each pinned source
@@ -751,6 +778,13 @@ class DistanceOracle:
         last CH build exceeded it, in which case the new epoch runs
         degraded at tier 2 (bidirectional queries, pinned rows by
         :func:`dijkstra`) and the rebuild is deferred to the epoch after.
+        A rebuild over the same node set contracts in the last
+        hierarchy's order (:meth:`_build_ch`).
+
+        At tier 1 the pair cache survives a change that only lengthens or
+        removes arcs, minus every pair whose shortest path may have
+        crossed a changed arc (:meth:`_keep_unaffected_pairs`); any other
+        change clears it.
 
         Every call bumps :attr:`epoch`.  Holders of
         :meth:`fast_cost_fn` closures must not use them across an epoch
@@ -761,10 +795,11 @@ class DistanceOracle:
             pinned=len(self._pinned_sources),
             recompute_pinned=recompute_pinned,
             tier=self._tier if self._tier is not None else -1,
-        ):
+        ) as span:
             was_degraded = self._degraded_epoch == self.epoch
+            outgoing = self._ch
+            cached = len(self._pair_cache)
             self._source_cache.clear()
-            self._pair_cache.clear()
             self._row_cache.clear()
             self._apsp = None
             self._apsp_matrix = None
@@ -791,8 +826,72 @@ class DistanceOracle:
                 # dispatcher on an eager rebuild.  One epoch only — the
                 # next invalidation rebuilds (and re-measures).
                 self._degraded_epoch = self.epoch
+            if self._keep_unaffected_pairs(outgoing):
+                self.pairs_kept += len(self._pair_cache)
+            else:
+                self._pair_cache.clear()
+            span.annotate(
+                kept=len(self._pair_cache),
+                cleared=cached - len(self._pair_cache),
+            )
             if recompute_pinned and self._pinned_sources:
                 self.warm(sorted(self._pinned_sources))
+
+    def _keep_unaffected_pairs(
+        self, hierarchy: Optional[ContractionHierarchy]
+    ) -> bool:
+        """Drop from the pair cache every pair the network change may
+        have touched (LRU order kept); ``False`` when the whole cache
+        must go instead.
+
+        Pairs are kept only when the new epoch still runs tier 1 over the
+        same node set, the outgoing epoch had a hierarchy (it knows the
+        weights it was built on, :meth:`ContractionHierarchy.changed_arcs`),
+        and every changed arc got longer or was removed.  A pair
+        ``(s, t)`` cached at ``d`` then survives when, for every changed
+        arc ``(a, b)`` of old weight ``w``, both
+        ``est(s, a) + w + est(b, t)`` and ``est(s, b) + w + est(a, t)``
+        exceed ``d`` by a margin, where ``est`` are PHAST estimates on
+        the outgoing hierarchy from the changed arcs' endpoints: every
+        path through a changed arc was longer than ``d`` before the
+        change, lengthening only raises its float sum, so the float of a
+        shortest path that avoids them all is still the answer.  The
+        relative margin covers the estimates' rounding, the absolute
+        one the witness searches' tolerance (each contracted node on a
+        path may lengthen the hierarchy's distance by 1e-12).
+        """
+        if (
+            hierarchy is None
+            or self.effective_tier != 1
+            or hierarchy.rank.keys() != self.network.adjacency.keys()
+        ):
+            return False
+        cache = self._pair_cache
+        if not cache:
+            return True
+        changes = hierarchy.changed_arcs()
+        if any(new <= old for _, _, old, new in changes):
+            return False  # a shortened or added arc can shorten any pair
+        if not changes:
+            return True
+        tails, heads, before, _ = zip(*changes)
+        ends, ends_at = np.unique(self.columns(tails + heads), return_inverse=True)
+        at_tail, at_head = ends_at[:len(tails)], ends_at[len(tails):]
+        est = np.ascontiguousarray(hierarchy.phast(ends).T)  # (ends, nodes)
+        src = self.columns([u for u, _ in cache])
+        dst = self.columns([v for _, v in cache])
+        dist = np.fromiter(cache.values(), dtype=np.float64, count=len(cache))
+        bound = dist * (1.0 + 1e-9) + 2e-12 * len(hierarchy.rank)
+        keep = np.ones(len(cache), dtype=np.bool_)
+        for a, b, w in zip(at_tail, at_head, before):
+            from_a, from_b = est[a], est[b]
+            via = np.minimum(from_a[src] + w + from_b[dst], from_b[src] + w + from_a[dst])
+            keep &= via > bound
+        # dropped in place: most pairs survive, and a copy of the cache
+        # would double its memory at the peak
+        for pair in [pair for pair, ok in zip(cache, keep.tolist()) if not ok]:
+            del cache[pair]
+        return True
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
@@ -808,6 +907,7 @@ class DistanceOracle:
             "ch_query_count": self.ch_query_count,
             "pair_cache_hits": self.pair_cache_hits,
             "pair_cache_size": len(self._pair_cache),
+            "pairs_kept": self.pairs_kept,
             "source_cache_hits": self.source_cache_hits,
             "source_cache_size": len(self._source_cache),
             "row_cache_size": len(self._row_cache),

@@ -118,9 +118,26 @@ def _stale_restore(monkeypatch):
     monkeypatch.setattr(dispatch, "apply_snapshot_state", forgetful)
 
 
+def _keep_every_pair(monkeypatch):
+    """invalidate keeps every cached pair across a lengthening."""
+    from repro.roadnet.oracle import DistanceOracle
+
+    keep = DistanceOracle._keep_unaffected_pairs
+
+    def keep_all(self, hierarchy):
+        cache = self._pair_cache.copy()
+        if not keep(self, hierarchy):
+            return False
+        self._pair_cache = cache  # undoes the affected-pair test
+        return True
+
+    monkeypatch.setattr(DistanceOracle, "_keep_unaffected_pairs", keep_all)
+
+
 PLANTED = {
     "dispatch": _teleport,
     "prune-tiered": _stale_block,
+    "chaos-tiered": _keep_every_pair,
     "stream": _lossy_engine,
     "crash": _lossy_wal,
     "dispatch-shards": _drop_last_shard,

@@ -333,6 +333,36 @@ class TestNetworkFingerprintCache:
             Dispatcher.restore(str(tmp_path), network=pristine)
 
 
+class TestSnapshotBytes:
+    def test_files_are_the_json_dumps_of_their_payload(
+        self, tmp_path, monkeypatch
+    ):
+        """Snapshot and ``network.json`` hold exactly
+        ``json.dumps(payload) + "\\n"``: one fixed byte format, written
+        by the C encoder."""
+        own_city = grid_city(6, 6, seed=4, removal_fraction=0.0,
+                             arterial_every=None)
+        written = []
+        atomic_write = durability.DurabilityLog._atomic_write
+
+        def recording(self, path, payload, crash_point=None):
+            atomic_write(self, path, payload, crash_point)
+            written.append((path.name, json.dumps(payload) + "\n",
+                            path.read_text(encoding="utf-8")))
+
+        monkeypatch.setattr(durability.DurabilityLog, "_atomic_write", recording)
+        with make_dispatcher(own_city, "plain",
+                             durability=str(tmp_path)) as d:
+            d.dispatch_frame(frame_requests(0, 0))
+            d.inject([TravelTimePerturbation(factors=((0, 1, 3.0),))])
+            d.dispatch_frame(frame_requests(1, 10))
+            d._durability.write_snapshot(d)
+        names = {name for name, _, _ in written}
+        assert names == {durability.SNAPSHOT_FILE, durability.NETWORK_FILE}
+        for name, expected, actual in written:
+            assert actual == expected, name
+
+
 class TestEagerRowCheckpointCompat:
     """Checkpoints written by the eager mu_v builder restore unchanged."""
 

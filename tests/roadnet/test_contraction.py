@@ -33,6 +33,26 @@ class TestConstruction:
         with pytest.raises(ValueError, match="empty"):
             ContractionHierarchy(RoadNetwork())
 
+    def test_given_order_is_the_rank(self, small_grid, grid_ch):
+        order = list(reversed(grid_ch.order))
+        ch = ContractionHierarchy(small_grid, order=order)
+        assert ch.order == order
+        assert ch.rank == {node: i for i, node in enumerate(order)}
+        for v in sorted(small_grid.nodes()):
+            assert ch.cost(0, v) == dijkstra(small_grid, 0).get(v, math.inf)
+
+    @pytest.mark.parametrize("change", ["missing", "duplicate", "foreign"])
+    def test_order_must_list_every_node_once(self, small_grid, grid_ch, change):
+        order = list(grid_ch.order)
+        if change == "missing":
+            order.pop()
+        elif change == "duplicate":
+            order[-1] = order[0]
+        else:
+            order[-1] = 10_000
+        with pytest.raises(ValueError, match="every node"):
+            ContractionHierarchy(small_grid, order=order)
+
     def test_shortcut_count_reasonable(self, small_grid, grid_ch):
         # grids should not explode; a few times the edge count at most
         assert grid_ch.num_shortcuts <= small_grid.num_edges

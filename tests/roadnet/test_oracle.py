@@ -204,6 +204,7 @@ class TestStats:
             "bidirectional_count",
             "pair_cache_hits",
             "pair_cache_size",
+            "pairs_kept",
             "source_cache_hits",
             "source_cache_size",
             "row_cache_size",
