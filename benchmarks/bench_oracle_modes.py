@@ -1,8 +1,8 @@
 """Micro-benchmark: point-to-point distance query strategies.
 
-Compares the four exact distance backends on the NYC-like network —
-plain bidirectional Dijkstra, the APSP-table oracle, ALT landmarks, and
-Contraction Hierarchies.  The solvers only see a ``cost(u, v)`` callable,
+Compares the three exact distance backends on the NYC-like network —
+plain bidirectional Dijkstra, the APSP-table oracle, and Contraction
+Hierarchies.  The solvers only see a ``cost(u, v)`` callable,
 so any of these can back an instance; this bench documents the trade
 space (preprocessing vs per-query latency) for users bringing real
 DIMACS-scale networks.
@@ -13,7 +13,6 @@ import pytest
 
 from repro.roadnet.contraction import ContractionHierarchy
 from repro.roadnet.generators import nyc_like
-from repro.roadnet.landmarks import LandmarkIndex
 from repro.roadnet.oracle import DistanceOracle
 from repro.roadnet.shortest_path import bidirectional_dijkstra
 
@@ -53,12 +52,6 @@ def test_bidirectional_dijkstra_queries(benchmark, net, query_pairs, truth):
 def test_apsp_oracle_queries(benchmark, net, query_pairs, truth):
     fast = DistanceOracle(net).fast_cost_fn()
     results = benchmark(_run_all, fast, query_pairs)
-    assert results == pytest.approx(truth)
-
-
-def test_landmark_queries(benchmark, net, query_pairs, truth):
-    index = LandmarkIndex(net, num_landmarks=8)
-    results = benchmark(_run_all, index.cost, query_pairs)
     assert results == pytest.approx(truth)
 
 

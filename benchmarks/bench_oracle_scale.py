@@ -239,7 +239,7 @@ def _metric_change(
     tier1.invalidate()
     invalidate_s = time.perf_counter() - t0
     kept = tier1.stats()["pair_cache_size"]
-    landmarks = tier1.shared_landmarks()
+    landmarks = tier1.landmarks()
     with _trace.span("bench.oracle.contract", order="fresh"):
         t0 = time.perf_counter()
         fresh_shortcuts = ContractionHierarchy(network, landmarks=landmarks).num_shortcuts

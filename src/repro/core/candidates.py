@@ -21,10 +21,9 @@ from what the oracle holds, not from a setting:
   pickup at ``s`` (both distances *from* ``c``, so the bound also holds
   on directed networks).
 - **temporal** (tier 1) — an ALT landmark bound
-  (:class:`~repro.roadnet.landmarks.LandmarkIndex`,
-  ``max_L |d(L, s) - d(L, l)| <= cost(l, s)``) refines the survivors,
-  read from the oracle's own ALT index
-  (:meth:`DistanceOracle.shared_landmarks`, undirected networks only).
+  ``max_L |d(L, s) - d(L, l)| <= cost(l, s)`` refines the survivors,
+  read from the oracle's own landmark rows
+  (:meth:`DistanceOracle.landmarks`, undirected networks only).
 
 A pruned pair is exactly a pair the exact reachability test
 (:meth:`repro.core.scoring.SolverState.reachable_vehicles`) would also
@@ -47,7 +46,8 @@ parallel arrays — node column and ready time — in retrieval-rank order,
 and a rider's prune is one array kernel: the exact bound
 ``t0 + block[col(l), col(s)]`` (tier 0) or the centre bound
 ``t0 + block[row(c), col(s)] - d(c, l)`` for every slot at once, then the
-landmark bound over a nodes x landmarks table for the survivors only.
+landmark bound over the oracle's landmarks x nodes rows for the
+survivors only.
 There are no whole-area skips: the per-vehicle bound already prunes
 every vehicle an area-level bound would.
 
@@ -73,7 +73,6 @@ from repro.core.requests import Rider
 from repro.core.vehicles import Vehicle
 from repro.roadnet.areas import AreaIndex, build_areas
 from repro.roadnet.graph import RoadNetwork
-from repro.roadnet.landmarks import LandmarkIndex
 from repro.roadnet.oracle import DistanceOracle
 from repro.roadnet.shortest_path import INF
 
@@ -110,8 +109,8 @@ class CandidateIndex:
         Distance oracle *shared with the dispatcher/solvers*; centre rows
         (at tier 0, exact costs) are read from its pinned block, its
         ``epoch`` detects metric changes (disruptions) that make the
-        stored distances stale, and its shared ALT index (tier 1) feeds
-        the landmark bound.
+        stored distances stale, and its landmark rows (tier 1) feed the
+        landmark bound.
     audit:
         Re-check every pruned pair with an exact cost query and count
         contradictions in ``CANDIDATE_STATS.pruned_in_error``.  Debug /
@@ -130,7 +129,6 @@ class CandidateIndex:
         self.areas = areas
         self.oracle = oracle
         self.audit = audit
-        self._landmarks: Optional[LandmarkIndex] = oracle.shared_landmarks()
         self._epoch = oracle.epoch
         # slots in retrieval-rank order (greedy heaps tie-break on the
         # caller's fleet order, so vehicles keep their insertion rank)
@@ -143,7 +141,7 @@ class CandidateIndex:
         self._block: Optional[np.ndarray] = None
         self._node_row = self._node_dcl = self._node_bounded = None
         self._exact = False  # tier 0: the block is the APSP table
-        self._lm: Optional[np.ndarray] = None  # nodes x landmarks, nan: unreachable
+        self._lm: Optional[np.ndarray] = None  # the oracle's landmark rows
 
     # ------------------------------------------------------------------
     # the oracle's block and the per-node tables derived from it
@@ -164,15 +162,12 @@ class CandidateIndex:
             return block
         oracle.warm(self.areas.centers)  # no-op for rows already pinned
         block = oracle.pinned_block()
-        n = block.shape[1]
         self._exact = oracle.tier == 0
         if not self._exact:
             self._node_row, self._node_dcl, self._node_bounded = (
                 self._center_tables(block)
             )
-        self._lm = (
-            self._landmark_table(n) if self._landmarks is not None else None
-        )
+        self._lm = oracle.landmarks()
         self._col[: self._size] = oracle.columns(self._loc[: self._size])
         self._block = block
         return block
@@ -205,15 +200,6 @@ class CandidateIndex:
         bounded = has_center & (node_dcl != INF)
         node_dcl[~bounded] = 0.0
         return node_row, node_dcl, bounded
-
-    def _landmark_table(self, n: int) -> np.ndarray:
-        tables = self._landmarks.distance_tables()
-        table = np.full((n, len(tables)), np.nan)
-        for j, dist in enumerate(tables):
-            table[self.oracle.columns(dist.keys()), j] = np.fromiter(
-                dist.values(), dtype=np.float64, count=len(dist)
-            )
-        return table
 
     # ------------------------------------------------------------------
     # maintenance
@@ -284,7 +270,7 @@ class CandidateIndex:
         dropped (breakdowns) and every survivor is re-upserted.  When the
         oracle's ``epoch`` moved (travel-time perturbations, closures)
         every slot's centre distance is re-derived from the fresh block
-        and the landmark tables from the oracle's fresh ALT index — lower
+        and the landmark rows are re-read from the oracle — lower
         bounds computed in the old metric are not sound in the new one (a
         perturbation may *shorten* edges).  Vehicles keep their retrieval
         order.
@@ -292,7 +278,6 @@ class CandidateIndex:
         triples = list(fleet)
         if self.oracle.epoch != self._epoch:
             self._epoch = self.oracle.epoch
-            self._landmarks = self.oracle.shared_landmarks()
             self._block = None  # re-derive every table and slot
         keep = {vid for vid, _loc, _ready in triples}
         for vid in [v for v in self._slot if v not in keep]:
@@ -385,9 +370,12 @@ class CandidateIndex:
         stats.pairs_pruned_spatial += len(cols) - len(keep)
         lm = self._lm
         if lm is not None and len(keep):
-            # fmax skips the nan of a landmark that cannot reach a node
-            gap = np.abs(lm[cols[keep]] - lm[source_col])
-            bound = np.fmax.reduce(gap, axis=1, initial=0.0)
+            # a landmark reaching neither node gives nan, which fmax
+            # skips; one reaching only one of them gives inf, and so
+            # does the pair's cost (they are in different components)
+            with np.errstate(invalid="ignore"):
+                gap = np.abs(lm[:, cols[keep]] - lm[:, source_col, None])
+            bound = np.fmax.reduce(gap, axis=0, initial=0.0)
             temporal = t0[keep] + bound > deadline
             if temporal.any():
                 keep = keep[~temporal]
@@ -405,7 +393,7 @@ class CandidateIndex:
         return (
             f"CandidateIndex(vehicles={len(self)}, "
             f"areas={self.areas.num_areas}, "
-            f"landmarks={len(self._landmarks.landmarks) if self._landmarks else 0})"
+            f"landmarks={0 if self._lm is None else len(self._lm)})"
         )
 
 
@@ -423,8 +411,8 @@ def build_candidate_index(
     ``oracle``'s own distances (no second oracle is built) and the area
     centres are pinned in it, so retrieval never pays a Dijkstra at solve
     time.  At tier 0 the index bounds by the exact table entry; at tier 1
-    the landmark bound uses the oracle's own ALT index, so no second
-    landmark index is built.
+    the landmark bound reads the oracle's own landmark rows, so no second
+    copy of them is built.
     """
     if oracle is None:
         oracle = DistanceOracle(network)
@@ -435,10 +423,10 @@ def build_candidate_index(
         )
         oracle.warm(areas.centers)
         index = CandidateIndex(network, areas, oracle, audit=audit)
-        landmarks = index._landmarks
+        landmarks = oracle.landmarks()
         span.annotate(
             areas=areas.num_areas,
-            landmarks=len(landmarks.landmarks) if landmarks else 0,
+            landmarks=0 if landmarks is None else len(landmarks),
         )
         return index
 

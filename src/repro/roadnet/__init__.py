@@ -20,11 +20,9 @@ from repro.roadnet.areas import Area, AreaIndex, build_areas
 from repro.roadnet.contraction import ContractionHierarchy
 from repro.roadnet.generators import chicago_like, grid_city, nyc_like, ring_radial_city
 from repro.roadnet.graph import RoadNetwork
-from repro.roadnet.landmarks import LandmarkIndex
 from repro.roadnet.kpathcover import k_path_cover, k_shortest_path_cover
 from repro.roadnet.oracle import DistanceOracle
 from repro.roadnet.preprocess import split_long_edges
-from repro.roadnet.spatial import SpatialGrid, vehicle_prefilter
 from repro.roadnet.shortest_path import (
     bidirectional_dijkstra,
     dijkstra,
@@ -38,9 +36,7 @@ __all__ = [
     "AreaIndex",
     "ContractionHierarchy",
     "DistanceOracle",
-    "LandmarkIndex",
     "RoadNetwork",
-    "SpatialGrid",
     "bidirectional_dijkstra",
     "build_areas",
     "chicago_like",
@@ -54,5 +50,4 @@ __all__ = [
     "ring_radial_city",
     "shortest_path",
     "split_long_edges",
-    "vehicle_prefilter",
 ]

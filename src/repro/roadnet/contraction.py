@@ -11,8 +11,8 @@ Hierarchies are the standard answer:
 - **query**: bidirectional Dijkstra that only relaxes edges toward
   *more important* nodes; the searches meet at the highest-ranked node of
   the shortest path.  The two upward searches are interleaved and pruned
-  against the best meeting so far, and — when a
-  :class:`~repro.roadnet.landmarks.LandmarkIndex` is supplied — made
+  against the best meeting so far, and — when landmark distance rows are
+  supplied (:meth:`DistanceOracle.landmarks`) — made
   goal-directed: the landmark triangle bound seeds the pruning radius
   with an upper bound before the first pop and discards settled nodes
   that provably cannot lie on a better path (CH + ALT).  Both prunings
@@ -59,10 +59,14 @@ import numpy as np
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.shortest_path import INF
 
-if False:  # pragma: no cover - import cycle guard for type checkers only
-    from repro.roadnet.landmarks import LandmarkIndex
+#: base settled-node budget of each witness search; smaller is faster to
+#: preprocess but inserts more (harmless) shortcuts.  Contraction-time
+#: searches scale it with their target count (see
+#: :meth:`ContractionHierarchy._simulate_contraction`) so the dense top of
+#: the hierarchy still finds witnesses
+WITNESS_HOP_LIMIT = 60
 
-#: landmarks consulted per query: of the supplied index's landmarks, only
+#: landmarks consulted per query: of the supplied landmarks, only
 #: the few with the widest ``|d(L, s) - d(L, t)|`` gap are worth the
 #: per-settle bound evaluation (the classic ALT subset heuristic)
 _ACTIVE_LANDMARKS = 2
@@ -76,19 +80,16 @@ class ContractionHierarchy:
     network:
         The input network (undirected; directed support would need split
         upward/downward graphs, which the reproduction does not require).
-    witness_hop_limit:
-        Base settled-node budget of each witness search; smaller is faster
-        to preprocess but inserts more (harmless) shortcuts.  Contraction-
-        time searches scale this with their target count (see
-        :meth:`_simulate_contraction`) so the dense top of the hierarchy
-        still finds witnesses.
     landmarks:
-        Optional ALT landmark index over the *same* network; when given,
-        queries use its triangle bounds for goal-directed pruning.  The
-        caller owns keeping it fresh — a stale index (network mutated
-        after the rebuild) would make the "lower" bounds inadmissible and
-        the pruning wrong, so rebuild the hierarchy and the index
-        together (``DistanceOracle.invalidate`` drops both).
+        Optional landmarks × nodes float64 array of exact distances from
+        each landmark over the *same* network, columns in ascending
+        node-id order, ``inf`` where unreachable
+        (:meth:`DistanceOracle.landmarks`).  When given, queries read its
+        triangle bounds for goal-directed pruning.  The caller owns
+        keeping it fresh — stale rows (network mutated after the rebuild)
+        would make the "lower" bounds inadmissible and the pruning wrong,
+        so rebuild the hierarchy and the rows together
+        (``DistanceOracle.invalidate`` drops both).
     order:
         Optional contraction order, lowest rank first: every node of the
         network exactly once (typically an earlier hierarchy's
@@ -99,8 +100,7 @@ class ContractionHierarchy:
     def __init__(
         self,
         network: RoadNetwork,
-        witness_hop_limit: int = 60,
-        landmarks: Optional["LandmarkIndex"] = None,
+        landmarks: Optional[np.ndarray] = None,
         order: Optional[Sequence[int]] = None,
     ) -> None:
         if not network.undirected:
@@ -111,8 +111,11 @@ class ContractionHierarchy:
             len(order) != len(network) or set(order) != set(network.adjacency)
         ):
             raise ValueError("order must list every node of the network once")
+        if landmarks is not None and (
+            landmarks.ndim != 2 or landmarks.shape[1] != len(network)
+        ):
+            raise ValueError("landmarks must hold one column per node")
         self.network = network
-        self.witness_hop_limit = witness_hop_limit
         #: contraction rank per node (higher = more important)
         self.rank: Dict[int, int] = {}
         #: search graph: node -> {neighbor: cost}, original edges + shortcuts
@@ -141,21 +144,17 @@ class ContractionHierarchy:
             ]
             for u, nbrs in self._graph.items()
         }
-        #: per-landmark goal tables covering every node (INF-padded);
-        #: dense lists when node ids are exactly 0..n-1, dicts otherwise,
-        #: so the query indexes them uniformly with ``table[node]``
-        self._alt_goals: Optional[List[object]] = None
+        #: the landmark rows as python-float views (no copy), read by
+        #: node column: ``row[node]`` when the node ids are 0..n-1,
+        #: ``row[self._column[node]]`` otherwise
+        self._goals: Optional[List[memoryview]] = None
+        self._column: Optional[Dict[int, int]] = None
         if landmarks is not None:
-            node_ids = list(self.rank)
-            n = len(node_ids)
-            dense = min(node_ids) == 0 and max(node_ids) == n - 1
-            goals: List[object] = []
-            for table in landmarks.distance_tables():
-                if dense:
-                    goals.append([table.get(i, INF) for i in range(n)])
-                else:
-                    goals.append({u: table.get(u, INF) for u in node_ids})
-            self._alt_goals = goals
+            nodes = sorted(self.rank)
+            if nodes != list(range(len(nodes))):
+                self._column = {node: i for i, node in enumerate(nodes)}
+            rows = np.ascontiguousarray(landmarks, dtype=np.float64)
+            self._goals = [memoryview(row) for row in rows]
         #: PHAST sweep plan over node columns, built on first use
         self._sweeps: Optional[Tuple[list, list]] = None
 
@@ -226,7 +225,7 @@ class ContractionHierarchy:
 
         The witness budget is asymmetric on purpose.  Priority estimation
         (``count_only``) runs constantly under the lazy-update scheme, so
-        it uses the cheap flat ``witness_hop_limit``; a miscount only
+        it uses the cheap flat :data:`WITNESS_HOP_LIMIT`; a miscount only
         nudges the contraction order.  A *contraction* search scales the
         budget with its target count instead: in the dense top of the
         hierarchy a node can have dozens of neighbours, and a flat budget
@@ -243,9 +242,9 @@ class ContractionHierarchy:
                 break
             targets = {v: cu + cv for v, cv in rest}
             if count_only:
-                budget = self.witness_hop_limit
+                budget = WITNESS_HOP_LIMIT
             else:
-                budget = max(self.witness_hop_limit, 64 * len(targets))
+                budget = max(WITNESS_HOP_LIMIT, 64 * len(targets))
             witnessed = self._witness_search(u, targets, node, remaining, budget)
             for v, cv in rest:
                 if v not in witnessed:
@@ -358,7 +357,7 @@ class ContractionHierarchy:
 
         Interleaved bidirectional upward search.  A direction stops once
         its queue minimum reaches the best meeting found so far (standard
-        CH termination), and with landmark goal tables the search also
+        CH termination), and with landmark rows the search also
 
         - seeds the bound with the landmark triangle *upper* bound
           ``min_L d(s, L) + d(L, t)`` (padded by a relative epsilon so
@@ -381,10 +380,13 @@ class ContractionHierarchy:
         best = INF
         goals0: Optional[List[Tuple[object, float]]] = None
         goals1: Optional[List[Tuple[object, float]]] = None
-        tables = self._alt_goals
+        tables = self._goals
+        column = self._column
         if tables is not None:
-            src_d = [t[source] for t in tables]
-            dst_d = [t[target] for t in tables]
+            src_col = source if column is None else column[source]
+            dst_col = target if column is None else column[target]
+            src_d = [row[src_col] for row in tables]
+            dst_d = [row[dst_col] for row in tables]
             upper = min(a + b for a, b in zip(src_d, dst_d))
             # a zero bound would prune the very first pop (d >= best):
             # zero-cost pairs are left to the plain search.  A landmark
@@ -431,9 +433,10 @@ class ContractionHierarchy:
                     best = d + o
                     meet = u
                 if goals0 is not None:
+                    c = u if column is None else column[u]
                     bound = 0.0
                     for table, goal_d in goals0:
-                        diff = table[u] - goal_d
+                        diff = table[c] - goal_d
                         if diff < 0.0:
                             diff = -diff
                         if diff > bound:
@@ -459,9 +462,10 @@ class ContractionHierarchy:
                     best = d + o
                     meet = u
                 if goals1 is not None:
+                    c = u if column is None else column[u]
                     bound = 0.0
                     for table, goal_d in goals1:
-                        diff = table[u] - goal_d
+                        diff = table[c] - goal_d
                         if diff < 0.0:
                             diff = -diff
                         if diff > bound:

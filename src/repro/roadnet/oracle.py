@@ -10,10 +10,10 @@ auto-picked from network size and a memory budget:
   node indices; O(1) indexed reads, no per-query dict hashing.
 - **tier 1 — contraction hierarchy** (city-scale networks): exact CH
   point-to-point queries (:mod:`repro.roadnet.contraction`) under the pair
-  LRU, plus an ALT landmark index (:mod:`repro.roadnet.landmarks`) exposed
-  through :meth:`lower_bound`/:meth:`shared_landmarks` so feasibility
-  pruning (``repro.core.candidates``) can share one index instead of
-  building its own.
+  LRU.  The exact distances from a few well-spread *landmarks* live in one
+  landmarks × nodes float64 array (:meth:`landmarks`): the CH query reads
+  it for goal-directed pruning, :meth:`lower_bound` and the candidate
+  index (``repro.core.candidates``) for the ALT triangle bound.
 - **tier 2 — LRU fallback** (everything else, and directed networks): an
   LRU cache of full single-source Dijkstra runs plus bidirectional
   point-to-point search for one-off queries, with the pair LRU on top.
@@ -42,8 +42,8 @@ and dropped; without one (directed networks, tier 2, a degraded epoch)
 every row is a :func:`dijkstra`.  :meth:`hop_local_cost_fn` serves the
 area cover's pair checks from the same verifier.
 
-Disruption-epoch invalidation (:meth:`invalidate`) drops the CH and
-landmark structures with the caches; tier 1 rebuilds on the next query
+Disruption-epoch invalidation (:meth:`invalidate`) drops the CH and the
+landmark rows with the caches; tier 1 rebuilds on the next query
 (or right away, to re-fill pinned rows), contracting in the last
 hierarchy's order while the node set is unchanged.  A change that only
 lengthens or removes arcs keeps every cached pair whose shortest path
@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -70,7 +70,6 @@ from repro.obs import trace as _trace
 from repro.roadnet import batched
 from repro.roadnet.contraction import ContractionHierarchy
 from repro.roadnet.graph import RoadNetwork
-from repro.roadnet.landmarks import LandmarkIndex
 from repro.roadnet.shortest_path import INF, bidirectional_dijkstra, dijkstra
 
 #: below this many nodes, auto-selection never picks tier 1 — the CH build
@@ -81,6 +80,27 @@ TIER1_MIN_NODES = 4000
 #: the area cover checks vertices in an order whose neighbourhoods overlap,
 #: so a window of recent sources serves almost every lookup
 _RECENT_LOCAL_ROWS = 1024
+
+#: one-off point-to-point results kept in the pair LRU; each entry is a
+#: single float, which is what makes repeated distinct pairs affordable on
+#: networks too large for the table
+CACHE_PAIRS = 65536
+
+#: :meth:`DistanceOracle.costs_from` dict views kept (LRU); each costs
+#: O(|V|) on top of its row, so unbounded growth would quietly rebuild the
+#: dict-of-dicts representation the table replaced
+CACHE_ROWS = 1024
+
+#: memory budget for precomputed structures, read by tier auto-selection:
+#: tier 0 must fit the n² table, tier 1 the CH + landmark estimate.  Not a
+#: hard cap — an explicit ``tier`` is always honoured.
+MEMORY_BUDGET_MB = 256.0
+
+#: landmarks of the tier-1 rows.  The CH query picks the few widest-gap
+#: landmarks per pair for goal-directed pruning, so a larger pool mostly
+#: buys tighter bounds, not per-query cost; 16 keeps city-scale point
+#: queries comfortably sublinear
+NUM_LANDMARKS = 16
 
 
 class DistanceOracle:
@@ -98,30 +118,12 @@ class DistanceOracle:
         When ``len(network) <= apsp_threshold`` (and the table fits the
         memory budget), the first query triggers a full all-pairs
         precomputation (|V| Dijkstras) and all later queries are O(1)
-        array reads.  Set to 0 to disable.
-    cache_pairs:
-        Maximum number of one-off point-to-point results to keep (LRU).
-        Each entry is a single float; this is what makes repeated distinct
-        pairs affordable on networks too large for APSP.
-    cache_rows:
-        Maximum number of materialised APSP row views (the dicts handed out
-        by :meth:`costs_from` in APSP mode) to keep (LRU).  Each entry costs
-        O(|V|) memory on top of the flat table, so unbounded growth would
-        quietly rebuild the dict-of-dicts representation the table replaced.
-    memory_budget_mb:
-        Memory budget for precomputed structures, used by tier
-        auto-selection: tier 0 must fit the n² table, tier 1 the CH +
-        landmark estimate.  Not a hard cap — an explicit ``tier`` override
-        is always honoured.
+        array reads (subject to :data:`MEMORY_BUDGET_MB`).  Set to 0 to
+        disable.
     tier:
         Force a tier (0 = APSP, 1 = CH + ALT, 2 = LRU/bidirectional)
         instead of auto-selecting.  ``tier=1`` requires an undirected
         network.
-    num_landmarks:
-        Landmark count for the tier-1 ALT index.  The CH query picks the
-        few widest-gap landmarks per pair for goal-directed pruning, so a
-        larger pool mostly buys tighter bounds, not per-query cost; 16
-        keeps city-scale p2p queries comfortably sublinear.
     rebuild_budget_s:
         When set and the last CH build took longer than this, a
         disruption-epoch :meth:`invalidate` degrades the oracle to tier 2
@@ -134,11 +136,7 @@ class DistanceOracle:
         network: RoadNetwork,
         cache_sources: int = 2048,
         apsp_threshold: int = 1500,
-        cache_pairs: int = 65536,
-        cache_rows: int = 1024,
-        memory_budget_mb: float = 256.0,
         tier: Optional[int] = None,
-        num_landmarks: int = 16,
         rebuild_budget_s: Optional[float] = None,
     ) -> None:
         if tier is not None:
@@ -149,10 +147,6 @@ class DistanceOracle:
         self.network = network
         self.cache_sources = cache_sources
         self.apsp_threshold = apsp_threshold
-        self.cache_pairs = cache_pairs
-        self.cache_rows = cache_rows
-        self.memory_budget_mb = memory_budget_mb
-        self.num_landmarks = num_landmarks
         self.rebuild_budget_s = rebuild_budget_s
         self._tier_override = tier
         self._tier: Optional[int] = None  # resolved lazily by .tier
@@ -174,7 +168,10 @@ class DistanceOracle:
         self._pin_view: Optional[memoryview] = None  # flat python-float reads
         # tier-1 state, built lazily on first query
         self._ch: Optional[ContractionHierarchy] = None
-        self._alt: Optional[LandmarkIndex] = None
+        # landmarks x node columns, inf where a landmark cannot reach a
+        # node; the landmark node of each row alongside
+        self._landmarks: Optional[np.ndarray] = None
+        self._landmark_nodes: Optional[List[int]] = None
         self._tier1_build_s: Optional[float] = None
         # epoch during which tier 1 is degraded to tier 2 (CH rebuild
         # skipped because the last build blew rebuild_budget_s)
@@ -237,7 +234,7 @@ class DistanceOracle:
 
     def _select_tier(self) -> int:
         n = len(self.network)
-        budget_bytes = self.memory_budget_mb * 1e6
+        budget_bytes = MEMORY_BUDGET_MB * 1e6
         if 0 < n <= self.apsp_threshold and n * n * 8 <= budget_bytes:
             return 0
         if (
@@ -253,30 +250,30 @@ class DistanceOracle:
 
         CH shortcuts empirically land near the original (directed) edge
         count on road grids, and every search-graph entry costs a dict
-        slot plus an upward-list tuple; the landmark index stores
-        ``num_landmarks`` full distance dicts.
+        slot plus an upward-list tuple.  The landmark term still prices
+        the per-landmark distance dicts and goal tables of an earlier
+        layout, although the rows now take 8 bytes an entry: it is kept so
+        that tier auto-selection does not move.
         """
         n = len(self.network)
         m = self.network.num_edges
         ch_bytes = 2 * m * 100
-        # 90B/entry for the index's distance dicts plus the dense goal-table
-        # slots the hierarchy keeps for query pruning
-        alt_bytes = self.num_landmarks * n * 100
+        alt_bytes = NUM_LANDMARKS * n * 100
         return float(ch_bytes + alt_bytes)
 
     def _ensure_ch(self) -> ContractionHierarchy:
         if self._ch is None:
-            # the hierarchy shares the oracle's ALT index for goal-directed
-            # query pruning; both are dropped together on invalidate(), so
-            # the bounds the queries consult are always current-epoch
+            # the hierarchy reads the oracle's landmark rows for
+            # goal-directed query pruning; both are dropped together on
+            # invalidate(), so the bounds the queries consult are always
+            # current-epoch
             started = time.perf_counter()
-            landmarks = self._ensure_alt()
-            self._ch = self._build_ch(landmarks)
+            self._ch = self._build_ch(self._ensure_landmarks())
             self._tier1_build_s = time.perf_counter() - started
         return self._ch
 
     def _build_ch(
-        self, landmarks: Optional[LandmarkIndex] = None
+        self, landmarks: Optional[np.ndarray] = None
     ) -> ContractionHierarchy:
         """A hierarchy over the network as it is now.
 
@@ -298,17 +295,48 @@ class DistanceOracle:
         self._order = hierarchy.order
         return hierarchy
 
-    def _ensure_alt(self) -> LandmarkIndex:
-        if self._alt is None:
+    def _ensure_landmarks(self) -> np.ndarray:
+        if self._landmarks is None:
             with _trace.span(
                 "oracle.build_landmarks",
                 nodes=len(self.network),
-                landmarks=self.num_landmarks,
+                landmarks=NUM_LANDMARKS,
             ):
-                self._alt = LandmarkIndex(
-                    self.network, num_landmarks=self.num_landmarks
-                )
-        return self._alt
+                self._landmark_nodes, self._landmarks = self._select_landmarks()
+        return self._landmarks
+
+    def _select_landmarks(self) -> Tuple[List[int], np.ndarray]:
+        """Farthest-point ("avoid") sampling of :data:`NUM_LANDMARKS`
+        landmarks and their :func:`dijkstra` rows.
+
+        The first landmark is the node farthest from the first node in
+        iteration order; each next one maximises the distance to its
+        nearest landmark so far, ties going to the earlier node in
+        iteration order.  Selection stops early once every reachable
+        node is a landmark.
+        """
+        network = self.network
+        nodes = list(network.nodes())
+        if not nodes:
+            raise ValueError("cannot pick landmarks in an empty network")
+        self._intern()
+        seed = dijkstra(network, nodes[0])
+        chosen = [max(seed, key=seed.get)]
+        rows = np.empty((min(NUM_LANDMARKS, len(nodes)), self._n))
+        self._write_row(dijkstra(network, chosen[0]), rows[0])
+        nearest = rows[0].copy()  # distance to the nearest landmark so far
+        by_order = self.columns(nodes)
+        while len(chosen) < len(rows):
+            score = nearest[by_order]
+            score[score == INF] = -1.0
+            best = int(np.argmax(score))  # the first of the farthest
+            if score[best] <= 0.0:
+                break  # every reachable node is already a landmark
+            row = rows[len(chosen)]
+            chosen.append(nodes[best])
+            self._write_row(dijkstra(network, chosen[-1]), row)
+            np.minimum(nearest, row, out=nearest)
+        return chosen, rows[: len(chosen)]
 
     # ------------------------------------------------------------------
     def cost(self, u: int, v: int) -> float:
@@ -355,7 +383,7 @@ class DistanceOracle:
             self.bidirectional_count += 1
             d = bidirectional_dijkstra(self.network, u, v)
         self._pair_cache[pair] = d
-        if len(self._pair_cache) > self.cache_pairs:
+        if len(self._pair_cache) > CACHE_PAIRS:
             self._pair_cache.popitem(last=False)
         return d
 
@@ -364,30 +392,35 @@ class DistanceOracle:
     def lower_bound(self, u: int, v: int) -> float:
         """Admissible lower bound on ``cost(u, v)``.
 
-        Tier 1 serves the ALT landmark bound (building the index on first
-        use); other tiers return the trivial ``0.0``.  Always safe to use
-        for feasibility pruning: the bound never exceeds the true cost.
+        Tier 1 serves the ALT triangle bound ``max_L |d(L, u) - d(L, v)|``
+        over :meth:`landmarks` (building the rows on first use); other
+        tiers return the trivial ``0.0``.  A landmark that reaches only
+        one of the two nodes proves them in different components and
+        gives ``inf``, which is the cost.  Always safe to use for
+        feasibility pruning: the bound never exceeds the true cost.
         """
         if u == v:
             return 0.0
-        if self.tier != 1:
+        rows = self.landmarks()
+        if rows is None:
             return 0.0
-        return self._ensure_alt().heuristic(u, v)
+        # a landmark reaching neither node gives inf - inf = nan: skipped
+        with np.errstate(invalid="ignore"):
+            gap = np.abs(rows[:, self.column(u)] - rows[:, self.column(v)])
+        return float(np.fmax.reduce(gap, initial=0.0))
 
-    def shared_landmarks(self) -> Optional[LandmarkIndex]:
-        """The oracle's ALT landmark index, for consumers that want to
-        share one index instead of building their own
-        (``repro.core.candidates`` does).  ``None`` unless tier 1 is
-        configured — small networks build their own cheap index and
-        directed networks cannot use ALT at all.
+    def landmarks(self) -> Optional[np.ndarray]:
+        """The landmarks × nodes float64 array of exact landmark distances.
 
-        The returned index is always fresh for the current epoch (it is
-        dropped and lazily rebuilt by :meth:`invalidate`), so callers must
-        re-fetch it after an epoch change.
+        Row ``i`` is :func:`dijkstra` from landmark ``i``, bit-identical,
+        indexed by :meth:`column`, with ``inf`` where the landmark cannot
+        reach the node.  ``None`` unless tier 1 is configured.  Built on
+        first use and dropped by :meth:`invalidate`, so it is always the
+        current epoch's; holders re-fetch it after an epoch change.
         """
         if self.tier != 1:
             return None
-        return self._ensure_alt()
+        return self._ensure_landmarks()
 
     def fast_cost_fn(self) -> "Callable[[int, int], float]":
         """A minimal-overhead ``cost(u, v)`` callable.
@@ -477,7 +510,7 @@ class DistanceOracle:
         values = row.tolist()
         view = {node: d for node, d in zip(self._nodes, values) if d != INF}
         self._row_cache[source] = view
-        self._evict(self._row_cache, self.cache_rows)
+        self._evict(self._row_cache, CACHE_ROWS)
         return view
 
     def _search_from(self, source: int) -> Dict[int, float]:
@@ -531,7 +564,10 @@ class DistanceOracle:
     def _dijkstra_row(self, source: int, out: np.ndarray) -> None:
         """Write ``dijkstra(source)`` into ``out`` (inf where unreachable)."""
         self.dijkstra_count += 1
-        dist = dijkstra(self.network, source)
+        self._write_row(dijkstra(self.network, source), out)
+
+    def _write_row(self, dist: Dict[int, float], out: np.ndarray) -> None:
+        """Write a :func:`dijkstra` result into the row ``out``."""
         out.fill(INF)
         out[self.columns(dist.keys())] = np.fromiter(
             dist.values(), dtype=np.float64, count=len(dist)
@@ -651,7 +687,7 @@ class DistanceOracle:
         # LRU as a point query's would: later queries between nearby nodes
         # (a vehicle and a pickup, say) still hit it
         pairs = self._pair_cache if self.effective_tier == 1 else None
-        capacity = self.cache_pairs
+        capacity = CACHE_PAIRS
 
         def local_cost(u: int, v: int) -> float:
             if u == v:
@@ -772,7 +808,7 @@ class DistanceOracle:
         work (a pinned row then refills on its next :meth:`costs_from`
         or :meth:`warm`).  Use :meth:`unpin` to forget the pins entirely.
 
-        Tier-1 structures (CH, landmarks) are dropped too and rebuilt on
+        Tier-1 structures (CH, landmark rows) are dropped too and rebuilt on
         the next query, or at once when pinned rows are re-filled through
         the batched pass — unless ``rebuild_budget_s`` is set and the
         last CH build exceeded it, in which case the new epoch runs
@@ -810,7 +846,8 @@ class DistanceOracle:
             self._n = 0
             self._arcs = None
             self._ch = None
-            self._alt = None
+            self._landmarks = None
+            self._landmark_nodes = None
             self.fast_path = False
             self._tier = None  # re-resolve (mutation may change the size class)
             self.epoch += 1
@@ -944,14 +981,8 @@ class DistanceOracle:
         self._row_cache.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self._apsp is not None:
-            mode = "apsp"
-        elif self._tier == 1:
-            mode = "ch" if self._degraded_epoch != self.epoch else "ch-degraded"
-        else:
-            mode = f"lru({len(self._source_cache)})"
         return (
-            f"DistanceOracle({mode}, queries={self.query_count}, "
+            f"DistanceOracle({self.mode}, queries={self.query_count}, "
             f"dijkstras={self.dijkstra_count}, "
             f"bidirectional={self.bidirectional_count}, "
             f"ch={self.ch_query_count}, "

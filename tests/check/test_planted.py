@@ -134,20 +134,45 @@ def _keep_every_pair(monkeypatch):
     monkeypatch.setattr(DistanceOracle, "_keep_unaffected_pairs", keep_all)
 
 
-PLANTED = {
-    "dispatch": _teleport,
-    "prune-tiered": _stale_block,
-    "chaos-tiered": _keep_every_pair,
-    "stream": _lossy_engine,
-    "crash": _lossy_wal,
-    "dispatch-shards": _drop_last_shard,
-    "chaos-rebuild": _stale_vehicle,
-    "crash-rebuild": _stale_restore,
-}
+def _stale_landmarks(monkeypatch):
+    """invalidate keeps the previous epoch's landmark rows."""
+    from repro.roadnet.oracle import DistanceOracle
+
+    invalidate = DistanceOracle.invalidate
+
+    def keep_rows(self, recompute_pinned=True):
+        kept = self._landmark_nodes, self._landmarks
+        invalidate(self, recompute_pinned=False)
+        self._landmark_nodes, self._landmarks = kept
+        if recompute_pinned and self._pinned_sources:
+            self.warm(sorted(self._pinned_sources))  # on the stale rows
+
+    monkeypatch.setattr(DistanceOracle, "invalidate", keep_rows)
 
 
-@pytest.mark.parametrize("mode", list(PLANTED))
-def test_planted_bug_is_caught(mode, monkeypatch):
-    PLANTED[mode](monkeypatch)
+#: ``(mode, planter)`` rows; a mode may guard more than one layer
+PLANTED = [
+    ("dispatch", _teleport),
+    ("prune-tiered", _stale_block),
+    ("chaos-tiered", _keep_every_pair),
+    ("stream", _lossy_engine),
+    ("crash", _lossy_wal),
+    ("dispatch-shards", _drop_last_shard),
+    ("chaos-rebuild", _stale_vehicle),
+    ("crash-rebuild", _stale_restore),
+    ("chaos-tiered", _stale_landmarks),
+]
+
+
+def _row_id(row):
+    """The mode for its first row, the mode and the planter after that."""
+    mode, planter = row
+    first = next(p for m, p in PLANTED if m == mode)
+    return mode if planter is first else f"{mode}-{planter.__name__.strip('_')}"
+
+
+@pytest.mark.parametrize("mode, planter", PLANTED, ids=list(map(_row_id, PLANTED)))
+def test_planted_bug_is_caught(mode, planter, monkeypatch):
+    planter(monkeypatch)
     run = run_fuzz(range(25), mode)
     assert not run.ok, f"no {mode} seed noticed the planted bug"

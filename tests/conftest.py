@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.core.instance import URRInstance
@@ -11,6 +14,7 @@ from repro.core.vehicles import Vehicle
 from repro.roadnet.generators import grid_city, paper_example_network
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.oracle import DistanceOracle
+from repro.roadnet.shortest_path import dijkstra
 
 
 @pytest.fixture(scope="session")
@@ -70,6 +74,19 @@ def make_rider(rider_id=0, source=0, destination=4, pickup_deadline=5.0,
         dropoff_deadline=dropoff_deadline,
         social_id=social_id,
     )
+
+
+def assert_landmark_rows_exact(oracle: DistanceOracle) -> None:
+    """Every landmark row of a tier-1 oracle is :func:`dijkstra` from its
+    landmark, bit for bit, with ``inf`` where the landmark cannot reach."""
+    rows = oracle.landmarks()
+    nodes = oracle._landmark_nodes
+    assert len(rows) == len(nodes) == len(set(nodes))
+    for node, row in zip(nodes, rows):
+        truth = dijkstra(oracle.network, node)
+        expected = np.full(len(row), math.inf)
+        expected[oracle.columns(truth)] = list(truth.values())
+        assert row.tobytes() == expected.tobytes(), f"landmark {node}"
 
 
 def make_sequence(cost, origin=0, start_time=0.0, capacity=2, stops=None,

@@ -157,7 +157,7 @@ class TestPruneEquality:
     """The pruned candidate list equals the exact reachability filter."""
 
     # tier 0 bounds by the exact table entry, tier 1 by area centres and
-    # the shared ALT index, tier 2 by area centres alone; the first two
+    # the oracle's landmark rows, tier 2 by area centres alone; the first two
     # ids name the candidate_mode the benchmark passes on that tier
     @pytest.mark.parametrize(
         "tier", [0, 1, 2], ids=["spatial", "spatiotemporal", "tier2"]
@@ -171,7 +171,7 @@ class TestPruneEquality:
         index = build_candidate_index(net, oracle=oracle, audit=True)
         for v in vehicles:
             index.insert(v.vehicle_id, v.location, v.ready_time)
-        assert (index._landmarks is not None) == (tier == 1)
+        assert (index._lm is not None) == (tier == 1)
         assert index._exact == (tier == 0)
         plain = SolverState(_instance(net, oracle, riders, vehicles))
         pruned = SolverState(

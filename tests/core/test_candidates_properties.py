@@ -106,7 +106,6 @@ def _riders(spec, start):
 def _reference_prune(index, rider, vehicles, start):
     """The per-vehicle loop the kernel replaced, on the same bounds."""
     deadline = rider.pickup_deadline + 1e-9
-    landmarks = index._landmarks  # the tier-1 oracle's shared ALT index
     oracle = index.oracle
     keep = []
     for vehicle in vehicles:
@@ -132,8 +131,8 @@ def _reference_prune(index, rider, vehicles, start):
             d_cs = oracle.costs_from(center).get(rider.source, INF)
             if d_cs == INF or t0 + d_cs - d_cl > deadline:
                 continue
-        if landmarks is not None and (
-            t0 + landmarks.heuristic(loc, rider.source) > deadline
+        if oracle.tier == 1 and (
+            t0 + oracle.lower_bound(loc, rider.source) > deadline
         ):
             continue
         keep.append(vehicle)

@@ -2,19 +2,29 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.roadnet import contraction
+from repro.roadnet import oracle as oracle_module
 from repro.roadnet.contraction import ContractionHierarchy
 from repro.roadnet.generators import grid_city, ring_radial_city
 from repro.roadnet.graph import RoadNetwork
+from repro.roadnet.oracle import DistanceOracle
 from repro.roadnet.shortest_path import dijkstra
 
 
 @pytest.fixture(scope="module")
 def grid_ch(small_grid):
     return ContractionHierarchy(small_grid)
+
+
+def _landmark_rows(net: RoadNetwork, count: int, monkeypatch) -> np.ndarray:
+    """``count`` landmark rows of ``net``, as the tier-1 oracle builds them."""
+    monkeypatch.setattr(oracle_module, "NUM_LANDMARKS", count)
+    return DistanceOracle(net, tier=1).landmarks()
 
 
 class TestConstruction:
@@ -32,6 +42,10 @@ class TestConstruction:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             ContractionHierarchy(RoadNetwork())
+
+    def test_landmark_rows_need_one_column_per_node(self, small_grid):
+        with pytest.raises(ValueError, match="one column per node"):
+            ContractionHierarchy(small_grid, landmarks=np.zeros((2, 3)))
 
     def test_given_order_is_the_rank(self, small_grid, grid_ch):
         order = list(reversed(grid_ch.order))
@@ -98,28 +112,24 @@ class TestQueries:
         ch = ContractionHierarchy(net)
         assert math.isinf(ch.cost(0, 9))
 
-    def test_zero_cost_pair_with_landmarks(self):
+    def test_zero_cost_pair_with_landmarks(self, monkeypatch):
         # regression: a zero landmark upper bound pruned the first pop and
         # the query returned inf for a pair joined by a zero-weight edge
-        from repro.roadnet.landmarks import LandmarkIndex
-
         net = RoadNetwork()
         net.add_edge(0, 1, 0.0)
         net.add_edge(1, 2, 2.0)
-        ch = ContractionHierarchy(net, landmarks=LandmarkIndex(net, num_landmarks=2))
+        ch = ContractionHierarchy(net, landmarks=_landmark_rows(net, 2, monkeypatch))
         assert ch.cost(0, 1) == 0.0
         assert ch.cost(0, 2) == 2.0
 
-    def test_tiny_pair_far_from_landmarks(self):
+    def test_tiny_pair_far_from_landmarks(self, monkeypatch):
         # regression: the landmark bound of a 1e-12 pair next to unit
         # edges carried more rounding than the pair's own distance and
         # pruned the source, so the query returned inf
-        from repro.roadnet.landmarks import LandmarkIndex
-
         net = RoadNetwork()
         for u, v, w in ((0, 3, 1.0), (1, 2, 1e-12), (2, 3, 1e-12)):
             net.add_edge(u, v, w)
-        ch = ContractionHierarchy(net, landmarks=LandmarkIndex(net, num_landmarks=4))
+        ch = ContractionHierarchy(net, landmarks=_landmark_rows(net, 4, monkeypatch))
         for u in net.nodes():
             truth = dijkstra(net, u)
             for v in net.nodes():
@@ -145,10 +155,11 @@ class TestQueries:
             dijkstra(net, src).get(dst, math.inf)
         )
 
-    def test_tiny_witness_budget_still_exact(self, small_grid):
+    def test_tiny_witness_budget_still_exact(self, small_grid, monkeypatch):
         """A starved witness search adds extra shortcuts but must never
         change query results."""
-        ch = ContractionHierarchy(small_grid, witness_hop_limit=2)
+        monkeypatch.setattr(contraction, "WITNESS_HOP_LIMIT", 2)
+        ch = ContractionHierarchy(small_grid)
         nodes = sorted(small_grid.nodes())
         truth = dijkstra(small_grid, nodes[0])
         for dst in nodes[::4]:

@@ -1,7 +1,8 @@
-"""Differential property tests: CH and ALT ``cost()`` pinned against plain
-Dijkstra on the degenerate network shapes the connected-grid tests miss —
-directed rejection, disconnected components, single-node graphs, and
-duplicate edge insertions."""
+"""Differential property tests: CH ``cost()`` and the tier-1 oracle (CH
+with landmark pruning, landmark rows, the landmark lower bound) pinned
+against plain Dijkstra on the degenerate network shapes the
+connected-grid tests miss — directed rejection, disconnected components,
+single-node graphs, and duplicate edge insertions."""
 
 import math
 
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 from repro.roadnet.contraction import ContractionHierarchy
 from repro.roadnet.generators import grid_city
 from repro.roadnet.graph import RoadNetwork
-from repro.roadnet.landmarks import LandmarkIndex
+from repro.roadnet.oracle import DistanceOracle
 from repro.roadnet.shortest_path import dijkstra
+from tests.conftest import assert_landmark_rows_exact
 
 
 def _assert_matches_dijkstra(net, accel, exact=False):
@@ -108,43 +110,59 @@ class TestContractionEdgeCases:
                 assert ch.cost(src, dst) == truth.get(dst, math.inf)
 
 
+def _assert_oracle_exact(net, oracle):
+    """``oracle.cost`` equals dijkstra() bitwise in the canonical
+    direction (an undirected query is answered from its smaller id)."""
+    nodes = sorted(net.nodes())
+    for src in nodes:
+        truth = dijkstra(net, src)
+        for dst in nodes[nodes.index(src):]:
+            expected = truth.get(dst, math.inf)
+            assert oracle.cost(src, dst) == oracle.cost(dst, src) == expected
+
+
 class TestLandmarkEdgeCases:
     def test_directed_rejected(self):
         net = RoadNetwork(undirected=False)
         net.add_edge(0, 1, 1.0)
         net.add_edge(1, 0, 1.0)
         with pytest.raises(ValueError, match="undirected"):
-            LandmarkIndex(net)
+            DistanceOracle(net, tier=1)
 
     def test_single_node(self):
         net = RoadNetwork()
         net.add_node(7)
-        index = LandmarkIndex(net, num_landmarks=4)
-        assert index.cost(7, 7) == 0.0
-        assert index.landmarks == [7]
+        oracle = DistanceOracle(net, tier=1)
+        assert oracle.cost(7, 7) == 0.0
+        assert oracle._landmark_nodes is None  # a same-node query needs none
+        assert oracle.landmarks().tolist() == [[0.0]]
+        assert oracle._landmark_nodes == [7]
 
     def test_disconnected_components(self):
         net = _disconnected_net()
-        index = LandmarkIndex(net, num_landmarks=4)
-        _assert_matches_dijkstra(net, index)
-        assert math.isinf(index.cost(0, 11))
-        # heuristic must stay admissible (0) across components
-        assert index.heuristic(0, 21) == 0.0
+        oracle = DistanceOracle(net, tier=1)
+        _assert_oracle_exact(net, oracle)
+        assert_landmark_rows_exact(oracle)
+        assert math.isinf(oracle.cost(0, 11))
+        # across components the bound is the cost itself: infinite
+        assert math.isinf(oracle.lower_bound(0, 21))
+        assert oracle.lower_bound(20, 22) <= oracle.cost(20, 22)
 
     def test_duplicate_edges(self):
         net = _duplicate_edge_net()
-        index = LandmarkIndex(net, num_landmarks=3)
-        _assert_matches_dijkstra(net, index)
+        oracle = DistanceOracle(net, tier=1)
+        _assert_oracle_exact(net, oracle)
+        assert_landmark_rows_exact(oracle)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 200), data=st.data())
     def test_random_grids_match_dijkstra(self, seed, data):
         net = grid_city(4, 4, seed=seed, removal_fraction=0.2,
                         arterial_every=None)
-        index = LandmarkIndex(net, num_landmarks=4)
+        oracle = DistanceOracle(net, tier=1)
+        assert_landmark_rows_exact(oracle)
         nodes = sorted(net.nodes())
-        src = data.draw(st.sampled_from(nodes))
-        dst = data.draw(st.sampled_from(nodes))
-        assert index.cost(src, dst) == pytest.approx(
-            dijkstra(net, src).get(dst, math.inf)
-        )
+        src, dst = sorted(data.draw(st.sampled_from(nodes)) for _ in range(2))
+        truth = dijkstra(net, src).get(dst, math.inf)
+        assert oracle.cost(src, dst) == oracle.cost(dst, src) == truth
+        assert oracle.lower_bound(src, dst) <= truth + 1e-9

@@ -1,4 +1,6 @@
-"""Unit + property tests for repro.roadnet.landmarks (ALT queries)."""
+"""Unit + property tests for the tier-1 landmark rows of
+:class:`~repro.roadnet.oracle.DistanceOracle` (farthest-point selection,
+exact rows, the ALT lower bound)."""
 
 import math
 
@@ -6,116 +8,110 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.roadnet import oracle as oracle_module
 from repro.roadnet.generators import grid_city
 from repro.roadnet.graph import RoadNetwork
-from repro.roadnet.landmarks import LandmarkIndex
-from repro.roadnet.shortest_path import dijkstra
+from repro.roadnet.oracle import DistanceOracle
+from repro.roadnet.shortest_path import INF, dijkstra
+from tests.conftest import assert_landmark_rows_exact
+
+
+def _tier1(net: RoadNetwork, count: int) -> DistanceOracle:
+    """A tier-1 oracle over ``net`` whose rows hold ``count`` landmarks."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle_module, "NUM_LANDMARKS", count)
+        oracle = DistanceOracle(net, tier=1)
+        oracle.landmarks()
+    return oracle
 
 
 @pytest.fixture(scope="module")
 def grid_index(small_grid):
-    return LandmarkIndex(small_grid, num_landmarks=4)
+    return _tier1(small_grid, 4)
 
 
 class TestConstruction:
-    def test_landmark_count(self, grid_index):
-        assert len(grid_index.landmarks) == 4
+    def test_landmark_count(self, grid_index, small_grid):
+        assert grid_index.landmarks().shape == (4, len(small_grid))
 
     def test_landmarks_distinct(self, grid_index):
-        assert len(set(grid_index.landmarks)) == 4
+        assert len(set(grid_index._landmark_nodes)) == 4
 
     def test_landmarks_spread_out(self, small_grid, grid_index):
         """Farthest-point sampling keeps landmarks pairwise distant."""
-        dist = {l: dijkstra(small_grid, l) for l in grid_index.landmarks}
-        pairs = [
-            dist[a][b]
-            for a in grid_index.landmarks
-            for b in grid_index.landmarks
-            if a != b
-        ]
+        landmarks = grid_index._landmark_nodes
+        dist = {l: dijkstra(small_grid, l) for l in landmarks}
+        pairs = [dist[a][b] for a in landmarks for b in landmarks if a != b]
         assert min(pairs) > 1.0  # never adjacent on a 5x5 grid
 
     def test_directed_network_rejected(self):
         net = RoadNetwork(undirected=False)
         net.add_edge(0, 1, 1.0)
         with pytest.raises(ValueError, match="undirected"):
-            LandmarkIndex(net)
+            DistanceOracle(net, tier=1)
 
     def test_empty_network_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            LandmarkIndex(RoadNetwork())
-
-    def test_invalid_landmark_count(self, small_grid):
-        with pytest.raises(ValueError):
-            LandmarkIndex(small_grid, num_landmarks=0)
+            DistanceOracle(RoadNetwork(), tier=1).landmarks()
 
     def test_more_landmarks_than_nodes(self, line_network):
-        index = LandmarkIndex(line_network, num_landmarks=50)
-        assert len(index.landmarks) <= len(line_network)
+        oracle = _tier1(line_network, 50)
+        assert len(oracle.landmarks()) <= len(line_network)
+        assert_landmark_rows_exact(oracle)
 
 
 class TestQueries:
     def test_same_node(self, grid_index):
-        assert grid_index.cost(3, 3) == 0.0
+        assert grid_index.lower_bound(3, 3) == 0.0
 
-    def test_exactness_vs_dijkstra(self, small_grid, grid_index):
-        nodes = sorted(small_grid.nodes())
-        for src in nodes[::6]:
-            truth = dijkstra(small_grid, src)
-            for dst in nodes[::7]:
-                assert grid_index.cost(src, dst) == pytest.approx(truth[dst])
+    def test_exactness_vs_dijkstra(self, grid_index):
+        assert_landmark_rows_exact(grid_index)
 
     def test_heuristic_admissible(self, small_grid, grid_index):
         nodes = sorted(small_grid.nodes())
         target = nodes[-1]
         truth = {n: dijkstra(small_grid, n).get(target, math.inf) for n in nodes}
         for node in nodes:
-            assert grid_index.heuristic(node, target) <= truth[node] + 1e-9
+            assert grid_index.lower_bound(node, target) <= truth[node] + 1e-9
 
     def test_unreachable_inf(self):
         net = RoadNetwork()
         net.add_edge(0, 1, 1.0)
+        net.add_edge(5, 6, 2.0)
         net.add_node(9)
-        index = LandmarkIndex(net, num_landmarks=1)
-        assert math.isinf(index.cost(0, 9))
-
-    def test_callable_interface(self, grid_index):
-        assert grid_index(0, 24) == grid_index.cost(0, 24)
+        oracle = _tier1(net, 1)
+        assert oracle._landmark_nodes == [1]
+        # the landmark reaches one node of the pair: they are in
+        # different components, and the bound is the (infinite) cost
+        assert math.isinf(oracle.lower_bound(0, 9))
+        assert math.isinf(oracle.cost(0, 9))
+        # it reaches neither: no bound, however far apart they are
+        assert oracle.lower_bound(5, 6) == 0.0
+        assert oracle.lower_bound(5, 9) == 0.0
+        assert oracle.cost(5, 6) == 2.0
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 200), data=st.data())
     def test_exact_on_random_grids(self, seed, data):
         net = grid_city(4, 5, seed=seed, removal_fraction=0.1, arterial_every=None)
-        index = LandmarkIndex(net, num_landmarks=3)
+        oracle = _tier1(net, 3)
+        assert_landmark_rows_exact(oracle)
         nodes = sorted(net.nodes())
         src = data.draw(st.sampled_from(nodes))
         dst = data.draw(st.sampled_from(nodes))
-        assert index.cost(src, dst) == pytest.approx(
-            dijkstra(net, src).get(dst, math.inf)
+        assert oracle.lower_bound(src, dst) <= (
+            dijkstra(net, src).get(dst, math.inf) + 1e-9
         )
-
-    def test_explores_fewer_nodes_than_dijkstra(self):
-        """ALT's point: long queries settle far fewer nodes."""
-        net = grid_city(15, 15, seed=0, removal_fraction=0.0, arterial_every=None)
-        index = LandmarkIndex(net, num_landmarks=8)
-        nodes = sorted(net.nodes())
-        index.settled_count = 0
-        index.cost(nodes[0], nodes[16])  # short query near a corner
-        short_settled = index.settled_count
-        assert short_settled < net.num_nodes / 2
 
 
 class TestSelectionEquivalence:
-    """The O(k·V) running-min selection must pick bit-identical landmarks
-    to the old O(k²·V) re-scan on seed networks."""
+    """The array selection must pick the landmarks of the plain
+    O(k²·V) re-scan, ties included."""
 
     @staticmethod
-    def _select_reference(network, count, seed_node=None):
-        # verbatim pre-optimisation algorithm: per-node min over all
-        # landmarks, recomputed every iteration
-        from repro.roadnet.shortest_path import INF, dijkstra
-
-        start = seed_node if seed_node is not None else next(iter(network.nodes()))
+    def _select_reference(network, count):
+        # per-node min over all landmarks, recomputed every iteration
+        start = next(iter(network.nodes()))
         first_dist = dijkstra(network, start)
         first = max(first_dist, key=first_dist.get)
         landmarks = [first]
@@ -134,31 +130,33 @@ class TestSelectionEquivalence:
             dist[best_node] = dijkstra(network, best_node)
         return landmarks
 
-    def test_matches_reference_on_grids(self):
-        from repro.roadnet.generators import grid_city
-
-        for seed in (0, 3, 11):
-            net = grid_city(7, 6, seed=seed)
-            index = LandmarkIndex(net, num_landmarks=6)
-            assert index.landmarks == self._select_reference(net, 6)
+    def test_matches_reference_on_grids(self, small_grid):
+        for net in [small_grid] + [grid_city(7, 6, seed=s) for s in (0, 3, 11)]:
+            oracle = _tier1(net, 6)
+            assert oracle._landmark_nodes == self._select_reference(net, 6)
 
     def test_matches_reference_on_disconnected(self):
         net = RoadNetwork()
         for base in (0, 100):
             for i in range(4):
                 net.add_edge(base + i, base + i + 1, 1.0 + 0.1 * i)
-        index = LandmarkIndex(net, num_landmarks=4)
-        assert index.landmarks == self._select_reference(net, 4)
-
-    def test_matches_reference_with_seed_node(self, small_grid):
-        index = LandmarkIndex(small_grid, num_landmarks=5, seed_node=12)
-        assert index.landmarks == self._select_reference(
-            small_grid, 5, seed_node=12
-        )
+        oracle = _tier1(net, 4)
+        assert oracle._landmark_nodes == self._select_reference(net, 4)
+        assert_landmark_rows_exact(oracle)
 
     def test_matches_reference_more_landmarks_than_positions(self):
         net = RoadNetwork()
         net.add_edge(0, 1, 1.0)
         net.add_edge(1, 2, 1.0)
-        index = LandmarkIndex(net, num_landmarks=10)
-        assert index.landmarks == self._select_reference(net, 10)
+        oracle = _tier1(net, 10)
+        assert oracle._landmark_nodes == self._select_reference(net, 10)
+
+    def test_benchmark_city_landmarks_pinned(self):
+        """The 16 landmarks of the benchmark's 64×64 city, as the
+        dict-based selection picked them."""
+        oracle = DistanceOracle(grid_city(64, 64, seed=7), tier=1)
+        oracle.landmarks()
+        assert oracle._landmark_nodes == [
+            4095, 130, 255, 4035, 2140, 2175, 4060, 225,
+            2114, 3181, 1389, 1040, 3216, 4019, 1343, 1314,
+        ]

@@ -26,6 +26,7 @@ from repro.roadnet.generators import grid_city
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.oracle import DistanceOracle
 from repro.roadnet.shortest_path import dijkstra
+from tests.conftest import assert_landmark_rows_exact
 
 #: dyadic weights: every path sum is exact in floats, so tied paths have
 #: equal floats and any exact method must return dijkstra()'s value
@@ -125,6 +126,7 @@ class TestMetricChangeProperty:
                 for v in nodes:
                     assert oracle.cost(u, v) == _truth(net, u, v)
             rank = dict(oracle._ensure_ch().rank)
+            assert_landmark_rows_exact(oracle)  # and again after invalidate()
             edges = _edges(net)
             clears = True
             if op == "lengthen" and edges:
@@ -152,6 +154,7 @@ class TestMetricChangeProperty:
             if clears:
                 assert not oracle._pair_cache
             _assert_cache_exact(oracle, net)
+            assert_landmark_rows_exact(oracle)
             with _PriorityCalls() as priority:
                 hierarchy = oracle._ensure_ch()
             if op == "add_node":

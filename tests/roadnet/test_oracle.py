@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.roadnet import oracle as oracle_module
 from repro.roadnet.generators import grid_city
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.oracle import DistanceOracle
@@ -161,10 +162,9 @@ class TestPairCache:
         assert oracle.cost(1, 0) == pytest.approx(5.0)
         assert oracle.bidirectional_count == 2
 
-    def test_bounded_eviction(self, small_grid):
-        oracle = DistanceOracle(
-            small_grid, apsp_threshold=0, cache_sources=0, cache_pairs=2
-        )
+    def test_bounded_eviction(self, small_grid, monkeypatch):
+        monkeypatch.setattr(oracle_module, "CACHE_PAIRS", 2)
+        oracle = DistanceOracle(small_grid, apsp_threshold=0, cache_sources=0)
         oracle.cost(0, 5)
         oracle.cost(0, 6)
         oracle.cost(0, 7)  # evicts (0, 5)
@@ -256,8 +256,9 @@ class TestRowCache:
         second = oracle.costs_from(0)
         assert first is second
 
-    def test_row_cache_bounded(self, small_grid):
-        oracle = DistanceOracle(small_grid, cache_rows=2)
+    def test_row_cache_bounded(self, small_grid, monkeypatch):
+        monkeypatch.setattr(oracle_module, "CACHE_ROWS", 2)
+        oracle = DistanceOracle(small_grid)
         nodes = sorted(small_grid.nodes())
         for node in nodes[:5]:
             oracle.costs_from(node)
@@ -267,8 +268,9 @@ class TestRowCache:
         # LRU, not FIFO: the two most recent rows survive
         assert set(oracle._row_cache) == set(nodes[3:5])
 
-    def test_row_cache_recency_updated_on_hit(self, small_grid):
-        oracle = DistanceOracle(small_grid, cache_rows=2)
+    def test_row_cache_recency_updated_on_hit(self, small_grid, monkeypatch):
+        monkeypatch.setattr(oracle_module, "CACHE_ROWS", 2)
+        oracle = DistanceOracle(small_grid)
         oracle.costs_from(0)
         oracle.costs_from(1)
         oracle.costs_from(0)  # touch 0: now 1 is the eviction candidate
@@ -305,8 +307,9 @@ class TestWarmPinning:
         oracle.costs_from(1)  # the oldest unpinned row was evicted
         assert oracle.dijkstra_count == before + 1
 
-    def test_pins_apply_to_apsp_rows(self, small_grid):
-        oracle = DistanceOracle(small_grid, cache_rows=2)
+    def test_pins_apply_to_apsp_rows(self, small_grid, monkeypatch):
+        monkeypatch.setattr(oracle_module, "CACHE_ROWS", 2)
+        oracle = DistanceOracle(small_grid)
         oracle.warm([0])
         for node in range(1, 8):
             oracle.costs_from(node)

@@ -1,13 +1,14 @@
 """Tests for the tiered DistanceOracle (tier selection, CH tier-1 queries,
-degraded epochs, and the shared ALT index)."""
+degraded epochs, and the shared landmark rows)."""
 
 import math
 
+import numpy as np
 import pytest
 
+from repro.roadnet import oracle as oracle_module
 from repro.roadnet.generators import grid_city
 from repro.roadnet.graph import RoadNetwork
-from repro.roadnet.landmarks import LandmarkIndex
 from repro.roadnet.oracle import TIER1_MIN_NODES, DistanceOracle
 from repro.roadnet.shortest_path import dijkstra
 
@@ -32,12 +33,14 @@ class TestTierSelection:
         assert oracle.tier == 1  # resolution alone must not build the CH
         assert oracle._ch is None
 
-    def test_tiny_memory_budget_falls_back_to_lru(self):
+    def test_tiny_memory_budget_falls_back_to_lru(self, monkeypatch):
         net = grid_city(66, 66, seed=0)
-        assert DistanceOracle(net, memory_budget_mb=0.1).tier == 2
+        monkeypatch.setattr(oracle_module, "MEMORY_BUDGET_MB", 0.1)
+        assert DistanceOracle(net).tier == 2
 
-    def test_tiny_budget_also_disables_apsp(self, small_grid):
-        oracle = DistanceOracle(small_grid, memory_budget_mb=0.001)
+    def test_tiny_budget_also_disables_apsp(self, small_grid, monkeypatch):
+        monkeypatch.setattr(oracle_module, "MEMORY_BUDGET_MB", 0.001)
+        oracle = DistanceOracle(small_grid)
         assert oracle.tier == 2
         oracle.cost(0, 24)
         assert oracle._apsp is None
@@ -152,20 +155,21 @@ class TestLowerBoundAndSharedLandmarks:
         assert oracle.lower_bound(0, 24) == 0.0
 
     def test_shared_landmarks_only_in_tier1(self, small_grid):
-        assert DistanceOracle(small_grid).shared_landmarks() is None
-        assert (
-            DistanceOracle(small_grid, apsp_threshold=0).shared_landmarks()
-            is None
-        )
-        shared = DistanceOracle(small_grid, tier=1).shared_landmarks()
-        assert isinstance(shared, LandmarkIndex)
+        assert DistanceOracle(small_grid).landmarks() is None
+        assert DistanceOracle(small_grid, apsp_threshold=0).landmarks() is None
+        shared = DistanceOracle(small_grid, tier=1).landmarks()
+        assert shared.dtype == np.float64
+        assert shared.shape == (oracle_module.NUM_LANDMARKS, len(small_grid))
 
     def test_shared_landmarks_fresh_after_invalidate(self, jitter_grid):
         oracle = DistanceOracle(jitter_grid, tier=1)
-        first = oracle.shared_landmarks()
+        first = oracle.landmarks()
+        # the hierarchy reads the same rows, not a copy
+        assert np.shares_memory(np.asarray(oracle._ensure_ch()._goals[0]), first)
         oracle.invalidate()
-        second = oracle.shared_landmarks()
+        second = oracle.landmarks()
         assert second is not first
+        assert oracle.landmarks() is second  # built once per epoch
 
     def test_candidate_index_adopts_shared_index(self):
         from repro.core.candidates import build_candidate_index
@@ -173,8 +177,9 @@ class TestLowerBoundAndSharedLandmarks:
         net = grid_city(6, 6, seed=2)
         oracle = DistanceOracle(net, tier=1)
         index = build_candidate_index(net, oracle=oracle)
-        assert index._landmarks is oracle.shared_landmarks()
-        # after an epoch change the index re-fetches the oracle's fresh copy
+        index.insert(0, 0)
+        assert index._lm is oracle.landmarks()
+        # after an epoch change the index re-reads the oracle's fresh rows
         oracle.invalidate()
-        index.resync([])
-        assert index._landmarks is oracle.shared_landmarks()
+        index.resync([(0, 0, None)])
+        assert index._lm is oracle.landmarks()
