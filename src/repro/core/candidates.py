@@ -20,24 +20,21 @@ from what the oracle holds, not from a setting:
   ``cost(l, s) >= cost(c, s) - cost(c, l)`` for a vehicle at ``l`` and a
   pickup at ``s`` (both distances *from* ``c``, so the bound also holds
   on directed networks).
-- **temporal** (tier 1) — an ALT landmark bound
-  ``max_L |d(L, s) - d(L, l)| <= cost(l, s)`` refines the survivors,
-  read from the oracle's own landmark rows
-  (:meth:`DistanceOracle.landmarks`, undirected networks only).
+- **temporal** (tier 1) — the survivors pass the same landmark gate as
+  every reachability test (:meth:`DistanceOracle.lower_bounds`, the ALT
+  bound ``max_L |d(L, s) - d(L, l)| <= cost(l, s)`` over the oracle's
+  own landmark rows, undirected networks only).
 
 A pruned pair is exactly a pair the exact reachability test
 (:meth:`repro.core.scoring.SolverState.reachable_vehicles`) would also
-discard: the exact test keeps a vehicle iff ``t0 + cost(l, s) <= rt^- +
-eps`` for its first event or some later stop, ``t0 = max(t-bar,
-ready_time)``; the later-stop fallback is subsumed because ``arrive[k] >=
-t0 + cost(l, stop_k)`` and the triangle inequality give ``arrive[k] +
-cost(stop_k, s) >= t0 + cost(l, s)``.  Pruning on ``t0 + LB > rt^- + eps``
-with ``LB <= cost(l, s)`` therefore removes only vehicles the full scan
-removes — pruned and full retrieval return *identical* candidate sets (and
-hence frame-for-frame identical assignments; the ``prune`` fuzz
-modes assert this).  ``audit=True`` re-checks every pruned pair with an exact
-cost query and counts contradictions in
-:data:`repro.perf.CANDIDATE_STATS` (``pruned_in_error``) — always zero.
+discard: each bound is ``t0 + LB > rt^- + eps`` with ``LB <= cost(l, s)``,
+which that method's docstring shows removes only vehicles the exact test
+removes, later stops included.  Pruned and full retrieval therefore
+return *identical* candidate sets (and hence frame-for-frame identical
+assignments; the ``prune`` fuzz modes assert this).  ``audit=True``
+re-checks every pruned pair with an exact cost query and counts
+contradictions in :data:`repro.perf.CANDIDATE_STATS` (``pruned_in_error``)
+— always zero.
 
 **Layout.**  The area centres are pinned in the oracle, so their rows live
 in one float64 block (:meth:`DistanceOracle.pinned_block`; at tier 0 the
@@ -46,8 +43,7 @@ parallel arrays — node column and ready time — in retrieval-rank order,
 and a rider's prune is one array kernel: the exact bound
 ``t0 + block[col(l), col(s)]`` (tier 0) or the centre bound
 ``t0 + block[row(c), col(s)] - d(c, l)`` for every slot at once, then the
-landmark bound over the oracle's landmarks x nodes rows for the
-survivors only.
+landmark gate for the survivors only.
 There are no whole-area skips: the per-vehicle bound already prunes
 every vehicle an area-level bound would.
 
@@ -57,13 +53,15 @@ and only re-derives distances after a disruption invalidates the oracle
 (:meth:`CandidateIndex.resync`, keyed off the oracle's ``epoch``).  There
 is no per-frame rebuild.
 
-:class:`VehicleColumns` runs the GBS fast vehicle filter (Section 6.2)
-as one array operation over a trip group centre's row of the same block.
+:class:`VehicleColumns` runs the two filters that need no index over a
+vehicle list's node columns: the landmark gate of a reachability test
+without an index, and the GBS fast vehicle filter (Section 6.2), one
+array operation over a trip group centre's row of the same block.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,10 +77,11 @@ from repro.roadnet.shortest_path import INF
 _EPS = 1e-9
 _NEG_INF = float("-inf")
 
-#: The dispatcher's ``candidate_mode`` names: ``"full"`` scans every
-#: pair without an index; ``"spatial"`` and ``"spatiotemporal"`` both
-#: retrieve through a :class:`CandidateIndex`, whose bounds follow from
-#: what the oracle holds.
+#: The dispatcher's ``candidate_mode`` names: ``"full"`` builds no index
+#: (no area cover): every rider's reachability test runs over the whole
+#: fleet, behind the landmark gate at tier 1; ``"spatial"`` and
+#: ``"spatiotemporal"`` both retrieve through a :class:`CandidateIndex`,
+#: whose bounds follow from what the oracle holds.
 CANDIDATE_MODES = ("full", "spatial", "spatiotemporal")
 
 #: Per-slot arrays of :class:`CandidateIndex`: node id, node column and
@@ -110,7 +109,7 @@ class CandidateIndex:
         (at tier 0, exact costs) are read from its pinned block, its
         ``epoch`` detects metric changes (disruptions) that make the
         stored distances stale, and its landmark rows (tier 1) feed the
-        landmark bound.
+        landmark gate.
     audit:
         Re-check every pruned pair with an exact cost query and count
         contradictions in ``CANDIDATE_STATS.pruned_in_error``.  Debug /
@@ -141,7 +140,7 @@ class CandidateIndex:
         self._block: Optional[np.ndarray] = None
         self._node_row = self._node_dcl = self._node_bounded = None
         self._exact = False  # tier 0: the block is the APSP table
-        self._lm: Optional[np.ndarray] = None  # the oracle's landmark rows
+        self._landmarked = False  # tier 1: the landmark gate runs
 
     # ------------------------------------------------------------------
     # the oracle's block and the per-node tables derived from it
@@ -167,7 +166,7 @@ class CandidateIndex:
             self._node_row, self._node_dcl, self._node_bounded = (
                 self._center_tables(block)
             )
-        self._lm = oracle.landmarks()
+        self._landmarked = oracle.landmarks() is not None
         self._col[: self._size] = oracle.columns(self._loc[: self._size])
         self._block = block
         return block
@@ -368,15 +367,8 @@ class CandidateIndex:
             )
         keep = np.flatnonzero(~spatial)
         stats.pairs_pruned_spatial += len(cols) - len(keep)
-        lm = self._lm
-        if lm is not None and len(keep):
-            # a landmark reaching neither node gives nan, which fmax
-            # skips; one reaching only one of them gives inf, and so
-            # does the pair's cost (they are in different components)
-            with np.errstate(invalid="ignore"):
-                gap = np.abs(lm[:, cols[keep]] - lm[:, source_col, None])
-            bound = np.fmax.reduce(gap, axis=0, initial=0.0)
-            temporal = t0[keep] + bound > deadline
+        if self._landmarked and len(keep):
+            temporal = _late(self.oracle, source, deadline, cols[keep], t0[keep])
             if temporal.any():
                 keep = keep[~temporal]
                 stats.pairs_pruned_temporal += int(np.count_nonzero(temporal))
@@ -392,8 +384,7 @@ class CandidateIndex:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CandidateIndex(vehicles={len(self)}, "
-            f"areas={self.areas.num_areas}, "
-            f"landmarks={0 if self._lm is None else len(self._lm)})"
+            f"areas={self.areas.num_areas}, landmarked={self._landmarked})"
         )
 
 
@@ -431,22 +422,69 @@ def build_candidate_index(
         return index
 
 
+def _late(
+    oracle: DistanceOracle,
+    source: int,
+    deadline: float,
+    cols: np.ndarray,
+    t0: np.ndarray,
+) -> np.ndarray:
+    """The landmark gate: where ``t0 + LB(col, source) > deadline``."""
+    return t0 + oracle.lower_bounds(cols, source) > deadline
+
+
 # ----------------------------------------------------------------------
-# GBS fast vehicle filter (Section 6.2) over the same block
+# filters over one vehicle list, without an index
 # ----------------------------------------------------------------------
 class VehicleColumns:
-    """One vehicle list's node columns, for the GBS group filter.
+    """One vehicle list's node columns, for the array filters over it.
 
-    Built once per :func:`repro.core.grouping.run_grouping` call and
-    queried once per short-trip group with the group centre's row of the
-    oracle's pinned block: the centre-distance predicate runs over every
-    vehicle in one array operation, so the filtered list equals the full
-    scan's output (order included).
+    :class:`~repro.core.scoring.SolverState` keeps one per roster for the
+    landmark gate of its reachability tests (:meth:`reachable`), and
+    :func:`repro.core.grouping.run_grouping` one per call for the GBS
+    group filter (:meth:`filter`).  Either filter runs over every
+    vehicle in one array operation and returns its survivors in list
+    order.  The columns are the oracle's in ``epoch``; holders rebuild
+    the view after an epoch change.
     """
 
     def __init__(self, oracle: DistanceOracle, vehicles: Sequence[Vehicle]) -> None:
         self.vehicles = vehicles
-        self._cols = oracle.columns(v.location for v in vehicles)
+        self.oracle = oracle
+        self.epoch = oracle.epoch
+        self._cols = oracle.columns(
+            np.fromiter(
+                (v.location for v in vehicles), dtype=np.int64, count=len(vehicles)
+            )
+        )
+        self._t0: Optional[np.ndarray] = None  # start times, on first gate
+
+    def reachable(
+        self, rider: Rider, start_time: Callable[[Vehicle], float]
+    ) -> List[Vehicle]:
+        """Vehicles the landmark gate cannot prove late for the pickup.
+
+        ``start_time`` gives a vehicle's ``t0``
+        (:meth:`~repro.core.instance.URRInstance.vehicle_start_time`);
+        see :meth:`~repro.core.scoring.SolverState.reachable_vehicles`
+        for why the gate keeps every vehicle the exact test keeps.
+        """
+        vehicles = self.vehicles
+        if self._t0 is None:
+            self._t0 = np.fromiter(
+                (start_time(v) for v in vehicles), dtype=np.float64,
+                count=len(vehicles),
+            )
+        stats = CANDIDATE_STATS
+        stats.retrievals += 1
+        stats.pairs_considered += len(vehicles)
+        late = _late(
+            self.oracle, rider.source, rider.pickup_deadline + _EPS,
+            self._cols, self._t0,
+        )
+        keep = np.flatnonzero(~late).tolist()
+        stats.pairs_pruned_temporal += len(vehicles) - len(keep)
+        return [vehicles[k] for k in keep]
 
     def filter(self, row: np.ndarray, bound: float, slack: float) -> List[Vehicle]:
         """Vehicles passing ``d(u_x, l) - bound < slack + eps``.

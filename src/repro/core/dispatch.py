@@ -392,12 +392,17 @@ class DispatchConfig:
         :class:`FrameReport`.
     candidate_mode:
         One of :data:`~repro.core.candidates.CANDIDATE_MODES`.  ``"full"``
-        (default) scans every rider-vehicle pair; ``"spatial"`` and
-        ``"spatiotemporal"`` both route retrieval through an incrementally
-        maintained :class:`~repro.core.candidates.CandidateIndex`, whose
-        bounds follow the oracle's tier (the exact table entry at tier
-        0; the area-centre bound, plus the landmark bound at tier 1), so
-        the two names select the same index.  The prunes are sound, so
+        (default) builds no index and no area cover: every rider's
+        reachability test runs over the whole fleet, which at tier 1 still
+        passes the oracle's landmark gate before any exact query
+        (:meth:`~repro.core.scoring.SolverState.reachable_vehicles`), so
+        ``"full"`` means "no area cover", not "no bound".  ``"spatial"``
+        and ``"spatiotemporal"`` both route retrieval through an
+        incrementally maintained
+        :class:`~repro.core.candidates.CandidateIndex`, whose bounds follow
+        the oracle's tier (the exact table entry at tier 0; the
+        area-centre bound, plus the landmark gate at tier 1), so the two
+        names select the same index.  Every bound is sound, so
         assignments are frame-for-frame identical across all three
         modes — only the work changes.
     utility_matrix:

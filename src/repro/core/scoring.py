@@ -14,8 +14,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.core.candidates import CandidateIndex, VehicleColumns
 from repro.core.insertion import (
     InsertionPlan,
     InsertionResult,
@@ -27,9 +28,6 @@ from repro.core.requests import Rider
 from repro.core.schedule import TransferSequence
 from repro.core.utility import UtilityModel
 from repro.core.vehicles import Vehicle
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.core.candidates import CandidateIndex
 
 
 @dataclass
@@ -93,6 +91,8 @@ class SolverState:
         self._candidate_view: Optional[
             Tuple[Iterable[Vehicle], Dict[int, Vehicle], bool]
         ] = None
+        # the landmark gate's per-roster columns when there is no index
+        self._roster_view: Optional[VehicleColumns] = None
 
     # ------------------------------------------------------------------
     def schedule(self, vehicle_id: int) -> TransferSequence:
@@ -183,26 +183,38 @@ class SolverState:
         """Vehicles that could possibly pick the rider up in time.
 
         The coarse filter of EG lines 2–4 (conditions a/b of Lemma 3.1
-        against the *current vehicle location*): the vehicle must be able to
-        reach the rider's source before the pickup deadline even with an
-        empty schedule detour, i.e.
-        ``t̄ + cost(l(c_j), s_i) <= rt_i^-`` is necessary only for empty
-        schedules, so we use the weaker necessary condition that *some*
-        event could still reach the source in time — the earliest start of
-        the vehicle's first event is ``t̄``, giving
-        ``t̄ + cost(l(c_j), s_i) <= rt_i^-`` OR the schedule already passes
-        nearby later; we keep the simple location-based test plus a
-        fallback on the schedule's stops.
+        against the *current vehicle location*): a vehicle at ``l``,
+        plannable from ``t0 = max(t̄, ready_time)``, is kept iff
+        ``t0 + cost(l, s_i) <= rt_i^- + eps``, or, failing that, some
+        stop ``k`` of its schedule reaches the source in time:
+        ``arrive[k] + cost(stop_k, s_i) <= rt_i^- + eps``.
 
-        When the instance carries a
-        :class:`~repro.core.candidates.CandidateIndex`, retrieval first
-        narrows ``vehicles`` through its sound spatio-temporal prune —
-        every vehicle this exact test would keep survives the prune, so
-        the returned list is identical either way (order included).
+        No exact ``cost()`` is asked for a vehicle the oracle's landmark
+        bound ``LB = DistanceOracle.lower_bounds`` proves late: one with
+        ``t0 + LB(l, s_i) > rt_i^- + eps``.  That gate is sound.
+        ``LB <= cost(l, s_i)`` fails the location test, and the later
+        stops fail too, because ``arrive[k] >= t0 + cost(l, stop_k)`` and
+        the triangle inequality give ``arrive[k] + cost(stop_k, s_i) >=
+        t0 + cost(l, s_i)``.  So the gate drops only vehicles the exact
+        test drops, and the returned list is identical with or without
+        it (order included).  It runs whenever the oracle holds landmark
+        rows (tier 1):
+
+        - with a :class:`~repro.core.candidates.CandidateIndex` on the
+          instance, inside its prune, on the survivors of its spatial
+          bound (which rests on the same argument);
+        - without one (``candidate_mode="full"``, shard sub-instances,
+          boundary reconciliation), over the roster's node columns and
+          start times, kept per roster
+          (:meth:`~repro.core.candidates.VehicleColumns.reachable`).
         """
         index = self.instance.candidates
         if index is not None:
             vehicles = self._retrieve_candidates(rider, vehicles, index)
+        elif self.instance.oracle.landmarks() is not None:
+            vehicles = self._roster(vehicles).reachable(
+                rider, self.instance.vehicle_start_time
+            )
         cost = self.instance.cost
         start_time = self.instance.vehicle_start_time
         schedules = self.schedules
@@ -231,11 +243,25 @@ class SolverState:
                     break
         return result
 
+    def _roster(self, vehicles: Iterable[Vehicle]) -> VehicleColumns:
+        """The node columns of ``vehicles``, kept while the same list is
+        passed again in the same oracle epoch."""
+        view = self._roster_view
+        if (
+            view is None
+            or view.vehicles is not vehicles
+            or view.epoch != self.instance.oracle.epoch
+        ):
+            roster = vehicles if isinstance(vehicles, list) else list(vehicles)
+            view = VehicleColumns(self.instance.oracle, roster)
+            self._roster_view = view
+        return view
+
     def _retrieve_candidates(
         self,
         rider: Rider,
         vehicles: Iterable[Vehicle],
-        index: "CandidateIndex",
+        index: CandidateIndex,
     ) -> List[Vehicle]:
         """Narrow ``vehicles`` through the instance's candidate index."""
         view = self._candidate_view

@@ -250,6 +250,7 @@ def _searches(stats: Counters) -> int:
         + stats.ch_query_count
         + stats.batch_rows
         - stats.batch_fallbacks
+        + stats.landmark_rows
     )
 
 
@@ -268,18 +269,21 @@ def _hit_rate(stats: Counters) -> float:
 #: undercounts the real query volume.  ``batch_rows`` counts rows filled by
 #: the batched many-source pass (pinned rows, the tier-0 table, the cover's
 #: hop-local rows) and ``batch_fallbacks`` how many of them the verifier
-#: sent back to ``dijkstra()`` (also in ``dijkstra_count``).  Derived:
-#: ``searches``, the graph work (Dijkstras, bidirectional runs, CH queries
-#: and batched rows, each fallback row counted once), and ``hit_rate``, the
-#: fraction of queries answered without a search.  Every search counts as
-#: a miss; in APSP mode every query after the build is a table read, so
-#: the rate is 1.  It is clamped at 0 because ``costs_from``-heavy phases
-#: can run more Dijkstras than there are counted point queries.
+#: sent back to ``dijkstra()`` (also in ``dijkstra_count``).
+#: ``landmark_rows`` counts the ``dijkstra()`` runs that pick and fill the
+#: tier-1 landmark rows (not in ``dijkstra_count``).  Derived:
+#: ``searches``, the graph work (Dijkstras, bidirectional runs, CH queries,
+#: batched rows, each fallback row counted once, and landmark searches),
+#: and ``hit_rate``, the fraction of queries answered without a search.
+#: Every search counts as a miss; in APSP mode every query after the
+#: build is a table read, so the rate is 1.  It is clamped at 0 because
+#: ``costs_from``-heavy phases can run more Dijkstras than there are
+#: counted point queries.
 ORACLE_STATS = Counters(
     "oracle",
     ["query_count", "dijkstra_count", "bidirectional_count",
      "ch_query_count", "pair_cache_hits", "source_cache_hits",
-     "batch_rows", "batch_fallbacks", "pairs_kept"],
+     "batch_rows", "batch_fallbacks", "pairs_kept", "landmark_rows"],
     gauges={
         "mode": "", "nodes": 0, "pair_cache_size": 0,
         "source_cache_size": 0, "row_cache_size": 0, "pinned_sources": 0,

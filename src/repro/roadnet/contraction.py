@@ -52,7 +52,7 @@ reproduction.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,6 +95,11 @@ class ContractionHierarchy:
         network exactly once (typically an earlier hierarchy's
         :attr:`order`).  Given one, the build contracts in that order and
         evaluates no priorities.
+    column:
+        Optional node id -> column map over the ascending node ids, the
+        columns ``landmarks`` and :meth:`phast` use
+        (``DistanceOracle`` passes its own); built here when the ids are
+        not ``0..n-1`` and none is given.
     """
 
     def __init__(
@@ -102,6 +107,7 @@ class ContractionHierarchy:
         network: RoadNetwork,
         landmarks: Optional[np.ndarray] = None,
         order: Optional[Sequence[int]] = None,
+        column: Optional[Mapping[int, int]] = None,
     ) -> None:
         if not network.undirected:
             raise ValueError("ContractionHierarchy requires an undirected network")
@@ -144,15 +150,20 @@ class ContractionHierarchy:
             ]
             for u, nbrs in self._graph.items()
         }
+        #: node column of the landmark rows and the PHAST sweeps: the
+        #: node itself when the node ids are 0..n-1, ``self._column[node]``
+        #: otherwise
+        self._column: Optional[Mapping[int, int]] = None
+        nodes = sorted(self.rank)
+        if nodes != list(range(len(nodes))):
+            self._column = (
+                column if column is not None
+                else {node: i for i, node in enumerate(nodes)}
+            )
         #: the landmark rows as python-float views (no copy), read by
-        #: node column: ``row[node]`` when the node ids are 0..n-1,
-        #: ``row[self._column[node]]`` otherwise
+        #: node column
         self._goals: Optional[List[memoryview]] = None
-        self._column: Optional[Dict[int, int]] = None
         if landmarks is not None:
-            nodes = sorted(self.rank)
-            if nodes != list(range(len(nodes))):
-                self._column = {node: i for i, node in enumerate(nodes)}
             rows = np.ascontiguousarray(landmarks, dtype=np.float64)
             self._goals = [memoryview(row) for row in rows]
         #: PHAST sweep plan over node columns, built on first use
@@ -566,14 +577,14 @@ class ContractionHierarchy:
         if self._sweeps is not None:
             return self._sweeps
         nodes = sorted(self.rank)
-        column = {node: i for i, node in enumerate(nodes)}
+        column = self._column
         low: List[int] = []
         high: List[int] = []
         cost: List[float] = []
         for u, arcs in self._upward.items():
             for v, c in arcs:
-                low.append(column[u])
-                high.append(column[v])
+                low.append(u if column is None else column[u])
+                high.append(v if column is None else column[v])
                 cost.append(c)
         lo = np.array(low, dtype=np.int64)
         hi = np.array(high, dtype=np.int64)

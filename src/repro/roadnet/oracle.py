@@ -12,8 +12,9 @@ auto-picked from network size and a memory budget:
   point-to-point queries (:mod:`repro.roadnet.contraction`) under the pair
   LRU.  The exact distances from a few well-spread *landmarks* live in one
   landmarks × nodes float64 array (:meth:`landmarks`): the CH query reads
-  it for goal-directed pruning, :meth:`lower_bound` and the candidate
-  index (``repro.core.candidates``) for the ALT triangle bound.
+  it for goal-directed pruning, and :meth:`lower_bounds` turns it into the
+  ALT triangle bound for many nodes at once, which gates every
+  reachability test of the solvers (``repro.core.scoring``).
 - **tier 2 — LRU fallback** (everything else, and directed networks): an
   LRU cache of full single-source Dijkstra runs plus bidirectional
   point-to-point search for one-off queries, with the pair LRU on top.
@@ -156,6 +157,7 @@ class DistanceOracle:
         # column -> node id, and node id -> column (None: ids are 0..n-1)
         self._nodes: Optional[List[int]] = None
         self._index: Optional[Dict[int, int]] = None
+        self._node_ids: Optional[np.ndarray] = None  # _nodes as int64, with _index
         self._n = 0
         # APSP state: flat numpy table over interned node columns
         self._apsp: Optional[np.ndarray] = None  # shape (n*n,), float64
@@ -199,6 +201,9 @@ class DistanceOracle:
         self.source_cache_hits = 0
         # cached pairs invalidate() carried into a new epoch
         self.pairs_kept = 0
+        # dijkstra() runs that pick and fill the landmark rows (kept out
+        # of dijkstra_count, which counts query and batch-pass searches)
+        self.landmark_rows = 0
         # whether fast_cost_fn() handed out a counter-bypassing closure —
         # when true, query_count undercounts the real query volume
         self.fast_path = False
@@ -286,11 +291,12 @@ class DistanceOracle:
         order = self._order
         if order is not None and network.adjacency.keys() != set(order):
             order = None
+        self._intern()
         with _trace.span(
             "oracle.build_ch", nodes=len(network), kept_order=order is not None
         ):
             hierarchy = ContractionHierarchy(
-                network, landmarks=landmarks, order=order
+                network, landmarks=landmarks, order=order, column=self._index
             )
         self._order = hierarchy.order
         return hierarchy
@@ -301,8 +307,10 @@ class DistanceOracle:
                 "oracle.build_landmarks",
                 nodes=len(self.network),
                 landmarks=NUM_LANDMARKS,
-            ):
+            ) as span:
+                before = self.landmark_rows
                 self._landmark_nodes, self._landmarks = self._select_landmarks()
+                span.annotate(rows=self.landmark_rows - before)
         return self._landmarks
 
     def _select_landmarks(self) -> Tuple[List[int], np.ndarray]:
@@ -313,7 +321,8 @@ class DistanceOracle:
         iteration order; each next one maximises the distance to its
         nearest landmark so far, ties going to the earlier node in
         iteration order.  Selection stops early once every reachable
-        node is a landmark.
+        node is a landmark.  Every :func:`dijkstra` run here, the seed
+        search included, counts in ``landmark_rows``.
         """
         network = self.network
         nodes = list(network.nodes())
@@ -336,6 +345,7 @@ class DistanceOracle:
             chosen.append(nodes[best])
             self._write_row(dijkstra(network, chosen[-1]), row)
             np.minimum(nearest, row, out=nearest)
+        self.landmark_rows += 1 + len(chosen)  # the seed search and a row each
         return chosen, rows[: len(chosen)]
 
     # ------------------------------------------------------------------
@@ -390,24 +400,33 @@ class DistanceOracle:
     __call__ = cost
 
     def lower_bound(self, u: int, v: int) -> float:
-        """Admissible lower bound on ``cost(u, v)``.
-
-        Tier 1 serves the ALT triangle bound ``max_L |d(L, u) - d(L, v)|``
-        over :meth:`landmarks` (building the rows on first use); other
-        tiers return the trivial ``0.0``.  A landmark that reaches only
-        one of the two nodes proves them in different components and
-        gives ``inf``, which is the cost.  Always safe to use for
-        feasibility pruning: the bound never exceeds the true cost.
-        """
-        if u == v:
+        """Admissible lower bound on ``cost(u, v)``: the one-node case of
+        :meth:`lower_bounds` (``0.0`` for ``u == v`` and off tier 1)."""
+        if u == v or self.tier != 1:
             return 0.0
+        return float(self.lower_bounds(np.array([self.column(u)]), v)[0])
+
+    def lower_bounds(self, columns: np.ndarray, target: int) -> np.ndarray:
+        """Admissible lower bounds on ``cost(node, target)`` for the node
+        at each of ``columns`` (see :meth:`column`), as float64.
+
+        Tier 1 serves the ALT triangle bound ``max_L |d(L, u) - d(L, t)|``
+        over :meth:`landmarks` (building the rows on first use), gathered
+        for every column in one array operation; other tiers return the
+        trivial ``0.0``.  A landmark that reaches only one of the two
+        nodes proves them in different components and gives ``inf``,
+        which is the cost.  Always safe to use for feasibility pruning:
+        no bound exceeds the true cost (tier 1 networks are undirected,
+        so the bound holds in both directions).
+        """
         rows = self.landmarks()
         if rows is None:
-            return 0.0
-        # a landmark reaching neither node gives inf - inf = nan: skipped
+            return np.zeros(len(columns))
+        # a landmark reaching neither node gives inf - inf = nan, which
+        # fmax skips
         with np.errstate(invalid="ignore"):
-            gap = np.abs(rows[:, self.column(u)] - rows[:, self.column(v)])
-        return float(np.fmax.reduce(gap, initial=0.0))
+            gap = np.abs(rows[:, columns] - rows[:, self.column(target), None])
+        return np.fmax.reduce(gap, axis=0, initial=0.0)
 
     def landmarks(self) -> Optional[np.ndarray]:
         """The landmarks × nodes float64 array of exact landmark distances.
@@ -544,6 +563,7 @@ class DistanceOracle:
         self._nodes = nodes
         contiguous = nodes == list(range(n))
         self._index = None if contiguous else {node: i for i, node in enumerate(nodes)}
+        self._node_ids = None if contiguous else np.array(nodes, dtype=np.int64)
         self._n = n
 
     def column(self, node: int) -> int:
@@ -552,13 +572,25 @@ class DistanceOracle:
         return node if self._index is None else self._index[node]
 
     def columns(self, nodes: Iterable[int]) -> np.ndarray:
-        """:meth:`column` of every node (all in the network), as int64."""
+        """:meth:`column` of every node (all in the network), as int64.
+
+        When the ids are not ``0..n-1``, an integer array of ids is mapped
+        in one ``searchsorted`` over the sorted ids, and an unknown id
+        raises ``KeyError`` (as it does for any other iterable).
+        """
         self._intern()
         index = self._index
+        if isinstance(nodes, np.ndarray):
+            if index is None:
+                return nodes
+            ids = self._node_ids
+            cols = np.searchsorted(ids, nodes)
+            found = ids[np.minimum(cols, len(ids) - 1)] == nodes
+            if not found.all():
+                raise KeyError(int(nodes[np.argmin(found)]))
+            return cols
         if index is not None:
             return np.fromiter((index[node] for node in nodes), dtype=np.int64)
-        if isinstance(nodes, np.ndarray):
-            return nodes
         return np.fromiter(nodes, dtype=np.int64)
 
     def _dijkstra_row(self, source: int, out: np.ndarray) -> None:
@@ -843,6 +875,7 @@ class DistanceOracle:
             self._drop_pins()
             self._nodes = None
             self._index = None
+            self._node_ids = None
             self._n = 0
             self._arcs = None
             self._ch = None
@@ -945,6 +978,7 @@ class DistanceOracle:
             "pair_cache_hits": self.pair_cache_hits,
             "pair_cache_size": len(self._pair_cache),
             "pairs_kept": self.pairs_kept,
+            "landmark_rows": self.landmark_rows,
             "source_cache_hits": self.source_cache_hits,
             "source_cache_size": len(self._source_cache),
             "row_cache_size": len(self._row_cache),

@@ -150,6 +150,18 @@ def _stale_landmarks(monkeypatch):
     monkeypatch.setattr(DistanceOracle, "invalidate", keep_rows)
 
 
+def _inflated_bound(monkeypatch):
+    """The reachability gate overstates the landmark bound (x1.3)."""
+    from repro.roadnet.oracle import DistanceOracle
+
+    lower_bounds = DistanceOracle.lower_bounds
+
+    def inflated(self, columns, target):
+        return lower_bounds(self, columns, target) * 1.3
+
+    monkeypatch.setattr(DistanceOracle, "lower_bounds", inflated)
+
+
 #: ``(mode, planter)`` rows; a mode may guard more than one layer
 PLANTED = [
     ("dispatch", _teleport),
@@ -161,6 +173,7 @@ PLANTED = [
     ("chaos-rebuild", _stale_vehicle),
     ("crash-rebuild", _stale_restore),
     ("chaos-tiered", _stale_landmarks),
+    ("dispatch-tiered", _inflated_bound),
 ]
 
 

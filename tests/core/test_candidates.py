@@ -171,7 +171,7 @@ class TestPruneEquality:
         index = build_candidate_index(net, oracle=oracle, audit=True)
         for v in vehicles:
             index.insert(v.vehicle_id, v.location, v.ready_time)
-        assert (index._lm is not None) == (tier == 1)
+        assert index._landmarked == (tier == 1)
         assert index._exact == (tier == 0)
         plain = SolverState(_instance(net, oracle, riders, vehicles))
         pruned = SolverState(

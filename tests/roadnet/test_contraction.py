@@ -77,6 +77,45 @@ class TestConstruction:
                 assert grid_ch.rank[v] > grid_ch.rank[u]
 
 
+def _sparse_grid() -> RoadNetwork:
+    """A grid whose node ids are not 0..n-1."""
+    net = RoadNetwork()
+    for u, v, w in grid_city(5, 5, seed=3).edges():
+        net.add_edge(10 * u + 7, 10 * v + 7, w)
+    return net
+
+
+class TestColumnMap:
+    """One node-to-column map: the oracle's, shared with its hierarchy."""
+
+    def test_oracle_hands_its_map_to_the_hierarchy(self):
+        net = _sparse_grid()
+        oracle = DistanceOracle(net, tier=1)
+        ch = oracle._ensure_ch()
+        assert oracle._index is not None
+        assert ch._column is oracle._index
+        # the PHAST sweeps and the landmark-guided query read those columns
+        nodes = sorted(net.nodes())
+        est = ch.phast(oracle.columns(nodes[:3]))
+        for i, source in enumerate(nodes[:3]):
+            exact = dijkstra(net, source)
+            for j, node in enumerate(nodes):
+                assert est[j, i] == pytest.approx(exact.get(node, math.inf))
+        for target in nodes[::4]:
+            u, v = min(nodes[1], target), max(nodes[1], target)
+            assert oracle.cost(nodes[1], target) == dijkstra(net, u).get(v, math.inf)
+
+    def test_hierarchy_alone_builds_one_map(self):
+        net = _sparse_grid()
+        ch = ContractionHierarchy(net)
+        assert ch._column == {node: i for i, node in enumerate(sorted(net.nodes()))}
+
+    def test_contiguous_ids_need_no_map(self, small_grid):
+        oracle = DistanceOracle(small_grid, tier=1)
+        assert oracle._ensure_ch()._column is None
+        assert ContractionHierarchy(small_grid)._column is None
+
+
 class TestQueries:
     def test_same_node(self, grid_ch):
         assert grid_ch.cost(7, 7) == 0.0

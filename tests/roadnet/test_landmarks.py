@@ -2,12 +2,16 @@
 :class:`~repro.roadnet.oracle.DistanceOracle` (farthest-point selection,
 exact rows, the ALT lower bound)."""
 
+import io
+import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.trace import start_trace, stop_trace
+from repro.perf import ORACLE_STATS
 from repro.roadnet import oracle as oracle_module
 from repro.roadnet.generators import grid_city
 from repro.roadnet.graph import RoadNetwork
@@ -60,6 +64,47 @@ class TestConstruction:
         assert_landmark_rows_exact(oracle)
 
 
+class TestLandmarkSearches:
+    """The selection's Dijkstras are counted in ``landmark_rows``."""
+
+    def test_counted_once_per_build(self, small_grid):
+        oracle = DistanceOracle(small_grid, tier=1)
+        rows = len(oracle.landmarks())
+        stats = oracle.stats()
+        # the seed search plus one search per landmark row
+        assert stats["landmark_rows"] == rows + 1
+        # dijkstra_count stays the query and batch-pass count
+        assert stats["dijkstra_count"] == 0
+        assert ORACLE_STATS.load(stats).searches == (
+            stats["ch_query_count"] + stats["batch_rows"] + rows + 1
+        )
+        oracle.landmarks()
+        oracle.lower_bound(0, 24)
+        assert oracle.stats()["landmark_rows"] == rows + 1  # built once
+        oracle.invalidate()
+        oracle.landmarks()
+        assert oracle.stats()["landmark_rows"] == 2 * (rows + 1)
+
+    def test_build_span_carries_the_count(self, small_grid):
+        stream = io.StringIO()
+        start_trace(stream=stream)
+        try:
+            oracle = DistanceOracle(small_grid, tier=1)
+            rows = len(oracle.landmarks())
+        finally:
+            stop_trace()
+        events = [json.loads(line) for line in stream.getvalue().splitlines()]
+        (span,) = [e for e in events if e.get("name") == "oracle.build_landmarks"]
+        assert span["attrs"]["rows"] == rows + 1
+
+    def test_other_tiers_run_none(self, small_grid):
+        for tier in (0, 2):
+            oracle = DistanceOracle(small_grid, tier=tier)
+            assert oracle.landmarks() is None
+            oracle.cost(0, 24)
+            assert oracle.stats()["landmark_rows"] == 0
+
+
 class TestQueries:
     def test_same_node(self, grid_index):
         assert grid_index.lower_bound(3, 3) == 0.0
@@ -73,6 +118,27 @@ class TestQueries:
         truth = {n: dijkstra(small_grid, n).get(target, math.inf) for n in nodes}
         for node in nodes:
             assert grid_index.lower_bound(node, target) <= truth[node] + 1e-9
+
+    def test_lower_bounds_gathers_every_column_at_once(self, small_grid, grid_index):
+        rows = grid_index.landmarks().tolist()
+        nodes = sorted(small_grid.nodes())
+        cols = grid_index.columns(nodes)
+        for target in (nodes[0], nodes[12], nodes[-1]):
+            t = grid_index.column(target)
+            expect = [
+                max([abs(row[c] - row[t]) for row in rows], default=0.0)
+                for c in cols.tolist()
+            ]
+            got = grid_index.lower_bounds(cols, target)
+            assert got.dtype == float and got.tolist() == expect
+            # the scalar bound is its one-node case
+            assert [grid_index.lower_bound(u, target) for u in nodes] == expect
+
+    def test_lower_bounds_off_tier_one_are_zero(self, small_grid):
+        for tier in (0, 2):
+            oracle = DistanceOracle(small_grid, tier=tier)
+            cols = oracle.columns(sorted(small_grid.nodes()))
+            assert oracle.lower_bounds(cols, 3).tolist() == [0.0] * len(cols)
 
     def test_unreachable_inf(self):
         net = RoadNetwork()
@@ -89,6 +155,8 @@ class TestQueries:
         assert oracle.lower_bound(5, 6) == 0.0
         assert oracle.lower_bound(5, 9) == 0.0
         assert oracle.cost(5, 6) == 2.0
+        bounds = oracle.lower_bounds(oracle.columns([0, 1, 5, 6, 9]), 9)
+        assert bounds.tolist() == [INF, INF, 0.0, 0.0, 0.0]
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 200), data=st.data())

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.roadnet import oracle as oracle_module
@@ -9,6 +10,13 @@ from repro.roadnet.generators import grid_city
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.oracle import DistanceOracle
 from repro.roadnet.shortest_path import dijkstra
+
+
+class _Unreadable(dict):
+    """A node-to-column dict whose entries must not be read."""
+
+    def __getitem__(self, key):
+        raise AssertionError(f"dict lookup of node {key}")
 
 
 def _searches(oracle):
@@ -205,6 +213,7 @@ class TestStats:
             "pair_cache_hits",
             "pair_cache_size",
             "pairs_kept",
+            "landmark_rows",
             "source_cache_hits",
             "source_cache_size",
             "row_cache_size",
@@ -417,6 +426,30 @@ class TestInterning:
         fast = oracle.fast_cost_fn()
         assert fast(500, 5) == pytest.approx(3.0)
         assert fast(50, 50) == 0.0
+
+    def test_columns_of_an_id_array_use_the_sorted_ids(self):
+        net = RoadNetwork()
+        net.add_edge(5, 50, 1.0)
+        net.add_edge(50, 500, 2.0)
+        oracle = DistanceOracle(net)
+        assert oracle.columns([500, 5]).tolist() == [2, 0]
+        # an id array never reads the dict: it is one searchsorted
+        oracle._index = _Unreadable(oracle._index)
+        got = oracle.columns(np.array([500, 5, 50, 50], dtype=np.int64))
+        assert got.dtype == np.int64
+        assert got.tolist() == [2, 0, 1, 1]
+        assert oracle.columns(np.array([], dtype=np.int64)).tolist() == []
+
+    @pytest.mark.parametrize("unknown", [4, 6, 499, 501])
+    def test_columns_of_an_id_array_reject_unknown_ids(self, unknown):
+        net = RoadNetwork()
+        net.add_edge(5, 50, 1.0)
+        net.add_edge(50, 500, 2.0)
+        oracle = DistanceOracle(net)
+        with pytest.raises(KeyError):
+            oracle.columns(np.array([50, unknown, 5], dtype=np.int64))
+        with pytest.raises(KeyError):
+            oracle.columns([50, unknown])
 
     def test_costs_from_non_contiguous(self):
         net = RoadNetwork()

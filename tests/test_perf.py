@@ -33,7 +33,7 @@ AS_DICT_KEYS = {
                "source_cache_hits", "source_cache_size", "row_cache_size",
                "pinned_sources", "fast_path", "epoch", "ch_query_count",
                "tier", "effective_tier", "batch_rows", "batch_fallbacks",
-               "pairs_kept", "searches", "hit_rate"},
+               "pairs_kept", "landmark_rows", "searches", "hit_rate"},
 }
 
 FAMILIES = REGISTRY + (ORACLE_STATS,)
