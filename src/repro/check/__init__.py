@@ -30,7 +30,7 @@ redundant counterweight:
   that the dispatcher's array-backed table replaced, as the reference
   the table is tested against;
 - :mod:`repro.check.rebuild` keeps the rebuild-everything frame state
-  (every vehicle re-read, audited and re-indexed every frame) as the
+  (every vehicle re-read and audited every frame) as the
   reference for the dispatcher's incremental one (the ``rebuild`` fuzz
   config token);
 - ``python -m repro.check --mode NAME`` drives it all from the command

@@ -10,7 +10,7 @@ select what B is and how it runs:
   candidate index (token ``index``, audit armed; its bounds follow the
   oracle's tier), or
   sharded dispatch.  A runs the row's reference config, which may add
-  the ``rebuild`` token: A then re-reads, audits and re-indexes every
+  the ``rebuild`` token: A then re-reads and audits every
   vehicle before every frame (:mod:`repro.check.rebuild`), so B's
   incremental frame state is compared with a full rebuild;
 - **perturbation** — seeded chaos events (breakdowns, cancellations,
@@ -364,22 +364,6 @@ class Trial:
                 if r.rider_id not in drops:
                     fail("invariant", f"onboard rider {r.rider_id} on vehicle "
                                       f"{vid} has no committed drop-off")
-        index = d.candidates
-        if index is not None:
-            # every slot sits where its vehicle is: a changed vehicle the
-            # dispatcher failed to re-index would prune from a stale spot
-            if set(index.tracked_ids()) != set(d.fleet):
-                fail("invariant", f"candidate index tracks {sorted(index.tracked_ids())}, "
-                                  f"fleet is {sorted(d.fleet)}")
-            for vid, fv in d.fleet.items():
-                slot = index._slot.get(vid)
-                if slot is None:
-                    continue
-                ready = -math.inf if fv.ready_time is None else fv.ready_time
-                if (index._loc[slot], index._ready[slot]) != (fv.location, ready):
-                    fail("invariant", f"vehicle {vid}'s index slot "
-                                      f"({index._loc[slot]}, {index._ready[slot]}) is stale: "
-                                      f"the vehicle is at ({fv.location}, {ready})")
         for entry in d._carryover:
             if entry.rider.pickup_deadline <= clock:
                 fail("invariant", f"dead rider {entry.rider.rider_id} in the "

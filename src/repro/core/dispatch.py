@@ -30,8 +30,8 @@ machine:
   solve through the anytime watchdog
   (:func:`repro.core.solver.solve_anytime`), so a frame always commits
   some valid plan; the serving tier lands in :class:`FrameReport`;
-- per-frame bookkeeping is incremental: a frame rebuilds, audits and
-  re-indexes only the vehicles whose carried state was written since
+- per-frame bookkeeping is incremental: a frame rebuilds and audits
+  only the vehicles whose carried state was written since
   they were last audited (:class:`FleetVehicle` notices the write,
   :meth:`Dispatcher._sync_fleet` picks it up), so its cost follows the
   batch and the changed vehicles rather than the fleet.
@@ -393,15 +393,15 @@ class DispatchConfig:
     candidate_mode:
         One of :data:`~repro.core.candidates.CANDIDATE_MODES`.  ``"full"``
         (default) builds no index and no area cover: every rider's
-        reachability test runs over the whole fleet, which at tier 1 still
-        passes the oracle's landmark gate before any exact query
+        reachability test runs over the whole fleet, which at tiers 0 and 1
+        still passes the oracle's bound (the exact table entry, the
+        landmark bound) before any exact query
         (:meth:`~repro.core.scoring.SolverState.reachable_vehicles`), so
         ``"full"`` means "no area cover", not "no bound".  ``"spatial"``
-        and ``"spatiotemporal"`` both route retrieval through an
-        incrementally maintained
-        :class:`~repro.core.candidates.CandidateIndex`, whose bounds follow
-        the oracle's tier (the exact table entry at tier 0; the
-        area-centre bound, plus the landmark gate at tier 1), so the two
+        and ``"spatiotemporal"`` both route retrieval through a
+        :class:`~repro.core.candidates.CandidateIndex`, which keeps no
+        vehicles: it adds its area-centre bound (tiers 1 and 2) in front
+        of the oracle's bound over the same roster view, so the two
         names select the same index.  Every bound is sound, so
         assignments are frame-for-frame identical across all three
         modes — only the work changes.
@@ -546,8 +546,7 @@ class Dispatcher:
             )
             for v in fleet
         }
-        # candidate retrieval: build (or adopt) the index once and keep
-        # it synchronised with the fleet incrementally — never per frame
+        # candidate retrieval: build (or adopt) the index once
         self.candidates: Optional["CandidateIndex"] = None
         if config.candidate_mode != "full":
             if candidate_index is None:
@@ -559,10 +558,6 @@ class Dispatcher:
                     "candidate_index must share the dispatcher's oracle "
                     "(epoch changes would otherwise go undetected)"
                 )
-            candidate_index.resync(
-                (vid, fv.location, fv.ready_time)
-                for vid, fv in self.fleet.items()
-            )
             self.candidates = candidate_index
         # incremental frame state: the Vehicle last read from each fleet
         # entry (a different object means the entry changed), the riders
@@ -840,7 +835,7 @@ class Dispatcher:
                         # a stale finished-leg timestamp like
                         # _roll_vehicle would
                         fv.ready_time = None
-                # the rolled vehicles: committed-rider map and index slots
+                # the rolled vehicles: committed-rider map and audit marks
                 self._sync_fleet()
             roll_seconds = time.perf_counter() - roll_start
 
@@ -934,17 +929,6 @@ class Dispatcher:
         ):
             engine = DisruptionEngine(self, **engine_kwargs)
             outcomes = engine.apply(events)
-            if self.candidates is not None:
-                # breakdowns shrink the fleet and perturbations/closures
-                # change the metric (oracle epoch): reconcile the index
-                # before the next frame prunes against stale bounds
-                with _trace.span(
-                    "dispatch.candidates.sync", frame=self._frame_index
-                ):
-                    self.candidates.resync(
-                        (vid, fv.location, fv.ready_time)
-                        for vid, fv in self.fleet.items()
-                    )
         # disruptions strike between frames; their repair cost is
         # attributed to the frame that follows them (FrameReport.perf)
         self._pending_disruption_seconds += time.perf_counter() - start
@@ -1476,9 +1460,9 @@ class Dispatcher:
         cached :class:`Vehicle`, so an entry changed since the last sync
         exactly when :meth:`FleetVehicle.as_vehicle` hands back a
         different object than the one recorded here (a replaced entry
-        too).  A changed vehicle is marked for audit, re-registered in the
-        committed-rider map and moved in the candidate index; vehicles
-        gone from the fleet (breakdowns) are forgotten.  A new oracle
+        too).  A changed vehicle is marked for audit and re-registered in
+        the committed-rider map; vehicles gone from the fleet
+        (breakdowns) are forgotten.  A new oracle
         epoch re-times every residual plan, so it marks every vehicle for
         audit.  Returns the vehicles in fleet order.
         """
@@ -1491,8 +1475,6 @@ class Dispatcher:
                 self._committed.assign(vid, fv.committed_rider_ids())
                 self._dirty.add(vid)
                 self._rebuilt += 1
-                if self.candidates is not None:
-                    self.candidates.update(vid, fv.location, fv.ready_time)
             vehicles.append(vehicle)
         if len(known) > len(self.fleet):
             for vid in known.keys() - self.fleet.keys():

@@ -315,13 +315,6 @@ def apply_snapshot_state(dispatcher, snapshot: dict) -> None:
         )
         for summary in snapshot["reports"]
     ]
-    if dispatcher.candidates is not None:
-        # the index was synced to the placeholder construction-time fleet;
-        # move every vehicle to its restored bucket
-        dispatcher.candidates.resync(
-            (vid, fv.location, fv.ready_time)
-            for vid, fv in dispatcher.fleet.items()
-        )
 
 
 # ----------------------------------------------------------------------

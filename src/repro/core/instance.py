@@ -60,11 +60,11 @@ class URRInstance:
     seed:
         RNG seed consumed by randomized solver steps (BA's rider order).
     candidates:
-        Optional :class:`~repro.core.candidates.CandidateIndex` tracking
-        this instance's vehicles.  When set, solvers retrieve each
-        rider's candidate vehicles through its sound spatio-temporal
-        prune instead of scanning the whole fleet (the result is
-        provably identical, see :mod:`repro.core.candidates`).
+        Optional :class:`~repro.core.candidates.CandidateIndex` over this
+        instance's network and oracle.  When set, solvers retrieve each
+        rider's candidate vehicles through its sound area-centre prune
+        in front of the oracle's bound (the result is provably
+        identical, see :mod:`repro.core.candidates`).
     """
 
     network: RoadNetwork

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.candidates import CandidateIndex, VehicleColumns
+from repro.core.candidates import VehicleColumns
 from repro.core.insertion import (
     InsertionPlan,
     InsertionResult,
@@ -85,13 +85,8 @@ class SolverState:
         # lazily filled: a carried-over vehicle starts with a non-empty
         # seeded schedule whose utility must be computed, not assumed 0
         self._utility_cache: Dict[int, Optional[float]] = {}
-        # candidate-retrieval cache, keyed by vehicle-list identity: the
-        # id map and the "is this exactly the index's tracked fleet?"
-        # check are paid once per distinct list, not once per rider
-        self._candidate_view: Optional[
-            Tuple[Iterable[Vehicle], Dict[int, Vehicle], bool]
-        ] = None
-        # the landmark gate's per-roster columns when there is no index
+        # the reachability filters' per-roster columns and start times,
+        # kept while the same vehicle list is passed again
         self._roster_view: Optional[VehicleColumns] = None
 
     # ------------------------------------------------------------------
@@ -189,32 +184,30 @@ class SolverState:
         stop ``k`` of its schedule reaches the source in time:
         ``arrive[k] + cost(stop_k, s_i) <= rt_i^- + eps``.
 
-        No exact ``cost()`` is asked for a vehicle the oracle's landmark
-        bound ``LB = DistanceOracle.lower_bounds`` proves late: one with
+        No exact ``cost()`` is asked for a vehicle the oracle's bound
+        ``LB = DistanceOracle.lower_bounds`` (the exact table entry at
+        tier 0, the landmark bound at tier 1) proves late: one with
         ``t0 + LB(l, s_i) > rt_i^- + eps``.  That gate is sound.
         ``LB <= cost(l, s_i)`` fails the location test, and the later
         stops fail too, because ``arrive[k] >= t0 + cost(l, stop_k)`` and
         the triangle inequality give ``arrive[k] + cost(stop_k, s_i) >=
         t0 + cost(l, s_i)``.  So the gate drops only vehicles the exact
         test drops, and the returned list is identical with or without
-        it (order included).  It runs whenever the oracle holds landmark
-        rows (tier 1):
-
-        - with a :class:`~repro.core.candidates.CandidateIndex` on the
-          instance, inside its prune, on the survivors of its spatial
-          bound (which rests on the same argument);
-        - without one (``candidate_mode="full"``, shard sub-instances,
-          boundary reconciliation), over the roster's node columns and
-          start times, kept per roster
-          (:meth:`~repro.core.candidates.VehicleColumns.reachable`).
+        it (order included).  It runs over the roster's node columns and
+        start times, kept per roster
+        (:class:`~repro.core.candidates.VehicleColumns`): through the
+        :class:`~repro.core.candidates.CandidateIndex` on the instance,
+        if any, which first applies its area-centre bound (resting on
+        the same argument), and on its own otherwise
+        (``candidate_mode="full"``, shard sub-instances, boundary
+        reconciliation).
         """
+        view = self._roster(vehicles)
         index = self.instance.candidates
         if index is not None:
-            vehicles = self._retrieve_candidates(rider, vehicles, index)
-        elif self.instance.oracle.landmarks() is not None:
-            vehicles = self._roster(vehicles).reachable(
-                rider, self.instance.vehicle_start_time
-            )
+            vehicles = index.prune(rider, view)
+        else:
+            vehicles = view.reachable(rider)
         cost = self.instance.cost
         start_time = self.instance.vehicle_start_time
         schedules = self.schedules
@@ -244,8 +237,8 @@ class SolverState:
         return result
 
     def _roster(self, vehicles: Iterable[Vehicle]) -> VehicleColumns:
-        """The node columns of ``vehicles``, kept while the same list is
-        passed again in the same oracle epoch."""
+        """The node columns and start times of ``vehicles``, kept while
+        the same list is passed again in the same oracle epoch."""
         view = self._roster_view
         if (
             view is None
@@ -253,32 +246,11 @@ class SolverState:
             or view.epoch != self.instance.oracle.epoch
         ):
             roster = vehicles if isinstance(vehicles, list) else list(vehicles)
-            view = VehicleColumns(self.instance.oracle, roster)
+            view = VehicleColumns(
+                self.instance.oracle, roster, self.instance.start_time
+            )
             self._roster_view = view
         return view
-
-    def _retrieve_candidates(
-        self,
-        rider: Rider,
-        vehicles: Iterable[Vehicle],
-        index: CandidateIndex,
-    ) -> List[Vehicle]:
-        """Narrow ``vehicles`` through the instance's candidate index."""
-        view = self._candidate_view
-        if view is None or view[0] is not vehicles:
-            roster = list(vehicles) if not isinstance(vehicles, list) else vehicles
-            by_id = {v.vehicle_id: v for v in roster}
-            tracked = by_id.keys() == index.tracked_ids()
-            view = (roster, by_id, tracked)
-            self._candidate_view = view
-        roster, by_id, tracked = view
-        return index.prune(
-            rider,
-            roster,
-            self.instance.start_time,
-            vehicles_by_id=by_id,
-            assume_tracked=tracked,
-        )
 
 
 #: Priority key for the greedy loop; smaller pops first (min-heap).

@@ -237,20 +237,18 @@ def reconcile_boundary(
         for r in schedules[vid].assigned_riders()
     }
     state = SolverState(instance, schedules=schedules)
-    rider_shard = partition.rider_shard
     vehicle_shard = partition.vehicle_shard
-    boundary = 0
+    # count home shard by home shard (the count does not depend on rider
+    # order), so each shard's outside roster is built, and read, once
+    unserved: Dict[int, List[Rider]] = {}
     for rider in instance.riders:
-        if rider.rider_id in served:
-            continue
-        home = rider_shard[rider.rider_id]
-        outside = [
-            v
-            for v in instance.vehicles
-            if vehicle_shard[v.vehicle_id] != home
-        ]
-        if outside and state.reachable_vehicles(rider, outside):
-            boundary += 1
+        if rider.rider_id not in served:
+            unserved.setdefault(partition.rider_shard[rider.rider_id], []).append(rider)
+    boundary = 0
+    for home, riders in unserved.items():
+        outside = [v for v in instance.vehicles if vehicle_shard[v.vehicle_id] != home]
+        if outside:
+            boundary += sum(1 for r in riders if state.reachable_vehicles(r, outside))
     if not boundary:
         return 0, 0
     batch_ids = {r.rider_id for r in instance.riders}

@@ -175,7 +175,8 @@ def _mean_candidates(stats: Counters) -> float:
 #: retrieval path, one per trip group in the GBS fast filter),
 #: ``pairs_considered`` the rider-vehicle pairs entering them, and the two
 #: ``pairs_pruned_*`` counters how many of those the spatial (area-centre
-#: triangle bound) and temporal (landmark lower bound) filters discarded
+#: triangle bound) and temporal (the oracle's bound: the exact table entry
+#: at tier 0, the landmark bound at tier 1) filters discarded
 #: without an exact cost query.  ``pruned_in_error`` counts pruned pairs an
 #: exact-cost audit found feasible after all; the bounds are sound, so any
 #: non-zero value is a bug (the ``prune`` fuzz modes assert it stays zero;

@@ -8,6 +8,8 @@ auto-picked from network size and a memory budget:
 - **tier 0 — APSP table** (small networks): a full all-pairs
   precomputation stored as one flat ``numpy.float64`` array over interned
   node indices; O(1) indexed reads, no per-query dict hashing.
+  :meth:`lower_bounds` gathers its entries for many nodes at once, so
+  the reachability gate of the solvers is exact on this tier.
 - **tier 1 — contraction hierarchy** (city-scale networks): exact CH
   point-to-point queries (:mod:`repro.roadnet.contraction`) under the pair
   LRU.  The exact distances from a few well-spread *landmarks* live in one
@@ -401,7 +403,8 @@ class DistanceOracle:
 
     def lower_bound(self, u: int, v: int) -> float:
         """Admissible lower bound on ``cost(u, v)``: the one-node case of
-        :meth:`lower_bounds` (``0.0`` for ``u == v`` and off tier 1)."""
+        :meth:`lower_bounds` at tier 1 (``0.0`` for ``u == v`` and off
+        tier 1, where :meth:`cost` is as cheap as any bound)."""
         if u == v or self.tier != 1:
             return 0.0
         return float(self.lower_bounds(np.array([self.column(u)]), v)[0])
@@ -410,15 +413,25 @@ class DistanceOracle:
         """Admissible lower bounds on ``cost(node, target)`` for the node
         at each of ``columns`` (see :meth:`column`), as float64.
 
-        Tier 1 serves the ALT triangle bound ``max_L |d(L, u) - d(L, t)|``
-        over :meth:`landmarks` (building the rows on first use), gathered
-        for every column in one array operation; other tiers return the
-        trivial ``0.0``.  A landmark that reaches only one of the two
-        nodes proves them in different components and gives ``inf``,
-        which is the cost.  Always safe to use for feasibility pruning:
-        no bound exceeds the true cost (tier 1 networks are undirected,
-        so the bound holds in both directions).
+        Tier 0 serves the table entry itself, gathered in one array
+        operation: on undirected networks the smaller of its two
+        directions, because :meth:`cost` reads the canonical one and the
+        two may differ in the last ulp.  Tier 1 serves the ALT triangle
+        bound ``max_L |d(L, u) - d(L, t)|`` over :meth:`landmarks`
+        (building the rows on first use); a landmark that reaches only
+        one of the two nodes proves them in different components and
+        gives ``inf``, which is the cost.  Tier 2 returns the trivial
+        ``0.0``.  Always safe to use for feasibility pruning: no bound
+        exceeds the true cost (tier 1 networks are undirected, so the
+        bound holds in both directions).
         """
+        if self.tier == 0:
+            table = self.pinned_block()
+            t = self.column(target)
+            bounds = table[columns, t]
+            if self._undirected:
+                np.minimum(bounds, table[t, columns], out=bounds)
+            return bounds
         rows = self.landmarks()
         if rows is None:
             return np.zeros(len(columns))

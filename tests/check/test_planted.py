@@ -27,23 +27,29 @@ def _teleport(monkeypatch):
 
 
 def _stale_block(monkeypatch):
-    """An index that keeps its pre-perturbation centre rows."""
+    """An index that keeps its pre-perturbation centre rows, over roster
+    views that outlive their frame and the oracle's epoch."""
     from repro.core.candidates import CandidateIndex
+    from repro.core.scoring import SolverState
 
     tables = CandidateIndex._tables
-    resync = CandidateIndex.resync
+    roster = SolverState._roster
+    kept = {}
 
     def stale_tables(self):
         if self._block is not None:
             return self._block  # never re-derive once built
         return tables(self)
 
-    def epoch_blind_resync(self, fleet):
-        self._epoch = self.oracle.epoch  # the epoch change goes unseen
-        resync(self, fleet)
+    def epoch_blind_roster(self, vehicles):
+        vehicles = list(vehicles)
+        key = tuple(v.vehicle_id for v in vehicles)
+        if key not in kept:
+            kept[key] = roster(self, vehicles)
+        return kept[key]  # reused across frames and epochs
 
     monkeypatch.setattr(CandidateIndex, "_tables", stale_tables)
-    monkeypatch.setattr(CandidateIndex, "resync", epoch_blind_resync)
+    monkeypatch.setattr(SolverState, "_roster", epoch_blind_roster)
 
 
 def _lossy_engine(monkeypatch):
@@ -150,16 +156,27 @@ def _stale_landmarks(monkeypatch):
     monkeypatch.setattr(DistanceOracle, "invalidate", keep_rows)
 
 
-def _inflated_bound(monkeypatch):
-    """The reachability gate overstates the landmark bound (x1.3)."""
+def _inflate_bound(monkeypatch, tier):
+    """Make the oracle's bound at ``tier`` overstate itself (x1.3)."""
     from repro.roadnet.oracle import DistanceOracle
 
     lower_bounds = DistanceOracle.lower_bounds
 
     def inflated(self, columns, target):
-        return lower_bounds(self, columns, target) * 1.3
+        bounds = lower_bounds(self, columns, target)
+        return bounds * 1.3 if self.tier == tier else bounds
 
     monkeypatch.setattr(DistanceOracle, "lower_bounds", inflated)
+
+
+def _inflated_bound(monkeypatch):
+    """The reachability gate overstates the landmark bound (x1.3)."""
+    _inflate_bound(monkeypatch, tier=1)
+
+
+def _inflated_table_bound(monkeypatch):
+    """The reachability gate overstates the tier-0 table entry (x1.3)."""
+    _inflate_bound(monkeypatch, tier=0)
 
 
 #: ``(mode, planter)`` rows; a mode may guard more than one layer
@@ -174,6 +191,7 @@ PLANTED = [
     ("crash-rebuild", _stale_restore),
     ("chaos-tiered", _stale_landmarks),
     ("dispatch-tiered", _inflated_bound),
+    ("prune", _inflated_table_bound),
 ]
 
 

@@ -1,5 +1,7 @@
 """Tests for the spatio-temporal candidate index (repro.core.candidates)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -82,75 +84,57 @@ def _instance(net, oracle, riders, vehicles, candidates=None, start_time=0.0):
     )
 
 
+def _view(oracle, vehicles, start_time=0.0):
+    """The roster view SolverState keeps, with t0 = max(start, ready)."""
+    return VehicleColumns(oracle, vehicles, start_time)
+
+
 class TestMaintenance:
-    def test_insert_update_remove(self, index):
-        index.insert(1, 0, None)
-        index.insert(2, 5, 3.0)
-        assert len(index) == 2
-        assert 1 in index and 2 in index
-        assert set(index.tracked_ids()) == {1, 2}
-        index.update(1, 12, 7.5)
-        assert len(index) == 2
-        index.remove(2)
-        assert 2 not in index
-        index.remove(2)  # unknown ids are ignored
-        assert len(index) == 1
-
-    def test_update_moves_between_buckets(self, net, oracle, index):
-        # find two adjacent nodes owned by different areas, where u's
-        # centre bounds v strictly away from u: a vehicle whose current
-        # edge straddles the boundary lands on either side
-        areas = index.areas
-        pair = None
-        for u, v, _cost in net.edges():
-            cu = areas.center_of(u)
-            if cu != areas.center_of(v) and (
-                oracle.costs_from(cu)[v] - oracle.costs_from(cu)[u] > 1e-6
-            ):
-                pair = (u, v)
-                break
-        assert pair is not None, "7x7 grid must span multiple areas"
-        u, v = pair
-        index.insert(9, u, None)
-        index.update(9, v, None)
-        # after the move the vehicle is bounded through v's area: a pickup
-        # at v due now is kept (the stale bound through u's centre would
-        # prune it), and so is every pickup it can exactly make in time
-        vehicle = Vehicle(vehicle_id=9, location=v, capacity=3)
-        for source in sorted(net.nodes()):
-            rider = Rider(
-                rider_id=0, source=source, destination=u if source != u else v,
-                pickup_deadline=oracle.cost(v, source),
-                dropoff_deadline=500.0,
-            )
-            assert index.prune(
-                rider, [vehicle], 0.0, vehicles_by_id={9: vehicle},
-                assume_tracked=True,
-            ) == [vehicle]
-
     def test_modes_validated(self, net, oracle):
         assert CANDIDATE_MODES == ("full", "spatial", "spatiotemporal")
         with pytest.raises(ValueError, match="candidate mode"):
             DispatchConfig(candidate_mode="psychic")
 
-    def test_stale_epoch_raises(self, net, index):
-        index.insert(1, 0, None)
-        rider = Rider(
-            rider_id=0, source=3, destination=8,
-            pickup_deadline=20.0, dropoff_deadline=90.0,
+    def test_invalidate_then_prune_equals_exact_scan(self, net):
+        # a tier-1 metric change that shortens arcs makes the centre
+        # distances of the old epoch unsound; with no call into the index,
+        # the next frame's retrieval must re-derive them and keep every
+        # vehicle the full scan keeps
+        network = net.copy()
+        oracle = DistanceOracle(network, tier=1)
+        index = build_candidate_index(network, oracle=oracle, audit=True)
+        rng = np.random.default_rng(12)
+        vehicles = _random_fleet(network, rng, 12, with_ready=False)
+        riders = _random_riders(network, oracle, rng, 10, slack=(0.5, 30.0))
+        pruned = SolverState(
+            _instance(network, oracle, riders, vehicles, candidates=index)
         )
-        index.oracle.invalidate()
-        with pytest.raises(RuntimeError, match="resync"):
-            index.prune(rider, [Vehicle(vehicle_id=1, location=0, capacity=3)], 0.0)
-        index.resync([(1, 0, None)])
-        vehicles = [Vehicle(vehicle_id=1, location=0, capacity=3)]
-        assert index.prune(rider, vehicles, 0.0) == vehicles
-
-    def test_resync_drops_missing_vehicles(self, index):
-        index.insert(1, 0, None)
-        index.insert(2, 5, None)
-        index.resync([(1, 3, 2.0)])
-        assert set(index.tracked_ids()) == {1}
+        for rider in riders:
+            pruned.reachable_vehicles(rider, vehicles)  # tables derived
+        for u in sorted(network.nodes())[::3]:
+            for v in list(network.adjacency[u]):
+                network.adjacency[u][v] *= 0.2
+                network.adjacency[v][u] *= 0.2
+        oracle.invalidate()
+        # pickups each due exactly when some vehicle can make them now
+        tight = [
+            Rider(
+                rider_id=i, source=r.source, destination=r.destination,
+                pickup_deadline=oracle.cost(vehicles[i].location, r.source),
+                dropoff_deadline=r.dropoff_deadline,
+            )
+            for i, r in enumerate(riders)
+        ]
+        plain = SolverState(_instance(network, oracle, tight, vehicles))
+        pruned = SolverState(
+            _instance(network, oracle, tight, vehicles, candidates=index)
+        )
+        errors_before = CANDIDATE_STATS.pruned_in_error
+        for rider in tight:
+            expect = plain.reachable_vehicles(rider, vehicles)
+            assert rider.rider_id in {v.vehicle_id for v in expect}
+            assert pruned.reachable_vehicles(rider, vehicles) == expect
+        assert CANDIDATE_STATS.pruned_in_error == errors_before
 
 
 class TestPruneEquality:
@@ -169,10 +153,8 @@ class TestPruneEquality:
         vehicles = _random_fleet(net, rng, 12)
         riders = _random_riders(net, oracle, rng, 20, slack=(0.5, 45.0))
         index = build_candidate_index(net, oracle=oracle, audit=True)
-        for v in vehicles:
-            index.insert(v.vehicle_id, v.location, v.ready_time)
-        assert index._landmarked == (tier == 1)
-        assert index._exact == (tier == 0)
+        # tier 0 adds no centre bound to the oracle's exact one
+        assert (index._tables() is None) == (tier == 0)
         plain = SolverState(_instance(net, oracle, riders, vehicles))
         pruned = SolverState(
             _instance(net, oracle, riders, vehicles, candidates=index)
@@ -189,10 +171,9 @@ class TestPruneEquality:
         # location test passes, whatever the area partition
         rng = np.random.default_rng(5)
         vehicles = _random_fleet(net, rng, 30)
-        for v in vehicles:
-            index.insert(v.vehicle_id, v.location, v.ready_time)
+        view = _view(oracle, vehicles)
         for rider in _random_riders(net, oracle, rng, 20, slack=(0.5, 20.0)):
-            kept = index.prune(rider, vehicles, 0.0)
+            kept = index.prune(rider, view)
             exact = [
                 v for v in vehicles
                 if max(v.ready_time or 0.0, 0.0)
@@ -204,8 +185,6 @@ class TestPruneEquality:
     def test_subset_path_identical(self, net, oracle, index):
         rng = np.random.default_rng(11)
         vehicles = _random_fleet(net, rng, 10)
-        for v in vehicles:
-            index.insert(v.vehicle_id, v.location, v.ready_time)
         riders = _random_riders(net, oracle, rng, 10, slack=(0.5, 30.0))
         subset = vehicles[::2]
         plain = SolverState(_instance(net, oracle, riders, vehicles))
@@ -218,7 +197,7 @@ class TestPruneEquality:
             )
 
     def test_untracked_vehicles_never_pruned_wrongly(self, net, oracle, index):
-        # a vehicle the index has never seen is bounded fresh, not dropped
+        # the index tracks no vehicle: every roster is bounded fresh
         rng = np.random.default_rng(5)
         vehicles = _random_fleet(net, rng, 6)
         riders = _random_riders(net, oracle, rng, 8)
@@ -238,22 +217,18 @@ class TestPruneEquality:
         assert d.candidates is None
         ignored = build_candidate_index(net, oracle=oracle)
         d = Dispatcher(net, vehicles, oracle=oracle, candidate_index=ignored)
-        assert d.candidates is None and len(ignored) == 0
+        assert d.candidates is None
 
 
 class TestEdgeCases:
     def test_single_vehicle_fleet(self, net, oracle):
         index = build_candidate_index(net, oracle=oracle)
-        index.insert(0, 24, None)
         near = Rider(
             rider_id=0, source=24, destination=0,
             pickup_deadline=0.5, dropoff_deadline=60.0,
         )
         vehicles = [Vehicle(vehicle_id=0, location=24, capacity=1)]
-        assert index.prune(
-            near, vehicles, 0.0, vehicles_by_id={0: vehicles[0]},
-            assume_tracked=True,
-        ) == vehicles
+        assert index.prune(near, _view(oracle, vehicles)) == vehicles
 
     def test_disconnected_component_is_singleton_area(self):
         net = RoadNetwork()
@@ -265,8 +240,6 @@ class TestEdgeCases:
         # island nodes own themselves (singleton areas), and a vehicle
         # on the island is pruned for a mainland pickup: provably
         # unreachable, and the exact filter agrees
-        index.insert(1, 10, None)
-        index.insert(2, 3, None)
         rider = Rider(
             rider_id=0, source=2, destination=4,
             pickup_deadline=100.0, dropoff_deadline=200.0,
@@ -274,10 +247,7 @@ class TestEdgeCases:
         island = Vehicle(vehicle_id=1, location=10, capacity=2)
         mainland = Vehicle(vehicle_id=2, location=3, capacity=2)
         vehicles = [island, mainland]
-        got = index.prune(
-            rider, vehicles, 0.0,
-            vehicles_by_id={1: island, 2: mainland}, assume_tracked=True,
-        )
+        got = index.prune(rider, _view(oracle, vehicles))
         instance = _instance(net, oracle, [rider], vehicles)
         expect = SolverState(instance).reachable_vehicles(rider, vehicles)
         assert got == expect == [mainland]
@@ -285,39 +255,30 @@ class TestEdgeCases:
     def test_empty_bucket_area(self, net, oracle):
         # every area with no vehicles must contribute nothing (and not crash)
         index = build_candidate_index(net, oracle=oracle)
-        index.insert(0, 0, None)
         assert index.areas.num_areas > 1
         rider = Rider(
             rider_id=0, source=0, destination=48,
             pickup_deadline=50.0, dropoff_deadline=500.0,
         )
         v = Vehicle(vehicle_id=0, location=0, capacity=3)
-        assert index.prune(
-            rider, [v], 0.0, vehicles_by_id={0: v}, assume_tracked=True
-        ) == [v]
+        assert index.prune(rider, _view(oracle, [v])) == [v]
 
     def test_order_preserved_after_churn(self, net, oracle):
-        # removals and re-insertions must not reorder the survivors
+        # a roster that lost a vehicle and moved the rest keeps its order
         index = build_candidate_index(net, oracle=oracle)
         vehicles = [
             Vehicle(vehicle_id=j, location=j, capacity=3) for j in range(8)
         ]
-        for v in vehicles:
-            index.insert(v.vehicle_id, v.location, None)
-        index.remove(3)
         del vehicles[3]
-        for v in vehicles:
-            index.update(v.vehicle_id, v.location + 1, None)
+        vehicles = [
+            Vehicle(vehicle_id=v.vehicle_id, location=v.location + 1, capacity=3)
+            for v in vehicles
+        ]
         rider = Rider(
             rider_id=0, source=20, destination=0,
             pickup_deadline=1000.0, dropoff_deadline=2000.0,
         )
-        got = index.prune(
-            rider, vehicles, 0.0,
-            vehicles_by_id={v.vehicle_id: v for v in vehicles},
-            assume_tracked=True,
-        )
-        assert got == vehicles
+        assert index.prune(rider, _view(oracle, vehicles)) == vehicles
 
 
 class TestGroupFilterRegression:
@@ -430,7 +391,9 @@ class TestDispatcherIntegration:
         assert outcomes["full"] == outcomes["spatial"]
         assert outcomes["full"] == outcomes["spatiotemporal"]
 
-    def test_breakdown_resync_drops_vehicle(self, net, oracle):
+    def test_breakdown_leaves_no_candidate(self, net, oracle, monkeypatch):
+        # the index holds no fleet: once a vehicle breaks down, the next
+        # frame's rosters (and so every prune) no longer contain it
         from repro.core.disruptions import VehicleBreakdown
 
         rng = np.random.default_rng(6)
@@ -439,11 +402,23 @@ class TestDispatcherIntegration:
             net, fleet, method="cf", frame_length=20.0, oracle=oracle,
             candidate_mode="spatiotemporal",
         )
-        d.dispatch_frame(_random_riders(net, oracle, rng, 4, slack=(5.0, 40.0)))
-        victim = fleet[0].vehicle_id
-        d.inject([VehicleBreakdown(vehicle_id=victim)])
-        assert victim not in d.candidates
-        assert set(d.candidates.tracked_ids()) == set(d.fleet)
+        riders = _random_riders(net, oracle, rng, 8, slack=(5.0, 40.0))
+        d.dispatch_frame(riders[:4])
+        d.inject([VehicleBreakdown(vehicle_id=fleet[0].vehicle_id)])
+        seen = set()
+        prune = CandidateIndex.prune
+
+        def spy(index, rider, view):
+            seen.update(v.vehicle_id for v in view.vehicles)
+            return prune(index, rider, view)
+
+        monkeypatch.setattr(CandidateIndex, "prune", spy)
+        d.dispatch_frame(
+            [dataclasses.replace(r, pickup_deadline=r.pickup_deadline + 20.0,
+                                 dropoff_deadline=r.dropoff_deadline + 20.0)
+             for r in riders[4:]]
+        )
+        assert seen == set(d.fleet) and fleet[0].vehicle_id not in seen
 
     def test_mismatched_oracle_rejected(self, net, oracle):
         foreign = build_candidate_index(net, oracle=DistanceOracle(net))

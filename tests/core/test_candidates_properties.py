@@ -1,16 +1,21 @@
 """Property tests for the candidate index's array kernel.
 
 Whatever the network (directed or not, with nodes outside every area),
-the fleet (ready times or ``None``) and the maintenance history (moves,
-removals, a metric change followed by ``resync``), retrieval must keep
-every vehicle the exact location test keeps, and
-``reachable_vehicles`` through the index must equal the full scan.
+the fleet (ready times or ``None``) and its history (moves, removals, a
+metric change with no call into the index), retrieval must keep every
+vehicle the exact location test keeps, and ``reachable_vehicles``
+through the index must equal the full scan.  At tier 0 the oracle's
+bound is the smaller table entry, which never exceeds the cost.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.candidates import CandidateIndex, build_candidate_index
+from repro.core.candidates import (
+    CandidateIndex,
+    VehicleColumns,
+    build_candidate_index,
+)
 from repro.core.instance import URRInstance
 from repro.core.requests import Rider
 from repro.core.scoring import SolverState
@@ -139,8 +144,26 @@ def _reference_prune(index, rider, vehicles, start):
     return keep
 
 
+def _check_table_bound(oracle, net, riders):
+    """At tier 0, ``lower_bounds`` is the smaller table entry (the only
+    one on directed networks) and never exceeds ``cost()``."""
+    table = oracle.pinned_block()
+    nodes = sorted(net.nodes())
+    cols = oracle.columns(nodes)
+    for rider in riders:
+        s = rider.source
+        t = oracle.column(s)
+        bounds = oracle.lower_bounds(cols, s).tolist()
+        for node, col, bound in zip(nodes, cols.tolist(), bounds):
+            entry = table[col, t]
+            if net.undirected:
+                entry = min(entry, table[t, col])
+                assert bound <= oracle.cost(s, node)
+            assert bound == entry
+            assert bound <= oracle.cost(node, s)
+
+
 def _check(index, oracle, net, vehicles, riders, start):
-    by_id = {v.vehicle_id: v for v in vehicles}
     instance = URRInstance(
         network=net, riders=riders, vehicles=vehicles, oracle=oracle,
         start_time=start,
@@ -151,6 +174,9 @@ def _check(index, oracle, net, vehicles, riders, start):
     )
     plain = SolverState(instance)
     pruned = SolverState(pruned_instance)
+    view = VehicleColumns(oracle, vehicles, start)
+    if oracle.tier == 0:
+        _check_table_bound(oracle, net, riders)
     for rider in riders:
         exact = [
             v for v in vehicles
@@ -158,19 +184,12 @@ def _check(index, oracle, net, vehicles, riders, start):
             + oracle.cost(v.location, rider.source)
             <= rider.pickup_deadline + 1e-9
         ]
-        tracked = index.prune(
-            rider, vehicles, start, vehicles_by_id=by_id, assume_tracked=True
-        )
-        subset = index.prune(rider, vehicles, start)
+        kept = index.prune(rider, view)
         # same bounds, same float evaluation order: the same verdicts
-        assert subset == _reference_prune(index, rider, vehicles, start)
-        assert [v.vehicle_id for v in tracked] == [
-            v.vehicle_id for v in subset
-        ]
-        for kept in (tracked, subset):
-            assert set(v.vehicle_id for v in exact) <= set(
-                v.vehicle_id for v in kept
-            )
+        assert kept == _reference_prune(index, rider, vehicles, start)
+        assert set(v.vehicle_id for v in exact) <= set(
+            v.vehicle_id for v in kept
+        )
         assert pruned.reachable_vehicles(rider, vehicles) == (
             plain.reachable_vehicles(rider, vehicles)
         )
@@ -187,8 +206,6 @@ class TestKernelSoundness:
             Vehicle(vehicle_id=j, location=loc, capacity=3, ready_time=ready)
             for j, (loc, ready) in enumerate(spec["fleet"])
         ]
-        for v in vehicles:
-            index.insert(v.vehicle_id, v.location, v.ready_time)
         start = spec["start"]
         riders = _riders(spec["riders"], start)
         errors_before = CANDIDATE_STATS.pruned_in_error
@@ -200,19 +217,16 @@ class TestKernelSoundness:
                     vehicle_id=vehicles[j].vehicle_id, location=location,
                     capacity=3, ready_time=ready,
                 )
-                index.update(vehicles[j].vehicle_id, location, ready)
             elif op == "remove" and len(vehicles) > 1:
-                index.remove(vehicles.pop(pick % len(vehicles)).vehicle_id)
+                vehicles.pop(pick % len(vehicles))
             elif op == "perturb":
-                # shorten every edge out of one node: stale bounds would
-                # now be unsound, so resync must re-derive them
+                # shorten every edge out of one node: bounds of the old
+                # epoch would now be unsound, so the next prune must
+                # re-derive them on its own
                 for v2 in list(net.adjacency[location]):
                     net.adjacency[location][v2] *= 0.25
                     if net.undirected:
                         net.adjacency[v2][location] *= 0.25
                 oracle.invalidate()
-                index.resync(
-                    (v.vehicle_id, v.location, v.ready_time) for v in vehicles
-                )
             _check(index, oracle, net, vehicles, riders, start)
         assert CANDIDATE_STATS.pruned_in_error == errors_before

@@ -750,8 +750,8 @@ def _parked_fleet(size, ready_time=500.0):
 
 
 class TestIncrementalFrameState:
-    """A frame rebuilds, audits and re-indexes only the vehicles whose
-    carried state changed (plus the schedules the solver wrote)."""
+    """A frame rebuilds and audits only the vehicles whose carried
+    state changed (plus the schedules the solver wrote)."""
 
     def test_frame_work_scales_with_changed_vehicles(self, city, monkeypatch):
         from repro.core import dispatch as dispatch_module

@@ -1,8 +1,9 @@
-"""The landmark gate in front of every reachability test.
+"""The oracle's bound in front of every reachability test.
 
 :meth:`SolverState.reachable_vehicles` drops a vehicle at ``l`` with
-``t0 + LB(l, s) > rt^- + eps`` (``LB`` = :meth:`DistanceOracle.lower_bounds`)
-before any exact ``cost()``.  The gate must never change the answer, must
+``t0 + LB(l, s) > rt^- + eps`` (``LB`` = :meth:`DistanceOracle.lower_bounds`:
+the landmark bound at tier 1, the exact table entry at tier 0) before
+any exact ``cost()``.  The gate must never change the answer, must
 save the exact queries it claims to save, and must keep the candidate
 counters consistent in every candidate mode.
 """
@@ -155,8 +156,8 @@ class TestNoExactQueryBehindTheGate:
 
 class TestCandidateCounters:
     @pytest.mark.parametrize("mode, tier", [
-        ("full", 1), ("spatial", 0), ("spatial", 1), ("spatiotemporal", 0),
-        ("spatiotemporal", 1),
+        ("full", 0), ("full", 1), ("spatial", 0), ("spatial", 1),
+        ("spatiotemporal", 0), ("spatiotemporal", 1),
     ])
     def test_consistent_in_every_mode(self, mode, tier):
         city = _city()
@@ -178,15 +179,17 @@ class TestCandidateCounters:
         assert stats.retrievals >= len(riders)
         assert 0 < stats.pairs_pruned <= stats.pairs_considered
         assert stats.pruned_in_error == 0
-        if mode == "full":
-            # the gate alone: no spatial bound without an area cover
+        if mode == "full" or tier == 0:
+            # the gate alone: no spatial bound without an area cover, and
+            # none in front of the exact table entry
             assert stats.pairs_pruned_spatial == 0
             assert stats.pairs_pruned_temporal > 0
         elif tier == 1:
             assert stats.pairs_pruned_temporal > 0
 
-    @pytest.mark.parametrize("tier", [0, 2])
+    @pytest.mark.parametrize("tier", [2])
     def test_full_mode_has_no_gate_without_landmark_rows(self, tier):
+        # tier 2 has neither landmark rows nor a table: no bound to gate by
         city = _city()
         fleet, riders = _frame(city)
         d = Dispatcher(

@@ -10,10 +10,13 @@ import random
 
 import pytest
 
-from repro.core.shards import ShardPlan, partition_frame
+from repro.core import scoring
+from repro.core.instance import LazySchedules, URRInstance
+from repro.core.shards import ShardPlan, partition_frame, reconcile_boundary
 from repro.core.vehicles import Vehicle
 from repro.roadnet.areas import build_areas
 from repro.roadnet.generators import grid_city
+from repro.roadnet.oracle import DistanceOracle
 from tests.conftest import make_rider
 
 
@@ -141,3 +144,37 @@ class TestPartitionFrame:
         assert part.rider_shard == {}
         assert part.vehicle_shard == {}
         assert all(not s.riders and not s.vehicles for s in part.shards)
+
+
+class TestReconcileBoundary:
+    def test_one_roster_view_per_home_shard(self, city, plan, monkeypatch):
+        # every rider is unserved, so the boundary count visits them all;
+        # a roster view per rider would rebuild the columns each time
+        riders, vehicles = make_frame(seed=6, num_riders=24)
+        oracle = DistanceOracle(city, tier=1)
+        instance = URRInstance(
+            network=city, riders=riders, vehicles=vehicles, oracle=oracle,
+        )
+        partition = partition_frame(plan, riders, vehicles)
+        expect = sum(
+            1 for r in riders
+            if scoring.SolverState(instance).reachable_vehicles(r, [
+                v for v in vehicles
+                if partition.vehicle_shard[v.vehicle_id]
+                != partition.rider_shard[r.rider_id]
+            ])
+        )
+        built = []
+        columns = scoring.VehicleColumns
+
+        class Counting(columns):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(scoring, "VehicleColumns", Counting)
+        boundary, _ = reconcile_boundary(
+            instance, LazySchedules(instance), partition
+        )
+        assert boundary == expect > 0
+        assert len(built) <= plan.shard_count + 1

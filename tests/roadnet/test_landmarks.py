@@ -134,11 +134,11 @@ class TestQueries:
             # the scalar bound is its one-node case
             assert [grid_index.lower_bound(u, target) for u in nodes] == expect
 
-    def test_lower_bounds_off_tier_one_are_zero(self, small_grid):
-        for tier in (0, 2):
-            oracle = DistanceOracle(small_grid, tier=tier)
-            cols = oracle.columns(sorted(small_grid.nodes()))
-            assert oracle.lower_bounds(cols, 3).tolist() == [0.0] * len(cols)
+    def test_lower_bounds_at_tier_two_are_zero(self, small_grid):
+        # tier 0 serves its table entries instead (test_candidates_properties)
+        oracle = DistanceOracle(small_grid, tier=2)
+        cols = oracle.columns(sorted(small_grid.nodes()))
+        assert oracle.lower_bounds(cols, 3).tolist() == [0.0] * len(cols)
 
     def test_unreachable_inf(self):
         net = RoadNetwork()

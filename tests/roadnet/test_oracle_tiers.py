@@ -172,19 +172,16 @@ class TestLowerBoundAndSharedLandmarks:
         assert oracle.landmarks() is second  # built once per epoch
 
     def test_candidate_index_adopts_shared_index(self):
-        from repro.core.candidates import build_candidate_index
+        from repro.core.candidates import VehicleColumns, build_candidate_index
         from repro.core.requests import Rider
         from repro.core.vehicles import Vehicle
 
         net = grid_city(6, 6, seed=2)
         oracle = DistanceOracle(net, tier=1)
         index = build_candidate_index(net, oracle=oracle)
-        index.insert(0, 0)
-        # the index keeps no landmark rows: its gate asks the oracle
-        assert index._landmarked
-        # after an epoch change the gate reads the oracle's fresh rows
+        # the index keeps no landmark rows: its gate asks the oracle, and
+        # after an epoch change (no call into the index) the fresh rows
         oracle.invalidate()
-        index.resync([(0, 0, None)])
         asked = []
         lower_bounds = oracle.lower_bounds
 
@@ -196,6 +193,7 @@ class TestLowerBoundAndSharedLandmarks:
         source = next(iter(net.adjacency[0]))  # a neighbour of the vehicle
         rider = Rider(rider_id=0, source=source, destination=0,
                       pickup_deadline=1e9, dropoff_deadline=2e9)
-        kept = index.prune(rider, [Vehicle(vehicle_id=0, location=0, capacity=2)], 0.0)
+        vehicles = [Vehicle(vehicle_id=0, location=0, capacity=2)]
+        kept = index.prune(rider, VehicleColumns(oracle, vehicles, 0.0))
         assert [v.vehicle_id for v in kept] == [0]
         assert asked == [source]
