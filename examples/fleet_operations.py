@@ -110,11 +110,11 @@ def main() -> None:
                 )
                 if quitter is not None:
                     events.append(RiderCancellation(rider_id=quitter))
-                for outcome in dispatcher.inject(events):
+                # inject returns the outcomes; the dispatcher keeps no log
+                outcomes = dispatcher.inject(events)
+                for outcome in outcomes:
                     print(f"      ! {outcome}")
-                stranded = {
-                    rid for o in dispatcher.disruption_log for rid in o.stranded
-                }
+                stranded = {rid for o in outcomes for rid in o.stranded}
 
         print("\nstranded-rider recovery:")
         for rid in sorted(stranded):

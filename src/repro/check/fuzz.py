@@ -31,7 +31,7 @@ diverged.  Mode-specific checks hang off the matching axis: the bitwise
 cost sweep whenever A and B sit on different oracle tiers, the prune
 audit whenever a candidate index runs, the conflict relaxation (plus an
 aggregate-service check across the run) when only B is sharded, and the
-summary/ledger/fleet equality of the crash drive.
+running-total/ledger/fleet equality of the crash drive.
 
 The ``"solve"`` drive is the single-instance fuzz: every method in
 :data:`repro.core.solver.METHODS` on one static instance, validated,
@@ -494,8 +494,8 @@ def _fleet_digest(d: Dispatcher) -> Dict[int, tuple]:
 def _divergence(a: Dispatcher, b: Dispatcher, ra, rb, label: str) -> Optional[str]:
     """The first difference between two frame boundaries, or ``None``.
 
-    ``rb`` is ``None`` when B has no live report for the frame (a crash
-    restore re-materialised it from the checkpoint); then only the
+    ``rb`` is ``None`` when B has no live report for the frame (a
+    commit-time crash left it only in B's checkpoint); then only the
     dispatcher state is compared.
     """
     if rb is not None:

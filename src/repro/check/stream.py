@@ -9,6 +9,9 @@ the candidate run B consumes each frame's riders as timed
 reference run A calls ``dispatch_frame``; the runner's comparator then
 holds the two live dispatchers equal stop for stop at every boundary.
 
+The engine hands a frame's plan only to its boundary hook, so the
+drive takes the frames it compares from there.
+
 After the lockstep, unperturbed seeds replay the whole arrival stream
 through a third dispatcher with a small seeded ``max_batch``, so frames
 fire at arrival-driven, variable-length horizons.  Every fired
@@ -47,13 +50,18 @@ class StreamDrive:
         self.max_batch = int(trial.rng.integers(2, 5))
         trial.report.draws["max_batch"] = self.max_batch
         self.dispatcher = trial.open(trial.config)
-        self.engine = StreamingEngine(self.dispatcher, delta_t=self.length)
+        self._fired: List = []
+        self.engine = StreamingEngine(
+            self.dispatcher, delta_t=self.length,
+            boundary_hook=lambda engine, batch: self._fired.append(batch),
+        )
 
     def step(self, frame: int, riders):
-        fired = self.engine.process(
+        self.engine.process(
             arrivals_for(riders, frame, self.length),
             until=(frame + 1) * self.length,
         )
+        fired, self._fired = self._fired, []
         if len(fired) != 1 or fired[0].trigger != "interval":
             self.trial.fail("stream", f"frame {frame}: pinned interval trigger "
                                       f"fired {[(b.trigger, b.solved_at) for b in fired]}")

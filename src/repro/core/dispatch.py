@@ -172,9 +172,9 @@ class FrameReport:
     back to a cheaper tier (``fallback_tier > 0``; the last resort is
     ``"baseline"``, the carried-in residual plans).
 
-    ``restored`` marks a stub rebuilt from a durability
-    checkpoint: its numeric summary is exact but ``assignment`` and
-    ``perf`` are ``None`` (the live objects do not survive a restart).
+    ``assignment`` is the frame's plan, with its instance.  The
+    dispatcher keeps no reports (only running totals), so the plan lives
+    exactly as long as the caller keeps the report.
 
     ``perf`` is this frame's :class:`~repro.perf.FramePerf` breakdown —
     snapshot-*delta* counters (insertion plans, oracle searches,
@@ -205,9 +205,6 @@ class FrameReport:
     fallback_tier: int = 0
     budget_exceeded: bool = False
     perf: Optional[FramePerf] = None
-    # True for report stubs rebuilt from a checkpoint: the numeric
-    # summary survives restore, the live assignment object does not
-    restored: bool = False
     # the horizon this frame advanced the clock by; differs from the
     # dispatcher's configured frame_length when a streaming micro-batch
     # fired early (count trigger) — the WAL persists it so replay can
@@ -580,27 +577,30 @@ class Dispatcher:
                 else build_areas(network, k=8, oracle=self.oracle)
             )
             self._shard_plan = ShardPlan(areas, config.shard_count)
-        self.reports: List[FrameReport] = []
         self._frame_index = 0
         self._clock = 0.0
         self._carryover: List[CarriedRequest] = []
-        self._seen_rider_ids: Set[int] = set()
+        # running totals over every frame (FrameReport fields summed in
+        # frame order); total_requests counts unique submissions, since
+        # retries are not re-counted
+        self.total_requests = 0
+        self.total_served = 0
+        self.total_expired = 0
+        self.total_utility = 0.0
         # mu_v rows pinned for riders that outlive their first frame
         # (committed or carried), so their utility stays stable across the
         # per-frame resampling of the preference matrix
         self._pinned_utilities: Dict[int, Dict[int, float]] = {}
-        # lifecycle ledger: every rider id ever issued -> current status;
-        # riders carried in with the initial fleet enter as COMMITTED
+        # lifecycle ledger: every rider id ever issued -> current status
+        # (its keys are the ids a new request may not reuse); riders
+        # carried in with the initial fleet enter as COMMITTED
         self.ledger: Dict[int, RiderStatus] = {}
         for fv in self.fleet.values():
             for rider in fv.onboard:
                 self.ledger[rider.rider_id] = RiderStatus.COMMITTED
             for stop in fv.committed_stops:
                 self.ledger[stop.rider.rider_id] = RiderStatus.COMMITTED
-        self._seen_rider_ids.update(self.ledger)
         self._preloaded_rider_ids = frozenset(self.ledger)
-        # every disruption outcome ever applied or skipped, in order
-        self.disruption_log: List["DisruptionOutcome"] = []
         # snapshot-delta accounting: the process-wide perf counters are
         # cumulative, so both the run report and the per-frame reports
         # subtract captures — construction-time for the run, frame
@@ -681,9 +681,11 @@ class Dispatcher:
         Deadlines are interpreted on the same absolute clock the
         dispatcher advances; rider ids must be unique across the whole
         run (riders committed or carried over from earlier frames remain
-        live).  Returns the frame report (also appended to
-        :attr:`reports`) after rolling every vehicle forward to its true
-        position at the next frame's clock.
+        live).  Returns the frame report after rolling every vehicle
+        forward to its true position at the next frame's clock.  The
+        dispatcher adds the report to its running totals and keeps
+        nothing else of it: the frame's plan (``report.assignment``) is
+        freed once the caller drops the report.
         """
         wall_start = time.perf_counter()
         frame_before = self._perf_cursor
@@ -893,7 +895,10 @@ class Dispatcher:
                     frame=self._frame_index,
                     perf=frame_perf.as_dict(),
                 )
-            self.reports.append(report)
+            self.total_requests += report.num_requests
+            self.total_served += report.num_served
+            self.total_expired += report.num_expired
+            self.total_utility += report.utility
             self._frame_index += 1
             self._clock = next_clock
             if self._durability is not None:
@@ -916,10 +921,12 @@ class Dispatcher:
 
         Delegates to :class:`repro.core.disruptions.DisruptionEngine`
         (``engine_kwargs`` are forwarded to its constructor — grace
-        periods and the like).  Outcomes are returned *and* appended to
-        :attr:`disruption_log`.  Call between :meth:`dispatch_frame`
-        calls only; the engine repairs committed plans in place so the
-        next frame starts from a consistent, deadline-feasible state.
+        periods and the like).  The returned outcomes are the only
+        record of the disruptions: the dispatcher keeps none, so a
+        caller that wants a log collects them.  Call between
+        :meth:`dispatch_frame` calls only; the engine repairs committed
+        plans in place so the next frame starts from a consistent,
+        deadline-feasible state.
         """
         from repro.core.disruptions import DisruptionEngine
 
@@ -932,7 +939,6 @@ class Dispatcher:
         # disruptions strike between frames; their repair cost is
         # attributed to the frame that follows them (FrameReport.perf)
         self._pending_disruption_seconds += time.perf_counter() - start
-        self.disruption_log.extend(outcomes)
         if self._durability is not None:
             # disruption events are not WAL-replayable (the engine's
             # repair is not re-driven from serialized events), so force
@@ -963,13 +969,12 @@ class Dispatcher:
         ids = [r.rider_id for r in new_riders]
         if len(set(ids)) != len(ids):
             raise ValueError("frame requests contain duplicate rider ids")
-        clash = set(ids) & self._seen_rider_ids
+        clash = self.ledger.keys() & ids
         if clash:
             raise ValueError(
                 f"rider ids must be unique across the dispatch run; "
                 f"already seen: {sorted(clash)[:5]}"
             )
-        self._seen_rider_ids.update(ids)
 
     def _frame_violations(
         self, instance: URRInstance, assignment: Assignment
@@ -1238,23 +1243,6 @@ class Dispatcher:
     # cumulative metrics
     # ------------------------------------------------------------------
     @property
-    def total_requests(self) -> int:
-        """Unique requests ever submitted (retries are not re-counted)."""
-        return sum(r.num_requests for r in self.reports)
-
-    @property
-    def total_served(self) -> int:
-        return sum(r.num_served for r in self.reports)
-
-    @property
-    def total_expired(self) -> int:
-        return sum(r.num_expired for r in self.reports)
-
-    @property
-    def total_utility(self) -> float:
-        return sum(r.utility for r in self.reports)
-
-    @property
     def service_rate(self) -> float:
         """Unique riders served / unique submitted, read from the ledger.
 
@@ -1263,10 +1251,9 @@ class Dispatcher:
         counted twice (``total_served`` sums per-frame ``num_served`` and
         does count a re-served rider once per commit).  Riders handed in
         with the construction-time fleet were never submitted and are
-        not counted; a restored dispatcher cannot tell them apart (the
-        snapshot does not record them).  Vacuously 1.0 before any
-        request has been submitted (a fleet with no demand has failed
-        nobody).
+        not counted (a checkpoint records their ids).  Vacuously 1.0
+        before any request has been submitted (a fleet with no demand
+        has failed nobody).
         """
         total = self.total_requests
         if not total:
@@ -1291,7 +1278,7 @@ class Dispatcher:
 
     def utilisation(self) -> Dict[int, float]:
         """Mean travel cost per frame per vehicle (busy-time proxy)."""
-        frames = max(len(self.reports), 1)
+        frames = max(self._frame_index, 1)
         return {
             vid: fv.total_cost / frames for vid, fv in self.fleet.items()
         }
@@ -1352,7 +1339,8 @@ class Dispatcher:
            the snapshot's content fingerprint (state committed under one
            metric must never resume under another);
         3. re-apply every piece of cross-frame state (fleet plans,
-           carry-over queue, ledger, pinned utilities, frame cursor);
+           carry-over queue, ledger, pinned utilities, running totals,
+           frame cursor);
         4. with ``verify`` (default), audit the restored fleet through
            the independent :func:`repro.check.validator.validate_fleet_state`
            oracle — corrupt state fails loudly here, not frames later;

@@ -3,12 +3,15 @@
 A day-long rolling-horizon run is a long chain of committed promises —
 the RiderStatus ledger, every vehicle's residual ``committed_stops``
 plan, the carry-over queue with its retry budgets, the pinned ``mu_v``
-utility rows.  This module makes that chain survive a process kill:
+utility rows.  This module makes that chain survive a process kill.
+It persists state, not history: a snapshot holds the dispatcher's
+running totals, never a per-frame list, so no part of it grows with
+the number of frames (the ledger grows with the riders admitted).
 
 - :class:`DurabilityLog` owns a directory holding three files:
 
   ``snapshot.json``
-      A versioned (:data:`CHECKPOINT_VERSION`) snapshot of *all*
+      A versioned (:data:`CHECKPOINT_VERSION`) snapshot of the
       cross-frame dispatcher state, written atomically (temp file in
       the same directory + flush + fsync + ``os.replace`` + directory
       fsync) so a crash never leaves a torn snapshot — readers see the
@@ -77,8 +80,10 @@ PathLike = Union[str, Path]
 #: Version 2 dropped the process-pool shard options from the config and
 #: the shard retry/fallback counters from the frame summaries; version 3
 #: stores the config as the dispatcher's ``DispatchConfig`` fields (the
-#: watchdog's ``fallbacks`` chain is no longer a setting).
-CHECKPOINT_VERSION = 3
+#: watchdog's ``fallbacks`` chain is no longer a setting); version 4
+#: stores running totals and the preloaded rider ids in place of the
+#: per-frame report summaries and the seen-id list.
+CHECKPOINT_VERSION = 4
 
 #: Named crash-injection points, in the order they occur inside
 #: :meth:`DurabilityLog.commit_frame`.
@@ -173,7 +178,7 @@ def frame_summary(report) -> dict:
 
     Wall-clock fields (``solver_seconds``, ``perf``) and the live
     ``assignment`` object are excluded: the summary is what WAL replay
-    must reproduce bit for bit, and what restored report stubs carry.
+    must reproduce bit for bit.
     """
     return {
         "frame_index": report.frame_index,
@@ -227,7 +232,12 @@ def snapshot_dispatcher(dispatcher, fingerprint: int) -> dict:
         "clock": dispatcher._clock,
         "config": asdict(dispatcher.config),
         "network_fingerprint": fingerprint,
-        "oracle_epoch": dispatcher.oracle.epoch,
+        "totals": {
+            "requests": dispatcher.total_requests,
+            "served": dispatcher.total_served,
+            "expired": dispatcher.total_expired,
+            "utility": dispatcher.total_utility,
+        },
         "fleet": fleet,
         "carryover": [
             {
@@ -241,13 +251,11 @@ def snapshot_dispatcher(dispatcher, fingerprint: int) -> dict:
             [rid, dispatcher.ledger[rid].value]
             for rid in sorted(dispatcher.ledger)
         ],
-        "seen_rider_ids": sorted(dispatcher._seen_rider_ids),
+        "preloaded_rider_ids": sorted(dispatcher._preloaded_rider_ids),
         "pinned_utilities": [
             [rid, [[vid, value] for vid, value in row.items()]]
             for rid, row in dispatcher._pinned_utilities.items()
         ],
-        "pending_disruption_seconds": dispatcher._pending_disruption_seconds,
-        "reports": [frame_summary(r) for r in dispatcher.reports],
     }
 
 
@@ -258,10 +266,15 @@ def apply_snapshot_state(dispatcher, snapshot: dict) -> None:
     fleet identities (``Dispatcher.restore`` does both); this re-applies
     the mutable cross-frame state on top.
     """
-    from repro.core.dispatch import CarriedRequest, FrameReport, RiderStatus
+    from repro.core.dispatch import CarriedRequest, RiderStatus
 
     dispatcher._frame_index = snapshot["frames_committed"]
     dispatcher._clock = snapshot["clock"]
+    totals = snapshot["totals"]
+    dispatcher.total_requests = totals["requests"]
+    dispatcher.total_served = totals["served"]
+    dispatcher.total_expired = totals["expired"]
+    dispatcher.total_utility = totals["utility"]
     for payload in snapshot["fleet"]:
         fv = dispatcher.fleet.get(payload["id"])
         if fv is None:
@@ -288,33 +301,13 @@ def apply_snapshot_state(dispatcher, snapshot: dict) -> None:
     dispatcher.ledger = {
         rid: RiderStatus(value) for rid, value in snapshot["ledger"]
     }
-    dispatcher._seen_rider_ids = set(snapshot["seen_rider_ids"])
+    dispatcher._preloaded_rider_ids = frozenset(
+        snapshot["preloaded_rider_ids"]
+    )
     dispatcher._pinned_utilities = {
         rid: {vid: value for vid, value in row}
         for rid, row in snapshot["pinned_utilities"]
     }
-    dispatcher._pending_disruption_seconds = snapshot[
-        "pending_disruption_seconds"
-    ]
-    dispatcher.reports = [
-        FrameReport(
-            frame_index=summary["frame_index"],
-            frame_start=summary["frame_start"],
-            num_requests=summary["num_requests"],
-            num_carried=summary["num_carried"],
-            num_served=summary["num_served"],
-            num_expired=summary["num_expired"],
-            utility=summary["utility"],
-            travel_cost=summary["travel_cost"],
-            solver_seconds=0.0,
-            assignment=None,
-            solver_tier=summary["solver_tier"],
-            fallback_tier=summary["fallback_tier"],
-            budget_exceeded=summary["budget_exceeded"],
-            restored=True,
-        )
-        for summary in snapshot["reports"]
-    ]
 
 
 # ----------------------------------------------------------------------

@@ -70,7 +70,7 @@ reports their p50/p95 as ``wall_ms``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, List, Optional
 
 import numpy as np
@@ -148,6 +148,9 @@ class RequestSpan:
 class StreamBatch:
     """One dispatched micro-batch: the window and its frame report.
 
+    Only the boundary hook sees ``report.assignment``; the recorded and
+    returned batch drops it, so no frame's instance outlives its hook.
+
     ``wall_seconds`` is the wall-clock cost of the batch: its
     ``dispatch_frame`` call plus the latency-span update after it (the
     boundary hook is the caller's time and is excluded).
@@ -196,8 +199,9 @@ class StreamingEngine:
     boundary_hook:
         Optional callback ``hook(engine, stream_batch)`` invoked after
         every dispatched micro-batch — the seam for injecting
-        disruptions mid-stream (the count-trigger leg of the ``stream``
-        fuzz mode audits every micro-batch through it).
+        disruptions mid-stream, and the one place a streamed frame's
+        plan (``stream_batch.report.assignment``) can be read (the
+        ``stream`` fuzz mode audits every micro-batch through it).
     """
 
     def __init__(
@@ -330,12 +334,13 @@ class StreamingEngine:
             report=report,
             wall_seconds=time.perf_counter() - start,
         )
-        self.batches.append(stream_batch)
         _trace.counter(
             "stream.open_requests", value=len(self._open_spans), frame=report.frame_index
         )
         if self.boundary_hook is not None:
             self.boundary_hook(self, stream_batch)
+        stream_batch = replace(stream_batch, report=replace(report, assignment=None))
+        self.batches.append(stream_batch)
         return stream_batch
 
     def _update_spans(self, report: FrameReport, solved_at: float) -> None:
@@ -384,10 +389,7 @@ class StreamingEngine:
         spans already hold them.
         """
         times: Dict[int, List[Optional[float]]] = {}
-        assignment = report.assignment
-        if assignment is None:
-            return times
-        schedules = assignment.schedules
+        schedules = report.assignment.schedules
         for vid in sorted(report.changed_vehicles):
             seq = schedules[vid]
             for stop, arrive in zip(seq.stops, seq.arrive):

@@ -1,6 +1,8 @@
 """Unit tests for repro.core.dispatch (rolling-horizon dispatcher)."""
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -131,16 +133,30 @@ class TestDispatchFrame:
                 assert fv.committed_stops == tuple(seq.stops[k + 1:])
 
     def test_multiple_frames_accumulate(self, dispatcher, city):
+        reports = []
         for frame in range(3):
             requests = frame_requests(
                 city, 6, frame * 30.0, seed=10 + frame, id_base=frame * 100
             )
-            dispatcher.dispatch_frame(requests)
+            reports.append(dispatcher.dispatch_frame(requests))
         assert dispatcher.total_requests == 18
         assert 0 < dispatcher.total_served <= 18
         assert 0.0 < dispatcher.service_rate <= 1.0
-        assert len(dispatcher.reports) == 3
+        # running totals: the reports' fields summed in frame order
+        assert dispatcher.total_served == sum(r.num_served for r in reports)
+        assert dispatcher.total_expired == sum(r.num_expired for r in reports)
+        assert dispatcher.total_utility == sum(r.utility for r in reports)
         assert dispatcher.clock == 90.0
+
+    def test_dropped_report_frees_the_frame_instance(self, dispatcher, city):
+        report = dispatcher.dispatch_frame(
+            frame_requests(city, 6, 0.0, seed=10)
+        )
+        assert report.num_served > 0
+        instance = weakref.ref(report.assignment.instance)
+        del report
+        gc.collect()
+        assert instance() is None
 
     def test_empty_frame(self, dispatcher):
         report = dispatcher.dispatch_frame([])

@@ -312,9 +312,9 @@ class TestLedgerConservation:
         with pytest.raises(TypeError, match="unknown disruption"):
             d.inject([object()])
 
-    def test_disruption_log_accumulates(self, city):
+    def test_inject_returns_every_outcome(self, city):
         d = _dispatcher(city)
-        d.inject([RiderCancellation(rider_id=1)])
-        d.inject([VehicleBreakdown(vehicle_id=999)])
-        assert len(d.disruption_log) == 2
-        assert all(o.status is OutcomeStatus.SKIPPED for o in d.disruption_log)
+        outcomes = d.inject([RiderCancellation(rider_id=1)])
+        outcomes += d.inject([VehicleBreakdown(vehicle_id=999)])
+        assert len(outcomes) == 2
+        assert all(o.status is OutcomeStatus.SKIPPED for o in outcomes)

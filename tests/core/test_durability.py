@@ -5,7 +5,9 @@ candidate-index, tiered-oracle), WAL tail replay across checkpoint
 cadences, torn-tail tolerance, version and network-fingerprint guards,
 the atomic-rename crash point, and the dispatcher context manager.
 The post-restore frames must be byte-identical (as canonical JSON) to
-an uninterrupted run's — durability must never perturb dispatch.
+an uninterrupted run's, and the restored running totals equal to the
+sums of the frames before the cut — durability must never perturb
+dispatch.  Snapshots hold state, not history: no per-frame list.
 """
 
 import dataclasses
@@ -17,6 +19,7 @@ import repro.core.durability as durability
 from repro.check.utilities import use_eager_rows
 from repro.core.dispatch import Dispatcher
 from repro.core.disruptions import TravelTimePerturbation
+from repro.core.schedule import Stop, StopKind
 from repro.core.durability import (
     CHECKPOINT_VERSION,
     CheckpointError,
@@ -94,6 +97,26 @@ def baseline_summaries(city, mode):
         ]
 
 
+def totals(dispatcher):
+    return (
+        dispatcher.total_requests,
+        dispatcher.total_served,
+        dispatcher.total_expired,
+        dispatcher.total_utility,
+    )
+
+
+def summed(summaries):
+    """The running totals after the frames of these canonical summaries."""
+    frames = [json.loads(s) for s in summaries]
+    return (
+        sum(f["num_requests"] for f in frames),
+        sum(f["num_served"] for f in frames),
+        sum(f["num_expired"] for f in frames),
+        sum(f["utility"] for f in frames),
+    )
+
+
 def restore_kwargs(city, mode):
     return {"oracle": DistanceOracle(city, tier=1)} if mode == "tiered" else {}
 
@@ -112,8 +135,8 @@ class TestRoundTrip:
         )
         with restored:
             assert restored._frame_index == 2
-            # re-materialized pre-crash frames carry the same summaries
-            assert [canonical(r) for r in restored.reports] == baseline[:2]
+            # the pre-crash frames survive as running totals, bit for bit
+            assert totals(restored) == summed(baseline[:2])
             resumed = [
                 canonical(restored.dispatch_frame(frame_requests(f, f * 10)))
                 for f in range(2, FRAMES)
@@ -158,7 +181,7 @@ class TestWalReplay:
 
         with Dispatcher.restore(str(tmp_path)) as restored:
             assert restored._frame_index == 2
-            assert [canonical(r) for r in restored.reports] == baseline[:2]
+            assert totals(restored) == summed(baseline[:2])
             # replaying writes a fresh snapshot and truncates the WAL
             snapshot = json.loads((tmp_path / "snapshot.json").read_text())
             assert snapshot["frames_committed"] == 2
@@ -207,27 +230,35 @@ class TestGuards:
     ):
         # version 1 stored the process-pool shard options in the config
         # and shard fault counters in every frame summary; version 2
-        # stored the watchdog's fallback chain.  Restoring either must
-        # fail as a CheckpointError, not a TypeError from an unknown
-        # config field
+        # stored the watchdog's fallback chain; versions 1 to 3 kept a
+        # summary of every frame and the seen rider ids in place of the
+        # running totals.  Restoring any of them must fail as a
+        # CheckpointError, not a TypeError or KeyError from the layout
         legacy_config = {
             1: {"shard_workers": 1, "shard_timeout": 30.0, "shard_retries": 2},
             2: {"fallbacks": ["eg", "cf"]},
+            3: {},
         }
-        assert CHECKPOINT_VERSION == 3
+        assert CHECKPOINT_VERSION == 4
         for version, config in legacy_config.items():
             directory = tmp_path / f"v{version}"
             durable = str(directory)
             with make_dispatcher(city, "plain", durability=durable) as d:
-                d.dispatch_frame(frame_requests(0, 0))
+                summary = frame_summary(d.dispatch_frame(frame_requests(0, 0)))
+            if version == 1:
+                summary.update(shard_retries=0, shard_fallbacks=0)
             for name in ("snapshot.json", "network.json"):
                 payload = json.loads((directory / name).read_text())
                 payload["format_version"] = version
                 if name == "snapshot.json":
                     payload["config"].update(config)
-                    if version == 1:
-                        for summary in payload["reports"]:
-                            summary.update(shard_retries=0, shard_fallbacks=0)
+                    del payload["totals"], payload["preloaded_rider_ids"]
+                    payload.update(
+                        oracle_epoch=0,
+                        seen_rider_ids=[rid for rid, _ in payload["ledger"]],
+                        pending_disruption_seconds=0.0,
+                        reports=[summary],
+                    )
                 (directory / name).write_text(json.dumps(payload))
             with pytest.raises(CheckpointError, match=f"version {version}"):
                 Dispatcher.restore(str(directory))
@@ -406,9 +437,7 @@ class TestEagerRowCheckpointCompat:
                 restored.dispatch_frame(frame_requests(f, f * 10))
             assert restored.ledger == reference.ledger
             assert restored._pinned_utilities == reference._pinned_utilities
-            assert [canonical(r) for r in restored.reports] == [
-                canonical(r) for r in reference.reports
-            ]
+            assert totals(restored) == totals(reference)
             for vid, fv in reference.fleet.items():
                 got = restored.fleet[vid]
                 assert (got.location, got.ready_time) == (
@@ -416,6 +445,63 @@ class TestEagerRowCheckpointCompat:
                 )
                 assert got.onboard == fv.onboard
                 assert got.committed_stops == fv.committed_stops
+
+
+def list_lengths(payload, path=""):
+    """``{path: len}`` for every list anywhere in a JSON payload."""
+    found = {}
+    if isinstance(payload, dict):
+        for key, value in payload.items():
+            found.update(list_lengths(value, f"{path}/{key}"))
+    elif isinstance(payload, list):
+        found[path] = len(payload)
+        for i, value in enumerate(payload):
+            found.update(list_lengths(value, f"{path}/{i}"))
+    return found
+
+
+class TestStateNotHistory:
+    def test_snapshot_holds_no_per_frame_list(self, city, tmp_path):
+        snapshots = {}
+        with make_dispatcher(city, "plain", durability=str(tmp_path)) as d:
+            for frame in range(50):
+                d.dispatch_frame([])
+                if frame + 1 in (5, 50):
+                    snapshots[frame + 1] = json.loads(
+                        (tmp_path / "snapshot.json").read_text()
+                    )
+        early, late = snapshots[5], snapshots[50]
+        assert early["frames_committed"] == 5
+        assert late["frames_committed"] == 50
+        assert early.keys() == late.keys()
+        assert list_lengths(early) == list_lengths(late)
+
+    def test_preloaded_riders_are_not_served_requests_after_restore(
+        self, tmp_path
+    ):
+        # a rider handed in onboard with the construction-time fleet was
+        # never submitted, so it counts in neither part of service_rate
+        city = grid_city(8, 8, seed=2, removal_fraction=0.0,
+                         arterial_every=None)
+        onboard = make_rider(100, source=0, destination=9,
+                             pickup_deadline=5.0, dropoff_deadline=200.0)
+        drop = Stop(location=9, kind=StopKind.DROPOFF, rider=onboard)
+        fleet = [
+            Vehicle(vehicle_id=0, location=0, capacity=2,
+                    onboard=(onboard,), committed_stops=(drop,)),
+            Vehicle(vehicle_id=1, location=63, capacity=2),
+        ]
+        riders = [
+            make_rider(i, source=10 + i, destination=50 + i,
+                       pickup_deadline=60.0, dropoff_deadline=300.0)
+            for i in range(4)
+        ]
+        with Dispatcher(city, fleet, method="eg", frame_length=30.0, seed=1,
+                        durability=str(tmp_path)) as d:
+            d.dispatch_frame(riders)
+            live = d.service_rate
+        with Dispatcher.restore(str(tmp_path)) as restored:
+            assert restored.service_rate == live == 1.0
 
 
 class TestCrashPoints:
@@ -440,7 +526,7 @@ class TestCrashPoints:
         assert (tmp_path / "snapshot.json.tmp").exists()
         with Dispatcher.restore(str(tmp_path)) as restored:
             assert restored._frame_index == 2
-            assert [canonical(r) for r in restored.reports] == baseline[:2]
+            assert totals(restored) == summed(baseline[:2])
 
     def test_crash_before_wal_append_loses_only_that_frame(
         self, city, tmp_path

@@ -1,6 +1,8 @@
 """Unit tests for repro.service (streaming micro-batch engine)."""
 
+import gc
 import time
+import weakref
 
 import pytest
 
@@ -129,6 +131,23 @@ class TestTriggers:
         engine.process([], until=15.0)
         assert seen == [0, 1, 2]
 
+    def test_only_the_hook_sees_a_frame_plan(self, city):
+        instances = []
+
+        def keep_ref(engine, batch):
+            instances.append(weakref.ref(batch.report.assignment.instance))
+
+        engine = StreamingEngine(
+            make_dispatcher(city), delta_t=3.0, max_batch=4,
+            boundary_hook=keep_ref,
+        )
+        fired = engine.process(stream_of(city), until=30.0, drain=True)
+        assert fired == engine.batches
+        assert len(instances) == len(fired) > 1
+        assert all(batch.report.assignment is None for batch in fired)
+        gc.collect()
+        assert all(ref() is None for ref in instances)
+
 
 class TestBatchEquivalence:
     def test_interval_pinned_to_frame_length_reproduces_batch(self, city):
@@ -234,8 +253,6 @@ class TestChangedVehicleSpans:
 
         def every_active_plan(self, report):
             times = {}
-            if report.assignment is None:
-                return times
             for vid, seq in report.assignment.schedules.iter_active():
                 for stop, arrive in zip(seq.stops, seq.arrive):
                     entry = times.setdefault(
