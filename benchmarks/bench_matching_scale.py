@@ -6,7 +6,10 @@ identical multi-frame request streams at growing fleet sizes, twice:
 
 - ``full`` — the baseline all-pairs (rider, vehicle) scan: every
   retrieval walks the whole fleet and pays one exact oracle call per
-  vehicle.
+  vehicle.  The dispatcher gates every candidate mode by the oracle's
+  bound, which at tier 0 is the exact table entry, so this run patches
+  :meth:`DistanceOracle.lower_bounds` to zeros for its own length: no
+  vehicle is dropped before its exact query.
 - ``index`` — retrieval through the candidate index
   (:mod:`repro.core.candidates`, ``candidate_mode="spatiotemporal"``;
   ``"spatial"`` selects the same index).  This benchmark's oracle is the
@@ -16,9 +19,11 @@ identical multi-frame request streams at growing fleet sizes, twice:
 Riders carry *tight* pickup deadlines (a couple of minutes on a
 ~1-minute-per-block grid), the regime the index targets: only a handful
 of vehicles near each source can make the pickup, so the full scan
-wastes almost all of its oracle calls.  The synthetic per-pair utility
-matrix is disabled (``utility_matrix="default"``) so the O(m*n) matrix
-fill does not mask the retrieval cost being measured.
+wastes almost all of its oracle calls.  The process replaces the
+per-frame draw of the synthetic per-pair utility matrix with an empty
+table (:func:`skip_preference_draw`; every pair falls back to the
+instance's default utility) so the O(m*n) matrix fill does not mask the
+retrieval cost being measured.
 
 Each (fleet size, method, run) cell reports wall-clock per frame,
 served-rider totals (asserted identical across runs — the differential
@@ -47,6 +52,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -54,6 +60,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
+from repro.core import dispatch
 from repro.core.candidates import build_candidate_index
 from repro.core.dispatch import Dispatcher
 from repro.core.requests import Rider
@@ -63,11 +70,36 @@ from repro.obs import trace as _trace
 from repro.perf import CANDIDATE_STATS
 from repro.roadnet.generators import grid_city
 from repro.roadnet.oracle import DistanceOracle
+from repro.workload.instances import VehicleUtilityTable
 
 INF = float("inf")
 
 #: The two timed runs per case and the ``candidate_mode`` each passes.
 RUNS = {"full": "full", "index": "spatiotemporal"}
+
+
+def skip_preference_draw() -> None:
+    """Replace the dispatcher's per-frame mu_v draw, for this process,
+    with an empty table: every pair falls back to the instance's
+    ``default_vehicle_utility``."""
+    dispatch.synthetic_vehicle_utilities = (
+        lambda riders, vehicles, rng: VehicleUtilityTable((), (), np.empty((0, 0)))
+    )
+
+
+@contextmanager
+def unbounded(run: str):
+    """For the ``full`` run, an oracle bound of zero: every vehicle gets
+    its exact query, as an all-pairs scan does."""
+    if run != "full":
+        yield
+        return
+    lower_bounds = DistanceOracle.lower_bounds
+    DistanceOracle.lower_bounds = lambda self, columns, target: np.zeros(len(columns))
+    try:
+        yield
+    finally:
+        DistanceOracle.lower_bounds = lower_bounds
 
 
 # ----------------------------------------------------------------------
@@ -158,18 +190,18 @@ def _run(
         seed=0,
         candidate_mode=RUNS[run],
         candidate_index=index,
-        utility_matrix="default",
     )
     before = CANDIDATE_STATS.snapshot()
     served: List[int] = []
     utility = 0.0
     elapsed = 0.0
-    for frame in frames:
-        start = time.perf_counter()
-        report = dispatcher.dispatch_frame(list(frame))
-        elapsed += time.perf_counter() - start
-        served.extend(report.assignment.served_rider_ids())
-        utility += report.utility
+    with unbounded(run):
+        for frame in frames:
+            start = time.perf_counter()
+            report = dispatcher.dispatch_frame(list(frame))
+            elapsed += time.perf_counter() - start
+            served.extend(report.assignment.served_rider_ids())
+            utility += report.utility
     delta = CANDIDATE_STATS.delta(before)
     result: Dict[str, object] = {
         "frame_s": round(elapsed / len(frames), 4),
@@ -284,6 +316,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     args.out.parent.mkdir(parents=True, exist_ok=True)
+    skip_preference_draw()
 
     if args.smoke:
         rows = cols = 8

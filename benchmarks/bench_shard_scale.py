@@ -16,9 +16,10 @@ identical multi-frame request streams at growing fleet sizes, twice:
 Riders carry tight pickup deadlines (a couple of minutes on a
 ~1-minute-per-block grid), the large-fleet regime sharding targets: the
 global solve pays its full fleet scan per rider while only a handful of
-nearby vehicles are relevant.  The synthetic per-pair utility matrix is
-disabled (``utility_matrix="default"``) so the O(m*n) matrix fill does
-not mask the solve cost being measured.
+nearby vehicles are relevant.  The process replaces the per-frame draw
+of the synthetic per-pair utility matrix with an empty table
+(``bench_matching_scale.skip_preference_draw``) so the O(m*n) matrix
+fill does not mask the solve cost being measured.
 
 Each (fleet size, configuration) cell reports wall-clock per frame,
 the served-rider totals (the unsharded baseline may allocate boundary
@@ -61,6 +62,8 @@ from repro.obs import trace as _trace
 from repro.perf import SHARD_STATS
 from repro.roadnet.generators import grid_city
 from repro.roadnet.oracle import DistanceOracle
+
+from bench_matching_scale import skip_preference_draw
 
 INF = float("inf")
 
@@ -146,7 +149,6 @@ def _run_config(
         frame_length=frame_length,
         oracle=oracle,
         seed=0,
-        utility_matrix="default",
         **kwargs,
     )
     before = SHARD_STATS.snapshot()
@@ -261,6 +263,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     args.out.parent.mkdir(parents=True, exist_ok=True)
+    skip_preference_draw()
 
     if args.smoke:
         rows = cols = 8

@@ -60,8 +60,8 @@ def eager_frame_utilities(
     rng: Optional[np.random.Generator],
 ) -> PairMatrix:
     """One dispatcher frame's matrix: this frame's draw (``rng=None``:
-    the ``"default"`` utility mode, no draw) with every pinned row
-    copied over it."""
+    none, every other pair falls back to the default) with every pinned
+    row copied over it."""
     matrix = (
         eager_vehicle_utilities(riders, vehicles, rng) if rng is not None else {}
     )
@@ -112,10 +112,9 @@ def use_eager_rows(dispatcher: "Dispatcher") -> None:
 
     def _build_instance(riders):
         instance = build_instance(dispatcher, riders)
-        rng = None
-        config = dispatcher.config
-        if config.utility_matrix == "synthetic":
-            rng = np.random.default_rng(config.seed + dispatcher._frame_index)
+        rng = np.random.default_rng(
+            dispatcher.config.seed + dispatcher._frame_index
+        )
         instance.vehicle_utilities = eager_frame_utilities(
             riders, instance.vehicles, dispatcher._pinned_utilities, rng
         )

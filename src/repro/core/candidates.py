@@ -42,7 +42,7 @@ the survivors only.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -200,8 +200,6 @@ def build_candidate_index(
     network: RoadNetwork,
     oracle: Optional[DistanceOracle] = None,
     k: int = 8,
-    cover: Optional[Iterable[int]] = None,
-    search_budget: Optional[int] = None,
     audit: bool = False,
 ) -> CandidateIndex:
     """Build a :class:`CandidateIndex` (areas + centre rows).
@@ -215,10 +213,7 @@ def build_candidate_index(
     if oracle is None:
         oracle = DistanceOracle(network)
     with _trace.span("candidates.build", nodes=len(network), k=k) as span:
-        areas = build_areas(
-            network, k, cover=cover, search_budget=search_budget,
-            oracle=oracle,
-        )
+        areas = build_areas(network, k, oracle=oracle)
         oracle.warm(areas.centers)
         index = CandidateIndex(network, areas, oracle, audit=audit)
         landmarks = oracle.landmarks()

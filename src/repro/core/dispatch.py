@@ -16,9 +16,7 @@ machine:
 - unserved riders whose pickup deadline is still live re-enter the next
   frame's batch through a bounded-retry carry-over queue; the rest expire;
 - an invalid frame raises a typed :class:`DispatchError` naming the
-  offending vehicle, or — with ``degrade=True`` — drops that vehicle's
-  *new* insertions (its earlier commitments are kept) and carries the
-  affected riders over instead of failing the whole frame;
+  offending vehicle;
 - every rider's lifecycle is tracked in a :class:`RiderStatus` ledger
   (pending → committed → delivered, or expired / cancelled), the backbone
   of the conservation invariant the chaos fuzzer asserts;
@@ -44,6 +42,7 @@ system state carries over *consistently*.
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import (
@@ -68,21 +67,19 @@ from repro.core.durability import (
     frame_summary,
     network_fingerprint,
 )
-from repro.core.grouping import GroupingPlan
+from repro.core.grouping import GroupingPlan, prepare_grouping
 from repro.core.instance import LazySchedules, URRInstance
 from repro.core.requests import Rider
 from repro.core.schedule import Stop, StopKind, TransferSequence
 from repro.core.shards import ShardPlan, solve_sharded
 from repro.core.solver import BASELINE_TIER, solve, solve_anytime
+from repro.core.utility import check_balance
 from repro.core.vehicles import Vehicle
 from repro.roadnet.areas import build_areas
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.oracle import DistanceOracle
 from repro.social.graph import SocialNetwork
-from repro.workload.instances import (
-    VehicleUtilityTable,
-    synthetic_vehicle_utilities,
-)
+from repro.workload.instances import synthetic_vehicle_utilities
 from repro.workload.serialize import rider_from_dict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -184,8 +181,8 @@ class FrameReport:
     the run total.
 
     ``changed_vehicles`` names the vehicles whose plan this frame wrote
-    (solver insertions, degrade reverts) or re-derived and audited (their
-    carried state changed since their last audit).  Every other vehicle's
+    (solver insertions) or re-derived and audited (their carried state
+    changed since their last audit).  Every other vehicle's
     plan is the one an earlier frame already reported, with the same
     arrival times, so a reader of the frame's plans (the streaming
     engine's latency spans) need only look at these.
@@ -339,6 +336,14 @@ class CommittedRiders:
                 self.shared.add(rid)
 
 
+def _non_negative(name: str, value: float) -> float:
+    """``value`` as a float; :class:`ValueError` unless finite and >= 0."""
+    value = float(value)
+    if value < 0 or not math.isfinite(value):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    return value
+
+
 #: Metadata of the :class:`DispatchConfig` fields whose derived state (the
 #: candidate index, the shard plan) a dispatcher builds at construction.
 _BUILT = {"built_once": True}
@@ -358,21 +363,16 @@ class DispatchConfig:
     method:
         Solver passed to :func:`repro.core.solver.solve` each frame.
     frame_length:
-        ``delta_j`` in minutes.
+        ``delta_j`` in minutes; finite and >= 0.
     alpha, beta:
-        Eq. 1 balancing parameters used every frame.
+        Eq. 1 balancing parameters used every frame, checked by
+        :func:`~repro.core.utility.check_balance`.
     seed:
         Seed for the per-frame vehicle-preference matrices.
     max_retries:
         Total frames a rider may be offered to the solver (1 = no
         carry-over).  Unserved riders still inside their pickup deadline
         re-enter the next frame's batch until the budget is spent.
-    degrade:
-        When a frame's plan is invalid, drop the offending vehicles' *new*
-        insertions (keeping their earlier commitments) and carry the
-        affected riders over, instead of raising :class:`DispatchError`.
-        If even the carried-in residual plan is broken the error is raised
-        regardless (state corruption must never propagate).
     validate_frames:
         Debug hook: run every frame's assignment through the independent
         :func:`repro.check.validate_assignment` oracle and raise
@@ -380,7 +380,8 @@ class DispatchConfig:
         (re-walks every schedule with fresh oracle calls); intended for
         soak tests and staging, not production dispatch.
     frame_budget:
-        Optional per-frame wall-clock budget in seconds.  When set, each
+        Optional per-frame wall-clock budget in seconds, finite and
+        >= 0 (``0.0`` skips every solver tier).  When set, each
         frame is solved through the anytime watchdog
         (:func:`repro.core.solver.solve_anytime`): the configured method
         first, then :data:`~repro.core.solver.FALLBACK_METHODS`, then the
@@ -402,12 +403,6 @@ class DispatchConfig:
         names select the same index.  Every bound is sound, so
         assignments are frame-for-frame identical across all three
         modes — only the work changes.
-    utility_matrix:
-        ``"synthetic"`` (default) samples a fresh per-frame
-        rider-vehicle preference matrix; ``"default"`` skips the O(m·n)
-        sampling and lets every pair fall back to the instance's
-        ``default_vehicle_utility`` — retrieval benchmarks use this so
-        matrix construction does not mask the matching cost.
     shard_workers:
         ``None`` (default) solves each frame as one global instance.
         ``1`` routes frames through the partition-solve-merge pipeline
@@ -427,26 +422,23 @@ class DispatchConfig:
     beta: float = 0.33
     seed: int = 0
     max_retries: int = 3
-    degrade: bool = False
     validate_frames: bool = False
     frame_budget: Optional[float] = None
     candidate_mode: str = field(default="full", metadata=_BUILT)
-    utility_matrix: str = "synthetic"
     shard_workers: Optional[int] = field(default=None, metadata=_BUILT)
     shard_count: int = field(default=8, metadata=_BUILT)
 
     def __post_init__(self) -> None:
+        _non_negative("frame_length", self.frame_length)
+        if self.frame_budget is not None:
+            _non_negative("frame_budget", self.frame_budget)
+        check_balance(self.alpha, self.beta)
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
         if self.candidate_mode not in CANDIDATE_MODES:
             raise ValueError(
                 f"unknown candidate mode {self.candidate_mode!r}; "
                 f"expected {CANDIDATE_MODES}"
-            )
-        if self.utility_matrix not in ("synthetic", "default"):
-            raise ValueError(
-                f"unknown utility_matrix {self.utility_matrix!r}; "
-                f"expected 'synthetic' or 'default'"
             )
         if self.shard_workers is not None:
             if self.shard_workers != 1:
@@ -480,8 +472,9 @@ class Dispatcher:
     oracle:
         Optional distance oracle (built on demand otherwise).
     plan:
-        Optional precomputed grouping plan (required only for GBS methods;
-        built on demand otherwise).
+        Optional precomputed grouping plan for the GBS methods.  Without
+        one the dispatcher builds its own on the first GBS frame and
+        again after each metric change (oracle epoch), never per frame.
     social:
         Optional social network shared by all frames.
     candidate_index:
@@ -531,6 +524,10 @@ class Dispatcher:
             # DistanceOracle.rebuild_budget_s)
             oracle.rebuild_budget_s = config.frame_budget
         self.plan = plan
+        # oracle epoch of the plan this dispatcher built (None: the
+        # caller's plan, or none built yet)
+        self._plan_epoch: Optional[int] = None
+        self._own_plan = plan is None
         self.social = social
         self.fleet: Dict[int, FleetVehicle] = {
             v.vehicle_id: FleetVehicle(
@@ -694,12 +691,7 @@ class Dispatcher:
         if frame_length is None:
             frame_length = config.frame_length
         else:
-            frame_length = float(frame_length)
-            if frame_length < 0 or not np.isfinite(frame_length):
-                raise ValueError(
-                    f"frame_length must be finite and >= 0, "
-                    f"got {frame_length}"
-                )
+            frame_length = _non_negative("frame_length", frame_length)
         with _trace.span(
             "dispatch.frame", frame=self._frame_index
         ) as frame_span:
@@ -722,6 +714,7 @@ class Dispatcher:
                 baselines = LazySchedules(instance)
             build_seconds = time.perf_counter() - build_start
             solve_start = time.perf_counter()
+            plan = self._grouping_plan()
             # a plan the watchdog accepted has passed the frame audit
             accepted = False
             if self._shard_plan is not None:
@@ -729,13 +722,13 @@ class Dispatcher:
                     "dispatch.solve", method=method, shards=config.shard_count
                 ):
                     assignment = solve_sharded(
-                        instance, self._shard_plan, method, self.plan
+                        instance, self._shard_plan, method, plan
                     )
                 solver_tier, fallback_tier, budget_exceeded = method, 0, False
                 tier_seconds = {method: assignment.elapsed_seconds}
             elif config.frame_budget is None:
                 with _trace.span("dispatch.solve", method=method):
-                    assignment = solve(instance, method=method, plan=self.plan)
+                    assignment = solve(instance, method=method, plan=plan)
                 solver_tier, fallback_tier, budget_exceeded = method, 0, False
                 tier_seconds = {method: assignment.elapsed_seconds}
             else:
@@ -744,7 +737,7 @@ class Dispatcher:
                         instance,
                         method=method,
                         budget=config.frame_budget,
-                        plan=self.plan,
+                        plan=plan,
                         accept=lambda a: self._first_violation(instance, a),
                     )
                 solver_tier = anytime.tier
@@ -761,9 +754,7 @@ class Dispatcher:
             audit_start = time.perf_counter()
             if not accepted:
                 with _trace.span("dispatch.audit"):
-                    assignment = self._enforce_validity(
-                        instance, assignment, baselines
-                    )
+                    self._enforce_validity(instance, assignment)
             audit_seconds = time.perf_counter() - audit_start
             # every changed vehicle's plan passed the audit
             self._dirty.clear()
@@ -914,14 +905,11 @@ class Dispatcher:
     # ------------------------------------------------------------------
     # disruptions
     # ------------------------------------------------------------------
-    def inject(
-        self, events: Sequence["Disruption"], **engine_kwargs
-    ) -> List["DisruptionOutcome"]:
+    def inject(self, events: Sequence["Disruption"]) -> List["DisruptionOutcome"]:
         """Apply typed mid-horizon faults between frames.
 
-        Delegates to :class:`repro.core.disruptions.DisruptionEngine`
-        (``engine_kwargs`` are forwarded to its constructor — grace
-        periods and the like).  The returned outcomes are the only
+        Delegates to :class:`repro.core.disruptions.DisruptionEngine`.
+        The returned outcomes are the only
         record of the disruptions: the dispatcher keeps none, so a
         caller that wants a log collects them.  Call between
         :meth:`dispatch_frame` calls only; the engine repairs committed
@@ -934,7 +922,7 @@ class Dispatcher:
         with _trace.span(
             "dispatch.inject", frame=self._frame_index, events=len(events)
         ):
-            engine = DisruptionEngine(self, **engine_kwargs)
+            engine = DisruptionEngine(self)
             outcomes = engine.apply(events)
         # disruptions strike between frames; their repair cost is
         # attributed to the frame that follows them (FrameReport.perf)
@@ -975,6 +963,19 @@ class Dispatcher:
                 f"rider ids must be unique across the dispatch run; "
                 f"already seen: {sorted(clash)[:5]}"
             )
+
+    def _grouping_plan(self) -> Optional[GroupingPlan]:
+        """The GBS plan for this frame: the caller's, or this dispatcher's
+        own, built once per oracle epoch (a metric change re-derives it)."""
+        if (
+            self._own_plan
+            and self.config.method.startswith("gbs")
+            and self._plan_epoch != self.oracle.epoch
+        ):
+            with _trace.span("dispatch.prepare_grouping"):
+                self.plan = prepare_grouping(self.network)
+            self._plan_epoch = self.oracle.epoch
+        return self.plan
 
     def _frame_violations(
         self, instance: URRInstance, assignment: Assignment
@@ -1059,49 +1060,23 @@ class Dispatcher:
         return None
 
     def _enforce_validity(
-        self,
-        instance: URRInstance,
-        assignment: Assignment,
-        baselines: LazySchedules,
-    ) -> Assignment:
-        """Audit the frame's plan; raise :class:`DispatchError` or degrade."""
+        self, instance: URRInstance, assignment: Assignment
+    ) -> None:
+        """Audit the frame's plan; raise :class:`DispatchError` if invalid."""
         offending, duplicates = self._frame_violations(instance, assignment)
         if not offending and not duplicates:
-            return assignment
-        if not self.config.degrade:
-            vid, violations = (
-                next(iter(offending.items())) if offending else (None, duplicates)
-            )
-            raise DispatchError(
-                f"frame {self._frame_index} produced an invalid plan "
-                f"({'vehicle ' + str(vid) if vid is not None else 'cross-vehicle'}): "
-                f"{violations[0]}",
-                frame_index=self._frame_index,
-                vehicle_id=vid,
-                violations=list(violations) + duplicates,
-            )
-
-        # degrade: revert offending vehicles to their carried-in residual
-        # plan; their newly inserted riders fall back into the carry-over
-        # pool via the normal unserved path
-        for vid in offending:
-            assignment.schedules[vid] = baselines[vid]
-        still, duplicates = self._frame_violations(instance, assignment)
-        remaining = [
-            f"vehicle {vid}: {error}"
-            for vid, errors in still.items()
-            for error in errors
-        ] + duplicates
-        if remaining:
-            # the carried-in state itself is broken — degrading cannot help
-            raise DispatchError(
-                f"frame {self._frame_index} invalid even after degrading "
-                f"{sorted(offending)}: {remaining[0]}",
-                frame_index=self._frame_index,
-                vehicle_id=sorted(offending)[0] if offending else None,
-                violations=remaining,
-            )
-        return assignment
+            return
+        vid, violations = (
+            next(iter(offending.items())) if offending else (None, duplicates)
+        )
+        raise DispatchError(
+            f"frame {self._frame_index} produced an invalid plan "
+            f"({'vehicle ' + str(vid) if vid is not None else 'cross-vehicle'}): "
+            f"{violations[0]}",
+            frame_index=self._frame_index,
+            vehicle_id=vid,
+            violations=list(violations) + duplicates,
+        )
 
     def _commitment_errors(
         self, vehicle: Vehicle, seq: TransferSequence
@@ -1324,7 +1299,6 @@ class Dispatcher:
         social: Optional[SocialNetwork] = None,
         plan: Optional[GroupingPlan] = None,
         candidate_index: Optional["CandidateIndex"] = None,
-        verify: bool = True,
         **overrides,
     ) -> "Dispatcher":
         """Resume a crashed run from its checkpoint directory.
@@ -1341,8 +1315,7 @@ class Dispatcher:
         3. re-apply every piece of cross-frame state (fleet plans,
            carry-over queue, ledger, pinned utilities, running totals,
            frame cursor);
-        4. with ``verify`` (default), audit the restored fleet through
-           the independent :func:`repro.check.validator.validate_fleet_state`
+        4. audit the restored fleet through the independent :func:`repro.check.validator.validate_fleet_state`
            oracle — corrupt state fails loudly here, not frames later;
         5. replay the WAL tail through :meth:`dispatch_frame` (dispatch
            is deterministic given the frame inputs, and the replayed
@@ -1399,15 +1372,12 @@ class Dispatcher:
             **asdict(config),
         )
         apply_snapshot_state(dispatcher, snapshot)
-        if verify:
-            # imported lazily: repro.check depends on repro.core
-            from repro.check.validator import validate_fleet_state
+        # imported lazily: repro.check depends on repro.core
+        from repro.check.validator import validate_fleet_state
 
-            validate_fleet_state(
-                dispatcher.fleet.values(),
-                dispatcher.clock,
-                oracle=dispatcher.oracle,
-            ).raise_if_invalid()
+        validate_fleet_state(
+            dispatcher.fleet.values(), dispatcher.clock, oracle=dispatcher.oracle
+        ).raise_if_invalid()
         # replay the WAL tail: frames committed after the last snapshot
         log.suspend()
         try:
@@ -1477,12 +1447,8 @@ class Dispatcher:
     def _build_instance(self, riders: List[Rider]) -> URRInstance:
         config = self.config
         vehicles = self._sync_fleet()
-        if config.utility_matrix == "synthetic":
-            rng = np.random.default_rng(config.seed + self._frame_index)
-            table = synthetic_vehicle_utilities(riders, vehicles, rng)
-        else:
-            # "default": every pair falls back to default_vehicle_utility
-            table = VehicleUtilityTable((), (), np.empty((0, 0)))
+        rng = np.random.default_rng(config.seed + self._frame_index)
+        table = synthetic_vehicle_utilities(riders, vehicles, rng)
         # pinned rows win over this frame's draw; layered by reference
         # (never edited in place — _pin_utilities replaces the dict)
         matrix = table.layered(self._pinned_utilities)

@@ -56,6 +56,15 @@ from repro.obs import trace as _trace
 
 _EPS = 1e-9
 
+#: Multiplier on a stranded rider's strand-point-to-destination shortest
+#: cost that, added to the new pickup deadline, bounds the rewritten
+#: drop-off deadline (the original deadline is kept when looser).
+STRAND_DETOUR_FACTOR = 1.5
+
+#: Margin (minutes) added beyond the recomputed arrival when an onboard
+#: rider's drop-off deadline must stretch after a travel-time perturbation.
+EXTENSION_SLACK = 1e-6
+
 
 class DisruptionKind(enum.Enum):
     """Event taxonomy (one per event dataclass)."""
@@ -177,42 +186,13 @@ class DisruptionOutcome:
 class DisruptionEngine:
     """Applies disruptions to a :class:`Dispatcher` between frames.
 
-    Parameters
-    ----------
-    dispatcher:
-        The dispatcher whose state is mutated in place.
-    strand_grace:
-        How long (minutes) a stranded rider will wait at the strand point
-        for a replacement pickup; their rewritten pickup deadline is the
-        moment they are standing there plus this grace.  Defaults to two
-        frame lengths.
-    strand_detour_factor:
-        Multiplier on the strand-point-to-destination shortest cost that
-        (together with the new pickup deadline) bounds the rewritten
-        drop-off deadline; the original deadline is kept when looser.
-    extension_slack:
-        Margin (minutes) added beyond the recomputed arrival when an
-        onboard rider's drop-off deadline must be stretched after a
-        travel-time perturbation.
+    A stranded rider waits at the strand point for two frame lengths:
+    their rewritten pickup deadline is the moment they stand there plus
+    ``2 * frame_length``.
     """
 
-    def __init__(
-        self,
-        dispatcher: Dispatcher,
-        strand_grace: Optional[float] = None,
-        strand_detour_factor: float = 1.5,
-        extension_slack: float = 1e-6,
-    ) -> None:
+    def __init__(self, dispatcher: Dispatcher) -> None:
         self.dispatcher = dispatcher
-        if strand_grace is None:
-            strand_grace = 2.0 * dispatcher.config.frame_length
-        if strand_grace <= 0:
-            raise ValueError("strand_grace must be positive")
-        if strand_detour_factor <= 0:
-            raise ValueError("strand_detour_factor must be positive")
-        self.strand_grace = strand_grace
-        self.strand_detour_factor = strand_detour_factor
-        self.extension_slack = extension_slack
 
     # ------------------------------------------------------------------
     def apply(self, events: Sequence[Disruption]) -> List[DisruptionOutcome]:
@@ -274,10 +254,10 @@ class DisruptionEngine:
                 d.ledger[rider.rider_id] = RiderStatus.EXPIRED
                 expired.append(rider.rider_id)
                 continue
-            pickup_deadline = avail + self.strand_grace
+            pickup_deadline = avail + 2.0 * d.config.frame_length
             dropoff_deadline = max(
                 rider.dropoff_deadline,
-                pickup_deadline + self.strand_detour_factor * shortest,
+                pickup_deadline + STRAND_DETOUR_FACTOR * shortest,
             )
             d._requeue(
                 dataclasses.replace(
@@ -563,7 +543,7 @@ class DisruptionEngine:
             # swapping the rider object consistently everywhere it appears
             replacement = dataclasses.replace(
                 stop.rider,
-                dropoff_deadline=arrival + self.extension_slack,
+                dropoff_deadline=arrival + EXTENSION_SLACK,
             )
             fv.onboard = tuple(
                 replacement if r.rider_id == rid else r for r in fv.onboard

@@ -82,8 +82,9 @@ PathLike = Union[str, Path]
 #: stores the config as the dispatcher's ``DispatchConfig`` fields (the
 #: watchdog's ``fallbacks`` chain is no longer a setting); version 4
 #: stores running totals and the preloaded rider ids in place of the
-#: per-frame report summaries and the seen-id list.
-CHECKPOINT_VERSION = 4
+#: per-frame report summaries and the seen-id list; version 5 drops the
+#: ``degrade`` and ``utility_matrix`` settings from the config.
+CHECKPOINT_VERSION = 5
 
 #: Named crash-injection points, in the order they occur inside
 #: :meth:`DurabilityLog.commit_frame`.

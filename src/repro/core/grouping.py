@@ -207,7 +207,6 @@ def filter_vehicles_for_group(
     rt_max = max(r.pickup_deadline for r in group)
     slack = rt_max - state.instance.start_time
     oracle = plan.oracle
-    oracle.warm((center,))  # no-op while pinned; refills a deferred row
     row = oracle.pinned_block()[oracle.pinned_row(center)]
     bound = plan.short_trip_bound
     if view is not None and view.vehicles is vehicles:

@@ -54,7 +54,6 @@ def solve(
     plan: Optional[GroupingPlan] = None,
     k: int = 8,
     opt_max_riders: int = 10,
-    local_search: bool = False,
     validate: bool = False,
 ) -> Assignment:
     """Solve a URR instance with the chosen approach.
@@ -73,12 +72,6 @@ def solve(
         k-path-cover parameter when a plan must be built.
     opt_max_riders:
         Safety bound forwarded to :func:`~repro.core.exact.solve_optimal`.
-    local_search:
-        When true, run the relocate/inject/swap hill climb
-        (:func:`~repro.core.local_search.improve_assignment`) on the
-        heuristic's result before returning (ignored for ``"opt"``, which
-        is already optimal).  The improvement time is counted in
-        ``elapsed_seconds``.
     validate:
         Debug hook: run every committed schedule through the independent
         :func:`repro.check.validate_schedule` oracle (raises
@@ -130,11 +123,6 @@ def solve(
             schedules=state.schedules,
             solver_name=method,
         )
-        if local_search:
-            from repro.core.local_search import improve_assignment
-
-            with _trace.span("solver.local_search"):
-                assignment, _ = improve_assignment(assignment)
         assignment.elapsed_seconds = time.perf_counter() - start
         if _trace.enabled():  # num_served walks every schedule
             solve_span.annotate(served=assignment.num_served)

@@ -41,6 +41,15 @@ def trajectory_utility(sigma: float) -> float:
     return 2.0 / (1.0 + math.exp(exponent))
 
 
+def check_balance(alpha: float, beta: float) -> None:
+    """Raise :class:`ValueError` unless ``alpha, beta >= 0`` and
+    ``alpha + beta <= 1`` (NaN fails)."""
+    if not (alpha >= 0 and beta >= 0 and alpha + beta <= 1 + 1e-12):
+        raise ValueError(
+            f"need alpha, beta >= 0 and alpha + beta <= 1; got ({alpha}, {beta})"
+        )
+
+
 class UtilityModel:
     """Evaluates Eq. 1 utilities for riders on scheduled vehicles.
 
@@ -64,10 +73,7 @@ class UtilityModel:
         similarity: SimilarityFn,
         cost: CostFn,
     ) -> None:
-        if alpha < 0 or beta < 0 or alpha + beta > 1 + 1e-12:
-            raise ValueError(
-                f"need alpha, beta >= 0 and alpha + beta <= 1; got ({alpha}, {beta})"
-            )
+        check_balance(alpha, beta)
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.vehicle_utility = vehicle_utility

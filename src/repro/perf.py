@@ -359,7 +359,7 @@ class FramePerf(PerfReport):
     - ``solve_seconds`` — the solver (all watchdog tiers included);
     - ``tier_seconds`` — solver time by tier name (one entry without a
       watchdog, one per attempted tier with one);
-    - ``audit_seconds`` — the frame audit (degrade included);
+    - ``audit_seconds`` — the frame audit;
     - ``validate_seconds`` — the opt-in ``validate_frames`` audit;
     - ``roll_seconds`` — rolling every vehicle to the next clock;
     - ``disruption_seconds`` — time spent in ``Dispatcher.inject`` since

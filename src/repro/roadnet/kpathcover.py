@@ -1,4 +1,4 @@
-"""Pruning-based k-path cover (Section 6.1).
+"""Pruning-based k-path covers (Section 6.1).
 
 The grouping-based scheduling (GBS) approach selects *key vertices* that form
 the skeleton of the road network.  The paper uses the minimum
@@ -6,12 +6,13 @@ k-shortest-path-cover algorithm of Funke, Nusser & Storandt (PVLDB 2014),
 whose *QuickPruning* scheme starts with the full vertex set and removes every
 vertex whose removal leaves no uncovered path of ``k`` vertices.
 
-We implement the same pruning scheme on the (more conservative) **k-path
-cover** formulation: ``V'`` must hit every *simple* path with ``k`` vertices.
-Every k-path cover is also a k-shortest-path cover, so all structural
-guarantees the GBS algorithm relies on (in particular the ``d_max * k``
-short-trip radius bound) continue to hold.  This substitution is recorded in
-DESIGN.md.
+:func:`k_shortest_path_cover` is that cover, the paper's k-SPC: ``V'`` must
+hit every *shortest* path with ``k`` vertices.  It is what
+:func:`~repro.roadnet.areas.build_areas` builds by default, so every area
+cover in the system (GBS plans, the candidate index, the shard plan) is a
+k-SPC.  :func:`k_path_cover` runs the same pruning on the more conservative
+all-paths formulation (``V'`` hits every *simple* path with ``k`` vertices;
+every such cover is also a k-SPC) and is kept as a cross-check for tests.
 
 Correctness argument for pruning: take any simple k-vertex path ``P`` that
 avoids the final cover, and let ``v`` be the last vertex of ``P`` removed.

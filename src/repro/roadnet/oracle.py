@@ -531,9 +531,6 @@ class DistanceOracle:
         if self._apsp is not None:
             row = self._apsp_matrix[self.column(source)]
         else:
-            if source in self._pinned_sources and source not in self._pin_rows:
-                # pinned, but dropped by invalidate(recompute_pinned=False)
-                self._pin((source,))
             slot = self._pin_rows.get(source)
             if slot is None:
                 return self._search_from(source)
@@ -841,7 +838,7 @@ class DistanceOracle:
         self._pin_block = None
         self._pin_view = None
 
-    def invalidate(self, recompute_pinned: bool = True) -> None:
+    def invalidate(self) -> None:
         """Drop the caches a network change may have made stale; call
         after mutating the underlying network.
 
@@ -849,9 +846,7 @@ class DistanceOracle:
         rows are dropped with everything else, but each pinned source
         is immediately re-solved against the mutated network into a new
         block, so warmed rows are never silently stale and stay hot for
-        the next frame.  Pass ``recompute_pinned=False`` to defer that
-        work (a pinned row then refills on its next :meth:`costs_from`
-        or :meth:`warm`).  Use :meth:`unpin` to forget the pins entirely.
+        the next frame.  Use :meth:`unpin` to forget the pins entirely.
 
         Tier-1 structures (CH, landmark rows) are dropped too and rebuilt on
         the next query, or at once when pinned rows are re-filled through
@@ -874,7 +869,6 @@ class DistanceOracle:
         with _trace.span(
             "oracle.invalidate",
             pinned=len(self._pinned_sources),
-            recompute_pinned=recompute_pinned,
             tier=self._tier if self._tier is not None else -1,
         ) as span:
             was_degraded = self._degraded_epoch == self.epoch
@@ -917,7 +911,7 @@ class DistanceOracle:
                 kept=len(self._pair_cache),
                 cleared=cached - len(self._pair_cache),
             )
-            if recompute_pinned and self._pinned_sources:
+            if self._pinned_sources:
                 self.warm(sorted(self._pinned_sources))
 
     def _keep_unaffected_pairs(

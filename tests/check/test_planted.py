@@ -146,12 +146,10 @@ def _stale_landmarks(monkeypatch):
 
     invalidate = DistanceOracle.invalidate
 
-    def keep_rows(self, recompute_pinned=True):
+    def keep_rows(self):
         kept = self._landmark_nodes, self._landmarks
-        invalidate(self, recompute_pinned=False)
+        invalidate(self)
         self._landmark_nodes, self._landmarks = kept
-        if recompute_pinned and self._pinned_sources:
-            self.warm(sorted(self._pinned_sources))  # on the stale rows
 
     monkeypatch.setattr(DistanceOracle, "invalidate", keep_rows)
 

@@ -18,6 +18,7 @@ from repro.core.requests import Rider
 from repro.core.scoring import SolverState
 from repro.core.vehicles import Vehicle
 from repro.perf import CANDIDATE_STATS
+from repro.roadnet.areas import build_areas
 from repro.roadnet.generators import grid_city
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.oracle import DistanceOracle
@@ -236,7 +237,9 @@ class TestEdgeCases:
             net.add_edge(i, i + 1, 1.0)
         net.add_edge(10, 11, 1.0)  # island, unreachable from the line
         oracle = DistanceOracle(net)
-        index = build_candidate_index(net, oracle=oracle, cover=[0])
+        areas = build_areas(net, 8, cover=[0], oracle=oracle)
+        oracle.warm(areas.centers)
+        index = CandidateIndex(net, areas, oracle)
         # island nodes own themselves (singleton areas), and a vehicle
         # on the island is pruned for a mainland pickup: provably
         # unreachable, and the exact filter agrees

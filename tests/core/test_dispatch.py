@@ -75,6 +75,36 @@ class TestConstruction:
         with pytest.raises(TypeError, match="fallbacks"):
             Dispatcher(city, fleet, fallbacks=("cf",))
 
+    def test_config_fields_are_pinned(self):
+        # a new setting must show up here as a deliberate test change
+        assert [f.name for f in dataclasses.fields(DispatchConfig)] == [
+            "method", "frame_length", "alpha", "beta", "seed", "max_retries",
+            "validate_frames", "frame_budget", "candidate_mode",
+            "shard_workers", "shard_count",
+        ]
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"frame_length": -5.0},
+            {"frame_length": float("nan")},
+            {"frame_budget": -1.0},
+            {"alpha": 2.0},
+        ],
+        ids=["negative-frame", "nan-frame", "negative-budget", "alpha"],
+    )
+    def test_settings_that_break_the_run_are_rejected(self, setting):
+        name = next(iter(setting))
+        with pytest.raises(ValueError, match=name):
+            DispatchConfig(**setting)
+
+    def test_bad_alpha_writes_no_base_snapshot(self, city, tmp_path):
+        with pytest.raises(ValueError, match="alpha"):
+            Dispatcher(
+                city, [Vehicle(0, 0, 2)], alpha=2.0, durability=str(tmp_path)
+            )
+        assert not list(tmp_path.iterdir())
+
     def test_live_config_keeps_build_fields(self, city):
         d = Dispatcher(city, [Vehicle(0, 0, 2)])
         d.config = dataclasses.replace(d.config, validate_frames=True)
@@ -530,98 +560,12 @@ class TestDispatchError:
         assert err.vehicle_id == 0
         assert err.violations
 
-    def test_degrade_reverts_new_insertions(self, city, monkeypatch):
-        dispatcher = _long_trip_dispatcher(city, degrade=True)
-        dispatcher.dispatch_frame(_interleaved_trips())
-        bogus = make_rider(99, source=5, destination=6,
-                           pickup_deadline=1000.0, dropoff_deadline=2000.0)
-
-        def orphan_dropoff(assignment):
-            seq = assignment.schedules[0]
-            assignment.schedules[0] = seq.with_stops(
-                list(seq.stops) + [Stop.dropoff(bogus)]
-            )
-
-        monkeypatch.setattr(
-            "repro.core.dispatch.solve", _corrupting_solve(orphan_dropoff)
-        )
-        new_rider = make_rider(2, source=0, destination=1,
-                               pickup_deadline=100.0, dropoff_deadline=300.0)
-        report = dispatcher.dispatch_frame([new_rider])
-        # the offending vehicle fell back to its committed residual plan:
-        # the frame survives, the commitment stands, the new rider waits
-        assert report.assignment.is_valid()
-        seq = report.assignment.schedules[0]
-        assert 0 in seq.rider_ids()
-        assert report.num_served == 0
-        assert [r.rider_id for r in dispatcher.pending_requests] == [2]
-
-    def test_degrade_recovers_dropped_commitments(self, city, monkeypatch):
-        dispatcher = _long_trip_dispatcher(city, degrade=True)
-        dispatcher.dispatch_frame(_interleaved_trips())
-
-        def drop_commitments(assignment):
-            seq = assignment.schedules[0]
-            assignment.schedules[0] = seq.with_stops(
-                [s for s in seq.stops if s.rider.rider_id != 0]
-            )
-
-        monkeypatch.setattr(
-            "repro.core.dispatch.solve", _corrupting_solve(drop_commitments)
-        )
-        # degrading restores the baseline, which still carries rider 0 --
-        # so this corruption is recoverable and must NOT raise
-        report = dispatcher.dispatch_frame([])
-        assert 0 in report.assignment.schedules[0].rider_ids()
-
-    def test_degrade_reverted_plan_is_byte_identical_baseline(
-        self, city, monkeypatch
-    ):
-        """The reverted vehicle commits *exactly* its carried-in residual
-        plan — same stops, same arrival times — and every dropped new
-        rider re-enters the carry-over queue."""
-        dispatcher = _long_trip_dispatcher(city, degrade=True)
-        dispatcher.dispatch_frame(_interleaved_trips())
-        fv = dispatcher.fleet[0]
-        baseline_stops = fv.committed_stops
-        baseline_ready = fv.ready_time
-        bogus = make_rider(99, source=5, destination=6,
-                           pickup_deadline=1000.0, dropoff_deadline=2000.0)
-
-        def orphan_dropoff(assignment):
-            seq = assignment.schedules[0]
-            assignment.schedules[0] = seq.with_stops(
-                list(seq.stops) + [Stop.dropoff(bogus)]
-            )
-
-        monkeypatch.setattr(
-            "repro.core.dispatch.solve", _corrupting_solve(orphan_dropoff)
-        )
-        new_riders = [
-            make_rider(2, source=0, destination=1,
-                       pickup_deadline=100.0, dropoff_deadline=300.0),
-            make_rider(3, source=2, destination=3,
-                       pickup_deadline=100.0, dropoff_deadline=300.0),
-        ]
-        report = dispatcher.dispatch_frame(new_riders)
-        committed = report.assignment.schedules[0]
-        # the committed schedule IS the carried-in baseline, stop for stop
-        assert tuple(committed.stops) == tuple(baseline_stops)
-        assert committed.start_time == pytest.approx(
-            max(report.frame_start, baseline_ready)
-        )
-        assert report.num_served == 0
-        # both dropped riders wait in the queue with live retry budgets
-        assert sorted(
-            r.rider_id for r in dispatcher.pending_requests
-        ) == [2, 3]
-
     def test_broken_carried_state_raises_even_with_degrade(self, city):
-        dispatcher = _long_trip_dispatcher(city, degrade=True)
+        dispatcher = _long_trip_dispatcher(city)
         dispatcher.dispatch_frame(_interleaved_trips())
         # corrupt the fleet state itself: the vehicle now reaches its
-        # committed drop-off long past the rider's deadline, so even the
-        # reverted baseline is invalid and degrade must not mask it
+        # committed drop-off long past the rider's deadline, so the
+        # carried-in plan is invalid and no frame may commit over it
         dispatcher.fleet[0].ready_time += 1000.0
         with pytest.raises(DispatchError):
             dispatcher.dispatch_frame([])
@@ -884,3 +828,57 @@ class TestIncrementalFrameState:
         assert excinfo.value.vehicle_id is None
         assert any("rider 1 assigned to vehicles" in v
                    for v in excinfo.value.violations)
+
+
+class TestGroupingPlan:
+    """A GBS dispatcher given no plan builds one per oracle epoch."""
+
+    @staticmethod
+    def _run(monkeypatch):
+        """Four frames of ``gbs+eg`` with a perturbation before the third;
+        returns the number of plans built and each frame's plans."""
+        from repro.core import grouping
+        from repro.core.disruptions import TravelTimePerturbation
+
+        builds = []
+        build_areas = grouping.build_areas
+
+        def counting(*args, **kwargs):
+            builds.append(args[0])
+            return build_areas(*args, **kwargs)
+
+        monkeypatch.setattr(grouping, "build_areas", counting)
+        # its own city: the perturbation edits the network in place
+        city = grid_city(8, 8, seed=2, removal_fraction=0.0,
+                         arterial_every=None)
+        fleet = [Vehicle(0, 0, 2), Vehicle(1, 63, 2), Vehicle(2, 27, 3)]
+        d = Dispatcher(city, fleet, method="gbs+eg", frame_length=10.0, seed=3)
+        frames = []
+        for f in range(4):
+            if f == 2:
+                d.inject([TravelTimePerturbation(factors=((9, 10, 3.0),))])
+            report = d.dispatch_frame(
+                frame_requests(city, 6, f * 10.0, seed=40 + f, id_base=10 * f)
+            )
+            schedules = report.assignment.schedules
+            frames.append((
+                report.num_served,
+                {
+                    vid: (
+                        [(s.kind, s.rider.rider_id) for s in schedules[vid].stops],
+                        list(schedules[vid].arrive),
+                    )
+                    for vid in sorted(d.fleet)
+                },
+            ))
+        return len(builds), frames
+
+    def test_plan_is_built_once_per_oracle_epoch(self, monkeypatch):
+        builds, frames = self._run(monkeypatch)
+        assert builds == 2  # the first frame, and after the perturbation
+        assert sum(served for served, _ in frames) > 0
+        # the reference builds a fresh plan inside every solve
+        monkeypatch.setattr(Dispatcher, "_grouping_plan", lambda self: None)
+        rebuilds, reference = self._run(monkeypatch)
+        assert rebuilds == 4
+        assert frames == reference

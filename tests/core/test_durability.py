@@ -147,7 +147,7 @@ class TestRoundTrip:
         with make_dispatcher(city, "plain", durability=str(tmp_path)) as d:
             for f in range(2):
                 d.dispatch_frame(frame_requests(f, f * 10))
-        # restore(verify=True) already audits; this asserts it explicitly
+        # restore() already audits; this asserts it explicitly
         with Dispatcher.restore(str(tmp_path)) as restored:
             validate_fleet_state(
                 restored.fleet.values(), restored.clock,
@@ -232,14 +232,16 @@ class TestGuards:
         # and shard fault counters in every frame summary; version 2
         # stored the watchdog's fallback chain; versions 1 to 3 kept a
         # summary of every frame and the seen rider ids in place of the
-        # running totals.  Restoring any of them must fail as a
-        # CheckpointError, not a TypeError or KeyError from the layout
+        # running totals; version 4 stored the degrade and utility_matrix
+        # settings.  Restoring any of them must fail as a CheckpointError,
+        # not a TypeError or KeyError from the layout
         legacy_config = {
             1: {"shard_workers": 1, "shard_timeout": 30.0, "shard_retries": 2},
             2: {"fallbacks": ["eg", "cf"]},
             3: {},
+            4: {"degrade": False, "utility_matrix": "synthetic"},
         }
-        assert CHECKPOINT_VERSION == 4
+        assert CHECKPOINT_VERSION == 5
         for version, config in legacy_config.items():
             directory = tmp_path / f"v{version}"
             durable = str(directory)
@@ -252,6 +254,7 @@ class TestGuards:
                 payload["format_version"] = version
                 if name == "snapshot.json":
                     payload["config"].update(config)
+                if name == "snapshot.json" and version < 4:
                     del payload["totals"], payload["preloaded_rider_ids"]
                     payload.update(
                         oracle_epoch=0,

@@ -6,7 +6,7 @@ construction (:func:`repro.check.utilities.use_eager_rows`).  Frame by
 frame, the two must hand the solver equal matrices, keep equal pinned
 rows (in the same order) and commit the same frames — across carried
 riders, onboard riders, breakdowns that remove vehicles named by pinned
-rows, serial sharding, and the ``"default"`` utility mode.
+rows, and serial sharding.
 """
 
 import random
@@ -72,8 +72,8 @@ def disruptions(dispatcher, frame):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{}, {"shard_workers": 1, "shard_count": 2}, {"utility_matrix": "default"}],
-    ids=["global", "sharded", "default-utilities"],
+    [{}, {"shard_workers": 1, "shard_count": 2}],
+    ids=["global", "sharded"],
 )
 def test_table_matches_eager_builder_frame_by_frame(city, kwargs):
     with make_dispatcher(city, **kwargs) as table_run, \
@@ -108,5 +108,4 @@ def test_table_matches_eager_builder_frame_by_frame(city, kwargs):
             ]
         # the run exercised the cases the overlay exists for
         assert saw_carried_pins
-        if kwargs.get("utility_matrix") != "default":
-            assert saw_removed_vehicle
+        assert saw_removed_vehicle

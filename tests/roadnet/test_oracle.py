@@ -366,19 +366,6 @@ class TestWarmPinning:
         assert oracle.cost(0, 2) == pytest.approx(11.0)
         assert oracle.dijkstra_count == before
 
-    def test_invalidate_can_skip_pinned_recompute(self, small_grid):
-        oracle = DistanceOracle(small_grid, apsp_threshold=0)
-        oracle.warm([0])
-        before = oracle.dijkstra_count
-        oracle.invalidate(recompute_pinned=False)
-        assert oracle.dijkstra_count == before  # no eager work
-        oracle.costs_from(0)  # lazily rebuilt on next query
-        assert oracle.dijkstra_count == before + 1
-        assert oracle.stats()["pinned_sources"] == 1  # still pinned
-        for node in range(1, 8):
-            oracle.costs_from(node)
-        assert _served_hot(oracle, 0)
-
     def test_invalidate_bumps_epoch(self, small_grid):
         oracle = DistanceOracle(small_grid)
         assert oracle.epoch == 0

@@ -69,7 +69,7 @@ def _mutate(net: RoadNetwork, factor: float) -> None:
 
 
 _OPS = st.lists(
-    st.sampled_from(["warm", "unpin", "invalidate", "invalidate_lazy"]),
+    st.sampled_from(["warm", "unpin", "invalidate"]),
     min_size=1,
     max_size=6,
 )
@@ -94,10 +94,7 @@ class TestPinnedBlock:
                 assert oracle.stats()["pinned_sources"] == 0
             else:
                 _mutate(net, data.draw(st.sampled_from([0.5, 2.0])))
-                oracle.invalidate(recompute_pinned=op == "invalidate")
-                if op == "invalidate_lazy":
-                    for source in sorted(oracle._pinned_sources):
-                        oracle.costs_from(source)  # refills lazily
+                oracle.invalidate()
             _assert_pinned_rows_exact(oracle)
             # a point query whose canonical source is pinned reads its row
             for source in sorted(oracle._pinned_sources):
