@@ -87,15 +87,13 @@ def prepare_grouping(
     network: RoadNetwork,
     k: int = 8,
     d_max: Optional[float] = None,
-    search_budget: Optional[int] = None,
 ) -> GroupingPlan:
     """Preprocess a road network for GBS (Eq. 10 split + Algorithm 4)."""
     if d_max is None:
         d_max = default_d_max(network)
     split = split_long_edges(network, d_max).network
-    kwargs = {} if search_budget is None else {"search_budget": search_budget}
     oracle = DistanceOracle(split, apsp_threshold=0)
-    areas = build_areas(split, k, oracle=oracle, **kwargs)
+    areas = build_areas(split, k, oracle=oracle)
     oracle.cache_sources = max(oracle.cache_sources, 2 * areas.num_areas)
     # warm the centre->anywhere distances now: the fast vehicle filter needs
     # them and this is offline road-network preprocessing, not solve time
@@ -299,7 +297,6 @@ def estimate_best_k(
     k_min: int = 2,
     k_max: int = 16,
     d_max: Optional[float] = None,
-    search_budget: Optional[int] = None,
 ) -> Tuple[int, Dict[int, int]]:
     """Section 6.3: binary-search the ``k`` whose area count matches the
     cost model's optimal ``eta``.
@@ -317,12 +314,11 @@ def estimate_best_k(
     split = split_long_edges(network, d_max).network
     s = split.num_nodes
     probed: Dict[int, int] = {}
-    kwargs = {} if search_budget is None else {"search_budget": search_budget}
     oracle = DistanceOracle(split)
 
     def eta_of(k: int) -> int:
         if k not in probed:
-            cover = k_shortest_path_cover(split, k, oracle=oracle, **kwargs)
+            cover = k_shortest_path_cover(split, k, oracle=oracle)
             probed[k] = max(len(cover), 1)
         return probed[k]
 

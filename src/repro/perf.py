@@ -272,8 +272,11 @@ def _hit_rate(stats: Counters) -> float:
 #: hop-local rows) and ``batch_fallbacks`` how many of them the verifier
 #: sent back to ``dijkstra()`` (also in ``dijkstra_count``).
 #: ``landmark_rows`` counts the ``dijkstra()`` runs that pick and fill the
-#: tier-1 landmark rows (not in ``dijkstra_count``).  Derived:
-#: ``searches``, the graph work (Dijkstras, bidirectional runs, CH queries,
+#: tier-1 landmark rows (not in ``dijkstra_count``; a new epoch re-fills
+#: the kept landmarks' rows in the batched pass, ``batch_rows``), and
+#: ``nodes_recontracted`` the nodes whose witness searches a rebuild
+#: after a metric change ran again (the others replayed their record).
+#: Derived: ``searches``, the graph work (Dijkstras, bidirectional runs, CH queries,
 #: batched rows, each fallback row counted once, and landmark searches),
 #: and ``hit_rate``, the fraction of queries answered without a search.
 #: Every search counts as a miss; in APSP mode every query after the
@@ -284,7 +287,8 @@ ORACLE_STATS = Counters(
     "oracle",
     ["query_count", "dijkstra_count", "bidirectional_count",
      "ch_query_count", "pair_cache_hits", "source_cache_hits",
-     "batch_rows", "batch_fallbacks", "pairs_kept", "landmark_rows"],
+     "batch_rows", "batch_fallbacks", "pairs_kept", "landmark_rows",
+     "nodes_recontracted"],
     gauges={
         "mode": "", "nodes": 0, "pair_cache_size": 0,
         "source_cache_size": 0, "row_cache_size": 0, "pinned_sources": 0,

@@ -90,7 +90,6 @@ def build_areas(
     network: RoadNetwork,
     k: int,
     cover: Optional[Iterable[int]] = None,
-    search_budget: Optional[int] = None,
     mode: str = "shortest",
     oracle: Optional["DistanceOracle"] = None,
 ) -> AreaIndex:
@@ -104,8 +103,6 @@ def build_areas(
         Path-cover parameter; larger ``k`` means fewer, larger areas.
     cover:
         Precomputed key vertices.  When omitted the cover is computed here.
-    search_budget:
-        Forwarded to the cover algorithm.
     mode:
         ``"shortest"`` (default — the paper's k-SPC) covers only shortest
         paths and gives far fewer key vertices; ``"all"`` covers every
@@ -116,11 +113,10 @@ def build_areas(
         own so the cover does not build a second one.
     """
     if cover is None:
-        kwargs = {} if search_budget is None else {"search_budget": search_budget}
         if mode == "shortest":
-            cover_set = k_shortest_path_cover(network, k, oracle=oracle, **kwargs)
+            cover_set = k_shortest_path_cover(network, k, oracle=oracle)
         elif mode == "all":
-            cover_set = k_path_cover(network, k, **kwargs)
+            cover_set = k_path_cover(network, k)
         else:
             raise ValueError(f"unknown cover mode {mode!r}; expected 'shortest' or 'all'")
     else:

@@ -364,7 +364,11 @@ class TestRepin:
         assert after["effective_tier"] == 1
         _assert_rows_exact(oracle)
         assert after["dijkstra_count"] == before["dijkstra_count"]
-        assert after["batch_rows"] - before["batch_rows"] == before["pinned_sources"]
+        # the pinned rows and the kept landmarks' rows, no selection search
+        assert after["batch_rows"] - before["batch_rows"] == (
+            before["pinned_sources"] + len(oracle.landmarks())
+        )
+        assert after["landmark_rows"] == before["landmark_rows"]
 
     def test_degraded_epoch_repins_with_dijkstra(self):
         # any CH build exceeds a zero budget, so the next epoch degrades

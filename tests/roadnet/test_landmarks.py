@@ -65,7 +65,8 @@ class TestConstruction:
 
 
 class TestLandmarkSearches:
-    """The selection's Dijkstras are counted in ``landmark_rows``."""
+    """The selection's Dijkstras are counted in ``landmark_rows``; a kept
+    landmark's row is re-filled by the batched pass (``batch_rows``)."""
 
     def test_counted_once_per_build(self, small_grid):
         oracle = DistanceOracle(small_grid, tier=1)
@@ -81,9 +82,15 @@ class TestLandmarkSearches:
         oracle.landmarks()
         oracle.lower_bound(0, 24)
         assert oracle.stats()["landmark_rows"] == rows + 1  # built once
+        before = oracle.stats()
         oracle.invalidate()
         oracle.landmarks()
-        assert oracle.stats()["landmark_rows"] == 2 * (rows + 1)
+        after = oracle.stats()
+        # the same node set keeps the landmarks: the new epoch re-fills
+        # their rows in the batched pass and selects nothing
+        assert after["landmark_rows"] == rows + 1
+        assert after["batch_rows"] - before["batch_rows"] == rows
+        assert_landmark_rows_exact(oracle)
 
     def test_build_span_carries_the_count(self, small_grid):
         stream = io.StringIO()

@@ -214,6 +214,7 @@ class TestStats:
             "pair_cache_size",
             "pairs_kept",
             "landmark_rows",
+            "nodes_recontracted",
             "source_cache_hits",
             "source_cache_size",
             "row_cache_size",
