@@ -45,7 +45,7 @@ class TestConstruction:
 
     def test_landmark_rows_need_one_column_per_node(self, small_grid):
         with pytest.raises(ValueError, match="one column per node"):
-            ContractionHierarchy(small_grid, landmarks=np.zeros((2, 3)))
+            ContractionHierarchy(small_grid).use_landmarks(np.zeros((2, 3)))
 
     def test_given_order_is_the_rank(self, small_grid, grid_ch):
         order = list(reversed(grid_ch.order))
@@ -157,7 +157,8 @@ class TestQueries:
         net = RoadNetwork()
         net.add_edge(0, 1, 0.0)
         net.add_edge(1, 2, 2.0)
-        ch = ContractionHierarchy(net, landmarks=_landmark_rows(net, 2, monkeypatch))
+        ch = ContractionHierarchy(net)
+        ch.use_landmarks(_landmark_rows(net, 2, monkeypatch))
         assert ch.cost(0, 1) == 0.0
         assert ch.cost(0, 2) == 2.0
 
@@ -168,7 +169,8 @@ class TestQueries:
         net = RoadNetwork()
         for u, v, w in ((0, 3, 1.0), (1, 2, 1e-12), (2, 3, 1e-12)):
             net.add_edge(u, v, w)
-        ch = ContractionHierarchy(net, landmarks=_landmark_rows(net, 4, monkeypatch))
+        ch = ContractionHierarchy(net)
+        ch.use_landmarks(_landmark_rows(net, 4, monkeypatch))
         for u in net.nodes():
             truth = dijkstra(net, u)
             for v in net.nodes():
