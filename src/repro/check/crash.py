@@ -1,26 +1,33 @@
-"""The crash drive of the fuzz runner (``--mode crash``, ``crash-rebuild``).
+"""The crash drive of the fuzz runner (``--mode crash``, ``crash-rebuild``,
+``crash-chaos``).
 
 The candidate run B is durable (:mod:`repro.core.durability`): it
 checkpoints at a seeded cadence and is killed at a seeded frame, either
 by a :class:`SimulatedCrash` raised from one of the named
 :data:`~repro.core.durability.CRASH_POINTS` inside ``commit_frame``
 (before the WAL append, between WAL append and snapshot, mid-atomic-
-rename, after the snapshot) or by a plain process exit between frames.
-The drive then calls :meth:`Dispatcher.restore` on the checkpoint
-directory and resumes; the runner keeps comparing it with the
-uninterrupted reference run A at every frame boundary.  On
-``crash-rebuild`` A also re-reads and audits every vehicle every frame
-(:mod:`repro.check.rebuild`), while the restored B resumes on its
-incremental frame state.
+rename, after the snapshot) or by a plain process exit between frames —
+on perturbed seeds also after the boundary's disruptions were injected
+(``after_inject``), so the WAL tail ends with disruption records.
+The drive then restores from the checkpoint directory alone — the
+network as of the snapshot is ``network.json`` plus the snapshot's
+metric changes, and :meth:`Dispatcher.restore` replays the WAL's frame
+and disruption records onto it — and resumes; the runner keeps
+comparing it with the uninterrupted reference run A at every frame
+boundary.  On ``crash-rebuild`` A also re-reads and audits every vehicle
+every frame (:mod:`repro.check.rebuild`), while the restored B resumes
+on its incremental frame state.
 
 On top of that the drive asserts:
 
 - **no durably committed frame is lost**: the restored frame cursor is
   the kill frame for a ``pre_wal`` kill (that frame never reached the
-  WAL) and the frame after it for every other kill kind;
+  WAL) and the frame after it for every other kill kind (for
+  ``after_inject``, the frame the kill struck before);
 - **no history is needed to prove equivalence**: the runner compares
   every frame B returns with A's, restore checks every WAL-replayed
-  frame against its logged summary, and at the end B's running totals,
+  frame against its logged summary and every replayed disruption
+  against its logged outcomes, and at the end B's running totals,
   frame cursor and clock must equal A's;
 - the seeded kill actually fired.
 """
@@ -30,13 +37,21 @@ from __future__ import annotations
 import tempfile
 
 from repro.core.dispatch import Dispatcher
-from repro.core.durability import CRASH_POINTS, DurabilityConfig, SimulatedCrash
+from repro.core.durability import (
+    CRASH_POINTS,
+    DurabilityConfig,
+    DurabilityLog,
+    SimulatedCrash,
+)
 from repro.roadnet.oracle import DistanceOracle
 
 _BETWEEN_FRAMES = "between_frames"
+_AFTER_INJECT = "after_inject"
 
-#: All kill kinds a seed can draw.
-KILL_KINDS = CRASH_POINTS + (_BETWEEN_FRAMES,)
+#: All kill kinds a seed can draw; ``after_inject`` (a kill after the
+#: disruptions injected behind frame ``kill_frame``, before the next
+#: frame) only on perturbed seeds.
+KILL_KINDS = CRASH_POINTS + (_BETWEEN_FRAMES, _AFTER_INJECT)
 
 _CADENCES = (1, 2, 3)
 
@@ -53,7 +68,8 @@ class CrashDrive:
         frames = len(trial.scenario.frames)
         rng = trial.rng
         self.every = _CADENCES[int(rng.integers(len(_CADENCES)))]
-        self.kill = KILL_KINDS[int(rng.integers(len(KILL_KINDS)))]
+        kinds = KILL_KINDS if trial.perturb else KILL_KINDS[:-1]
+        self.kill = kinds[int(rng.integers(len(kinds)))]
         # kill where a prefix of frames is committed and a suffix remains
         self.kill_frame = int(rng.integers(1, frames - 1)) if frames > 2 else 0
         if self.kill in ("post_snapshot_temp", "post_snapshot"):
@@ -83,6 +99,8 @@ class CrashDrive:
         if self.restored:
             self.trial.count("frames_resumed")
             return self.dispatcher.dispatch_frame(list(riders))
+        if self.kill == _AFTER_INJECT and frame == self.kill_frame + 1:
+            return self._restore(frame, riders, None)
         try:
             report = self.dispatcher.dispatch_frame(list(riders))
         except SimulatedCrash:
@@ -97,17 +115,21 @@ class CrashDrive:
         # released (the checkpoint directory is untouched)
         self.dispatcher.close()
         self.restored = True
-        network = self.dispatcher.network
+        log = DurabilityLog(self._dir.name)
+        snapshot, _records = log.load()
+        network = log.load_network(snapshot)
         oracle = (
             DistanceOracle(network, tier=1)
             if self.dispatcher.oracle.tier == 1 else None
         )
         self.dispatcher = Dispatcher.restore(
-            self._dir.name, network, oracle=oracle, plan=self.trial.scenario.plan
+            log, network, oracle=oracle, plan=self.trial.scenario.plan
         )
         cursor = self.dispatcher._frame_index
         self.trial.count("frames_restored", cursor)
-        expected = frame if self.kill == "pre_wal" else frame + 1
+        # frame k is not committed yet after a pre_wal kill inside it or
+        # an after_inject kill before it
+        expected = frame if self.kill in ("pre_wal", _AFTER_INJECT) else frame + 1
         if cursor != expected:
             self.trial.fail("crash", f"frame {frame}: {self.kill} kill restored "
                                      f"cursor {cursor}, expected {expected}")

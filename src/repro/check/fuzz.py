@@ -142,6 +142,8 @@ MODES: Dict[str, Mode] = {m.name: m for m in (
          candidate=("plain", "sharded", "index", "tier1")),
     Mode("crash-rebuild", Shape(), drive="crash", reference="rebuild",
          candidate=("plain", "index", "tier1")),
+    Mode("crash-chaos", _CHAOS, drive="crash", candidate=("plain", "tier1"),
+         perturb="chaos"),
     Mode("stream", Shape(riders=(0, 5)), drive="stream",
          candidate=("plain", "sharded", "tier1"), perturb="chaos", p_perturb=0.25),
 )}

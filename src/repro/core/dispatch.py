@@ -64,8 +64,8 @@ from repro.core.durability import (
     DurabilityConfig,
     DurabilityLog,
     apply_snapshot_state,
-    frame_summary,
     network_fingerprint,
+    replay_record,
 )
 from repro.core.grouping import GroupingPlan, prepare_grouping
 from repro.core.instance import LazySchedules, URRInstance
@@ -80,7 +80,6 @@ from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.oracle import DistanceOracle
 from repro.social.graph import SocialNetwork
 from repro.workload.instances import synthetic_vehicle_utilities
-from repro.workload.serialize import rider_from_dict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.disruptions import Disruption, DisruptionOutcome
@@ -484,10 +483,10 @@ class Dispatcher:
     durability:
         Optional checkpoint/WAL directory — a path or a
         :class:`~repro.core.durability.DurabilityConfig`.  When set,
-        every committed frame is appended to a write-ahead log and the
-        full cross-frame state is snapshotted atomically every
-        ``checkpoint_every`` frames, so :meth:`restore` can resume the
-        run after a crash.
+        every committed frame and every :meth:`inject` call is appended
+        to a write-ahead log and the full cross-frame state is
+        snapshotted atomically every ``checkpoint_every`` frames, so
+        :meth:`restore` can resume the run after a crash.
     options:
         The fields of :class:`DispatchConfig`, held validated in
         :attr:`config`; an unknown name raises :class:`TypeError`.
@@ -598,6 +597,9 @@ class Dispatcher:
             for stop in fv.committed_stops:
                 self.ledger[stop.rider.rider_id] = RiderStatus.COMMITTED
         self._preloaded_rider_ids = frozenset(self.ledger)
+        # metric changes since construction, recorded by the disruption
+        # engine: arc (u, v) -> its new cost, None once closed
+        self._metric_changes: Dict[Tuple[int, int], Optional[float]] = {}
         # snapshot-delta accounting: the process-wide perf counters are
         # cumulative, so both the run report and the per-frame reports
         # subtract captures — construction-time for the run, frame
@@ -618,10 +620,7 @@ class Dispatcher:
                 if isinstance(durability, DurabilityLog)
                 else DurabilityLog(durability)
             )
-            # base snapshot: a crash before the first checkpoint cadence
-            # must still leave a restorable directory (snapshot = base
-            # state, WAL = every frame committed since)
-            self._durability.write_snapshot(self)
+            self._durability.start(self)
 
     # ------------------------------------------------------------------
     @property
@@ -914,10 +913,14 @@ class Dispatcher:
         caller that wants a log collects them.  Call between
         :meth:`dispatch_frame` calls only; the engine repairs committed
         plans in place so the next frame starts from a consistent,
-        deadline-feasible state.
+        deadline-feasible state.  A durable dispatcher then appends one
+        WAL record of the events and their outcomes, which
+        :meth:`restore` redoes through the engine; no snapshot is
+        written here.
         """
         from repro.core.disruptions import DisruptionEngine
 
+        events = list(events)
         start = time.perf_counter()
         with _trace.span(
             "dispatch.inject", frame=self._frame_index, events=len(events)
@@ -928,12 +931,8 @@ class Dispatcher:
         # attributed to the frame that follows them (FrameReport.perf)
         self._pending_disruption_seconds += time.perf_counter() - start
         if self._durability is not None:
-            # disruption events are not WAL-replayable (the engine's
-            # repair is not re-driven from serialized events), so force
-            # an immediate snapshot: restore never replays across a
-            # disruption boundary, and the persisted network file is
-            # refreshed when the metric changed
-            self._durability.write_snapshot(self)
+            with _trace.span("dispatch.durability", frame=self._frame_index):
+                self._durability.commit_disruption(self, events, outcomes)
         return outcomes
 
     def _requeue(self, rider: Rider, attempts: int = 0) -> None:
@@ -1307,21 +1306,25 @@ class Dispatcher:
 
         1. load the last snapshot (atomic writes guarantee it is whole)
            and the WAL tail (CRC-guarded; a torn final line is dropped);
-        2. rebuild the dispatcher from the snapshot's config and fleet
-           — the road network comes from the persisted ``network.json``
-           unless the caller passes one, and a passed network must match
-           the snapshot's content fingerprint (state committed under one
-           metric must never resume under another);
-        3. re-apply every piece of cross-frame state (fleet plans,
-           carry-over queue, ledger, pinned utilities, running totals,
-           frame cursor);
+        2. rebuild the road network as of the snapshot — the persisted
+           ``network.json`` plus the snapshot's metric changes — unless
+           the caller passes one.  A passed network must *be* the
+           network as of the snapshot (checked by content fingerprint),
+           not the live network of the crashed run: the WAL's metric
+           changes are replayed onto it, so a network that already
+           holds them is refused, as is any other wrong network;
+        3. rebuild the dispatcher from the snapshot's config and fleet
+           and re-apply every piece of cross-frame state (fleet plans,
+           carry-over queue, ledger, pinned utilities, metric changes,
+           running totals, frame cursor);
         4. audit the restored fleet through the independent :func:`repro.check.validator.validate_fleet_state`
            oracle — corrupt state fails loudly here, not frames later;
-        5. replay the WAL tail through :meth:`dispatch_frame` (dispatch
-           is deterministic given the frame inputs, and the replayed
-           summaries are checked against the WAL records — unless the
-           run used ``frame_budget``, whose wall-clock tiering is not
-           replay-deterministic), then write a fresh snapshot.
+        5. replay the WAL records newer than the snapshot in log order
+           (:func:`~repro.core.durability.replay_record`): frame records
+           through :meth:`dispatch_frame`, disruption records through
+           the disruption engine, each checked against its logged
+           summary or outcomes and refused when stamped with another
+           frame cursor; then write a fresh snapshot.
 
         ``overrides`` replace stored :class:`DispatchConfig` fields (e.g.
         resume with ``validate_frames=True`` to audit every replayed and
@@ -1340,18 +1343,17 @@ class Dispatcher:
                 f"no snapshot found in {log.directory} — nothing to restore"
             )
         if network is None:
-            network = log.load_network()
-            if network is None:
+            network = log.load_network(snapshot)
+        else:
+            expected = snapshot["network_fingerprint"]
+            if snapshot["metric_changes"]:
+                expected = network_fingerprint(log.load_network(snapshot))
+            if network_fingerprint(network) != expected:
                 raise CheckpointError(
-                    f"no persisted network in {log.directory}; pass the "
-                    f"road network the run was dispatched on"
+                    "network content does not match the snapshot fingerprint: "
+                    "pass the network as of the snapshot (the WAL's metric "
+                    "changes are replayed onto it), or none"
                 )
-        if network_fingerprint(network) != snapshot["network_fingerprint"]:
-            raise CheckpointError(
-                "network content does not match the snapshot fingerprint: "
-                "the checkpoint was committed under a different metric "
-                "(wrong network, or disruption-era surgery not reapplied)"
-            )
         config = replace(DispatchConfig(**snapshot["config"]), **overrides)
         initial_fleet = [
             Vehicle(
@@ -1378,35 +1380,19 @@ class Dispatcher:
         validate_fleet_state(
             dispatcher.fleet.values(), dispatcher.clock, oracle=dispatcher.oracle
         ).raise_if_invalid()
-        # replay the WAL tail: frames committed after the last snapshot
+        # redo the WAL tail with the log attached but suspended, so
+        # replayed frames are not logged again
+        log.resume_from(snapshot)
+        dispatcher._durability = log
         log.suspend()
         try:
             for record in wal_records:
-                if record["frame_index"] < dispatcher._frame_index:
+                if record["lsn"] <= snapshot["wal_lsn"]:
                     continue  # already covered by the snapshot
-                if record["frame_index"] != dispatcher._frame_index:
-                    raise CheckpointError(
-                        f"WAL gap: expected frame "
-                        f"{dispatcher._frame_index}, found record for "
-                        f"frame {record['frame_index']}"
-                    )
-                riders = [rider_from_dict(r) for r in record["riders"]]
-                replayed = dispatcher.dispatch_frame(
-                    riders, frame_length=record.get("frame_length")
-                )
-                if (
-                    dispatcher.config.frame_budget is None
-                    and frame_summary(replayed) != record["summary"]
-                ):
-                    raise CheckpointError(
-                        f"WAL replay diverged at frame "
-                        f"{record['frame_index']}: replayed "
-                        f"{frame_summary(replayed)} != logged "
-                        f"{record['summary']}"
-                    )
+                replay_record(dispatcher, record)
+                log.lsn = record["lsn"]
         finally:
             log.resume()
-        dispatcher._durability = log
         log.write_snapshot(dispatcher)
         return dispatcher
 

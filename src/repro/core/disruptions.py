@@ -135,9 +135,45 @@ Disruption = Union[
 ]
 
 
+def event_to_dict(event: Disruption) -> dict:
+    """A JSON-ready dict for one typed event: its ``kind`` and fields."""
+    if isinstance(event, VehicleBreakdown):
+        fields = {"vehicle_id": int(event.vehicle_id)}
+    elif isinstance(event, (RiderCancellation, RiderNoShow)):
+        fields = {"rider_id": int(event.rider_id)}
+    elif isinstance(event, TravelTimePerturbation):
+        fields = {
+            "factors": [[int(u), int(v), float(f)] for u, v, f in event.factors]
+        }
+    elif isinstance(event, RoadClosure):
+        fields = {"edges": [[int(u), int(v)] for u, v in event.edges]}
+    else:
+        raise TypeError(f"unknown disruption event: {event!r}")
+    return {"kind": event.kind.value, **fields}
+
+
+def event_from_dict(payload: dict) -> Disruption:
+    """Inverse of :func:`event_to_dict`."""
+    kind = DisruptionKind(payload["kind"])
+    if kind is DisruptionKind.VEHICLE_BREAKDOWN:
+        return VehicleBreakdown(payload["vehicle_id"])
+    if kind is DisruptionKind.RIDER_CANCELLATION:
+        return RiderCancellation(payload["rider_id"])
+    if kind is DisruptionKind.RIDER_NO_SHOW:
+        return RiderNoShow(payload["rider_id"])
+    if kind is DisruptionKind.TRAVEL_TIME_PERTURBATION:
+        return TravelTimePerturbation(tuple(map(tuple, payload["factors"])))
+    return RoadClosure(tuple(map(tuple, payload["edges"])))
+
+
 class OutcomeStatus(enum.Enum):
     APPLIED = "applied"
     SKIPPED = "skipped"
+
+
+_OUTCOME_LISTS = (
+    "stranded", "released", "delivered", "cancelled", "expired", "extended",
+)
 
 
 @dataclass
@@ -171,12 +207,19 @@ class DisruptionOutcome:
             + self.cancelled + self.expired + self.extended
         )
 
+    def summary(self) -> dict:
+        """The status and rider-id lists, JSON-ready: what a WAL record
+        stores and its replay must reproduce."""
+        payload = {"status": self.status.value}
+        for label in _OUTCOME_LISTS:
+            payload[label] = [int(rid) for rid in getattr(self, label)]
+        return payload
+
     def __str__(self) -> str:
         kind = getattr(self.event, "kind", None)
         name = kind.value if kind is not None else type(self.event).__name__
         parts = [f"[{name}/{self.status.value}] {self.detail}"]
-        for label in ("stranded", "released", "delivered", "cancelled",
-                      "expired", "extended"):
+        for label in _OUTCOME_LISTS:
             ids = getattr(self, label)
             if ids:
                 parts.append(f"{label}={sorted(ids)}")
@@ -188,7 +231,9 @@ class DisruptionEngine:
 
     A stranded rider waits at the strand point for two frame lengths:
     their rewritten pickup deadline is the moment they stand there plus
-    ``2 * frame_length``.
+    ``2 * frame_length``.  Every arc an applied perturbation or closure
+    changes is recorded in the dispatcher's ``_metric_changes`` (new
+    cost, ``None`` once closed), which a durable snapshot stores.
     """
 
     def __init__(self, dispatcher: Dispatcher) -> None:
@@ -364,15 +409,15 @@ class DisruptionEngine:
             if not net.has_edge(u, v):
                 missing.append((u, v))
                 continue
-            cost = net.adjacency[u][v] * factor
-            net.adjacency[u][v] = cost
-            net.reverse_adjacency[v][u] = cost
-            scaled += 1
+            arcs = [(u, v)]
             if net.undirected and net.has_edge(v, u):
-                rcost = net.adjacency[v][u] * factor
-                net.adjacency[v][u] = rcost
-                net.reverse_adjacency[u][v] = rcost
-                scaled += 1
+                arcs.append((v, u))
+            for a, b in arcs:
+                cost = net.adjacency[a][b] * factor
+                net.adjacency[a][b] = cost
+                net.reverse_adjacency[b][a] = cost
+                d._metric_changes[(a, b)] = cost
+            scaled += len(arcs)
         if not scaled:
             return DisruptionOutcome(
                 event, OutcomeStatus.SKIPPED,
@@ -425,6 +470,8 @@ class DisruptionEngine:
                     f"unreachable"
                 ),
             )
+        for u, v, _cost in removed:
+            d._metric_changes[(u, v)] = None
         extended, released, expired = self._reaudit_all()
         return DisruptionOutcome(
             event, OutcomeStatus.APPLIED,

@@ -1,4 +1,4 @@
-"""Durable dispatch: checkpoint snapshots + a per-frame write-ahead log.
+"""Durable dispatch: checkpoint snapshots + a write-ahead log.
 
 A day-long rolling-horizon run is a long chain of committed promises —
 the RiderStatus ledger, every vehicle's residual ``committed_stops``
@@ -10,44 +10,54 @@ the number of frames (the ledger grows with the riders admitted).
 
 - :class:`DurabilityLog` owns a directory holding three files:
 
+  ``network.json``
+      The road network as the dispatcher was built on it, written once
+      at construction together with its canonical fingerprint.  Later
+      metric changes never rewrite it: the snapshot carries them.
   ``snapshot.json``
       A versioned (:data:`CHECKPOINT_VERSION`) snapshot of the
       cross-frame dispatcher state, written atomically (temp file in
       the same directory + flush + fsync + ``os.replace`` + directory
       fsync) so a crash never leaves a torn snapshot — readers see the
-      old one or the new one, nothing in between.
+      old one or the new one, nothing in between.  Besides the state it
+      holds the metric changes applied since construction (the new cost
+      of every scaled arc, and every closed arc: one row per changed
+      arc) and the sequence number of the last WAL record it covers.
   ``wal.jsonl``
-      An append-only write-ahead log with one CRC-guarded record per
-      committed frame (the frame's *new* requests plus a result
-      summary).  Appended *before* the snapshot inside
-      :meth:`DurabilityLog.commit_frame`, so a crash between the two
-      loses nothing: restore loads the last snapshot and replays the
-      WAL tail through the (deterministic) dispatcher.  A torn final
-      line — the crash hit mid-append — is detected by the CRC and
-      dropped.
-  ``network.json``
-      The road network (written once, and again whenever the metric
-      changes — the snapshot stores the network's canonical
-      fingerprint so restore can both rebuild the network and reject a
-      mismatched one handed in by the caller).
+      An append-only redo log of CRC-guarded records, each stamped with
+      a sequence number and the frame cursor it was written at.  A
+      *frame* record holds a committed frame's new requests plus a
+      result summary; a *disruption* record holds the typed events one
+      :meth:`~repro.core.dispatch.Dispatcher.inject` call applied and
+      each event's outcome.  A record is appended before any snapshot
+      that covers it, so a crash between the two loses nothing: restore
+      loads the last snapshot and replays the newer records in log
+      order through the (deterministic) dispatcher and disruption
+      engine.  A torn final line — the crash hit mid-append — is
+      detected by the CRC and dropped.
 
-- ``Dispatcher(durability=...)`` commits every frame through the log;
-  :meth:`repro.core.dispatch.Dispatcher.restore` rebuilds a dispatcher
-  from the directory, re-applies the snapshot state, verifies it with
-  the independent :func:`repro.check.validator.validate_fleet_state`
-  oracle, replays the WAL tail and resumes exactly where the dead
-  process stopped.  Dispatch is deterministic given the frame inputs
-  (the per-frame RNG is re-derived from ``seed + frame_index`` — the
-  frame cursor *is* the RNG state), so replay reproduces the lost
-  frames bit for bit; the replayed summaries are checked against the
-  WAL records to prove it.
+- ``Dispatcher(durability=...)`` commits every frame and every
+  disruption through the log; snapshots follow the
+  ``checkpoint_every`` cadence alone.
+  :meth:`repro.core.dispatch.Dispatcher.restore` rebuilds the network
+  as ``network.json`` plus the snapshot's metric changes, rebuilds the
+  dispatcher, re-applies the snapshot state, verifies it with the
+  independent :func:`repro.check.validator.validate_fleet_state`
+  oracle, replays the WAL tail (:func:`replay_record`) and resumes
+  exactly where the dead process stopped.  Dispatch is deterministic
+  given the frame inputs (the per-frame RNG is re-derived from
+  ``seed + frame_index`` — the frame cursor *is* the RNG state), and
+  disruption repair given the state, so replay reproduces the lost
+  frames and repairs bit for bit; the replayed frame summaries and
+  event outcomes are checked against the logged ones to prove it.
 
 Rider / vehicle / stop payloads reuse the :mod:`repro.workload.serialize`
 dict conventions, so the on-disk vocabulary matches saved instances.
 
 Snapshot cadence is ``checkpoint_every`` frames (default 1: snapshot at
-every frame commit, WAL tail at most one frame deep).  Larger values
-trade restore-time replay work for less per-frame I/O on big fleets.
+every frame commit, WAL tail at most one frame deep plus the
+disruptions injected since).  Larger values trade restore-time replay
+work for less per-frame I/O on big fleets.
 
 ``crash_hook`` is the seeded fault-injection seam the crash fuzzer
 (``python -m repro.check --mode crash``) uses: it is called with a named
@@ -63,7 +73,7 @@ import os
 import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, List, Optional, Tuple, Union
 
 from repro.core.requests import Rider
 from repro.core.schedule import Stop, StopKind
@@ -83,8 +93,11 @@ PathLike = Union[str, Path]
 #: watchdog's ``fallbacks`` chain is no longer a setting); version 4
 #: stores running totals and the preloaded rider ids in place of the
 #: per-frame report summaries and the seen-id list; version 5 drops the
-#: ``degrade`` and ``utility_matrix`` settings from the config.
-CHECKPOINT_VERSION = 5
+#: ``degrade`` and ``utility_matrix`` settings from the config; version 6
+#: logs disruptions as WAL records, keeps ``network.json`` as the network
+#: at construction, and stores the metric changes applied since then and
+#: the sequence number of the last WAL record the snapshot covers.
+CHECKPOINT_VERSION = 6
 
 #: Named crash-injection points, in the order they occur inside
 #: :meth:`DurabilityLog.commit_frame`.
@@ -94,6 +107,10 @@ CRASH_POINTS = (
     "post_snapshot_temp", # snapshot temp file written, not yet renamed
     "post_snapshot",      # snapshot renamed, WAL not yet truncated
 )
+
+#: WAL record kinds: a committed frame, and one ``inject`` call's events.
+FRAME_RECORD = "frame"
+DISRUPTION_RECORD = "disruption"
 
 SNAPSHOT_FILE = "snapshot.json"
 WAL_FILE = "wal.jsonl"
@@ -199,11 +216,14 @@ def frame_summary(report) -> dict:
 # ----------------------------------------------------------------------
 # dispatcher state <-> snapshot payload
 # ----------------------------------------------------------------------
-def snapshot_dispatcher(dispatcher, fingerprint: int) -> dict:
+def snapshot_dispatcher(dispatcher, fingerprint: int, lsn: int) -> dict:
     """Capture every piece of cross-frame dispatcher state as JSON.
 
-    ``fingerprint`` is the :func:`network_fingerprint` of the
-    dispatcher's network (the log caches it per oracle epoch).
+    ``fingerprint`` is the :func:`network_fingerprint` of the network in
+    ``network.json`` (the dispatcher's network at construction); the
+    metric changes applied since then are stored as rows
+    ``[u, v, cost]``, ``cost`` ``None`` for a closed arc.  ``lsn`` is
+    the sequence number of the last WAL record the snapshot covers.
 
     Ordering is part of the contract wherever the dispatcher's own
     iteration order is: the fleet list preserves the fleet dict's
@@ -233,6 +253,11 @@ def snapshot_dispatcher(dispatcher, fingerprint: int) -> dict:
         "clock": dispatcher._clock,
         "config": asdict(dispatcher.config),
         "network_fingerprint": fingerprint,
+        "metric_changes": [
+            [u, v, cost]
+            for (u, v), cost in sorted(dispatcher._metric_changes.items())
+        ],
+        "wal_lsn": lsn,
         "totals": {
             "requests": dispatcher.total_requests,
             "served": dispatcher.total_served,
@@ -309,6 +334,59 @@ def apply_snapshot_state(dispatcher, snapshot: dict) -> None:
         rid: {vid: value for vid, value in row}
         for rid, row in snapshot["pinned_utilities"]
     }
+    dispatcher._metric_changes = {
+        (u, v): cost for u, v, cost in snapshot["metric_changes"]
+    }
+
+
+def apply_metric_changes(network, rows) -> None:
+    """Set each ``[u, v, cost]`` arc of ``rows`` on ``network`` in place
+    (``cost`` ``None``: remove the arc).  Disruptions only rescale or
+    remove arcs of the network they started from, so every arc exists."""
+    for u, v, cost in rows:
+        if cost is None:
+            network.remove_edge(u, v)
+        else:
+            network.adjacency[u][v] = cost
+            network.reverse_adjacency[v][u] = cost
+
+
+def replay_record(dispatcher, record: dict) -> None:
+    """Redo one WAL record on a restored dispatcher and check it.
+
+    The record must be stamped with the dispatcher's current frame
+    cursor.  A frame record is re-dispatched through ``dispatch_frame``;
+    a disruption record's events go through
+    :class:`~repro.core.disruptions.DisruptionEngine` again.  The
+    replayed frame summary or event outcomes must equal the logged ones
+    (not checked under ``frame_budget``, whose wall-clock tiering is not
+    replay-deterministic).
+    """
+    from repro.core.disruptions import DisruptionEngine, event_from_dict
+
+    cursor = dispatcher._frame_index
+    if record["frame_index"] != cursor:
+        raise CheckpointError(
+            f"WAL {record['kind']} record {record['lsn']} is stamped frame "
+            f"{record['frame_index']}, but the replay is at frame {cursor}"
+        )
+    checked = dispatcher.config.frame_budget is None
+    if record["kind"] == FRAME_RECORD:
+        riders = [rider_from_dict(r) for r in record["riders"]]
+        replayed = frame_summary(
+            dispatcher.dispatch_frame(riders, frame_length=record["frame_length"])
+        )
+        logged = record["summary"]
+    else:
+        events = [event_from_dict(e) for e in record["events"]]
+        outcomes = DisruptionEngine(dispatcher).apply(events)
+        replayed = [o.summary() for o in outcomes]
+        logged = record["outcomes"]
+    if checked and replayed != logged:
+        raise CheckpointError(
+            f"WAL replay diverged at the {record['kind']} record for frame "
+            f"{cursor}: replayed {replayed} != logged {logged}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -330,9 +408,10 @@ class DurabilityLog:
         #: at every durability boundary; may raise :class:`SimulatedCrash`.
         self.crash_hook: Optional[Callable[[str], None]] = None
         self._wal_file = None
+        #: fingerprint of the network in network.json
         self._network_fp: Optional[int] = None
-        # (network, oracle, oracle epoch) _network_fp was computed at
-        self._fp_source: Optional[Tuple[object, object, int]] = None
+        #: sequence number of the last WAL record appended (or replayed)
+        self.lsn = 0
         self._suspended = False
 
     # -- crash seam ----------------------------------------------------
@@ -347,7 +426,32 @@ class DurabilityLog:
     def resume(self) -> None:
         self._suspended = False
 
-    # -- frame commit --------------------------------------------------
+    # -- start ---------------------------------------------------------
+    def start(self, dispatcher) -> None:
+        """Write ``network.json`` and the base snapshot of a new run.
+
+        The only place the network is serialised and fingerprinted: the
+        base snapshot makes a crash before the first checkpoint cadence
+        restorable (snapshot = base state, WAL = everything since).
+        """
+        network = dispatcher.network
+        self._network_fp = network_fingerprint(network)
+        self._atomic_write(
+            self.network_path,
+            {
+                "format_version": CHECKPOINT_VERSION,
+                "fingerprint": self._network_fp,
+                "network": network_to_dict(network),
+            },
+        )
+        self.write_snapshot(dispatcher)
+
+    def resume_from(self, snapshot: dict) -> None:
+        """Continue a restored run's log after ``snapshot``."""
+        self._network_fp = snapshot["network_fingerprint"]
+        self.lsn = snapshot["wal_lsn"]
+
+    # -- commits -------------------------------------------------------
     def commit_frame(self, dispatcher, new_riders, report) -> None:
         """Make one committed frame durable: WAL append, then snapshot.
 
@@ -360,11 +464,11 @@ class DurabilityLog:
             return
         self._crash_point("pre_wal")
         record = {
+            "kind": FRAME_RECORD,
             "frame_index": report.frame_index,
             # the horizon this frame actually used: streaming micro-batches
             # dispatch variable-length frames, and replay must advance the
-            # clock by the same amount (absent in pre-streaming WALs —
-            # replay falls back to the configured frame_length)
+            # clock by the same amount
             "frame_length": report.frame_length,
             "riders": [rider_to_dict(r) for r in new_riders],
             "summary": frame_summary(report),
@@ -374,7 +478,29 @@ class DurabilityLog:
         if (report.frame_index + 1) % self.config.checkpoint_every == 0:
             self.write_snapshot(dispatcher)
 
+    def commit_disruption(self, dispatcher, events, outcomes) -> None:
+        """Log one ``inject`` call: its typed events and their outcomes.
+
+        Called after the engine applied the events, at the frame cursor
+        they struck before.  No snapshot follows: restore redoes the
+        record through the disruption engine.
+        """
+        if self._suspended:
+            return
+        from repro.core.disruptions import event_to_dict
+
+        self._append_wal(
+            {
+                "kind": DISRUPTION_RECORD,
+                "frame_index": dispatcher._frame_index,
+                "events": [event_to_dict(e) for e in events],
+                "outcomes": [o.summary() for o in outcomes],
+            }
+        )
+
     def _append_wal(self, record: dict) -> None:
+        self.lsn += 1
+        record["lsn"] = self.lsn
         if self._wal_file is None:
             self._wal_file = open(self.wal_path, "a", encoding="utf-8")
         line = json.dumps({"record": record, "crc": _crc(record)})
@@ -387,38 +513,10 @@ class DurabilityLog:
     def write_snapshot(self, dispatcher) -> None:
         """Atomically persist the dispatcher's full cross-frame state.
 
-        Also (re)writes ``network.json`` whenever the network content
-        changed since the last snapshot (checked once per oracle epoch)
-        — disruptions mutate the metric, and restore must see the
-        network the state was committed under.
         Ends by truncating the WAL: every record it held is now covered
         by the snapshot.
         """
-        network, oracle = dispatcher.network, dispatcher.oracle
-        source = self._fp_source
-        if (
-            source is None
-            or source[0] is not network
-            or source[1] is not oracle
-            or source[2] != oracle.epoch
-        ):
-            # serialising and CRC-ing a city network costs tens of ms, so
-            # it is only redone on a new oracle epoch: every
-            # dispatcher-side mutation of the network (perturbation,
-            # closure, closure revert) calls oracle.invalidate()
-            fingerprint = network_fingerprint(network)
-            if fingerprint != self._network_fp:
-                self._atomic_write(
-                    self.network_path,
-                    {
-                        "format_version": CHECKPOINT_VERSION,
-                        "fingerprint": fingerprint,
-                        "network": network_to_dict(network),
-                    },
-                )
-                self._network_fp = fingerprint
-            self._fp_source = (network, oracle, oracle.epoch)
-        payload = snapshot_dispatcher(dispatcher, self._network_fp)
+        payload = snapshot_dispatcher(dispatcher, self._network_fp, self.lsn)
         self._atomic_write(
             self.snapshot_path, payload, crash_point="post_snapshot_temp"
         )
@@ -492,10 +590,13 @@ class DurabilityLog:
                     records.append(record)
         return snapshot, records
 
-    def load_network(self):
-        """Rebuild the persisted road network (or ``None`` if absent)."""
+    def load_network(self, snapshot: dict):
+        """The network as of ``snapshot``: ``network.json`` plus the
+        snapshot's metric changes."""
         if not self.network_path.exists():
-            return None
+            raise CheckpointError(
+                f"no persisted network in {self.directory}"
+            )
         with open(self.network_path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         version = payload.get("format_version")
@@ -504,7 +605,14 @@ class DurabilityLog:
                 f"unsupported network file format version {version!r} "
                 f"(expected {CHECKPOINT_VERSION})"
             )
-        return network_from_dict(payload["network"])
+        if payload["fingerprint"] != snapshot["network_fingerprint"]:
+            raise CheckpointError(
+                "network.json does not match the snapshot fingerprint: "
+                "it belongs to another run"
+            )
+        network = network_from_dict(payload["network"])
+        apply_metric_changes(network, snapshot["metric_changes"])
+        return network
 
     def close(self) -> None:
         if self._wal_file is not None:

@@ -81,6 +81,27 @@ def _lossy_wal(monkeypatch):
     monkeypatch.setattr(DurabilityLog, "load", lossy)
 
 
+def _late_disruption(monkeypatch):
+    """A WAL reader that replays each disruption record one frame late:
+    behind the frame record after it, re-stamped with that frame's
+    cursor so the stamp check passes."""
+    from repro.core.durability import DurabilityLog
+
+    load = DurabilityLog.load
+
+    def late(self):
+        snapshot, records = load(self)
+        records = list(records)
+        for i in range(len(records) - 2, -1, -1):
+            record, after = records[i], records[i + 1]
+            if record["kind"] == "disruption" and after["kind"] == "frame":
+                record["frame_index"] = after["frame_index"] + 1
+                records[i], records[i + 1] = after, record
+        return snapshot, records
+
+    monkeypatch.setattr(DurabilityLog, "load", late)
+
+
 def _drop_last_shard(monkeypatch):
     """A shard merge that forgets the last shard's schedules."""
     from repro.core import shards
@@ -196,6 +217,7 @@ PLANTED = [
     ("dispatch-shards", _drop_last_shard),
     ("chaos-rebuild", _stale_vehicle),
     ("crash-rebuild", _stale_restore),
+    ("crash-chaos", _late_disruption),
     ("chaos-tiered", _stale_landmarks),
     ("chaos-tiered", _blind_rebuild),
     ("dispatch-tiered", _inflated_bound),

@@ -18,7 +18,12 @@ import pytest
 import repro.core.durability as durability
 from repro.check.utilities import use_eager_rows
 from repro.core.dispatch import Dispatcher
-from repro.core.disruptions import TravelTimePerturbation
+from repro.core.disruptions import (
+    RiderCancellation,
+    RoadClosure,
+    TravelTimePerturbation,
+    VehicleBreakdown,
+)
 from repro.core.schedule import Stop, StopKind
 from repro.core.durability import (
     CHECKPOINT_VERSION,
@@ -233,15 +238,18 @@ class TestGuards:
         # stored the watchdog's fallback chain; versions 1 to 3 kept a
         # summary of every frame and the seen rider ids in place of the
         # running totals; version 4 stored the degrade and utility_matrix
-        # settings.  Restoring any of them must fail as a CheckpointError,
-        # not a TypeError or KeyError from the layout
+        # settings; version 5 rewrote network.json on every metric change
+        # and had no metric-change block or WAL sequence numbers.
+        # Restoring any of them must fail as a CheckpointError, not a
+        # TypeError or KeyError from the layout
         legacy_config = {
             1: {"shard_workers": 1, "shard_timeout": 30.0, "shard_retries": 2},
             2: {"fallbacks": ["eg", "cf"]},
             3: {},
             4: {"degrade": False, "utility_matrix": "synthetic"},
+            5: {},
         }
-        assert CHECKPOINT_VERSION == 5
+        assert CHECKPOINT_VERSION == 6
         for version, config in legacy_config.items():
             directory = tmp_path / f"v{version}"
             durable = str(directory)
@@ -254,6 +262,7 @@ class TestGuards:
                 payload["format_version"] = version
                 if name == "snapshot.json":
                     payload["config"].update(config)
+                    del payload["metric_changes"], payload["wal_lsn"]
                 if name == "snapshot.json" and version < 4:
                     del payload["totals"], payload["preloaded_rider_ids"]
                     payload.update(
@@ -296,7 +305,7 @@ class TestGuards:
 
 
 class TestNetworkFingerprintCache:
-    """Snapshots re-fingerprint the network only on a new oracle epoch."""
+    """The network is serialised and fingerprinted once, at construction."""
 
     @pytest.fixture
     def own_city(self):
@@ -328,7 +337,7 @@ class TestNetworkFingerprintCache:
         snapshot = json.loads((tmp_path / "snapshot.json").read_text())
         assert snapshot["network_fingerprint"] == network_fingerprint(own_city)
 
-    def test_perturbation_refreshes_fingerprint_and_network_file(
+    def test_perturbation_is_logged_against_the_unchanged_network_file(
         self, own_city, tmp_path, fingerprint_calls
     ):
         before = network_fingerprint(own_city)
@@ -342,12 +351,18 @@ class TestNetworkFingerprintCache:
             d.dispatch_frame(frame_requests(1, 10))
         after = network_fingerprint(own_city)
         assert after != before
-        assert len(fingerprint_calls) == 2  # base + the new epoch
-        snapshot = json.loads((tmp_path / "snapshot.json").read_text())
-        assert snapshot["network_fingerprint"] == after
+        assert len(fingerprint_calls) == 1  # construction only
+        # network.json stays the network the run was built on ...
         stored = json.loads((tmp_path / "network.json").read_text())
-        assert stored["fingerprint"] == after
-        # the rewritten network.json is the perturbed metric
+        assert stored["fingerprint"] == before
+        # ... and the snapshot carries the two scaled arcs
+        snapshot = json.loads((tmp_path / "snapshot.json").read_text())
+        assert snapshot["network_fingerprint"] == before
+        assert snapshot["metric_changes"] == [
+            [0, 1, own_city.adjacency[0][1]],
+            [1, 0, own_city.adjacency[1][0]],
+        ]
+        # restore rebuilds the perturbed metric from the two
         with Dispatcher.restore(str(tmp_path)) as restored:
             assert network_fingerprint(restored.network) == after
 
@@ -531,6 +546,45 @@ class TestCrashPoints:
             assert restored._frame_index == 2
             assert totals(restored) == summed(baseline[:2])
 
+    def test_crash_after_a_metric_change_resumes(self, tmp_path):
+        """A kill mid-rename after a perturbation leaves a restorable
+        directory: network.json and the snapshot never disagree."""
+        perturbation = [TravelTimePerturbation(factors=((0, 1, 3.0),))]
+        with make_dispatcher(own_grid(), "plain") as reference:
+            expected = []
+            for f in range(FRAMES):
+                expected.append(canonical(
+                    reference.dispatch_frame(frame_requests(f, f * 10))
+                ))
+                if f == 0:
+                    reference.inject(perturbation)
+        d = make_dispatcher(own_grid(), "plain", durability=str(tmp_path))
+        armed = []
+        try:
+            def crash_hook(point):
+                if armed and point == "post_snapshot_temp":
+                    raise SimulatedCrash(point)
+
+            d._durability.crash_hook = crash_hook
+            d.dispatch_frame(frame_requests(0, 0))
+            armed.append(True)
+            with pytest.raises(SimulatedCrash):
+                d.inject(perturbation)
+                d.dispatch_frame(frame_requests(1, 10))
+        finally:
+            d.close()
+        with Dispatcher.restore(str(tmp_path)) as restored:
+            assert restored._frame_index == 2
+            resumed = [
+                canonical(restored.dispatch_frame(frame_requests(f, f * 10)))
+                for f in range(2, FRAMES)
+            ]
+            assert totals(restored) == totals(reference)
+            assert network_fingerprint(restored.network) == (
+                network_fingerprint(reference.network)
+            )
+        assert resumed == expected[2:]
+
     def test_crash_before_wal_append_loses_only_that_frame(
         self, city, tmp_path
     ):
@@ -554,6 +608,129 @@ class TestCrashPoints:
                 for f in range(1, FRAMES)
             ]
         assert resumed == baseline[1:]
+
+
+def own_grid():
+    """A fresh 6x6 city: disruptions mutate the network in place."""
+    return grid_city(6, 6, seed=4, removal_fraction=0.0, arterial_every=None)
+
+
+#: the disruptions injected after each frame of a chaos stream
+CHAOS = {
+    0: [TravelTimePerturbation(factors=((0, 1, 3.0), (14, 15, 0.5)))],
+    1: [RiderCancellation(rider_id=12), RoadClosure(edges=((20, 21),))],
+    2: [VehicleBreakdown(vehicle_id=3)],
+    4: [TravelTimePerturbation(factors=((7, 8, 2.0),))],
+}
+
+
+def chaos_stream(dispatcher, frames, start=0):
+    """Canonical summaries of frames ``start..frames-1`` with CHAOS
+    injected after each listed frame."""
+    summaries = []
+    for f in range(start, frames):
+        summaries.append(
+            canonical(dispatcher.dispatch_frame(frame_requests(f, f * 10)))
+        )
+        if f in CHAOS:
+            dispatcher.inject(CHAOS[f])
+    return summaries
+
+
+class TestDisruptionRecords:
+    """``inject`` appends a WAL record; restore redoes it in log order."""
+
+    def test_snapshots_follow_the_cadence_alone(self, tmp_path, monkeypatch):
+        frames, every = 6, 2
+        snapshots, network_writes, fingerprints = [], [], []
+        write_snapshot = durability.DurabilityLog.write_snapshot
+        atomic_write = durability.DurabilityLog._atomic_write
+
+        def counting_snapshot(self, dispatcher):
+            snapshots.append(dispatcher._frame_index)
+            write_snapshot(self, dispatcher)
+
+        def counting_write(self, path, payload, crash_point=None):
+            if path.name == durability.NETWORK_FILE:
+                network_writes.append(path)
+            atomic_write(self, path, payload, crash_point)
+
+        def counting_fingerprint(network):
+            fingerprints.append(network)
+            return network_fingerprint(network)
+
+        monkeypatch.setattr(
+            durability.DurabilityLog, "write_snapshot", counting_snapshot
+        )
+        monkeypatch.setattr(
+            durability.DurabilityLog, "_atomic_write", counting_write
+        )
+        monkeypatch.setattr(
+            durability, "network_fingerprint", counting_fingerprint
+        )
+        config = DurabilityConfig(str(tmp_path), checkpoint_every=every,
+                                  fsync=False)
+        with make_dispatcher(own_grid(), "plain", durability=config) as d:
+            chaos_stream(d, frames)
+        assert snapshots == [0, 2, 4, 6]  # 1 + frames // every
+        assert len(network_writes) == 1
+        assert len(fingerprints) == 1
+
+    @pytest.mark.parametrize("every", [1, 3, 10])
+    def test_restore_redoes_disruptions_between_frames(self, tmp_path, every):
+        with make_dispatcher(own_grid(), "plain") as reference:
+            expected = chaos_stream(reference, FRAMES + 2)
+        config = DurabilityConfig(str(tmp_path), checkpoint_every=every,
+                                  fsync=False)
+        with make_dispatcher(own_grid(), "plain", durability=config) as d:
+            # the WAL tail ends with the disruptions after frame 2
+            assert chaos_stream(d, 3) == expected[:3]
+        with Dispatcher.restore(str(tmp_path)) as restored:
+            assert restored._frame_index == 3
+            assert 3 not in restored.fleet  # the breakdown was redone
+            resumed = chaos_stream(restored, FRAMES + 2, start=3)
+            assert resumed == expected[3:]
+            assert restored.ledger == reference.ledger
+            assert totals(restored) == totals(reference)
+            assert network_fingerprint(restored.network) == (
+                network_fingerprint(reference.network)
+            )
+
+    def test_disruption_record_for_another_frame_is_refused(self, tmp_path):
+        config = DurabilityConfig(str(tmp_path), checkpoint_every=10,
+                                  fsync=False)
+        with make_dispatcher(own_grid(), "plain", durability=config) as d:
+            chaos_stream(d, 2)
+        lines = (tmp_path / "wal.jsonl").read_text().splitlines()
+        entries = [json.loads(line) for line in lines]
+        kinds = [e["record"]["kind"] for e in entries]
+        assert kinds == ["frame", "disruption", "frame", "disruption"]
+        record = entries[1]["record"]
+        record["frame_index"] += 1  # replayed against the wrong frame
+        entries[1]["crc"] = durability._crc(record)
+        (tmp_path / "wal.jsonl").write_text(
+            "".join(json.dumps(e) + "\n" for e in entries)
+        )
+        with pytest.raises(CheckpointError, match="stamped frame 2"):
+            Dispatcher.restore(str(tmp_path))
+
+    def test_live_network_after_a_perturbation_is_refused(self, tmp_path):
+        """A network handed to restore is the network as of the snapshot:
+        one that already holds the WAL's perturbation would get it twice."""
+        live = own_grid()
+        config = DurabilityConfig(str(tmp_path), checkpoint_every=10,
+                                  fsync=False)
+        with make_dispatcher(live, "plain", durability=config) as d:
+            chaos_stream(d, 1)  # the perturbation is only in the WAL
+        with pytest.raises(CheckpointError, match="fingerprint"):
+            Dispatcher.restore(str(tmp_path), network=live)
+        # the network as of the snapshot is accepted and brought forward
+        as_of_snapshot = own_grid()
+        with Dispatcher.restore(str(tmp_path), network=as_of_snapshot) as r:
+            assert r.network is as_of_snapshot
+            assert network_fingerprint(as_of_snapshot) == (
+                network_fingerprint(live)
+            )
 
 
 class TestLifecycle:
