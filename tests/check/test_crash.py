@@ -64,6 +64,16 @@ class TestSeeds:
         assert all(f.stage == "crash" for f in lost)
 
 
+class TestChaosSeeds:
+    def test_seeds_recover_across_disruption_records(self):
+        """``crash-chaos`` kills between disruption and frame records,
+        also right after a boundary's injected events."""
+        run = run_fuzz(range(12), "crash-chaos")
+        assert run.ok, [str(f) for f in run.failures]
+        assert all(r.stats.get("events", 0) > 0 for r in run.reports)
+        assert "after_inject" in {r.draws["kill"] for r in run.reports}
+
+
 class TestRun:
     def test_aggregates_reports(self):
         run = run_fuzz(range(3), "crash")
