@@ -440,11 +440,6 @@ class Trial:
             state = validate_fleet_state(d.fleet.values(), d.clock, oracle=d.oracle)
             for violation in state.violations:
                 self.fail("fleet" + suffix, f"frame {frame}: {violation}")
-            for fv in d.fleet.values():
-                try:
-                    fv.as_vehicle()
-                except ValueError as exc:
-                    self.fail("fleet" + suffix, f"frame {frame}: vehicle {fv.vehicle_id}: {exc}")
         self.count("events", len(events))
         self.count("applied", sum(applied[0]))
         if len(applied) == 2 and applied[0] != applied[1]:
@@ -487,9 +482,9 @@ def _stops(stops) -> List[tuple]:
 
 def _fleet_digest(d: Dispatcher) -> Dict[int, tuple]:
     return {
-        vid: (fv.location, fv.ready_time, sorted(r.rider_id for r in fv.onboard),
-              _stops(fv.committed_stops), fv.total_cost, fv.riders_served)
-        for vid, fv in d.fleet.items()
+        vid: (v.location, v.ready_time, sorted(r.rider_id for r in v.onboard),
+              _stops(v.committed_stops), d._total_cost[vid])
+        for vid, v in d.fleet.items()
     }
 
 

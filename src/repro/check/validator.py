@@ -692,12 +692,13 @@ def validate_fleet_state(
 ) -> ValidationReport:
     """Independently audit carried-over fleet state between frames.
 
-    Operates on anything shaped like the dispatcher's ``FleetVehicle``
-    (``vehicle_id`` / ``location`` / ``capacity`` / ``ready_time`` /
-    ``onboard`` / ``committed_stops``) *without* constructing a
-    :class:`~repro.core.vehicles.Vehicle` — so corrupt state is reported
-    as violations instead of blowing up in ``Vehicle.__post_init__``.
-    The chaos fuzzer runs this after every disruption injection.
+    Operates on the dispatcher's fleet values (frozen
+    :class:`~repro.core.vehicles.Vehicle` objects) or anything shaped like
+    them (``vehicle_id`` / ``location`` / ``capacity`` / ``ready_time`` /
+    ``onboard`` / ``committed_stops``), and re-derives every rule itself
+    instead of trusting ``Vehicle.__post_init__``: corrupt state is
+    reported as violations.  The chaos fuzzer runs this after every
+    disruption injection, and a restore before it replays any frame.
 
     Checks per vehicle: onboard uniqueness and capacity, the structural
     pickup/drop-off pairing rules of the residual chain, the load along

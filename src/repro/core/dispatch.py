@@ -28,11 +28,12 @@ machine:
   solve through the anytime watchdog
   (:func:`repro.core.solver.solve_anytime`), so a frame always commits
   some valid plan; the serving tier lands in :class:`FrameReport`;
-- per-frame bookkeeping is incremental: a frame rebuilds and audits
-  only the vehicles whose carried state was written since
-  they were last audited (:class:`FleetVehicle` notices the write,
-  :meth:`Dispatcher._sync_fleet` picks it up), so its cost follows the
-  batch and the changed vehicles rather than the fleet.
+- per-frame bookkeeping is incremental: a frame re-registers and
+  audits only the vehicles whose carried state changed since they were
+  last audited (a change replaces the vehicle's frozen :class:`Vehicle`
+  in :attr:`Dispatcher.fleet`, and :meth:`Dispatcher._sync_fleet` finds
+  the new object by identity), so its cost follows the batch and the
+  changed vehicles rather than the fleet.
 
 This is the online counterpart the Related Work section contrasts with
 ([25], [20]): requests within a frame are batched — between frames the
@@ -46,7 +47,8 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import (
-    Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING,
+    AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
+    TYPE_CHECKING,
 )
 
 import numpy as np
@@ -221,86 +223,6 @@ class FrameReport:
         return self.num_served / self.batch_size
 
 
-#: The :class:`FleetVehicle` fields its solver-side :class:`Vehicle` is
-#: built from.  Writing any of them drops the cached ``Vehicle`` and
-#: committed-rider ids, which is how the dispatcher learns the vehicle
-#: changed (see :meth:`Dispatcher._sync_fleet`).
-_CARRIED_FIELDS = frozenset(
-    {"location", "capacity", "ready_time", "onboard", "committed_stops"}
-)
-
-
-@dataclass
-class FleetVehicle:
-    """A vehicle's dispatcher-side state.
-
-    ``location`` / ``ready_time`` / ``onboard`` / ``committed_stops``
-    mirror :class:`~repro.core.vehicles.Vehicle`'s carried-over fields and
-    are rewritten by the rollforward after every frame.  ``total_cost``
-    accumulates each frame's *incremental* travel cost (committed legs are
-    charged once, when first planned).
-
-    :meth:`as_vehicle` and :meth:`committed_rider_ids` are cached until
-    one of the carried fields is written, by anyone: the rollforward,
-    the disruption engine, a restore, or code editing
-    ``Dispatcher.fleet`` directly.  The dispatcher treats a vehicle whose
-    cached ``Vehicle`` was dropped as changed.
-    """
-
-    vehicle_id: int
-    location: int
-    capacity: int
-    ready_time: Optional[float] = None
-    onboard: Tuple[Rider, ...] = ()
-    committed_stops: Tuple[Stop, ...] = ()
-    total_cost: float = 0.0
-    riders_served: int = 0
-    _vehicle: Optional[Vehicle] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _rider_ids: Optional[FrozenSet[int]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def __setattr__(self, name: str, value) -> None:
-        object.__setattr__(self, name, value)
-        if name in _CARRIED_FIELDS:
-            object.__setattr__(self, "_vehicle", None)
-            object.__setattr__(self, "_rider_ids", None)
-
-    def as_vehicle(self) -> Vehicle:
-        """The solver-side view of this vehicle for the next frame."""
-        vehicle = self._vehicle
-        if vehicle is None:
-            vehicle = self._vehicle = Vehicle(
-                vehicle_id=self.vehicle_id,
-                location=self.location,
-                capacity=self.capacity,
-                ready_time=self.ready_time,
-                onboard=self.onboard,
-                committed_stops=self.committed_stops,
-            )
-        return vehicle
-
-    def pending_pickup_ids(self) -> Set[int]:
-        """Ids of committed riders not yet picked up (releasable)."""
-        return {
-            s.rider.rider_id
-            for s in self.committed_stops
-            if s.kind is StopKind.PICKUP
-        }
-
-    def committed_rider_ids(self) -> FrozenSet[int]:
-        """Ids of every rider this vehicle is committed to."""
-        ids = self._rider_ids
-        if ids is None:
-            ids = self._rider_ids = frozenset(
-                [r.rider_id for r in self.onboard]
-                + [s.rider.rider_id for s in self.committed_stops]
-            )
-        return ids
-
-
 class CommittedRiders:
     """Fleet-wide ``rider id -> vehicles committed to it`` map.
 
@@ -315,9 +237,9 @@ class CommittedRiders:
     def __init__(self) -> None:
         self.owners: Dict[int, List[int]] = {}
         self.shared: Set[int] = set()
-        self._ids: Dict[int, FrozenSet[int]] = {}
+        self._ids: Dict[int, AbstractSet[int]] = {}
 
-    def assign(self, vehicle_id: int, rider_ids: FrozenSet[int]) -> None:
+    def assign(self, vehicle_id: int, rider_ids: AbstractSet[int]) -> None:
         """Replace the riders registered for one vehicle."""
         for rid in self._ids.pop(vehicle_id, ()):
             owners = self.owners[rid]
@@ -467,7 +389,10 @@ class Dispatcher:
     network:
         The road network.
     fleet:
-        Initial vehicles (their ids must be unique).
+        Initial vehicles (their ids must be unique).  :attr:`fleet` keeps
+        them by id; a :class:`Vehicle` is frozen, so every later change
+        (the rollforward, a disruption, a restore, or code editing the
+        fleet between frames) assigns a new one.
     oracle:
         Optional distance oracle (built on demand otherwise).
     plan:
@@ -528,17 +453,13 @@ class Dispatcher:
         self._plan_epoch: Optional[int] = None
         self._own_plan = plan is None
         self.social = social
-        self.fleet: Dict[int, FleetVehicle] = {
-            v.vehicle_id: FleetVehicle(
-                vehicle_id=v.vehicle_id,
-                location=v.location,
-                capacity=v.capacity,
-                ready_time=v.ready_time,
-                onboard=v.onboard,
-                committed_stops=v.committed_stops,
-            )
-            for v in fleet
-        }
+        # each vehicle's current state; every change replaces the frozen
+        # Vehicle (same key, same position), which is how the frame
+        # state below notices it
+        self.fleet: Dict[int, Vehicle] = {v.vehicle_id: v for v in fleet}
+        # travel cost charged to each vehicle, one frame's incremental
+        # cost at a time (committed legs are charged once, when planned)
+        self._total_cost: Dict[int, float] = dict.fromkeys(self.fleet, 0.0)
         # candidate retrieval: build (or adopt) the index once
         self.candidates: Optional["CandidateIndex"] = None
         if config.candidate_mode != "full":
@@ -552,7 +473,7 @@ class Dispatcher:
                     "(epoch changes would otherwise go undetected)"
                 )
             self.candidates = candidate_index
-        # incremental frame state: the Vehicle last read from each fleet
+        # incremental frame state: the Vehicle last seen in each fleet
         # entry (a different object means the entry changed), the riders
         # each vehicle is committed to, and the vehicles whose carried
         # state changed since their last audit (all of them at first)
@@ -799,34 +720,35 @@ class Dispatcher:
 
             next_clock = self._clock + frame_length
             roll_start = time.perf_counter()
+            fleet = self.fleet
             with _trace.span("dispatch.roll"):
-                for vid, fv in self.fleet.items():
+                for vid, vehicle in fleet.items():
                     if vid in touched:
                         seq = schedules[vid]
-                        fv.total_cost += (
+                        self._total_cost[vid] += (
                             seq.total_cost - baselines[vid].total_cost
                         )
-                        fv.riders_served += sum(
-                            1 for r in seq.assigned_riders()
-                            if r.rider_id in batch_ids
+                        fleet[vid] = self._roll_vehicle(
+                            vehicle, seq, next_clock
                         )
-                        self._roll_vehicle(fv, seq, next_clock)
-                    elif fv.committed_stops or fv.onboard:
-                        # untouched: the pristine plan, whose cost and
-                        # served deltas are exactly zero.  It changed when
-                        # last rolled, so the audit already built it.
+                    elif vehicle.committed_stops or vehicle.onboard:
+                        # untouched: the pristine plan, whose cost delta
+                        # is exactly zero.  It changed when last rolled,
+                        # so the audit already built it.
                         seq = schedules.peek(vid)
                         if seq is None:
                             seq = baselines[vid]
-                        self._roll_vehicle(fv, seq, next_clock)
+                        fleet[vid] = self._roll_vehicle(
+                            vehicle, seq, next_clock
+                        )
                     elif (
-                        fv.ready_time is not None
-                        and fv.ready_time <= next_clock + _EPS
+                        vehicle.ready_time is not None
+                        and vehicle.ready_time <= next_clock + _EPS
                     ):
                         # untouched idle vehicle: nothing to walk; retire
                         # a stale finished-leg timestamp like
-                        # _roll_vehicle would
-                        fv.ready_time = None
+                        # _roll_vehicle would (once per finished plan)
+                        fleet[vid] = replace(vehicle, ready_time=None)
                 # the rolled vehicles: committed-rider map and audit marks
                 self._sync_fleet()
             roll_seconds = time.perf_counter() - roll_start
@@ -912,8 +834,9 @@ class Dispatcher:
         record of the disruptions: the dispatcher keeps none, so a
         caller that wants a log collects them.  Call between
         :meth:`dispatch_frame` calls only; the engine repairs committed
-        plans in place so the next frame starts from a consistent,
-        deadline-feasible state.  A durable dispatcher then appends one
+        plans, replacing the affected :attr:`fleet` vehicles, so the next
+        frame starts from a consistent, deadline-feasible state.  A
+        durable dispatcher then appends one
         WAL record of the events and their outcomes, which
         :meth:`restore` redoes through the engine; no snapshot is
         written here.
@@ -1111,9 +1034,9 @@ class Dispatcher:
         return errors
 
     def _roll_vehicle(
-        self, fv: FleetVehicle, seq: TransferSequence, next_clock: float
-    ) -> None:
-        """Walk a vehicle's committed plan to its state at ``next_clock``.
+        self, vehicle: Vehicle, seq: TransferSequence, next_clock: float
+    ) -> Vehicle:
+        """The vehicle with its committed plan walked to ``next_clock``.
 
         Stops with arrival at or before ``next_clock`` are executed.  If
         any remain, the vehicle is mid-leg towards the first of them: it
@@ -1125,7 +1048,7 @@ class Dispatcher:
         feasible and the vehicle is never planned from a location before
         it arrives there.
         """
-        onboard: Dict[int, Rider] = {r.rider_id: r for r in fv.onboard}
+        onboard: Dict[int, Rider] = {r.rider_id: r for r in vehicle.onboard}
         stops = seq.stops
         arrive = seq.arrive
         n = len(stops)
@@ -1133,23 +1056,31 @@ class Dispatcher:
         while k < n and arrive[k] <= next_clock + _EPS:
             self._apply_stop(onboard, stops[k])
             k += 1
+        location = vehicle.location
+        ready_time = vehicle.ready_time
+        committed: Tuple[Stop, ...] = ()
         if k < n:
             # mid-leg: committed to reaching stops[k] at arrive[k]
             self._apply_stop(onboard, stops[k])
-            fv.location = stops[k].location
-            fv.ready_time = arrive[k]
-            fv.onboard = tuple(onboard.values())
-            fv.committed_stops = tuple(stops[k + 1:])
-            return
-        # plan finished by next_clock: idle at the last stop (or, with no
-        # stops at all, still finishing a previous frame's in-flight leg)
-        if n:
-            fv.location = stops[-1].location
-            fv.ready_time = None
-        elif fv.ready_time is not None and fv.ready_time <= next_clock + _EPS:
-            fv.ready_time = None
-        fv.onboard = tuple(onboard.values())
-        fv.committed_stops = ()
+            location = stops[k].location
+            ready_time = arrive[k]
+            committed = tuple(stops[k + 1:])
+        elif n:
+            # plan finished by next_clock: idle at the last stop
+            location = stops[-1].location
+            ready_time = None
+        elif ready_time is not None and ready_time <= next_clock + _EPS:
+            # no stops at all: a previous frame's in-flight leg ended
+            ready_time = None
+        return Vehicle(
+            vehicle_id=vehicle.vehicle_id,
+            location=location,
+            capacity=vehicle.capacity,
+            driver_social_id=vehicle.driver_social_id,
+            ready_time=ready_time,
+            onboard=tuple(onboard.values()),
+            committed_stops=committed,
+        )
 
     def _apply_stop(self, onboard: Dict[int, Rider], stop: Stop) -> None:
         if stop.kind is StopKind.PICKUP:
@@ -1253,9 +1184,7 @@ class Dispatcher:
     def utilisation(self) -> Dict[int, float]:
         """Mean travel cost per frame per vehicle (busy-time proxy)."""
         frames = max(self._frame_index, 1)
-        return {
-            vid: fv.total_cost / frames for vid, fv in self.fleet.items()
-        }
+        return {vid: self._total_cost[vid] / frames for vid in self.fleet}
 
     def perf_report(self) -> PerfReport:
         """This dispatcher's counters across all its frames (delta-based).
@@ -1326,6 +1255,12 @@ class Dispatcher:
            summary or outcomes and refused when stamped with another
            frame cursor; then write a fresh snapshot.
 
+        A directory given as a path resumes with the run's own
+        ``checkpoint_every`` and ``fsync`` (stored in the snapshot); a
+        :class:`~repro.core.durability.DurabilityConfig` or
+        :class:`~repro.core.durability.DurabilityLog` passed in sets its
+        own.
+
         ``overrides`` replace stored :class:`DispatchConfig` fields (e.g.
         resume with ``validate_frames=True`` to audit every replayed and
         later frame) and are validated like any other config; the
@@ -1341,6 +1276,11 @@ class Dispatcher:
         if snapshot is None:
             raise CheckpointError(
                 f"no snapshot found in {log.directory} — nothing to restore"
+            )
+        if not isinstance(durability, (DurabilityConfig, DurabilityLog)):
+            # a bare path: resume with the run's own snapshot cadence
+            log.config = DurabilityConfig(
+                log.directory, **snapshot["durability"]
             )
         if network is None:
             network = log.load_network(snapshot)
@@ -1400,26 +1340,22 @@ class Dispatcher:
     def _sync_fleet(self) -> List[Vehicle]:
         """The solver-side fleet, re-reading only the vehicles that changed.
 
-        Writing a carried field of a :class:`FleetVehicle` drops its
-        cached :class:`Vehicle`, so an entry changed since the last sync
-        exactly when :meth:`FleetVehicle.as_vehicle` hands back a
-        different object than the one recorded here (a replaced entry
-        too).  A changed vehicle is marked for audit and re-registered in
-        the committed-rider map; vehicles gone from the fleet
-        (breakdowns) are forgotten.  A new oracle
-        epoch re-times every residual plan, so it marks every vehicle for
-        audit.  Returns the vehicles in fleet order.
+        Every change to a vehicle replaces its frozen :class:`Vehicle`
+        in :attr:`fleet`, so an entry changed since the last sync exactly
+        when it holds a different object than the one recorded here.  A
+        changed vehicle is marked for audit and re-registered in the
+        committed-rider map; vehicles gone from the fleet (breakdowns)
+        are forgotten.  A new oracle epoch re-times every residual plan,
+        so it marks every vehicle for audit.  Returns the vehicles in
+        fleet order.
         """
         known = self._vehicles
-        vehicles: List[Vehicle] = []
-        for vid, fv in self.fleet.items():
-            vehicle = fv._vehicle
-            if vehicle is None or vehicle is not known.get(vid):
-                vehicle = known[vid] = fv.as_vehicle()
-                self._committed.assign(vid, fv.committed_rider_ids())
+        for vid, vehicle in self.fleet.items():
+            if vehicle is not known.get(vid):
+                known[vid] = vehicle
+                self._committed.assign(vid, vehicle.committed_rider_ids())
                 self._dirty.add(vid)
                 self._rebuilt += 1
-            vehicles.append(vehicle)
         if len(known) > len(self.fleet):
             for vid in known.keys() - self.fleet.keys():
                 del known[vid]
@@ -1428,7 +1364,7 @@ class Dispatcher:
         if self.oracle.epoch != self._epoch:
             self._epoch = self.oracle.epoch
             self._dirty.update(self.fleet)
-        return vehicles
+        return list(self.fleet.values())
 
     def _build_instance(self, riders: List[Rider]) -> URRInstance:
         config = self.config

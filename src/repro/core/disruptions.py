@@ -51,7 +51,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.requests import Rider
 from repro.core.schedule import Stop, StopKind
-from repro.core.dispatch import Dispatcher, FleetVehicle, RiderStatus
+from repro.core.dispatch import Dispatcher, RiderStatus
 from repro.obs import trace as _trace
 
 _EPS = 1e-9
@@ -354,24 +354,24 @@ class DisruptionEngine:
                     cancelled=(rid,),
                 )
 
-        for fv in d.fleet.values():
-            if rid not in {
-                s.rider.rider_id
-                for s in fv.committed_stops
-                if s.kind is StopKind.PICKUP
-            }:
+        for vid, vehicle in d.fleet.items():
+            if rid not in vehicle.pending_pickup_ids():
                 continue
             # excise both stops; remaining legs only shorten (triangle
             # inequality of shortest-path costs), so no repair is needed
-            fv.committed_stops = tuple(
-                s for s in fv.committed_stops if s.rider.rider_id != rid
+            d.fleet[vid] = dataclasses.replace(
+                vehicle,
+                committed_stops=tuple(
+                    s for s in vehicle.committed_stops
+                    if s.rider.rider_id != rid
+                ),
             )
             d.ledger[rid] = RiderStatus.CANCELLED
             return DisruptionOutcome(
                 event, OutcomeStatus.APPLIED,
                 detail=(
-                    f"rider {rid} released from vehicle "
-                    f"{fv.vehicle_id}'s committed plan"
+                    f"rider {rid} released from vehicle {vid}'s "
+                    f"committed plan"
                 ),
                 cancelled=(rid,),
             )
@@ -504,8 +504,8 @@ class DisruptionEngine:
         extended: List[int] = []
         released: List[int] = []
         expired: List[int] = []
-        for fv in d.fleet.values():
-            self._reaudit_vehicle(fv, extended, released, expired)
+        for vid in d.fleet:
+            self._reaudit_vehicle(vid, extended, released, expired)
         # queue riders whose trip no longer exists expire outright
         survivors = []
         for entry in d._carryover:
@@ -520,7 +520,7 @@ class DisruptionEngine:
 
     def _reaudit_vehicle(
         self,
-        fv: FleetVehicle,
+        vid: int,
         extended: List[int],
         released: List[int],
         expired: List[int],
@@ -533,17 +533,16 @@ class DisruptionEngine:
         an onboard rider's drop-off deadline is stretched to the new
         arrival (they cannot be un-picked-up).  Terminates because every
         pass either finishes clean, removes a rider, or moves the first
-        violation strictly later.
+        violation strictly later.  Each fix replaces the fleet's vehicle.
         """
         d = self.dispatcher
         clock = d.clock
         while True:
-            stops = fv.committed_stops
-            start = max(
-                clock, fv.ready_time if fv.ready_time is not None else clock
-            )
-            time_at = start
-            location = fv.location
+            vehicle = d.fleet[vid]
+            stops = vehicle.committed_stops
+            ready = vehicle.ready_time
+            time_at = max(clock, ready if ready is not None else clock)
+            location = vehicle.location
             violation = None
             for i, stop in enumerate(stops):
                 time_at += d.oracle.cost(location, stop.location)
@@ -565,8 +564,11 @@ class DisruptionEngine:
             )
             if pickup is not None:
                 # not yet in the car: release the whole promise
-                fv.committed_stops = tuple(
-                    s for s in stops if s.rider.rider_id != rid
+                d.fleet[vid] = dataclasses.replace(
+                    vehicle,
+                    committed_stops=tuple(
+                        s for s in stops if s.rider.rider_id != rid
+                    ),
                 )
                 rider = pickup.rider
                 if rider.pickup_deadline <= clock + _EPS or not math.isfinite(
@@ -583,7 +585,7 @@ class DisruptionEngine:
                 # factors are finite, so an onboard rider's drop-off can
                 # never be severed — if it is, carried state is corrupt
                 raise RuntimeError(
-                    f"vehicle {fv.vehicle_id}: onboard rider {rid}'s "
+                    f"vehicle {vid}: onboard rider {rid}'s "
                     f"drop-off became unreachable"
                 )
             # onboard: stretch the drop-off deadline to the new arrival,
@@ -592,13 +594,17 @@ class DisruptionEngine:
                 stop.rider,
                 dropoff_deadline=arrival + EXTENSION_SLACK,
             )
-            fv.onboard = tuple(
-                replacement if r.rider_id == rid else r for r in fv.onboard
-            )
-            fv.committed_stops = tuple(
-                Stop(location=s.location, kind=s.kind, rider=replacement)
-                if s.rider.rider_id == rid
-                else s
-                for s in stops
+            d.fleet[vid] = dataclasses.replace(
+                vehicle,
+                onboard=tuple(
+                    replacement if r.rider_id == rid else r
+                    for r in vehicle.onboard
+                ),
+                committed_stops=tuple(
+                    Stop(location=s.location, kind=s.kind, rider=replacement)
+                    if s.rider.rider_id == rid
+                    else s
+                    for s in stops
+                ),
             )
             extended.append(rid)

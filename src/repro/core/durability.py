@@ -22,7 +22,9 @@ the number of frames (the ledger grows with the riders admitted).
       old one or the new one, nothing in between.  Besides the state it
       holds the metric changes applied since construction (the new cost
       of every scaled arc, and every closed arc: one row per changed
-      arc) and the sequence number of the last WAL record it covers.
+      arc), the sequence number of the last WAL record it covers, and
+      the log's ``checkpoint_every`` and ``fsync`` settings, which a
+      restore from the bare directory path resumes with.
   ``wal.jsonl``
       An append-only redo log of CRC-guarded records, each stamped with
       a sequence number and the frame cursor it was written at.  A
@@ -96,8 +98,10 @@ PathLike = Union[str, Path]
 #: ``degrade`` and ``utility_matrix`` settings from the config; version 6
 #: logs disruptions as WAL records, keeps ``network.json`` as the network
 #: at construction, and stores the metric changes applied since then and
-#: the sequence number of the last WAL record the snapshot covers.
-CHECKPOINT_VERSION = 6
+#: the sequence number of the last WAL record the snapshot covers;
+#: version 7 drops the per-vehicle ``riders_served`` count and stores the
+#: log's own ``checkpoint_every`` and ``fsync`` settings.
+CHECKPOINT_VERSION = 7
 
 #: Named crash-injection points, in the order they occur inside
 #: :meth:`DurabilityLog.commit_frame`.
@@ -231,22 +235,20 @@ def snapshot_dispatcher(dispatcher, fingerprint: int, lsn: int) -> dict:
     list preserves queue order (it drives batch order), and the pinned
     utility rows preserve their (sorted) overlay order.
     """
-    fleet = []
-    for fv in dispatcher.fleet.values():
-        fleet.append(
-            {
-                "id": fv.vehicle_id,
-                "location": fv.location,
-                "capacity": fv.capacity,
-                "ready_time": fv.ready_time,
-                "onboard": [rider_to_dict(r) for r in fv.onboard],
-                "committed_stops": [
-                    stop_to_dict(s) for s in fv.committed_stops
-                ],
-                "total_cost": fv.total_cost,
-                "riders_served": fv.riders_served,
-            }
-        )
+    fleet = [
+        {
+            "id": vid,
+            "location": vehicle.location,
+            "capacity": vehicle.capacity,
+            "ready_time": vehicle.ready_time,
+            "onboard": [rider_to_dict(r) for r in vehicle.onboard],
+            "committed_stops": [
+                stop_to_dict(s) for s in vehicle.committed_stops
+            ],
+            "total_cost": dispatcher._total_cost[vid],
+        }
+        for vid, vehicle in dispatcher.fleet.items()
+    ]
     return {
         "format_version": CHECKPOINT_VERSION,
         "frames_committed": dispatcher._frame_index,
@@ -290,9 +292,12 @@ def apply_snapshot_state(dispatcher, snapshot: dict) -> None:
 
     The dispatcher must have been built from the snapshot's config and
     fleet identities (``Dispatcher.restore`` does both); this re-applies
-    the mutable cross-frame state on top.
+    the mutable cross-frame state on top, replacing every fleet vehicle.
+    Carried state that no :class:`~repro.core.vehicles.Vehicle` can hold
+    raises :class:`CheckpointError`.
     """
     from repro.core.dispatch import CarriedRequest, RiderStatus
+    from repro.core.vehicles import Vehicle
 
     dispatcher._frame_index = snapshot["frames_committed"]
     dispatcher._clock = snapshot["clock"]
@@ -302,20 +307,25 @@ def apply_snapshot_state(dispatcher, snapshot: dict) -> None:
     dispatcher.total_expired = totals["expired"]
     dispatcher.total_utility = totals["utility"]
     for payload in snapshot["fleet"]:
-        fv = dispatcher.fleet.get(payload["id"])
-        if fv is None:
+        vid = payload["id"]
+        if vid not in dispatcher.fleet:
             raise CheckpointError(
-                f"snapshot vehicle {payload['id']} missing from the fleet"
+                f"snapshot vehicle {vid} missing from the fleet"
             )
-        fv.location = payload["location"]
-        fv.capacity = payload["capacity"]
-        fv.ready_time = payload["ready_time"]
-        fv.onboard = tuple(rider_from_dict(r) for r in payload["onboard"])
-        fv.committed_stops = tuple(
-            stop_from_dict(s) for s in payload["committed_stops"]
-        )
-        fv.total_cost = payload["total_cost"]
-        fv.riders_served = payload["riders_served"]
+        try:
+            dispatcher.fleet[vid] = Vehicle(
+                vehicle_id=vid,
+                location=payload["location"],
+                capacity=payload["capacity"],
+                ready_time=payload["ready_time"],
+                onboard=[rider_from_dict(r) for r in payload["onboard"]],
+                committed_stops=[
+                    stop_from_dict(s) for s in payload["committed_stops"]
+                ],
+            )
+        except ValueError as exc:
+            raise CheckpointError(f"snapshot vehicle {vid}: {exc}") from exc
+        dispatcher._total_cost[vid] = payload["total_cost"]
     dispatcher._carryover = [
         CarriedRequest(
             rider=rider_from_dict(entry["rider"]),
@@ -517,6 +527,10 @@ class DurabilityLog:
         by the snapshot.
         """
         payload = snapshot_dispatcher(dispatcher, self._network_fp, self.lsn)
+        payload["durability"] = {
+            "checkpoint_every": self.config.checkpoint_every,
+            "fsync": self.config.fsync,
+        }
         self._atomic_write(
             self.snapshot_path, payload, crash_point="post_snapshot_temp"
         )

@@ -343,13 +343,6 @@ def plan_insertion(
     return best
 
 
-def materialize_plan(
-    sequence: TransferSequence, rider: Rider, plan: InsertionPlan
-) -> InsertionResult:
-    """The :class:`InsertionResult` of a winning plan (lazy sequence)."""
-    return InsertionResult.deferred(sequence, rider, plan)
-
-
 def arrange_single_rider(
     sequence: TransferSequence, rider: Rider
 ) -> Optional[InsertionResult]:

@@ -147,10 +147,6 @@ class TransferSequence:
     def __len__(self) -> int:
         return len(self.stops)
 
-    @property
-    def num_events(self) -> int:
-        return len(self.stops)
-
     def locations(self) -> List[int]:
         return [s.location for s in self.stops]
 

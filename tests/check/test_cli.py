@@ -1,5 +1,6 @@
 """`python -m repro.check` in-process: exit codes, self-test, artifacts."""
 
+import dataclasses
 import json
 
 import pytest
@@ -109,9 +110,11 @@ class TestArgumentErrors:
 
         def teleporting(self, requests, **kwargs):
             report = original(self, requests, **kwargs)
-            for fv in self.fleet.values():
-                if fv.ready_time is not None:
-                    fv.ready_time = self.clock - 1.0
+            for vid, vehicle in self.fleet.items():
+                if vehicle.ready_time is not None:
+                    self.fleet[vid] = dataclasses.replace(
+                        vehicle, ready_time=self.clock - 1.0
+                    )
             return report
 
         monkeypatch.setattr(Dispatcher, "dispatch_frame", teleporting)

@@ -112,14 +112,17 @@ class TestRebuildAxis:
     def test_divergence_is_named_after_the_rebuild_axis(self, monkeypatch):
         from repro.core.dispatch import Dispatcher
 
-        roll = Dispatcher._roll_vehicle
+        sync = Dispatcher._sync_fleet
 
-        def forgetful(self, fv, seq, next_clock):
-            cached = fv._vehicle
-            roll(self, fv, seq, next_clock)
-            fv._vehicle = cached  # B plans from the pre-roll state
+        def forgetful(self):
+            first = dict(self._vehicles)
+            sync(self)
+            for vid in first.keys() & self.fleet.keys():
+                # B keeps the Vehicle it first saw: it plans from there
+                self._vehicles[vid] = first[vid]
+            return [self._vehicles[vid] for vid in self.fleet]
 
-        monkeypatch.setattr(Dispatcher, "_roll_vehicle", forgetful)
+        monkeypatch.setattr(Dispatcher, "_sync_fleet", forgetful)
         stages = {
             f.stage for seed in range(6)
             for f in run_trial(seed, "chaos-rebuild").failures
@@ -174,9 +177,11 @@ class TestMinimize:
 
         def teleporting(self, requests, **kwargs):
             report = original(self, requests, **kwargs)
-            for fv in self.fleet.values():
-                if fv.ready_time is not None:
-                    fv.ready_time = self.clock - 1.0
+            for vid, vehicle in self.fleet.items():
+                if vehicle.ready_time is not None:
+                    self.fleet[vid] = dataclasses.replace(
+                        vehicle, ready_time=self.clock - 1.0
+                    )
             return report
 
         monkeypatch.setattr(Dispatcher, "dispatch_frame", teleporting)

@@ -5,6 +5,8 @@ proves nothing, so every row below plants one and runs the mode's
 25-seed CI pass against it.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.check import run_fuzz
@@ -18,9 +20,12 @@ def _teleport(monkeypatch):
 
     def teleporting(self, requests, **kwargs):
         report = original(self, requests, **kwargs)
-        for fv in self.fleet.values():
-            if fv.ready_time is not None:
-                fv.ready_time = self.clock - 1.0  # pretend it's already there
+        for vid, vehicle in self.fleet.items():
+            if vehicle.ready_time is not None:
+                # pretend it's already there
+                self.fleet[vid] = dataclasses.replace(
+                    vehicle, ready_time=self.clock - 1.0
+                )
         return report
 
     monkeypatch.setattr(Dispatcher, "dispatch_frame", teleporting)
@@ -115,32 +120,40 @@ def _drop_last_shard(monkeypatch):
 
 
 def _stale_vehicle(monkeypatch):
-    """A rollforward that forgets to drop the vehicle's cached Vehicle."""
+    """A sync that keeps the Vehicle it first recorded for a replaced
+    entry: every later frame plans from that old state."""
     from repro.core.dispatch import Dispatcher
 
-    roll = Dispatcher._roll_vehicle
+    sync = Dispatcher._sync_fleet
 
-    def forgetful(self, fv, seq, next_clock):
-        cached = fv._vehicle
-        roll(self, fv, seq, next_clock)
-        fv._vehicle = cached  # the next frame plans from the old state
+    def forgetful(self):
+        first = dict(self._vehicles)
+        sync(self)
+        for vid in first.keys() & self.fleet.keys():
+            self._vehicles[vid] = first[vid]
+        return [self._vehicles[vid] for vid in self.fleet]
 
-    monkeypatch.setattr(Dispatcher, "_roll_vehicle", forgetful)
+    monkeypatch.setattr(Dispatcher, "_sync_fleet", forgetful)
 
 
 def _stale_restore(monkeypatch):
-    """A restore that keeps the construction-time placeholder vehicles."""
+    """A restore that replaces the construction-time placeholder vehicles
+    but hands them, not the restored ones, to its first frame's solve."""
     from repro.core import dispatch
 
     apply = dispatch.apply_snapshot_state
 
     def forgetful(dispatcher, snapshot):
-        placeholders = {
-            vid: fv.as_vehicle() for vid, fv in dispatcher.fleet.items()
-        }
+        placeholders = dict(dispatcher.fleet)
         apply(dispatcher, snapshot)
-        for vid, fv in dispatcher.fleet.items():
-            fv._vehicle = placeholders[vid]  # resumes planning from them
+        sync = dispatcher._sync_fleet
+
+        def stale_sync():
+            sync()
+            del dispatcher._sync_fleet  # the class method from now on
+            return list(placeholders.values())  # resumes planning from them
+
+        dispatcher._sync_fleet = stale_sync
 
     monkeypatch.setattr(dispatch, "apply_snapshot_state", forgetful)
 

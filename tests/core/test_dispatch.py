@@ -566,7 +566,10 @@ class TestDispatchError:
         # corrupt the fleet state itself: the vehicle now reaches its
         # committed drop-off long past the rider's deadline, so the
         # carried-in plan is invalid and no frame may commit over it
-        dispatcher.fleet[0].ready_time += 1000.0
+        vehicle = dispatcher.fleet[0]
+        dispatcher.fleet[0] = dataclasses.replace(
+            vehicle, ready_time=vehicle.ready_time + 1000.0
+        )
         with pytest.raises(DispatchError):
             dispatcher.dispatch_frame([])
 
@@ -722,7 +725,9 @@ class TestIncrementalFrameState:
         dispatcher.dispatch_frame([])  # every vehicle starts changed
         changed = [7, 50, 123]
         for vid in changed:
-            dispatcher.fleet[vid].ready_time = 600.0
+            dispatcher.fleet[vid] = dataclasses.replace(
+                dispatcher.fleet[vid], ready_time=600.0
+            )
 
         calls = {"initial_sequence": 0, "Vehicle": 0}
         built = []
@@ -762,6 +767,42 @@ class TestIncrementalFrameState:
         assert report.changed_vehicles == frozenset({0})
         assert set(built) == {0}
 
+    def test_fleet_holds_the_frozen_vehicles(self, city):
+        fleet = _parked_fleet(3)
+        dispatcher = Dispatcher(city, fleet, method="eg", frame_length=1.0,
+                                seed=3)
+        assert all(a is b for a, b in zip(dispatcher.fleet.values(), fleet))
+        dispatcher.dispatch_frame([])
+        assert all(isinstance(v, Vehicle) for v in dispatcher.fleet.values())
+        # a change is a replacement: an in-place write cannot slip past
+        # the identity check of the next sync
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dispatcher.fleet[1].ready_time = 600.0
+
+    def test_idle_fleet_is_not_rebuilt_at_start(self, city, monkeypatch):
+        from repro.core import dispatch as dispatch_module
+
+        built = []
+        vehicle_cls = dispatch_module.Vehicle
+
+        def counting_vehicle(*args, **kwargs):
+            built.append(kwargs.get("vehicle_id"))
+            return vehicle_cls(*args, **kwargs)
+
+        monkeypatch.setattr(dispatch_module, "Vehicle", counting_vehicle)
+        fleet = [
+            Vehicle(vehicle_id=vid, location=vid % 64, capacity=2)
+            for vid in range(1000)
+        ]
+        dispatcher = Dispatcher(city, fleet, method="eg", frame_length=1.0,
+                                seed=3)
+        report = dispatcher.dispatch_frame([])
+        assert built == []
+        # every vehicle is new to the frame state: registered once, read
+        # from the caller's objects
+        assert report.perf.vehicles_rebuilt == 1000
+        assert all(a is b for a, b in zip(dispatcher.fleet.values(), fleet))
+
     def test_restore_audits_every_carried_vehicle(
         self, city, tmp_path, monkeypatch
     ):
@@ -777,8 +818,8 @@ class TestIncrementalFrameState:
 
         restored = Dispatcher.restore(tmp_path, city)
         carried = {
-            vid for vid, fv in restored.fleet.items()
-            if fv.as_vehicle().has_carried_state
+            vid for vid, vehicle in restored.fleet.items()
+            if vehicle.has_carried_state
         }
         audited = set()
         commitment_errors = Dispatcher._commitment_errors
@@ -822,7 +863,9 @@ class TestIncrementalFrameState:
         dispatcher.dispatch_frame([])
         # vehicle 0 is heading for a's pickup; b's pickup is still pending
         assert dispatcher.fleet[0].pending_pickup_ids() == {1}
-        dispatcher.fleet[1].committed_stops = (Stop.pickup(b), Stop.dropoff(b))
+        dispatcher.fleet[1] = dataclasses.replace(
+            dispatcher.fleet[1], committed_stops=(Stop.pickup(b), Stop.dropoff(b))
+        )
         with pytest.raises(DispatchError) as excinfo:
             dispatcher.dispatch_frame([])
         assert excinfo.value.vehicle_id is None

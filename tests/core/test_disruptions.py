@@ -1,5 +1,6 @@
 """Unit tests for repro.core.disruptions (mid-horizon fault injection)."""
 
+import dataclasses
 import math
 
 import pytest
@@ -135,7 +136,7 @@ class TestBreakdown:
         fv = d.fleet[0]
         # teleport the anchor to the onboard rider's destination
         rider = fv.onboard[0]
-        fv.location = rider.destination
+        d.fleet[0] = dataclasses.replace(fv, location=rider.destination)
         (outcome,) = d.inject([VehicleBreakdown(vehicle_id=0)])
         assert rider.rider_id in outcome.delivered
         assert d.ledger[rider.rider_id] is RiderStatus.DELIVERED
@@ -172,7 +173,11 @@ class TestCancellation:
         (outcome,) = d.inject([RiderNoShow(rider_id=rid)])
         assert outcome.applied
         assert outcome.event.kind is DisruptionKind.RIDER_NO_SHOW
-        assert all(s.rider.rider_id != rid for s in fv.committed_stops)
+        # the repair replaced the vehicle; the old object is unchanged
+        assert any(s.rider.rider_id == rid for s in fv.committed_stops)
+        assert all(
+            s.rider.rider_id != rid for s in d.fleet[0].committed_stops
+        )
         assert d.ledger[rid] is RiderStatus.CANCELLED
         # the repaired chain still dispatches cleanly
         report = d.dispatch_frame([])

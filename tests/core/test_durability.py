@@ -239,17 +239,19 @@ class TestGuards:
         # summary of every frame and the seen rider ids in place of the
         # running totals; version 4 stored the degrade and utility_matrix
         # settings; version 5 rewrote network.json on every metric change
-        # and had no metric-change block or WAL sequence numbers.
-        # Restoring any of them must fail as a CheckpointError, not a
-        # TypeError or KeyError from the layout
+        # and had no metric-change block or WAL sequence numbers; version
+        # 6 counted riders_served per vehicle and stored no durability
+        # settings.  Restoring any of them must fail as a CheckpointError,
+        # not a TypeError or KeyError from the layout
         legacy_config = {
             1: {"shard_workers": 1, "shard_timeout": 30.0, "shard_retries": 2},
             2: {"fallbacks": ["eg", "cf"]},
             3: {},
             4: {"degrade": False, "utility_matrix": "synthetic"},
             5: {},
+            6: {},
         }
-        assert CHECKPOINT_VERSION == 6
+        assert CHECKPOINT_VERSION == 7
         for version, config in legacy_config.items():
             directory = tmp_path / f"v{version}"
             durable = str(directory)
@@ -262,6 +264,10 @@ class TestGuards:
                 payload["format_version"] = version
                 if name == "snapshot.json":
                     payload["config"].update(config)
+                    del payload["durability"]
+                    for vehicle in payload["fleet"]:
+                        vehicle["riders_served"] = 0
+                if name == "snapshot.json" and version < 6:
                     del payload["metric_changes"], payload["wal_lsn"]
                 if name == "snapshot.json" and version < 4:
                     del payload["totals"], payload["preloaded_rider_ids"]
@@ -274,6 +280,71 @@ class TestGuards:
                 (directory / name).write_text(json.dumps(payload))
             with pytest.raises(CheckpointError, match=f"version {version}"):
                 Dispatcher.restore(str(directory))
+
+    def test_restore_from_a_path_keeps_the_run_settings(
+        self, city, tmp_path, monkeypatch
+    ):
+        config = DurabilityConfig(str(tmp_path), checkpoint_every=10,
+                                  fsync=False)
+        with make_dispatcher(city, "plain", durability=config) as d:
+            for f in range(10):
+                d.dispatch_frame(frame_requests(f, f * 10))
+        snapshots = []
+        write_snapshot = durability.DurabilityLog.write_snapshot
+
+        def counting(self, dispatcher):
+            snapshots.append(dispatcher._frame_index)
+            write_snapshot(self, dispatcher)
+
+        with Dispatcher.restore(str(tmp_path)) as restored:
+            settings = restored._durability.config
+            assert (settings.checkpoint_every, settings.fsync) == (10, False)
+            monkeypatch.setattr(
+                durability.DurabilityLog, "write_snapshot", counting
+            )
+            for f in range(10, 20):
+                restored.dispatch_frame(frame_requests(f, f * 10))
+        # the next snapshot comes 10 frames later, as in the original run
+        assert snapshots == [20]
+        # a config passed in still wins over the stored settings
+        override = DurabilityConfig(str(tmp_path), checkpoint_every=3)
+        with Dispatcher.restore(override) as restored:
+            assert restored._durability.config is override
+
+    @pytest.mark.parametrize("corruption", ["structure", "deadline"])
+    def test_corrupt_carried_state_fails_before_any_replay(
+        self, city, tmp_path, monkeypatch, corruption
+    ):
+        from repro.check.validator import ValidationError
+        from repro.core import dispatch as dispatch_module
+
+        config = DurabilityConfig(str(tmp_path), checkpoint_every=2,
+                                  fsync=False)
+        # short frames: the snapshot after frame 1 carries plans, and
+        # frame 2 is left in the WAL
+        with Dispatcher(city, make_fleet(), method="eg", frame_length=5.0,
+                        seed=9, durability=config) as d:
+            for f in range(3):
+                d.dispatch_frame(frame_requests(f, f * 10))
+        snapshot = json.loads((tmp_path / "snapshot.json").read_text())
+        vehicle = next(v for v in snapshot["fleet"] if v["committed_stops"])
+        if corruption == "structure":
+            # every committed stop twice: no Vehicle can hold this plan
+            vehicle["committed_stops"] *= 2
+            expected = CheckpointError
+        else:
+            # a valid Vehicle whose promises can no longer be kept
+            vehicle["ready_time"] = snapshot["clock"] + 10_000.0
+            expected = ValidationError
+        (tmp_path / "snapshot.json").write_text(json.dumps(snapshot))
+        replayed = []
+        monkeypatch.setattr(
+            dispatch_module, "replay_record",
+            lambda dispatcher, record: replayed.append(record),
+        )
+        with pytest.raises(expected, match=f"vehicle {vehicle['id']}"):
+            Dispatcher.restore(str(tmp_path))
+        assert replayed == []
 
     def test_snapshot_config_is_the_dispatch_config(self, city, tmp_path):
         with make_dispatcher(
