@@ -50,7 +50,11 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(_ROOT / "src"))
+# the repo root: the sibling bench below then imports through the
+# benchmarks package both when this file runs as a script and under pytest
+sys.path.insert(0, str(_ROOT))
 
 import numpy as np
 
@@ -63,7 +67,7 @@ from repro.perf import SHARD_STATS
 from repro.roadnet.generators import grid_city
 from repro.roadnet.oracle import DistanceOracle
 
-from bench_matching_scale import skip_preference_draw
+from benchmarks.bench_matching_scale import skip_preference_draw
 
 INF = float("inf")
 

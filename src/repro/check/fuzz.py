@@ -95,6 +95,8 @@ _P_BREAKDOWN, _P_CANCEL, _P_PERTURB, _P_CLOSURE = 0.25, 0.45, 0.35, 0.2
 #: BA's random rider order is one global draw and cannot decompose
 #: across shards, so only these methods must match unsharded dispatch
 _STRICT_SHARD_METHODS = ("eg", "cf", "gbs+eg")
+#: the statuses ``service_rate`` counts as served
+_SERVED = (RiderStatus.COMMITTED, RiderStatus.DELIVERED)
 
 
 # ----------------------------------------------------------------------
@@ -274,6 +276,8 @@ class Trial:
         if rebuild and "rebuild" not in self.config:
             self.name = "incremental"
             self.label = "rebuild" if mode.drive == "frames" else f"{mode.drive}+rebuild"
+        #: each run's carry-over queue order at its last ledger check
+        self.queues: Dict[str, List[int]] = {}
         #: rider ids issued up to and including each frame
         self.issued: List[set] = []
         for riders in scenario.frames:
@@ -366,7 +370,7 @@ class Trial:
                 if r.rider_id not in drops:
                     fail("invariant", f"onboard rider {r.rider_id} on vehicle "
                                       f"{vid} has no committed drop-off")
-        for entry in d._carryover:
+        for entry in d.riders.queue():
             if entry.rider.pickup_deadline <= clock:
                 fail("invariant", f"dead rider {entry.rider.rider_id} in the "
                                   f"carry-over queue")
@@ -396,8 +400,11 @@ class Trial:
         """``pending + committed + delivered + expired + cancelled = issued``.
 
         Ledger keys are exactly the issued ids, ``PENDING`` is exactly the
-        carry-over queue, and ``COMMITTED`` exactly the riders onboard or
-        in some vehicle's committed chain.
+        carry-over queue, ``COMMITTED`` exactly the riders onboard or in
+        some vehicle's committed chain, and the pinned mu_v rows exactly
+        the ``PENDING`` and ``COMMITTED`` riders.  The queue is in queue
+        order: the riders still queued since the last check keep their
+        order, ahead of every newcomer.
         """
         def fail(detail: str) -> None:
             self.fail("ledger" + suffix, f"{where}: {detail}")
@@ -406,10 +413,27 @@ class Trial:
             fail(f"ledger keys diverge from issued ids (extra="
                  f"{sorted(set(d.ledger) - issued)[:5]}, missing="
                  f"{sorted(issued - set(d.ledger))[:5]})")
-        queue = {e.rider.rider_id for e in d._carryover}
+        scanned = {status.value: 0 for status in RiderStatus}
+        for status in d.ledger.values():
+            scanned[status.value] += 1
+        if d.ledger_counts() != scanned:
+            fail(f"status counts {d.ledger_counts()} != ledger {scanned}")
+        served = sum(1 for rid, s in d.ledger.items() if s in _SERVED
+                     and rid not in d.riders.preloaded)
+        if d.riders.served != served:
+            fail(f"served total {d.riders.served} != ledger {served}")
+        order = [r.rider_id for r in d.pending_requests]
+        if [e.rider.rider_id for e in d.riders.queue()] != order:
+            fail("pending_requests is not in queue order")
+        queued = set(order)
+        previous = [rid for rid in self.queues.get(suffix, ()) if rid in queued]
+        if order[:len(previous)] != previous:
+            fail(f"queue order changed: {previous} still queued, now {order}")
+        self.queues[suffix] = order
         pending = d.riders_with_status(RiderStatus.PENDING)
-        if pending != queue:
-            fail(f"PENDING {sorted(pending)} != carry-over queue {sorted(queue)}")
+        listed = {rid for rid, s in d.ledger.items() if s is RiderStatus.PENDING}
+        if pending != listed or pending != queued:
+            fail(f"PENDING {sorted(listed)} != carry-over queue {order}")
         planned = set()
         for fv in d.fleet.values():
             planned.update(r.rider_id for r in fv.onboard)
@@ -417,6 +441,10 @@ class Trial:
         committed = d.riders_with_status(RiderStatus.COMMITTED)
         if committed != planned:
             fail(f"COMMITTED {sorted(committed)} != fleet plans {sorted(planned)}")
+        pinned = set(d.riders.pinned_rows())
+        if pinned != pending | committed:
+            fail(f"pinned rows {sorted(pinned)} != PENDING + COMMITTED "
+                 f"{sorted(pending | committed)}")
 
     def inject(self, runs: List[Tuple[Dispatcher, str]], events: List, frame: int) -> None:
         """Inject the same events into every run and audit each repair."""
@@ -516,8 +544,8 @@ def _divergence(a: Dispatcher, b: Dispatcher, ra, rb, label: str) -> Optional[st
                     return f"vehicle {vid} arrival {idx} diverges: reference={x:.9f} {label}={y:.9f}"
     if a.clock != b.clock:
         return f"clocks diverge: reference={a.clock!r} {label}={b.clock!r}"
-    qa = [(e.rider.rider_id, e.attempts) for e in a._carryover]
-    qb = [(e.rider.rider_id, e.attempts) for e in b._carryover]
+    qa = [(e.rider.rider_id, e.attempts) for e in a.riders.queue()]
+    qb = [(e.rider.rider_id, e.attempts) for e in b.riders.queue()]
     if qa != qb:
         return f"carry-over queues diverge: reference={qa} {label}={qb}"
     if a.ledger != b.ledger:
@@ -558,7 +586,7 @@ def _chaos_events(d: Dispatcher, rng) -> List:
         vids = sorted(d.fleet)
         events.append(VehicleBreakdown(vehicle_id=int(vids[int(rng.integers(len(vids)))])))
     if gates[1] < _P_CANCEL:
-        riders = sorted({e.rider.rider_id for e in d._carryover} | {
+        riders = sorted({r.rider_id for r in d.pending_requests} | {
             rid for fv in d.fleet.values() for rid in fv.committed_rider_ids()
         })
         if riders:

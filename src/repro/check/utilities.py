@@ -11,6 +11,7 @@ state included.  Nothing in the runtime imports it.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -18,7 +19,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -103,12 +103,16 @@ def eager_shard_utilities(
 def use_eager_rows(dispatcher: "Dispatcher") -> None:
     """Switch one dispatcher to the eager builders above.
 
-    Its frame instances then carry the eager dict and its pinned rows
-    are rebuilt pair by pair — the construction the array table
-    replaced, so lockstep runs and checkpoints written this way are the
-    reference the table is tested against.
+    Its frame instances then carry the eager dict, and its rider table's
+    end-of-frame step reads each newly live rider's row pair by pair out
+    of that dict — the construction the array table replaced, so
+    lockstep runs and checkpoints written this way are the reference
+    the table is tested against.  A restore builds a new rider table,
+    which runs without the hook.
     """
     build_instance = type(dispatcher)._build_instance
+    table = dispatcher.riders
+    end_frame = type(table).end_frame
 
     def _build_instance(riders):
         instance = build_instance(dispatcher, riders)
@@ -116,21 +120,16 @@ def use_eager_rows(dispatcher: "Dispatcher") -> None:
             dispatcher.config.seed + dispatcher._frame_index
         )
         instance.vehicle_utilities = eager_frame_utilities(
-            riders, instance.vehicles, dispatcher._pinned_utilities, rng
+            riders, instance.vehicles, table.pinned_rows(), rng
         )
         return instance
 
-    def _pin_utilities(instance):
-        live: Set[int] = {e.rider.rider_id for e in dispatcher._carryover}
-        for fv in dispatcher.fleet.values():
-            live.update(r.rider_id for r in fv.onboard)
-            live.update(s.rider.rider_id for s in fv.committed_stops)
-        dispatcher._pinned_utilities = eager_pinned_rows(
-            live,
-            dispatcher._pinned_utilities,
-            instance.vehicle_utilities,
-            list(dispatcher.fleet),
+    def _end_frame(next_clock, max_retries, matrix):
+        fleet_ids = list(dispatcher.fleet)
+        rows = SimpleNamespace(
+            row=lambda rid: eager_pinned_rows((rid,), {}, matrix, fleet_ids)[rid]
         )
+        return end_frame(table, next_clock, max_retries, rows)
 
     dispatcher._build_instance = _build_instance
-    dispatcher._pin_utilities = _pin_utilities
+    table.end_frame = _end_frame

@@ -19,7 +19,9 @@ machine:
   offending vehicle;
 - every rider's lifecycle is tracked in a :class:`RiderStatus` ledger
   (pending → committed → delivered, or expired / cancelled), the backbone
-  of the conservation invariant the chaos fuzzer asserts;
+  of the conservation invariant the chaos fuzzer asserts; the ledger,
+  the carry-over queue and the pinned ``mu_v`` rows have one owner,
+  :class:`~repro.core.riders.RiderTable` (:attr:`Dispatcher.riders`);
 - typed mid-horizon faults — vehicle breakdowns, rider cancellations and
   no-shows, travel-time perturbations, road closures — are injected
   between frames via :meth:`Dispatcher.inject`
@@ -42,13 +44,12 @@ system state carries over *consistently*.
 
 from __future__ import annotations
 
-import enum
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import (
-    AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
-    TYPE_CHECKING,
+    AbstractSet, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set,
+    Tuple, TYPE_CHECKING,
 )
 
 import numpy as np
@@ -65,13 +66,14 @@ from repro.core.durability import (
     CheckpointError,
     DurabilityConfig,
     DurabilityLog,
-    apply_snapshot_state,
     network_fingerprint,
     replay_record,
+    stop_from_dict,
 )
 from repro.core.grouping import GroupingPlan, prepare_grouping
 from repro.core.instance import LazySchedules, URRInstance
 from repro.core.requests import Rider
+from repro.core.riders import RiderStatus, RiderTable
 from repro.core.schedule import Stop, StopKind, TransferSequence
 from repro.core.shards import ShardPlan, solve_sharded
 from repro.core.solver import BASELINE_TIER, solve, solve_anytime
@@ -82,40 +84,12 @@ from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.oracle import DistanceOracle
 from repro.social.graph import SocialNetwork
 from repro.workload.instances import synthetic_vehicle_utilities
+from repro.workload.serialize import rider_from_dict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.disruptions import Disruption, DisruptionOutcome
 
 _EPS = 1e-9
-
-
-class RiderStatus(enum.Enum):
-    """Lifecycle of one rider across a dispatch run.
-
-    Legal transitions::
-
-        PENDING ──> COMMITTED ──> DELIVERED          (the happy path)
-        PENDING ──> EXPIRED / CANCELLED              (queue outcomes)
-        COMMITTED ──> PENDING                        (released / stranded
-                                                      by a disruption)
-        COMMITTED ──> CANCELLED                      (post-commit cancel)
-
-    ``DELIVERED``, ``EXPIRED`` and ``CANCELLED`` are terminal.  The
-    ledger (``Dispatcher.ledger``) maps every rider id ever issued to its
-    current status; the chaos fuzzer asserts the resulting conservation
-    invariant (pending + committed + delivered + expired + cancelled =
-    issued) at every frame and disruption boundary.
-    """
-
-    PENDING = "pending"        # waiting in the carry-over queue
-    COMMITTED = "committed"    # promised: in some vehicle's plan
-    DELIVERED = "delivered"    # drop-off executed by the rollforward
-    EXPIRED = "expired"        # deadline dead or retry budget spent
-    CANCELLED = "cancelled"    # explicit cancellation / no-show
-
-
-#: Ledger states that count a rider as served by :attr:`Dispatcher.service_rate`.
-_SERVED_STATUSES = frozenset({RiderStatus.COMMITTED, RiderStatus.DELIVERED})
 
 
 class DispatchError(RuntimeError):
@@ -137,20 +111,6 @@ class DispatchError(RuntimeError):
         self.frame_index = frame_index
         self.vehicle_id = vehicle_id
         self.violations: List[str] = list(violations or ())
-
-
-@dataclass
-class CarriedRequest:
-    """A request waiting in the carry-over queue.
-
-    ``attempts`` counts the frames the rider has already been offered to
-    the solver; a rider is carried while ``attempts < max_retries`` and
-    its pickup deadline is still ahead of the next frame's clock.
-    """
-
-    rider: Rider
-    attempts: int = 1
-    first_frame: int = 0
 
 
 @dataclass
@@ -496,7 +456,12 @@ class Dispatcher:
             self._shard_plan = ShardPlan(areas, config.shard_count)
         self._frame_index = 0
         self._clock = 0.0
-        self._carryover: List[CarriedRequest] = []
+        # every rider's status, the carry-over queue and the pinned mu_v
+        # rows; riders carried in with the initial fleet enter COMMITTED
+        preloaded: Set[int] = set()
+        for vehicle in self.fleet.values():
+            preloaded |= vehicle.committed_rider_ids()
+        self.riders = RiderTable(preloaded)
         # running totals over every frame (FrameReport fields summed in
         # frame order); total_requests counts unique submissions, since
         # retries are not re-counted
@@ -504,20 +469,6 @@ class Dispatcher:
         self.total_served = 0
         self.total_expired = 0
         self.total_utility = 0.0
-        # mu_v rows pinned for riders that outlive their first frame
-        # (committed or carried), so their utility stays stable across the
-        # per-frame resampling of the preference matrix
-        self._pinned_utilities: Dict[int, Dict[int, float]] = {}
-        # lifecycle ledger: every rider id ever issued -> current status
-        # (its keys are the ids a new request may not reuse); riders
-        # carried in with the initial fleet enter as COMMITTED
-        self.ledger: Dict[int, RiderStatus] = {}
-        for fv in self.fleet.values():
-            for rider in fv.onboard:
-                self.ledger[rider.rider_id] = RiderStatus.COMMITTED
-            for stop in fv.committed_stops:
-                self.ledger[stop.rider.rider_id] = RiderStatus.COMMITTED
-        self._preloaded_rider_ids = frozenset(self.ledger)
         # metric changes since construction, recorded by the disruption
         # engine: arc (u, v) -> its new cost, None once closed
         self._metric_changes: Dict[Tuple[int, int], Optional[float]] = {}
@@ -574,9 +525,15 @@ class Dispatcher:
         return self._clock
 
     @property
+    def ledger(self) -> Mapping[int, RiderStatus]:
+        """Every admitted rider id -> its status (a read-only view of
+        :attr:`riders`)."""
+        return self.riders.ledger
+
+    @property
     def pending_requests(self) -> List[Rider]:
-        """Riders currently waiting in the carry-over queue."""
-        return [entry.rider for entry in self._carryover]
+        """Riders currently waiting in the carry-over queue, in order."""
+        return self.riders.pending_requests()
 
     def fleet_locations(self) -> Dict[int, int]:
         return {vid: fv.location for vid, fv in self.fleet.items()}
@@ -616,12 +573,9 @@ class Dispatcher:
             "dispatch.frame", frame=self._frame_index
         ) as frame_span:
             new_riders = list(requests)
-            self._check_new_ids(new_riders)
-            for rider in new_riders:
-                self.ledger[rider.rider_id] = RiderStatus.PENDING
-            carried = self._carryover
-            self._carryover = []
-            batch = new_riders + [entry.rider for entry in carried]
+            carried = self.riders.pending_requests()
+            self.riders.admit(new_riders, self._frame_index)
+            batch = new_riders + carried
             batch_ids = {r.rider_id for r in batch}
             self._audited = set()
 
@@ -715,8 +669,7 @@ class Dispatcher:
             # canonical order: ledger writes must not depend on set
             # iteration order, or sharded and unsharded runs could
             # diverge on anything downstream of insertion order
-            for rid in sorted(served_ids):
-                self.ledger[rid] = RiderStatus.COMMITTED
+            self.riders.commit(sorted(served_ids))
 
             next_clock = self._clock + frame_length
             roll_start = time.perf_counter()
@@ -754,10 +707,9 @@ class Dispatcher:
             roll_seconds = time.perf_counter() - roll_start
 
             with _trace.span("dispatch.carryover"):
-                num_expired = self._update_carryover(
-                    new_riders, carried, served_ids, next_clock
+                num_expired = self.riders.end_frame(
+                    next_clock, config.max_retries, instance.vehicle_utilities
                 )
-                self._pin_utilities(instance)
 
             frame_after = PerfReport.capture(self.oracle)
             frame_perf = FramePerf(
@@ -858,34 +810,9 @@ class Dispatcher:
                 self._durability.commit_disruption(self, events, outcomes)
         return outcomes
 
-    def _requeue(self, rider: Rider, attempts: int = 0) -> None:
-        """Return a (possibly rewritten) rider to the carry-over queue.
-
-        Used by the disruption engine for released and stranded riders;
-        ``attempts=0`` grants a fresh retry budget (the rider was wronged
-        by the system, not by the solver's inability to place them).
-        """
-        self._carryover.append(
-            CarriedRequest(
-                rider=rider, attempts=attempts, first_frame=self._frame_index
-            )
-        )
-        self.ledger[rider.rider_id] = RiderStatus.PENDING
-
     # ------------------------------------------------------------------
     # frame internals
     # ------------------------------------------------------------------
-    def _check_new_ids(self, new_riders: List[Rider]) -> None:
-        ids = [r.rider_id for r in new_riders]
-        if len(set(ids)) != len(ids):
-            raise ValueError("frame requests contain duplicate rider ids")
-        clash = self.ledger.keys() & ids
-        if clash:
-            raise ValueError(
-                f"rider ids must be unique across the dispatch run; "
-                f"already seen: {sorted(clash)[:5]}"
-            )
-
     def _grouping_plan(self) -> Optional[GroupingPlan]:
         """The GBS plan for this frame: the caller's, or this dispatcher's
         own, built once per oracle epoch (a metric change re-derives it)."""
@@ -1089,67 +1016,16 @@ class Dispatcher:
             onboard.pop(stop.rider.rider_id, None)
             # the rollforward's optimistic anchor semantics apply here
             # too: a drop-off executed (or anchored) is a delivery
-            self.ledger[stop.rider.rider_id] = RiderStatus.DELIVERED
+            self.riders.deliver(stop.rider.rider_id)
 
-    def _update_carryover(
-        self,
-        new_riders: List[Rider],
-        carried: List[CarriedRequest],
-        served_ids: Set[int],
-        next_clock: float,
-    ) -> int:
-        """Refill the carry-over queue; returns the number of expirations.
-
-        A rider expires when its retry budget is spent or its pickup
-        deadline is no longer ahead of the next frame's clock (a dead
-        request would only burn solver time).
-        """
-        num_expired = 0
-        for entry in carried:
-            entry.attempts += 1
-        entries = carried + [
-            CarriedRequest(rider=r, attempts=1, first_frame=self._frame_index)
-            for r in new_riders
-        ]
-        for entry in entries:
-            rider = entry.rider
-            if rider.rider_id in served_ids:
-                continue
-            if (
-                entry.attempts >= self.config.max_retries
-                or rider.pickup_deadline <= next_clock + _EPS
-            ):
-                num_expired += 1
-                self.ledger[rider.rider_id] = RiderStatus.EXPIRED
-            else:
-                self._carryover.append(entry)
-        return num_expired
-
-    def _pin_utilities(self, instance: URRInstance) -> None:
-        """Keep mu_v rows stable for riders that outlive this frame.
-
-        A rider already pinned keeps its row object; a newly live rider
-        was in this frame's batch and not pinned, so its row is exactly
-        its base row of the frame's table (whose columns are the fleet,
-        which does not change inside a frame)."""
-        live: Set[int] = {entry.rider.rider_id for entry in self._carryover}
-        live.update(self._committed.owners)
-        pinned: Dict[int, Dict[int, float]] = {}
-        # sorted: the pinned overlay must be insertion-ordered the same
-        # way every run (set iteration order is not a contract)
-        for rid in sorted(live):
-            row = self._pinned_utilities.get(rid)
-            if row is None:
-                row = instance.vehicle_utilities.row(rid)
-            pinned[rid] = row
-        self._pinned_utilities = pinned
 
     # ------------------------------------------------------------------
     # cumulative metrics
     # ------------------------------------------------------------------
     @property
     def service_rate(self) -> float:
-        """Unique riders served / unique submitted, read from the ledger.
+        """Unique riders served / unique submitted (the rider table's
+        running :attr:`~repro.core.riders.RiderTable.served` count).
 
         A rider counts as served while it is COMMITTED or DELIVERED, so
         neither a retry nor a re-serve after a breakdown strands it is
@@ -1163,23 +1039,14 @@ class Dispatcher:
         total = self.total_requests
         if not total:
             return 1.0
-        served = sum(
-            1
-            for rid, status in self.ledger.items()
-            if status in _SERVED_STATUSES
-            and rid not in self._preloaded_rider_ids
-        )
-        return served / total
+        return self.riders.served / total
 
     def ledger_counts(self) -> Dict[str, int]:
         """Riders per :class:`RiderStatus` (the conservation breakdown)."""
-        counts = {status.value: 0 for status in RiderStatus}
-        for status in self.ledger.values():
-            counts[status.value] += 1
-        return counts
+        return self.riders.counts()
 
     def riders_with_status(self, status: RiderStatus) -> Set[int]:
-        return {rid for rid, s in self.ledger.items() if s is status}
+        return self.riders.with_status(status)
 
     def utilisation(self) -> Dict[int, float]:
         """Mean travel cost per frame per vehicle (busy-time proxy)."""
@@ -1244,8 +1111,8 @@ class Dispatcher:
            holds them is refused, as is any other wrong network;
         3. rebuild the dispatcher from the snapshot's config and fleet
            and re-apply every piece of cross-frame state (fleet plans,
-           carry-over queue, ledger, pinned utilities, metric changes,
-           running totals, frame cursor);
+           the rider table, metric changes, running totals, frame
+           cursor; :meth:`_load_snapshot`);
         4. audit the restored fleet through the independent :func:`repro.check.validator.validate_fleet_state`
            oracle — corrupt state fails loudly here, not frames later;
         5. replay the WAL records newer than the snapshot in log order
@@ -1295,14 +1162,23 @@ class Dispatcher:
                     "changes are replayed onto it), or none"
                 )
         config = replace(DispatchConfig(**snapshot["config"]), **overrides)
-        initial_fleet = [
-            Vehicle(
-                vehicle_id=payload["id"],
-                location=payload["location"],
-                capacity=payload["capacity"],
-            )
-            for payload in snapshot["fleet"]
-        ]
+        initial_fleet = []
+        for payload in snapshot["fleet"]:
+            try:
+                initial_fleet.append(Vehicle(
+                    vehicle_id=payload["id"],
+                    location=payload["location"],
+                    capacity=payload["capacity"],
+                    ready_time=payload["ready_time"],
+                    onboard=[rider_from_dict(r) for r in payload["onboard"]],
+                    committed_stops=[
+                        stop_from_dict(s) for s in payload["committed_stops"]
+                    ],
+                ))
+            except ValueError as exc:
+                raise CheckpointError(
+                    f"snapshot vehicle {payload['id']}: {exc}"
+                ) from exc
         dispatcher = cls(
             network,
             initial_fleet,
@@ -1313,7 +1189,7 @@ class Dispatcher:
             durability=None,
             **asdict(config),
         )
-        apply_snapshot_state(dispatcher, snapshot)
+        dispatcher._load_snapshot(snapshot)
         # imported lazily: repro.check depends on repro.core
         from repro.check.validator import validate_fleet_state
 
@@ -1335,6 +1211,25 @@ class Dispatcher:
             log.resume()
         log.write_snapshot(dispatcher)
         return dispatcher
+
+    def _load_snapshot(self, snapshot: dict) -> None:
+        """Re-apply the snapshot's cross-frame state to this dispatcher,
+        freshly built on the snapshot's config and fleet by
+        :meth:`restore`: running totals, frame cursor, clock, per-vehicle
+        costs, the rider table and the metric changes."""
+        self._frame_index = snapshot["frames_committed"]
+        self._clock = snapshot["clock"]
+        totals = snapshot["totals"]
+        self.total_requests = totals["requests"]
+        self.total_served = totals["served"]
+        self.total_expired = totals["expired"]
+        self.total_utility = totals["utility"]
+        for payload in snapshot["fleet"]:
+            self._total_cost[payload["id"]] = payload["total_cost"]
+        self.riders = RiderTable.restore(snapshot)
+        self._metric_changes = {
+            (u, v): cost for u, v, cost in snapshot["metric_changes"]
+        }
 
     # ------------------------------------------------------------------
     def _sync_fleet(self) -> List[Vehicle]:
@@ -1372,8 +1267,8 @@ class Dispatcher:
         rng = np.random.default_rng(config.seed + self._frame_index)
         table = synthetic_vehicle_utilities(riders, vehicles, rng)
         # pinned rows win over this frame's draw; layered by reference
-        # (never edited in place — _pin_utilities replaces the dict)
-        matrix = table.layered(self._pinned_utilities)
+        # (the rider table copies them before its next write)
+        matrix = table.layered(self.riders.pinned_rows())
         return URRInstance(
             network=self.network,
             riders=riders,

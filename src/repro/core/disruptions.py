@@ -37,8 +37,9 @@ Every event yields a :class:`DisruptionOutcome` naming exactly which
 riders were stranded / released / delivered / cancelled / expired /
 extended — the chaos fuzz modes (``python -m repro.check --mode chaos``) use
 these to prove that no committed rider ever vanishes except through an
-explicit event, and that the :class:`~repro.core.dispatch.RiderStatus`
-ledger conserves every rider ever issued.
+explicit event, and that the :class:`~repro.core.riders.RiderStatus`
+ledger conserves every rider ever issued.  Every status and queue change
+goes through the dispatcher's :class:`~repro.core.riders.RiderTable`.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.requests import Rider
 from repro.core.schedule import Stop, StopKind
-from repro.core.dispatch import Dispatcher, RiderStatus
+from repro.core.dispatch import Dispatcher
+from repro.core.riders import RiderStatus
 from repro.obs import trace as _trace
 
 _EPS = 1e-9
@@ -289,14 +291,16 @@ class DisruptionEngine:
         released: List[int] = []
         expired: List[int] = []
 
+        riders = d.riders
         for rider in fv.onboard:
             if rider.destination == anchor:
-                d.ledger[rider.rider_id] = RiderStatus.DELIVERED
+                riders.deliver(rider.rider_id)
                 delivered.append(rider.rider_id)
                 continue
             shortest = d.oracle.cost(anchor, rider.destination)
             if not math.isfinite(shortest) or shortest <= 0:
-                d.ledger[rider.rider_id] = RiderStatus.EXPIRED
+                # nowhere to drop the rider off from here
+                riders.expire(rider.rider_id)
                 expired.append(rider.rider_id)
                 continue
             pickup_deadline = avail + 2.0 * d.config.frame_length
@@ -304,13 +308,14 @@ class DisruptionEngine:
                 rider.dropoff_deadline,
                 pickup_deadline + STRAND_DETOUR_FACTOR * shortest,
             )
-            d._requeue(
+            riders.requeue(
                 dataclasses.replace(
                     rider,
                     source=anchor,
                     pickup_deadline=pickup_deadline,
                     dropoff_deadline=dropoff_deadline,
-                )
+                ),
+                d._frame_index,
             )
             stranded.append(rider.rider_id)
 
@@ -319,10 +324,10 @@ class DisruptionEngine:
                 continue
             rider = stop.rider
             if rider.pickup_deadline <= clock + _EPS:
-                d.ledger[rider.rider_id] = RiderStatus.EXPIRED
+                riders.expire(rider.rider_id)
                 expired.append(rider.rider_id)
             else:
-                d._requeue(rider)
+                riders.requeue(rider, d._frame_index)
                 released.append(rider.rider_id)
 
         del d.fleet[event.vehicle_id]
@@ -343,16 +348,15 @@ class DisruptionEngine:
     ) -> DisruptionOutcome:
         d = self.dispatcher
         rid = event.rider_id
+        status = d.ledger.get(rid)
 
-        for i, entry in enumerate(d._carryover):
-            if entry.rider.rider_id == rid:
-                del d._carryover[i]
-                d.ledger[rid] = RiderStatus.CANCELLED
-                return DisruptionOutcome(
-                    event, OutcomeStatus.APPLIED,
-                    detail=f"rider {rid} removed from the carry-over queue",
-                    cancelled=(rid,),
-                )
+        if status is RiderStatus.PENDING:
+            d.riders.cancel(rid)
+            return DisruptionOutcome(
+                event, OutcomeStatus.APPLIED,
+                detail=f"rider {rid} removed from the carry-over queue",
+                cancelled=(rid,),
+            )
 
         for vid, vehicle in d.fleet.items():
             if rid not in vehicle.pending_pickup_ids():
@@ -366,7 +370,7 @@ class DisruptionEngine:
                     if s.rider.rider_id != rid
                 ),
             )
-            d.ledger[rid] = RiderStatus.CANCELLED
+            d.riders.cancel(rid)
             return DisruptionOutcome(
                 event, OutcomeStatus.APPLIED,
                 detail=(
@@ -376,7 +380,6 @@ class DisruptionEngine:
                 cancelled=(rid,),
             )
 
-        status = d.ledger.get(rid)
         if status is RiderStatus.COMMITTED:
             reason = "already in a vehicle (cannot cancel mid-ride)"
         elif status is None:
@@ -507,15 +510,10 @@ class DisruptionEngine:
         for vid in d.fleet:
             self._reaudit_vehicle(vid, extended, released, expired)
         # queue riders whose trip no longer exists expire outright
-        survivors = []
-        for entry in d._carryover:
-            rider = entry.rider
-            if math.isfinite(d.oracle.cost(rider.source, rider.destination)):
-                survivors.append(entry)
-            else:
-                d.ledger[rider.rider_id] = RiderStatus.EXPIRED
+        for rider in d.pending_requests:
+            if not math.isfinite(d.oracle.cost(rider.source, rider.destination)):
+                d.riders.expire(rider.rider_id)
                 expired.append(rider.rider_id)
-        d._carryover = survivors
         return tuple(extended), tuple(released), tuple(expired)
 
     def _reaudit_vehicle(
@@ -574,10 +572,11 @@ class DisruptionEngine:
                 if rider.pickup_deadline <= clock + _EPS or not math.isfinite(
                     d.oracle.cost(rider.source, rider.destination)
                 ):
-                    d.ledger[rid] = RiderStatus.EXPIRED
+                    # dead on arrival in the queue: COMMITTED -> EXPIRED
+                    d.riders.expire(rid)
                     expired.append(rid)
                 else:
-                    d._requeue(rider)
+                    d.riders.requeue(rider, d._frame_index)
                     released.append(rid)
                 continue
             if not math.isfinite(arrival):

@@ -1,9 +1,10 @@
 """Durable dispatch: checkpoint snapshots + a write-ahead log.
 
 A day-long rolling-horizon run is a long chain of committed promises —
-the RiderStatus ledger, every vehicle's residual ``committed_stops``
-plan, the carry-over queue with its retry budgets, the pinned ``mu_v``
-utility rows.  This module makes that chain survive a process kill.
+every vehicle's residual ``committed_stops`` plan, and the rider table
+(:class:`~repro.core.riders.RiderTable`: the status ledger, the
+carry-over queue with its retry budgets, the pinned ``mu_v`` utility
+rows).  This module makes that chain survive a process kill.
 It persists state, not history: a snapshot holds the dispatcher's
 running totals, never a per-frame list, so no part of it grows with
 the number of frames (the ledger grows with the riders admitted).
@@ -43,7 +44,9 @@ the number of frames (the ledger grows with the riders admitted).
   ``checkpoint_every`` cadence alone.
   :meth:`repro.core.dispatch.Dispatcher.restore` rebuilds the network
   as ``network.json`` plus the snapshot's metric changes, rebuilds the
-  dispatcher, re-applies the snapshot state, verifies it with the
+  dispatcher, re-applies the snapshot state (the rider table restores
+  its own blocks, :meth:`~repro.core.riders.RiderTable.restore`),
+  verifies it with the
   independent :func:`repro.check.validator.validate_fleet_state`
   oracle, replays the WAL tail (:func:`replay_record`) and resumes
   exactly where the dead process stopped.  Dispatch is deterministic
@@ -142,14 +145,17 @@ class DurabilityConfig:
     frame — it only replays up to ``checkpoint_every - 1`` of them.
     ``fsync=False`` trades crash-consistency on power loss for speed
     (process kills are still fully covered); tests use it to keep tiny
-    frames from being dominated by disk flushes.
+    frames from being dominated by disk flushes.  ``directory`` is held
+    as a :class:`~pathlib.Path`, so configs given a ``str`` and a
+    ``Path`` of the same directory compare equal.
     """
 
-    directory: PathLike
+    directory: Path
     checkpoint_every: int = 1
     fsync: bool = True
 
     def __post_init__(self) -> None:
+        self.directory = Path(self.directory)
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
 
@@ -231,9 +237,11 @@ def snapshot_dispatcher(dispatcher, fingerprint: int, lsn: int) -> dict:
 
     Ordering is part of the contract wherever the dispatcher's own
     iteration order is: the fleet list preserves the fleet dict's
-    insertion order (it drives instance vehicle order), the carry-over
-    list preserves queue order (it drives batch order), and the pinned
-    utility rows preserve their (sorted) overlay order.
+    insertion order (it drives instance vehicle order).  The rider
+    table writes its own four blocks
+    (:meth:`~repro.core.riders.RiderTable.snapshot`): the carry-over
+    list in queue order (it drives batch order), the ledger, the
+    preloaded ids and the pinned utility rows by rider id.
     """
     fleet = [
         {
@@ -267,85 +275,7 @@ def snapshot_dispatcher(dispatcher, fingerprint: int, lsn: int) -> dict:
             "utility": dispatcher.total_utility,
         },
         "fleet": fleet,
-        "carryover": [
-            {
-                "rider": rider_to_dict(entry.rider),
-                "attempts": entry.attempts,
-                "first_frame": entry.first_frame,
-            }
-            for entry in dispatcher._carryover
-        ],
-        "ledger": [
-            [rid, dispatcher.ledger[rid].value]
-            for rid in sorted(dispatcher.ledger)
-        ],
-        "preloaded_rider_ids": sorted(dispatcher._preloaded_rider_ids),
-        "pinned_utilities": [
-            [rid, [[vid, value] for vid, value in row.items()]]
-            for rid, row in dispatcher._pinned_utilities.items()
-        ],
-    }
-
-
-def apply_snapshot_state(dispatcher, snapshot: dict) -> None:
-    """Overwrite a freshly constructed dispatcher with snapshot state.
-
-    The dispatcher must have been built from the snapshot's config and
-    fleet identities (``Dispatcher.restore`` does both); this re-applies
-    the mutable cross-frame state on top, replacing every fleet vehicle.
-    Carried state that no :class:`~repro.core.vehicles.Vehicle` can hold
-    raises :class:`CheckpointError`.
-    """
-    from repro.core.dispatch import CarriedRequest, RiderStatus
-    from repro.core.vehicles import Vehicle
-
-    dispatcher._frame_index = snapshot["frames_committed"]
-    dispatcher._clock = snapshot["clock"]
-    totals = snapshot["totals"]
-    dispatcher.total_requests = totals["requests"]
-    dispatcher.total_served = totals["served"]
-    dispatcher.total_expired = totals["expired"]
-    dispatcher.total_utility = totals["utility"]
-    for payload in snapshot["fleet"]:
-        vid = payload["id"]
-        if vid not in dispatcher.fleet:
-            raise CheckpointError(
-                f"snapshot vehicle {vid} missing from the fleet"
-            )
-        try:
-            dispatcher.fleet[vid] = Vehicle(
-                vehicle_id=vid,
-                location=payload["location"],
-                capacity=payload["capacity"],
-                ready_time=payload["ready_time"],
-                onboard=[rider_from_dict(r) for r in payload["onboard"]],
-                committed_stops=[
-                    stop_from_dict(s) for s in payload["committed_stops"]
-                ],
-            )
-        except ValueError as exc:
-            raise CheckpointError(f"snapshot vehicle {vid}: {exc}") from exc
-        dispatcher._total_cost[vid] = payload["total_cost"]
-    dispatcher._carryover = [
-        CarriedRequest(
-            rider=rider_from_dict(entry["rider"]),
-            attempts=entry["attempts"],
-            first_frame=entry["first_frame"],
-        )
-        for entry in snapshot["carryover"]
-    ]
-    dispatcher.ledger = {
-        rid: RiderStatus(value) for rid, value in snapshot["ledger"]
-    }
-    dispatcher._preloaded_rider_ids = frozenset(
-        snapshot["preloaded_rider_ids"]
-    )
-    dispatcher._pinned_utilities = {
-        rid: {vid: value for vid, value in row}
-        for rid, row in snapshot["pinned_utilities"]
-    }
-    dispatcher._metric_changes = {
-        (u, v): cost for u, v, cost in snapshot["metric_changes"]
+        **dispatcher.riders.snapshot(),
     }
 
 
@@ -409,7 +339,7 @@ class DurabilityLog:
         if not isinstance(config, DurabilityConfig):
             config = DurabilityConfig(directory=config)
         self.config = config
-        self.directory = Path(config.directory)
+        self.directory = config.directory
         self.directory.mkdir(parents=True, exist_ok=True)
         self.snapshot_path = self.directory / SNAPSHOT_FILE
         self.wal_path = self.directory / WAL_FILE

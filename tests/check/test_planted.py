@@ -137,25 +137,29 @@ def _stale_vehicle(monkeypatch):
 
 
 def _stale_restore(monkeypatch):
-    """A restore that replaces the construction-time placeholder vehicles
-    but hands them, not the restored ones, to its first frame's solve."""
-    from repro.core import dispatch
+    """A restore whose first frame's solve plans from bare copies of the
+    restored vehicles (id, location and capacity only), not from them."""
+    from repro.core.dispatch import Dispatcher
+    from repro.core.vehicles import Vehicle
 
-    apply = dispatch.apply_snapshot_state
+    load = Dispatcher._load_snapshot
 
     def forgetful(dispatcher, snapshot):
-        placeholders = dict(dispatcher.fleet)
-        apply(dispatcher, snapshot)
+        load(dispatcher, snapshot)
+        bare = [
+            Vehicle(v.vehicle_id, v.location, v.capacity)
+            for v in dispatcher.fleet.values()
+        ]
         sync = dispatcher._sync_fleet
 
         def stale_sync():
             sync()
             del dispatcher._sync_fleet  # the class method from now on
-            return list(placeholders.values())  # resumes planning from them
+            return bare  # resumes planning from them
 
         dispatcher._sync_fleet = stale_sync
 
-    monkeypatch.setattr(dispatch, "apply_snapshot_state", forgetful)
+    monkeypatch.setattr(Dispatcher, "_load_snapshot", forgetful)
 
 
 def _keep_every_pair(monkeypatch):

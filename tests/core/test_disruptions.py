@@ -65,7 +65,7 @@ class TestBreakdown:
         assert 0 not in d.fleet
         # the stranded rider waits at the strand point with fresh deadlines
         entry = next(
-            e for e in d._carryover if e.rider.rider_id in onboard
+            e for e in d.riders.queue() if e.rider.rider_id in onboard
         )
         assert entry.rider.source == anchor
         assert entry.attempts == 0  # fresh retry budget
@@ -125,7 +125,7 @@ class TestBreakdown:
         assert set(outcome.released) == pending
         # released riders keep their original, un-rewritten request
         by_id = {r.rider_id: r for r in riders}
-        for entry in d._carryover:
+        for entry in d.riders.queue():
             if entry.rider.rider_id in pending:
                 assert entry.rider == by_id[entry.rider.rider_id]
                 assert d.ledger[entry.rider.rider_id] is RiderStatus.PENDING
@@ -154,11 +154,67 @@ class TestBreakdown:
         assert len(d.fleet) == 2
 
 
+def _with_pickup_deadline(vehicle, rider_id, deadline):
+    """``vehicle`` with one committed rider's pickup deadline rewritten."""
+    stops = tuple(
+        dataclasses.replace(
+            s, rider=dataclasses.replace(s.rider, pickup_deadline=deadline)
+        )
+        if s.rider.rider_id == rider_id else s
+        for s in vehicle.committed_stops
+    )
+    return dataclasses.replace(vehicle, committed_stops=stops)
+
+
+class TestCommittedToExpired:
+    """The three repairs that move a rider from COMMITTED to EXPIRED."""
+
+    def test_breakdown_expires_an_onboard_rider_cut_off_from_its_destination(
+        self, city
+    ):
+        d = _dispatcher(city)
+        d.dispatch_frame(_interleaved_trips())
+        assert 0 in {r.rider_id for r in d.fleet[0].onboard}
+        assert d.ledger[0] is RiderStatus.COMMITTED
+        for u in list(city.adjacency[63]):  # isolate rider 0's destination
+            city.remove_edge(u, 63)
+            city.remove_edge(63, u)
+        d.oracle.invalidate()
+        (outcome,) = d.inject([VehicleBreakdown(vehicle_id=0)])
+        assert 0 in outcome.expired
+        assert d.ledger[0] is RiderStatus.EXPIRED
+        assert 0 not in {r.rider_id for r in d.pending_requests}
+
+    def test_breakdown_expires_a_promised_pickup_past_its_deadline(self, city):
+        d = _dispatcher(city, frame_length=1.0)
+        d.dispatch_frame(_interleaved_trips())
+        (rid,) = d.fleet[0].pending_pickup_ids()
+        assert d.ledger[rid] is RiderStatus.COMMITTED
+        d.fleet[0] = _with_pickup_deadline(d.fleet[0], rid, d.clock)
+        (outcome,) = d.inject([VehicleBreakdown(vehicle_id=0)])
+        assert outcome.expired == (rid,)
+        assert d.ledger[rid] is RiderStatus.EXPIRED
+
+    def test_reaudit_expires_a_released_pickup_past_its_deadline(self, city):
+        d = _dispatcher(city, frame_length=1.0)
+        d.dispatch_frame(_interleaved_trips())
+        (rid,) = d.fleet[0].pending_pickup_ids()
+        d.fleet[0] = _with_pickup_deadline(d.fleet[0], rid, d.clock)
+        u, v = next((u, v) for u, nbrs in city.adjacency.items() for v in nbrs)
+        (outcome,) = d.inject(
+            [TravelTimePerturbation(factors=((u, v, 1.0),))]
+        )
+        assert outcome.expired == (rid,)
+        assert d.ledger[rid] is RiderStatus.EXPIRED
+        assert rid not in d.fleet[0].committed_rider_ids()
+
+
 class TestCancellation:
     def test_queue_rider_cancelled(self, city):
         d = _dispatcher(city)
-        d._requeue(make_rider(5, source=1, destination=2,
-                              pickup_deadline=100.0, dropoff_deadline=200.0))
+        d.riders.admit([make_rider(5, source=1, destination=2,
+                                   pickup_deadline=100.0,
+                                   dropoff_deadline=200.0)], frame=0)
         (outcome,) = d.inject([RiderCancellation(rider_id=5)])
         assert outcome.applied
         assert outcome.cancelled == (5,)
@@ -304,7 +360,7 @@ class TestLedgerConservation:
         assert set(d.ledger) == {r.rider_id for r in riders}
         # PENDING mirrors the queue, COMMITTED mirrors the fleet plans
         assert d.riders_with_status(RiderStatus.PENDING) == {
-            e.rider.rider_id for e in d._carryover
+            r.rider_id for r in d.pending_requests
         }
         fleet_ids = set()
         for fv in d.fleet.values():

@@ -164,10 +164,10 @@ class TestRoundTrip:
             for f in range(2):
                 d.dispatch_frame(frame_requests(f, f * 10))
             ledger = dict(d.ledger)
-            carryover = [e.rider.rider_id for e in d._carryover]
+            carryover = [r.rider_id for r in d.pending_requests]
         with Dispatcher.restore(str(tmp_path)) as restored:
             assert dict(restored.ledger) == ledger
-            assert [e.rider.rider_id for e in restored._carryover] == carryover
+            assert [r.rider_id for r in restored.pending_requests] == carryover
 
 
 class TestWalReplay:
@@ -505,7 +505,7 @@ class TestEagerRowCheckpointCompat:
             use_eager_rows(d)
             for f in range(2):
                 d.dispatch_frame(frame_requests(f, f * 10))
-            assert d._pinned_utilities  # rows live across the cut
+            assert d.riders.pinned_rows()  # rows live across the cut
         with self.short_frames(city, durability=str(table_dir)) as d:
             for f in range(2):
                 d.dispatch_frame(frame_requests(f, f * 10))
@@ -525,7 +525,9 @@ class TestEagerRowCheckpointCompat:
             for f in range(2, FRAMES):
                 restored.dispatch_frame(frame_requests(f, f * 10))
             assert restored.ledger == reference.ledger
-            assert restored._pinned_utilities == reference._pinned_utilities
+            assert (
+                restored.riders.pinned_rows() == reference.riders.pinned_rows()
+            )
             assert totals(restored) == totals(reference)
             for vid, fv in reference.fleet.items():
                 got = restored.fleet[vid]
@@ -813,3 +815,10 @@ class TestLifecycle:
     def test_durability_config_validation(self, tmp_path):
         with pytest.raises(ValueError):
             DurabilityConfig(str(tmp_path), checkpoint_every=0)
+
+    def test_durability_config_directory_is_a_path(self, tmp_path):
+        config = DurabilityConfig(str(tmp_path), checkpoint_every=2)
+        assert config == DurabilityConfig(tmp_path, checkpoint_every=2)
+        assert config.directory == tmp_path
+        log = durability.DurabilityLog(str(tmp_path))
+        assert log.config == DurabilityConfig(tmp_path)

@@ -88,7 +88,7 @@ def test_table_matches_eager_builder_frame_by_frame(city, kwargs):
             assert table == eager
             assert list(table.items()) == list(eager.items())
             pins, eager_pins = (
-                table_run._pinned_utilities, eager_run._pinned_utilities
+                table_run.riders.pinned_rows(), eager_run.riders.pinned_rows()
             )
             assert list(pins) == list(eager_pins)
             for rid, row in pins.items():
@@ -96,7 +96,7 @@ def test_table_matches_eager_builder_frame_by_frame(city, kwargs):
             assert frame_summary(got) == frame_summary(want)
             assert table_run.ledger == eager_run.ledger
             saw_carried_pins |= bool(set(pins) & {
-                e.rider.rider_id for e in table_run._carryover
+                r.rider_id for r in table_run.pending_requests
             })
             saw_removed_vehicle |= any(
                 set(row) - set(table_run.fleet) for row in pins.values()
