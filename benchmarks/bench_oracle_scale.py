@@ -24,6 +24,14 @@ re-accumulation, verification), then re-solves every row with plain
 Dijkstra: it reports both timings and exits non-zero on any bit mismatch,
 in ``--smoke`` runs too.
 
+A repeated-endpoint leg queries every pair of 20 sources × 50 targets
+whose upward search spaces the tier-1 hierarchy has not cached yet,
+source by source, as a dispatch stream does with recurring pickups and
+vehicle positions.  It reports the p50 of the first queries (those that
+searched a space) and of the cached ones (those that searched nothing),
+and exits non-zero if any answer differs from plain Dijkstra run from
+the pair's smaller node id, in ``--smoke`` runs too.
+
 A metric-change leg then does what a disruption does mid-run: it warms
 the pair cache, lengthens 8 arcs by 1.5x and closes 3 roads (the
 ``ops_chaos`` perturbation and closure) and invalidates the tier-1
@@ -208,6 +216,52 @@ def _check_exactness(
                 )
             checked += 1
     return checked
+
+
+def _repeated_endpoints(
+    network,
+    tier1: DistanceOracle,
+    rng: np.random.Generator,
+    num_sources: int,
+    num_targets: int,
+) -> dict:
+    """Time every source × target query over nodes with no cached upward
+    space, split into first and cached queries, and check each answer
+    bit-for-bit against Dijkstra from the pair's smaller id (the oracle
+    answers every pair in that direction)."""
+    cached = tier1._ensure_ch()._spaces
+    fresh = [int(n) for n in rng.permutation(sorted(network.nodes()))
+             if int(n) not in cached]
+    sources = fresh[:num_sources]
+    targets = fresh[num_sources:num_sources + num_targets]
+    searches = tier1.ch_space_searches
+    first: List[float] = []
+    again: List[float] = []
+    by_low: Dict[int, List[Tuple[int, float]]] = {}
+    for s in sources:
+        for t in targets:
+            t0 = time.perf_counter()
+            d = tier1.cost(s, t)
+            elapsed = time.perf_counter() - t0
+            if tier1.ch_space_searches > searches:
+                searches = tier1.ch_space_searches
+                first.append(elapsed)
+            else:
+                again.append(elapsed)
+            by_low.setdefault(min(s, t), []).append((max(s, t), d))
+    mismatched = 0
+    for low, answers in by_low.items():
+        truth = dijkstra(network, low)
+        mismatched += sum(truth.get(high, INF) != d for high, d in answers)
+    return {
+        "sources": len(sources),
+        "targets": len(targets),
+        "first_queries": len(first),
+        "first_p50_ms": round(float(np.percentile(first, 50)) * 1e3, 4),
+        "cached_queries": len(again),
+        "cached_p50_ms": round(float(np.percentile(again, 50)) * 1e3, 4),
+        "mismatched": mismatched,
+    }
 
 
 def _structural_differences(
@@ -429,6 +483,16 @@ def bench(
         flush=True,
     )
 
+    with _trace.span("bench.oracle.repeated_endpoints"):
+        repeated = _repeated_endpoints(network, tier1, rng, 20, 50)
+    print(
+        f"repeated endpoints: first queries p50 {repeated['first_p50_ms']} ms "
+        f"({repeated['first_queries']}), cached p50 "
+        f"{repeated['cached_p50_ms']} ms ({repeated['cached_queries']}), "
+        f"{repeated['mismatched']} differ from Dijkstra",
+        flush=True,
+    )
+
     ch_shortcuts = tier1._ch.num_shortcuts
     with _trace.span("bench.oracle.metric_change", warm_pairs=warm_pairs):
         change = _metric_change(
@@ -462,6 +526,7 @@ def bench(
         "tier2": run2,
         "exact_checked": exact_checked,
         "batched_pinning": pinning,
+        "repeated_endpoints": repeated,
         "metric_change": change,
         "p50_speedup": speedup,
     }
@@ -556,6 +621,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"(threshold >=10x; pass={report['headline']['pass']})"
     )
     print(f"wrote {args.out}")
+    if result["repeated_endpoints"]["mismatched"]:
+        print("FAIL: repeated-endpoint answers differ from Dijkstra")
+        return 1
     if result["batched_pinning"]["mismatched_cells"]:
         print("FAIL: batched pinned rows differ from Dijkstra")
         return 1

@@ -6,7 +6,7 @@ Every fuzz mode is a row of :data:`MODES` over one seeded
 candidate dispatcher **B** through that scenario in lockstep.  Three axes
 select what B is and how it runs:
 
-- **config** — B's dispatcher: a forced tier-1 (CH + ALT) oracle, the
+- **config** — B's dispatcher: a forced tier-1 (CH + landmarks) oracle, the
   candidate index (token ``index``, audit armed; its bounds follow the
   oracle's tier), or
   sharded dispatch.  A runs the row's reference config, which may add
@@ -77,6 +77,7 @@ from repro.core.solver import solve
 from repro.obs import trace as _trace
 from repro.perf import CANDIDATE_STATS
 from repro.roadnet.oracle import DistanceOracle
+from repro.roadnet.shortest_path import dijkstra
 from repro.check.crash import CrashDrive
 from repro.check.rebuild import use_full_rebuild
 from repro.check.scenario import INSTANCE, Scenario, Shape, draw_scenario, plan_for
@@ -482,10 +483,24 @@ class Trial:
         only matching infinities may differ as objects.  Random pairs
         rarely hit B's pair cache, so an evenly strided sample of the
         cached pairs themselves (the ones an invalidation kept included)
-        is compared too.
+        is compared too.  Every landmark row of a tier-1 B (the
+        reachability gate's bound) must equal :func:`dijkstra` from its
+        landmark: a row left over from an earlier metric is caught here.
         """
         if b is None or a.oracle.tier == b.oracle.tier:
             return
+        rows = b.oracle.landmarks()
+        if rows is not None:
+            columns = b.oracle.columns(b.network.nodes())
+            for landmark, row in zip(b.oracle._landmark_nodes, rows):
+                truth = dijkstra(b.network, landmark)
+                for node, y in zip(b.network.nodes(), row[columns].tolist()):
+                    x = truth.get(node, math.inf)
+                    if x != y:
+                        self.fail("tiered_cost", f"{where}: landmark {landmark}'s "
+                                                 f"row diverges at node {node}: "
+                                                 f"reference={x!r} {self.name}={y!r}")
+                        return
         nodes = sorted(a.network.nodes())
         pairs = []
         for _ in range(_SWEEP_PAIRS):

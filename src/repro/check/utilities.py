@@ -78,11 +78,12 @@ def eager_pinned_rows(
     fleet_ids: Sequence[int],
 ) -> Dict[int, Dict[int, float]]:
     """The pinned rows after a frame: existing rows kept, a newly live
-    rider's row read pair by pair out of the frame's matrix."""
+    rider's row, or one pinned empty, read pair by pair out of the
+    frame's matrix."""
     rows: Dict[int, Dict[int, float]] = {}
     for rid in sorted(live):
         row = pinned.get(rid)
-        if row is None:
+        if not row:
             row = {
                 vid: matrix[(rid, vid)]
                 for vid in fleet_ids

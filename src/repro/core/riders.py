@@ -163,9 +163,15 @@ class RiderTable:
 
     def requeue(self, rider: Rider, frame: int) -> None:
         """A released or stranded rider (its request possibly rewritten)
-        re-enters the back of the queue with a fresh retry budget."""
-        self._move(rider.rider_id, _PENDING)
-        self._queue[rider.rider_id] = CarriedRequest(rider, 0, frame)
+        re-enters the back of the queue with a fresh retry budget.  A
+        rider whose row is empty (preloaded: in no batch when it was
+        pinned) pins the row it is offered with at the next
+        :meth:`end_frame`."""
+        rid = rider.rider_id
+        self._move(rid, _PENDING)
+        self._queue[rid] = CarriedRequest(rider, 0, frame)
+        if not self._rows.get(rid):
+            self._unpinned[rid] = None
 
     def end_frame(self, next_clock: float, max_retries: int, utilities) -> int:
         """Close a frame; returns the number of riders it expired.

@@ -248,7 +248,7 @@ def _searches(stats: Counters) -> int:
     return (
         stats.dijkstra_count
         + stats.bidirectional_count
-        + stats.ch_query_count
+        + stats.ch_space_searches
         + stats.batch_rows
         - stats.batch_fallbacks
         + stats.landmark_rows
@@ -276,8 +276,12 @@ def _hit_rate(stats: Counters) -> float:
 #: the kept landmarks' rows in the batched pass, ``batch_rows``), and
 #: ``nodes_recontracted`` the nodes whose witness searches a rebuild
 #: after a metric change ran again (the others replayed their record).
-#: Derived: ``searches``, the graph work (Dijkstras, bidirectional runs, CH queries,
-#: batched rows, each fallback row counted once, and landmark searches),
+#: ``ch_space_searches`` counts the upward search spaces the tier-1
+#: hierarchy searched; a CH query (``ch_query_count``) whose two spaces
+#: are cached searches nothing.
+#: Derived: ``searches``, the graph work (Dijkstras, bidirectional runs, CH
+#: space searches, batched rows, each fallback row counted once, and
+#: landmark searches),
 #: and ``hit_rate``, the fraction of queries answered without a search.
 #: Every search counts as a miss; in APSP mode every query after the
 #: build is a table read, so the rate is 1.  It is clamped at 0 because
@@ -286,9 +290,9 @@ def _hit_rate(stats: Counters) -> float:
 ORACLE_STATS = Counters(
     "oracle",
     ["query_count", "dijkstra_count", "bidirectional_count",
-     "ch_query_count", "pair_cache_hits", "source_cache_hits",
-     "batch_rows", "batch_fallbacks", "pairs_kept", "landmark_rows",
-     "nodes_recontracted"],
+     "ch_query_count", "ch_space_searches", "pair_cache_hits",
+     "source_cache_hits", "batch_rows", "batch_fallbacks", "pairs_kept",
+     "landmark_rows", "nodes_recontracted"],
     gauges={
         "mode": "", "nodes": 0, "pair_cache_size": 0,
         "source_cache_size": 0, "row_cache_size": 0, "pinned_sources": 0,

@@ -8,16 +8,17 @@ Hierarchies are the standard answer:
 - **preprocessing**: contract nodes in importance order; when removing node
   ``v``, add shortcut edges between its neighbours wherever ``v`` lay on
   their only shortest path (checked by a local *witness search*);
-- **query**: bidirectional Dijkstra that only relaxes edges toward
-  *more important* nodes; the searches meet at the highest-ranked node of
-  the shortest path.  The two upward searches are interleaved and pruned
-  against the best meeting so far, and — when landmark distance rows are
-  supplied (:meth:`DistanceOracle.landmarks`) — made
-  goal-directed: the landmark triangle bound seeds the pruning radius
-  with an upper bound before the first pop and discards settled nodes
-  that provably cannot lie on a better path (CH + ALT).  Both prunings
-  are exactness-preserving; on city grids they cut the searched upward
-  cone by roughly 4x.
+- **query**: the shortest up-down path meets at the node common to the
+  *upward search spaces* of both ends (the nodes a Dijkstra that only
+  relaxes edges toward *more important* nodes settles, less the ones
+  stall-on-demand proves off every shortest path) that minimises the
+  sum of the two upward distances.  A node's space is searched once, in
+  full, on its first query and kept in a bounded LRU
+  (:data:`CACHE_SPACES`), the bucket idea of Knopp et al., *Computing
+  Many-to-Many Shortest Paths Using Highway Hierarchies* (ALENEX 2007),
+  applied one node at a time: dispatch queries reuse few endpoints
+  (popular pickups, parked vehicles), so most queries search nothing and
+  only scan two cached spaces of a few dozen nodes each.
 
 Node importance uses the classic lazy heuristic: edge difference (shortcuts
 added minus edges removed) plus contracted-neighbour count, re-evaluated
@@ -63,6 +64,7 @@ from __future__ import annotations
 
 import heapq
 from array import array
+from collections import OrderedDict
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -77,10 +79,11 @@ from repro.roadnet.shortest_path import INF
 #: the hierarchy still finds witnesses
 WITNESS_HOP_LIMIT = 60
 
-#: landmarks consulted per query: of the supplied landmarks, only
-#: the few with the widest ``|d(L, s) - d(L, t)|`` gap are worth the
-#: per-settle bound evaluation (the classic ALT subset heuristic)
-_ACTIVE_LANDMARKS = 2
+#: upward search spaces a hierarchy keeps (LRU).  A space holds a few
+#: dozen nodes on a 4k-node city grid, about 3 kB with its
+#: predecessors, and hundreds on larger grids: the bound caps the memory
+#: however many distinct nodes a long run queries
+CACHE_SPACES = 1024
 
 
 class ContractionHierarchy:
@@ -98,9 +101,8 @@ class ContractionHierarchy:
         evaluates no priorities.
     column:
         Optional node id -> column map over the ascending node ids, the
-        columns ``landmarks`` and :meth:`phast` use
-        (``DistanceOracle`` passes its own); built here when the ids are
-        not ``0..n-1`` and none is given.
+        columns :meth:`phast` uses (``DistanceOracle`` passes its own);
+        built here when the ids are not ``0..n-1`` and none is given.
     record:
         Optional :attr:`record` of an earlier hierarchy over the same
         nodes (not with ``order``).  The build contracts in its order,
@@ -169,9 +171,8 @@ class ContractionHierarchy:
             ]
             for u, nbrs in self._graph.items()
         }
-        #: node column of the landmark rows and the PHAST sweeps: the
-        #: node itself when the node ids are 0..n-1, ``self._column[node]``
-        #: otherwise
+        #: node column of the PHAST sweeps: the node itself when the node
+        #: ids are 0..n-1, ``self._column[node]`` otherwise
         self._column: Optional[Mapping[int, int]] = None
         nodes = sorted(self.rank)
         if nodes != list(range(len(nodes))):
@@ -179,29 +180,13 @@ class ContractionHierarchy:
                 column if column is not None
                 else {node: i for i, node in enumerate(nodes)}
             )
-        #: the landmark rows as python-float views (no copy), read by
-        #: node column (:meth:`use_landmarks`)
-        self._goals: Optional[List[memoryview]] = None
         #: PHAST sweep plan over node columns, built on first use
         self._sweeps: Optional[Tuple[list, list]] = None
-
-    def use_landmarks(self, landmarks: np.ndarray) -> None:
-        """Prune queries with these landmark rows from now on.
-
-        ``landmarks`` is a landmarks × nodes float64 array of exact
-        distances from each landmark over the *same* network, columns in
-        ascending node-id order, ``inf`` where unreachable
-        (:meth:`DistanceOracle.landmarks`); queries read its triangle
-        bounds for goal-directed pruning.  The caller owns keeping it
-        fresh — stale rows (network mutated after the build) would make
-        the "lower" bounds inadmissible and the pruning wrong, so build
-        the hierarchy and the rows together (``DistanceOracle.invalidate``
-        drops both).
-        """
-        if landmarks.ndim != 2 or landmarks.shape[1] != len(self.network):
-            raise ValueError("landmarks must hold one column per node")
-        rows = np.ascontiguousarray(landmarks, dtype=np.float64)
-        self._goals = [memoryview(row) for row in rows]
+        #: node -> its upward search space ``(dist, pred)`` (:meth:`_space`),
+        #: least recently used first
+        self._spaces: "OrderedDict[int, tuple]" = OrderedDict()
+        #: upward spaces searched so far (each query searches at most two)
+        self.space_searches = 0
 
     # ------------------------------------------------------------------
     # preprocessing
@@ -380,9 +365,12 @@ class ContractionHierarchy:
         budget — an undiscovered witness only means a redundant (harmless)
         shortcut.  Every node the search settles (pops and expands) goes
         into ``settled``: besides ``targets`` and ``budget``, the outcome
-        depends on their arcs and on nothing else."""
-        eps = 1e-12
-        limit = max(targets.values()) + eps
+        depends on their arcs and on nothing else.  The comparison has no
+        tolerance: one would let a witness up to it longer than the
+        shortcut stand in for it, and on networks with arcs of that size
+        (``1e-12`` next to ``0.0``) the hierarchy's distances would then
+        exceed the true ones."""
+        limit = max(targets.values())
         dist: Dict[int, float] = {source: 0.0}
         heap: List[Tuple[float, int]] = [(0.0, source)]
         pop, push = heapq.heappop, heapq.heappush
@@ -408,7 +396,7 @@ class ContractionHierarchy:
                     dist[v] = nd
                     push(heap, (nd, v))
         return {
-            v for v, via in targets.items() if dist.get(v, INF) <= via + eps
+            v for v, via in targets.items() if dist.get(v, INF) <= via
         }
 
     def _add_shortcut(
@@ -455,136 +443,45 @@ class ContractionHierarchy:
     def cost(self, source: int, target: int) -> float:
         """Exact shortest distance (inf when unreachable).
 
-        Interleaved bidirectional upward search.  A direction stops once
-        its queue minimum reaches the best meeting found so far (standard
-        CH termination), and with landmark rows the search also
-
-        - seeds the bound with the landmark triangle *upper* bound
-          ``min_L d(s, L) + d(L, t)`` (padded by a relative epsilon so
-          float rounding cannot exclude the optimum), and
-        - skips relaxing any settled node ``u`` whose admissible remaining
-          distance ``d + max_L |d(L, u) - d(L, goal)|`` already reaches
-          the bound — ``u`` stays a valid meeting point, but no shortest
-          path can leave the pruned radius through it.
-
-        The winning up-down path is unpacked into original network edges
-        and the distance re-accumulated from ``source`` in path order, so
-        the result is bit-identical to plain Dijkstra's over the same
-        path (shortcut costs are pairwise sums and would otherwise round
+        The meeting node is the node ``m`` common to both ends' upward
+        spaces with the least ``d_source[m] + d_target[m]``.  The winning
+        up-down path is unpacked into original network edges and the
+        distance re-accumulated from ``source`` in path order, so the
+        result is bit-identical to plain Dijkstra's over the same path
+        (shortcut costs are pairwise sums and would otherwise round
         differently in the last ulp).
         """
         if source == target:
             return 0.0
-        upward = self._upward
-        heappop, heappush = heapq.heappop, heapq.heappush
+        dist0, pred0 = self._space(source)
+        dist1, pred1 = self._space(target)
+        if len(dist0) > len(dist1):
+            small, get = dist1, dist0.get
+        else:
+            small, get = dist0, dist1.get
         best = INF
-        goals0: Optional[List[Tuple[object, float]]] = None
-        goals1: Optional[List[Tuple[object, float]]] = None
-        tables = self._goals
-        column = self._column
-        if tables is not None:
-            src_col = source if column is None else column[source]
-            dst_col = target if column is None else column[target]
-            src_d = [row[src_col] for row in tables]
-            dst_d = [row[dst_col] for row in tables]
-            upper = min(a + b for a, b in zip(src_d, dst_d))
-            # a zero bound would prune the very first pop (d >= best):
-            # zero-cost pairs are left to the plain search.  A landmark
-            # lower bound is a difference of two landmark distances and
-            # carries their rounding, not the pair's: the seeded radius
-            # is padded by it too, or a short pair far from every
-            # landmark prunes its own source before any meeting
-            if 0.0 < upper < INF:
-                scale = max(x for x in src_d + dst_d if x < INF)
-                best = upper * (1.0 + 1e-9) + 1e-12 * scale
-            # widest-gap landmarks give the tightest bounds for this pair
-            gaps = []
-            for i, (a, b) in enumerate(zip(src_d, dst_d)):
-                gap = abs(a - b)
-                gaps.append((gap, i) if gap == gap else (-1.0, i))
-            gaps.sort(reverse=True)
-            active = [i for _, i in gaps[:_ACTIVE_LANDMARKS]]
-            goals0 = [(tables[i], dst_d[i]) for i in active]  # fwd -> target
-            goals1 = [(tables[i], src_d[i]) for i in active]  # bwd -> source
-        # the two directions are written out twice with all-local state:
-        # this is the hottest loop in a tier-1 oracle and indexing
-        # (heaps[side], settled[1 - side], ...) measurably slows it
-        dist0 = {source: 0.0}
-        dist1 = {target: 0.0}
-        set0: Dict[int, float] = {}
-        set1: Dict[int, float] = {}
-        pred0: Dict[int, int] = {}
-        pred1: Dict[int, int] = {}
-        h0: List[Tuple[float, int]] = [(0.0, source)]
-        h1: List[Tuple[float, int]] = [(0.0, target)]
         meet: Optional[int] = None
-        while h0 or h1:
-            if h0 and (not h1 or h0[0][0] <= h1[0][0]):
-                d, u = heappop(h0)
-                if d >= best:
-                    # queue minima only grow: this direction is exhausted
-                    h0 = []
-                    continue
-                if u in set0:
-                    continue
-                set0[u] = d
-                o = set1.get(u)
-                if o is not None and d + o < best:
-                    best = d + o
-                    meet = u
-                if goals0 is not None:
-                    c = u if column is None else column[u]
-                    bound = 0.0
-                    for table, goal_d in goals0:
-                        diff = table[c] - goal_d
-                        if diff < 0.0:
-                            diff = -diff
-                        if diff > bound:
-                            bound = diff
-                    if d + bound >= best:
-                        continue
-                for v, cost in upward[u]:
-                    nd = d + cost
-                    if nd < dist0.get(v, INF):
-                        dist0[v] = nd
-                        pred0[v] = u
-                        heappush(h0, (nd, v))
-            else:
-                d, u = heappop(h1)
-                if d >= best:
-                    h1 = []
-                    continue
-                if u in set1:
-                    continue
-                set1[u] = d
-                o = set0.get(u)
-                if o is not None and d + o < best:
-                    best = d + o
-                    meet = u
-                if goals1 is not None:
-                    c = u if column is None else column[u]
-                    bound = 0.0
-                    for table, goal_d in goals1:
-                        diff = table[c] - goal_d
-                        if diff < 0.0:
-                            diff = -diff
-                        if diff > bound:
-                            bound = diff
-                    if d + bound >= best:
-                        continue
-                for v, cost in upward[u]:
-                    nd = d + cost
-                    if nd < dist1.get(v, INF):
-                        dist1[v] = nd
-                        pred1[v] = u
-                        heappush(h1, (nd, v))
+        for node, d in small.items():
+            o = get(node)
+            if o is not None and d + o < best:
+                best = d + o
+                meet = node
         if meet is None:
             return INF
+        # the up-down path's search-graph nodes, source to target (a
+        # shortcut bypasses the same node both ways, so the target's
+        # upward chain unpacks the same read downward)
+        path = [meet]
+        while path[-1] != source:
+            path.append(pred0[path[-1]])
+        path.reverse()
+        node = meet
+        while node != target:
+            node = pred1[node]
+            path.append(node)
         edges: List[Tuple[int, int]] = []
-        self._append_upward_path(pred0, source, meet, edges)
-        down: List[Tuple[int, int]] = []
-        self._append_upward_path(pred1, target, meet, down)
-        edges.extend((b, a) for a, b in reversed(down))
+        for a, b in zip(path, path[1:]):
+            self._unpack(a, b, edges)
         adjacency = self.network.adjacency
         total = 0.0
         for a, b in edges:
@@ -593,20 +490,57 @@ class ContractionHierarchy:
 
     __call__ = cost
 
-    def _append_upward_path(
-        self,
-        pred: Dict[int, int],
-        source: int,
-        meet: int,
-        out: List[Tuple[int, int]],
-    ) -> None:
-        """Append the unpacked ``source -> meet`` path as original edges."""
-        chain: List[int] = [meet]
-        while chain[-1] != source:
-            chain.append(pred[chain[-1]])
-        chain.reverse()
-        for a, b in zip(chain, chain[1:]):
-            self._unpack(a, b, out)
+    def _space(self, node: int) -> Tuple[Dict[int, float], Dict[int, int]]:
+        """``node``'s upward search space: the distance of every node an
+        upward Dijkstra from it settles, and each one's predecessor.
+
+        Searched to exhaustion (no target) on first use and kept under
+        the :data:`CACHE_SPACES` LRU.  The network is undirected, so one
+        space serves ``node`` as either end of a query.  A node that a
+        higher neighbour already labelled reaches for less is *stalled*
+        (stall-on-demand): its label is not its distance, so no shortest
+        up-down path meets there or passes through it, and it is neither
+        kept nor expanded.  On grids this drops nearly half of a space on
+        the 64×64 city and five sixths on 128×128.
+        """
+        spaces = self._spaces
+        space = spaces.get(node)
+        if space is not None:
+            spaces.move_to_end(node)
+            return space
+        upward = self._upward
+        heappop, heappush = heapq.heappop, heapq.heappush
+        label = {node: 0.0}
+        parent: Dict[int, int] = {}
+        dist: Dict[int, float] = {}
+        pred: Dict[int, int] = {}
+        heap: List[Tuple[float, int]] = [(0.0, node)]
+        while heap:
+            d, u = heappop(heap)
+            if d > label[u]:
+                continue  # a stale entry: u was settled closer
+            arcs = upward[u]
+            for v, cost in arcs:
+                # stall on demand: a higher node reaches u for less, so u
+                # lies on no shortest path and can meet nothing
+                w = label.get(v)
+                if w is not None and w + cost < d:
+                    break
+            else:
+                dist[u] = d
+                if u != node:
+                    pred[u] = parent[u]
+                for v, cost in arcs:
+                    nd = d + cost
+                    if nd < label.get(v, INF):
+                        label[v] = nd
+                        parent[v] = u
+                        heappush(heap, (nd, v))
+        self.space_searches += 1
+        spaces[node] = space = (dist, pred)
+        if len(spaces) > CACHE_SPACES:
+            spaces.popitem(last=False)
+        return space
 
     def _unpack(self, a: int, b: int, out: List[Tuple[int, int]]) -> None:
         """Expand search-graph edge ``(a, b)`` into original network edges

@@ -12,10 +12,12 @@ auto-picked from network size and a memory budget:
   the reachability gate of the solvers is exact on this tier.
 - **tier 1 — contraction hierarchy** (city-scale networks): exact CH
   point-to-point queries (:mod:`repro.roadnet.contraction`) under the pair
-  LRU.  The exact distances from a few well-spread *landmarks* live in one
-  landmarks × nodes float64 array (:meth:`landmarks`): the CH query reads
-  it for goal-directed pruning, and :meth:`lower_bounds` turns it into the
-  ALT triangle bound for many nodes at once, which gates every
+  LRU.  A query scans the cached upward search spaces of its two ends,
+  each searched once per hierarchy, so a stream that keeps reusing the
+  same pickups and vehicle positions does little graph work.  The exact
+  distances from a few well-spread *landmarks* live in one landmarks ×
+  nodes float64 array (:meth:`landmarks`): :meth:`lower_bounds` turns it
+  into the ALT triangle bound for many nodes at once, which gates every
   reachability test of the solvers (``repro.core.scoring``).
 - **tier 2 — LRU fallback** (everything else, and directed networks): an
   LRU cache of full single-source Dijkstra runs plus bidirectional
@@ -45,13 +47,14 @@ and dropped; without one (directed networks, tier 2, a degraded epoch)
 every row is a :func:`dijkstra`.  :meth:`hop_local_cost_fn` serves the
 area cover's pair checks from the same verifier.
 
-Disruption-epoch invalidation (:meth:`invalidate`) drops the CH and the
-landmark rows with the caches; tier 1 rebuilds on the next query
-(or right away, to re-fill pinned rows).  While the node set is
-unchanged the rebuild starts from the last hierarchy's
-:class:`~repro.roadnet.contraction.ContractionRecord` (its order, with
-the witness searches re-run only where the change can reach) and keeps
-the landmarks, re-filling their rows by the batched pass.  A change
+Disruption-epoch invalidation (:meth:`invalidate`) drops the CH (its
+cached search spaces with it) and the landmark rows with the caches;
+tier 1 rebuilds on the next query (or right away, to re-fill pinned
+rows).  While the node set is unchanged the rebuild starts from the
+last hierarchy's :class:`~repro.roadnet.contraction.ContractionRecord`
+(its order, with the witness searches re-run only where the change can
+reach) and keeps the landmarks, re-filling their rows by the batched
+pass.  A change
 that only lengthens or removes arcs keeps every cached pair whose
 shortest path provably avoids the changed arcs.  When a
 ``rebuild_budget_s`` is set and the last CH build exceeded it, the
@@ -62,7 +65,8 @@ dispatcher on a full re-contraction.
 The oracle is a drop-in ``cost(u, v)`` callable, which is the only
 interface the scheduling layer (Section 3) depends on.  All work is counted
 (``query_count``, ``dijkstra_count``, ``bidirectional_count``,
-``ch_query_count``, cache hits) and summarised by :mod:`repro.perf`.
+``ch_query_count``, ``ch_space_searches``, cache hits) and summarised by
+:mod:`repro.perf`.
 """
 
 from __future__ import annotations
@@ -104,10 +108,9 @@ CACHE_ROWS = 1024
 #: hard cap — an explicit ``tier`` is always honoured.
 MEMORY_BUDGET_MB = 256.0
 
-#: landmarks of the tier-1 rows.  The CH query picks the few widest-gap
-#: landmarks per pair for goal-directed pruning, so a larger pool mostly
-#: buys tighter bounds, not per-query cost; 16 keeps city-scale point
-#: queries comfortably sublinear
+#: landmarks of the tier-1 rows, read only by
+#: :meth:`DistanceOracle.lower_bounds` (the reachability gate): more
+#: landmarks tighten the bound and widen every gather over the rows
 NUM_LANDMARKS = 16
 
 
@@ -129,7 +132,7 @@ class DistanceOracle:
         array reads (subject to :data:`MEMORY_BUDGET_MB`).  Set to 0 to
         disable.
     tier:
-        Force a tier (0 = APSP, 1 = CH + ALT, 2 = LRU/bidirectional)
+        Force a tier (0 = APSP, 1 = CH + landmarks, 2 = LRU/bidirectional)
         instead of auto-selecting.  ``tier=1`` requires an undirected
         network.
     rebuild_budget_s:
@@ -151,7 +154,7 @@ class DistanceOracle:
             if tier not in (0, 1, 2):
                 raise ValueError(f"tier must be 0, 1, or 2 (got {tier!r})")
             if tier == 1 and not network.undirected:
-                raise ValueError("tier 1 (CH + ALT) requires an undirected network")
+                raise ValueError("tier 1 (CH) requires an undirected network")
         self.network = network
         self.cache_sources = cache_sources
         self.apsp_threshold = apsp_threshold
@@ -206,6 +209,8 @@ class DistanceOracle:
         self.batch_fallbacks = 0
         self.bidirectional_count = 0
         self.ch_query_count = 0
+        # upward search spaces of the hierarchies before the current one
+        self._retired_space_searches = 0
         self.pair_cache_hits = 0
         self.source_cache_hits = 0
         # cached pairs invalidate() carried into a new epoch
@@ -227,7 +232,7 @@ class DistanceOracle:
     # ------------------------------------------------------------------
     @property
     def tier(self) -> int:
-        """The configured tier (0 = APSP, 1 = CH + ALT, 2 = LRU)."""
+        """The configured tier (0 = APSP, 1 = CH + landmarks, 2 = LRU)."""
         if self._tier is None:
             if self._tier_override is not None:
                 self._tier = self._tier_override
@@ -262,14 +267,15 @@ class DistanceOracle:
         return 2
 
     def _tier1_estimate_bytes(self) -> float:
-        """Rough memory estimate for the CH + ALT structures.
+        """Rough memory estimate for the CH and landmark structures.
 
         CH shortcuts empirically land near the original (directed) edge
         count on road grids, and every search-graph entry costs a dict
         slot plus an upward-list tuple.  The landmark term still prices
         the per-landmark distance dicts and goal tables of an earlier
-        layout, although the rows now take 8 bytes an entry: it is kept so
-        that tier auto-selection does not move.
+        layout, although the rows now take 8 bytes an entry, and the
+        hierarchy's search-space LRU is not priced: the estimate is kept
+        so that tier auto-selection does not move.
         """
         n = len(self.network)
         m = self.network.num_edges
@@ -279,14 +285,13 @@ class DistanceOracle:
 
     def _ensure_ch(self) -> ContractionHierarchy:
         if self._ch is None:
-            # the hierarchy reads the oracle's landmark rows for
-            # goal-directed query pruning; both are dropped together on
-            # invalidate(), so the bounds the queries consult are always
-            # current-epoch.  The rows come second: kept landmarks are
-            # re-filled by the batched pass over this hierarchy
+            # the landmark rows (the reachability gate's bound) are built
+            # with the hierarchy, not in the first lower_bounds() call of
+            # the stream; they come second: kept landmarks are re-filled
+            # by the batched pass over this hierarchy
             started = time.perf_counter()
             self._ch = self._build_ch()
-            self._ch.use_landmarks(self._ensure_landmarks())
+            self._ensure_landmarks()
             self._tier1_build_s = time.perf_counter() - started
         return self._ch
 
@@ -926,6 +931,8 @@ class DistanceOracle:
             self._node_ids = None
             self._n = 0
             self._arcs = None
+            if outgoing is not None:
+                self._retired_space_searches += outgoing.space_searches
             self._ch = None
             self._landmarks = None
             self.fast_path = False
@@ -975,9 +982,8 @@ class DistanceOracle:
         path through a changed arc was longer than ``d`` before the
         change, lengthening only raises its float sum, so the float of a
         shortest path that avoids them all is still the answer.  The
-        relative margin covers the estimates' rounding, the absolute
-        one the witness searches' tolerance (each contracted node on a
-        path may lengthen the hierarchy's distance by 1e-12).
+        relative margin covers the estimates' rounding; the absolute one
+        (1e-12 per node) only widens it.
         """
         changes = self._changed
         if hierarchy is None or self.effective_tier != 1 or changes is None:
@@ -1013,6 +1019,14 @@ class DistanceOracle:
             del cache[pair]
         return True
 
+    @property
+    def ch_space_searches(self) -> int:
+        """Upward search spaces the tier-1 hierarchies of every epoch have
+        searched (the graph work behind ``ch_query_count``)."""
+        ch = self._ch
+        current = 0 if ch is None else ch.space_searches
+        return self._retired_space_searches + current
+
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
         """Counter snapshot (see :mod:`repro.perf` for the typed view)."""
@@ -1025,6 +1039,7 @@ class DistanceOracle:
             "batch_fallbacks": self.batch_fallbacks,
             "bidirectional_count": self.bidirectional_count,
             "ch_query_count": self.ch_query_count,
+            "ch_space_searches": self.ch_space_searches,
             "pair_cache_hits": self.pair_cache_hits,
             "pair_cache_size": len(self._pair_cache),
             "pairs_kept": self.pairs_kept,

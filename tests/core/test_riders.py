@@ -1,8 +1,11 @@
 """Unit tests for repro.core.riders (the rider table)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.dispatch import Dispatcher
+from repro.core.disruptions import VehicleBreakdown
 from repro.core.durability import CheckpointError
 from repro.core.riders import (
     TRANSITIONS,
@@ -10,6 +13,7 @@ from repro.core.riders import (
     RiderTable,
     RiderTransitionError,
 )
+from repro.core.schedule import Stop
 from repro.core.vehicles import Vehicle
 from repro.roadnet.generators import grid_city
 from tests.conftest import make_rider
@@ -184,6 +188,41 @@ class TestPinnedRows:
         table.requeue(_riders(1)[0], frame=1)
         table.end_frame(20.0, 3, _Rows())
         assert table.pinned_rows()[1] is row
+
+    def test_a_requeued_rider_with_an_empty_row_is_pinned_again(self):
+        table = RiderTable(preloaded=[9])
+        table.end_frame(10.0, 3, SimpleNamespace(row=lambda rid: {}))
+        assert table.pinned_rows()[9] == {}  # in no batch: nothing drawn
+        table.requeue(_riders(9)[0], frame=1)
+        table.end_frame(20.0, 3, _Rows())
+        assert table.pinned_rows()[9] == {0: 0.9, 1: 0.5}
+
+    def test_a_stranded_preloaded_rider_keeps_its_mu_v(self):
+        """A preloaded rider released by a breakdown is offered with the
+        same mu_v in every frame it waits, like any queued rider."""
+        city = grid_city(8, 8, seed=2, removal_fraction=0.0,
+                         arterial_every=None)
+        rider = make_rider(1, source=63, destination=7,
+                           pickup_deadline=100.0, dropoff_deadline=400.0)
+        fleet = [
+            Vehicle(vehicle_id=0, location=0, capacity=2,
+                    committed_stops=(Stop.pickup(rider), Stop.dropoff(rider))),
+            # busy past the rider's deadline: it stays queued
+            Vehicle(vehicle_id=1, location=9, capacity=2, ready_time=500.0),
+            Vehicle(vehicle_id=2, location=54, capacity=2, ready_time=500.0),
+        ]
+        d = Dispatcher(city, fleet, method="eg", frame_length=6.0, seed=7,
+                       max_retries=10)
+        d.dispatch_frame([])
+        d.inject([VehicleBreakdown(vehicle_id=0)])
+        seen = []
+        for _ in range(3):
+            report = d.dispatch_frame([])
+            table = report.assignment.instance.vehicle_utilities
+            seen.append((table[(1, 1)], table[(1, 2)]))
+            assert d.ledger[1] is P
+        assert seen[0] == seen[1] == seen[2]
+        assert d.riders.pinned_rows()[1] == {1: seen[0][0], 2: seen[0][1]}
 
 
 class TestCheckpoint:

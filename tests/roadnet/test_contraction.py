@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +12,7 @@ from repro.roadnet.contraction import ContractionHierarchy
 from repro.roadnet.generators import grid_city, ring_radial_city
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.oracle import DistanceOracle
-from repro.roadnet.shortest_path import dijkstra
+from repro.roadnet.shortest_path import dijkstra, shortest_path
 
 
 @pytest.fixture(scope="module")
@@ -21,10 +20,36 @@ def grid_ch(small_grid):
     return ContractionHierarchy(small_grid)
 
 
-def _landmark_rows(net: RoadNetwork, count: int, monkeypatch) -> np.ndarray:
-    """``count`` landmark rows of ``net``, as the tier-1 oracle builds them."""
+def _tier1_hierarchy(net: RoadNetwork, count: int, monkeypatch):
+    """The hierarchy a tier-1 oracle over ``net`` builds along with
+    ``count`` landmark rows."""
     monkeypatch.setattr(oracle_module, "NUM_LANDMARKS", count)
-    return DistanceOracle(net, tier=1).landmarks()
+    oracle = DistanceOracle(net, tier=1)
+    hierarchy = oracle._ensure_ch()
+    assert oracle._landmarks is not None
+    return hierarchy
+
+
+@st.composite
+def _awkward_networks(draw):
+    """Small networks with sparse node ids, islands, isolated nodes, zero
+    arcs and 1e-12 arcs next to 1e3 arcs."""
+    ids = draw(st.lists(st.integers(0, 10_000), min_size=2, max_size=12,
+                        unique=True))
+    weight = st.one_of(
+        st.sampled_from([0.0, 1e-12, 1e3]),
+        st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False),
+    )
+    pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(
+        lambda pair: pair[0] < pair[1]
+    )
+    arcs = draw(st.dictionaries(pairs, weight, max_size=30))
+    net = RoadNetwork()
+    for node in ids:
+        net.add_node(node)
+    for (u, v), w in arcs.items():  # one weight per pair: both ways equal
+        net.add_edge(u, v, w)
+    return net
 
 
 class TestConstruction:
@@ -42,10 +67,6 @@ class TestConstruction:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             ContractionHierarchy(RoadNetwork())
-
-    def test_landmark_rows_need_one_column_per_node(self, small_grid):
-        with pytest.raises(ValueError, match="one column per node"):
-            ContractionHierarchy(small_grid).use_landmarks(np.zeros((2, 3)))
 
     def test_given_order_is_the_rank(self, small_grid, grid_ch):
         order = list(reversed(grid_ch.order))
@@ -152,29 +173,37 @@ class TestQueries:
         assert math.isinf(ch.cost(0, 9))
 
     def test_zero_cost_pair_with_landmarks(self, monkeypatch):
-        # regression: a zero landmark upper bound pruned the first pop and
-        # the query returned inf for a pair joined by a zero-weight edge
+        # regression (landmark-pruned query): a zero upper bound pruned the
+        # first pop and a pair joined by a zero-weight edge read inf
         net = RoadNetwork()
         net.add_edge(0, 1, 0.0)
         net.add_edge(1, 2, 2.0)
-        ch = ContractionHierarchy(net)
-        ch.use_landmarks(_landmark_rows(net, 2, monkeypatch))
+        ch = _tier1_hierarchy(net, 2, monkeypatch)
         assert ch.cost(0, 1) == 0.0
         assert ch.cost(0, 2) == 2.0
 
     def test_tiny_pair_far_from_landmarks(self, monkeypatch):
-        # regression: the landmark bound of a 1e-12 pair next to unit
-        # edges carried more rounding than the pair's own distance and
-        # pruned the source, so the query returned inf
+        # regression (landmark-pruned query): the bound of a 1e-12 pair
+        # next to unit edges carried more rounding than the pair's own
+        # distance and pruned the source, so the query read inf
         net = RoadNetwork()
         for u, v, w in ((0, 3, 1.0), (1, 2, 1e-12), (2, 3, 1e-12)):
             net.add_edge(u, v, w)
-        ch = ContractionHierarchy(net)
-        ch.use_landmarks(_landmark_rows(net, 4, monkeypatch))
+        ch = _tier1_hierarchy(net, 4, monkeypatch)
         for u in net.nodes():
             truth = dijkstra(net, u)
             for v in net.nodes():
                 assert ch.cost(u, v) == truth[v], (u, v)
+
+    def test_witness_longer_than_the_shortcut_is_no_witness(self):
+        # regression: witness searches accepted a path up to 1e-12 longer
+        # than the shortcut, so contracting 0 first lost the 0.0 route
+        # 1-0-2 to the 1e-12 arc and the query read 1e-12
+        net = RoadNetwork()
+        for u, v, w in ((0, 1, 0.0), (0, 2, 0.0), (1, 2, 1e-12)):
+            net.add_edge(u, v, w)
+        ch = ContractionHierarchy(net, order=[0, 1, 2])
+        assert ch.cost(1, 2) == 0.0
 
     def test_callable(self, grid_ch):
         assert grid_ch(0, 24) == grid_ch.cost(0, 24)
@@ -196,6 +225,17 @@ class TestQueries:
             dijkstra(net, src).get(dst, math.inf)
         )
 
+    @settings(max_examples=200, deadline=None)
+    @given(net=_awkward_networks())
+    def test_bit_identical_on_awkward_networks(self, net):
+        ch = ContractionHierarchy(net)
+        nodes = sorted(net.nodes())
+        for u in nodes:
+            truth = dijkstra(net, u)
+            for v in nodes:
+                if u < v:
+                    assert ch.cost(u, v) == truth.get(v, math.inf), (u, v)
+
     def test_tiny_witness_budget_still_exact(self, small_grid, monkeypatch):
         """A starved witness search adds extra shortcuts but must never
         change query results."""
@@ -205,6 +245,62 @@ class TestQueries:
         truth = dijkstra(small_grid, nodes[0])
         for dst in nodes[::4]:
             assert ch.cost(nodes[0], dst) == pytest.approx(truth[dst])
+
+
+class TestSearchSpaces:
+    """A node's upward space is searched once per hierarchy and kept
+    under the :data:`contraction.CACHE_SPACES` bound."""
+
+    def test_each_endpoint_searched_once(self, small_grid):
+        ch = ContractionHierarchy(small_grid)
+        for v in range(1, 25):
+            ch.cost(0, v)
+        assert ch.space_searches == 25
+        for v in range(1, 25):
+            ch.cost(v, 0)  # one space serves a node as either end
+        assert ch.space_searches == 25
+
+    def test_a_stalled_node_is_not_kept(self):
+        # 2 reaches 1 for 1 + 1 < 5, so 0's search stalls at 1
+        net = RoadNetwork()
+        for u, v, w in ((0, 1, 5.0), (0, 2, 1.0), (1, 2, 1.0)):
+            net.add_edge(u, v, w)
+        ch = ContractionHierarchy(net, order=[0, 1, 2])
+        dist, pred = ch._space(0)
+        assert dist == {0: 0.0, 2: 1.0} and pred == {2: 0}
+        assert ch.cost(0, 1) == 2.0
+
+    def test_cache_evicts_at_its_bound(self, small_grid, monkeypatch):
+        monkeypatch.setattr(contraction, "CACHE_SPACES", 3)
+        ch = ContractionHierarchy(small_grid)
+        truth = dijkstra(small_grid, 0)
+        for v in range(1, 10):
+            assert ch.cost(0, v) == truth[v]
+            assert len(ch._spaces) <= 3
+        # least recently used first: node 0 is touched by every query
+        assert list(ch._spaces) == [8, 0, 9]
+        assert ch.space_searches == 10
+        assert ch.cost(1, 0) == truth[1]  # 1 was evicted: searched again
+        assert ch.space_searches == 11
+        assert list(ch._spaces) == [9, 1, 0]
+
+    def test_query_after_closure_and_invalidate_reads_the_new_metric(self):
+        net = grid_city(6, 6, seed=4, removal_fraction=0.0, arterial_every=None)
+        oracle = DistanceOracle(net, tier=1)
+        before, path = shortest_path(net, 0, 35)
+        assert oracle.cost(0, 35) == before
+        spaces = oracle.ch_space_searches
+        assert spaces == 2
+        a, b = path[1], path[2]  # close one road of the shortest path
+        net.remove_edge(a, b)
+        net.remove_edge(b, a)
+        oracle.invalidate()
+        after = oracle.cost(0, 35)
+        assert after == dijkstra(net, 0)[35]
+        assert after > before
+        # the new hierarchy searched fresh spaces; the count carries over
+        assert oracle._ch.space_searches == 2
+        assert oracle.ch_space_searches == spaces + 2
 
 
 class TestUsableAsCostOracle:

@@ -222,6 +222,7 @@ class TestStats:
             "fast_path",
             "epoch",
             "ch_query_count",
+            "ch_space_searches",
             "tier",
             "effective_tier",
         }

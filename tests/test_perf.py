@@ -32,6 +32,7 @@ AS_DICT_KEYS = {
                "bidirectional_count", "pair_cache_hits", "pair_cache_size",
                "source_cache_hits", "source_cache_size", "row_cache_size",
                "pinned_sources", "fast_path", "epoch", "ch_query_count",
+               "ch_space_searches",
                "tier", "effective_tier", "batch_rows", "batch_fallbacks",
                "pairs_kept", "landmark_rows", "nodes_recontracted", "searches",
                "hit_rate"},
