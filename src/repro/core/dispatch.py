@@ -402,11 +402,6 @@ class Dispatcher:
             raise ValueError("fleet must contain at least one vehicle")
         self.network = network
         self.oracle = oracle = oracle or DistanceOracle(network)
-        if config.frame_budget is not None and oracle.rebuild_budget_s is None:
-            # let a tier-1 oracle degrade for one epoch instead of paying a
-            # CH re-contraction inside a budgeted frame (see
-            # DistanceOracle.rebuild_budget_s)
-            oracle.rebuild_budget_s = config.frame_budget
         self.plan = plan
         # oracle epoch of the plan this dispatcher built (None: the
         # caller's plan, or none built yet)

@@ -291,12 +291,12 @@ ORACLE_STATS = Counters(
     "oracle",
     ["query_count", "dijkstra_count", "bidirectional_count",
      "ch_query_count", "ch_space_searches", "pair_cache_hits",
-     "source_cache_hits", "batch_rows", "batch_fallbacks", "pairs_kept",
+     "source_cache_hits", "batch_rows", "batch_fallbacks",
      "landmark_rows", "nodes_recontracted"],
     gauges={
         "mode": "", "nodes": 0, "pair_cache_size": 0,
         "source_cache_size": 0, "row_cache_size": 0, "pinned_sources": 0,
-        "fast_path": False, "epoch": 0, "tier": 2, "effective_tier": 2,
+        "fast_path": False, "epoch": 0, "tier": 2,
     },
     derived={"searches": _searches, "hit_rate": _hit_rate},
 )

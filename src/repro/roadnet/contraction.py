@@ -110,8 +110,6 @@ class ContractionHierarchy:
         change may reach and replays the recorded shortcuts of all
         others; the result is the hierarchy ``order=record.order``
         builds.
-    changed:
-        ``record.changed_arcs(network)``, when the caller has it already.
     """
 
     def __init__(
@@ -120,7 +118,6 @@ class ContractionHierarchy:
         order: Optional[Sequence[int]] = None,
         column: Optional[Mapping[int, int]] = None,
         record: Optional["ContractionRecord"] = None,
-        changed: Optional[List[Tuple[int, int, float, float]]] = None,
     ) -> None:
         if not network.undirected:
             raise ValueError("ContractionHierarchy requires an undirected network")
@@ -157,9 +154,7 @@ class ContractionHierarchy:
         if record is None:
             self._build(order, writer)
         else:
-            if changed is None:
-                changed = record.changed_arcs(network)
-            self._rebuild(record, changed, writer)
+            self._rebuild(record, writer)
         #: what this build saw and did, for a rebuild after a change
         self.record = writer.finish(self.order, network.adjacency)
         #: upward adjacency used by queries (toward higher ranks only)
@@ -232,12 +227,7 @@ class ContractionHierarchy:
             self.order.append(node)
             next_rank += 1
 
-    def _rebuild(
-        self,
-        record: "ContractionRecord",
-        changed: List[Tuple[int, int, float, float]],
-        writer: "_RecordWriter",
-    ) -> None:
+    def _rebuild(self, record: "ContractionRecord", writer: "_RecordWriter") -> None:
         """Contract in ``record``'s order, re-running only the witness
         searches whose outcome may have changed.
 
@@ -257,7 +247,7 @@ class ContractionHierarchy:
             u: dict(nbrs) for u, nbrs in self._graph.items()
         }
         dirty: Set[int] = set()
-        for u, v, _, _ in changed:
+        for u, v, _, _ in record.changed_arcs(self.network):
             dirty.add(u)
             dirty.add(v)
         order = record.order

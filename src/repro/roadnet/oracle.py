@@ -28,9 +28,12 @@ On **undirected** networks every query is canonicalised to
 symmetric, the pair LRU holds each unordered pair once (double the
 effective capacity), and — because the CH query unpacks its up-down path
 into original edges and re-accumulates from the canonical source in path
-order — tiers 0 and 1 return *bit-identical* floats for every pair.  That
-bitwise contract is what lets the differential fuzz harness compare tiered
-and untiered dispatch runs with ``==`` instead of tolerances.
+order — tiers 0 and 1 return *bit-identical* floats for every pair whose
+shortest route is unique or sums exactly.  Two routes of equal real
+length whose float sums round differently may leave the hierarchy on the
+other one, one ulp away.  That bitwise contract is what lets the
+differential fuzz harness compare tiered and untiered dispatch runs with
+``==`` instead of tolerances.
 
 Sources pinned by :meth:`warm` keep their full distance rows in one flat
 float64 block (:meth:`pinned_block`; at tier 0 the APSP table is the
@@ -43,24 +46,18 @@ all filled by one batched many-source pass (:mod:`repro.roadnet.batched`):
 PHAST over the epoch's contraction hierarchy, exact re-accumulation and a
 verifier that proves each row equal to :func:`dijkstra`, which re-solves
 only the rows it rejects.  At tier 0 the hierarchy is built for the table
-and dropped; without one (directed networks, tier 2, a degraded epoch)
-every row is a :func:`dijkstra`.  :meth:`hop_local_cost_fn` serves the
+and dropped; without one (directed networks, tier 2) every row is a
+:func:`dijkstra`.  :meth:`hop_local_cost_fn` serves the
 area cover's pair checks from the same verifier.
 
-Disruption-epoch invalidation (:meth:`invalidate`) drops the CH (its
-cached search spaces with it) and the landmark rows with the caches;
-tier 1 rebuilds on the next query (or right away, to re-fill pinned
-rows).  While the node set is unchanged the rebuild starts from the
-last hierarchy's :class:`~repro.roadnet.contraction.ContractionRecord`
-(its order, with the witness searches re-run only where the change can
-reach) and keeps the landmarks, re-filling their rows by the batched
-pass.  A change
-that only lengthens or removes arcs keeps every cached pair whose
-shortest path provably avoids the changed arcs.  When a
-``rebuild_budget_s`` is set and the last CH build exceeded it, the
-oracle instead degrades to tier 2 for one epoch (queries fall back to
-bidirectional search) so a mid-frame road closure never stalls the
-dispatcher on a full re-contraction.
+Disruption-epoch invalidation (:meth:`invalidate`) drops every cache,
+the pair LRU included, with the CH (its cached search spaces with it) and
+the landmark rows; at tier 1 it rebuilds both before it returns, so no
+query pays for a contraction.  While the node set is unchanged the
+rebuild starts from the last hierarchy's
+:class:`~repro.roadnet.contraction.ContractionRecord` (its order, with
+the witness searches re-run only where the change can reach) and keeps
+the landmarks, re-filling their rows by the batched pass.
 
 The oracle is a drop-in ``cost(u, v)`` callable, which is the only
 interface the scheduling layer (Section 3) depends on.  All work is counted
@@ -71,8 +68,6 @@ interface the scheduling layer (Section 3) depends on.  All work is counted
 
 from __future__ import annotations
 
-import itertools
-import time
 from collections import OrderedDict
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -135,11 +130,6 @@ class DistanceOracle:
         Force a tier (0 = APSP, 1 = CH + landmarks, 2 = LRU/bidirectional)
         instead of auto-selecting.  ``tier=1`` requires an undirected
         network.
-    rebuild_budget_s:
-        When set and the last CH build took longer than this, a
-        disruption-epoch :meth:`invalidate` degrades the oracle to tier 2
-        for one epoch instead of eagerly re-contracting (the dispatcher
-        wires its frame budget in here).
     """
 
     def __init__(
@@ -148,7 +138,6 @@ class DistanceOracle:
         cache_sources: int = 2048,
         apsp_threshold: int = 1500,
         tier: Optional[int] = None,
-        rebuild_budget_s: Optional[float] = None,
     ) -> None:
         if tier is not None:
             if tier not in (0, 1, 2):
@@ -158,7 +147,6 @@ class DistanceOracle:
         self.network = network
         self.cache_sources = cache_sources
         self.apsp_threshold = apsp_threshold
-        self.rebuild_budget_s = rebuild_budget_s
         self._tier_override = tier
         self._tier: Optional[int] = None  # resolved lazily by .tier
         self._source_cache: "OrderedDict[int, Dict[int, float]]" = OrderedDict()
@@ -184,10 +172,6 @@ class DistanceOracle:
         # node; the landmark node of each row alongside
         self._landmarks: Optional[np.ndarray] = None
         self._landmark_nodes: Optional[List[int]] = None
-        self._tier1_build_s: Optional[float] = None
-        # epoch during which tier 1 is degraded to tier 2 (CH rebuild
-        # skipped because the last build blew rebuild_budget_s)
-        self._degraded_epoch = -1
         # queries on undirected networks are canonicalised to (min, max)
         self._undirected = network.undirected
         # costs_from dict views of table/block rows, bounded like
@@ -197,10 +181,8 @@ class DistanceOracle:
         self._pinned_sources: Set[int] = set()
         # padded arc arrays of the batched pass (once per epoch)
         self._arcs: Optional[batched.ArcArrays] = None
-        # the record of the last hierarchy built, and the arcs changed
-        # since it was (None without a record)
+        # the record of the last hierarchy built (None: next build is fresh)
         self._record: Optional[ContractionRecord] = None
-        self._changed: Optional[List[Tuple[int, int, float, float]]] = None
         # counters (read by repro.perf); dijkstra_count counts every
         # dijkstra() run, batch fallbacks included
         self.query_count = 0
@@ -213,8 +195,6 @@ class DistanceOracle:
         self._retired_space_searches = 0
         self.pair_cache_hits = 0
         self.source_cache_hits = 0
-        # cached pairs invalidate() carried into a new epoch
-        self.pairs_kept = 0
         # nodes whose witness searches a rebuild from a record re-ran
         self.nodes_recontracted = 0
         # dijkstra() runs that pick and fill the landmark rows (kept out
@@ -239,19 +219,6 @@ class DistanceOracle:
             else:
                 self._tier = self._select_tier()
         return self._tier
-
-    @property
-    def effective_tier(self) -> int:
-        """The tier queries actually use right now.
-
-        Differs from :attr:`tier` only during a degraded epoch (tier 1
-        configured, CH rebuild skipped for budget reasons → queries run
-        tier 2 until the next invalidation).
-        """
-        t = self.tier
-        if t == 1 and self._degraded_epoch == self.epoch:
-            return 2
-        return t
 
     def _select_tier(self) -> int:
         n = len(self.network)
@@ -289,10 +256,8 @@ class DistanceOracle:
             # with the hierarchy, not in the first lower_bounds() call of
             # the stream; they come second: kept landmarks are re-filled
             # by the batched pass over this hierarchy
-            started = time.perf_counter()
             self._ch = self._build_ch()
             self._ensure_landmarks()
-            self._tier1_build_s = time.perf_counter() - started
         return self._ch
 
     def _build_ch(self) -> ContractionHierarchy:
@@ -311,13 +276,11 @@ class DistanceOracle:
         with _trace.span(
             "oracle.build_ch", nodes=len(network), kept_order=record is not None
         ) as span:
-            hierarchy = ContractionHierarchy(
-                network, record=record, changed=self._changed, column=self._index
-            )
+            hierarchy = ContractionHierarchy(network, record=record, column=self._index)
             span.annotate(recontracted=hierarchy.recontracted)
         if record is not None:
             self.nodes_recontracted += hierarchy.recontracted
-        self._record, self._changed = hierarchy.record, []
+        self._record = hierarchy.record
         return hierarchy
 
     def _ensure_landmarks(self) -> np.ndarray:
@@ -416,7 +379,7 @@ class DistanceOracle:
             self._pair_cache.move_to_end(pair)
             self.pair_cache_hits += 1
             return hit
-        if tier == 1 and self._degraded_epoch != self.epoch:
+        if tier == 1:
             self.ch_query_count += 1
             d = self._ensure_ch().cost(u, v)
         else:
@@ -684,12 +647,12 @@ class DistanceOracle:
         """The hierarchy the batched pass sweeps, or ``None``.
 
         Tier 1 uses the epoch's own; tier 0 builds one for the table,
-        which the caller drops with it.  Directed networks, tier 2 and a
-        degraded epoch have none.
+        which the caller drops with it.  Directed networks and tier 2 have
+        none.
         """
         if not self._undirected or not len(self.network):
             return None
-        tier = self.effective_tier
+        tier = self.tier
         if tier == 1:
             return self._ensure_ch()
         if tier == 0:
@@ -760,7 +723,7 @@ class DistanceOracle:
         # at tier 1 every answer equals the CH's, so it goes into the pair
         # LRU as a point query's would: later queries between nearby nodes
         # (a vehicle and a pickup, say) still hit it
-        pairs = self._pair_cache if self.effective_tier == 1 else None
+        pairs = self._pair_cache if self.tier == 1 else None
         capacity = CACHE_PAIRS
 
         def local_cost(u: int, v: int) -> float:
@@ -874,26 +837,18 @@ class DistanceOracle:
         """Drop the caches a network change may have made stale; call
         after mutating the underlying network.
 
-        warm() pins survive *and are recomputed eagerly*: the pinned
-        rows are dropped with everything else, but each pinned source
-        is immediately re-solved against the mutated network into a new
-        block, so warmed rows are never silently stale and stay hot for
-        the next frame.  Use :meth:`unpin` to forget the pins entirely.
+        Every cache goes, the pair LRU included.  warm() pins survive
+        *and are recomputed eagerly*: the pinned rows are dropped with
+        everything else, but each pinned source is immediately re-solved
+        against the mutated network into a new block, so warmed rows are
+        never silently stale and stay hot for the next frame.  Use
+        :meth:`unpin` to forget the pins entirely.
 
-        Tier-1 structures (CH, landmark rows) are dropped too and rebuilt on
-        the next query, or at once when pinned rows are re-filled through
-        the batched pass — unless ``rebuild_budget_s`` is set and the
-        last CH build exceeded it, in which case the new epoch runs
-        degraded at tier 2 (bidirectional queries, pinned rows by
-        :func:`dijkstra`) and the rebuild is deferred to the epoch after.
-        A rebuild over the same node set starts from the last
-        hierarchy's record (:meth:`_build_ch`) and keeps the landmarks,
-        re-filling their rows; a changed node set drops both.
-
-        At tier 1 the pair cache survives a change that only lengthens or
-        removes arcs, minus every pair whose shortest path may have
-        crossed a changed arc (:meth:`_keep_unaffected_pairs`); any other
-        change clears it.
+        At tier 1 the hierarchy and the landmark rows are rebuilt before
+        this returns, so no query (and no budgeted frame) pays for a
+        contraction.  Over the same node set the rebuild starts from the
+        last hierarchy's record (:meth:`_build_ch`) and keeps the
+        landmarks, re-filling their rows; a changed node set drops both.
 
         Every call bumps :attr:`epoch`.  Holders of
         :meth:`fast_cost_fn` closures must not use them across an epoch
@@ -903,10 +858,7 @@ class DistanceOracle:
             "oracle.invalidate",
             pinned=len(self._pinned_sources),
             tier=self._tier if self._tier is not None else -1,
-        ) as span:
-            was_degraded = self._degraded_epoch == self.epoch
-            outgoing = self._ch
-            cached = len(self._pair_cache)
+        ):
             # the outgoing node set, if known: the record's (kept only
             # while the node set is) or the epoch's interned columns
             before = self._nodes if self._record is None else self._record.order
@@ -915,11 +867,7 @@ class DistanceOracle:
                 # a new node set: a fresh order and fresh landmarks
                 self._record = None
                 self._landmark_nodes = None
-            # once per change: the pair filter and the rebuild share it
-            self._changed = (
-                None if self._record is None
-                else self._record.changed_arcs(self.network)
-            )
+            self._pair_cache.clear()
             self._source_cache.clear()
             self._row_cache.clear()
             self._apsp = None
@@ -931,93 +879,17 @@ class DistanceOracle:
             self._node_ids = None
             self._n = 0
             self._arcs = None
-            if outgoing is not None:
-                self._retired_space_searches += outgoing.space_searches
-            self._ch = None
+            if self._ch is not None:
+                self._retired_space_searches += self._ch.space_searches
+            self._ch = None  # freed before the rebuild
             self._landmarks = None
             self.fast_path = False
             self._tier = None  # re-resolve (mutation may change the size class)
             self.epoch += 1
-            if (
-                self.tier == 1
-                and self.rebuild_budget_s is not None
-                and not was_degraded
-                and self._tier1_build_s is not None
-                and self._tier1_build_s > self.rebuild_budget_s
-            ):
-                # the last contraction blew the frame budget: serve this
-                # epoch from bidirectional searches instead of stalling the
-                # dispatcher on an eager rebuild.  One epoch only — the
-                # next invalidation rebuilds (and re-measures).
-                self._degraded_epoch = self.epoch
-            if self._keep_unaffected_pairs(outgoing):
-                self.pairs_kept += len(self._pair_cache)
-            else:
-                self._pair_cache.clear()
-            del outgoing  # free its graph before the eager rebuild
-            span.annotate(
-                kept=len(self._pair_cache),
-                cleared=cached - len(self._pair_cache),
-            )
+            if self.tier == 1 and len(self.network):
+                self._ensure_ch()
             if self._pinned_sources:
                 self.warm(sorted(self._pinned_sources))
-
-    def _keep_unaffected_pairs(
-        self, hierarchy: Optional[ContractionHierarchy]
-    ) -> bool:
-        """Drop from the pair cache every pair the network change may
-        have touched (LRU order kept); ``False`` when the whole cache
-        must go instead.
-
-        Pairs are kept only when the new epoch still runs tier 1 over the
-        same node set, the outgoing epoch had a hierarchy (its record
-        knows the weights it was built on: the arcs changed since are
-        ``self._changed``, :meth:`ContractionRecord.changed_arcs`), and
-        every changed arc got longer or was removed.  A pair
-        ``(s, t)`` cached at ``d`` then survives when, for every changed
-        arc ``(a, b)`` of old weight ``w``, both
-        ``est(s, a) + w + est(b, t)`` and ``est(s, b) + w + est(a, t)``
-        exceed ``d`` by a margin, where ``est`` are PHAST estimates on
-        the outgoing hierarchy from the changed arcs' endpoints: every
-        path through a changed arc was longer than ``d`` before the
-        change, lengthening only raises its float sum, so the float of a
-        shortest path that avoids them all is still the answer.  The
-        relative margin covers the estimates' rounding; the absolute one
-        (1e-12 per node) only widens it.
-        """
-        changes = self._changed
-        if hierarchy is None or self.effective_tier != 1 or changes is None:
-            return False
-        cache = self._pair_cache
-        if not cache:
-            return True
-        if any(new <= old for _, _, old, new in changes):
-            return False  # a shortened or added arc can shorten any pair
-        if not changes:
-            return True
-        tails, heads, before, _ = zip(*changes)
-        ends, ends_at = np.unique(self.columns(tails + heads), return_inverse=True)
-        at_tail, at_head = ends_at[:len(tails)], ends_at[len(tails):]
-        est = np.ascontiguousarray(hierarchy.phast(ends).T)  # (ends, nodes)
-        # every pair's two ids in one array, mapped to columns at once
-        ids = np.fromiter(
-            itertools.chain.from_iterable(cache), dtype=np.int64, count=2 * len(cache)
-        )
-        cols = self.columns(ids)
-        src, dst = cols[0::2], cols[1::2]
-        dist = np.fromiter(cache.values(), dtype=np.float64, count=len(cache))
-        bound = dist * (1.0 + 1e-9) + 2e-12 * len(hierarchy.rank)
-        keep = np.ones(len(cache), dtype=np.bool_)
-        for a, b, w in zip(at_tail, at_head, before):
-            from_a, from_b = est[a], est[b]
-            via = np.minimum(from_a[src] + w + from_b[dst], from_b[src] + w + from_a[dst])
-            keep &= via > bound
-        # dropped in place: most pairs survive, and a copy of the cache
-        # would double its memory at the peak
-        dropped = 2 * np.flatnonzero(~keep)
-        for pair in zip(ids[dropped].tolist(), ids[dropped + 1].tolist()):
-            del cache[pair]
-        return True
 
     @property
     def ch_space_searches(self) -> int:
@@ -1042,7 +914,6 @@ class DistanceOracle:
             "ch_space_searches": self.ch_space_searches,
             "pair_cache_hits": self.pair_cache_hits,
             "pair_cache_size": len(self._pair_cache),
-            "pairs_kept": self.pairs_kept,
             "nodes_recontracted": self.nodes_recontracted,
             "landmark_rows": self.landmark_rows,
             "source_cache_hits": self.source_cache_hits,
@@ -1052,7 +923,6 @@ class DistanceOracle:
             "fast_path": self.fast_path,
             "epoch": self.epoch,
             "tier": self.tier,
-            "effective_tier": self.effective_tier,
         }
 
     @property
@@ -1061,7 +931,7 @@ class DistanceOracle:
         are active, ``"lru"`` otherwise."""
         if self._apsp is not None:
             return "apsp"
-        if self._tier == 1 and self._degraded_epoch != self.epoch:
+        if self._tier == 1:
             return "ch"
         return "lru"
 

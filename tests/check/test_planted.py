@@ -163,19 +163,17 @@ def _stale_restore(monkeypatch):
 
 
 def _keep_every_pair(monkeypatch):
-    """invalidate keeps every cached pair across a lengthening."""
+    """invalidate leaves the pair cache as it was."""
     from repro.roadnet.oracle import DistanceOracle
 
-    keep = DistanceOracle._keep_unaffected_pairs
+    invalidate = DistanceOracle.invalidate
 
-    def keep_all(self, hierarchy):
-        cache = self._pair_cache.copy()
-        if not keep(self, hierarchy):
-            return False
-        self._pair_cache = cache  # undoes the affected-pair test
-        return True
+    def keep_pairs(self):
+        cache = self._pair_cache.copy()  # invalidate() clears it in place
+        invalidate(self)
+        self._pair_cache = cache  # the previous metric's pairs, untouched
 
-    monkeypatch.setattr(DistanceOracle, "_keep_unaffected_pairs", keep_all)
+    monkeypatch.setattr(DistanceOracle, "invalidate", keep_pairs)
 
 
 def _stale_landmarks(monkeypatch):

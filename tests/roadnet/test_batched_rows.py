@@ -90,7 +90,7 @@ def _perturb_and_close(net: RoadNetwork) -> None:
 
 
 def _has_hierarchy(oracle: DistanceOracle) -> bool:
-    return oracle.network.undirected and oracle.effective_tier in (0, 1)
+    return oracle.network.undirected and oracle.tier in (0, 1)
 
 
 class TestBatchedRows:
@@ -349,9 +349,9 @@ class TestDispatcherSetup:
 
 class TestRepin:
     @staticmethod
-    def _pinned(rebuild_budget_s=None):
+    def _pinned():
         net = grid_city(12, 12, seed=6)
-        oracle = DistanceOracle(net, tier=1, rebuild_budget_s=rebuild_budget_s)
+        oracle = DistanceOracle(net, tier=1)
         oracle.warm(build_areas(net, k=4, oracle=oracle).centers)
         return net, oracle
 
@@ -361,7 +361,7 @@ class TestRepin:
         _perturb_and_close(net)
         oracle.invalidate()
         after = oracle.stats()
-        assert after["effective_tier"] == 1
+        assert after["mode"] == "ch"
         _assert_rows_exact(oracle)
         assert after["dijkstra_count"] == before["dijkstra_count"]
         # the pinned rows and the kept landmarks' rows, no selection search
@@ -369,18 +369,3 @@ class TestRepin:
             before["pinned_sources"] + len(oracle.landmarks())
         )
         assert after["landmark_rows"] == before["landmark_rows"]
-
-    def test_degraded_epoch_repins_with_dijkstra(self):
-        # any CH build exceeds a zero budget, so the next epoch degrades
-        net, oracle = self._pinned(rebuild_budget_s=0.0)
-        before = oracle.stats()
-        _perturb_and_close(net)
-        oracle.invalidate()
-        after = oracle.stats()
-        assert after["effective_tier"] == 2
-        _assert_rows_exact(oracle)
-        assert after["batch_rows"] == before["batch_rows"]
-        assert (
-            after["dijkstra_count"] - before["dijkstra_count"]
-            == before["pinned_sources"]
-        )

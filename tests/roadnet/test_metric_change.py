@@ -1,14 +1,13 @@
-"""Metric changes at tier 1: the kept record, landmarks and pairs.
+"""Metric changes at tier 1: the kept record and landmarks.
 
-After a travel-time change :meth:`DistanceOracle.invalidate` keeps three
+After a travel-time change :meth:`DistanceOracle.invalidate` clears the
+pair cache and rebuilds the hierarchy before it returns, keeping two
 things: the record of the outgoing hierarchy (the next hierarchy over
 the same nodes contracts in its order, evaluating no priority and
-re-running only the witness searches the change can reach), the
-landmarks, and, when every changed arc only got longer or was removed,
-every cached pair whose shortest path cannot have crossed a changed arc.
-All must be invisible in the answers: every cached pair and every
-hierarchy answer equals :func:`dijkstra` bit for bit, and every rebuild
-equals the full build in the kept order.
+re-running only the witness searches the change can reach) and the
+landmarks.  Both must be invisible in the answers: every hierarchy
+answer and landmark row equals :func:`dijkstra` bit for bit, and every
+rebuild equals the full build in the kept order.
 """
 
 import json
@@ -56,9 +55,9 @@ def _edges(net: RoadNetwork):
     return sorted((u, v) for u, nbrs in net.adjacency.items() for v in nbrs if u < v)
 
 
-def _apply(net: RoadNetwork, op: str, pick: int, factor: float, closed: list) -> bool:
-    """Apply one drawn change to ``net``; whether it must clear the pair
-    cache (a shortened, re-added or new arc, or a new node)."""
+def _apply(net: RoadNetwork, op: str, pick: int, factor: float, closed: list) -> None:
+    """Apply one drawn change to ``net`` (a no-op when ``op`` has nothing
+    to act on)."""
     edges = _edges(net)
     if op == "lengthen" and edges:
         u, v = edges[pick % len(edges)]
@@ -71,16 +70,12 @@ def _apply(net: RoadNetwork, op: str, pick: int, factor: float, closed: list) ->
         positive = [(u, v) for u, v in edges if net.adjacency[u][v] > 0]
         u, v = positive[pick % len(positive)]
         _set_weight(net, u, v, net.adjacency[u][v] * min(factor, 0.5))
-        return True
     elif op == "readd" and closed:
         u, v, w = closed.pop(pick % len(closed))
         net.add_edge(u, v, w)
-        return True
     elif op == "add_node":
         nodes = sorted(net.nodes())
         net.add_edge(max(nodes) + 1, nodes[pick % len(nodes)], 1.0)
-        return True
-    return False  # lengthened, closed, or nothing changed: pairs may stay
 
 
 _RECORD_FIELDS = (
@@ -98,14 +93,6 @@ def _assert_same_hierarchy(got: ContractionHierarchy, want: ContractionHierarchy
     for name in _RECORD_FIELDS:
         a, b = getattr(got.record, name), getattr(want.record, name)
         assert a.tobytes() == b.tobytes(), name
-
-
-def _assert_cache_exact(oracle: DistanceOracle, net: RoadNetwork) -> None:
-    rows = {}
-    for (u, v), d in oracle._pair_cache.items():
-        if u not in rows:
-            rows[u] = dijkstra(net, u)
-        assert d == rows[u].get(v, math.inf), f"cached ({u}, {v})"
 
 
 class _PriorityCalls:
@@ -171,16 +158,14 @@ class TestMetricChangeProperty:
             for u in nodes:
                 for v in nodes:
                     assert oracle.cost(u, v) == _truth(net, u, v)
-            rank = dict(oracle._ensure_ch().rank)
+            rank = dict(oracle._ch.rank)
             assert_landmark_rows_exact(oracle)  # and again after invalidate()
-            clears = _apply(net, op, pick, factor, closed)
-            oracle.invalidate()
-            if clears:
-                assert not oracle._pair_cache
-            _assert_cache_exact(oracle, net)
-            assert_landmark_rows_exact(oracle)
+            _apply(net, op, pick, factor, closed)
             with _PriorityCalls() as priority:
-                hierarchy = oracle._ensure_ch()
+                oracle.invalidate()
+            assert not oracle._pair_cache
+            assert_landmark_rows_exact(oracle)
+            hierarchy = oracle._ch
             if op == "add_node":
                 assert priority.calls > 0  # a fresh order
                 assert set(hierarchy.rank) == set(net.nodes())
@@ -196,22 +181,17 @@ class TestMetricChangeProperty:
 class TestPartialRebuildProperty:
     """Every rebuild after a change equals the full build in its order."""
 
-    @pytest.mark.parametrize("budget", [None, 0.0], ids=["eager", "degraded-between"])
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(net=_networks(), ops=_OPS)
-    def test_rebuild_equals_the_full_kept_order_build(self, budget, net, ops):
-        # a zero budget degrades every epoch after a build, so each
-        # rebuild starts from a record two changes old
-        oracle = DistanceOracle(net, tier=1, rebuild_budget_s=budget)
+    def test_rebuild_equals_the_full_kept_order_build(self, net, ops):
+        oracle = DistanceOracle(net, tier=1)
         oracle._ensure_ch()
         closed = []
         for op, pick, factor in ops:
             _apply(net, op, pick, factor, closed)
             oracle.invalidate()
-            if oracle.effective_tier != 1:
-                continue  # degraded: this epoch builds no hierarchy
-            hierarchy = oracle._ensure_ch()
+            hierarchy = oracle._ch
             _assert_same_hierarchy(
                 hierarchy, ContractionHierarchy(net, order=hierarchy.order)
             )
@@ -239,19 +219,8 @@ def _far_pair_and_edge(net: RoadNetwork):
 
 
 class TestKeptPairs:
-    def test_dispatcher_reasks_a_kept_pair_without_a_ch_query(self, city):
-        oracle = DistanceOracle(city, tier=1)
-        fleet = [Vehicle(vehicle_id=i, location=7 * i, capacity=2) for i in range(4)]
-        d = Dispatcher(city, fleet, oracle=oracle, method="eg", frame_length=20.0)
-        (u, v), (a, b) = _far_pair_and_edge(city)
-        d.oracle.cost(u, v)
-        (outcome,) = d.inject([TravelTimePerturbation(factors=((a, b, 2.0),))])
-        assert outcome.applied
-        assert (u, v) in oracle._pair_cache
-        before = oracle.ch_query_count
-        assert oracle.cost(u, v) == _truth(city, u, v)
-        assert oracle.ch_query_count == before
-        assert oracle.stats()["pairs_kept"] >= 1
+    """What a metric change keeps: the order, and no cached pair, not
+    even one whose shortest path avoids every changed arc."""
 
     def test_kept_order_rebuild_evaluates_no_priority(self, city):
         oracle = DistanceOracle(city, tier=1)
@@ -260,32 +229,23 @@ class TestKeptPairs:
         rank = dict(oracle._ch.rank)
         a, b = _edges(city)[5]
         _set_weight(city, a, b, city.adjacency[a][b] * 2.0)
-        oracle.invalidate()
         with _PriorityCalls() as priority:
+            oracle.invalidate()  # the rebuild runs in here
             assert oracle.cost(nodes[1], nodes[-2]) == _truth(city, nodes[1], nodes[-2])
         assert priority.calls == 0
         assert oracle._ch.rank == rank
 
-    def test_pair_across_the_lengthened_arc_is_recomputed(self, city):
-        oracle = DistanceOracle(city, tier=1)
-        a, b = _edges(city)[5]
-        assert oracle.cost(a, b) == city.adjacency[a][b]  # the arc is the path
-        (u, v), _ = _far_pair_and_edge(city)
-        oracle.cost(u, v)
-        _set_weight(city, a, b, city.adjacency[a][b] * 10.0)
-        oracle.invalidate()
-        assert (a, b) not in oracle._pair_cache
-        assert (u, v) in oracle._pair_cache
-        assert oracle.cost(a, b) == _truth(city, a, b)
-
-    def test_closure_keeps_unaffected_pairs(self, city):
+    @pytest.mark.parametrize("change", ["lengthen", "close"])
+    def test_lengthening_or_closing_clears_every_pair(self, city, change):
         oracle = DistanceOracle(city, tier=1)
         (u, v), (a, b) = _far_pair_and_edge(city)
         oracle.cost(u, v)
-        _close(city, a, b)
+        if change == "close":
+            _close(city, a, b)
+        else:
+            _set_weight(city, a, b, city.adjacency[a][b] * 2.0)
         oracle.invalidate()
-        assert (u, v) in oracle._pair_cache
-        _assert_cache_exact(oracle, city)
+        assert not oracle._pair_cache
 
     @pytest.mark.parametrize("change", ["shorten", "readd"])
     def test_shortening_or_readding_clears_every_pair(self, city, change):
@@ -312,36 +272,33 @@ class TestKeptPairs:
         oracle.invalidate()
         assert not oracle._pair_cache
 
-    def test_no_outgoing_hierarchy_clears_every_pair(self, city):
-        oracle = DistanceOracle(city, tier=1)
-        (u, v), (a, b) = _far_pair_and_edge(city)
-        oracle.cost(u, v)
-        _close(city, a, b)
-        oracle.invalidate()  # keeps (u, v); this epoch builds no hierarchy
-        assert (u, v) in oracle._pair_cache
-        _set_weight(city, *_edges(city)[0], 50.0)
-        oracle.invalidate()
-        assert not oracle._pair_cache
 
-    def test_invalidate_span_reports_kept_and_cleared(self, city, tmp_path):
+class TestInvalidate:
+    def test_returns_with_the_hierarchy_built(self, city):
         oracle = DistanceOracle(city, tier=1)
+        nodes = sorted(city.nodes())
+        oracle.cost(nodes[0], nodes[-1])
+        _set_weight(city, *_edges(city)[5], 9.0)
+        oracle.invalidate()  # nothing pinned
+        hierarchy = oracle._ch
+        assert hierarchy is not None
+        assert oracle.stats()["nodes_recontracted"] > 0
+        assert oracle.cost(nodes[1], nodes[-2]) == _truth(city, nodes[1], nodes[-2])
+        assert oracle._ch is hierarchy
+
+    def test_budgeted_dispatcher_keeps_the_hierarchy(self, city):
+        oracle = DistanceOracle(city, tier=1)
+        nodes = sorted(city.nodes())
+        oracle.cost(nodes[0], nodes[-1])  # the first build outlasts 1 µs
+        fleet = [Vehicle(vehicle_id=i, location=7 * i, capacity=2) for i in range(4)]
+        d = Dispatcher(city, fleet, oracle=oracle, method="eg",
+                       frame_length=20.0, frame_budget=1e-6)
         a, b = _edges(city)[5]
-        oracle.cost(a, b)
-        (u, v), _ = _far_pair_and_edge(city)
-        oracle.cost(u, v)
-        _set_weight(city, a, b, city.adjacency[a][b] * 10.0)
-        path = tmp_path / "trace.jsonl"
-        start_trace(str(path))
-        try:
-            oracle.invalidate()
-        finally:
-            stop_trace()
-        (span,) = [
-            event for event in map(json.loads, path.read_text().splitlines())
-            if event.get("name") == "oracle.invalidate"
-        ]
-        assert span["attrs"]["kept"] == len(oracle._pair_cache) >= 1
-        assert span["attrs"]["cleared"] >= 1
+        (outcome,) = d.inject([TravelTimePerturbation(factors=((a, b, 2.0),))])
+        assert outcome.applied
+        assert oracle.cost(nodes[1], nodes[-2]) == _truth(city, nodes[1], nodes[-2])
+        assert oracle.mode == "ch"
+        assert oracle.stats()["bidirectional_count"] == 0
 
 
 class TestPartialRebuild:

@@ -212,7 +212,6 @@ class TestStats:
             "bidirectional_count",
             "pair_cache_hits",
             "pair_cache_size",
-            "pairs_kept",
             "landmark_rows",
             "nodes_recontracted",
             "source_cache_hits",
@@ -224,7 +223,6 @@ class TestStats:
             "ch_query_count",
             "ch_space_searches",
             "tier",
-            "effective_tier",
         }
         assert oracle.mode == "lru"
 

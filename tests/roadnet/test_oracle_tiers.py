@@ -1,5 +1,5 @@
-"""Tests for the tiered DistanceOracle (tier selection, CH tier-1 queries,
-degraded epochs, and the shared landmark rows)."""
+"""Tests for the tiered DistanceOracle (tier selection, CH tier-1 queries
+and the shared landmark rows)."""
 
 import math
 
@@ -10,7 +10,6 @@ from repro.roadnet import oracle as oracle_module
 from repro.roadnet.generators import grid_city
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.oracle import TIER1_MIN_NODES, DistanceOracle
-from repro.roadnet.shortest_path import dijkstra
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +64,22 @@ class TestTierSelection:
 
 
 class TestTier1BitIdentity:
-    """Tier 1 (CH) must return floats ``==`` to tier 0 (APSP) — the
-    contract the differential fuzz harness leans on."""
+    """Tier 1 (CH) must return floats ``==`` to tier 0 (APSP) where the
+    shortest route is unique or sums exactly — the contract the
+    differential fuzz harness leans on."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="two routes of equal real length round differently, and the "
+        "hierarchy keeps the one whose sum is one ulp above dijkstra()'s",
+    )
+    def test_tied_routes_that_round_apart(self):
+        net = RoadNetwork()
+        for u, v, w in [(0, 4, 1e-12), (0, 5, 0.0), (1, 2, 2e-12),
+                        (1, 3, 1e-12), (2, 4, 2e-12), (2, 5, 1e-12)]:
+            net.add_edge(u, v, w)
+        # 3-1-2-4 and 3-1-2-5-0-4 both sum to 5e-12 in reals
+        assert DistanceOracle(net, tier=1).cost(3, 4) == DistanceOracle(net, tier=0).cost(3, 4)
 
     def test_all_pairs_bit_identical(self, jitter_grid):
         untiered = DistanceOracle(jitter_grid)
@@ -108,38 +121,6 @@ class TestTier1BitIdentity:
         for u in nodes[::2]:
             for v in nodes[::3]:
                 assert fast(u, v) == oracle.cost(u, v)
-
-
-class TestDegradedEpoch:
-    def test_budget_exceeded_drops_one_epoch(self, jitter_grid):
-        oracle = DistanceOracle(jitter_grid, tier=1, rebuild_budget_s=1e-9)
-        truth = dijkstra(jitter_grid, 0)
-        assert oracle.cost(0, 17) == truth[17]  # builds the CH
-        assert oracle.effective_tier == 1
-        oracle.invalidate()
-        # the build cannot beat a 1ns budget: this epoch runs tier 2
-        assert oracle.effective_tier == 2
-        assert oracle.mode == "lru"
-        before = oracle.ch_query_count
-        assert oracle.cost(0, 17) == pytest.approx(truth[17])
-        assert oracle.ch_query_count == before
-        assert oracle.bidirectional_count >= 1
-        # one epoch only: the next invalidation rebuilds
-        oracle.invalidate()
-        assert oracle.effective_tier == 1
-        assert oracle.cost(0, 17) == truth[17]
-
-    def test_no_budget_never_degrades(self, jitter_grid):
-        oracle = DistanceOracle(jitter_grid, tier=1)
-        oracle.cost(0, 17)
-        oracle.invalidate()
-        assert oracle.effective_tier == 1
-
-    def test_generous_budget_never_degrades(self, jitter_grid):
-        oracle = DistanceOracle(jitter_grid, tier=1, rebuild_budget_s=3600.0)
-        oracle.cost(0, 17)
-        oracle.invalidate()
-        assert oracle.effective_tier == 1
 
 
 class TestLowerBoundAndSharedLandmarks:

@@ -33,8 +33,8 @@ AS_DICT_KEYS = {
                "source_cache_hits", "source_cache_size", "row_cache_size",
                "pinned_sources", "fast_path", "epoch", "ch_query_count",
                "ch_space_searches",
-               "tier", "effective_tier", "batch_rows", "batch_fallbacks",
-               "pairs_kept", "landmark_rows", "nodes_recontracted", "searches",
+               "tier", "batch_rows", "batch_fallbacks", "landmark_rows",
+               "nodes_recontracted", "searches",
                "hit_rate"},
 }
 
