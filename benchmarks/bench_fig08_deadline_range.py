@@ -7,7 +7,13 @@ Shape to reproduce (paper Section 7.2.1):
 - GBS+BA and BA achieve the top utilities; CF the lowest;
 - CF is the fastest; BA the slowest; the GBS variants accelerate / match
   their base methods.
+
+The runtime ordering is asserted on the median of ``TIMING_ROUNDS``
+solves per method at the default range: GBS+BA and BA are within a few
+percent of each other there, so one solve each orders them by noise.
 """
+
+import statistics
 
 from benchmarks.conftest import (
     assert_ba_family_on_top,
@@ -15,7 +21,27 @@ from benchmarks.conftest import (
     record,
     run_once,
 )
+from repro.core.solver import solve
+from repro.experiments.config import make_workbench
 from repro.experiments.figures import fig8_deadline_range
+
+#: Solves per method whose median runtime is compared.
+TIMING_ROUNDS = 5
+
+
+def median_runtimes(methods, deadline_range):
+    """Median solve time of each method on the fig8 instance at
+    ``deadline_range``, over rounds that each solve every method once."""
+    bench = make_workbench(city="nyc")
+    instance = bench.instance(pickup_deadline_range=deadline_range)
+    samples = {m: [] for m in methods}
+    for _ in range(TIMING_ROUNDS):
+        for method in methods:
+            assignment = solve(instance, method=method, plan=bench.plan)
+            samples[method].append(assignment.elapsed_seconds)
+    for method, times in samples.items():
+        print(f"{method}: " + " ".join(f"{t:.3f}" for t in times))
+    return {m: statistics.median(times) for m, times in samples.items()}
 
 
 def test_fig8(benchmark):
@@ -28,7 +54,6 @@ def test_fig8(benchmark):
     assert_cf_worst_utility(result)
     assert_ba_family_on_top(result)
     # CF fastest / BA slowest at the default range
-    x = (10, 30)
-    runtimes = {m: result.row(m, x).runtime_seconds for m in result.methods()}
+    runtimes = median_runtimes(result.methods(), (10, 30))
     assert runtimes["cf"] == min(runtimes.values())
     assert runtimes["ba"] == max(runtimes.values())

@@ -36,9 +36,11 @@ redundant counterweight:
 - ``python -m repro.check --mode NAME`` drives it all from the command
   line (see ``--help``; CI runs every mode).
 
-Opt-in debug hooks: ``SolverState(instance, validate=True)`` validates
-every committed schedule, ``Dispatcher(..., validate_frames=True)``
-validates every dispatched frame.
+The validator is a test oracle, not a runtime mode: no solver or
+dispatcher setting calls it.  Tests and the fuzz harness validate an
+assignment by calling :func:`validate_assignment` on it themselves; the
+dispatcher's own audit of every frame is
+``Dispatcher._enforce_validity``.
 """
 
 from repro.check.corruptions import CORRUPTIONS, CorruptedCase

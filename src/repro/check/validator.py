@@ -25,9 +25,8 @@ The implementation deliberately shares **no code** with
 ``repro.core.schedule`` / ``repro.core.utility``: everything is written
 directly from the paper's Definitions 1–4 and Eq. 1–8.  It is slow by
 design — O(stops) oracle queries per schedule with no caching tricks —
-and must never be called on a hot path; the solvers expose it behind
-opt-in debug flags only (``SolverState(validate=True)``,
-``Dispatcher(validate_frames=True)``).
+and must never be called on a hot path.  No solver or dispatcher
+setting runs it: tests and :mod:`repro.check` call it on the output.
 """
 
 from __future__ import annotations
@@ -93,7 +92,8 @@ class Violation:
 
 
 class ValidationError(AssertionError):
-    """Raised by the debug hooks when a validation report has violations."""
+    """Raised by :meth:`ValidationReport.raise_if_invalid` on a report with
+    violations."""
 
     def __init__(self, report: "ValidationReport") -> None:
         self.report = report
@@ -472,10 +472,9 @@ def validate_schedule(
 ) -> ValidationReport:
     """Independently validate one vehicle schedule.
 
-    The single-schedule unit behind :func:`validate_assignment`, also used
-    directly by the ``SolverState(validate=True)`` debug hook after every
-    commit.  Utility is re-derived but only cross-checked at the
-    assignment level (a lone schedule has no claimed objective).
+    The single-schedule unit behind :func:`validate_assignment`.  Utility
+    is re-derived but only cross-checked at the assignment level (a lone
+    schedule has no claimed objective).
     """
     report = ValidationReport(num_schedules=1, num_stops=len(seq.stops))
     violations = report.violations

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 from typing import (
     AbstractSet, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set,
     Tuple, TYPE_CHECKING,
@@ -225,19 +225,13 @@ def _non_negative(name: str, value: float) -> float:
     return value
 
 
-#: Metadata of the :class:`DispatchConfig` fields whose derived state (the
-#: candidate index, the shard plan) a dispatcher builds at construction.
-_BUILT = {"built_once": True}
-
-
 @dataclass(frozen=True)
 class DispatchConfig:
     """Every :class:`Dispatcher` setting that is not a live object.
 
-    Validated once, at construction; a checkpoint stores it as
-    ``dataclasses.asdict(config)`` and :meth:`Dispatcher.restore` rebuilds
-    it from there.  A live dispatcher's config may be replaced between
-    frames, except for :attr:`Dispatcher.BUILD_FIELDS`.
+    Validated once, at construction, and fixed for the dispatcher's
+    whole life; a checkpoint stores it as ``dataclasses.asdict(config)``
+    and :meth:`Dispatcher.restore` rebuilds it from there unchanged.
 
     Parameters
     ----------
@@ -254,12 +248,6 @@ class DispatchConfig:
         Total frames a rider may be offered to the solver (1 = no
         carry-over).  Unserved riders still inside their pickup deadline
         re-enter the next frame's batch until the budget is spent.
-    validate_frames:
-        Debug hook: run every frame's assignment through the independent
-        :func:`repro.check.validate_assignment` oracle and raise
-        :class:`repro.check.ValidationError` on any violation.  Slow
-        (re-walks every schedule with fresh oracle calls); intended for
-        soak tests and staging, not production dispatch.
     frame_budget:
         Optional per-frame wall-clock budget in seconds, finite and
         >= 0 (``0.0`` skips every solver tier).  When set, each
@@ -303,11 +291,10 @@ class DispatchConfig:
     beta: float = 0.33
     seed: int = 0
     max_retries: int = 3
-    validate_frames: bool = False
     frame_budget: Optional[float] = None
-    candidate_mode: str = field(default="full", metadata=_BUILT)
-    shard_workers: Optional[int] = field(default=None, metadata=_BUILT)
-    shard_count: int = field(default=8, metadata=_BUILT)
+    candidate_mode: str = "full"
+    shard_workers: Optional[int] = None
+    shard_count: int = 8
 
     def __post_init__(self) -> None:
         _non_negative("frame_length", self.frame_length)
@@ -373,14 +360,9 @@ class Dispatcher:
         snapshotted atomically every ``checkpoint_every`` frames, so
         :meth:`restore` can resume the run after a crash.
     options:
-        The fields of :class:`DispatchConfig`, held validated in
-        :attr:`config`; an unknown name raises :class:`TypeError`.
+        The fields of :class:`DispatchConfig`, held validated and fixed
+        in :attr:`config`; an unknown name raises :class:`TypeError`.
     """
-
-    #: The config fields a live dispatcher keeps (see :attr:`config`).
-    BUILD_FIELDS = tuple(
-        f.name for f in fields(DispatchConfig) if f.metadata.get("built_once")
-    )
 
     def __init__(
         self,
@@ -492,27 +474,9 @@ class Dispatcher:
     # ------------------------------------------------------------------
     @property
     def config(self) -> DispatchConfig:
-        """The validated settings (see :class:`DispatchConfig`)."""
+        """The validated settings, fixed at construction (see
+        :class:`DispatchConfig`); there is no setter."""
         return self._config
-
-    @config.setter
-    def config(self, config: DispatchConfig) -> None:
-        """Swap the settings of a live dispatcher between frames.
-
-        Only fields read per frame may change; a change to one of
-        :attr:`BUILD_FIELDS` raises :class:`ValueError`, because the
-        state derived from it at construction would no longer match.
-        """
-        changed = [
-            name for name in self.BUILD_FIELDS
-            if getattr(config, name) != getattr(self._config, name)
-        ]
-        if changed:
-            raise ValueError(
-                f"{', '.join(changed)} cannot change on a live dispatcher; "
-                f"build a new one (Dispatcher.restore takes overrides)"
-            )
-        self._config = config
 
     @property
     def clock(self) -> float:
@@ -627,15 +591,6 @@ class Dispatcher:
             audit_seconds = time.perf_counter() - audit_start
             # every changed vehicle's plan passed the audit
             self._dirty.clear()
-            validate_seconds = 0.0
-            if config.validate_frames:
-                # imported lazily: repro.check depends on repro.core
-                from repro.check.validator import validate_assignment
-
-                validate_start = time.perf_counter()
-                with _trace.span("dispatch.validate"):
-                    validate_assignment(instance, assignment).raise_if_invalid()
-                validate_seconds = time.perf_counter() - validate_start
 
             # incremental accounting: what this frame's insertions added
             # over the carried-in residual plans.  Untouched vehicles keep
@@ -713,7 +668,6 @@ class Dispatcher:
                 build_seconds=build_seconds,
                 solve_seconds=solve_seconds,
                 audit_seconds=audit_seconds,
-                validate_seconds=validate_seconds,
                 roll_seconds=roll_seconds,
                 disruption_seconds=self._pending_disruption_seconds,
                 tier_seconds=tier_seconds,
@@ -1089,7 +1043,6 @@ class Dispatcher:
         social: Optional[SocialNetwork] = None,
         plan: Optional[GroupingPlan] = None,
         candidate_index: Optional["CandidateIndex"] = None,
-        **overrides,
     ) -> "Dispatcher":
         """Resume a crashed run from its checkpoint directory.
 
@@ -1123,11 +1076,8 @@ class Dispatcher:
         :class:`~repro.core.durability.DurabilityLog` passed in sets its
         own.
 
-        ``overrides`` replace stored :class:`DispatchConfig` fields (e.g.
-        resume with ``validate_frames=True`` to audit every replayed and
-        later frame) and are validated like any other config; the
-        solver-facing fields should normally be left alone, since
-        changing them changes every post-restore frame.
+        The restored dispatcher runs under the snapshot's own
+        :class:`DispatchConfig`, replayed frames and later ones alike.
         """
         log = (
             durability
@@ -1156,7 +1106,6 @@ class Dispatcher:
                     "pass the network as of the snapshot (the WAL's metric "
                     "changes are replayed onto it), or none"
                 )
-        config = replace(DispatchConfig(**snapshot["config"]), **overrides)
         initial_fleet = []
         for payload in snapshot["fleet"]:
             try:
@@ -1182,7 +1131,7 @@ class Dispatcher:
             oracle=oracle,
             candidate_index=candidate_index,
             durability=None,
-            **asdict(config),
+            **snapshot["config"],
         )
         dispatcher._load_snapshot(snapshot)
         # imported lazily: repro.check depends on repro.core

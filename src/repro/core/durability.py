@@ -103,8 +103,9 @@ PathLike = Union[str, Path]
 #: at construction, and stores the metric changes applied since then and
 #: the sequence number of the last WAL record the snapshot covers;
 #: version 7 drops the per-vehicle ``riders_served`` count and stores the
-#: log's own ``checkpoint_every`` and ``fsync`` settings.
-CHECKPOINT_VERSION = 7
+#: log's own ``checkpoint_every`` and ``fsync`` settings; version 8 drops
+#: the per-frame validator switch from the config.
+CHECKPOINT_VERSION = 8
 
 #: Named crash-injection points, in the order they occur inside
 #: :meth:`DurabilityLog.commit_frame`.

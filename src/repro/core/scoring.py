@@ -54,27 +54,16 @@ class PairEvaluation:
 
 
 class SolverState:
-    """Mutable per-solver view: current schedules + cached utilities.
-
-    With ``validate=True`` every schedule adopted through :meth:`commit` or
-    :meth:`replace_schedule` is re-checked by the independent
-    :func:`repro.check.validate_schedule` oracle (fresh oracle calls, no
-    shared code with the incremental arrays) and a
-    :class:`repro.check.ValidationError` is raised at the first violation.
-    This is a debug hook: it multiplies the per-commit cost and must stay
-    off on hot paths.
-    """
+    """Mutable per-solver view: current schedules + cached utilities."""
 
     def __init__(
         self,
         instance: URRInstance,
         model: Optional[UtilityModel] = None,
-        validate: bool = False,
         schedules: Optional[LazySchedules] = None,
     ) -> None:
         self.instance = instance
         self.model = model or instance.utility_model()
-        self.validate = validate
         # materialized on demand: a frame only ever builds the schedules
         # it actually reads, so solver setup is O(touched), not O(fleet).
         # An existing map may be injected (shard reconciliation continues
@@ -152,8 +141,6 @@ class SolverState:
         vid = evaluation.vehicle.vehicle_id
         self.schedules[vid] = evaluation.insertion.sequence
         self._utility_cache[vid] = None
-        if self.validate:
-            self._validate_schedule(vid)
 
     def replace_schedule(self, vehicle_id: int, sequence: TransferSequence) -> None:
         """Set a vehicle's schedule directly (BA's replace operation)."""
@@ -161,17 +148,6 @@ class SolverState:
         self._utility_cache[vehicle_id] = self.model.schedule_utility(
             self.instance.vehicle(vehicle_id), sequence
         )
-        if self.validate:
-            self._validate_schedule(vehicle_id)
-
-    def _validate_schedule(self, vehicle_id: int) -> None:
-        """Debug hook: independently re-validate one vehicle's schedule."""
-        # imported lazily: repro.check depends on repro.core, not vice versa
-        from repro.check.validator import validate_schedule
-
-        validate_schedule(
-            self.instance, vehicle_id, self.schedules[vehicle_id]
-        ).raise_if_invalid()
 
     # ------------------------------------------------------------------
     def reachable_vehicles(self, rider: Rider, vehicles: Iterable[Vehicle]) -> List[Vehicle]:

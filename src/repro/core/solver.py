@@ -52,9 +52,7 @@ def solve(
     instance: URRInstance,
     method: str = "eg",
     plan: Optional[GroupingPlan] = None,
-    k: int = 8,
     opt_max_riders: int = 10,
-    validate: bool = False,
 ) -> Assignment:
     """Solve a URR instance with the chosen approach.
 
@@ -66,17 +64,11 @@ def solve(
         One of :data:`METHODS`.
     plan:
         Precomputed :class:`GroupingPlan` for the GBS methods (built on
-        demand when omitted; pass one to amortise preprocessing across
-        instances on the same network, as the paper does).
-    k:
-        k-path-cover parameter when a plan must be built.
+        demand with :func:`~repro.core.grouping.prepare_grouping`'s
+        default ``k`` when omitted; pass one to amortise preprocessing
+        across instances on the same network, as the paper does).
     opt_max_riders:
         Safety bound forwarded to :func:`~repro.core.exact.solve_optimal`.
-    validate:
-        Debug hook: run every committed schedule through the independent
-        :func:`repro.check.validate_schedule` oracle (raises
-        :class:`repro.check.ValidationError` on the first violation).
-        Expensive; off by default.
 
     Returns
     -------
@@ -98,12 +90,12 @@ def solve(
 
     if method.startswith("gbs") and plan is None:
         with _trace.span("solver.prepare_grouping"):
-            plan = prepare_grouping(instance.network, k=k)
+            plan = prepare_grouping(instance.network)
 
     with _trace.span(
         "solver.solve", method=method, riders=instance.num_riders
     ) as solve_span:
-        state = SolverState(instance, validate=validate)
+        state = SolverState(instance)
         start = time.perf_counter()
         if method == "cf":
             run_cost_first(state, instance.riders)

@@ -203,7 +203,6 @@ def summarize(trace: TraceData, top: int = 10) -> str:
                 str(f),
                 _fmt_seconds(span["dur"] if span else None),
                 _fmt_seconds(_get(perf, "solve_seconds")),
-                _fmt_seconds(_get(perf, "validate_seconds")),
                 _fmt_seconds(_get(perf, "disruption_seconds")),
                 str(attrs.get("tier", "-")),
                 str(_get(perf, "insertion", "plans") or 0),
@@ -219,7 +218,7 @@ def summarize(trace: TraceData, top: int = 10) -> str:
         lines.append("")
         lines.append("per-frame breakdown:")
         lines.extend(_table(
-            ["frame", "wall", "solve", "validate", "disrupt", "tier",
+            ["frame", "wall", "solve", "disrupt", "tier",
              "plans", "searches", "cands", "pruned", "validated", "audited",
              "shards", "reconciled", "served"],
             rows,

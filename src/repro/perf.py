@@ -368,7 +368,6 @@ class FramePerf(PerfReport):
     - ``tier_seconds`` — solver time by tier name (one entry without a
       watchdog, one per attempted tier with one);
     - ``audit_seconds`` — the frame audit;
-    - ``validate_seconds`` — the opt-in ``validate_frames`` audit;
     - ``roll_seconds`` — rolling every vehicle to the next clock;
     - ``disruption_seconds`` — time spent in ``Dispatcher.inject`` since
       the previous frame (disruptions strike *between* frames; their
@@ -388,7 +387,6 @@ class FramePerf(PerfReport):
         interval: PerfReport,
         wall_seconds: float = 0.0,
         solve_seconds: float = 0.0,
-        validate_seconds: float = 0.0,
         roll_seconds: float = 0.0,
         disruption_seconds: float = 0.0,
         tier_seconds: Optional[Dict[str, float]] = None,
@@ -402,7 +400,6 @@ class FramePerf(PerfReport):
         self.build_seconds = build_seconds
         self.solve_seconds = solve_seconds
         self.audit_seconds = audit_seconds
-        self.validate_seconds = validate_seconds
         self.roll_seconds = roll_seconds
         self.disruption_seconds = disruption_seconds
         self.tier_seconds = dict(tier_seconds or {})
@@ -416,7 +413,6 @@ class FramePerf(PerfReport):
             build_seconds=self.build_seconds,
             solve_seconds=self.solve_seconds,
             audit_seconds=self.audit_seconds,
-            validate_seconds=self.validate_seconds,
             roll_seconds=self.roll_seconds,
             disruption_seconds=self.disruption_seconds,
             tier_seconds=dict(self.tier_seconds),

@@ -24,8 +24,8 @@ class RoadNetwork:
     ----------
     undirected:
         When true (the default, matching the paper's road networks where
-        travel is possible both ways), :meth:`add_edge` inserts the reverse
-        edge with the same cost unless the reverse edge already exists.
+        travel is possible both ways), :meth:`add_edge` writes both
+        directions with the same cost, so the two never differ.
     """
 
     def __init__(self, undirected: bool = True) -> None:
@@ -50,6 +50,9 @@ class RoadNetwork:
     def add_edge(self, u: int, v: int, cost: float) -> None:
         """Add edge ``u -> v`` with the given travel cost.
 
+        On an undirected network ``v -> u`` is set to the same cost every
+        time, replacing any cost either direction held before.
+
         Raises
         ------
         ValueError
@@ -64,7 +67,7 @@ class RoadNetwork:
         self.add_node(v)
         self.adjacency[u][v] = float(cost)
         self.reverse_adjacency[v][u] = float(cost)
-        if self.undirected and u not in self.adjacency[v]:
+        if self.undirected:
             self.adjacency[v][u] = float(cost)
             self.reverse_adjacency[u][v] = float(cost)
 

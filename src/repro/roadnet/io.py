@@ -40,8 +40,9 @@ def read_dimacs(
         Optional coordinate file with ``v id x y`` lines.
     undirected:
         DIMACS road graphs list both directions explicitly, so the default
-        treats the file as directed; set ``True`` to mirror missing reverse
-        arcs.
+        treats the file as directed.  With ``True`` every arc line sets
+        both directions to its cost, so where the file gives the two
+        directions different costs the later line wins for both.
 
     Raises
     ------

@@ -6,6 +6,7 @@ import weakref
 
 import pytest
 
+from repro.check.validator import validate_assignment
 from repro.core.dispatch import DispatchConfig, DispatchError, Dispatcher
 from repro.core.schedule import Stop
 from repro.core.vehicles import Vehicle
@@ -79,8 +80,7 @@ class TestConstruction:
         # a new setting must show up here as a deliberate test change
         assert [f.name for f in dataclasses.fields(DispatchConfig)] == [
             "method", "frame_length", "alpha", "beta", "seed", "max_retries",
-            "validate_frames", "frame_budget", "candidate_mode",
-            "shard_workers", "shard_count",
+            "frame_budget", "candidate_mode", "shard_workers", "shard_count",
         ]
 
     @pytest.mark.parametrize(
@@ -105,18 +105,12 @@ class TestConstruction:
             )
         assert not list(tmp_path.iterdir())
 
-    def test_live_config_keeps_build_fields(self, city):
-        d = Dispatcher(city, [Vehicle(0, 0, 2)])
-        d.config = dataclasses.replace(d.config, validate_frames=True)
-        assert d.config.validate_frames
-        for change in (
-            {"candidate_mode": "spatial"},
-            {"shard_workers": 1},
-            {"shard_count": 4},
-        ):
-            with pytest.raises(ValueError, match="live dispatcher"):
-                d.config = dataclasses.replace(d.config, **change)
-        assert d.candidates is None and d.config.shard_workers is None
+    def test_config_is_fixed_at_construction(self, city):
+        d = Dispatcher(city, [Vehicle(0, 0, 2)], max_retries=2)
+        config = d.config
+        with pytest.raises(AttributeError):
+            d.config = dataclasses.replace(config, max_retries=1)
+        assert d.config is config
 
     def test_initial_state(self, dispatcher):
         assert dispatcher.clock == 0.0
@@ -584,7 +578,7 @@ class TestMultiFrameValidation:
             Vehicle(vehicle_id=1, location=63, capacity=2),
         ]
         dispatcher = Dispatcher(city, fleet, method="eg", frame_length=8.0,
-                                seed=11, max_retries=3, validate_frames=True)
+                                seed=11, max_retries=3)
         rid = 0
         for frame in range(5):
             start = frame * 8.0
@@ -603,6 +597,9 @@ class TestMultiFrameValidation:
             rid += len(requests)
             report = dispatcher.dispatch_frame(requests)
             assert report.assignment.is_valid()
+            validate_assignment(
+                report.assignment.instance, report.assignment
+            ).raise_if_invalid()
             for vid, fv in dispatcher.fleet.items():
                 if fv.ready_time is not None:
                     # never plannable before the true arrival time
@@ -617,7 +614,7 @@ class TestMultiFrameValidation:
             Vehicle(vehicle_id=1, location=63, capacity=2),
         ]
         dispatcher = Dispatcher(city, fleet, method="opt", frame_length=8.0,
-                                seed=11, max_retries=2, validate_frames=True)
+                                seed=11, max_retries=2)
         rid = 0
         carried_in = served = 0
         for frame in range(4):
@@ -641,6 +638,9 @@ class TestMultiFrameValidation:
             }
             report = dispatcher.dispatch_frame(requests)
             assert report.solver_tier == "opt"
+            validate_assignment(
+                report.assignment.instance, report.assignment
+            ).raise_if_invalid()
             assert report.num_served == len(
                 report.assignment.served_rider_ids() & batch
             )

@@ -241,8 +241,9 @@ class TestGuards:
         # settings; version 5 rewrote network.json on every metric change
         # and had no metric-change block or WAL sequence numbers; version
         # 6 counted riders_served per vehicle and stored no durability
-        # settings.  Restoring any of them must fail as a CheckpointError,
-        # not a TypeError or KeyError from the layout
+        # settings; version 7 stored the validate_frames setting.
+        # Restoring any of them must fail as a CheckpointError, not a
+        # TypeError or KeyError from the layout
         legacy_config = {
             1: {"shard_workers": 1, "shard_timeout": 30.0, "shard_retries": 2},
             2: {"fallbacks": ["eg", "cf"]},
@@ -250,8 +251,9 @@ class TestGuards:
             4: {"degrade": False, "utility_matrix": "synthetic"},
             5: {},
             6: {},
+            7: {"validate_frames": False},
         }
-        assert CHECKPOINT_VERSION == 7
+        assert CHECKPOINT_VERSION == 8
         for version, config in legacy_config.items():
             directory = tmp_path / f"v{version}"
             durable = str(directory)
@@ -264,6 +266,7 @@ class TestGuards:
                 payload["format_version"] = version
                 if name == "snapshot.json":
                     payload["config"].update(config)
+                if name == "snapshot.json" and version < 7:
                     del payload["durability"]
                     for vehicle in payload["fleet"]:
                         vehicle["riders_served"] = 0
@@ -354,17 +357,8 @@ class TestGuards:
             config = d.config
         snapshot = json.loads((tmp_path / "snapshot.json").read_text())
         assert snapshot["config"] == dataclasses.asdict(config)
-        # overrides go through the same validation as construction
-        with pytest.raises(ValueError, match="max_retries"):
-            Dispatcher.restore(str(tmp_path), max_retries=0)
-        with pytest.raises(TypeError, match="fallbacks"):
-            Dispatcher.restore(str(tmp_path), fallbacks=["cf"])
-        with Dispatcher.restore(
-            str(tmp_path), validate_frames=True
-        ) as restored:
-            assert restored.config == dataclasses.replace(
-                config, validate_frames=True
-            )
+        with Dispatcher.restore(str(tmp_path)) as restored:
+            assert restored.config == config
 
     def test_network_fingerprint_mismatch_is_rejected(self, city, tmp_path):
         with make_dispatcher(city, "plain", durability=str(tmp_path)) as d:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.grouping import prepare_grouping
 from repro.core.solver import METHODS, solve
+from repro.workload.instances import InstanceConfig, build_instance
 
 
 class TestSolve:
@@ -21,9 +22,15 @@ class TestSolve:
         assert assignment.solver_name == method
         assert assignment.elapsed_seconds >= 0.0
 
-    def test_gbs_builds_plan_on_demand(self, line_instance):
-        assignment = solve(line_instance, method="gbs+eg", k=2)
+    def test_gbs_builds_plan_on_demand(self, small_grid):
+        # the plan is built at prepare_grouping's default k, which needs
+        # more nodes than the 5-node line has
+        instance = build_instance(
+            small_grid, InstanceConfig(num_riders=10, num_vehicles=3, seed=1)
+        )
+        assignment = solve(instance, method="gbs+eg")
         assert assignment.is_valid()
+        assert assignment.num_served > 0
 
     def test_gbs_accepts_prepared_plan(self, line_instance):
         plan = prepare_grouping(line_instance.network, k=2)

@@ -1,9 +1,11 @@
 """Unit tests for the anytime solver watchdog (solve_anytime + dispatcher)."""
 
-import dataclasses
+import itertools
+import types
 
 import pytest
 
+from repro.core import solver as solver_module
 from repro.core.dispatch import Dispatcher
 from repro.core.solver import (
     BASELINE_TIER,
@@ -114,6 +116,18 @@ class TestSolveAnytime:
         assert snap.tier_uses == {"eg": 1, BASELINE_TIER: 1}
 
 
+def starve(monkeypatch):
+    """Make every frame solved under ``monkeypatch`` overrun its budget:
+    the watchdog's clock moves an hour per reading, so the budget is
+    spent before the first tier may start (a dispatcher's budget is
+    fixed; a slow frame is what exhausts it)."""
+    ticks = itertools.count(step=3600.0)
+    monkeypatch.setattr(
+        solver_module, "time",
+        types.SimpleNamespace(perf_counter=lambda: next(ticks)),
+    )
+
+
 class TestDispatcherWatchdog:
     def _riders(self, start, id_base=0):
         return [
@@ -133,7 +147,7 @@ class TestDispatcherWatchdog:
         assert not report.budget_exceeded
         assert report.assignment.is_valid()
 
-    def test_budget_exhaustion_commits_baseline_tier(self, city):
+    def test_budget_exhaustion_commits_baseline_tier(self, city, monkeypatch):
         """Acceptance: an exhausted frame budget still commits a valid
         plan — the carried-in baseline — and records the tier."""
         fleet = [Vehicle(0, 0, 2), Vehicle(1, 35, 2)]
@@ -142,8 +156,9 @@ class TestDispatcherWatchdog:
         first = d.dispatch_frame(self._riders(0.0))
         assert first.solver_tier == "eg"
         # starve the next frame: every solver tier is gated out
-        d.config = dataclasses.replace(d.config, frame_budget=0.0)
-        second = d.dispatch_frame(self._riders(10.0, id_base=100))
+        with monkeypatch.context() as patch:
+            starve(patch)
+            second = d.dispatch_frame(self._riders(10.0, id_base=100))
         assert second.solver_tier == BASELINE_TIER
         assert second.fallback_tier > 0
         assert second.budget_exceeded
@@ -165,15 +180,17 @@ class TestDispatcherWatchdog:
                     for s in fv.committed_stops
                 )
 
-    def test_recovery_after_starved_frame(self, city):
-        """The fallback is per-frame: restoring the budget restores the
-        configured method, and starved riders are retried."""
+    def test_recovery_after_starved_frame(self, city, monkeypatch):
+        """The fallback is per-frame: a frame within the budget after a
+        starved one serves the configured method, and starved riders are
+        retried."""
         fleet = [Vehicle(0, 0, 2), Vehicle(1, 35, 2)]
         d = Dispatcher(city, fleet, method="eg", frame_length=10.0,
-                       seed=5, frame_budget=0.0, max_retries=3)
-        starved = d.dispatch_frame(self._riders(0.0))
+                       seed=5, frame_budget=30.0, max_retries=3)
+        with monkeypatch.context() as patch:
+            starve(patch)
+            starved = d.dispatch_frame(self._riders(0.0))
         assert starved.solver_tier == BASELINE_TIER
-        d.config = dataclasses.replace(d.config, frame_budget=30.0)
         recovered = d.dispatch_frame([])
         assert recovered.solver_tier == "eg"
         assert recovered.num_carried == 3

@@ -51,7 +51,6 @@ def synthetic_trace(path, scale=1.0):
             "ts": frame * 1.0 + 0.5, "frame": frame,
             "attrs": {"perf": {
                 "solve_seconds": 0.2 * scale,
-                "validate_seconds": 0.0,
                 "disruption_seconds": 0.0,
                 "insertion": {"plans": 4 + frame},
                 "validation": {"schedules": 0},

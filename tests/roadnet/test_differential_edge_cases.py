@@ -39,8 +39,8 @@ def _duplicate_edge_net():
     net.add_edge(1, 2, 2.0)
     net.add_edge(2, 3, 4.0)
     net.add_edge(0, 3, 20.0)
-    # re-add with new costs; add_edge overwrites u->v but leaves an
-    # existing reverse edge alone, so mirror explicitly
+    # re-add with new costs (add_edge sets both directions; the explicit
+    # reverse calls re-add the same cost)
     net.add_edge(0, 1, 1.5)
     net.add_edge(1, 0, 1.5)
     net.add_edge(2, 3, 1.0)

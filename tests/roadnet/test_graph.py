@@ -40,13 +40,17 @@ class TestConstruction:
         assert net.has_edge(1, 2)
         assert not net.has_edge(2, 1)
 
-    def test_undirected_does_not_overwrite_existing_reverse(self):
+    def test_undirected_edge_overwrites_both_directions(self):
+        # regression: re-adding an edge used to update only u -> v and
+        # keep the old reverse cost, so one edge held two costs
         net = RoadNetwork(undirected=True)
-        net.add_edge(2, 1, 3.0)
-        net.add_edge(1, 2, 5.0)
-        # 1 -> 2 updated, but the pre-existing 2 -> 1 cost is kept
-        assert net.edge_cost(1, 2) == 5.0
-        assert net.edge_cost(2, 1) == 3.0
+        net.add_edge(0, 1, 1.0)
+        net.add_edge(0, 1, 5.0)
+        assert net.edge_cost(0, 1) == net.edge_cost(1, 0) == 5.0
+        net.add_edge(1, 0, 7.0)
+        assert net.edge_cost(0, 1) == net.edge_cost(1, 0) == 7.0
+        assert net.in_neighbors(0) == {1: 7.0}
+        assert net.in_neighbors(1) == {0: 7.0}
 
     def test_negative_cost_rejected(self):
         net = RoadNetwork()

@@ -76,6 +76,13 @@ class TestRead:
         net = read_dimacs(path, undirected=True)
         assert net.has_edge(2, 1)
 
+    def test_undirected_option_keeps_one_cost_per_edge(self, tmp_path):
+        # the two directions disagree: the later arc line sets both
+        path = tmp_path / "asymmetric.gr"
+        path.write_text("p sp 2 2\na 1 2 10\na 2 1 4\n")
+        net = read_dimacs(path, undirected=True)
+        assert net.edge_cost(1, 2) == net.edge_cost(2, 1) == 4.0
+
 
 class TestStrictParsing:
     """Regression tests: truncated/corrupted files must fail loudly."""
