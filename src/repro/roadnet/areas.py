@@ -125,7 +125,7 @@ def build_areas(
         if missing:
             raise ValueError(f"cover vertices not in network: {missing[:5]}")
     if not cover_set:
-        raise ValueError("cover must contain at least one key vertex")
+        raise ValueError(f"cover must contain at least one key vertex (k={k})")
 
     dist, owner = nearest_center_labelling(network, cover_set)
     areas: Dict[int, Area] = {c: Area(center=c) for c in sorted(cover_set)}

@@ -9,9 +9,11 @@ pass has the same three parts:
 1. **Candidate values.**  Full rows start from PHAST estimates
    (:meth:`~repro.roadnet.contraction.ContractionHierarchy.phast`); those
    are shortcut sums that round differently from Dijkstra's running sums,
-   so :func:`exact_rows` re-accumulates them: visiting each row's nodes in
-   ascending estimate order it sets ``D[v] = min over in-arcs (D[u] + w)``,
-   one vectorised step per position for all rows.  Hop-local rows
+   so :func:`exact_rows` re-accumulates them: taking each row's nodes in
+   ascending estimate order, a window of consecutive positions at a time,
+   it sets ``D[v] = min over in-arcs (D[u] + w)`` for the whole window
+   and all rows in one vectorised pass, and repeats the pass until the
+   window stops changing.  These are still only candidates.  Hop-local rows
    (:func:`local_rows`) come from a bounded label-correcting search that
    relaxes all sources' frontiers together.
 2. **Verification.**  A row is accepted only if it is 0 at its source,
@@ -57,13 +59,13 @@ from repro.roadnet.shortest_path import INF
 #: the block it fills, whatever the source count
 BATCH_CELLS = 1 << 17
 
-#: rows a chunk holds at least: a re-accumulation step costs the same few
-#: NumPy calls whatever the row count, so past BATCH_CELLS / MIN_CHUNK_ROWS
-#: nodes (8,192) a chunk takes more cells rather than pay them per row
+#: rows a chunk holds at least: past BATCH_CELLS / MIN_CHUNK_ROWS nodes
+#: (8,192) a chunk takes more cells rather than fewer rows
 MIN_CHUNK_ROWS = 16
 
-#: positions whose arc indices :func:`exact_rows` gathers at once
-_STEP_BLOCK = 128
+#: cells (positions x rows) one window of :func:`exact_rows` relaxes at
+#: once: 48 positions of a 32-row chunk, 13 of a 117-row tier-0 chunk
+WINDOW_CELLS = 1536
 
 
 def chunk_rows(n: int) -> int:
@@ -122,12 +124,21 @@ def _padded(
 # ----------------------------------------------------------------------
 # full rows
 # ----------------------------------------------------------------------
-def exact_rows(estimate: np.ndarray, sources: np.ndarray, arcs: ArcArrays) -> np.ndarray:
-    """Re-accumulate ``estimate`` (nodes x sources) in place; return it.
+def exact_rows(
+    estimate: np.ndarray, sources: np.ndarray, arcs: ArcArrays
+) -> Tuple[np.ndarray, int]:
+    """Re-accumulate ``estimate`` (nodes x sources) in place.
 
-    Each column's nodes are visited in ascending estimate order (its
-    source first) and set to ``min over in-arcs (D[u] + w)`` over the
-    values written so far; every step serves all columns at once.
+    Each column's nodes are taken in ascending estimate order (its source
+    first), a window of ``max(1, WINDOW_CELLS // len(sources))`` positions
+    at a time.  One pass sets every cell of the window, in all columns at
+    once, to ``min over in-arcs (D[u] + w)`` over the values written so
+    far, the window's own included; passes repeat until the window stops
+    changing, at most once more than it has positions.  With non-negative
+    weights that is a Bellman-Ford run inside the window, so the cap never
+    cuts one short; either way every value is a float path sum and only
+    :func:`verify_rows` accepts a row.  Returns the rows and the number of
+    passes.
     """
     n, count = estimate.shape
     columns = np.arange(count)
@@ -137,19 +148,30 @@ def exact_rows(estimate: np.ndarray, sources: np.ndarray, arcs: ArcArrays) -> np
     dist.fill(INF)
     dist[sources, columns] = 0.0
     flat = dist.reshape(-1)
-    gathered = np.empty((arcs.in_nbr.shape[0], count))
-    best = np.empty(count)
-    for lo in range(1, n, _STEP_BLOCK):
-        block = order[lo:lo + _STEP_BLOCK]
-        heads = arcs.in_nbr[:, block] * count + columns
-        weights = arcs.in_w[:, block]
+    width = max(1, WINDOW_CELLS // count)
+    passes = 0
+    for lo in range(1, n, width):
+        block = order[lo:lo + width]
+        # (slots, positions, columns); np.take is far cheaper than [:, block]
+        heads = np.take(arcs.in_nbr, block, axis=1)
+        heads *= count
+        heads += columns
+        weights = np.take(arcs.in_w, block, axis=1)
         cells = block * count + columns
-        for j in range(len(block)):
-            np.take(flat, heads[:, j], out=gathered)
-            gathered += weights[:, j]
-            np.minimum.reduce(gathered, axis=0, out=best)
-            flat[cells[j]] = best
-    return dist
+        gathered = np.empty(heads.shape)
+        old = np.full(block.shape, INF)
+        new = np.empty(block.shape)
+        for _ in range(len(block) + 1):
+            # the indices are in range; "clip" skips the buffer "raise" needs
+            np.take(flat, heads, out=gathered, mode="clip")
+            gathered += weights
+            np.minimum.reduce(gathered, axis=0, out=new)
+            passes += 1
+            if np.array_equal(new, old):
+                break
+            flat[cells] = new
+            old, new = new, old
+    return dist, passes
 
 
 def verify_rows(dist: np.ndarray, sources: np.ndarray, arcs: ArcArrays) -> np.ndarray:

@@ -69,16 +69,11 @@ def k_path_cover(
     if k == 1:
         return set(network.nodes())
 
-    cover: Set[int] = set(network.nodes())
-    if order is None:
-        order = sorted(network.nodes(), key=lambda n: (network.degree(n), n))
-    for v in order:
-        if v not in cover:
-            continue
-        cover.discard(v)
-        if _has_k_path_through(network, v, k, cover, search_budget):
-            cover.add(v)
-    return cover
+    return _prune(
+        network,
+        order,
+        lambda v, cover: _has_k_path_through(network, v, k, cover, search_budget),
+    )
 
 
 def k_shortest_path_cover(
@@ -119,16 +114,41 @@ def k_shortest_path_cover(
 
         oracle = DistanceOracle(network)
     cost = oracle.hop_local_cost_fn(k - 1)
+    return _prune(
+        network,
+        order,
+        lambda v, cover: _has_shortest_k_path_through(
+            network, v, k, cover, cost, search_budget
+        ),
+    )
 
+
+def _prune(
+    network: RoadNetwork,
+    order: Optional[Iterable[int]],
+    needed: Callable[[int, Set[int]], bool],
+) -> Set[int]:
+    """QuickPruning: drop each vertex in ``order`` (ascending degree by
+    default) unless ``needed(v, cover)`` finds an uncovered path through it.
+
+    When no path is long enough every vertex goes.  The empty set is then
+    a valid cover, but an area partition needs a centre, so the last
+    vertex removed is kept: adding a vertex to a cover keeps it one.
+    """
     cover: Set[int] = set(network.nodes())
     if order is None:
         order = sorted(network.nodes(), key=lambda n: (network.degree(n), n))
+    last = None
     for v in order:
         if v not in cover:
             continue
         cover.discard(v)
-        if _has_shortest_k_path_through(network, v, k, cover, cost, search_budget):
+        if needed(v, cover):
             cover.add(v)
+        else:
+            last = v
+    if not cover and last is not None:
+        cover.add(last)
     return cover
 
 

@@ -621,7 +621,7 @@ class DistanceOracle:
         in ``batch_fallbacks``.  Without a hierarchy every row is a
         :func:`dijkstra`.
         """
-        fallbacks = 0
+        fallbacks = passes = 0
         with _trace.span("oracle.fill_rows", sources=len(sources)) as span:
             hierarchy = self._row_hierarchy()
             if hierarchy is None:
@@ -633,7 +633,10 @@ class DistanceOracle:
                 step = batched.chunk_rows(self._n)
                 for lo in range(0, len(columns), step):
                     chunk = columns[lo:lo + step]
-                    dist = batched.exact_rows(hierarchy.phast(chunk), chunk, arcs)
+                    dist, chunk_passes = batched.exact_rows(
+                        hierarchy.phast(chunk), chunk, arcs
+                    )
+                    passes += chunk_passes
                     rows = out[lo:lo + step]
                     rows[:] = dist.T
                     for i in np.flatnonzero(~batched.verify_rows(dist, chunk, arcs)):
@@ -641,7 +644,7 @@ class DistanceOracle:
                         fallbacks += 1
                 self.batch_rows += len(columns)
                 self.batch_fallbacks += fallbacks
-            span.annotate(fallbacks=fallbacks)
+            span.annotate(fallbacks=fallbacks, passes=passes)
 
     def _row_hierarchy(self) -> Optional[ContractionHierarchy]:
         """The hierarchy the batched pass sweeps, or ``None``.

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check import validate_assignment
 from repro.core.grouping import prepare_grouping
 from repro.core.solver import METHODS, solve
 from repro.workload.instances import InstanceConfig, build_instance
@@ -23,14 +24,23 @@ class TestSolve:
         assert assignment.elapsed_seconds >= 0.0
 
     def test_gbs_builds_plan_on_demand(self, small_grid):
-        # the plan is built at prepare_grouping's default k, which needs
-        # more nodes than the 5-node line has
+        # the plan is built at prepare_grouping's default k
         instance = build_instance(
             small_grid, InstanceConfig(num_riders=10, num_vehicles=3, seed=1)
         )
         assignment = solve(instance, method="gbs+eg")
         assert assignment.is_valid()
         assert assignment.num_served > 0
+
+    @pytest.mark.parametrize("method", ["gbs+eg", "gbs+ba"])
+    def test_gbs_plans_on_demand_when_no_path_has_k_vertices(
+        self, line_instance, method
+    ):
+        # the default k = 8 exceeds the 5-node line, so pruning would empty
+        # the cover; the last vertex it removed stays as the one centre
+        assignment = solve(line_instance, method=method)
+        assert validate_assignment(line_instance, assignment).ok
+        assert assignment.num_served == solve(line_instance, method="eg").num_served
 
     def test_gbs_accepts_prepared_plan(self, line_instance):
         plan = prepare_grouping(line_instance.network, k=2)

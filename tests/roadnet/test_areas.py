@@ -74,7 +74,7 @@ class TestBuildAreas:
             build_areas(line_network, k=2, cover=[99])
 
     def test_empty_cover_rejected(self, line_network):
-        with pytest.raises(ValueError, match="at least one"):
+        with pytest.raises(ValueError, match=r"at least one key vertex \(k=2\)"):
             build_areas(line_network, k=2, cover=[])
 
     def test_unknown_mode_rejected(self, line_network):

@@ -9,6 +9,7 @@ point queries, and dispatcher set-up must make no point query and no
 pinning Dijkstra.
 """
 
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.dispatch import Dispatcher
 from repro.core.vehicles import Vehicle
+from repro.obs import start_trace, stop_trace
 from repro.roadnet import batched
 from repro.roadnet.areas import build_areas
 from repro.roadnet.generators import grid_city, nyc_like
@@ -93,17 +95,37 @@ def _has_hierarchy(oracle: DistanceOracle) -> bool:
     return oracle.network.undirected and oracle.tier in (0, 1)
 
 
+def _window_cells(window: int, rows_per_chunk: int) -> int:
+    """``WINDOW_CELLS`` for windows of ``window`` positions: exactly one
+    position for 1, at least ``window`` otherwise (a short last chunk
+    takes wider windows)."""
+    return 1 if window == 1 else window * rows_per_chunk
+
+
 class TestBatchedRows:
     @given(data=st.data())
     @_SETTINGS
     def test_rows_match_dijkstra_at_every_tier(self, data):
+        self._check_rows(data)
+
+    @pytest.mark.slow
+    @given(data=st.data())
+    @settings(_SETTINGS, max_examples=1000)
+    def test_rows_match_dijkstra_at_every_window_size(self, data):
+        self._check_rows(data)
+
+    def _check_rows(self, data):
         tier = data.draw(st.sampled_from([0, 1, 2]), label="tier")
         net = data.draw(networks(directed=False if tier == 1 else None))
         n = len(net)
         rows_per_chunk = data.draw(st.integers(1, 3), label="rows_per_chunk")
+        # one position (the per-node re-accumulation), multi-pass windows,
+        # and one window spanning the whole chunk
+        window = data.draw(st.sampled_from([1, 2, n + 1]), label="window")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(batched, "BATCH_CELLS", rows_per_chunk * n)
             mp.setattr(batched, "MIN_CHUNK_ROWS", 1)
+            mp.setattr(batched, "WINDOW_CELLS", _window_cells(window, rows_per_chunk))
             oracle = DistanceOracle(net, tier=tier)
             nodes = sorted(net.nodes())
             sources = data.draw(
@@ -141,6 +163,59 @@ class TestBatchedRows:
         stats = oracle.stats()
         assert stats["batch_rows"] == len(oracle._pinned_sources)
         assert stats["batch_fallbacks"] == 0 and stats["dijkstra_count"] == 0
+
+    def test_dense_core_table_needs_no_fallback(self):
+        net = nyc_like(seed=3)
+        oracle = DistanceOracle(net, tier=0)
+        nodes = sorted(net.nodes())
+        oracle.cost(nodes[0], nodes[-1])  # the first query builds the table
+        stats = oracle.stats()
+        assert stats["batch_rows"] == len(nodes)
+        assert stats["batch_fallbacks"] == 0 and stats["dijkstra_count"] == 0
+        # the table is the block: spot-check every 97th row
+        oracle._pinned_sources.update(nodes[::97])
+        _assert_rows_exact(oracle)
+
+    @pytest.mark.parametrize("window", [1, 7, 32, 200])
+    def test_path_windows_are_one_dependency_chain(self, monkeypatch, window):
+        # from one end of a path each window's cells depend on each other in
+        # turn: one pass settles one more cell, and one more pass confirms
+        net = RoadNetwork()
+        for i in range(99):
+            net.add_edge(i, i + 1, 1.0 + (i % 7) * 0.37)
+        oracle = DistanceOracle(net, tier=1)
+        monkeypatch.setattr(batched, "WINDOW_CELLS", window)
+        source = np.array([oracle.column(0)])
+        dist, passes = batched.exact_rows(
+            oracle._ensure_ch().phast(source), source, oracle._arc_arrays()
+        )
+        expect = dijkstra(net, 0)
+        assert [dist[oracle.column(v), 0] for v in range(100)] == [
+            expect[v] for v in range(100)
+        ]
+        widths = [min(window, 99 - lo) for lo in range(0, 99, window)]
+        assert passes == sum(width + 1 for width in widths)
+        assert batched.verify_rows(dist, source, oracle._arc_arrays()).all()
+
+    def test_fill_rows_span_reports_window_passes(self, tmp_path):
+        net = grid_city(20, 20, seed=3)
+        oracle = DistanceOracle(net, tier=1)
+        oracle._ensure_ch()
+        sources = sorted(net.nodes())[::13]
+        assert len(sources) <= batched.chunk_rows(len(net))  # one chunk
+        path = tmp_path / "trace.jsonl"
+        start_trace(str(path))
+        try:
+            oracle.warm(sources)
+        finally:
+            stop_trace()
+        (span,) = [
+            event for event in map(json.loads, path.read_text().splitlines())
+            if event.get("name") == "oracle.fill_rows"
+        ]
+        assert span["attrs"]["fallbacks"] == 0
+        # a position per step would take len(net) - 1 steps
+        assert 0 < span["attrs"]["passes"] < len(net) / 4
 
 
 class TestVerifier:
@@ -201,13 +276,13 @@ class TestVerifier:
         exact_rows = batched.exact_rows
 
         def tampered(estimate, sources, arcs):
-            dist = exact_rows(estimate, sources, arcs)
+            dist, passes = exact_rows(estimate, sources, arcs)
             if tamper == "ulp":
                 dist[5, 0] = np.nextafter(dist[5, 0], math.inf)
             else:
                 dist[1, 0] = dist[2, 0] = 3.0
                 dist[3, 0] = 4.0
-            return dist
+            return dist, passes
 
         monkeypatch.setattr(batched, "exact_rows", tampered)
         oracle.warm(sorted(net.nodes())[:2])

@@ -106,6 +106,15 @@ class TestKShortestPathCover:
         for start in uncovered:
             dfs([start], 0.0)
 
+    @pytest.mark.parametrize("cover_fn", [k_path_cover, k_shortest_path_cover])
+    def test_cover_keeps_a_vertex_when_no_path_has_k_vertices(
+        self, line_network, cover_fn
+    ):
+        # 5 nodes: pruning removes all of them, so the last one removed stays
+        cover = cover_fn(line_network, 8)
+        assert len(cover) == 1
+        assert verify_cover(line_network, cover, 8)
+
     def test_larger_k_smaller_cover(self, small_grid):
         sizes = [len(k_shortest_path_cover(small_grid, k)) for k in (2, 4, 6)]
         assert sizes[0] >= sizes[1] >= sizes[2]
