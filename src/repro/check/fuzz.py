@@ -395,6 +395,18 @@ class Trial:
                                f"without a disruption")
         if d.config.frame_budget is not None and not report.solver_tier:
             fail("watchdog", "no solver tier recorded under a frame budget")
+        # the committed-rider map, derived from scratch over the vehicles
+        # not marked changed (a drain re-registers those): a writer that
+        # skips the mark leaves the map stale
+        pending = d.fleet._changed
+        derived: Dict[int, set] = {}
+        for vid, fv in d.fleet.items():
+            for rid in fv.committed_rider_ids() if vid not in pending else ():
+                derived.setdefault(rid, set()).add(vid)
+        kept = {rid: set(vids) - pending for rid, vids in d.fleet.committed.owners.items()}
+        kept = {rid: vids for rid, vids in kept.items() if vids}
+        if kept != derived:
+            fail("committed", f"committed-rider map {kept} != the fleet's {derived}")
         self.check_ledger(d, issued, f"frame {frame}", suffix)
 
     def check_ledger(self, d: Dispatcher, issued: set, where: str, suffix: str = "") -> None:
@@ -521,14 +533,6 @@ class Trial:
 
 def _stops(stops) -> List[tuple]:
     return [(s.rider.rider_id, s.kind.value, s.location) for s in stops]
-
-
-def _fleet_digest(d: Dispatcher) -> Dict[int, tuple]:
-    return {
-        vid: (v.location, v.ready_time, sorted(r.rider_id for r in v.onboard),
-              _stops(v.committed_stops), d._total_cost[vid])
-        for vid, v in d.fleet.items()
-    }
 
 
 def _divergence(a: Dispatcher, b: Dispatcher, ra, rb, label: str) -> Optional[str]:
@@ -712,7 +716,9 @@ def _run_lockstep(t: Trial) -> None:
         else:
             if drive is not None:
                 drive.finish(a)
-                if strict and not t.failed and _fleet_digest(a) != _fleet_digest(drive.dispatcher):
+                if strict and not t.failed and (
+                    a.fleet.snapshot() != drive.dispatcher.fleet.snapshot()
+                ):
                     t.fail(t.label, "final fleet state diverges")
     finally:
         a.close()

@@ -8,11 +8,10 @@ machine:
 - every frame's solved schedules are **committed as in-flight plans**:
   riders promised a ride stay promised, and the residual plan rides into
   the next frame as the vehicle's ``committed_stops`` / ``onboard`` state;
-- advancing the clock by ``frame_length`` walks each vehicle's plan
-  event-by-event (using the schedule's exact arrival times) to its true
-  position at the new clock — a vehicle mid-leg is anchored at the stop it
-  is driving towards, plannable only from its arrival time there, and is
-  **never used from a location before its arrival time at it**;
+- advancing the clock by ``frame_length`` walks each vehicle's plan to
+  its true position at the new clock (:meth:`Fleet.roll
+  <repro.core.fleet.Fleet.roll>`): a vehicle is **never used from a
+  location before its arrival time at it**;
 - unserved riders whose pickup deadline is still live re-enter the next
   frame's batch through a bounded-retry carry-over queue; the rest expire;
 - an invalid frame raises a typed :class:`DispatchError` naming the
@@ -30,12 +29,10 @@ machine:
   solve through the anytime watchdog
   (:func:`repro.core.solver.solve_anytime`), so a frame always commits
   some valid plan; the serving tier lands in :class:`FrameReport`;
-- per-frame bookkeeping is incremental: a frame re-registers and
-  audits only the vehicles whose carried state changed since they were
-  last audited (a change replaces the vehicle's frozen :class:`Vehicle`
-  in :attr:`Dispatcher.fleet`, and :meth:`Dispatcher._sync_fleet` finds
-  the new object by identity), so its cost follows the batch and the
-  changed vehicles rather than the fleet.
+- per-frame bookkeeping is incremental: the fleet
+  (:class:`~repro.core.fleet.Fleet`, :attr:`Dispatcher.fleet`) marks
+  every vehicle it writes, and a frame re-registers and audits only the
+  marked ones, so its cost follows the batch and the changes.
 
 This is the online counterpart the Related Work section contrasts with
 ([25], [20]): requests within a frame are batched — between frames the
@@ -46,9 +43,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import (
-    AbstractSet, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set,
+    Dict, FrozenSet, List, Mapping, Optional, Sequence, Set,
     Tuple, TYPE_CHECKING,
 )
 
@@ -68,13 +66,12 @@ from repro.core.durability import (
     DurabilityLog,
     network_fingerprint,
     replay_record,
-    stop_from_dict,
 )
+from repro.core.fleet import Fleet
 from repro.core.grouping import GroupingPlan, prepare_grouping
 from repro.core.instance import LazySchedules, URRInstance
 from repro.core.requests import Rider
 from repro.core.riders import RiderStatus, RiderTable
-from repro.core.schedule import Stop, StopKind, TransferSequence
 from repro.core.shards import ShardPlan, solve_sharded
 from repro.core.solver import BASELINE_TIER, solve, solve_anytime
 from repro.core.utility import check_balance
@@ -84,12 +81,9 @@ from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.oracle import DistanceOracle
 from repro.social.graph import SocialNetwork
 from repro.workload.instances import synthetic_vehicle_utilities
-from repro.workload.serialize import rider_from_dict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.disruptions import Disruption, DisruptionOutcome
-
-_EPS = 1e-9
 
 
 class DispatchError(RuntimeError):
@@ -153,11 +147,11 @@ class FrameReport:
     frame_start: float
     num_requests: int
     num_carried: int
-    num_served: int
-    num_expired: int
-    utility: float
-    travel_cost: float
-    solver_seconds: float
+    num_served: int = 0
+    num_expired: int = 0
+    utility: float = 0.0
+    travel_cost: float = 0.0
+    solver_seconds: float = 0.0
     assignment: Optional[Assignment] = None
     solver_tier: str = ""
     fallback_tier: int = 0
@@ -183,46 +177,20 @@ class FrameReport:
         return self.num_served / self.batch_size
 
 
-class CommittedRiders:
-    """Fleet-wide ``rider id -> vehicles committed to it`` map.
-
-    Kept current one vehicle at a time (:meth:`assign`), so reading it
-    costs nothing per frame.  ``shared`` holds the riders more than one
-    vehicle is committed to: carried-state corruption the frame audit
-    reports as a cross-vehicle duplicate.
-    """
-
-    __slots__ = ("owners", "shared", "_ids")
-
-    def __init__(self) -> None:
-        self.owners: Dict[int, List[int]] = {}
-        self.shared: Set[int] = set()
-        self._ids: Dict[int, AbstractSet[int]] = {}
-
-    def assign(self, vehicle_id: int, rider_ids: AbstractSet[int]) -> None:
-        """Replace the riders registered for one vehicle."""
-        for rid in self._ids.pop(vehicle_id, ()):
-            owners = self.owners[rid]
-            owners.remove(vehicle_id)
-            if not owners:
-                del self.owners[rid]
-            elif len(owners) == 1:
-                self.shared.discard(rid)
-        if rider_ids:
-            self._ids[vehicle_id] = rider_ids
-        for rid in rider_ids:
-            owners = self.owners.setdefault(rid, [])
-            owners.append(vehicle_id)
-            if len(owners) > 1:
-                self.shared.add(rid)
-
-
 def _non_negative(name: str, value: float) -> float:
     """``value`` as a float; :class:`ValueError` unless finite and >= 0."""
     value = float(value)
     if value < 0 or not math.isfinite(value):
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
     return value
+
+
+@contextmanager
+def _timed(seconds: Dict[str, float], stage: str):
+    """Record the wall-clock seconds of the ``with`` block as ``stage``."""
+    start = time.perf_counter()
+    yield
+    seconds[stage] = time.perf_counter() - start
 
 
 @dataclass(frozen=True)
@@ -336,10 +304,11 @@ class Dispatcher:
     network:
         The road network.
     fleet:
-        Initial vehicles (their ids must be unique).  :attr:`fleet` keeps
-        them by id; a :class:`Vehicle` is frozen, so every later change
-        (the rollforward, a disruption, a restore, or code editing the
-        fleet between frames) assigns a new one.
+        Initial vehicles (their ids must be unique).  :attr:`fleet`
+        (a :class:`~repro.core.fleet.Fleet`) keeps them by id; a
+        :class:`Vehicle` is frozen, so every later change (the
+        rollforward, a disruption, a restore, or code editing the fleet
+        between frames) assigns a new one through the fleet's writers.
     oracle:
         Optional distance oracle (built on demand otherwise).
     plan:
@@ -377,11 +346,7 @@ class Dispatcher:
         **options,
     ) -> None:
         config = self._config = DispatchConfig(**options)
-        ids = [v.vehicle_id for v in fleet]
-        if len(set(ids)) != len(ids):
-            raise ValueError("fleet vehicle ids must be unique")
-        if not fleet:
-            raise ValueError("fleet must contain at least one vehicle")
+        self.fleet = Fleet(fleet)
         self.network = network
         self.oracle = oracle = oracle or DistanceOracle(network)
         self.plan = plan
@@ -390,13 +355,6 @@ class Dispatcher:
         self._plan_epoch: Optional[int] = None
         self._own_plan = plan is None
         self.social = social
-        # each vehicle's current state; every change replaces the frozen
-        # Vehicle (same key, same position), which is how the frame
-        # state below notices it
-        self.fleet: Dict[int, Vehicle] = {v.vehicle_id: v for v in fleet}
-        # travel cost charged to each vehicle, one frame's incremental
-        # cost at a time (committed legs are charged once, when planned)
-        self._total_cost: Dict[int, float] = dict.fromkeys(self.fleet, 0.0)
         # candidate retrieval: build (or adopt) the index once
         self.candidates: Optional["CandidateIndex"] = None
         if config.candidate_mode != "full":
@@ -410,14 +368,6 @@ class Dispatcher:
                     "(epoch changes would otherwise go undetected)"
                 )
             self.candidates = candidate_index
-        # incremental frame state: the Vehicle last seen in each fleet
-        # entry (a different object means the entry changed), the riders
-        # each vehicle is committed to, and the vehicles whose carried
-        # state changed since their last audit (all of them at first)
-        self._vehicles: Dict[int, Vehicle] = {}
-        self._committed = CommittedRiders()
-        self._dirty: Set[int] = set()
-        self._epoch = self.oracle.epoch
         # per-frame audit/rebuild tallies for FramePerf
         self._audited: Set[int] = set()
         self._rebuilt = 0
@@ -435,10 +385,9 @@ class Dispatcher:
         self._clock = 0.0
         # every rider's status, the carry-over queue and the pinned mu_v
         # rows; riders carried in with the initial fleet enter COMMITTED
-        preloaded: Set[int] = set()
-        for vehicle in self.fleet.values():
-            preloaded |= vehicle.committed_rider_ids()
-        self.riders = RiderTable(preloaded)
+        self.riders = RiderTable(
+            rid for v in self.fleet.values() for rid in v.committed_rider_ids()
+        )
         # running totals over every frame (FrameReport fields summed in
         # frame order); total_requests counts unique submissions, since
         # retries are not re-counted
@@ -494,9 +443,6 @@ class Dispatcher:
         """Riders currently waiting in the carry-over queue, in order."""
         return self.riders.pending_requests()
 
-    def fleet_locations(self) -> Dict[int, int]:
-        return {vid: fv.location for vid, fv in self.fleet.items()}
-
     # ------------------------------------------------------------------
     def dispatch_frame(
         self,
@@ -521,208 +467,164 @@ class Dispatcher:
         freed once the caller drops the report.
         """
         wall_start = time.perf_counter()
-        frame_before = self._perf_cursor
-        config = self.config
-        method = config.method
+        seconds: Dict[str, float] = {}  # FramePerf's per-stage timings
         if frame_length is None:
-            frame_length = config.frame_length
+            frame_length = self.config.frame_length
         else:
             frame_length = _non_negative("frame_length", frame_length)
-        with _trace.span(
-            "dispatch.frame", frame=self._frame_index
-        ) as frame_span:
+        with _trace.span("dispatch.frame", frame=self._frame_index) as span:
+            # admit: the new requests queue behind the carried riders
             new_riders = list(requests)
             carried = self.riders.pending_requests()
             self.riders.admit(new_riders, self._frame_index)
             batch = new_riders + carried
-            batch_ids = {r.rider_id for r in batch}
+            # each stage fills in its part of the report
+            report = FrameReport(
+                frame_index=self._frame_index, frame_start=self._clock,
+                num_requests=len(new_riders), num_carried=len(carried),
+                frame_length=frame_length,
+            )
             self._audited = set()
 
-            build_start = time.perf_counter()
-            with _trace.span("dispatch.build_instance"):
+            with _timed(seconds, "build_seconds"), _trace.span(
+                "dispatch.build_instance"
+            ):
                 instance = self._build_instance(batch)
                 # the carried-in residual plans, materialized on demand:
                 # only touched vehicles' baselines are ever built, so
                 # frame accounting stays O(touched) on large idle fleets
                 baselines = LazySchedules(instance)
-            build_seconds = time.perf_counter() - build_start
-            solve_start = time.perf_counter()
-            plan = self._grouping_plan()
-            # a plan the watchdog accepted has passed the frame audit
-            accepted = False
-            if self._shard_plan is not None:
+            with _timed(seconds, "solve_seconds"):
+                tier_seconds, accepted = self._solve(instance, report)
+            schedules = report.assignment.schedules
+            with _timed(seconds, "audit_seconds"):
+                if not accepted:
+                    with _trace.span("dispatch.audit"):
+                        self._enforce_validity(instance, report.assignment)
+            report.changed_vehicles = frozenset(schedules.touched | self._audited)
+            self._commit(instance, baselines, batch, report)
+
+            next_clock = self._clock + frame_length
+            with _timed(seconds, "roll_seconds"), _trace.span("dispatch.roll"):
+                self.fleet.roll(
+                    schedules, baselines, next_clock, self.riders.deliver
+                )
+                # the rolled vehicles: committed-rider map and audit marks
+                self._rebuilt += len(self.fleet.drain(self.oracle.epoch))
+            with _trace.span("dispatch.carryover"):
+                report.num_expired = self.riders.end_frame(
+                    next_clock, self.config.max_retries,
+                    instance.vehicle_utilities,
+                )
+            self._log(report, new_riders, tier_seconds, seconds, wall_start, span)
+            return report
+
+    def _solve(self, instance: URRInstance,
+               report: FrameReport) -> Tuple[Dict[str, float], bool]:
+        """Solve the frame (one global solve, the shards one after
+        another, or the anytime watchdog under a ``frame_budget``) into
+        ``report``; returns the seconds per solver tier and whether the
+        watchdog's accept check already audited the plan."""
+        config = self.config
+        method = report.solver_tier = config.method
+        plan = self._grouping_plan()
+        if config.frame_budget is None:
+            if self._shard_plan is None:
+                with _trace.span("dispatch.solve", method=method):
+                    assignment = solve(instance, method=method, plan=plan)
+            else:
                 with _trace.span(
                     "dispatch.solve", method=method, shards=config.shard_count
                 ):
                     assignment = solve_sharded(
                         instance, self._shard_plan, method, plan
                     )
-                solver_tier, fallback_tier, budget_exceeded = method, 0, False
-                tier_seconds = {method: assignment.elapsed_seconds}
-            elif config.frame_budget is None:
-                with _trace.span("dispatch.solve", method=method):
-                    assignment = solve(instance, method=method, plan=plan)
-                solver_tier, fallback_tier, budget_exceeded = method, 0, False
-                tier_seconds = {method: assignment.elapsed_seconds}
-            else:
-                with _trace.span("dispatch.solve", method=method):
-                    assignment, anytime = solve_anytime(
-                        instance,
-                        method=method,
-                        budget=config.frame_budget,
-                        plan=plan,
-                        accept=lambda a: self._first_violation(instance, a),
-                    )
-                solver_tier = anytime.tier
-                fallback_tier = anytime.tier_index
-                budget_exceeded = anytime.budget_exceeded
-                # the baseline tier is returned without an accept check
-                accepted = solver_tier != BASELINE_TIER
-                tier_seconds = {}
-                for attempt in anytime.attempts:
-                    tier_seconds[attempt.tier] = (
-                        tier_seconds.get(attempt.tier, 0.0) + attempt.elapsed
-                    )
-            solve_seconds = time.perf_counter() - solve_start
-            audit_start = time.perf_counter()
-            if not accepted:
-                with _trace.span("dispatch.audit"):
-                    self._enforce_validity(instance, assignment)
-            audit_seconds = time.perf_counter() - audit_start
-            # every changed vehicle's plan passed the audit
-            self._dirty.clear()
-
-            # incremental accounting: what this frame's insertions added
-            # over the carried-in residual plans.  Untouched vehicles keep
-            # their pristine initial sequence, so their delta is exactly
-            # zero — summing over the touched set is the full difference.
-            model = instance.utility_model()
-            schedules = assignment.schedules
-            touched = schedules.touched
-            frame_utility = 0.0
-            frame_cost = 0.0
-            for vid in touched:
-                seq = schedules[vid]
-                base = baselines[vid]
-                vehicle = instance.vehicle(vid)
-                frame_utility += model.schedule_utility(
-                    vehicle, seq
-                ) - model.schedule_utility(vehicle, base)
-                frame_cost += seq.total_cost - base.total_cost
-            # batch riders can only be in schedules the solver wrote
-            served_ids = {
-                r.rider_id
-                for vid in touched
-                for r in schedules[vid].assigned_riders()
-            } & batch_ids
-            changed = frozenset(touched | self._audited)
-            # canonical order: ledger writes must not depend on set
-            # iteration order, or sharded and unsharded runs could
-            # diverge on anything downstream of insertion order
-            self.riders.commit(sorted(served_ids))
-
-            next_clock = self._clock + frame_length
-            roll_start = time.perf_counter()
-            fleet = self.fleet
-            with _trace.span("dispatch.roll"):
-                for vid, vehicle in fleet.items():
-                    if vid in touched:
-                        seq = schedules[vid]
-                        self._total_cost[vid] += (
-                            seq.total_cost - baselines[vid].total_cost
-                        )
-                        fleet[vid] = self._roll_vehicle(
-                            vehicle, seq, next_clock
-                        )
-                    elif vehicle.committed_stops or vehicle.onboard:
-                        # untouched: the pristine plan, whose cost delta
-                        # is exactly zero.  It changed when last rolled,
-                        # so the audit already built it.
-                        seq = schedules.peek(vid)
-                        if seq is None:
-                            seq = baselines[vid]
-                        fleet[vid] = self._roll_vehicle(
-                            vehicle, seq, next_clock
-                        )
-                    elif (
-                        vehicle.ready_time is not None
-                        and vehicle.ready_time <= next_clock + _EPS
-                    ):
-                        # untouched idle vehicle: nothing to walk; retire
-                        # a stale finished-leg timestamp like
-                        # _roll_vehicle would (once per finished plan)
-                        fleet[vid] = replace(vehicle, ready_time=None)
-                # the rolled vehicles: committed-rider map and audit marks
-                self._sync_fleet()
-            roll_seconds = time.perf_counter() - roll_start
-
-            with _trace.span("dispatch.carryover"):
-                num_expired = self.riders.end_frame(
-                    next_clock, config.max_retries, instance.vehicle_utilities
+            tier_seconds = {method: assignment.elapsed_seconds}
+        else:
+            with _trace.span("dispatch.solve", method=method):
+                assignment, anytime = solve_anytime(
+                    instance, method=method, budget=config.frame_budget,
+                    plan=plan, accept=lambda a: self._first_violation(instance, a),
                 )
-
-            frame_after = PerfReport.capture(self.oracle)
-            frame_perf = FramePerf(
-                frame_after.since(frame_before),
-                wall_seconds=time.perf_counter() - wall_start,
-                build_seconds=build_seconds,
-                solve_seconds=solve_seconds,
-                audit_seconds=audit_seconds,
-                roll_seconds=roll_seconds,
-                disruption_seconds=self._pending_disruption_seconds,
-                tier_seconds=tier_seconds,
-                vehicles_rebuilt=self._rebuilt,
-                vehicles_audited=len(self._audited),
-            )
-            self._pending_disruption_seconds = 0.0
-            self._rebuilt = 0
-            self._perf_cursor = frame_after
-
-            report = FrameReport(
-                frame_index=self._frame_index,
-                frame_start=self._clock,
-                num_requests=len(new_riders),
-                num_carried=len(carried),
-                num_served=len(served_ids),
-                num_expired=num_expired,
-                utility=frame_utility,
-                travel_cost=frame_cost,
-                solver_seconds=assignment.elapsed_seconds,
-                assignment=assignment,
-                solver_tier=solver_tier,
-                fallback_tier=fallback_tier,
-                budget_exceeded=budget_exceeded,
-                perf=frame_perf,
-                frame_length=frame_length,
-                changed_vehicles=changed,
-            )
-            frame_span.annotate(
-                tier=solver_tier,
-                served=report.num_served,
-                batch=report.batch_size,
-                expired=report.num_expired,
-            )
-            if _trace.enabled():
-                _trace.instant(
-                    "frame.perf",
-                    frame=self._frame_index,
-                    perf=frame_perf.as_dict(),
+            report.solver_tier = anytime.tier
+            report.fallback_tier = anytime.tier_index
+            report.budget_exceeded = anytime.budget_exceeded
+            tier_seconds = {}
+            for attempt in anytime.attempts:
+                tier_seconds[attempt.tier] = (
+                    tier_seconds.get(attempt.tier, 0.0) + attempt.elapsed
                 )
-            self.total_requests += report.num_requests
-            self.total_served += report.num_served
-            self.total_expired += report.num_expired
-            self.total_utility += report.utility
-            self._frame_index += 1
-            self._clock = next_clock
-            if self._durability is not None:
-                # after the cursor advance: the snapshot written here is
-                # the end-of-frame state, and the WAL record re-derives
-                # it from the previous snapshot on replay
-                with _trace.span(
-                    "dispatch.durability", frame=report.frame_index
-                ):
-                    self._durability.commit_frame(self, new_riders, report)
-            return report
+        report.assignment = assignment
+        report.solver_seconds = assignment.elapsed_seconds
+        # the watchdog's accept check audited every tier but the
+        # baseline, which it returns without one
+        watched = config.frame_budget is not None
+        return tier_seconds, watched and report.solver_tier != BASELINE_TIER
+
+    def _commit(self, instance: URRInstance, baselines: LazySchedules,
+                batch: List[Rider], report: FrameReport) -> None:
+        """Commit the batch riders the plan serves; report how many, and
+        what this frame's insertions added to utility and travel cost
+        over the carried-in plans (untouched vehicles keep their pristine
+        plan, so summing over the touched ones is the full difference)."""
+        model = instance.utility_model()
+        schedules = report.assignment.schedules
+        touched = schedules.touched
+        for vid in touched:
+            seq = schedules[vid]
+            base = baselines[vid]
+            vehicle = instance.vehicle(vid)
+            report.utility += (model.schedule_utility(vehicle, seq)
+                               - model.schedule_utility(vehicle, base))
+            report.travel_cost += seq.total_cost - base.total_cost
+        # batch riders can only be in schedules the solver wrote
+        served = {
+            r.rider_id for vid in touched
+            for r in schedules[vid].assigned_riders()
+        } & {r.rider_id for r in batch}
+        # canonical order: ledger writes must not depend on set
+        # iteration order, or sharded and unsharded runs could diverge
+        # on anything downstream of insertion order
+        self.riders.commit(sorted(served))
+        report.num_served = len(served)
+
+    def _log(self, report: FrameReport, new_riders: List[Rider],
+             tier_seconds: Dict[str, float], seconds: Dict[str, float],
+             wall_start: float, span) -> None:
+        """Close the frame: its perf delta and trace, the running
+        totals, the cursor advance and, when durable, its WAL record."""
+        frame_after = PerfReport.capture(self.oracle)
+        report.perf = FramePerf(
+            frame_after.since(self._perf_cursor),
+            wall_seconds=time.perf_counter() - wall_start,
+            **seconds,
+            disruption_seconds=self._pending_disruption_seconds,
+            tier_seconds=tier_seconds,
+            vehicles_rebuilt=self._rebuilt,
+            vehicles_audited=len(self._audited),
+        )
+        self._pending_disruption_seconds = 0.0
+        self._rebuilt = 0
+        self._perf_cursor = frame_after
+        span.annotate(
+            tier=report.solver_tier, served=report.num_served,
+            batch=report.batch_size, expired=report.num_expired,
+        )
+        if _trace.enabled():
+            _trace.instant("frame.perf", frame=report.frame_index,
+                           perf=report.perf.as_dict())
+        self.total_requests += report.num_requests
+        self.total_served += report.num_served
+        self.total_expired += report.num_expired
+        self.total_utility += report.utility
+        self._frame_index += 1
+        self._clock += report.frame_length
+        if self._durability is not None:
+            # after the cursor advance: the snapshot written here is the
+            # end-of-frame state, and the WAL record re-derives it from
+            # the previous snapshot on replay
+            with _trace.span("dispatch.durability", frame=report.frame_index):
+                self._durability.commit_frame(self, new_riders, report)
 
     # ------------------------------------------------------------------
     # disruptions
@@ -731,16 +633,15 @@ class Dispatcher:
         """Apply typed mid-horizon faults between frames.
 
         Delegates to :class:`repro.core.disruptions.DisruptionEngine`.
-        The returned outcomes are the only
-        record of the disruptions: the dispatcher keeps none, so a
-        caller that wants a log collects them.  Call between
-        :meth:`dispatch_frame` calls only; the engine repairs committed
-        plans, replacing the affected :attr:`fleet` vehicles, so the next
-        frame starts from a consistent, deadline-feasible state.  A
-        durable dispatcher then appends one
+        The returned outcomes are the only record of the disruptions:
+        the dispatcher keeps none, so a caller that wants a log collects
+        them.  Call between :meth:`dispatch_frame` calls only; the engine
+        repairs committed plans, replacing the affected :attr:`fleet`
+        vehicles, so the next frame starts from a consistent,
+        deadline-feasible state.  A durable dispatcher then appends one
         WAL record of the events and their outcomes, which
-        :meth:`restore` redoes through the engine; no snapshot is
-        written here.
+        :meth:`restore` redoes through the engine; no snapshot is written
+        here.
         """
         from repro.core.disruptions import DisruptionEngine
 
@@ -775,198 +676,34 @@ class Dispatcher:
             self._plan_epoch = self.oracle.epoch
         return self.plan
 
-    def _frame_violations(
-        self, instance: URRInstance, assignment: Assignment
-    ) -> Tuple[Dict[int, List[str]], List[str]]:
-        """Per-vehicle and cross-vehicle violations of a candidate plan.
-
-        Per-vehicle checks: schedule validity (deadlines, order, capacity)
-        plus commitment integrity — the carried-in onboard riders and
-        committed stops must survive, in order, in the new schedule.
-
-        Only the schedules the solver wrote and the vehicles whose carried
-        state changed since their last audit are checked.  Any other
-        schedule is the pristine residual plan of a vehicle that passed an
-        earlier audit and has not changed since, in the same metric: it
-        re-derives the same arrival times and passes again.
-        """
-        offending: Dict[int, List[str]] = {}
-        schedules = assignment.schedules
-        touched = schedules.touched
-        audit = touched | self._dirty
-        for vehicle in instance.vehicles:
-            vid = vehicle.vehicle_id
-            if vid not in audit:
-                continue
-            seq = schedules.peek(vid)
-            if seq is None:
-                if not vehicle.has_carried_state:
-                    # nothing carried: the pristine empty sequence
-                    continue
-                seq = schedules[vid]
-            self._audited.add(vid)
-            errors = seq.validity_errors()
-            errors.extend(self._commitment_errors(vehicle, seq))
-            if errors:
-                offending[vid] = errors
-        return offending, self._duplicate_riders(schedules, touched)
-
-    def _duplicate_riders(
-        self, schedules: LazySchedules, touched: Set[int]
-    ) -> List[str]:
-        """Riders that two vehicles' schedules both serve.
-
-        Batch riders can only sit in written schedules; a carried rider
-        sits in every unwritten schedule of a vehicle committed to it,
-        which the fleet-wide committed-rider map answers without building
-        those schedules.
-        """
-        duplicates: List[str] = []
-        seen: Dict[int, int] = {}
-
-        def assigned(rid: int, vid: int) -> None:
-            first = seen.setdefault(rid, vid)
-            if first != vid:
-                duplicates.append(
-                    f"rider {rid} assigned to vehicles {first} and {vid}"
-                )
-
-        owners = self._committed.owners
-        for rid in sorted(self._committed.shared):
-            for vid in owners[rid]:
-                if vid not in touched:
-                    assigned(rid, vid)
-        for vid in sorted(touched):
-            for rider in schedules[vid].assigned_riders():
-                rid = rider.rider_id
-                for owner in owners.get(rid, ()):
-                    if owner not in touched:
-                        assigned(rid, owner)
-                assigned(rid, vid)
-        return duplicates
-
     def _first_violation(
         self, instance: URRInstance, assignment: Assignment
     ) -> Optional[str]:
         """The watchdog's accept callback: first audit failure, or None."""
-        offending, duplicates = self._frame_violations(instance, assignment)
-        if offending:
-            vid, violations = next(iter(offending.items()))
-            return f"vehicle {vid}: {violations[0]}"
-        if duplicates:
-            return duplicates[0]
-        return None
+        vid, violations = self.fleet.audit(
+            instance.vehicles, assignment.schedules, self._clock, self._audited
+        )
+        if not violations:
+            return None
+        return violations[0] if vid is None else f"vehicle {vid}: {violations[0]}"
 
     def _enforce_validity(
         self, instance: URRInstance, assignment: Assignment
     ) -> None:
-        """Audit the frame's plan; raise :class:`DispatchError` if invalid."""
-        offending, duplicates = self._frame_violations(instance, assignment)
-        if not offending and not duplicates:
-            return
-        vid, violations = (
-            next(iter(offending.items())) if offending else (None, duplicates)
+        """Audit the frame's plan (:meth:`~repro.core.fleet.Fleet.audit`);
+        raise :class:`DispatchError` if invalid."""
+        vid, violations = self.fleet.audit(
+            instance.vehicles, assignment.schedules, self._clock, self._audited
         )
-        raise DispatchError(
-            f"frame {self._frame_index} produced an invalid plan "
-            f"({'vehicle ' + str(vid) if vid is not None else 'cross-vehicle'}): "
-            f"{violations[0]}",
-            frame_index=self._frame_index,
-            vehicle_id=vid,
-            violations=list(violations) + duplicates,
-        )
-
-    def _commitment_errors(
-        self, vehicle: Vehicle, seq: TransferSequence
-    ) -> List[str]:
-        """Violations of the carried-over commitments in a new schedule."""
-        errors: List[str] = []
-        onboard_ids = {r.rider_id for r in vehicle.onboard}
-        if seq.initial_onboard != onboard_ids:
-            errors.append(
-                f"onboard riders changed: expected {sorted(onboard_ids)}, "
-                f"schedule has {sorted(seq.initial_onboard)}"
+        if violations:
+            where = "cross-vehicle" if vid is None else f"vehicle {vid}"
+            raise DispatchError(
+                f"frame {self._frame_index} produced an invalid plan "
+                f"({where}): {violations[0]}",
+                frame_index=self._frame_index,
+                vehicle_id=vid,
+                violations=violations,
             )
-        start = max(
-            self._clock,
-            vehicle.ready_time if vehicle.ready_time is not None else self._clock,
-        )
-        if abs(seq.start_time - start) > _EPS:
-            errors.append(
-                f"schedule starts at {seq.start_time:g} but the vehicle is "
-                f"only plannable from {start:g}"
-            )
-        # committed stops must appear as an ordered subsequence
-        pos = 0
-        chain = vehicle.committed_stops
-        for stop in seq.stops:
-            if pos < len(chain) and stop == chain[pos]:
-                pos += 1
-        if pos < len(chain):
-            errors.append(
-                f"committed stop {chain[pos]!r} dropped or reordered "
-                f"({pos}/{len(chain)} honoured)"
-            )
-        return errors
-
-    def _roll_vehicle(
-        self, vehicle: Vehicle, seq: TransferSequence, next_clock: float
-    ) -> Vehicle:
-        """The vehicle with its committed plan walked to ``next_clock``.
-
-        Stops with arrival at or before ``next_clock`` are executed.  If
-        any remain, the vehicle is mid-leg towards the first of them: it
-        is anchored at that stop's location with ``ready_time`` equal to
-        its exact arrival there (the stop's pickup/drop-off takes effect
-        at that moment), and the rest of the plan becomes the residual
-        ``committed_stops``.  Re-deriving the schedule from the new anchor
-        reproduces the original arrival times exactly, so commitments stay
-        feasible and the vehicle is never planned from a location before
-        it arrives there.
-        """
-        onboard: Dict[int, Rider] = {r.rider_id: r for r in vehicle.onboard}
-        stops = seq.stops
-        arrive = seq.arrive
-        n = len(stops)
-        k = 0
-        while k < n and arrive[k] <= next_clock + _EPS:
-            self._apply_stop(onboard, stops[k])
-            k += 1
-        location = vehicle.location
-        ready_time = vehicle.ready_time
-        committed: Tuple[Stop, ...] = ()
-        if k < n:
-            # mid-leg: committed to reaching stops[k] at arrive[k]
-            self._apply_stop(onboard, stops[k])
-            location = stops[k].location
-            ready_time = arrive[k]
-            committed = tuple(stops[k + 1:])
-        elif n:
-            # plan finished by next_clock: idle at the last stop
-            location = stops[-1].location
-            ready_time = None
-        elif ready_time is not None and ready_time <= next_clock + _EPS:
-            # no stops at all: a previous frame's in-flight leg ended
-            ready_time = None
-        return Vehicle(
-            vehicle_id=vehicle.vehicle_id,
-            location=location,
-            capacity=vehicle.capacity,
-            driver_social_id=vehicle.driver_social_id,
-            ready_time=ready_time,
-            onboard=tuple(onboard.values()),
-            committed_stops=committed,
-        )
-
-    def _apply_stop(self, onboard: Dict[int, Rider], stop: Stop) -> None:
-        if stop.kind is StopKind.PICKUP:
-            onboard[stop.rider.rider_id] = stop.rider
-        else:
-            onboard.pop(stop.rider.rider_id, None)
-            # the rollforward's optimistic anchor semantics apply here
-            # too: a drop-off executed (or anchored) is a delivery
-            self.riders.deliver(stop.rider.rider_id)
-
 
     # ------------------------------------------------------------------
     # cumulative metrics
@@ -999,8 +736,7 @@ class Dispatcher:
 
     def utilisation(self) -> Dict[int, float]:
         """Mean travel cost per frame per vehicle (busy-time proxy)."""
-        frames = max(self._frame_index, 1)
-        return {vid: self._total_cost[vid] / frames for vid in self.fleet}
+        return self.fleet.utilisation(max(self._frame_index, 1))
 
     def perf_report(self) -> PerfReport:
         """This dispatcher's counters across all its frames (delta-based).
@@ -1058,9 +794,10 @@ class Dispatcher:
            changes are replayed onto it, so a network that already
            holds them is refused, as is any other wrong network;
         3. rebuild the dispatcher from the snapshot's config and fleet
-           and re-apply every piece of cross-frame state (fleet plans,
-           the rider table, metric changes, running totals, frame
-           cursor; :meth:`_load_snapshot`);
+           (:meth:`Fleet.restore <repro.core.fleet.Fleet.restore>`: plans
+           and travel costs) and re-apply the rest of the cross-frame
+           state (the rider table, metric changes, running totals, frame
+           cursor);
         4. audit the restored fleet through the independent :func:`repro.check.validator.validate_fleet_state`
            oracle — corrupt state fails loudly here, not frames later;
         5. replay the WAL records newer than the snapshot in log order
@@ -1106,34 +843,25 @@ class Dispatcher:
                     "pass the network as of the snapshot (the WAL's metric "
                     "changes are replayed onto it), or none"
                 )
-        initial_fleet = []
-        for payload in snapshot["fleet"]:
-            try:
-                initial_fleet.append(Vehicle(
-                    vehicle_id=payload["id"],
-                    location=payload["location"],
-                    capacity=payload["capacity"],
-                    ready_time=payload["ready_time"],
-                    onboard=[rider_from_dict(r) for r in payload["onboard"]],
-                    committed_stops=[
-                        stop_from_dict(s) for s in payload["committed_stops"]
-                    ],
-                ))
-            except ValueError as exc:
-                raise CheckpointError(
-                    f"snapshot vehicle {payload['id']}: {exc}"
-                ) from exc
+        fleet = Fleet.restore(snapshot)
         dispatcher = cls(
-            network,
-            initial_fleet,
-            plan=plan,
-            social=social,
-            oracle=oracle,
-            candidate_index=candidate_index,
-            durability=None,
+            network, fleet.values(), plan=plan, social=social, oracle=oracle,
+            candidate_index=candidate_index, durability=None,
             **snapshot["config"],
         )
-        dispatcher._load_snapshot(snapshot)
+        # the snapshot's state replaces the fresh one, fleet costs included
+        dispatcher.fleet = fleet
+        dispatcher.riders = RiderTable.restore(snapshot)
+        dispatcher._frame_index = snapshot["frames_committed"]
+        dispatcher._clock = snapshot["clock"]
+        totals = snapshot["totals"]
+        dispatcher.total_requests = totals["requests"]
+        dispatcher.total_served = totals["served"]
+        dispatcher.total_expired = totals["expired"]
+        dispatcher.total_utility = totals["utility"]
+        dispatcher._metric_changes = {
+            (u, v): cost for u, v, cost in snapshot["metric_changes"]
+        }
         # imported lazily: repro.check depends on repro.core
         from repro.check.validator import validate_fleet_state
 
@@ -1156,58 +884,11 @@ class Dispatcher:
         log.write_snapshot(dispatcher)
         return dispatcher
 
-    def _load_snapshot(self, snapshot: dict) -> None:
-        """Re-apply the snapshot's cross-frame state to this dispatcher,
-        freshly built on the snapshot's config and fleet by
-        :meth:`restore`: running totals, frame cursor, clock, per-vehicle
-        costs, the rider table and the metric changes."""
-        self._frame_index = snapshot["frames_committed"]
-        self._clock = snapshot["clock"]
-        totals = snapshot["totals"]
-        self.total_requests = totals["requests"]
-        self.total_served = totals["served"]
-        self.total_expired = totals["expired"]
-        self.total_utility = totals["utility"]
-        for payload in snapshot["fleet"]:
-            self._total_cost[payload["id"]] = payload["total_cost"]
-        self.riders = RiderTable.restore(snapshot)
-        self._metric_changes = {
-            (u, v): cost for u, v, cost in snapshot["metric_changes"]
-        }
-
     # ------------------------------------------------------------------
-    def _sync_fleet(self) -> List[Vehicle]:
-        """The solver-side fleet, re-reading only the vehicles that changed.
-
-        Every change to a vehicle replaces its frozen :class:`Vehicle`
-        in :attr:`fleet`, so an entry changed since the last sync exactly
-        when it holds a different object than the one recorded here.  A
-        changed vehicle is marked for audit and re-registered in the
-        committed-rider map; vehicles gone from the fleet (breakdowns)
-        are forgotten.  A new oracle epoch re-times every residual plan,
-        so it marks every vehicle for audit.  Returns the vehicles in
-        fleet order.
-        """
-        known = self._vehicles
-        for vid, vehicle in self.fleet.items():
-            if vehicle is not known.get(vid):
-                known[vid] = vehicle
-                self._committed.assign(vid, vehicle.committed_rider_ids())
-                self._dirty.add(vid)
-                self._rebuilt += 1
-        if len(known) > len(self.fleet):
-            for vid in known.keys() - self.fleet.keys():
-                del known[vid]
-                self._committed.assign(vid, frozenset())
-                self._dirty.discard(vid)
-        if self.oracle.epoch != self._epoch:
-            self._epoch = self.oracle.epoch
-            self._dirty.update(self.fleet)
-        return list(self.fleet.values())
-
     def _build_instance(self, riders: List[Rider]) -> URRInstance:
         config = self.config
-        vehicles = self._sync_fleet()
+        self._rebuilt += len(self.fleet.drain(self.oracle.epoch))
+        vehicles = list(self.fleet.values())
         rng = np.random.default_rng(config.seed + self._frame_index)
         table = synthetic_vehicle_utilities(riders, vehicles, rng)
         # pinned rows win over this frame's draw; layered by reference

@@ -50,7 +50,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.core.requests import Rider
 from repro.core.schedule import Stop, StopKind
 from repro.core.dispatch import Dispatcher
 from repro.core.riders import RiderStatus
@@ -363,13 +362,7 @@ class DisruptionEngine:
                 continue
             # excise both stops; remaining legs only shorten (triangle
             # inequality of shortest-path costs), so no repair is needed
-            d.fleet[vid] = dataclasses.replace(
-                vehicle,
-                committed_stops=tuple(
-                    s for s in vehicle.committed_stops
-                    if s.rider.rider_id != rid
-                ),
-            )
+            d.fleet.release(vid, rid)
             d.riders.cancel(rid)
             return DisruptionOutcome(
                 event, OutcomeStatus.APPLIED,
@@ -562,12 +555,7 @@ class DisruptionEngine:
             )
             if pickup is not None:
                 # not yet in the car: release the whole promise
-                d.fleet[vid] = dataclasses.replace(
-                    vehicle,
-                    committed_stops=tuple(
-                        s for s in stops if s.rider.rider_id != rid
-                    ),
-                )
+                d.fleet.release(vid, rid)
                 rider = pickup.rider
                 if rider.pickup_deadline <= clock + _EPS or not math.isfinite(
                     d.oracle.cost(rider.source, rider.destination)

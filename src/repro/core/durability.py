@@ -42,14 +42,10 @@ the number of frames (the ledger grows with the riders admitted).
 - ``Dispatcher(durability=...)`` commits every frame and every
   disruption through the log; snapshots follow the
   ``checkpoint_every`` cadence alone.
-  :meth:`repro.core.dispatch.Dispatcher.restore` rebuilds the network
-  as ``network.json`` plus the snapshot's metric changes, rebuilds the
-  dispatcher, re-applies the snapshot state (the rider table restores
-  its own blocks, :meth:`~repro.core.riders.RiderTable.restore`),
-  verifies it with the
-  independent :func:`repro.check.validator.validate_fleet_state`
-  oracle, replays the WAL tail (:func:`replay_record`) and resumes
-  exactly where the dead process stopped.  Dispatch is deterministic
+  :meth:`repro.core.dispatch.Dispatcher.restore` rebuilds the state
+  (the fleet and the rider table restore their own blocks), verifies
+  it, replays the WAL tail (:func:`replay_record`) and resumes exactly
+  where the dead process stopped.  Dispatch is deterministic
   given the frame inputs (the per-frame RNG is re-derived from
   ``seed + frame_index`` — the frame cursor *is* the RNG state), and
   disruption repair given the state, so replay reproduces the lost
@@ -80,8 +76,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, List, Optional, Tuple, Union
 
-from repro.core.requests import Rider
-from repro.core.schedule import Stop, StopKind
 from repro.workload.serialize import (
     network_from_dict,
     network_to_dict,
@@ -161,27 +155,6 @@ class DurabilityConfig:
             raise ValueError("checkpoint_every must be >= 1")
 
 
-# ----------------------------------------------------------------------
-# payload helpers (repro.workload.serialize conventions)
-# ----------------------------------------------------------------------
-def stop_to_dict(stop: Stop) -> dict:
-    """A JSON-ready dict for one committed stop."""
-    return {
-        "location": stop.location,
-        "kind": stop.kind.value,
-        "rider": rider_to_dict(stop.rider),
-    }
-
-
-def stop_from_dict(payload: dict) -> Stop:
-    """Inverse of :func:`stop_to_dict`."""
-    return Stop(
-        location=payload["location"],
-        kind=StopKind(payload["kind"]),
-        rider=rider_from_dict(payload["rider"]),
-    )
-
-
 def _canonical(payload: Any) -> str:
     """Canonical JSON text (sorted keys, no whitespace) for digests."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -237,27 +210,14 @@ def snapshot_dispatcher(dispatcher, fingerprint: int, lsn: int) -> dict:
     the sequence number of the last WAL record the snapshot covers.
 
     Ordering is part of the contract wherever the dispatcher's own
-    iteration order is: the fleet list preserves the fleet dict's
-    insertion order (it drives instance vehicle order).  The rider
-    table writes its own four blocks
+    iteration order is.  The fleet writes its own block
+    (:meth:`~repro.core.fleet.Fleet.snapshot`) in fleet order (it drives
+    instance vehicle order), each vehicle with its travel cost.  The
+    rider table writes its own four blocks
     (:meth:`~repro.core.riders.RiderTable.snapshot`): the carry-over
     list in queue order (it drives batch order), the ledger, the
     preloaded ids and the pinned utility rows by rider id.
     """
-    fleet = [
-        {
-            "id": vid,
-            "location": vehicle.location,
-            "capacity": vehicle.capacity,
-            "ready_time": vehicle.ready_time,
-            "onboard": [rider_to_dict(r) for r in vehicle.onboard],
-            "committed_stops": [
-                stop_to_dict(s) for s in vehicle.committed_stops
-            ],
-            "total_cost": dispatcher._total_cost[vid],
-        }
-        for vid, vehicle in dispatcher.fleet.items()
-    ]
     return {
         "format_version": CHECKPOINT_VERSION,
         "frames_committed": dispatcher._frame_index,
@@ -275,7 +235,7 @@ def snapshot_dispatcher(dispatcher, fingerprint: int, lsn: int) -> dict:
             "expired": dispatcher.total_expired,
             "utility": dispatcher.total_utility,
         },
-        "fleet": fleet,
+        **dispatcher.fleet.snapshot(),
         **dispatcher.riders.snapshot(),
     }
 

@@ -7,7 +7,7 @@ one move writes both), the pinned ``mu_v`` row of every live rider, and
 the ids preloaded with the construction-time fleet.  Its methods are
 the only writers, and each checks its move against :data:`TRANSITIONS`.
 The riders each vehicle is committed to are derived from the fleet
-instead (:class:`~repro.core.dispatch.CommittedRiders`).
+instead (:class:`~repro.core.fleet.CommittedRiders`).
 """
 
 from __future__ import annotations

@@ -41,9 +41,6 @@ class Vehicle:
         ``ready_time`` (the completion point of its in-flight leg).
     capacity:
         Maximum simultaneous riders ``a_j`` (excluding the driver).
-    driver_social_id:
-        Social id of the driver (currently informational; the vehicle-related
-        utility matrix of the instance already encodes driver preferences).
     ready_time:
         Absolute time the vehicle becomes plannable at ``location``;
         ``None`` defaults to the instance's ``start_time``.  Never earlier
@@ -62,7 +59,6 @@ class Vehicle:
     vehicle_id: int
     location: int
     capacity: int
-    driver_social_id: Optional[int] = None
     ready_time: Optional[float] = None
     onboard: Tuple[Rider, ...] = field(default=())
     committed_stops: Tuple["Stop", ...] = field(default=())

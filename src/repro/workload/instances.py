@@ -299,15 +299,11 @@ def build_instance_from_trips(
     for trip in vehicle_trips:
         if len(vehicles) >= config.num_vehicles:
             break
-        driver_social = None
-        if geo_social is not None:
-            driver_social = geo_social.nearest_user(network, trip.dropoff_node)
         vehicles.append(
             Vehicle(
                 vehicle_id=len(vehicles),
                 location=trip.dropoff_node,
                 capacity=config.capacity,
-                driver_social_id=driver_social,
             )
         )
 

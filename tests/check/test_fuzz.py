@@ -110,19 +110,15 @@ class TestRebuildAxis:
     """``chaos-rebuild``: incremental B against the rebuild-everything A."""
 
     def test_divergence_is_named_after_the_rebuild_axis(self, monkeypatch):
-        from repro.core.dispatch import Dispatcher
+        from repro.core.fleet import Fleet
 
-        sync = Dispatcher._sync_fleet
+        def unmarked(self, vid):
+            # B's committed-rider map keeps the withdrawn vehicle's riders:
+            # re-serving one elsewhere then reads as a duplicate
+            dict.__delitem__(self, vid)
+            del self._cost[vid]
 
-        def forgetful(self):
-            first = dict(self._vehicles)
-            sync(self)
-            for vid in first.keys() & self.fleet.keys():
-                # B keeps the Vehicle it first saw: it plans from there
-                self._vehicles[vid] = first[vid]
-            return [self._vehicles[vid] for vid in self.fleet]
-
-        monkeypatch.setattr(Dispatcher, "_sync_fleet", forgetful)
+        monkeypatch.setattr(Fleet, "__delitem__", unmarked)
         stages = {
             f.stage for seed in range(6)
             for f in run_trial(seed, "chaos-rebuild").failures

@@ -120,46 +120,31 @@ def _drop_last_shard(monkeypatch):
 
 
 def _stale_vehicle(monkeypatch):
-    """A sync that keeps the Vehicle it first recorded for a replaced
-    entry: every later frame plans from that old state."""
-    from repro.core.dispatch import Dispatcher
+    """A fleet replace that does not mark the vehicle changed: the
+    committed-rider map and the audit keep its old state."""
+    from repro.core.fleet import Fleet
 
-    sync = Dispatcher._sync_fleet
+    def unmarked(self, vid, vehicle):
+        dict.__setitem__(self, vid, vehicle)
 
-    def forgetful(self):
-        first = dict(self._vehicles)
-        sync(self)
-        for vid in first.keys() & self.fleet.keys():
-            self._vehicles[vid] = first[vid]
-        return [self._vehicles[vid] for vid in self.fleet]
-
-    monkeypatch.setattr(Dispatcher, "_sync_fleet", forgetful)
+    monkeypatch.setattr(Fleet, "__setitem__", unmarked)
 
 
 def _stale_restore(monkeypatch):
-    """A restore whose first frame's solve plans from bare copies of the
-    restored vehicles (id, location and capacity only), not from them."""
-    from repro.core.dispatch import Dispatcher
+    """A fleet restore that hands its first frame bare copies of the
+    restored vehicles (id, location and capacity only), not them."""
+    from repro.core.fleet import Fleet
     from repro.core.vehicles import Vehicle
 
-    load = Dispatcher._load_snapshot
+    restore = Fleet.restore
 
-    def forgetful(dispatcher, snapshot):
-        load(dispatcher, snapshot)
-        bare = [
-            Vehicle(v.vehicle_id, v.location, v.capacity)
-            for v in dispatcher.fleet.values()
-        ]
-        sync = dispatcher._sync_fleet
+    def forgetful(snapshot):
+        fleet = restore(snapshot)
+        for vid, v in list(fleet.items()):
+            fleet[vid] = Vehicle(v.vehicle_id, v.location, v.capacity)
+        return fleet
 
-        def stale_sync():
-            sync()
-            del dispatcher._sync_fleet  # the class method from now on
-            return bare  # resumes planning from them
-
-        dispatcher._sync_fleet = stale_sync
-
-    monkeypatch.setattr(Dispatcher, "_load_snapshot", forgetful)
+    monkeypatch.setattr(Fleet, "restore", staticmethod(forgetful))
 
 
 def _keep_every_pair(monkeypatch):

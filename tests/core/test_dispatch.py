@@ -115,7 +115,7 @@ class TestConstruction:
     def test_initial_state(self, dispatcher):
         assert dispatcher.clock == 0.0
         assert dispatcher.total_requests == 0
-        assert dispatcher.fleet_locations() == {0: 0, 1: 63}
+        assert dispatcher.fleet.locations() == {0: 0, 1: 63}
         assert dispatcher.pending_requests == []
 
 
@@ -717,7 +717,7 @@ class TestIncrementalFrameState:
     state changed (plus the schedules the solver wrote)."""
 
     def test_frame_work_scales_with_changed_vehicles(self, city, monkeypatch):
-        from repro.core import dispatch as dispatch_module
+        from repro.core import fleet as fleet_module
         from repro.core.instance import URRInstance
 
         dispatcher = Dispatcher(city, _parked_fleet(200), method="eg",
@@ -732,7 +732,7 @@ class TestIncrementalFrameState:
         calls = {"initial_sequence": 0, "Vehicle": 0}
         built = []
         initial_sequence = URRInstance.initial_sequence
-        vehicle_cls = dispatch_module.Vehicle
+        vehicle_cls = fleet_module.Vehicle
 
         def counting_initial_sequence(self, vehicle):
             calls["initial_sequence"] += 1
@@ -745,7 +745,7 @@ class TestIncrementalFrameState:
 
         monkeypatch.setattr(URRInstance, "initial_sequence",
                             counting_initial_sequence)
-        monkeypatch.setattr(dispatch_module, "Vehicle", counting_vehicle)
+        monkeypatch.setattr(fleet_module, "Vehicle", counting_vehicle)
         report = dispatcher.dispatch_frame([])
         touched = report.assignment.schedules.touched
         assert calls["initial_sequence"] <= len(touched) + len(changed)
@@ -780,16 +780,16 @@ class TestIncrementalFrameState:
             dispatcher.fleet[1].ready_time = 600.0
 
     def test_idle_fleet_is_not_rebuilt_at_start(self, city, monkeypatch):
-        from repro.core import dispatch as dispatch_module
+        from repro.core import fleet as fleet_module
 
         built = []
-        vehicle_cls = dispatch_module.Vehicle
+        vehicle_cls = fleet_module.Vehicle
 
         def counting_vehicle(*args, **kwargs):
             built.append(kwargs.get("vehicle_id"))
             return vehicle_cls(*args, **kwargs)
 
-        monkeypatch.setattr(dispatch_module, "Vehicle", counting_vehicle)
+        monkeypatch.setattr(fleet_module, "Vehicle", counting_vehicle)
         fleet = [
             Vehicle(vehicle_id=vid, location=vid % 64, capacity=2)
             for vid in range(1000)
@@ -821,14 +821,16 @@ class TestIncrementalFrameState:
             vid for vid, vehicle in restored.fleet.items()
             if vehicle.has_carried_state
         }
+        from repro.core import fleet as fleet_module
+
         audited = set()
-        commitment_errors = Dispatcher._commitment_errors
+        commitment_errors = fleet_module._commitment_errors
 
-        def spy(self, vehicle, seq):
+        def spy(vehicle, seq, clock):
             audited.add(vehicle.vehicle_id)
-            return commitment_errors(self, vehicle, seq)
+            return commitment_errors(vehicle, seq, clock)
 
-        monkeypatch.setattr(Dispatcher, "_commitment_errors", spy)
+        monkeypatch.setattr(fleet_module, "_commitment_errors", spy)
         try:
             report = restored.dispatch_frame([])
             assert len(carried) == 20

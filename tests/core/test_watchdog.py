@@ -199,17 +199,19 @@ class TestDispatcherWatchdog:
     def test_accepted_plan_is_audited_once(self, city, monkeypatch):
         """The watchdog's accept check is the frame audit: a plan it
         accepted is not audited a second time."""
+        from repro.core.fleet import Fleet
+
         audits = []
-        frame_violations = Dispatcher._frame_violations
-
-        def counting(self, instance, assignment):
-            audits.append(self._frame_index)
-            return frame_violations(self, instance, assignment)
-
-        monkeypatch.setattr(Dispatcher, "_frame_violations", counting)
+        audit = Fleet.audit
         fleet = [Vehicle(0, 0, 2), Vehicle(1, 35, 2)]
         d = Dispatcher(city, fleet, method="eg", frame_length=10.0,
                        seed=5, frame_budget=30.0)
+
+        def counting(self, *args):
+            audits.append(d._frame_index)
+            return audit(self, *args)
+
+        monkeypatch.setattr(Fleet, "audit", counting)
         for frame in range(3):
             report = d.dispatch_frame(
                 self._riders(10.0 * frame, id_base=100 * frame)

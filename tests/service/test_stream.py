@@ -173,7 +173,7 @@ class TestBatchEquivalence:
             assert br.num_expired == sr.num_expired
             assert br.utility == sr.utility
         assert batch.ledger == stream.ledger
-        assert batch.fleet_locations() == stream.fleet_locations()
+        assert batch.fleet.locations() == stream.fleet.locations()
 
     def test_count_trigger_run_serves_stream(self, city):
         arrivals = stream_of(city)
@@ -335,7 +335,7 @@ class TestCrashResume:
         assert resumed.replayed_arrivals > 0  # pre-crash arrivals skipped
         assert restored.clock == reference.clock
         assert restored.ledger == reference.ledger
-        assert restored.fleet_locations() == reference.fleet_locations()
+        assert restored.fleet.locations() == reference.fleet.locations()
 
     def test_variable_frame_lengths_round_trip_the_wal(self, city, tmp_path):
         from repro.core.durability import DurabilityConfig
