@@ -11,6 +11,11 @@ Measures, on candidate-rich schedules over a ``nyc_like`` network:
 - ``arrange`` — the full fast path *including* materialising the winning
   sequence, against the reference.  Smaller ratio by construction (both
   sides pay the final ``_recompute``).
+- ``evaluate`` — scoring a feasible pair the way the solvers do (plan +
+  :meth:`~repro.core.utility.UtilityModel.insertion_utility`, no sequence
+  built) against materialising the insertion and running
+  ``schedule_utility`` on it.  Every Δμ must be equal (``==``); the run
+  exits 1 on any difference, ``--smoke`` included.
 - ``cf_end_to_end`` — the CF solver (``run_cost_first``) on a complete
   instance, fast engine vs the reference engine monkey-patched into the
   scoring layer.  Skipped in ``--smoke`` runs.
@@ -52,6 +57,8 @@ from repro.core.insertion import (
 )
 from repro.core.requests import Rider
 from repro.core.schedule import TransferSequence
+from repro.core.utility import UtilityModel
+from repro.core.vehicles import Vehicle
 from repro.obs import start_trace, stop_trace
 from repro.obs import trace as _trace
 from repro.perf import INSERTION_STATS
@@ -148,6 +155,51 @@ def _time_per_call(
     return best / len(items)
 
 
+def _utility_model(cost: Callable[[int, int], float]) -> UtilityModel:
+    """Eq. 1 with all three components and uneven μ_v / similarity values
+    (a sum taken in a different order would differ in its last bits)."""
+    return UtilityModel(
+        1 / 3, 1 / 3,
+        vehicle_utility=lambda r, v: ((r.rider_id * 7919 + v.vehicle_id * 31) % 97) / 97,
+        similarity=lambda a, b: ((a * 131 + b * 71) % 89) / 89,
+        cost=cost,
+    )
+
+
+def _evaluate_case(
+    size: int, items: List[Tuple[TransferSequence, Rider]], rounds: int,
+    model: UtilityModel,
+) -> dict:
+    """Δμ of each feasible pair, plan-scored vs materialised + scored."""
+    vehicle = Vehicle(vehicle_id=0, location=0, capacity=3)
+    base_utility = {id(seq): model.schedule_utility(vehicle, seq) for seq, _ in items}
+    feasible = [(seq, r) for seq, r in items if plan_insertion(seq, r) is not None]
+
+    def plan_scored(seq: TransferSequence, rider: Rider) -> float:
+        plan = plan_insertion(seq, rider)
+        new = model.insertion_utility(vehicle, seq, rider, plan)
+        return new - base_utility[id(seq)]
+
+    def materialised(seq: TransferSequence, rider: Rider) -> float:
+        built = arrange_single_rider(seq, rider).sequence
+        return model.schedule_utility(vehicle, built) - base_utility[id(seq)]
+
+    mismatches = sum(
+        1 for seq, r in feasible if plan_scored(seq, r) != materialised(seq, r)
+    )
+    fast_us = _time_per_call(plan_scored, feasible, rounds) * 1e6
+    ref_us = _time_per_call(materialised, feasible, rounds) * 1e6
+    return {
+        "name": "evaluate",
+        "schedule_size": size,
+        "calls": len(feasible),
+        "fast_us": round(fast_us, 2),
+        "ref_us": round(ref_us, 2),
+        "speedup": round(ref_us / fast_us, 2),
+        "mismatches": mismatches,
+    }
+
+
 def _fast_arrange(seq: TransferSequence, rider: Rider) -> object:
     result = arrange_single_rider(seq, rider)
     if result is not None:
@@ -166,6 +218,7 @@ def bench_insertion(
     oracle = DistanceOracle(network)
     cost = oracle.fast_cost_fn()
     nodes = sorted(network.nodes())
+    model = _utility_model(cost)
     cases: List[dict] = []
 
     for size in sizes:
@@ -223,6 +276,7 @@ def bench_insertion(
                 "speedup": round(ref_us / arrange_us, 2),
             }
         )
+        cases.append(_evaluate_case(size, items, rounds, model))
     return cases
 
 
@@ -356,6 +410,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"pass={report['headline']['pass']})"
     )
     print(f"wrote {args.out}")
+    mismatches = sum(c.get("mismatches", 0) for c in cases)
+    if mismatches:
+        print(f"FAIL: {mismatches} plan-scored utilities differ from the "
+              "materialised ones")
+        return 1
     if not args.smoke and not report["headline"]["pass"]:
         return 1
     return 0

@@ -362,15 +362,6 @@ class Trial:
             if fv.ready_time is not None and fv.ready_time <= clock:
                 fail("invariant", f"vehicle {vid} ready_time {fv.ready_time:.6f} "
                                   f"not ahead of clock {clock:.6f}")
-            if len(fv.onboard) > fv.capacity:
-                fail("invariant", f"vehicle {vid} carries {len(fv.onboard)} "
-                                  f"riders (capacity {fv.capacity})")
-            drops = {s.rider.rider_id for s in fv.committed_stops
-                     if s.kind.value == "dropoff"}
-            for r in fv.onboard:
-                if r.rider_id not in drops:
-                    fail("invariant", f"onboard rider {r.rider_id} on vehicle "
-                                      f"{vid} has no committed drop-off")
         for entry in d.riders.queue():
             if entry.rider.pickup_deadline <= clock:
                 fail("invariant", f"dead rider {entry.rider.rider_id} in the "

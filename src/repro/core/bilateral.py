@@ -21,10 +21,13 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.insertion import arrange_single_rider
+from repro.core.insertion import (
+    InsertionResult,
+    arrange_single_rider,
+    inserted_leg_costs,
+)
 from repro.core.requests import Rider
 from repro.core.scoring import SolverState
-from repro.core.schedule import TransferSequence
 from repro.core.vehicles import Vehicle
 
 _EPS = 1e-9
@@ -135,25 +138,28 @@ def _try_replace(
     old_cost = seq.total_cost
     old_utility = state.utility(vehicle.vehicle_id)
     best_gain = 0.0
-    best_seq: Optional[TransferSequence] = None
+    best: Optional[InsertionResult] = None
     best_bumped: Optional[Rider] = None
     for victim in seq.removable_riders():
         reduced = seq.without_rider(victim.rider_id)
         insertion = arrange_single_rider(reduced, rider)
         if insertion is None:
             continue
-        new_seq = insertion.sequence
-        if new_seq.total_cost >= old_cost - _EPS:
+        # the new sequence's total cost, summed as its _recompute would
+        t = reduced.start_time
+        for leg in inserted_leg_costs(reduced, rider, insertion):
+            t += leg
+        if t - reduced.start_time >= old_cost - _EPS:
             continue  # must reduce the travel cost
-        new_utility = state.model.schedule_utility(vehicle, new_seq)
+        new_utility = state.model.insertion_utility(vehicle, reduced, rider, insertion)
         gain = new_utility - old_utility
         if gain <= _EPS:
             continue  # must improve the overall utility
         if gain > best_gain:
             best_gain = gain
-            best_seq = new_seq
+            best = insertion
             best_bumped = victim
-    if best_seq is None:
+    if best is None:
         return None
-    state.replace_schedule(vehicle.vehicle_id, best_seq)
+    state.replace_schedule(vehicle.vehicle_id, best.sequence)
     return best_bumped

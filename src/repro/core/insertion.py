@@ -30,8 +30,9 @@ Two implementations of Algorithm 1 live here:
   shifts every later arrival by ``Δs``, shifts every later flexible time by
   ``-Δs``, and raises every later load by one, so the Lemma 3.1 conditions
   for the drop-off are plain array reads plus at most three oracle calls
-  per position.  No trial sequence is ever built; the winning pair is
-  materialised exactly once (one ``_recompute``).
+  per position.  No trial sequence is ever built, nor is one built to
+  score the winner (``UtilityModel.insertion_utility``); a pair is
+  materialised (one ``_recompute``) only when the solver commits it.
 - :func:`arrange_single_rider_reference` — the original copy-and-recompute
   implementation (one full sequence copy + O(n) recompute per candidate
   pickup position).  Kept as the executable specification: a property test
@@ -89,10 +90,10 @@ class InsertionResult:
     """Outcome of :func:`arrange_single_rider`.
 
     Results from the fast path defer building the new sequence until
-    ``sequence`` is first read (utility-blind callers like CF's ranking
-    phase never pay for materialisation); the reference path constructs it
-    eagerly.  Either way the arrays of ``sequence`` come from one real
-    ``_recompute`` and are identical between the two paths.
+    ``sequence`` is first read (scoring a pair never reads it, committing
+    one does); the reference path constructs it eagerly.  Either way the
+    arrays of ``sequence`` come from one real ``_recompute`` and are
+    identical between the two paths.
     """
 
     __slots__ = (
@@ -414,6 +415,32 @@ def arrange_single_rider_reference(
             best_delta = total
             break  # dropoffs sorted: the first feasible one is the cheapest
     return best
+
+
+def inserted_leg_costs(base: TransferSequence, rider: Rider, plan) -> List[float]:
+    """``leg_costs`` of ``base`` with ``rider`` inserted at ``plan``'s
+    positions, without building the sequence.
+
+    Legs whose two endpoints are unchanged are read from ``base``; the two
+    to four new legs make the ``cost(prev, loc)`` calls ``_recompute``
+    would make, so the list equals the materialised sequence's.
+    """
+    p, q = plan.pickup_position, plan.dropoff_position
+    stops, legs, cost = base.stops, base.leg_costs, base.cost
+    source, destination = rider.source, rider.destination
+    prev = base.origin if p == 0 else stops[p - 1].location
+    out = legs[:p]
+    out.append(cost(prev, source))
+    if q == p + 1:
+        out.append(cost(source, destination))
+    else:
+        out.append(cost(source, stops[p].location))
+        out.extend(legs[p + 1:q - 1])
+        out.append(cost(stops[q - 2].location, destination))
+    if q <= len(stops):
+        out.append(cost(destination, stops[q - 1].location))
+        out.extend(legs[q:])
+    return out
 
 
 def can_serve(sequence: TransferSequence, rider: Rider) -> bool:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.core.assignment import Assignment
-from repro.core.insertion import arrange_single_rider
+from repro.core.insertion import InsertionResult, arrange_single_rider
 from repro.core.instance import LazySchedules, URRInstance
 from repro.core.requests import Rider
 from repro.core.schedule import TransferSequence
@@ -186,8 +186,8 @@ def _try_swap(instance, model, schedules, utilities, vid_a, vid_b, stats) -> boo
             insert_a_into_b = arrange_single_rider(reduced_b, rider_a)
             if insert_a_into_b is None:
                 continue
-            new_a = model.schedule_utility(vehicle_a, insert_b_into_a.sequence)
-            new_b = model.schedule_utility(vehicle_b, insert_a_into_b.sequence)
+            new_a = model.insertion_utility(vehicle_a, reduced_a, rider_b, insert_b_into_a)
+            new_b = model.insertion_utility(vehicle_b, reduced_b, rider_a, insert_a_into_b)
             if new_a + new_b > current + _EPS:
                 schedules[vid_a] = insert_b_into_a.sequence
                 schedules[vid_b] = insert_a_into_b.sequence
@@ -207,8 +207,9 @@ def _best_insertion(
     exclude: Optional[int] = None,
 ) -> Optional[Tuple[int, TransferSequence, float]]:
     """The (vehicle, sequence, utility) maximising the utility gain of
-    inserting ``rider``; ``None`` when nowhere feasible."""
-    best: Optional[Tuple[int, TransferSequence, float]] = None
+    inserting ``rider``; ``None`` when nowhere feasible.  Only the winner's
+    sequence is built."""
+    best: Optional[Tuple[int, InsertionResult, float]] = None
     best_gain = float("-inf")
     for vid, seq in schedules.items():
         if vid == exclude:
@@ -216,11 +217,14 @@ def _best_insertion(
         result = arrange_single_rider(seq, rider)
         if result is None:
             continue
-        new_utility = model.schedule_utility(
-            instance.vehicle(vid), result.sequence
+        new_utility = model.insertion_utility(
+            instance.vehicle(vid), seq, rider, result
         )
         gain = new_utility - utilities[vid]
         if gain > best_gain:
             best_gain = gain
-            best = (vid, result.sequence, new_utility)
-    return best
+            best = (vid, result, new_utility)
+    if best is None:
+        return None
+    vid, result, new_utility = best
+    return vid, result.sequence, new_utility

@@ -39,6 +39,8 @@ class PairEvaluation:
     insertion: InsertionResult
     delta_cost: float
     delta_utility: float
+    #: ``mu`` of the schedule after the insertion; ``None`` when unscored
+    new_utility: Optional[float] = None
 
     @property
     def efficiency(self) -> float:
@@ -120,9 +122,10 @@ class SolverState:
         if insertion is None:
             return None
         if with_utility:
-            new_utility = self.model.schedule_utility(vehicle, insertion.sequence)
+            new_utility = self.model.insertion_utility(vehicle, seq, rider, insertion)
             delta_utility = new_utility - self.utility(vehicle.vehicle_id)
         else:
+            new_utility = None
             delta_utility = 0.0
         return PairEvaluation(
             rider=rider,
@@ -130,17 +133,19 @@ class SolverState:
             insertion=insertion,
             delta_cost=insertion.delta_cost,
             delta_utility=delta_utility,
+            new_utility=new_utility,
         )
 
     def commit(self, evaluation: PairEvaluation) -> None:
         """Adopt the evaluated insertion as the vehicle's new schedule.
 
-        The cached schedule utility is invalidated rather than updated, so
-        utility-blind solvers (CF) never pay for utility evaluation; the
-        next :meth:`utility` call recomputes exactly."""
+        This materialises the insertion (its one ``_recompute``) and
+        caches the utility the evaluation scored; a utility-blind
+        evaluation (CF) caches nothing, so the next :meth:`utility` call
+        computes it."""
         vid = evaluation.vehicle.vehicle_id
         self.schedules[vid] = evaluation.insertion.sequence
-        self._utility_cache[vid] = None
+        self._utility_cache[vid] = evaluation.new_utility
 
     def replace_schedule(self, vehicle_id: int, sequence: TransferSequence) -> None:
         """Set a vehicle's schedule directly (BA's replace operation)."""

@@ -16,10 +16,11 @@ utility lookup and a similarity lookup.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict
+from typing import Callable, Dict, List, Set
 
 from repro.core.requests import Rider
-from repro.core.schedule import CostFn, TransferSequence
+from repro.core.insertion import inserted_leg_costs
+from repro.core.schedule import CostFn, Stop, StopKind, TransferSequence
 from repro.core.vehicles import Vehicle
 
 #: mu_v(r_i, c_j) lookup
@@ -126,6 +127,63 @@ class UtilityModel:
     def schedule_utility(self, vehicle: Vehicle, sequence: TransferSequence) -> float:
         """``mu(S_j)``: total utility of all riders picked up in ``S_j``.
 
+        Reads the sequence's own rider list, leg costs and onboard sets;
+        :meth:`insertion_utility` feeds the same arithmetic arrays derived
+        from an insertion plan, so the two agree bit for bit.
+        """
+        return self._utility(
+            vehicle, sequence.assigned_riders(), sequence.leg_costs,
+            sequence._onboard_sets(),
+        )
+
+    def insertion_utility(
+        self, vehicle: Vehicle, base: TransferSequence, rider: Rider, plan
+    ) -> float:
+        """``mu`` of ``base`` with ``rider`` inserted at ``plan``'s positions.
+
+        ``plan`` is an ``InsertionPlan`` or ``InsertionResult``.  The new
+        sequence is never built: its leg costs come from
+        :func:`inserted_leg_costs`, its riders and onboard sets from the
+        walk of ``TransferSequence._onboard_sets`` (set iteration order
+        fixes the order of the Eq. 2 pair sums), so the result is ``==``
+        to :meth:`schedule_utility` of the materialised sequence.
+        """
+        p, q = plan.pickup_position, plan.dropoff_position
+        stops = base.stops
+        riders: List[Rider] = []
+        onboard: List[Set[int]] = []
+        current: Set[int] = set(base.initial_onboard)
+        pickup = StopKind.PICKUP
+
+        def walk(segment: List[Stop]) -> None:
+            for stop in segment:
+                onboard.append(set(current))
+                if stop.kind is pickup:
+                    riders.append(stop.rider)
+                    current.add(stop.rider.rider_id)
+                else:
+                    current.discard(stop.rider.rider_id)
+
+        walk(stops[:p])
+        onboard.append(set(current))  # the new pickup stop
+        riders.append(rider)
+        current.add(rider.rider_id)
+        walk(stops[p:q - 1])
+        onboard.append(set(current))  # the new drop-off stop
+        current.discard(rider.rider_id)
+        walk(stops[q - 1:])
+        legs = inserted_leg_costs(base, rider, plan)
+        return self._utility(vehicle, riders, legs, onboard)
+
+    def _utility(
+        self,
+        vehicle: Vehicle,
+        riders: List[Rider],
+        leg_costs: List[float],
+        onboard: List[Set[int]],
+    ) -> float:
+        """Eq. 1 summed over ``riders`` (in pickup order) of one schedule.
+
         Single pass over the schedule's events: per event the onboard
         riders accumulate its cost (for Eq. 4) and, when co-riders are
         present, the cost-weighted mean similarity (the Eq. 2 numerator).
@@ -133,7 +191,6 @@ class UtilityModel:
         evaluating each rider independently — this method dominates the
         solvers' runtime, so the constant factor matters.
         """
-        riders = sequence.assigned_riders()
         if not riders:
             return 0.0
         gamma = 1.0 - self.alpha - self.beta
@@ -145,8 +202,6 @@ class UtilityModel:
         if self.beta <= 1e-12 and gamma <= 1e-12:
             return total
 
-        onboard = sequence._onboard_sets()
-        leg_costs = sequence.leg_costs
         similarity = self.similarity
         onboard_cost: Dict[int, float] = {}
         sim_acc: Dict[int, float] = {}

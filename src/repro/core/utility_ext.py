@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
+from repro.core.insertion import InsertionResult
 from repro.core.requests import Rider
 from repro.core.schedule import CostFn, TransferSequence
 from repro.core.utility import SimilarityFn, UtilityModel, VehicleUtilityFn
@@ -99,6 +100,14 @@ class ExtendedUtilityModel(UtilityModel):
             self.rider_utility(rider, vehicle, sequence)
             for rider in sequence.assigned_riders()
         )
+
+    def insertion_utility(
+        self, vehicle: Vehicle, base: TransferSequence, rider: Rider, plan
+    ) -> float:
+        # components read the whole sequence (punctuality reads ``arrive``),
+        # which the plan-scored arrays do not carry: build it
+        sequence = InsertionResult.deferred(base, rider, plan).sequence
+        return self.schedule_utility(vehicle, sequence)
 
 
 # ----------------------------------------------------------------------

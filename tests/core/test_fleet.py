@@ -122,6 +122,25 @@ def test_only_the_marking_writers_write():
     assert list(fleet) == [0, 1]
 
 
+def test_vehicle_refuses_what_the_fleet_cannot_hold():
+    """More riders onboard than seats, and an onboard rider without a
+    committed drop-off, raise in ``Vehicle`` itself, so no fleet writer
+    (construction, replacement, roll, restore) can store either state."""
+    r0, r1 = (Rider(k, k, k + 5, 10.0, 20.0) for k in range(2))
+    with pytest.raises(ValueError, match="exceed capacity"):
+        Vehicle(0, 0, 1, onboard=(r0, r1))
+    with pytest.raises(ValueError, match="no committed drop-off"):
+        Vehicle(0, 0, 2, onboard=(r0,))
+    fleet = Fleet([Vehicle(0, 0, 1, onboard=(r0,),
+                           committed_stops=(Stop.dropoff(r0),))])
+    fleet.drain(0)
+    with pytest.raises(ValueError, match="exceed capacity"):
+        fleet[0] = dataclasses.replace(fleet[0], onboard=(r0, r1))
+    with pytest.raises(ValueError, match="no committed drop-off"):
+        fleet[0] = dataclasses.replace(fleet[0], committed_stops=())
+    assert fleet.drain(0) == []
+
+
 def test_restored_fleet_equals_the_live_one(tmp_path):
     """Vehicles built with a social network come back from a checkpoint
     equal to the live ones (a driver id the checkpoint did not hold once

@@ -7,26 +7,43 @@ Algorithm 1 kept as the executable specification.  These tests pin them
 together **exactly** — same positions, same delta cost, identical arrays of
 the materialised sequence — on randomized schedules, and guard the Lemma
 3.2 early break of :func:`valid_insertions` against a no-break brute force.
+They also pin the utility the solvers score a pair with
+(``UtilityModel.insertion_utility``, no sequence built) to the utility of
+the materialised sequence, and a solve to one materialisation per commit.
 """
 
 import random
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.greedy import run_efficient_greedy
 from repro.core.insertion import (
     InsertionCandidate,
+    InsertionPlan,
+    InsertionResult,
     arrange_single_rider,
     arrange_single_rider_reference,
+    inserted_leg_costs,
     plan_insertion,
     valid_insertions,
 )
 from repro.core.requests import Rider
 from repro.core.schedule import Stop, TransferSequence
+from repro.core.scoring import SolverState
+from repro.core.utility import UtilityModel
+from repro.core.utility_ext import (
+    ExtendedUtilityModel,
+    UtilityComponent,
+    punctuality_component,
+)
+from repro.core.vehicles import Vehicle
 from repro.perf import INSERTION_STATS
 from repro.roadnet.generators import grid_city
 from repro.roadnet.oracle import DistanceOracle
+from repro.workload import InstanceConfig, build_instance
 
 NET = grid_city(5, 5, seed=11, removal_fraction=0.0, arterial_every=None)
 COST = DistanceOracle(NET).fast_cost_fn()
@@ -58,10 +75,15 @@ def _random_rider(rng: random.Random, anchor: int, t0: float, rider_id: int,
 
 
 def _grow_schedule(rng: random.Random, target_stops: int, capacity: int,
-                   slack: float) -> TransferSequence:
-    """Grow a schedule via the *reference* path (never assumes the fast one)."""
-    origin = rng.choice(NODES)
-    seq = TransferSequence(origin=origin, start_time=0.0, capacity=capacity, cost=COST)
+                   slack: float,
+                   seq: Optional[TransferSequence] = None) -> TransferSequence:
+    """Grow a schedule via the *reference* path (never assumes the fast one),
+    from an empty one at a random origin unless ``seq`` is given."""
+    if seq is None:
+        seq = TransferSequence(
+            origin=rng.choice(NODES), start_time=0.0, capacity=capacity, cost=COST
+        )
+    origin = seq.origin
     rider_id = 100
     for _ in range(200):
         if len(seq) >= target_stops:
@@ -251,6 +273,18 @@ class TestEngineCounters:
         assert first is second
         assert INSERTION_STATS.materializations == 1
 
+    def test_solve_materialises_once_per_commit(self):
+        """Scoring a pair builds no schedule; only a commit does."""
+        instance = build_instance(
+            grid_city(8, 8, seed=5),
+            InstanceConfig(num_riders=40, num_vehicles=6, capacity=3, seed=6),
+        )
+        state = SolverState(instance)
+        INSERTION_STATS.reset()
+        committed = run_efficient_greedy(state, instance.riders)
+        assert INSERTION_STATS.plans > 2 * len(committed) > 0  # pairs scored
+        assert INSERTION_STATS.materializations <= len(committed)
+
     def test_reference_counts(self):
         rng = random.Random(14)
         seq = _grow_schedule(rng, 4, capacity=3, slack=2.5)
@@ -272,3 +306,129 @@ class TestEngineCounters:
                 break
         assert seq.stops == stops_before
         assert seq.arrive == arrive_before
+
+
+# ----------------------------------------------------------------------
+# plan-scored utility == utility of the materialised schedule
+# ----------------------------------------------------------------------
+#: (alpha, beta) pairs, the Eq. 1 corners included: alpha = 1, beta = 1
+#: (both gamma = 0), alpha = beta = 0 (gamma = 1), and beta = 0
+WEIGHTS = [(1 / 3, 1 / 3), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.4, 0.0),
+           (0.5, 0.5), (0.2, 0.7)]
+
+
+def _model(alpha: float, beta: float) -> UtilityModel:
+    # uneven values, so a sum taken in another order differs in its last bits
+    return UtilityModel(
+        alpha, beta,
+        vehicle_utility=lambda r, v: ((r.rider_id * 7919 + v.vehicle_id * 31) % 97) / 97,
+        similarity=lambda a, b: ((a * 131 + b * 71) % 89) / 89,
+        cost=COST,
+    )
+
+
+def _carried_schedule(rng: random.Random, onboard: int, target_stops: int,
+                      capacity: int) -> TransferSequence:
+    """A schedule starting with ``onboard`` riders in the car (drop-offs in
+    random order), grown by insertions, some of them then committed."""
+    origin = rng.choice(NODES)
+    riders = [_random_rider(rng, origin, 0.0, 50 + k, slack=4.0) for k in range(onboard)]
+    drops = [Stop.dropoff(r) for r in riders]
+    rng.shuffle(drops)
+    seq = TransferSequence(origin, 0.0, capacity, COST, stops=drops,
+                           initial_onboard=riders)
+    seq = _grow_schedule(rng, onboard + target_stops, capacity, 2.5, seq=seq)
+    committed = [s.rider.rider_id for s in seq.stops if rng.random() < 0.3]
+    return TransferSequence(origin, 0.0, capacity, COST, stops=seq.stops,
+                            initial_onboard=riders, committed=committed)
+
+
+def _on_route_rider(rng: random.Random, seq: TransferSequence) -> Rider:
+    """A rider whose endpoints are schedule locations: zero-cost legs."""
+    locations = [seq.origin] + seq.locations()
+    source = rng.choice(locations)
+    destination = rng.choice([n for n in locations + NODES if n != source])
+    return Rider(rider_id=0, source=source, destination=destination,
+                 pickup_deadline=1e6, dropoff_deadline=2e6)
+
+
+def assert_plan_scored_utility_exact(model, vehicle, seq, rider) -> None:
+    """``insertion_utility`` == ``schedule_utility`` of the built schedule,
+    for Algorithm 1's pick and for every (pickup, drop-off) position pair:
+    appends (``p == n``), adjacent stops (``q == p + 1``) and drop-offs
+    after the last stop (``q == n + 1``) included."""
+    result = arrange_single_rider(seq, rider)
+    if result is not None:
+        scored = model.insertion_utility(vehicle, seq, rider, result)
+        assert scored == model.schedule_utility(vehicle, result.sequence)
+    n = len(seq)
+    for p in range(n + 1):
+        for q in range(p + 1, n + 2):
+            plan = InsertionPlan(p, q, 0.0, 0.0, 0.0)
+            built = InsertionResult.deferred(seq, rider, plan).sequence
+            assert inserted_leg_costs(seq, rider, plan) == built.leg_costs
+            assert model.insertion_utility(vehicle, seq, rider, plan) == (
+                model.schedule_utility(vehicle, built)
+            ), (p, q)
+
+
+class TestPlanScoredUtility:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_equals_materialised_utility(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**31), label="rng_seed"))
+        capacity = data.draw(st.integers(1, 6), label="capacity")
+        onboard = data.draw(st.integers(0, capacity), label="onboard")
+        target = data.draw(st.integers(0, 8), label="target_stops")
+        alpha, beta = data.draw(st.sampled_from(WEIGHTS), label="weights")
+        seq = _carried_schedule(rng, onboard, target, capacity)
+        vehicle = Vehicle(rng.randrange(40), seq.origin, capacity)
+        if data.draw(st.booleans(), label="on_route"):
+            rider = _on_route_rider(rng, seq)
+        else:
+            rider = _probe(rng, seq, data.draw(st.floats(0.5, 4.0), label="slack"))
+        assert_plan_scored_utility_exact(_model(alpha, beta), vehicle, seq, rider)
+
+    @pytest.mark.parametrize("alpha, beta", WEIGHTS)
+    def test_many_riders_onboard(self, alpha, beta):
+        """Six riders share legs, so the onboard sets outgrow a small set's
+        eight slots and their iteration order rests on the walk's history."""
+        rng = random.Random(21)
+        seq = _carried_schedule(rng, onboard=5, target_stops=2, capacity=6)
+        assert len(seq.initial_onboard) == 5
+        vehicle = Vehicle(3, seq.origin, 6)
+        for _ in range(3):
+            assert_plan_scored_utility_exact(
+                _model(alpha, beta), vehicle, seq, _on_route_rider(rng, seq)
+            )
+
+    def test_extended_model_scores_the_whole_sequence(self):
+        """An extended model's components read the built sequence (here
+        ``arrive``), so its evaluations must score the materialised one."""
+        instance = build_instance(
+            grid_city(6, 6, seed=4),
+            InstanceConfig(num_riders=12, num_vehicles=2, capacity=3, seed=8),
+        )
+        model = ExtendedUtilityModel(
+            0.2, 0.2, instance.vehicle_utility, instance.similarity, instance.cost,
+            components=[UtilityComponent("punctual", 0.4, punctuality_component(2.0))],
+        )
+        state = SolverState(instance, model=model)
+        scored = 0
+        for rider in instance.riders:
+            for vehicle in instance.vehicles:
+                evaluation = state.evaluate(rider, vehicle)
+                if evaluation is None:
+                    continue
+                built = evaluation.insertion.sequence
+                assert evaluation.new_utility == model.schedule_utility(vehicle, built)
+                assert evaluation.delta_utility == (
+                    evaluation.new_utility - state.utility(vehicle.vehicle_id)
+                )
+                scored += 1
+                state.commit(evaluation)
+                assert state.utility(vehicle.vehicle_id) == model.schedule_utility(
+                    vehicle, state.schedule(vehicle.vehicle_id)
+                )
+                break
+        assert scored >= 4
